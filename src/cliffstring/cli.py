@@ -14,20 +14,13 @@ import sys
 
 import numpy as np
 
-from .fixtures import (
-    random_degenerate_hermitian,
-    random_hermitian,
-    random_octonion,
-    random_spectrum,
-    random_spinor,
-)
+from .fixtures import random_hermitian, random_octonion, random_spectrum, random_spinor
 from .lorentz import (
     LorentzFactor,
     NestedTransform,
     act_vector,
     boost_generator,
     compatibility_residual,
-    compatibility_residual_raw,
     contraction_residual,
     make_factor,
     phase_generator,
@@ -56,6 +49,8 @@ from .resolve import reconstruction_residual, resolve_hermitian, vectors
 from .string_modes import (
     charge_density_coefficients,
     charge_quadrature,
+    coordinates,
+    current_density,
     divergence_residual,
     emission_bound,
     endpoint_flux,
@@ -64,7 +59,6 @@ from .string_modes import (
     spectrum_from_json,
     spectrum_to_json,
 )
-from .string_modes import _current_raw, _coordinates_raw
 
 SEED_ENV = "CLIFFSTRING_SEED"
 
@@ -141,11 +135,11 @@ def _extract_dotted_tols(argv):
                     raise InputError(f"--tol.{name} needs a value")
                 val = argv[i]
             try:
-                parsed = float(val)
+                parsed = _positive_float(val)
             except ValueError:
                 raise InputError(f"--tol.{name} needs a number, got {val!r}")
-            if not parsed > 0:
-                raise InputError(f"--tol.{name} must be positive")
+            except argparse.ArgumentTypeError as exc:
+                raise InputError(f"--tol.{name} {exc}")
             if not name:
                 raise InputError("--tol. needs a check name")
             tols[name] = parsed
@@ -312,7 +306,7 @@ def _mixed_control_residual(rng: np.random.Generator) -> float:
     f1 = make_factor(rotation_generator(1), 0.8)
     f2 = make_factor(phase_generator(2), 0.9)
     mixed = omat_mul(f1.s, f2.s)
-    return compatibility_residual_raw(mixed, random_spinor(rng))
+    return compatibility_residual(mixed, random_spinor(rng))
 
 
 def cmd_lorentz_check(args, overrides) -> int:
@@ -335,7 +329,7 @@ def cmd_lorentz_check(args, overrides) -> int:
         chi, psi = random_spinor(rng), random_spinor(rng)
         for f in factors:
             worst["compatibility"] = max(
-                worst["compatibility"], compatibility_residual(f, v)
+                worst["compatibility"], compatibility_residual(f.s, v)
             )
             worst["contraction"] = max(
                 worst["contraction"], contraction_residual(f, chi, psi)
@@ -381,8 +375,8 @@ def _write_grid_csv(ms, path, n_sigma: int) -> None:
         writer.writerow(header)
         for tau in taus:
             for sigma in sigmas:
-                x = _coordinates_raw(ms, tau, sigma)
-                jt, js = _current_raw(ms, tau, sigma)
+                x = coordinates(ms, tau, sigma)
+                jt, js = current_density(ms, tau, sigma)
                 row = [f"{tau:.17g}", f"{sigma:.17g}"]
                 for m in (x, jt, js):
                     for a in range(2):
@@ -400,9 +394,9 @@ def cmd_string_modes(args, overrides) -> int:
         raise InputError(f"bad spectrum in {args.spectrum}: {exc}")
 
     points = [(t, s) for t in _TAUS for s in _SIGMAS]
-    currents = [_current_raw(ms, t, s) for t, s in points]
+    currents = [current_density(ms, t, s) for t, s in points]
     jscale = max(1.0, max(float(np.max(np.abs(c))) for pair in currents for c in pair))
-    coords = [_coordinates_raw(ms, t, s) for t, s in points]
+    coords = [coordinates(ms, t, s) for t, s in points]
     xscale = max(1.0, max(float(np.max(np.abs(x))) for x in coords))
 
     div_h = divergence_residual(ms, points, h=1e-3)
@@ -420,7 +414,7 @@ def cmd_string_modes(args, overrides) -> int:
     eom_ratio = eom_2h / eom_h if eom_h > 0 else 4.0
     herm = max(float(np.max(np.abs(x - x.conj().T))) for x in coords)
     even = max(
-        float(np.max(np.abs(_coordinates_raw(ms, t, s) - _coordinates_raw(ms, t, -s))))
+        float(np.max(np.abs(coordinates(ms, t, s) - coordinates(ms, t, -s))))
         for t, s in points
     )
 
@@ -527,8 +521,8 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be positive")
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError("must be positive and finite")
     return value
 
 

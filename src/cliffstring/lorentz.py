@@ -26,7 +26,6 @@ import scipy.linalg
 from .octonion import Octonion, mul_arrays, conj_arrays
 from .matrices import OctHermitian, omat_mul, omat_adjoint
 from .minkowski import EPS
-from .clifford import TensorVector
 
 __all__ = [
     "MixedSubspaceError",
@@ -40,14 +39,11 @@ __all__ = [
     "phase_generator",
     "act_vector",
     "act_spinor",
-    "act_cospinor",
     "spinor_map",
     "cospinor_map",
     "lower_factor_indices",
     "compatibility_residual",
-    "compatibility_residual_raw",
     "contraction_residual",
-    "contraction_residual_raw",
     "kinetic_density",
     "kinetic_invariance_residual",
 ]
@@ -196,20 +192,15 @@ def act_spinor(factor: LorentzFactor, c) -> tuple:
     )
 
 
-def act_cospinor(factor: LorentzFactor, w) -> tuple:
-    """Co-spinor action on a pair of TensorVectors (right scaling, sign flip)."""
-    sl = lower_factor_indices(factor.s)
-    return tuple(
-        -(w[0].scale_right(Octonion(sl[a, 0])) + w[1].scale_right(Octonion(sl[a, 1])))
-        for a in range(2)
-    )
-
-
 # -- consistency checks ------------------------------------------------------
 
 
-def compatibility_residual_raw(s: np.ndarray, v) -> float:
-    """Max entry norm of (Sv)(Sv)+ - (S (v v+)) S+ for an octonion spinor v."""
+def compatibility_residual(s: np.ndarray, v) -> float:
+    """Max entry norm of (Sv)(Sv)+ - (S (v v+)) S+ for an octonion spinor v.
+
+    s is a bare (2, 2, 8) stack rather than a LorentzFactor, so the
+    residual is also defined for invalid mixed-subspace matrices.
+    """
     sv = spinor_map(s, v)
     lhs = np.zeros((2, 2, 8))
     outer = np.zeros((2, 2, 8))
@@ -221,24 +212,16 @@ def compatibility_residual_raw(s: np.ndarray, v) -> float:
     return float(np.max(np.linalg.norm(lhs - rhs, axis=2)))
 
 
-def compatibility_residual(factor: LorentzFactor, v) -> float:
-    return compatibility_residual_raw(factor.s, v)
-
-
 def _contraction_real(chi, psi) -> float:
     t = mul_arrays(chi[0].c, psi[0].c) + mul_arrays(chi[1].c, psi[1].c)
     return 2.0 * float(t[0])
 
 
-def contraction_residual_raw(s: np.ndarray, det: float, chi, psi) -> float:
-    chi2 = spinor_map(s, chi)
-    psi2 = cospinor_map(s, psi)
-    return abs(_contraction_real(chi2, psi2) - det * _contraction_real(chi, psi))
-
-
 def contraction_residual(factor: LorentzFactor, chi, psi) -> float:
     """|Re contraction after transform - det * Re contraction before|."""
-    return contraction_residual_raw(factor.s, factor.det, chi, psi)
+    chi2 = spinor_map(factor.s, chi)
+    psi2 = cospinor_map(factor.s, psi)
+    return abs(_contraction_real(chi2, psi2) - factor.det * _contraction_real(chi, psi))
 
 
 def kinetic_density(dc, dstar) -> float:

@@ -94,11 +94,3 @@ class OctHermitian:
             return cls(data, tol=tol)
         raise ValueError("unrecognized Hermitian matrix encoding")
 
-    def to_compact_json(self) -> dict:
-        if self.n != 2:
-            raise ValueError("compact form is 2x2 only")
-        return {
-            "a": float(self.data[0, 0, 0]),
-            "b": float(self.data[1, 1, 0]),
-            "c": self.data[0, 1].tolist(),
-        }

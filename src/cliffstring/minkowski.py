@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .octonion import Octonion, mul_arrays, conj_arrays, STRUCTURE
+from .octonion import mul_arrays, conj_arrays
 from .matrices import OctHermitian, NotHermitianError, hermiticity_residual
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "det2",
     "raise_spinor",
     "lower_spinor",
-    "lower_spinor_indices",
     "eta4",
 ]
 
@@ -108,8 +107,9 @@ def matrix_to_vector(x_mat: OctHermitian, s: SigmaSet, tol: float = 1e-12) -> np
         raise ValueError("expected a 2x2 matrix")
     if hermiticity_residual(x_mat.data) > tol:
         raise NotHermitianError("matrix_to_vector needs a Hermitian matrix")
-    prod = np.einsum("mabi,bcj,ijk->mack", s.mats, x_mat.data, STRUCTURE)
-    return 0.5 * (prod[:, 0, 0, 0] + prod[:, 1, 1, 0])
+    # prod[mu, a, b] = sigma^mu_ab X_ba, so the trace sums its real parts
+    prod = mul_arrays(s.mats, x_mat.data.transpose(1, 0, 2))
+    return 0.5 * prod[..., 0].sum(axis=(1, 2))
 
 
 def det2(x_mat: OctHermitian, tol: float = 1e-12) -> float:
@@ -133,12 +133,3 @@ def lower_spinor(v):
     """V_B = V^A eps_{AB}."""
     return (-v[1], v[0])
 
-
-def lower_spinor_indices(m: np.ndarray) -> np.ndarray:
-    """Lower both spinor indices of a 2x2 stack: T_{AB} = eps^T T eps.
-
-    Works on plain complex (2, 2) arrays and on octonionic (2, 2, 8) stacks.
-    """
-    if m.ndim == 2:
-        return EPS.T @ m @ EPS
-    return np.einsum("ca,cdX,db->abX", EPS, m, EPS)

@@ -22,8 +22,6 @@ import numpy as np
 __all__ = [
     "Octonion",
     "STRUCTURE",
-    "MUL_INDEX",
-    "MUL_SIGN",
     "mul_arrays",
     "conj_arrays",
     "alternativity_check",
@@ -66,9 +64,6 @@ def _build_structure():
 # is a single signed basis unit.
 STRUCTURE = _build_structure()
 STRUCTURE.setflags(write=False)
-
-MUL_INDEX = np.argmax(np.abs(STRUCTURE), axis=2)
-MUL_SIGN = np.take_along_axis(STRUCTURE, MUL_INDEX[:, :, None], axis=2)[:, :, 0]
 
 _CONJ_SIGNS = np.array([1.0, -1, -1, -1, -1, -1, -1, -1])
 

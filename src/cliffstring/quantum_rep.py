@@ -39,7 +39,6 @@ J^z = i/2 (M0_(12) - M0dag_(12)) = Q_1 R_2 - Q_2 R_1 hold exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -47,7 +46,6 @@ from .minkowski import EPS, eta4, sigma4_complex
 
 __all__ = [
     "PolySpace",
-    "PolyOperator",
     "QuatOperator",
     "CanonicalPairs",
     "build_canonical",
@@ -55,7 +53,6 @@ __all__ = [
     "quaternion_pairs",
     "mixed_algebra_residual",
     "spinor_components",
-    "vector_components",
     "m0_matrices",
     "lorentz_closure_residual",
     "three_vector_form",
@@ -119,28 +116,6 @@ class PolySpace:
         return m
 
 
-@dataclass(frozen=True)
-class PolyOperator:
-    """Linear operator on a PolySpace together with its degree shift."""
-
-    mat: np.ndarray
-    shift: int
-
-    def __matmul__(self, other: "PolyOperator") -> "PolyOperator":
-        return PolyOperator(self.mat @ other.mat, self.shift + other.shift)
-
-    def __add__(self, other: "PolyOperator") -> "PolyOperator":
-        if self.shift != other.shift:
-            raise ValueError("cannot add operators with different degree shifts")
-        return PolyOperator(self.mat + other.mat, self.shift)
-
-    def __sub__(self, other: "PolyOperator") -> "PolyOperator":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar) -> "PolyOperator":
-        return PolyOperator(scalar * self.mat, self.shift)
-
-
 _QUAT_TABLE = {
     ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
     ("i", "1"): (1, "i"), ("j", "1"): (1, "j"), ("k", "1"): (1, "k"),
@@ -153,7 +128,7 @@ _QUAT_TABLE = {
 
 @dataclass(frozen=True)
 class QuatOperator:
-    """A PolyOperator carried on a single quaternion unit tag.
+    """A PolySpace operator matrix carried on a single quaternion unit tag.
 
     Every object arising here is a sum of terms on one common tag: the
     canonical images live on j and k, any product of one A-factor with
@@ -162,34 +137,36 @@ class QuatOperator:
     """
 
     tag: str
-    op: PolyOperator
+    mat: np.ndarray
 
     def __matmul__(self, other: "QuatOperator") -> "QuatOperator":
         sign, tag = _QUAT_TABLE[self.tag, other.tag]
-        return QuatOperator(tag, sign * (self.op @ other.op))
+        return QuatOperator(tag, sign * (self.mat @ other.mat))
 
     def __add__(self, other: "QuatOperator") -> "QuatOperator":
         if self.tag != other.tag:
             raise ValueError("cannot add operators on different quaternion tags")
-        return QuatOperator(self.tag, self.op + other.op)
+        return QuatOperator(self.tag, self.mat + other.mat)
 
     def __sub__(self, other: "QuatOperator") -> "QuatOperator":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar) -> "QuatOperator":
-        return QuatOperator(self.tag, scalar * self.op)
+        return QuatOperator(self.tag, scalar * self.mat)
 
     def collapse(self) -> np.ndarray:
         """Complex matrix of a tag-1 or tag-i operator (i -> scalar i)."""
         if self.tag == "1":
-            return self.op.mat.astype(complex)
+            return self.mat.astype(complex)
         if self.tag == "i":
-            return 1j * self.op.mat
+            return 1j * self.mat
         raise ValueError(f"operator on tag {self.tag!r} has no complex form")
 
 
 @dataclass(frozen=True)
 class CanonicalPairs:
+    """Q_mu and R_nu as tuples of four complex (dim, dim) matrices."""
+
     space: PolySpace
     q: tuple
     r: tuple
@@ -206,11 +183,8 @@ def build_canonical(degree: int = 6, hbar: float = 1.0) -> CanonicalPairs:
         raise ValueError("degree bound must be at least 2")
     space = PolySpace(4, degree)
     eta = eta4()
-    q = tuple(PolyOperator(space.mult_op(mu).astype(complex), 1) for mu in range(4))
-    r = tuple(
-        PolyOperator(-1j * hbar * eta[nu, nu] * space.deriv_op(nu), -1)
-        for nu in range(4)
-    )
+    q = tuple(space.mult_op(mu).astype(complex) for mu in range(4))
+    r = tuple(-1j * hbar * eta[nu, nu] * space.deriv_op(nu) for nu in range(4))
     return CanonicalPairs(space=space, q=q, r=r, hbar=hbar)
 
 
@@ -227,17 +201,17 @@ def canonical_residual(pairs: CanonicalPairs) -> float:
     worst = 0.0
     for mu in range(4):
         for nu in range(4):
-            comm = q[mu].mat @ r[nu].mat - r[nu].mat @ q[mu].mat
+            comm = q[mu] @ r[nu] - r[nu] @ q[mu]
             worst = max(worst, _safe_max(comm - 1j * pairs.hbar * eta[mu, nu] * eye, safe))
-            worst = max(worst, _safe_max(q[mu].mat @ q[nu].mat - q[nu].mat @ q[mu].mat, safe))
-            worst = max(worst, _safe_max(r[mu].mat @ r[nu].mat - r[nu].mat @ r[mu].mat, safe))
+            worst = max(worst, _safe_max(q[mu] @ q[nu] - q[nu] @ q[mu], safe))
+            worst = max(worst, _safe_max(r[mu] @ r[nu] - r[nu] @ r[mu], safe))
     return worst
 
 
 def quaternion_pairs(pairs: CanonicalPairs):
     """Map the canonical pairs onto quaternion tags: A = j(x)Q, K = k(x)R."""
-    a_ops = tuple(QuatOperator("j", op) for op in pairs.q)
-    k_ops = tuple(QuatOperator("k", op) for op in pairs.r)
+    a_ops = tuple(QuatOperator("j", mat) for mat in pairs.q)
+    k_ops = tuple(QuatOperator("k", mat) for mat in pairs.r)
     return a_ops, k_ops
 
 
@@ -278,19 +252,6 @@ def spinor_components(ops) -> list:
     return out
 
 
-def vector_components(spinor) -> list:
-    """Inverse conversion O_mu = 1/2 sigma_mu^{A Bdot} O_{A Bdot}."""
-    out = []
-    for mu in range(4):
-        acc = 0.5 * complex(_S4_UP[mu, 0, 0]) * spinor[0][0]
-        for a in range(2):
-            for b in range(2):
-                if (a, b) != (0, 0):
-                    acc = acc + 0.5 * complex(_S4_UP[mu, a, b]) * spinor[a][b]
-        out.append(acc)
-    return out
-
-
 def m0_matrices(a_ops, k_ops) -> tuple:
     """Symmetrized angular-momentum spinors as complex matrices.
 
@@ -303,7 +264,7 @@ def m0_matrices(a_ops, k_ops) -> tuple:
     """
     a_sp = spinor_components(a_ops)
     k_sp = spinor_components(k_ops)
-    dim = a_ops[0].op.mat.shape[0]
+    dim = a_ops[0].mat.shape[0]
     m0 = np.zeros((2, 2, dim, dim), complex)
     m0d = np.zeros((2, 2, dim, dim), complex)
     for a in range(2):

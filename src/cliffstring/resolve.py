@@ -32,7 +32,7 @@ import numpy as np
 from .octonion import Octonion, mul_arrays, conj_arrays
 from .matrices import OctHermitian
 from .clifford import TensorVector, gram_matrix
-from .minkowski import SigmaSet, sigma_set, vector_to_matrix, matrix_to_vector
+from .minkowski import sigma_set, vector_to_matrix
 
 __all__ = [
     "Resolution",

@@ -39,10 +39,8 @@ __all__ = [
     "BoundaryViolationError",
     "NonpositiveTimeError",
     "PhysicalConstants",
-    "WorldsheetPoint",
     "ModeSpectrum",
     "enforce_boundary",
-    "momentum_matrix",
     "momentum_vector",
     "mass_shell_residual",
     "current_density",
@@ -56,6 +54,8 @@ __all__ = [
     "emission_bound",
     "cmat_to_json",
     "cmat_from_json",
+    "spectrum_to_json",
+    "spectrum_from_json",
 ]
 
 # raised worldsheet wave vectors (tau, sigma), eta = diag(1, -1)
@@ -80,16 +80,6 @@ class PhysicalConstants:
     def __post_init__(self):
         if self.ell <= 0 or self.m <= 0 or self.hbar <= 0:
             raise ValueError("constants must be positive")
-
-
-@dataclass(frozen=True)
-class WorldsheetPoint:
-    tau: float
-    sigma: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.sigma <= np.pi:
-            raise ValueError("sigma must lie in [0, pi]")
 
 
 def _check_hermitian(m, name, tol):
@@ -170,10 +160,6 @@ def _raise_both(k: np.ndarray) -> np.ndarray:
 # -- observables --------------------------------------------------------------
 
 
-def momentum_matrix(ms: ModeSpectrum) -> np.ndarray:
-    return ms.K.copy()
-
-
 def momentum_vector(ms: ModeSpectrum) -> np.ndarray:
     """p^mu = 1/2 tr(sigma^mu K), real for Hermitian K."""
     sig = sigma4_complex()
@@ -186,12 +172,8 @@ def mass_shell_residual(ms: ModeSpectrum) -> float:
     return abs(float(p @ eta @ p) - float(np.linalg.det(ms.K).real))
 
 
-def current_density(ms: ModeSpectrum, pt: WorldsheetPoint):
-    """(J^tau, J^sigma) as symmetric complex 2x2 matrices."""
-    return _current_raw(ms, pt.tau, pt.sigma)
-
-
-def _current_raw(ms: ModeSpectrum, tau: float, sigma: float):
+def current_density(ms: ModeSpectrum, tau: float, sigma: float):
+    """(J^tau, J^sigma) as symmetric complex 2x2 matrices, for any real sigma."""
     c = ms.constants
     kr = _raise_dotted(ms.K)
     out = []
@@ -225,15 +207,12 @@ def charge_density_coefficients(ms: ModeSpectrum) -> dict:
 def charge_quadrature(ms: ModeSpectrum, tau: float, n_sigma: int = 512) -> np.ndarray:
     """Trapezoid integral of J^tau over sigma in [0, pi]."""
     sig = np.linspace(0.0, np.pi, n_sigma + 1)
-    vals = np.array([_current_raw(ms, tau, s)[0] for s in sig])
+    vals = np.array([current_density(ms, tau, s)[0] for s in sig])
     return np.trapezoid(vals, sig, axis=0)
 
 
-def coordinates(ms: ModeSpectrum, pt: WorldsheetPoint) -> np.ndarray:
-    return _coordinates_raw(ms, pt.tau, pt.sigma)
-
-
-def _coordinates_raw(ms: ModeSpectrum, tau: float, sigma: float) -> np.ndarray:
+def coordinates(ms: ModeSpectrum, tau: float, sigma: float) -> np.ndarray:
+    """X^{A Bdot} as a Hermitian complex 2x2 matrix, for any real sigma."""
     c = ms.constants
     kup = _raise_both(ms.K)
     mid = ms.K * tau**2
@@ -261,10 +240,10 @@ def divergence_residual(ms: ModeSpectrum, points, h: float = 1e-3) -> float:
     worst = 0.0
     c = 1.0 / (12 * h)
     for tau, sigma in points:
-        jt_p = _current_raw(ms, tau + h, sigma)[0]
-        jt_m = _current_raw(ms, tau - h, sigma)[0]
+        jt_p = current_density(ms, tau + h, sigma)[0]
+        jt_m = current_density(ms, tau - h, sigma)[0]
         d_tau = (jt_p - jt_m) / (2 * h)
-        js = [_current_raw(ms, tau, sigma + k * h)[1] for k in (-2, -1, 1, 2)]
+        js = [current_density(ms, tau, sigma + k * h)[1] for k in (-2, -1, 1, 2)]
         d_sigma = c * (js[0] - 8 * js[1] + 8 * js[2] - js[3])
         worst = max(worst, float(np.max(np.abs(d_tau + d_sigma))))
     return worst
@@ -275,7 +254,7 @@ def endpoint_flux(ms: ModeSpectrum, taus) -> float:
     worst = 0.0
     for tau in taus:
         for sigma in (0.0, np.pi):
-            worst = max(worst, float(np.max(np.abs(_current_raw(ms, tau, sigma)[1]))))
+            worst = max(worst, float(np.max(np.abs(current_density(ms, tau, sigma)[1]))))
     return worst
 
 
@@ -396,5 +375,3 @@ def spectrum_from_json(obj: dict, tol: float = 1e-12) -> ModeSpectrum:
         cmat_from_json(obj["K"]), cmat_from_json(obj["C0"]), modes, consts, tol
     )
 
-
-__all__ += ["spectrum_to_json", "spectrum_from_json"]

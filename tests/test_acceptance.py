@@ -21,7 +21,6 @@ from cliffstring.lorentz import (
     act_vector,
     boost_generator,
     compatibility_residual,
-    compatibility_residual_raw,
     contraction_residual,
     cospinor_map,
     make_factor,
@@ -57,7 +56,7 @@ from cliffstring.string_modes import (
     eom_residual,
     redshift,
 )
-from cliffstring.string_modes import _coordinates_raw
+from cliffstring.string_modes import coordinates
 
 
 def test_01_octonion_identities_hold_at_scale():
@@ -148,7 +147,7 @@ def test_04_nested_lorentz_transforms_preserve_invariants():
         before = det2(y)
         for f in factors:
             y = act_vector(f, y)
-            worst_compat = max(worst_compat, compatibility_residual(f, random_spinor(rng)))
+            worst_compat = max(worst_compat, compatibility_residual(f.s, random_spinor(rng)))
             worst_contr = max(
                 worst_contr,
                 contraction_residual(f, random_spinor(rng), random_spinor(rng)),
@@ -166,7 +165,7 @@ def test_04_nested_lorentz_transforms_preserve_invariants():
         make_factor(rotation_generator(1), 0.8).s,
         make_factor(phase_generator(2), 0.9).s,
     )
-    assert compatibility_residual_raw(mixed, random_spinor(rng)) > 0.1
+    assert compatibility_residual(mixed, random_spinor(rng)) > 0.1
     # det = -1 flips the sign of the real spinor contraction
     refl = reflection_factor()
     chi, psi = random_spinor(rng), random_spinor(rng)
@@ -191,7 +190,7 @@ def test_05_string_currents_charges_and_waves():
     eom_2h = eom_residual(ms, points, h=2e-3)
     assert abs(eom_2h / eom_h - 4.0) <= 0.5
     for tau, sigma in points:
-        gap = _coordinates_raw(ms, tau, sigma) - _coordinates_raw(ms, tau, -sigma)
+        gap = coordinates(ms, tau, sigma) - coordinates(ms, tau, -sigma)
         assert np.max(np.abs(gap)) <= 1e-8
 
 

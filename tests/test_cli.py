@@ -91,6 +91,21 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
+def test_infinite_named_tolerance_exits_2(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    rc = run("octonion-check", "--trials", "10", "--tol.alternativity", "inf",
+             "--report", str(report))
+    assert rc == 2
+    assert not report.exists()
+    assert "cliffstring:" in capsys.readouterr().err
+
+
+def test_infinite_hbar_exits_2():
+    with pytest.raises(SystemExit) as exc:
+        run("quantum-check", "--degree", "3", "--hbar", "inf")
+    assert exc.value.code == 2
+
+
 # -- resolve -------------------------------------------------------------------
 
 

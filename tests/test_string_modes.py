@@ -8,7 +8,6 @@ from cliffstring.string_modes import (
     ModeSpectrum,
     NonpositiveTimeError,
     PhysicalConstants,
-    WorldsheetPoint,
     charge_density_coefficients,
     charge_quadrature,
     coordinates,
@@ -24,7 +23,6 @@ from cliffstring.string_modes import (
     spectrum_from_json,
     spectrum_to_json,
 )
-from cliffstring.string_modes import _coordinates_raw, _current_raw
 
 rng = np.random.default_rng(31415)
 
@@ -39,7 +37,7 @@ def spectrum():
 def current_scale(ms):
     return max(
         1.0,
-        max(float(np.max(np.abs(c))) for t, s in POINTS for c in _current_raw(ms, t, s)),
+        max(float(np.max(np.abs(c))) for t, s in POINTS for c in current_density(ms, t, s)),
     )
 
 
@@ -64,12 +62,12 @@ def test_matched_stencil_cancels_movers_exactly(spectrum):
     worst = 0.0
     for tau, sigma in POINTS:
         d_tau = (
-            _current_raw(spectrum, tau + h, sigma)[0]
-            - _current_raw(spectrum, tau - h, sigma)[0]
+            current_density(spectrum, tau + h, sigma)[0]
+            - current_density(spectrum, tau - h, sigma)[0]
         ) / (2 * h)
         d_sigma = (
-            _current_raw(spectrum, tau, sigma + h)[1]
-            - _current_raw(spectrum, tau, sigma - h)[1]
+            current_density(spectrum, tau, sigma + h)[1]
+            - current_density(spectrum, tau, sigma - h)[1]
         ) / (2 * h)
         worst = max(worst, float(np.max(np.abs(d_tau + d_sigma))))
     assert worst <= 1e-10 * current_scale(spectrum)
@@ -87,7 +85,7 @@ def test_charge_coefficients_against_fft(spectrum):
     n_sig = 64
     tau = 0.7
     sigmas = 2 * np.pi * np.arange(n_sig) / n_sig
-    samples = np.array([_current_raw(spectrum, tau, s)[0] for s in sigmas])
+    samples = np.array([current_density(spectrum, tau, s)[0] for s in sigmas])
     four = np.fft.fft(samples, axis=0) / n_sig
     coeffs = charge_density_coefficients(spectrum)
     c = {
@@ -118,9 +116,9 @@ def test_charge_coefficients_are_symmetric(spectrum):
 
 def test_coordinates_hermitian_and_even(spectrum):
     for tau, sigma in POINTS:
-        x = _coordinates_raw(spectrum, tau, sigma)
+        x = coordinates(spectrum, tau, sigma)
         assert np.max(np.abs(x - x.conj().T)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
-        assert np.max(np.abs(x - _coordinates_raw(spectrum, tau, -sigma))) == 0.0
+        assert np.max(np.abs(x - coordinates(spectrum, tau, -sigma))) == 0.0
 
 
 def test_endpoint_slope_vanishes(spectrum):
@@ -129,9 +127,9 @@ def test_endpoint_slope_vanishes(spectrum):
     # cancels up to argument round-off, far below any truncation order
     h = 1e-4
     for tau in (0.2, 1.3):
-        gap0 = _coordinates_raw(spectrum, tau, h) - _coordinates_raw(spectrum, tau, -h)
+        gap0 = coordinates(spectrum, tau, h) - coordinates(spectrum, tau, -h)
         assert np.max(np.abs(gap0)) == 0.0
-        gap_pi = _coordinates_raw(spectrum, tau, np.pi + h) - _coordinates_raw(
+        gap_pi = coordinates(spectrum, tau, np.pi + h) - coordinates(
             spectrum, tau, np.pi - h
         )
         assert np.max(np.abs(gap_pi)) <= 1e-12
@@ -141,10 +139,10 @@ def test_free_string_obeys_tau_squared_law():
     k = random_complex_hermitian(rng)
     c0 = random_complex_hermitian(rng)
     ms = ModeSpectrum(k, c0, {}, PhysicalConstants(1.3, 0.8, 1.0))
-    x1 = _coordinates_raw(ms, 1.0, 0.4) - c0
-    x2 = _coordinates_raw(ms, 2.0, 0.4) - c0
+    x1 = coordinates(ms, 1.0, 0.4) - c0
+    x2 = coordinates(ms, 2.0, 0.4) - c0
     assert np.max(np.abs(x2 - 4.0 * x1)) <= 1e-12
-    assert np.max(np.abs(_coordinates_raw(ms, 1.0, 0.4) - _coordinates_raw(ms, 1.0, 2.9))) == 0.0
+    assert np.max(np.abs(coordinates(ms, 1.0, 0.4) - coordinates(ms, 1.0, 2.9))) == 0.0
 
 
 def test_single_mode_standing_wave_closed_form():
@@ -162,7 +160,7 @@ def test_single_mode_standing_wave_closed_form():
     for sigma in (0.0, 0.7, 2.4):
         mid = -8.0 * np.cos(sigma) * (anm + anm.conj().T)
         want = c0 + kup @ mid.T @ kup
-        got = _coordinates_raw(ms, 0.0, sigma)
+        got = coordinates(ms, 0.0, sigma)
         assert np.max(np.abs(got - want)) <= 1e-13
 
 
@@ -171,14 +169,6 @@ def test_equations_of_motion_converge(spectrum):
     res_2h = eom_residual(spectrum, POINTS, h=2e-3)
     assert res_h <= 1e-5 * current_scale(spectrum)
     assert abs(res_2h / res_h - 4.0) <= 0.5
-
-
-def test_public_wrappers_match_raw(spectrum):
-    pt = WorldsheetPoint(0.9, 1.1)
-    assert np.array_equal(coordinates(spectrum, pt), _coordinates_raw(spectrum, 0.9, 1.1))
-    jt, js = current_density(spectrum, pt)
-    jt_raw, js_raw = _current_raw(spectrum, 0.9, 1.1)
-    assert np.array_equal(jt, jt_raw) and np.array_equal(js, js_raw)
 
 
 # -- momentum -----------------------------------------------------------------
