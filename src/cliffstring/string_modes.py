@@ -22,6 +22,9 @@ cos(n sigma), and the coordinate matrix is
       + 8 sum_{n != 0} (1/n^2) (A_n - A_{n,-n} e^{-i n tau} cos(n sigma)) )
       K^{E Bdot}.
 
+Every mode term of X is a standing wave, so X obeys the sourced wave
+equation (d_tau^2 - d_sigma^2) X = 2 (l/m^3) K^{A Fdot} K_{E Fdot} K^{E Bdot}.
+
 The zero-mode average motion is quadratic in tau, which yields the
 gravitational-redshift relation z = sqrt(t_obsv / t_emit) - 1 and the
 emission-time bound implemented at the end of the module.
@@ -29,7 +32,7 @@ emission-time bound implemented at the end of the module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,11 +61,6 @@ __all__ = [
     "spectrum_from_json",
 ]
 
-# raised worldsheet wave vectors (tau, sigma), eta = diag(1, -1)
-K_LEFT_UP = (1.0, -1.0)
-K_RIGHT_UP = (1.0, 1.0)
-
-
 class BoundaryViolationError(ValueError):
     """Left and right mover data disagree at the string endpoints."""
 
@@ -78,13 +76,18 @@ class PhysicalConstants:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.ell <= 0 or self.m <= 0 or self.hbar <= 0:
-            raise ValueError("constants must be positive")
+        if not all(np.isfinite(v) and v > 0 for v in (self.ell, self.m, self.hbar)):
+            raise ValueError("constants must be positive and finite")
 
 
-def _check_hermitian(m, name, tol):
-    if np.max(np.abs(m - m.conj().T)) > tol:
-        raise ValueError(f"{name} must be Hermitian within {tol:.1e}")
+def _checked_matrix(m, name, hermitian_tol=None):
+    """m as a finite complex matrix, Hermitian within hermitian_tol if one is given."""
+    m = np.asarray(m, dtype=complex)
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} must be finite")
+    if hermitian_tol is not None and np.max(np.abs(m - m.conj().T)) > hermitian_tol:
+        raise ValueError(f"{name} must be Hermitian within {hermitian_tol:.1e}")
+    return m
 
 
 @dataclass
@@ -92,8 +95,8 @@ class ModeSpectrum:
     """Inner-product data: zero mode K, offset C0, and mode matrices.
 
     modes maps n != 0 to the pair (A_n, A_{n,-n}); missing entries are zero.
-    Validation enforces Hermitian K, C0 and A_n, and the opposite-mode
-    pairing A_{-n,n} = (A_{n,-n})+.
+    Validation enforces finite entries, Hermitian K, C0 and A_n, and the
+    opposite-mode pairing A_{-n,n} = (A_{n,-n})+.
     """
 
     K: np.ndarray
@@ -103,18 +106,15 @@ class ModeSpectrum:
     tol: float = 1e-12
 
     def __post_init__(self):
-        self.K = np.asarray(self.K, dtype=complex)
-        self.C0 = np.asarray(self.C0, dtype=complex)
-        _check_hermitian(self.K, "K", self.tol)
-        _check_hermitian(self.C0, "C0", self.tol)
+        self.K = _checked_matrix(self.K, "K", self.tol)
+        self.C0 = _checked_matrix(self.C0, "C0", self.tol)
         clean = {}
         for n, (a, anm) in self.modes.items():
             n = int(n)
             if n == 0:
                 raise ValueError("mode index 0 belongs to the zero mode K")
-            a = np.asarray(a, dtype=complex)
-            anm = np.asarray(anm, dtype=complex)
-            _check_hermitian(a, f"A_{n}", self.tol)
+            a = _checked_matrix(a, f"A_{n}", self.tol)
+            anm = _checked_matrix(anm, f"A_({n},{-n})")
             clean[n] = (a, anm)
         for n, (_, anm) in clean.items():
             other = clean.get(-n)
@@ -172,20 +172,31 @@ def mass_shell_residual(ms: ModeSpectrum) -> float:
     return abs(float(p @ eta @ p) - float(np.linalg.det(ms.K).real))
 
 
-def current_density(ms: ModeSpectrum, tau: float, sigma: float):
-    """(J^tau, J^sigma) as symmetric complex 2x2 matrices, for any real sigma."""
+def _matrix_axes(tau, sigma):
+    """tau and sigma broadcast to one float shape, plus two unit matrix axes."""
+    tau, sigma = np.broadcast_arrays(np.asarray(tau, dtype=float), np.asarray(sigma, dtype=float))
+    return tau[..., None, None], sigma[..., None, None]
+
+
+def current_density(ms: ModeSpectrum, tau, sigma):
+    """(J^tau, J^sigma) as symmetric complex 2x2 matrices, for any real sigma.
+
+    tau and sigma broadcast against each other; each result has shape
+    (..., 2, 2), a plain 2x2 matrix for scalar arguments.
+    """
     c = ms.constants
+    tau, sigma = _matrix_axes(tau, sigma)
+    # raised null wave vectors: k^L = (1, -1), k^R = (1, 1) in (tau, sigma)
+    t_tau = t_sigma = np.zeros(tau.shape[:-2] + (2, 2), complex)
+    for n, (a, anm) in ms.modes.items():
+        left = a + anm * np.exp(-1j * n * (tau + sigma))
+        right = a + anm * np.exp(-1j * n * (tau - sigma))
+        t_tau = t_tau + (left + right) / n
+        t_sigma = t_sigma + (right - left) / n
     kr = _raise_dotted(ms.K)
-    out = []
-    for alpha in range(2):
-        t = np.zeros((2, 2), complex)
-        for n, (a, anm) in ms.modes.items():
-            left = a + anm * np.exp(-1j * n * (tau + sigma))
-            right = a + anm * np.exp(-1j * n * (tau - sigma))
-            t += (K_LEFT_UP[alpha] * left + K_RIGHT_UP[alpha] * right) / n
-        g = kr @ t.T
-        out.append((2j * c.ell / c.m) * (g + g.T))
-    return out[0], out[1]
+    g_tau, g_sigma = kr @ t_tau.mT, kr @ t_sigma.mT
+    pref = 2j * c.ell / c.m
+    return pref * (g_tau + g_tau.mT), pref * (g_sigma + g_sigma.mT)
 
 
 def charge_density_coefficients(ms: ModeSpectrum) -> dict:
@@ -207,21 +218,31 @@ def charge_density_coefficients(ms: ModeSpectrum) -> dict:
 def charge_quadrature(ms: ModeSpectrum, tau: float, n_sigma: int = 512) -> np.ndarray:
     """Trapezoid integral of J^tau over sigma in [0, pi]."""
     sig = np.linspace(0.0, np.pi, n_sigma + 1)
-    vals = np.array([current_density(ms, tau, s)[0] for s in sig])
-    return np.trapezoid(vals, sig, axis=0)
+    return np.trapezoid(current_density(ms, tau, sig)[0], sig, axis=0)
 
 
-def coordinates(ms: ModeSpectrum, tau: float, sigma: float) -> np.ndarray:
-    """X^{A Bdot} as a Hermitian complex 2x2 matrix, for any real sigma."""
+def coordinates(ms: ModeSpectrum, tau, sigma) -> np.ndarray:
+    """X^{A Bdot} as Hermitian complex 2x2 matrices, for any real sigma.
+
+    tau and sigma broadcast against each other; the result has shape
+    (..., 2, 2), a plain 2x2 matrix for scalar arguments.
+    """
     c = ms.constants
+    tau, sigma = _matrix_axes(tau, sigma)
     kup = _raise_both(ms.K)
     mid = ms.K * tau**2
     for n, (a, anm) in ms.modes.items():
         mid = mid + 8.0 / n**2 * (a - anm * np.exp(-1j * n * tau) * np.cos(n * sigma))
-    return ms.C0 + (c.ell / c.m**3) * (kup @ mid.T @ kup)
+    return ms.C0 + (c.ell / c.m**3) * (kup @ mid.mT @ kup)
 
 
 # -- residual diagnostics ------------------------------------------------------
+
+
+def _stencil(points, h, d_tau, d_sigma):
+    """Per point (rows), tau and sigma shifted by the step multiples d_tau, d_sigma."""
+    tau, sigma = np.asarray(points, dtype=float).reshape(-1, 2).T
+    return tau[:, None] + h * np.array(d_tau), sigma[:, None] + h * np.array(d_sigma)
 
 
 def divergence_residual(ms: ModeSpectrum, points, h: float = 1e-3) -> float:
@@ -237,77 +258,38 @@ def divergence_residual(ms: ModeSpectrum, points, h: float = 1e-3) -> float:
     second order, while a violation of conservation would still show up
     as an h-independent floor.
     """
-    worst = 0.0
-    c = 1.0 / (12 * h)
-    for tau, sigma in points:
-        jt_p = current_density(ms, tau + h, sigma)[0]
-        jt_m = current_density(ms, tau - h, sigma)[0]
-        d_tau = (jt_p - jt_m) / (2 * h)
-        js = [current_density(ms, tau, sigma + k * h)[1] for k in (-2, -1, 1, 2)]
-        d_sigma = c * (js[0] - 8 * js[1] + 8 * js[2] - js[3])
-        worst = max(worst, float(np.max(np.abs(d_tau + d_sigma))))
-    return worst
+    jt, js = current_density(ms, *_stencil(points, h, (1, -1, 0, 0, 0, 0), (0, 0, -2, -1, 1, 2)))
+    d_tau = (jt[:, 0] - jt[:, 1]) / (2 * h)
+    d_sigma = 1.0 / (12 * h) * (js[:, 2] - 8 * js[:, 3] + 8 * js[:, 4] - js[:, 5])
+    return float(np.max(np.abs(d_tau + d_sigma), initial=0.0))
 
 
 def endpoint_flux(ms: ModeSpectrum, taus) -> float:
     """Max |J^sigma| over both string endpoints."""
-    worst = 0.0
-    for tau in taus:
-        for sigma in (0.0, np.pi):
-            worst = max(worst, float(np.max(np.abs(current_density(ms, tau, sigma)[1]))))
-    return worst
-
-
-def _mode_functions(ms: ModeSpectrum):
-    """Self-consistent (phi, psi) coefficient functions per mode symbol.
-
-    phi multiplies the raised zero-mode matrix inside the integrated
-    solution; psi is the corresponding pair of wave-equation coefficients.
-    Returned as (phi(tau, sigma), (psi_tau, psi_sigma)(tau, sigma), weight).
-    """
-    syms = [(lambda tau, sigma: tau,
-             lambda tau, sigma: (1.0 + 0j, 0.0 + 0j),
-             float(np.max(np.abs(ms.K))))]
-    for n, (a, anm) in ms.modes.items():
-        w = float(max(np.max(np.abs(a)), np.max(np.abs(anm)), 1e-30))
-        for kvec, s in ((K_LEFT_UP, +1.0), (K_RIGHT_UP, -1.0)):
-            def phi(tau, sigma, n=n, s=s):
-                return -2j / n * np.exp(1j * n * (tau + s * sigma) / 2)
-
-            def psi(tau, sigma, n=n, s=s, kvec=kvec):
-                e = np.exp(1j * n * (tau + s * sigma) / 2)
-                return (kvec[0] * e, kvec[1] * e)
-
-            syms.append((phi, psi, w))
-    return syms
+    js = current_density(ms, np.asarray(taus, dtype=float)[:, None], (0.0, np.pi))[1]
+    return float(np.max(np.abs(js), initial=0.0))
 
 
 def eom_residual(ms: ModeSpectrum, points, h: float = 1e-3) -> float:
-    """Finite-difference residual of both matrix equations of motion.
+    """Max |(d_tau^2 - d_sigma^2) X - 2 (l/m^3) K^{..} K^T K^{..}| by finite differences.
 
-    First equation: d_alpha C^A = (sqrt(l m)/m^2) eta_{alpha beta} P^{A Bdot}
-    D^beta_Bdot with P = K, checked per mode symbol against the integrated
-    solution.  Second: d_alpha D^alpha = 0.  Centered differences of step h,
-    so the residual shrinks as O(h^2).
+    Every mode term of X is a standing wave that the wave operator
+    annihilates, so only the tau^2 zero-mode motion is left as the source.
+    As in divergence_residual, matched stencils would cancel the movers
+    exactly; tau is therefore differenced to second order and sigma to
+    fourth order, leaving the single truncation term (h^2/12) d_tau^4 X, so
+    the residual (in units of X) converges at a genuine second order.  The
+    translation C0, which the wave operator annihilates, is left out of the
+    differenced X: its rounding, divided by h^2, would swamp that term.
     """
     c = ms.constants
+    moving = replace(ms, C0=np.zeros((2, 2)))
+    x = coordinates(moving, *_stencil(points, h, (1, 0, -1, 0, 0, 0, 0), (0, 0, 0, -2, -1, 1, 2)))
+    d_tau = (x[:, 0] - 2 * x[:, 1] + x[:, 2]) / h**2
+    d_sigma = (-x[:, 3] + 16 * x[:, 4] - 30 * x[:, 1] + 16 * x[:, 5] - x[:, 6]) / (12 * h**2)
     kup = _raise_both(ms.K)
-    kn = float(np.max(np.abs(kup)))
-    pref = np.sqrt(c.ell * c.m) / c.m**2
-    eta = (1.0, -1.0)
-    worst = 0.0
-    for phi, psi, w in _mode_functions(ms):
-        for tau, sigma in points:
-            dphi = ((phi(tau + h, sigma) - phi(tau - h, sigma)) / (2 * h),
-                    (phi(tau, sigma + h) - phi(tau, sigma - h)) / (2 * h))
-            ps = psi(tau, sigma)
-            for alpha in range(2):
-                r1 = abs(dphi[alpha] - eta[alpha] * ps[alpha]) * pref * kn
-                worst = max(worst, r1)
-            div = ((psi(tau + h, sigma)[0] - psi(tau - h, sigma)[0]) / (2 * h)
-                   + (psi(tau, sigma + h)[1] - psi(tau, sigma - h)[1]) / (2 * h))
-            worst = max(worst, abs(div) * w)
-    return worst
+    source = (2 * c.ell / c.m**3) * (kup @ ms.K.T @ kup)
+    return float(np.max(np.abs(d_tau - d_sigma - source), initial=0.0))
 
 
 # -- redshift ------------------------------------------------------------------
@@ -315,11 +297,16 @@ def eom_residual(ms: ModeSpectrum, points, h: float = 1e-3) -> float:
 
 def redshift(t_emit: float, t_obsv: float) -> float:
     """z = sqrt(t_obsv / t_emit) - 1 for the tau^2 average motion."""
+    if not (np.isfinite(t_emit) and np.isfinite(t_obsv)):
+        raise ValueError("times must be finite")
     if t_emit <= 0 or t_obsv <= 0:
         raise NonpositiveTimeError("times must be positive")
     if t_obsv < t_emit:
         raise ValueError("observation cannot precede emission")
-    return float(np.sqrt(t_obsv / t_emit) - 1.0)
+    z = float(np.sqrt(t_obsv / t_emit) - 1.0)
+    if not np.isfinite(z):
+        raise ValueError("t_obsv / t_emit overflows")
+    return z
 
 
 def emission_bound(dt: float, p: float, z_obsv: float) -> float:
@@ -328,11 +315,17 @@ def emission_bound(dt: float, p: float, z_obsv: float) -> float:
     t_emit > dt / ((1 + p z_obsv)^2 - 1); p scales how much of the observed
     redshift is attributed to the quadratic motion.
     """
+    if not (np.isfinite(dt) and np.isfinite(p) and np.isfinite(z_obsv)):
+        raise ValueError("dt, p and z_obsv must be finite")
     if dt <= 0:
         raise NonpositiveTimeError("travel time must be positive")
     if p <= 0 or z_obsv <= 0:
         raise ValueError("p and z_obsv must be positive")
-    return float(dt / ((1.0 + p * z_obsv) ** 2 - 1.0))
+    with np.errstate(all="ignore"):
+        bound = np.float64(dt) / ((1.0 + np.float64(p) * z_obsv) ** 2 - 1.0)
+    if not (np.isfinite(bound) and bound > 0):
+        raise ValueError("p * z_obsv is out of range for a finite emission bound")
+    return float(bound)
 
 
 # -- JSON ----------------------------------------------------------------------

@@ -197,6 +197,60 @@ def test_string_modes_grid_csv(tmp_path):
     assert all(len(line.split(",")) == 26 for line in lines[1:])
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("variant", ["translated", "heavy", "very_heavy", "free"])
+def test_string_modes_passes_on_rounding_dominated_spectra(tmp_path, seed, variant):
+    # A large translation C0, a zero mode K far above the mode amplitudes, or
+    # no modes at all leave the EOM residual at rounding level; all are valid.
+    fix = tmp_path / "s.json"
+    assert run("gen-fixture", "--kind", "spectrum", "--seed", str(seed), "--output", str(fix)) == 0
+    obj = json.loads(fix.read_text())
+    if variant == "translated":
+        obj["C0"][0][0][0] += 1e4
+        obj["C0"][1][1][0] += 1e4
+    elif variant == "free":
+        obj["modes"] = []
+    else:
+        factor = 100.0 if variant == "heavy" else 1000.0
+        obj["K"] = (factor * np.array(obj["K"])).tolist()
+    fix.write_text(json.dumps(obj))
+    report = tmp_path / "r.json"
+    assert run("string-modes", "--spectrum", str(fix), "--report", str(report)) == 0
+    assert json.loads(report.read_text())["overall_pass"] is True
+
+
+def test_string_modes_grid_bound(tmp_path, capsys):
+    fix = tmp_path / "s.json"
+    assert run("gen-fixture", "--kind", "spectrum", "--seed", "4", "--output", str(fix)) == 0
+    assert run("string-modes", "--input", str(fix), "--grid", str(cli.MAX_GRID + 1)) == 2
+    assert "--grid" in capsys.readouterr().err
+    assert run("string-modes", "--input", str(fix), "--grid", str(cli.MAX_GRID),
+               "--report", str(tmp_path / "r.json")) == 0
+
+
+@pytest.mark.parametrize("field", ["K", "ell"])
+def test_string_modes_nonfinite_spectrum_exits_2(tmp_path, field):
+    fix = tmp_path / "s.json"
+    assert run("gen-fixture", "--kind", "spectrum", "--seed", "4", "--output", str(fix)) == 0
+    obj = json.loads(fix.read_text())
+    if field == "K":
+        obj["K"][0][0][0] = float("nan")
+    else:
+        obj["ell"] = float("nan")
+    fix.write_text(json.dumps(obj))
+    report = tmp_path / "r.json"
+    assert run("string-modes", "--input", str(fix), "--report", str(report)) == 2
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("command", ["resolve", "string-modes"])
+def test_non_object_json_exits_2(tmp_path, capsys, command):
+    src = tmp_path / "list.json"
+    src.write_text("[1, 2, 3]")
+    assert run(command, "--input", str(src)) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
 # -- lorentz and quantum reports -------------------------------------------------
 
 
@@ -243,4 +297,11 @@ def test_redshift_input_errors(capsys):
     assert run("redshift", "--t-emit", "4", "--t-obsv", "1") == 2
     assert run("redshift", "--t-emit", "1", "--t-obsv", "4", "--dt", "0.01") == 2
     assert run("redshift", "--t-emit", "1", "--t-obsv", "4", "--tol.z=1") == 2
+    assert run("redshift", "--t-emit", "1", "--t-obsv", "inf") == 2
+    assert run("redshift", "--t-emit", "nan", "--t-obsv", "4") == 2
+    assert run("redshift", "--t-emit", "1e-300", "--t-obsv", "1e300") == 2
+    assert run("redshift", "--t-emit", "1", "--t-obsv", "4", "--dt", "nan", "--p", "1") == 2
+    assert run("redshift", "--t-emit", "1", "--t-obsv", "4", "--dt", "1", "--p", "inf") == 2
+    assert run("redshift", "--t-emit", "1", "--t-obsv", "4", "--dt", "1", "--p", "1e-20") == 2
+    assert run("redshift", "--t-emit", "1", "--t-obsv", "4", "--dt", "1", "--p", "1e300") == 2
     capsys.readouterr()

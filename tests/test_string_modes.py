@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cliffstring import string_modes
 from cliffstring.fixtures import random_complex_hermitian, random_spectrum
 from cliffstring.minkowski import EPS, eta4
 from cliffstring.string_modes import (
@@ -171,6 +172,36 @@ def test_equations_of_motion_converge(spectrum):
     assert abs(res_2h / res_h - 4.0) <= 0.5
 
 
+def test_equations_of_motion_trip_on_broken_coordinates(spectrum, monkeypatch):
+    xscale = max(1.0, max(float(np.max(np.abs(coordinates(spectrum, t, s)))) for t, s in POINTS))
+
+    def broken(ms, tau, sigma):
+        bump = np.cos(3 * np.asarray(tau))[..., None, None] * np.eye(2)
+        return coordinates(ms, tau, sigma) + bump
+
+    monkeypatch.setattr(string_modes, "coordinates", broken)
+    assert eom_residual(spectrum, POINTS, h=1e-3) > 1e-2 * xscale
+
+
+def test_equations_of_motion_ignore_translation(spectrum):
+    moved = ModeSpectrum(spectrum.K, spectrum.C0 + 1e4 * np.eye(2), spectrum.modes)
+    assert eom_residual(moved, POINTS, h=1e-3) == eom_residual(spectrum, POINTS, h=1e-3)
+
+
+def test_array_evaluation_matches_point_calls(spectrum):
+    tau, sigma = np.meshgrid((0.0, 0.4, 1.7), np.linspace(-1.0, np.pi, 7), indexing="ij")
+    x = coordinates(spectrum, tau, sigma)
+    jt, js = current_density(spectrum, tau, sigma)
+    assert x.shape == jt.shape == js.shape == tau.shape + (2, 2)
+    for idx in np.ndindex(tau.shape):
+        t, s = float(tau[idx]), float(sigma[idx])
+        assert np.array_equal(x[idx], coordinates(spectrum, t, s))
+        pair = current_density(spectrum, t, s)
+        assert np.array_equal(jt[idx], pair[0])
+        assert np.array_equal(js[idx], pair[1])
+        assert pair[0].shape == (2, 2)
+
+
 # -- momentum -----------------------------------------------------------------
 
 
@@ -216,6 +247,23 @@ def test_non_hermitian_amplitude_rejected():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError):
         ModeSpectrum(k, k, {2: (bad, bad)})
+
+
+@pytest.mark.parametrize("bad", ["K", "C0", "A", "Anm"])
+def test_nonfinite_spectrum_rejected(bad):
+    k = random_complex_hermitian(rng)
+    anm = rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))
+    parts = {"K": k.copy(), "C0": k.copy(), "A": np.zeros((2, 2), complex), "Anm": anm}
+    parts[bad][0, 0] = np.nan
+    modes = {1: (parts["A"], parts["Anm"]), -1: (parts["A"], parts["Anm"].conj().T)}
+    with pytest.raises(ValueError, match="finite"):
+        ModeSpectrum(parts["K"], parts["C0"], modes)
+
+
+@pytest.mark.parametrize("consts", [(np.nan, 1.0, 1.0), (1.0, np.inf, 1.0), (1.0, 1.0, np.nan)])
+def test_nonfinite_constants_rejected(consts):
+    with pytest.raises(ValueError, match="finite"):
+        PhysicalConstants(*consts)
 
 
 # -- redshift ------------------------------------------------------------------
