@@ -76,9 +76,6 @@ class TensorVector:
     def scale_left(self, z: Octonion) -> "TensorVector":
         return TensorVector(self.n, {key: z * w for key, w in self.terms.items()})
 
-    def scale_right(self, z: Octonion) -> "TensorVector":
-        return TensorVector(self.n, {key: w * z for key, w in self.terms.items()})
-
     def __add__(self, other: "TensorVector") -> "TensorVector":
         if self.n != other.n:
             raise ValueError("rank mismatch")

@@ -7,17 +7,13 @@ identical seeds reproduce identical objects.
 import numpy as np
 
 from .matrices import OctHermitian
-from .octonion import Octonion, conj_arrays
+from .octonion import conj_arrays
 from .string_modes import ModeSpectrum, PhysicalConstants, enforce_boundary
 
 
-def random_octonion(rng: np.random.Generator, scale: float = 1.0) -> Octonion:
-    return Octonion(rng.uniform(-scale, scale, 8))
-
-
-def random_spinor(rng: np.random.Generator, scale: float = 1.0) -> tuple:
-    """Octonionic two-spinor as a pair of octonions."""
-    return (random_octonion(rng, scale), random_octonion(rng, scale))
+def random_spinor(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+    """Octonionic two-spinor as a (2, 8) coefficient array."""
+    return rng.uniform(-scale, scale, (2, 8))
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> OctHermitian:

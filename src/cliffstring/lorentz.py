@@ -166,21 +166,16 @@ def lower_factor_indices(s: np.ndarray) -> np.ndarray:
     return np.einsum("be,feX,fa->abX", EPS, s, EPS)
 
 
-def spinor_map(s: np.ndarray, v) -> tuple:
-    """v^A -> S^A_B v^B on a pair of octonions."""
-    return tuple(
-        Octonion(mul_arrays(s[a, 0], v[0].c) + mul_arrays(s[a, 1], v[1].c))
-        for a in range(2)
-    )
+def spinor_map(s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v^A -> S^A_B v^B on (..., 2, 8) spinor arrays."""
+    p = mul_arrays(s, np.expand_dims(v, -3))
+    return p[..., 0, :] + p[..., 1, :]
 
 
-def cospinor_map(s: np.ndarray, w) -> tuple:
-    """w*_A -> -w*_B S_A^B on a pair of octonions."""
-    sl = lower_factor_indices(s)
-    return tuple(
-        Octonion(-(mul_arrays(w[0].c, sl[a, 0]) + mul_arrays(w[1].c, sl[a, 1])))
-        for a in range(2)
-    )
+def cospinor_map(s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w*_A -> -w*_B S_A^B on (..., 2, 8) spinor arrays."""
+    p = mul_arrays(np.expand_dims(w, -3), lower_factor_indices(s))
+    return -(p[..., 0, :] + p[..., 1, :])
 
 
 def act_spinor(factor: LorentzFactor, c) -> tuple:
@@ -195,47 +190,40 @@ def act_spinor(factor: LorentzFactor, c) -> tuple:
 # -- consistency checks ------------------------------------------------------
 
 
-def compatibility_residual(s: np.ndarray, v) -> float:
-    """Max entry norm of (Sv)(Sv)+ - (S (v v+)) S+ for an octonion spinor v.
+def compatibility_residual(s: np.ndarray, v: np.ndarray) -> float:
+    """Max entry norm of (Sv)(Sv)+ - (S (v v+)) S+ for a (2, 8) octonion spinor v.
 
     s is a bare (2, 2, 8) stack rather than a LorentzFactor, so the
     residual is also defined for invalid mixed-subspace matrices.
     """
-    sv = spinor_map(s, v)
-    lhs = np.zeros((2, 2, 8))
-    outer = np.zeros((2, 2, 8))
-    for a in range(2):
-        for b in range(2):
-            lhs[a, b] = mul_arrays(sv[a].c, conj_arrays(sv[b].c))
-            outer[a, b] = mul_arrays(v[a].c, conj_arrays(v[b].c))
+    x = np.stack([spinor_map(s, v), v])
+    lhs, outer = mul_arrays(x[:, :, None], conj_arrays(x)[:, None, :])
     rhs = omat_mul(omat_mul(s, outer), omat_adjoint(s))
     return float(np.max(np.linalg.norm(lhs - rhs, axis=2)))
 
 
-def _contraction_real(chi, psi) -> float:
-    t = mul_arrays(chi[0].c, psi[0].c) + mul_arrays(chi[1].c, psi[1].c)
-    return 2.0 * float(t[0])
+def _contraction_real(chi: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """2 Re(chi^A psi_A) of (..., 2, 8) spinor arrays, one value per leading index."""
+    p = mul_arrays(chi, psi)
+    return 2.0 * (p[..., 0, :] + p[..., 1, :])[..., 0]
 
 
 def contraction_residual(factor: LorentzFactor, chi, psi) -> float:
     """|Re contraction after transform - det * Re contraction before|."""
-    chi2 = spinor_map(factor.s, chi)
-    psi2 = cospinor_map(factor.s, psi)
-    return abs(_contraction_real(chi2, psi2) - factor.det * _contraction_real(chi, psi))
+    after = _contraction_real(spinor_map(factor.s, chi), cospinor_map(factor.s, psi))
+    return float(abs(after - factor.det * _contraction_real(chi, psi)))
 
 
 def kinetic_density(dc, dstar) -> float:
     """Real kinetic density sum_alpha Re(d_alpha c^A dstar_A^alpha) doubled.
 
-    dc and dstar are length-2 sequences (worldsheet index) of octonion
-    spinor pairs; dc carries the caller's finite-difference derivative.
+    dc and dstar are (2, 2, 8) arrays, worldsheet index first, of octonion
+    spinors; dc carries the caller's finite-difference derivative.
     """
-    return sum(_contraction_real(dc[alpha], dstar[alpha]) for alpha in range(2))
+    return float(_contraction_real(dc, dstar).sum())
 
 
 def kinetic_invariance_residual(factor: LorentzFactor, dc, dstar) -> float:
     before = kinetic_density(dc, dstar)
-    dc2 = [spinor_map(factor.s, dc[alpha]) for alpha in range(2)]
-    dstar2 = [cospinor_map(factor.s, dstar[alpha]) for alpha in range(2)]
-    after = kinetic_density(dc2, dstar2)
+    after = kinetic_density(spinor_map(factor.s, dc), cospinor_map(factor.s, dstar))
     return abs(after - factor.det * before)

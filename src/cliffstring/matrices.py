@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .octonion import Octonion, conj_arrays, STRUCTURE
+from .octonion import conj_arrays, STRUCTURE
 
 __all__ = [
     "NotHermitianError",
@@ -65,9 +65,6 @@ class OctHermitian:
     @property
     def n(self) -> int:
         return self.data.shape[0]
-
-    def entry(self, i: int, j: int) -> Octonion:
-        return Octonion(self.data[i, j])
 
     def __repr__(self) -> str:
         return f"OctHermitian(n={self.n})"

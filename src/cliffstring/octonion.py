@@ -89,10 +89,6 @@ class Octonion:
         self.c = c.copy()
 
     @classmethod
-    def zero(cls) -> "Octonion":
-        return cls(np.zeros(8))
-
-    @classmethod
     def unit(cls, k: int) -> "Octonion":
         if not 0 <= k <= 7:
             raise ValueError("basis index out of range")
@@ -178,9 +174,17 @@ class Octonion:
         return "Octonion<" + (" ".join(terms) if terms else "0") + ">"
 
 
-def alternativity_check(a: Octonion, b: Octonion) -> float:
-    """Max norm of the two alternative-law residuals a(ba)-(ab)a and a(ab)-(aa)b."""
-    ab = a * b
-    r1 = a * (b * a) - ab * a
-    r2 = a * ab - (a * a) * b
-    return max(r1.norm(), r2.norm())
+def alternativity_check(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Max norm of the two alternative-law residuals a(ba)-(ab)a and a(ab)-(aa)b.
+
+    a and b are broadcastable (..., 8) arrays; the result holds one residual
+    per pair.
+    """
+    ab = mul_arrays(a, b)
+    r = np.stack([
+        mul_arrays(a, mul_arrays(b, a)) - mul_arrays(ab, a),
+        mul_arrays(a, ab) - mul_arrays(mul_arrays(a, a), b),
+    ])
+    # sqrt(c @ c) per row, as Octonion.norm rounds it (einsum and sum differ)
+    norms = np.sqrt((r[..., None, :] @ r[..., :, None])[..., 0, 0])
+    return np.maximum(norms[0], norms[1])

@@ -3,13 +3,23 @@ import json
 import numpy as np
 import pytest
 
-from cliffstring import cli
+from cliffstring import cli, octonion
 from cliffstring.matrices import OctHermitian, hermiticity_residual, omat_identity
+from cliffstring.octonion import Octonion
 from cliffstring.string_modes import spectrum_from_json
 
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+def _no_constant(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+def strict_json(text):
+    """Parse text as JSON that holds no NaN, Infinity or -Infinity token."""
+    return json.loads(text, parse_constant=_no_constant)
 
 
 # -- determinism ---------------------------------------------------------------
@@ -31,6 +41,46 @@ def test_octonion_check_passes_and_is_deterministic(tmp_path):
     }
     for entry in rep["checks"].values():
         assert entry["pass"] is True and entry["max_residual"] <= entry["tolerance"]
+
+
+def _octonion_check_oracle(seed, trials):
+    """The sweep's residuals, one Octonion pair at a time."""
+    rng = np.random.default_rng(seed)
+    worst = {"norm_composition": 0.0, "alternativity": 0.0, "conj_antiautomorphism": 0.0}
+    for _ in range(trials):
+        a, b = Octonion(rng.uniform(-1, 1, 8)), Octonion(rng.uniform(-1, 1, 8))
+        na, nb = a.norm(), b.norm()
+        ab = a * b
+        r1 = a * (b * a) - ab * a
+        r2 = a * ab - (a * a) * b
+        residuals = {
+            "norm_composition": abs(ab.norm() - na * nb) / (na * nb),
+            "alternativity": max(r1.norm(), r2.norm()) / (max(na, nb) ** 2 * min(na, nb)),
+            "conj_antiautomorphism": (ab.conj() - b.conj() * a.conj()).norm() / (na * nb),
+        }
+        for name, r in residuals.items():
+            worst[name] = max(worst[name], r)
+    return worst
+
+
+@pytest.mark.parametrize("trials", [1, 7, cli.OCTONION_BLOCK + 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_octonion_check_matches_object_loop(capsys, seed, trials):
+    assert run("octonion-check", "--seed", str(seed), "--trials", str(trials)) == 0
+    checks = strict_json(capsys.readouterr().out)["checks"]
+    for name, expected in _octonion_check_oracle(seed, trials).items():
+        assert checks[name]["max_residual"] == expected
+    assert checks["nonassociativity_witness"]["max_residual"] == 0.0
+
+
+def test_octonion_check_trips_on_broken_table(capsys, monkeypatch):
+    broken = octonion.STRUCTURE.copy()
+    broken[3, 5] = -broken[3, 5]  # e3 e5 with the wrong sign
+    monkeypatch.setattr(octonion, "STRUCTURE", broken)
+    assert run("octonion-check", "--seed", "0", "--trials", "50") == 3
+    checks = strict_json(capsys.readouterr().out)["checks"]
+    failed = {name for name, entry in checks.items() if not entry["pass"]}
+    assert {"norm_composition", "alternativity", "conj_antiautomorphism"} <= failed
 
 
 def test_env_seed_equivalent_to_flag(tmp_path, monkeypatch):
@@ -241,6 +291,55 @@ def test_string_modes_nonfinite_spectrum_exits_2(tmp_path, field):
     report = tmp_path / "r.json"
     assert run("string-modes", "--input", str(fix), "--report", str(report)) == 2
     assert not report.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("magnitude", [1e120, 1e200])
+def test_string_modes_overflowing_spectrum_fails_with_null_residuals(tmp_path, capsys, magnitude):
+    # K = magnitude * I is finite, but X ~ K^3 overflows: the checks on X fail
+    fix = tmp_path / "s.json"
+    assert run("gen-fixture", "--kind", "spectrum", "--seed", "1", "--output", str(fix)) == 0
+    obj = json.loads(fix.read_text())
+    obj["K"] = [[[magnitude, 0.0], [0.0, 0.0]], [[0.0, 0.0], [magnitude, 0.0]]]
+    fix.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run("string-modes", "--spectrum", str(fix)) == 3
+    rep = strict_json(capsys.readouterr().out)
+    assert rep["overall_pass"] is False
+    failed = {name: entry for name, entry in rep["checks"].items() if not entry["pass"]}
+    assert set(failed) == {"eom", "eom_ratio", "hermiticity", "evenness"}
+    assert all(entry["max_residual"] is None for entry in failed.values())
+
+
+def test_nonfinite_report_exits_3_without_writing(tmp_path, capsys):
+    # A NaN entry passes the Hermiticity test and resolves to NaN vectors;
+    # the strict-JSON backstop refuses that report.
+    src = tmp_path / "h.json"
+    src.write_text(json.dumps({"a": 2.0, "b": 1.0, "c": [float("nan")] + [0.0] * 7}))
+    assert run("resolve", "--input", str(src)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_every_subcommand_writes_strict_json(tmp_path, capsys):
+    herm, spec = tmp_path / "h.json", tmp_path / "s.json"
+    assert run("gen-fixture", "--kind", "hermitian", "--n", "3", "--seed", "1",
+               "--output", str(herm)) == 0
+    assert run("gen-fixture", "--kind", "spectrum", "--seed", "1", "--output", str(spec)) == 0
+    runs = [
+        ("octonion-check", "--trials", "20"),
+        ("resolve", "--input", str(herm)),
+        ("lorentz-check", "--trials", "3", "--nest-depth", "2"),
+        ("string-modes", "--spectrum", str(spec), "--grid", "16"),
+        ("quantum-check", "--degree", "2"),
+        ("redshift", "--t-emit", "1", "--t-obsv", "4", "--dt", "0.01", "--p", "2"),
+        ("gen-fixture", "--kind", "spinor", "--seed", "1"),
+    ]
+    capsys.readouterr()
+    for argv in runs:
+        assert run(*argv) == 0, argv
+        assert isinstance(strict_json(capsys.readouterr().out), dict), argv
 
 
 @pytest.mark.parametrize("command", ["resolve", "string-modes"])
