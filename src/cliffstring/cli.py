@@ -67,6 +67,10 @@ OCTONION_BLOCK = 1024
 # Largest string-modes --grid: quadrature and CSV hold O(grid) arrays.
 MAX_GRID = 65536
 
+# Largest quantum-check --degree: the polynomial space enumerates
+# (degree + 1)^4 exponent tuples, and degree 20 takes about 2 s and 0.5 GB.
+MAX_DEGREE = 20
+
 # Default tolerance per named check, overridable with --tol.<name>.
 DEFAULT_TOLS = {
     "octonion-check": {
@@ -396,6 +400,9 @@ def _write_grid_csv(ms, path, n_sigma: int) -> None:
                header=",".join(header), comments="")
 
 
+# A finite spectrum can still overflow (X grows like K^3); _check fails the
+# non-finite residuals, so numpy's floating-point warnings would only repeat that.
+@np.errstate(all="ignore")
 def cmd_string_modes(args, overrides) -> int:
     tols = _merge_tols("string-modes", overrides)
     if args.grid > MAX_GRID:
@@ -464,6 +471,8 @@ def cmd_string_modes(args, overrides) -> int:
 
 def cmd_quantum_check(args, overrides) -> int:
     tols = _merge_tols("quantum-check", overrides)
+    if not 2 <= args.degree <= MAX_DEGREE:
+        raise InputError(f"--degree must be between 2 and {MAX_DEGREE}, got {args.degree}")
     pairs = build_canonical(args.degree, args.hbar)
     space = pairs.space
     safe = space.safe_columns()

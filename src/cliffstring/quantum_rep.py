@@ -34,6 +34,13 @@ and the negated tensor satisfy the usual +i hbar forms.  All component
 formulas, the spinor/vector and spinor/tensor round-trips, the
 dotted-undotted commutation, and the identity
 J^z = i/2 (M0_(12) - M0dag_(12)) = Q_1 R_2 - Q_2 R_1 hold exactly.
+
+Operators are sparse CSR matrices.  A family of K operators is one
+(K dim, dim) stack, operator k in rows k dim to (k+1) dim, index pairs
+row-major (M0_{AB} is operator 2A+B, M_{mu nu} is 4 mu + nu).  A linear
+combination is one product kron(W, I) @ stack, all products X_i Y_j of
+two families are one product of the stacked X with the Ys side by side,
+and each check is one masked max over all its index pairs at once.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .minkowski import EPS, eta4, sigma4_complex
 
@@ -70,6 +78,8 @@ _S4_UP = np.array([EPS @ (eta4()[mu, mu] * _S4[mu]) @ EPS.T for mu in range(4)])
 # works out to (I, sx, -sy, sz) and satisfies
 # 1/2 sum_{A Bdot} sigma_mu^{A Bdot} sigma^nu_{A Bdot} = delta_mu^nu.
 
+_EPS3 = np.cross(np.eye(3)[:, None], np.eye(3))  # eps_ijk = (e_i x e_j)_k
+
 
 class PolySpace:
     """Monomial basis for polynomials in `n_vars` variables, degree <= cap."""
@@ -96,24 +106,24 @@ class PolySpace:
         """Mask of basis monomials with degree <= cap - 1."""
         return self.degrees <= self.degree - 1
 
-    def mult_op(self, mu: int) -> np.ndarray:
-        """Matrix of multiplication by x_mu (truncated at the degree cap)."""
-        m = np.zeros((self.dim, self.dim))
+    def _shift_op(self, mu: int, step: int, weight) -> sparse.csr_matrix:
+        """Sends x^e to weight(e) x^(e + step in slot mu), or to 0 outside the space."""
+        rows, cols, vals = [], [], []
         for j, e in enumerate(self.exponents):
-            shifted = e[:mu] + (e[mu] + 1,) + e[mu + 1:]
-            i = self.index.get(shifted)
+            i = self.index.get(e[:mu] + (e[mu] + step,) + e[mu + 1:])
             if i is not None:
-                m[i, j] = 1.0
-        return m
+                rows.append(i)
+                cols.append(j)
+                vals.append(weight(e))
+        return sparse.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim))
 
-    def deriv_op(self, mu: int) -> np.ndarray:
+    def mult_op(self, mu: int) -> sparse.csr_matrix:
+        """Matrix of multiplication by x_mu (truncated at the degree cap)."""
+        return self._shift_op(mu, 1, lambda e: 1.0)
+
+    def deriv_op(self, mu: int) -> sparse.csr_matrix:
         """Matrix of d/dx_mu (degree-lowering, never truncates)."""
-        m = np.zeros((self.dim, self.dim))
-        for j, e in enumerate(self.exponents):
-            if e[mu] > 0:
-                shifted = e[:mu] + (e[mu] - 1,) + e[mu + 1:]
-                m[self.index[shifted], j] = float(e[mu])
-        return m
+        return self._shift_op(mu, -1, lambda e: float(e[mu]))
 
 
 _QUAT_TABLE = {
@@ -130,31 +140,20 @@ _QUAT_TABLE = {
 class QuatOperator:
     """A PolySpace operator matrix carried on a single quaternion unit tag.
 
-    Every object arising here is a sum of terms on one common tag: the
-    canonical images live on j and k, any product of one A-factor with
-    one K-factor lands on i, and pairs of like factors land on 1.
-    Complex scalars act on the matrix part.
+    Every object arising here lies on one common tag: the canonical
+    images live on j and k, any product of one A-factor with one K-factor
+    lands on i, and pairs of like factors land on 1.  The matrix may be a
+    stacked family, or the block matrix of its products, all on the tag.
     """
 
     tag: str
-    mat: np.ndarray
+    mat: sparse.csr_matrix
 
     def __matmul__(self, other: "QuatOperator") -> "QuatOperator":
         sign, tag = _QUAT_TABLE[self.tag, other.tag]
         return QuatOperator(tag, sign * (self.mat @ other.mat))
 
-    def __add__(self, other: "QuatOperator") -> "QuatOperator":
-        if self.tag != other.tag:
-            raise ValueError("cannot add operators on different quaternion tags")
-        return QuatOperator(self.tag, self.mat + other.mat)
-
-    def __sub__(self, other: "QuatOperator") -> "QuatOperator":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar) -> "QuatOperator":
-        return QuatOperator(self.tag, scalar * self.mat)
-
-    def collapse(self) -> np.ndarray:
+    def collapse(self) -> sparse.csr_matrix:
         """Complex matrix of a tag-1 or tag-i operator (i -> scalar i)."""
         if self.tag == "1":
             return self.mat.astype(complex)
@@ -165,12 +164,77 @@ class QuatOperator:
 
 @dataclass(frozen=True)
 class CanonicalPairs:
-    """Q_mu and R_nu as tuples of four complex (dim, dim) matrices."""
+    """Q_mu (real) and R_nu (complex), each stacked as a (4 dim, dim) CSR matrix."""
 
     space: PolySpace
-    q: tuple
-    r: tuple
+    q: sparse.csr_matrix
+    r: sparse.csr_matrix
     hbar: float
+
+
+# -- stacked families ------------------------------------------------------------
+
+
+def _combine(w: np.ndarray, stack) -> sparse.csr_matrix:
+    """Stack of the operators sum_m w[k, m] Z_m of a stacked family Z."""
+    n = stack.shape[1]
+    return sparse.kron(w, sparse.identity(n), format="csr") @ stack
+
+
+def _side_by_side(stack) -> sparse.csr_matrix:
+    """The (dim, K dim) matrix [Z_0 Z_1 ... Z_{K-1}] of a stacked family."""
+    n = stack.shape[1]
+    c = stack.tocoo()
+    k, row = np.divmod(c.row, n)
+    return sparse.csr_matrix((c.data, (row, k * n + c.col)), shape=(n, stack.shape[0]))
+
+
+def _stack_blocks(p, n: int, swap: bool = False) -> sparse.csr_matrix:
+    """Stack of the (dim, dim) blocks of a block matrix, block (i, j) as operator i L + j.
+
+    With swap, block (j, i) of an (L dim, K dim) matrix goes to operator
+    i L + j instead, so the products Y_j X_i line up with X_i Y_j.
+    """
+    c = p.tocoo()
+    bi, row = np.divmod(c.row, n)
+    bj, col = np.divmod(c.col, n)
+    if swap:
+        bi, bj = bj, bi
+    n_cols = p.shape[0 if swap else 1] // n
+    return sparse.csr_matrix(
+        (c.data, ((bi * n_cols + bj) * n + row, col)), shape=(p.shape[0] * p.shape[1] // n, n)
+    )
+
+
+def _brackets(xy, yx, n: int, sign: float = -1.0) -> sparse.csr_matrix:
+    """Stack of X_i Y_j + sign Y_j X_i from the block products xy = [X_i Y_j], yx = [Y_j X_i]."""
+    return _stack_blocks(xy, n) + sign * _stack_blocks(yx, n, swap=True)
+
+
+def _commutator_gap(x, y, coeffs: np.ndarray, z) -> sparse.csr_matrix:
+    """Stack of [X_i, Y_j] - sum_m coeffs[i, j, m] Z_m over all (i, j).
+
+    x, y and z are stacked families of K, L and M operators and coeffs is
+    a (K, L, M) array; when y is x one product serves both orders.
+    """
+    xy = x @ _side_by_side(y)
+    yx = xy if y is x else y @ _side_by_side(x)
+    return _brackets(xy, yx, x.shape[1]) - _combine(coeffs.reshape(-1, coeffs.shape[-1]), z)
+
+
+def _tagged_products(x: QuatOperator, y: QuatOperator) -> sparse.csr_matrix:
+    """Block matrix [X_i Y_j] of two tagged families, collapsed from its product tag."""
+    return (x @ QuatOperator(y.tag, _side_by_side(y.mat))).collapse()
+
+
+def _max_abs(mat, safe: np.ndarray = None) -> float:
+    """Max |entry|, over the safe columns when a mask is given; a NaN propagates."""
+    mat = mat.tocsr()
+    data = mat.data if safe is None else mat.data[safe[mat.indices]]
+    return float(np.max(np.abs(data), initial=0.0))
+
+
+# -- canonical and quaternion pairs ------------------------------------------------
 
 
 def build_canonical(degree: int = 6, hbar: float = 1.0) -> CanonicalPairs:
@@ -183,36 +247,30 @@ def build_canonical(degree: int = 6, hbar: float = 1.0) -> CanonicalPairs:
         raise ValueError("degree bound must be at least 2")
     space = PolySpace(4, degree)
     eta = eta4()
-    q = tuple(space.mult_op(mu).astype(complex) for mu in range(4))
-    r = tuple(-1j * hbar * eta[nu, nu] * space.deriv_op(nu) for nu in range(4))
+    q = sparse.vstack([space.mult_op(mu) for mu in range(4)], format="csr")
+    r = sparse.vstack(
+        [-1j * hbar * eta[nu, nu] * space.deriv_op(nu) for nu in range(4)], format="csr"
+    )
     return CanonicalPairs(space=space, q=q, r=r, hbar=hbar)
 
 
-def _safe_max(mat: np.ndarray, safe: np.ndarray) -> float:
-    return float(np.max(np.abs(mat[:, safe]))) if np.any(safe) else 0.0
-
-
 def canonical_residual(pairs: CanonicalPairs) -> float:
-    """Max residual of the canonical relations over all 16 index pairs."""
-    space, q, r = pairs.space, pairs.q, pairs.r
-    safe = space.safe_columns()
-    eye = np.eye(space.dim)
-    eta = eta4()
-    worst = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            comm = q[mu] @ r[nu] - r[nu] @ q[mu]
-            worst = max(worst, _safe_max(comm - 1j * pairs.hbar * eta[mu, nu] * eye, safe))
-            worst = max(worst, _safe_max(q[mu] @ q[nu] - q[nu] @ q[mu], safe))
-            worst = max(worst, _safe_max(r[mu] @ r[nu] - r[nu] @ r[mu], safe))
-    return worst
+    """Max residual of the canonical relations over all 16 index pairs.
+
+    One product of the family (Q_0..Q_3, R_0..R_3) with itself gives every
+    commutator; [Q, R] = i hbar eta, [R, Q] = -i hbar eta, the rest vanish.
+    """
+    ops = sparse.vstack([pairs.q, pairs.r], format="csr")
+    coeffs = np.zeros((8, 8, 1), complex)
+    coeffs[:4, 4:, 0] = 1j * pairs.hbar * eta4()
+    coeffs[4:, :4, 0] = -1j * pairs.hbar * eta4()
+    gap = _commutator_gap(ops, ops, coeffs, sparse.identity(pairs.space.dim, format="csr"))
+    return _max_abs(gap, pairs.space.safe_columns())
 
 
 def quaternion_pairs(pairs: CanonicalPairs):
-    """Map the canonical pairs onto quaternion tags: A = j(x)Q, K = k(x)R."""
-    a_ops = tuple(QuatOperator("j", mat) for mat in pairs.q)
-    k_ops = tuple(QuatOperator("k", mat) for mat in pairs.r)
-    return a_ops, k_ops
+    """Map the canonical pairs onto quaternion tags: A = j(x)Q, K = k(x)R (stacked)."""
+    return QuatOperator("j", pairs.q), QuatOperator("k", pairs.r)
 
 
 def mixed_algebra_residual(a_ops, k_ops, space: PolySpace, hbar: float) -> float:
@@ -222,68 +280,45 @@ def mixed_algebra_residual(a_ops, k_ops, space: PolySpace, hbar: float) -> float
     kj = -i and K_nu A_mu on jk = +i, so the sum sits on a single tag and
     collapses to -hbar eta via [Q, R] = i hbar eta.
     """
-    safe = space.safe_columns()
-    eye = np.eye(space.dim)
-    eta = eta4()
-    worst = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            comm_a = a_ops[mu] @ a_ops[nu] - a_ops[nu] @ a_ops[mu]
-            comm_k = k_ops[mu] @ k_ops[nu] - k_ops[nu] @ k_ops[mu]
-            anti = a_ops[mu] @ k_ops[nu] + k_ops[nu] @ a_ops[mu]
-            worst = max(worst, _safe_max(comm_a.collapse(), safe))
-            worst = max(worst, _safe_max(comm_k.collapse(), safe))
-            worst = max(
-                worst,
-                _safe_max(anti.collapse() + hbar * eta[mu, nu] * eye, safe),
-            )
-    return worst
+    n = space.dim
+    aa = _tagged_products(a_ops, a_ops)
+    kk = _tagged_products(k_ops, k_ops)
+    anti = _brackets(_tagged_products(a_ops, k_ops), _tagged_products(k_ops, a_ops), n, sign=1.0)
+    gaps = sparse.vstack([
+        _brackets(aa, aa, n),
+        _brackets(kk, kk, n),
+        anti + sparse.kron(hbar * eta4().reshape(16, 1), sparse.identity(n)),
+    ])
+    return _max_abs(gaps, space.safe_columns())
 
 
-def spinor_components(ops) -> list:
-    """2x2 spinor matrix O_{A Bdot} = sigma^mu_{A Bdot} O_mu of operators."""
-    out = [[None, None], [None, None]]
-    for a in range(2):
-        for b in range(2):
-            acc = complex(_S4[0, a, b]) * ops[0]
-            for mu in range(1, 4):
-                acc = acc + complex(_S4[mu, a, b]) * ops[mu]
-            out[a][b] = acc
-    return out
+# -- angular momentum: spinor, three-vector and tensor forms -----------------------
+
+
+def spinor_components(ops: QuatOperator) -> QuatOperator:
+    """Stacked spinor family O_{A Bdot} = sigma^mu_{A Bdot} O_mu (operator 2A+Bdot)."""
+    return QuatOperator(ops.tag, _combine(_S4.reshape(4, 4).T, ops.mat))
 
 
 def m0_matrices(a_ops, k_ops) -> tuple:
-    """Symmetrized angular-momentum spinors as complex matrices.
+    """Symmetrized angular-momentum spinors as stacked complex matrices.
 
     M0_{AB} = i K_A^Edot A_{B Edot} (K factor to the left) and its
     structural adjoint M0dag_{AdotBdot} = -i eps^{EF} A_{E Bdot} K_{F Adot},
     obtained by reversing products and conjugating scalar coefficients
     with A and K treated as formally self-adjoint.  Both are returned as
-    (2, 2, dim, dim) complex arrays with the spinor indices symmetrized;
-    all entries sit on the quaternion tag i and collapse cleanly.
+    (4 dim, dim) stacks with the spinor indices symmetrized; all products
+    sit on the quaternion tag i and collapse cleanly.
     """
-    a_sp = spinor_components(a_ops)
-    k_sp = spinor_components(k_ops)
-    dim = a_ops[0].mat.shape[0]
-    m0 = np.zeros((2, 2, dim, dim), complex)
-    m0d = np.zeros((2, 2, dim, dim), complex)
-    for a in range(2):
-        for b in range(2):
-            acc = None
-            accd = None
-            for kd in range(2):
-                for ld in range(2):
-                    w = EPS[kd, ld]
-                    if w == 0:
-                        continue
-                    term = (1j * w) * (k_sp[a][ld] @ a_sp[b][kd])
-                    termd = (-1j * w) * (a_sp[kd][b] @ k_sp[ld][a])
-                    acc = term if acc is None else acc + term
-                    accd = termd if accd is None else accd + termd
-            m0[a, b] = acc.collapse()
-            m0d[a, b] = accd.collapse()
-    m0 = 0.5 * (m0 + m0.transpose(1, 0, 2, 3))
-    m0d = 0.5 * (m0d + m0d.transpose(1, 0, 2, 3))
+    a_sp, k_sp = spinor_components(a_ops), spinor_components(k_ops)
+    n = a_ops.mat.shape[1]
+    d = np.eye(2)
+    # weights of the products K_{P L} A_{Q E} and A_{E Q} K_{L P}, eps^{E L}
+    w = 1j * np.einsum("ap,bq,el->abplqe", d, d, EPS)
+    wd = -1j * np.einsum("el,qb,pa->abeqlp", EPS, d, d)
+    w, wd = ((0.5 * (c + c.swapaxes(0, 1))).reshape(4, 16) for c in (w, wd))  # (AB)
+    m0 = _combine(w, _stack_blocks(_tagged_products(k_sp, a_sp), n))
+    m0d = _combine(wd, _stack_blocks(_tagged_products(a_sp, k_sp), n))
     return m0, m0d
 
 
@@ -294,41 +329,25 @@ def lorentz_closure_residual(m0, m0d, safe, hbar: float) -> float:
     + E<->F with the lower-index eps_{AB} = -eps^{AB}, and that dotted
     and undotted blocks commute.
     """
-    leps = -EPS
-    worst = 0.0
-    for a in range(2):
-        for b in range(2):
-            for e in range(2):
-                for f in range(2):
-                    comm = m0[a, b] @ m0[e, f] - m0[e, f] @ m0[a, b]
-                    rhs = 1j * hbar * (
-                        m0[a, e] * leps[f, b] + m0[b, e] * leps[f, a]
-                        + m0[a, f] * leps[e, b] + m0[b, f] * leps[e, a]
-                    )
-                    worst = max(worst, _safe_max(comm - rhs, safe))
-                    cross = m0[a, b] @ m0d[e, f] - m0d[e, f] @ m0[a, b]
-                    worst = max(worst, _safe_max(cross, safe))
-    return worst
+    d = np.eye(2)
+    c = np.einsum("ag,eh,fb->abefgh", d, d, -EPS)   # M0_(AE) eps_FB
+    c = c + c.transpose(1, 0, 2, 3, 4, 5)           # + A <-> B
+    c = c + c.transpose(0, 1, 3, 2, 4, 5)           # + E <-> F
+    coeffs = np.zeros((4, 8, 4), complex)           # zero on the [M0, M0dag] blocks
+    coeffs[:, :4] = 1j * hbar * c.reshape(4, 4, 4)
+    both = sparse.vstack([m0, m0d], format="csr")
+    return _max_abs(_commutator_gap(m0, both, coeffs, m0), safe)
 
 
 def three_vector_form(m0, m0d) -> tuple:
-    """Rotation/boost three-vectors N_i and their adjoints.
+    """Rotation/boost three-vectors N_i and their adjoints, (3 dim, dim) stacks.
 
     N_1 = i/4 (Md_11 - Md_22), N_2 = 1/4 (Md_11 + Md_22), N_3 = -i/2 Md_12
     built on the dotted block; the adjoints use the undotted block with
     conjugated coefficients.
     """
-    n = np.array([
-        0.25j * (m0d[0, 0] - m0d[1, 1]),
-        0.25 * (m0d[0, 0] + m0d[1, 1]),
-        -0.5j * m0d[0, 1],
-    ])
-    nd = np.array([
-        -0.25j * (m0[0, 0] - m0[1, 1]),
-        0.25 * (m0[0, 0] + m0[1, 1]),
-        0.5j * m0[0, 1],
-    ])
-    return n, nd
+    w = np.array([[0.25j, 0, 0, -0.25j], [0.25, 0, 0, 0.25], [0, -0.5j, 0, 0]])
+    return _combine(w, m0d), _combine(w.conj(), m0)
 
 
 def su2_closure_residual(n, nd, safe, hbar: float) -> float:
@@ -338,87 +357,51 @@ def su2_closure_residual(n, nd, safe, hbar: float) -> float:
     convention; the reordered triple (N_2, N_1, N_3) satisfies the
     +i hbar form.  Mixed commutators [N_i, N_j^dag] must vanish.
     """
-    eps3 = np.zeros((3, 3, 3))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        eps3[i, j, k] = 1.0
-        eps3[j, i, k] = -1.0
-    worst = 0.0
-    for i in range(3):
-        for j in range(3):
-            rhs = sum(-1j * hbar * eps3[i, j, k] * n[k] for k in range(3))
-            rhsd = sum(-1j * hbar * eps3[i, j, k] * nd[k] for k in range(3))
-            worst = max(worst, _safe_max(n[i] @ n[j] - n[j] @ n[i] - rhs, safe))
-            worst = max(worst, _safe_max(nd[i] @ nd[j] - nd[j] @ nd[i] - rhsd, safe))
-            worst = max(worst, _safe_max(n[i] @ nd[j] - nd[j] @ n[i], safe))
-    return worst
+    ops = sparse.vstack([n, nd], format="csr")
+    coeffs = np.zeros((6, 6, 6), complex)
+    coeffs[:3, :3, :3] = coeffs[3:, 3:, 3:] = -1j * hbar * _EPS3
+    return _max_abs(_commutator_gap(ops, ops, coeffs, ops), safe)
 
 
-def tensor_form(m0, m0d) -> np.ndarray:
-    """Antisymmetric tensor M_{mu nu} equivalent to the spinor pair.
+def tensor_form(m0, m0d) -> sparse.csr_matrix:
+    """Antisymmetric tensor M_{mu nu} equivalent to the spinor pair, a (16 dim, dim) stack.
 
     M_{mu nu} = 1/4 sigma_mu^{A Edot} sigma_nu^{B Fdot}
                 (M0_(AB) eps_EdotFdot + M0dag_(EdotFdot) eps_AB).
     """
-    dim = m0.shape[-1]
-    out = np.zeros((4, 4, dim, dim), complex)
-    for mu in range(4):
-        for nu in range(4):
-            acc = np.zeros((dim, dim), complex)
-            for a in range(2):
-                for e in range(2):
-                    for b in range(2):
-                        for f in range(2):
-                            w = _S4_UP[mu, a, e] * _S4_UP[nu, b, f]
-                            if w == 0:
-                                continue
-                            acc += w * (m0[a, b] * EPS[e, f] + m0d[e, f] * EPS[a, b])
-            out[mu, nu] = 0.25 * acc
-    return out
+    undotted = np.einsum("mae,nbf,ef->mnab", _S4_UP, _S4_UP, EPS).reshape(16, 4)
+    dotted = np.einsum("mae,nbf,ab->mnef", _S4_UP, _S4_UP, EPS).reshape(16, 4)
+    w = 0.25 * np.concatenate([undotted, dotted], axis=1)
+    return _combine(w, sparse.vstack([m0, m0d], format="csr"))
 
 
 def tensor_algebra_residual(m_tensor, safe, hbar: float) -> float:
     """Residual of the tensor-form Lorentz algebra and antisymmetry.
 
     The literal tensor closes as [M_uv, M_rs] = -i hbar (eta M - ...);
-    equivalently -M_{mu nu} satisfies the usual +i hbar form.  It also
+    equivalently -M_{mu nu} satisfies the usual +i hbar forms.  It also
     agrees exactly with the assembly from the three-vector (eps_ijk
     (N_k + N_k^dag) on space-space, -i(N_i - N_i^dag) on time-space).
     """
-    eta = eta4()
-    worst = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            worst = max(worst, _safe_max(m_tensor[mu, nu] + m_tensor[nu, mu], safe))
-    pairs = [(mu, nu) for mu in range(4) for nu in range(mu + 1, 4)]
-    for mu, nu in pairs:
-        for rho, sig in pairs:
-            comm = (m_tensor[mu, nu] @ m_tensor[rho, sig]
-                    - m_tensor[rho, sig] @ m_tensor[mu, nu])
-            rhs = -1j * hbar * (
-                eta[nu, rho] * m_tensor[mu, sig] - eta[mu, rho] * m_tensor[nu, sig]
-                - eta[nu, sig] * m_tensor[mu, rho] + eta[mu, sig] * m_tensor[nu, rho]
-            )
-            worst = max(worst, _safe_max(comm - rhs, safe))
-    return worst
+    d = np.eye(4)
+    c = np.einsum("nr,am,bs->mnrsab", eta4(), d, d)  # eta_{nu rho} M_{mu sigma}
+    c = c - c.transpose(1, 0, 2, 3, 4, 5)             # - mu <-> nu
+    c = c - c.transpose(0, 1, 3, 2, 4, 5)             # - rho <-> sigma
+    pairs = [4 * mu + nu for mu in range(4) for nu in range(mu + 1, 4)]
+    coeffs = -1j * hbar * c.reshape(16, 16, 16)[np.ix_(pairs, pairs)]
+    ops = _combine(np.eye(16)[pairs], m_tensor)
+    transpose = np.eye(16).reshape(4, 4, 16).transpose(1, 0, 2).reshape(16, 16)
+    gaps = sparse.vstack([
+        _combine(np.eye(16) + transpose, m_tensor),
+        _commutator_gap(ops, ops, coeffs, m_tensor),
+    ])
+    return _max_abs(gaps, safe)
 
 
 def spinor_tensor_roundtrip_residual(m0, m_tensor) -> float:
     """Max error of M0_(AB) = 1/2 eps^EdotFdot sigma^mu sigma^nu M_{mu nu}."""
-    worst = 0.0
-    for a in range(2):
-        for b in range(2):
-            acc = np.zeros_like(m0[0, 0])
-            for e in range(2):
-                for f in range(2):
-                    if EPS[e, f] == 0:
-                        continue
-                    for mu in range(4):
-                        for nu in range(4):
-                            w = EPS[e, f] * _S4[mu, a, e] * _S4[nu, b, f]
-                            if w != 0:
-                                acc += w * m_tensor[mu, nu]
-            worst = max(worst, float(np.max(np.abs(0.5 * acc - m0[a, b]))))
-    return worst
+    w = 0.5 * np.einsum("ef,mae,nbf->abmn", EPS, _S4, _S4).reshape(4, 16)
+    return _max_abs(_combine(w, m_tensor) - m0)
 
 
 def jz_spectrum(degree: int, hbar: float = 1.0) -> np.ndarray:
@@ -429,9 +412,8 @@ def jz_spectrum(degree: int, hbar: float = 1.0) -> np.ndarray:
     across degrees d <= cap.  Returned sorted by real part.
     """
     space = PolySpace(2, degree)
-    jz = 1j * hbar * (space.mult_op(0) @ space.deriv_op(1)
-                      - space.mult_op(1) @ space.deriv_op(0))
-    vals = np.linalg.eigvals(jz)
+    lz = space.mult_op(0) @ space.deriv_op(1) - space.mult_op(1) @ space.deriv_op(0)
+    vals = np.linalg.eigvals(1j * hbar * lz.toarray())
     return vals[np.argsort(vals.real)]
 
 

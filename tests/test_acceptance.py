@@ -203,6 +203,8 @@ def test_06_polynomial_operator_algebra_closes():
     assert mixed_algebra_residual(a_ops, k_ops, pairs.space, 1.0) <= 1e-10
     m0, m0d = m0_matrices(a_ops, k_ops)
     assert lorentz_closure_residual(m0, m0d, safe, 1.0) <= 1e-10
+    dim = pairs.space.dim
+    m0, m0d = (m.toarray().reshape(2, 2, dim, dim) for m in (m0, m0d))
     worst_cross = 0.0
     for a in range(2):
         for b in range(2):

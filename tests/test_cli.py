@@ -293,7 +293,7 @@ def test_string_modes_nonfinite_spectrum_exits_2(tmp_path, field):
     assert not report.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings would fail the run
 @pytest.mark.parametrize("magnitude", [1e120, 1e200])
 def test_string_modes_overflowing_spectrum_fails_with_null_residuals(tmp_path, capsys, magnitude):
     # K = magnitude * I is finite, but X ~ K^3 overflows: the checks on X fail
@@ -304,7 +304,9 @@ def test_string_modes_overflowing_spectrum_fails_with_null_residuals(tmp_path, c
     fix.write_text(json.dumps(obj))
     capsys.readouterr()
     assert run("string-modes", "--spectrum", str(fix)) == 3
-    rep = strict_json(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rep = strict_json(captured.out)
     assert rep["overall_pass"] is False
     failed = {name: entry for name, entry in rep["checks"].items() if not entry["pass"]}
     assert set(failed) == {"eom", "eom_ratio", "hermiticity", "evenness"}
@@ -373,6 +375,32 @@ def test_quantum_check_report(tmp_path):
     assert rep["dimension"] == 35
     spectrum = np.asarray(rep["jz_spectrum"], dtype=float)
     assert np.max(np.abs(spectrum - np.round(spectrum))) <= 1e-9
+
+
+@pytest.mark.parametrize("degree", [1, cli.MAX_DEGREE + 1])
+def test_quantum_check_degree_bound_exits_2(tmp_path, capsys, degree):
+    report = tmp_path / "r.json"
+    assert run("quantum-check", "--degree", str(degree), "--report", str(report)) == 2
+    assert "--degree" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_quantum_check_nan_operator_fails_with_null_residual(monkeypatch, capsys):
+    exact = cli.m0_matrices
+
+    def with_nan(a_ops, k_ops):
+        m0, m0d = exact(a_ops, k_ops)
+        m0 = m0.copy()
+        m0.data[0] = np.nan  # a degree-0 column, inside the safe subspace
+        return m0, m0d
+
+    monkeypatch.setattr(cli, "m0_matrices", with_nan)
+    assert run("quantum-check", "--degree", "3") == 3
+    checks = strict_json(capsys.readouterr().out)["checks"]
+    assert checks["closure"] == {
+        "max_residual": None, "tolerance": 1e-10, "trials": 1, "pass": False,
+    }
+    assert checks["canonical"]["pass"] is True
 
 
 # -- redshift --------------------------------------------------------------------
