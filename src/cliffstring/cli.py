@@ -44,7 +44,7 @@ from .quantum_rep import (
     tensor_form,
     three_vector_form,
 )
-from .resolve import reconstruction_residual, resolve_hermitian, vectors
+from .resolve import reconstruction_errors, resolve_hermitian, vectors
 from .string_modes import (
     charge_density_coefficients,
     charge_quadrature,
@@ -175,7 +175,7 @@ def _plain(x):
     if isinstance(x, (list, tuple)):
         return [_plain(v) for v in x]
     if isinstance(x, np.ndarray):
-        return _plain(x.tolist())
+        return x.tolist()  # already builtins all the way down
     if isinstance(x, (np.floating, np.integer, np.bool_)):
         return x.item()
     return x
@@ -289,17 +289,25 @@ def cmd_resolve(args, overrides) -> int:
     except (ValueError, TypeError, KeyError) as exc:
         raise InputError(f"bad Hermitian matrix in {args.input}: {exc}")
     res = resolve_hermitian(h, tol=args.tol)
-    residual = reconstruction_residual(res, h)
+    errors = reconstruction_errors(res, h)
+    residual = float(np.max(errors))
     ok = residual <= args.tol
+    hmax = float(np.max(np.linalg.norm(h.data, axis=2)))
+    cmax = float(np.max(np.linalg.norm([res.a, res.b], axis=3)))
     out = {
         "command": "resolve",
         "n": res.n,
-        "a": res.a.tolist(),
-        "b": res.b.tolist(),
+        "a": res.a,
+        "b": res.b,
         "vectors": [v.to_json() for v in vectors(res)],
-        "max_residual": float(residual),
+        "max_residual": residual,
         "tolerance": float(args.tol),
         "pass": bool(ok),
+        "perm": res.perm,
+        "pivots": res.pivots,
+        # max|a, b| / max|H|; undefined (null) for the zero matrix
+        "growth": cmax / hmax if hmax > 0 else None,
+        "worst_entry": list(np.unravel_index(np.argmax(errors), errors.shape)),
     }
     return _dump_json(out, args.output) or (0 if ok else 3)
 

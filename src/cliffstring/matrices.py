@@ -23,13 +23,28 @@ __all__ = [
 ]
 
 
+# b @ _RIGHT_TABLE is the right-multiplication matrix R_b of an octonion b,
+# flattened over (i, k): a @ R_b = a b.  Built once from STRUCTURE.
+_RIGHT_TABLE = STRUCTURE.transpose(1, 0, 2).reshape(8, 64)
+_RIGHT_TABLE.setflags(write=False)
+
+
 class NotHermitianError(ValueError):
     """Raised when a matrix required to be Hermitian is not."""
 
 
 def omat_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Octonionic matrix product of (n, m, 8) by (m, p, 8) stacks."""
-    return np.einsum("pqi,qrj,ijk->prk", x, y, STRUCTURE)
+    """Octonionic matrix product of (n, m, 8) by (m, p, 8) stacks.
+
+    One real GEMM: y's entries become their (8, 8) right-multiplication
+    matrices, laid out as an (8 m, 8 p) block matrix that x, read as an
+    (n, 8 m) real matrix, multiplies.
+    """
+    n, m, _ = x.shape
+    p = y.shape[1]
+    right = (y.reshape(m * p, 8) @ _RIGHT_TABLE).reshape(m, p, 8, 8)
+    right = right.transpose(0, 2, 1, 3).reshape(8 * m, 8 * p)
+    return (x.reshape(n, 8 * m) @ right).reshape(n, p, 8)
 
 
 def omat_adjoint(x: np.ndarray) -> np.ndarray:
@@ -56,6 +71,8 @@ class OctHermitian:
         d = np.asarray(data, dtype=float)
         if d.ndim != 3 or d.shape[0] != d.shape[1] or d.shape[2] != 8:
             raise ValueError(f"expected (n, n, 8) coefficient array, got {d.shape}")
+        if validate and not np.all(np.isfinite(d)):
+            raise ValueError("matrix entries must be finite")
         if validate and hermiticity_residual(d) > tol:
             raise NotHermitianError(
                 f"hermiticity residual {hermiticity_residual(d):.3e} exceeds {tol:.1e}"

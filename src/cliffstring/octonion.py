@@ -69,8 +69,14 @@ _CONJ_SIGNS = np.array([1.0, -1, -1, -1, -1, -1, -1, -1])
 
 
 def mul_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Broadcasting octonion product on (..., 8) coefficient arrays."""
-    return np.einsum("...i,...j,ijk->...k", a, b, STRUCTURE)
+    """Broadcasting octonion product on (..., 8) coefficient arrays.
+
+    Row 8 i + j of the flat table is e_i e_j, so one matmul sums every
+    coefficient pair a_i b_j onto its basis unit.  The table is a view of
+    STRUCTURE taken per call, which a patched table also reaches.
+    """
+    pairs = np.asarray(a)[..., :, None] * np.asarray(b)[..., None, :]
+    return pairs.reshape(pairs.shape[:-2] + (64,)) @ STRUCTURE.reshape(64, 8)
 
 
 def conj_arrays(a: np.ndarray) -> np.ndarray:

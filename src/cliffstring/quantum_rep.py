@@ -412,8 +412,14 @@ def jz_spectrum(degree: int, hbar: float = 1.0) -> np.ndarray:
     across degrees d <= cap.  Returned sorted by real part.
     """
     space = PolySpace(2, degree)
-    lz = space.mult_op(0) @ space.deriv_op(1) - space.mult_op(1) @ space.deriv_op(0)
-    vals = np.linalg.eigvals(1j * hbar * lz.toarray())
+    # x_1 d_2 - x_2 d_1 sends x^(p, q) to q x^(p+1, q-1) - p x^(p-1, q+1)
+    lz = np.zeros((space.dim, space.dim))
+    for j, (p, q) in enumerate(space.exponents):
+        if q:
+            lz[space.index[(p + 1, q - 1)], j] = q
+        if p:
+            lz[space.index[(p - 1, q + 1)], j] = -p
+    vals = np.linalg.eigvals(1j * hbar * lz)
     return vals[np.argsort(vals.real)]
 
 

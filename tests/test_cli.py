@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from cliffstring import cli, octonion
-from cliffstring.matrices import OctHermitian, hermiticity_residual, omat_identity
+from cliffstring.fixtures import random_degenerate_hermitian
+from cliffstring.matrices import (
+    OctHermitian,
+    hermiticity_residual,
+    omat_adjoint,
+    omat_identity,
+    omat_mul,
+)
 from cliffstring.octonion import Octonion
+from cliffstring.resolve import Resolution
 from cliffstring.string_modes import spectrum_from_json
 
 
@@ -171,6 +179,37 @@ def test_resolve_identity_reports_zero_residual(tmp_path):
     assert len(rep["vectors"]) == 2
 
 
+def test_resolve_report_diagnostics(tmp_path):
+    """perm, pivot classes, growth and the worst entry, recomputed from the report."""
+    src, out = tmp_path / "h.json", tmp_path / "out.json"
+    # rows 0 and 1 of this matrix are proportional; after a regular pivot on
+    # one of them the other's Schur diagonal vanishes (the degenerate branch)
+    h = random_degenerate_hermitian(np.random.default_rng(0), 16)
+    src.write_text(json.dumps(h.to_json()))
+    assert run("resolve", "--input", str(src), "--tol", "1e-10", "--output", str(out)) == 0
+    rep = strict_json(out.read_text())
+    assert sorted(rep["perm"]) == list(range(16))
+    assert set(rep["pivots"]) == {"regular", "split", "degenerate"}
+    assert sum(rep["pivots"].values()) == 16
+    assert rep["pivots"]["degenerate"] >= 1
+    a, b = np.array(rep["a"]), np.array(rep["b"])
+    cmax = max(np.max(np.linalg.norm(x, axis=2)) for x in (a, b))
+    assert rep["growth"] == cmax / np.max(np.linalg.norm(h.data, axis=2))
+    errors = np.linalg.norm(omat_mul(a, omat_adjoint(a)) - omat_mul(b, omat_adjoint(b))
+                            - h.data, axis=2)
+    i, j = rep["worst_entry"]
+    assert errors[i, j] == errors.max() == rep["max_residual"]
+
+
+def test_resolve_zero_matrix_reports_null_growth(tmp_path):
+    src, out = tmp_path / "h.json", tmp_path / "out.json"
+    src.write_text(json.dumps(OctHermitian(np.zeros((3, 3, 8))).to_json()))
+    assert run("resolve", "--input", str(src), "--output", str(out)) == 0
+    rep = strict_json(out.read_text())
+    assert rep["growth"] is None
+    assert rep["pivots"] == {"regular": 0, "split": 0, "degenerate": 3}
+
+
 def test_resolve_accepts_compact_two_by_two_form(tmp_path):
     src = tmp_path / "h.json"
     src.write_text(json.dumps({"a": 2.0, "b": 1.0, "c": [1, 0, 0, 0, 0, 0, 0, 0]}))
@@ -313,15 +352,29 @@ def test_string_modes_overflowing_spectrum_fails_with_null_residuals(tmp_path, c
     assert all(entry["max_residual"] is None for entry in failed.values())
 
 
-def test_nonfinite_report_exits_3_without_writing(tmp_path, capsys):
-    # A NaN entry passes the Hermiticity test and resolves to NaN vectors;
+def test_nonfinite_report_exits_3_without_writing(tmp_path, capsys, monkeypatch):
+    # A factorization that yields NaN coefficients gives a NaN residual;
     # the strict-JSON backstop refuses that report.
+    def nan_resolution(h, tol):
+        nan = np.full(h.data.shape, np.nan)
+        return Resolution(nan, nan, np.arange(h.n), {"regular": h.n, "split": 0, "degenerate": 0})
+
+    monkeypatch.setattr(cli, "resolve_hermitian", nan_resolution)
     src = tmp_path / "h.json"
-    src.write_text(json.dumps({"a": 2.0, "b": 1.0, "c": [float("nan")] + [0.0] * 7}))
+    src.write_text(json.dumps({"a": 2.0, "b": 1.0, "c": [1.0] + [0.0] * 7}))
     assert run("resolve", "--input", str(src)) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+def test_resolve_nan_entry_exits_2(tmp_path, capsys):
+    src = tmp_path / "h.json"
+    src.write_text(json.dumps({"a": 2.0, "b": 1.0, "c": [float("nan")] + [0.0] * 7}))
+    assert run("resolve", "--input", str(src)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
 
 
 def test_every_subcommand_writes_strict_json(tmp_path, capsys):

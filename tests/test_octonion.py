@@ -122,3 +122,35 @@ def test_subspace_membership_rejects_other_directions():
 def test_coefficient_shape_validated():
     with pytest.raises(ValueError):
         Octonion(np.zeros(7))
+
+
+def _einsum_product(a, b):
+    """The three-operand einsum mul_arrays used to be: the bit-level reference."""
+    return np.einsum("...i,...j,ijk->...k", a, b, STRUCTURE)
+
+
+@pytest.mark.parametrize(
+    "shape_a, shape_b",
+    [((8,), (8,)), ((2, 2, 8), (2, 2, 8)), ((2, 2, 2, 8), (2, 2, 2, 8)),
+     ((1024, 8), (1024, 8)), ((2, 2, 1, 8), (2, 8)), ((3, 8), (8,))],
+)
+def test_mul_arrays_is_bit_equal_to_einsum_reference(shape_a, shape_b):
+    a = rng.uniform(-1, 1, shape_a)
+    b = rng.uniform(-1, 1, shape_b)
+    assert np.array_equal(mul_arrays(a, b), _einsum_product(a, b))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_omat_mul_matches_entry_loop(n):
+    from cliffstring.matrices import omat_mul
+
+    gen = np.random.default_rng(n)
+    x = gen.uniform(-1, 1, (n, n + 1, 8))
+    y = gen.uniform(-1, 1, (n + 1, n, 8))
+    ref = np.zeros((n, n, 8))
+    for p in range(n):
+        for r in range(n):
+            for q in range(n + 1):
+                ref[p, r] += mul_arrays(x[p, q], y[q, r])
+    gap = np.max(np.abs(omat_mul(x, y) - ref))
+    assert gap <= 1e-15 * np.max(np.abs(ref))

@@ -3,7 +3,7 @@ import pytest
 
 from cliffstring.clifford import cliff_inner
 from cliffstring.fixtures import random_degenerate_hermitian, random_hermitian
-from cliffstring.matrices import OctHermitian
+from cliffstring.matrices import OctHermitian, omat_adjoint, omat_mul
 from cliffstring.minkowski import det2, matrix_to_vector, sigma_set
 from cliffstring.resolve import (
     reconstruction_residual,
@@ -33,11 +33,39 @@ def test_reconstruction_sweep():
 
 
 def test_coefficients_are_lower_triangular():
+    """Triangular in pivot order: row perm[i] of a and b is step i's row."""
     h = random_hermitian(rng, 5)
     res = resolve_hermitian(h)
+    assert sorted(res.perm) == list(range(5))
+    a, b = res.a[res.perm], res.b[res.perm]
     for i in range(5):
         for j in range(i + 1, 5):
-            assert not np.any(res.a[i, j]) and not np.any(res.b[i, j])
+            assert not np.any(a[i, j]) and not np.any(b[i, j])
+
+
+@pytest.mark.parametrize("n", [64, 96])
+def test_residual_stays_small_at_large_n(n):
+    """Pivoting bounds the element growth that an in-order elimination suffers."""
+    for seed in range(5):
+        h = random_hermitian(np.random.default_rng(seed), n)
+        assert reconstruction_residual(resolve_hermitian(h, tol=1e-10), h) <= 1e-10
+
+
+def test_gram_matrix_oracle_agrees_with_reconstruction():
+    """The TensorVector Gram matrix and the two-product reconstruction are one matrix."""
+    from cliffstring.clifford import gram_matrix
+
+    h = random_hermitian(np.random.default_rng(12), 12)
+    res = resolve_hermitian(h)
+    g = gram_matrix(vectors(res)).data
+    recon = omat_mul(res.a, omat_adjoint(res.a)) - omat_mul(res.b, omat_adjoint(res.b))
+    assert np.max(np.abs(g - recon)) <= 1e-13
+
+
+def test_pivots_count_every_step():
+    for n in (1, 4, 16):
+        res = resolve_hermitian(random_hermitian(rng, n))
+        assert sum(res.pivots.values()) == n
 
 
 def test_degenerate_pivot_handled():
