@@ -7,9 +7,11 @@ byte-identical output.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -44,7 +46,7 @@ from .quantum_rep import (
     tensor_form,
     three_vector_form,
 )
-from .resolve import reconstruction_errors, resolve_hermitian, vectors
+from .resolve import reconstruction_errors, resolve_hermitian
 from .string_modes import (
     charge_density_coefficients,
     charge_quadrature,
@@ -168,23 +170,84 @@ def _merge_tols(command: str, overrides: dict) -> dict:
     return merged
 
 
-def _plain(x):
-    """Recursively convert numpy scalars/arrays so json.dumps accepts them."""
-    if isinstance(x, dict):
-        return {k: _plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
+class _Row(tuple):
+    """JSON texts of the floats along an array's last axis (see _float_table)."""
+
+
+# the texts of a zero and a negative zero, indexed by the sign bit
+_ZEROS = np.array(["0.0", "-0.0"], dtype=object)
+
+
+def _float_table(x: np.ndarray):
+    """x.tolist() with each innermost list a _Row of its floats' JSON texts.
+
+    A nonzero entry goes through float repr once, as json writes it; a zero
+    takes the literal "0.0" or "-0.0".  NaN and inf become "nan" and "inf",
+    which _encode refuses where it meets them.
+    """
+    if x.ndim == 0 or x.size == 0:
+        return x.tolist()
+    text = _ZEROS[np.signbit(x).view(np.uint8)]
+    nonzero = x != 0
+    text[nonzero] = list(map(repr, x[nonzero].tolist()))
+    table = list(map(_Row, text.reshape(-1, x.shape[-1]).tolist()))
+    for size in reversed(x.shape[1:-1]):
+        table = [table[i:i + size] for i in range(0, len(table), size)]
+    return table if x.ndim > 1 else table[0]
+
+
+def _checked(text: str) -> str:
+    """text, or json's ValueError when it holds a NaN or inf float's repr."""
+    if "n" in text:  # no finite float's repr holds an "n"; nan and inf do
+        bad = next(t for t in text.split(",") if "n" in t).strip()
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad}")
+    return text
+
+
+def _encode(x, pad: str = "\n") -> str:
+    """x as json.dumps(x, indent=2, sort_keys=True, allow_nan=False) writes it.
+
+    Takes str-keyed dicts, lists, tuples, str, int, float, bool and None,
+    numpy scalars as their item() and arrays as their tolist().  pad is the
+    newline and indentation that close x.  A NaN or inf raises json's
+    ValueError.
+    """
+    kind = type(x)
+    if kind is dict:
+        if not x:
+            return "{}"
+        inner = pad + "  "
+        items = [f"{encode_basestring_ascii(k)}: {_encode(x[k], inner)}" for k in sorted(x)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if kind is list or kind is tuple or kind is _Row:
+        if not x:
+            return "[]"
+        inner = pad + "  "
+        if kind is _Row or all(type(v) is float for v in x):
+            texts = x if kind is _Row else map(repr, x)
+            return "[" + inner + _checked(("," + inner).join(texts)) + pad + "]"
+        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in x]) + pad + "]"
+    if kind is str:
+        return encode_basestring_ascii(x)
+    if kind is int:
+        return int.__repr__(x)
+    if kind is float:
+        return _checked(repr(x))
+    if x is None:
+        return "null"
+    if kind is bool:
+        return "true" if x else "false"
     if isinstance(x, np.ndarray):
-        return x.tolist()  # already builtins all the way down
-    if isinstance(x, (np.floating, np.integer, np.bool_)):
-        return x.item()
-    return x
+        return _encode(_float_table(x) if x.dtype.kind == "f" else x.tolist(), pad)
+    if isinstance(x, np.generic):
+        return _encode(x.item(), pad)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _dump_json(obj, path) -> int:
     """Write obj as strict JSON and return 0, or write nothing and return 3 on NaN or inf."""
     try:
-        text = json.dumps(_plain(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = _encode(obj) + "\n"
     except ValueError as exc:
         print(f"cliffstring: report not written: {exc}", file=sys.stderr)
         return 3
@@ -294,12 +357,23 @@ def cmd_resolve(args, overrides) -> int:
     ok = residual <= args.tol
     hmax = float(np.max(np.linalg.norm(h.data, axis=2)))
     cmax = float(np.max(np.linalg.norm([res.a, res.b], axis=3)))
+    # each coefficient is formatted once, for both a / b and the vectors'
+    # terms: v_i = sum_k a_ik (x) e_k + b_ik (x) f_k, in (kind, k) order,
+    # zero terms left out (as resolve.vectors does)
+    tables = [_float_table(res.a), _float_table(res.b)]
+    nonzero = np.any([res.a, res.b], axis=3)
+    terms = [
+        [{"coeff": table[i][k], "k": k + 1, "kind": kind}
+         for kind, table, mask in zip("EF", tables, nonzero)
+         for k in np.flatnonzero(mask[i]).tolist()]
+        for i in range(res.n)
+    ]
     out = {
         "command": "resolve",
         "n": res.n,
-        "a": res.a,
-        "b": res.b,
-        "vectors": [v.to_json() for v in vectors(res)],
+        "a": tables[0],
+        "b": tables[1],
+        "vectors": [{"n": res.n, "terms": t} for t in terms],
         "max_residual": residual,
         "tolerance": float(args.tol),
         "pass": bool(ok),
@@ -354,14 +428,15 @@ def cmd_lorentz_check(args, overrides) -> int:
         for f in factors:
             scale *= f.det**2  # vector action picks up |det S|^2, so +-1 both preserve
         d1 = det2(act_vector(transform, x), tol=1e-6)
-        worst["det"] = max(worst["det"], abs(d1 - scale * d0) / max(1.0, abs(d0)))
+        # np.maximum keeps a NaN residual, which Python's max would drop
+        worst["det"] = np.maximum(worst["det"], abs(d1 - scale * d0) / max(1.0, abs(d0)))
         v = random_spinor(rng)
         chi, psi = random_spinor(rng), random_spinor(rng)
         for f in factors:
-            worst["compatibility"] = max(
+            worst["compatibility"] = np.maximum(
                 worst["compatibility"], compatibility_residual(f.s, v)
             )
-            worst["contraction"] = max(
+            worst["contraction"] = np.maximum(
                 worst["contraction"], contraction_residual(f, chi, psi)
             )
     mixed = _mixed_control_residual(rng)
@@ -378,9 +453,9 @@ def cmd_lorentz_check(args, overrides) -> int:
         "tolerances": tols,
     }
     extra = {
-        "max_det_residual": float(worst["det"]),
-        "max_compat_residual": float(worst["compatibility"]),
-        "max_contraction_residual": float(worst["contraction"]),
+        "max_det_residual": checks["det"]["max_residual"],
+        "max_compat_residual": checks["compatibility"]["max_residual"],
+        "max_contraction_residual": checks["contraction"]["max_residual"],
     }
     return _finish(_report("lorentz-check", config, checks, extra), args.report)
 
@@ -477,6 +552,9 @@ def cmd_string_modes(args, overrides) -> int:
 # -- quantum-check -----------------------------------------------------------
 
 
+# A huge --hbar overflows the operators; _check fails the non-finite
+# residuals, so numpy's floating-point warnings would only repeat that.
+@np.errstate(all="ignore")
 def cmd_quantum_check(args, overrides) -> int:
     tols = _merge_tols("quantum-check", overrides)
     if not 2 <= args.degree <= MAX_DEGREE:
@@ -503,7 +581,7 @@ def cmd_quantum_check(args, overrides) -> int:
     config = {"degree": args.degree, "hbar": args.hbar, "tolerances": tols}
     extra = {
         "dimension": space.dim,
-        "jz_spectrum": [float(v.real) for v in vals],
+        "jz_spectrum": [float(v) if np.isfinite(v) else None for v in vals.real],
     }
     return _finish(_report("quantum-check", config, checks, extra), args.report)
 
@@ -559,6 +637,7 @@ def _positive_float(text: str) -> float:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cliffstring",

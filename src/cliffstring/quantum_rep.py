@@ -409,7 +409,8 @@ def jz_spectrum(degree: int, hbar: float = 1.0) -> np.ndarray:
 
     The operator preserves homogeneous degree, so the spectrum is exactly
     integral in units of hbar on every truncation: hbar * {-d, ..., d}
-    across degrees d <= cap.  Returned sorted by real part.
+    across degrees d <= cap.  Returned sorted by real part; all NaN when
+    hbar is so large that J^z overflows.
     """
     space = PolySpace(2, degree)
     # x_1 d_2 - x_2 d_1 sends x^(p, q) to q x^(p+1, q-1) - p x^(p-1, q+1)
@@ -419,7 +420,10 @@ def jz_spectrum(degree: int, hbar: float = 1.0) -> np.ndarray:
             lz[space.index[(p + 1, q - 1)], j] = q
         if p:
             lz[space.index[(p - 1, q + 1)], j] = -p
-    vals = np.linalg.eigvals(1j * hbar * lz)
+    jz = 1j * hbar * lz
+    if not np.all(np.isfinite(jz)):
+        return np.full(space.dim, np.nan + 0j)
+    vals = np.linalg.eigvals(jz)
     return vals[np.argsort(vals.real)]
 
 

@@ -430,6 +430,34 @@ def test_quantum_check_report(tmp_path):
     assert np.max(np.abs(spectrum - np.round(spectrum))) <= 1e-9
 
 
+def test_lorentz_check_keeps_nan_residual(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "compatibility_residual", lambda s, v: float("nan"))
+    assert run("lorentz-check", "--seed", "2", "--trials", "3") == 3
+    rep = strict_json(capsys.readouterr().out)
+    assert rep["checks"]["compatibility"]["max_residual"] is None
+    assert rep["checks"]["compatibility"]["pass"] is False
+    assert rep["max_compat_residual"] is None
+    assert rep["checks"]["det"]["pass"] is True
+    assert rep["overall_pass"] is False
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings would fail the run
+@pytest.mark.parametrize("hbar", ["1e200", "1e308"])
+def test_quantum_check_huge_hbar_fails_cleanly(capsys, hbar):
+    assert run("quantum-check", "--degree", "3", "--hbar", hbar) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rep = strict_json(captured.out)
+    assert rep["overall_pass"] is False
+    assert rep["checks"]["canonical"] == {
+        "max_residual": None, "tolerance": 1e-10, "trials": 1, "pass": False,
+    }
+    assert len(rep["jz_spectrum"]) == 10
+    if hbar == "1e308":  # J^z itself overflows: no spectrum, no integrality
+        assert rep["jz_spectrum"] == [None] * 10
+        assert rep["checks"]["jz_integrality"]["max_residual"] is None
+
+
 @pytest.mark.parametrize("degree", [1, cli.MAX_DEGREE + 1])
 def test_quantum_check_degree_bound_exits_2(tmp_path, capsys, degree):
     report = tmp_path / "r.json"
