@@ -29,7 +29,7 @@ from .lorentz import (
     rotation_generator,
 )
 from .matrices import OctHermitian, omat_mul
-from .minkowski import det2
+from .minkowski import det_form
 from .octonion import alternativity_check, conj_arrays, mul_arrays
 from .quantum_rep import (
     build_canonical,
@@ -65,6 +65,16 @@ SEED_ENV = "CLIFFSTRING_SEED"
 
 # octonion-check trials per vectorised block, so memory stays bounded.
 OCTONION_BLOCK = 1024
+
+# lorentz-check factor slots (trials x nesting depth) per vectorised block,
+# so memory stays bounded whatever --trials and --nest-depth are.
+LORENTZ_BLOCK = 1024
+
+# Random factors' generators by index: boost, rotation(0..7), phase(1..7), and
+# two zeros whose identity factor (t = 0) pads shallow trials or marks a reflection.
+_GENERATORS = np.stack([boost_generator(), *map(rotation_generator, range(8)),
+                        *map(phase_generator, range(1, 8)), *np.zeros((2, 2, 2, 8))])
+_PAD, _REFLECT = 16, 17
 
 # Largest string-modes --grid: quadrature and CSV hold O(grid) arrays.
 MAX_GRID = 65536
@@ -389,16 +399,27 @@ def cmd_resolve(args, overrides) -> int:
 # -- lorentz-check -----------------------------------------------------------
 
 
-def _random_factor(rng: np.random.Generator) -> LorentzFactor:
-    kind = int(rng.integers(4))
-    if kind == 3:
-        return reflection_factor()
-    t = float(rng.uniform(-1.0, 1.0))
-    if kind == 0:
-        return make_factor(boost_generator(), t)
-    if kind == 1:
-        return make_factor(rotation_generator(int(rng.integers(8))), t)
-    return make_factor(phase_generator(1 + int(rng.integers(7))), t)
+def _draw_trials(rng: np.random.Generator, trials: int, nest_depth: int):
+    """Draw trials in stream order: per trial its depth, each factor's kind, t
+    and direction, then x, v, chi, psi.  Factors come as _GENERATORS indices
+    and t, (depth, trials) and padded with identities; spinors as (3, trials)."""
+    index = np.full((nest_depth, trials), _PAD)
+    t = np.zeros((nest_depth, trials))
+    points, spinors, deepest = [], [], 0
+    for b in range(trials):
+        depth = 1 + int(rng.integers(nest_depth))
+        deepest = max(deepest, depth)
+        for j in range(depth):
+            kind = int(rng.integers(4))
+            if kind == 3:
+                index[j, b] = _REFLECT
+                continue
+            t[j, b] = rng.uniform(-1.0, 1.0)
+            index[j, b] = (0 if kind == 0 else 1 + int(rng.integers(8)) if kind == 1
+                           else 9 + int(rng.integers(7)))
+        points.append(random_hermitian(rng, 2).data)
+        spinors.append([random_spinor(rng) for _ in range(3)])
+    return index[:deepest], t[:deepest], np.stack(points), np.stack(spinors, axis=1)
 
 
 def _mixed_control_residual(rng: np.random.Generator) -> float:
@@ -417,28 +438,31 @@ def cmd_lorentz_check(args, overrides) -> int:
     seed = _resolve_seed(args.seed)
     tols = _merge_tols("lorentz-check", overrides)
     rng = np.random.default_rng(seed)
+    reflection = reflection_factor()
     worst = {"det": 0.0, "compatibility": 0.0, "contraction": 0.0}
-    for _ in range(args.trials):
-        depth = 1 + int(rng.integers(args.nest_depth))
-        factors = [_random_factor(rng) for _ in range(depth)]
-        transform = NestedTransform(factors)
-        x = random_hermitian(rng, 2)
-        d0 = det2(x)
-        scale = 1.0
-        for f in factors:
-            scale *= f.det**2  # vector action picks up |det S|^2, so +-1 both preserve
-        d1 = det2(act_vector(transform, x), tol=1e-6)
-        # np.maximum keeps a NaN residual, which Python's max would drop
-        worst["det"] = np.maximum(worst["det"], abs(d1 - scale * d0) / max(1.0, abs(d0)))
-        v = random_spinor(rng)
-        chi, psi = random_spinor(rng), random_spinor(rng)
-        for f in factors:
+    per_block = max(1, LORENTZ_BLOCK // args.nest_depth)
+    for start in range(0, args.trials, per_block):
+        index, t, x, (v, chi, psi) = _draw_trials(
+            rng, min(per_block, args.trials - start), args.nest_depth)
+        # factors are made and applied LORENTZ_BLOCK slots at a time, however deep
+        moved, step = x, LORENTZ_BLOCK // len(x)
+        for lo in range(0, len(index), step):
+            made = make_factor(_GENERATORS[index[lo:lo + step]], t[lo:lo + step])
+            reflect = index[lo:lo + step] == _REFLECT
+            f = LorentzFactor(np.where(reflect[..., None, None, None], reflection.s, made.s),
+                              np.where(reflect, reflection.subspace, made.subspace),
+                              np.where(reflect, reflection.det, made.det))
+            levels = [LorentzFactor(*level) for level in zip(f.s, f.subspace, f.det)]
+            moved = act_vector(NestedTransform(levels), moved)
+            # np.maximum keeps a NaN residual, which Python's max would drop
             worst["compatibility"] = np.maximum(
-                worst["compatibility"], compatibility_residual(f.s, v)
-            )
+                worst["compatibility"], np.max(compatibility_residual(f.s, v)))
             worst["contraction"] = np.maximum(
-                worst["contraction"], contraction_residual(f, chi, psi)
-            )
+                worst["contraction"], np.max(contraction_residual(f, chi, psi)))
+        # |det S| = 1, so the sandwich keeps the det form whatever the signs
+        d0 = det_form(x)
+        det = np.abs(det_form(moved) - d0) / np.maximum(1.0, np.abs(d0))
+        worst["det"] = np.maximum(worst["det"], np.max(det))
     mixed = _mixed_control_residual(rng)
     checks = {
         "det": _check(worst["det"], tols["det"], args.trials),

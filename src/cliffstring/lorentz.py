@@ -14,6 +14,11 @@ product of the factors, because the factors need not share a subspace.
 Spinors ride along as v^A -> S^A_B v^B and co-spinors as
 w*_A -> -w*_B S_A^B with S_A^B = eps^{BE} S^F_E eps_{FA}; the real part of
 the contraction chi^A psi_A picks up exactly the factor det(S).
+
+The Hermitian generators (boost_generator, rotation_generator(k >= 1))
+give boosts, the anti-Hermitian ones (rotation_generator(0), the phases)
+rotations.  Factors are closed-form exponentials, and the factor, action
+and residual functions take stacks along leading axes.
 """
 
 from __future__ import annotations
@@ -21,11 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .octonion import Octonion, mul_arrays, conj_arrays
 from .matrices import OctHermitian, omat_mul, omat_adjoint
-from .minkowski import EPS
 
 __all__ = [
     "MixedSubspaceError",
@@ -53,21 +56,19 @@ class MixedSubspaceError(ValueError):
     """Factor entries spread over more than one complex subspace."""
 
 
-def _entry_subspace(s: np.ndarray, tol: float) -> int:
-    """Common imaginary direction of all entries, 0 for real, or raise."""
-    live = [m for m in range(1, 8) if np.max(np.abs(s[:, :, m])) > tol]
-    if len(live) > 1:
-        raise MixedSubspaceError(f"entries use directions {live}")
-    return live[0] if live else 0
-
-
-def _oct_det(s: np.ndarray) -> np.ndarray:
-    return mul_arrays(s[0, 0], s[1, 1]) - mul_arrays(s[0, 1], s[1, 0])
+def _entry_subspace(s: np.ndarray, tol: float):
+    """Common imaginary direction of each stack's entries, 0 for real, or raise."""
+    live = np.max(np.abs(s[..., 1:]), axis=(-3, -2)) > tol
+    mixed = live[np.sum(live, axis=-1) > 1]
+    if len(mixed):
+        raise MixedSubspaceError(f"entries use directions {np.flatnonzero(mixed[0]) + 1}")
+    return np.where(np.any(live, axis=-1), np.argmax(live, axis=-1) + 1, 0)[()]
 
 
 @dataclass
 class LorentzFactor:
-    """Validated single-subspace factor; s is the (2, 2, 8) coefficient stack."""
+    """Validated single-subspace factors: a (..., 2, 2, 8) stack s, and a
+    subspace and det per leading index."""
 
     s: np.ndarray
     subspace: int
@@ -82,43 +83,43 @@ class NestedTransform:
 
 
 def factor_from_matrix(s, tol: float = 1e-10) -> LorentzFactor:
+    """Validate a (..., 2, 2, 8) stack of factors, one reduction per test."""
     s = np.asarray(s, dtype=float)
-    if s.shape != (2, 2, 8):
-        raise ValueError("factor needs a (2, 2, 8) coefficient stack")
+    if s.shape[-3:] != (2, 2, 8):
+        raise ValueError("factor needs a (..., 2, 2, 8) coefficient stack")
     k = _entry_subspace(s, tol)
-    d = _oct_det(s)
-    if np.max(np.abs(d[1:])) > tol:
-        raise ValueError(f"determinant not real: {d}")
-    if abs(abs(d[0]) - 1.0) > tol:
-        raise ValueError(f"|det| = {abs(d[0]):.12f}, expected 1")
-    return LorentzFactor(s.copy(), k, float(np.sign(d[0])))
+    d = mul_arrays(s[..., 0, 0, :], s[..., 1, 1, :]) - mul_arrays(s[..., 0, 1, :], s[..., 1, 0, :])
+    off_real = np.max(np.abs(d[..., 1:]))
+    if off_real > tol:
+        raise ValueError(f"determinant not real: imaginary part up to {off_real:.3e}")
+    off_unit = np.max(np.abs(np.abs(d[..., 0]) - 1.0))
+    if off_unit > tol:
+        raise ValueError(f"|det| differs from 1 by up to {off_unit:.3e}")
+    return LorentzFactor(s.copy(), k, np.sign(d[..., 0]))
 
 
-def _to_complex(s: np.ndarray, k: int) -> np.ndarray:
-    imag = s[:, :, k] if k != 0 else np.zeros_like(s[:, :, 0])
-    return s[:, :, 0] + 1j * imag
+def make_factor(generator, t, tol: float = 1e-10) -> LorentzFactor:
+    """exp(t G) for a (..., 2, 2, 8) stack of traceless single-subspace G.
 
-
-def _from_complex(c: np.ndarray, k: int) -> np.ndarray:
+    t broadcasts against the leading axes.  Over span(1, e_k) = C a traceless
+    G has G^2 = -det(G) I, so exp(tG) = cosh(lam) I + (sinh(lam) / lam) tG
+    with lam^2 = -det(tG), and I + tG where lam = 0.
+    """
+    g = np.asarray(generator, dtype=float)
+    if g.shape[-3:] != (2, 2, 8):
+        raise ValueError("generator needs a (..., 2, 2, 8) coefficient stack")
+    k = np.asarray(_entry_subspace(g, tol))
+    if np.max(np.abs(g[..., 0, 0, :] + g[..., 1, 1, :])) > tol:
+        raise ValueError("generator must be traceless")
+    e_k = np.arange(1, 8) == k[..., None, None, None]  # e_1..e_7 against each k; none for k = 0
+    tg = np.asarray(t, dtype=float)[..., None, None] * (g[..., 0] + 1j * (g[..., 1:] * e_k).sum(-1))
+    lam = np.sqrt(tg[..., 0, 1] * tg[..., 1, 0] - tg[..., 0, 0] * tg[..., 1, 1])
+    ratio = np.divide(np.sinh(lam), lam, out=np.ones_like(lam), where=lam != 0)
+    c = ratio[..., None, None] * tg + np.cosh(lam)[..., None, None] * np.eye(2)
     out = np.zeros(c.shape + (8,))
     out[..., 0] = c.real
-    if k != 0:
-        out[..., k] = c.imag
-    elif np.max(np.abs(c.imag)) > 0:
-        raise ValueError("real subspace cannot hold an imaginary part")
-    return out
-
-
-def make_factor(generator, t: float, tol: float = 1e-10) -> LorentzFactor:
-    """exp(t * generator) for a traceless single-subspace generator."""
-    g = np.asarray(generator, dtype=float)
-    if g.shape != (2, 2, 8):
-        raise ValueError("generator needs a (2, 2, 8) coefficient stack")
-    k = _entry_subspace(g, tol)
-    if np.max(np.abs(g[0, 0] + g[1, 1])) > tol:
-        raise ValueError("generator must be traceless")
-    sc = scipy.linalg.expm(t * _to_complex(g, k))
-    return factor_from_matrix(_from_complex(sc, k), tol=tol)
+    out[..., 1:] = c.imag[..., None] * e_k
+    return factor_from_matrix(out, tol=tol)
 
 
 def reflection_factor() -> LorentzFactor:
@@ -128,13 +129,18 @@ def reflection_factor() -> LorentzFactor:
 
 
 def boost_generator() -> np.ndarray:
+    """diag(1, -1)/2: a boost along x^1 of sigma_set(10), whose sigma^1 is diag(1, -1)."""
     g = np.zeros((2, 2, 8))
     g[0, 0, 0], g[1, 1, 0] = 0.5, -0.5
     return g
 
 
 def rotation_generator(k: int = 0) -> np.ndarray:
-    """Off-diagonal rotation generator; k = 0 is the real rotation."""
+    """[[0, e_k], [-e_k, 0]]/2: the real rotation for k = 0, a boost for k >= 1.
+
+    For k >= 1 it is Hermitian, so its factor boosts along x^(k+2) of
+    sigma_set(10): lam^2 = t^2/4 > 0, the cosh branch of make_factor.
+    """
     g = np.zeros((2, 2, 8))
     g[0, 1, k], g[1, 0, k] = 0.5, -0.5
     return g
@@ -152,18 +158,21 @@ def phase_generator(k: int) -> np.ndarray:
 # -- actions ---------------------------------------------------------------
 
 
-def act_vector(transform, x_mat: OctHermitian) -> OctHermitian:
-    """Nested sandwich action X -> (S X) S+, innermost factor first."""
+def act_vector(transform, x):
+    """Nested sandwich action X -> (S X) S+, innermost factor first, on an
+    OctHermitian or on a (..., 2, 2, 8) stack of points (one per factor)."""
     factors = transform.factors if isinstance(transform, NestedTransform) else [transform]
-    data = x_mat.data
+    wrapped = isinstance(x, OctHermitian)
+    data = x.data if wrapped else x
     for f in factors:
         data = omat_mul(omat_mul(f.s, data), omat_adjoint(f.s))
-    return OctHermitian(data, validate=False)
+    return OctHermitian(data, validate=False) if wrapped else data
 
 
 def lower_factor_indices(s: np.ndarray) -> np.ndarray:
-    """S_A^B = eps^{BE} S^F_E eps_{FA}."""
-    return np.einsum("be,feX,fa->abX", EPS, s, EPS)
+    """S_A^B = eps^{BE} S^F_E eps_{FA} = [[-S^2_2, S^2_1], [S^1_2, -S^1_1]]."""
+    signs = np.array([[-1.0, 1.0], [1.0, -1.0]])[..., None]
+    return signs * s[..., [[1, 1], [0, 0]], [[1, 0], [1, 0]], :]
 
 
 def spinor_map(s: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -190,16 +199,18 @@ def act_spinor(factor: LorentzFactor, c) -> tuple:
 # -- consistency checks ------------------------------------------------------
 
 
-def compatibility_residual(s: np.ndarray, v: np.ndarray) -> float:
-    """Max entry norm of (Sv)(Sv)+ - (S (v v+)) S+ for a (2, 8) octonion spinor v.
+def compatibility_residual(s: np.ndarray, v: np.ndarray):
+    """Max entry norm of (Sv)(Sv)+ - (S (v v+)) S+ for octonion spinors v.
 
-    s is a bare (2, 2, 8) stack rather than a LorentzFactor, so the
-    residual is also defined for invalid mixed-subspace matrices.
+    s is a bare (..., 2, 2, 8) stack rather than a LorentzFactor, so the
+    residual is also defined for invalid mixed-subspace matrices.  v is a
+    (..., 2, 8) stack broadcasting against s; one residual per leading index.
     """
-    x = np.stack([spinor_map(s, v), v])
-    lhs, outer = mul_arrays(x[:, :, None], conj_arrays(x)[:, None, :])
+    sv = spinor_map(s, v)
+    lhs = mul_arrays(sv[..., :, None, :], conj_arrays(sv)[..., None, :, :])
+    outer = mul_arrays(v[..., :, None, :], conj_arrays(v)[..., None, :, :])
     rhs = omat_mul(omat_mul(s, outer), omat_adjoint(s))
-    return float(np.max(np.linalg.norm(lhs - rhs, axis=2)))
+    return np.max(np.linalg.norm(lhs - rhs, axis=-1), axis=(-2, -1))
 
 
 def _contraction_real(chi: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -208,10 +219,11 @@ def _contraction_real(chi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return 2.0 * (p[..., 0, :] + p[..., 1, :])[..., 0]
 
 
-def contraction_residual(factor: LorentzFactor, chi, psi) -> float:
-    """|Re contraction after transform - det * Re contraction before|."""
+def contraction_residual(factor: LorentzFactor, chi, psi):
+    """|Re contraction after transform - det * Re contraction before|, one
+    per leading index of the factors and the (..., 2, 8) spinors chi, psi."""
     after = _contraction_real(spinor_map(factor.s, chi), cospinor_map(factor.s, psi))
-    return float(abs(after - factor.det * _contraction_real(chi, psi)))
+    return np.abs(after - factor.det * _contraction_real(chi, psi))
 
 
 def kinetic_density(dc, dstar) -> float:

@@ -34,22 +34,24 @@ class NotHermitianError(ValueError):
 
 
 def omat_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Octonionic matrix product of (n, m, 8) by (m, p, 8) stacks.
+    """Octonionic matrix product of (..., n, m, 8) by (..., m, p, 8) stacks.
 
-    One real GEMM: y's entries become their (8, 8) right-multiplication
-    matrices, laid out as an (8 m, 8 p) block matrix that x, read as an
-    (n, 8 m) real matrix, multiplies.
+    One real GEMM per leading index: y's entries become their (8, 8)
+    right-multiplication matrices, laid out as an (8 m, 8 p) block matrix
+    that x, read as an (n, 8 m) real matrix, multiplies.  Leading axes
+    broadcast.
     """
-    n, m, _ = x.shape
-    p = y.shape[1]
-    right = (y.reshape(m * p, 8) @ _RIGHT_TABLE).reshape(m, p, 8, 8)
-    right = right.transpose(0, 2, 1, 3).reshape(8 * m, 8 * p)
-    return (x.reshape(n, 8 * m) @ right).reshape(n, p, 8)
+    n, m, _ = x.shape[-3:]
+    p = y.shape[-2]
+    right = (y.reshape(-1, 8) @ _RIGHT_TABLE).reshape(y.shape[:-3] + (m, p, 8, 8))
+    right = right.swapaxes(-3, -2).reshape(y.shape[:-3] + (8 * m, 8 * p))
+    prod = x.reshape(x.shape[:-3] + (n, 8 * m)) @ right
+    return prod.reshape(prod.shape[:-1] + (p, 8))
 
 
 def omat_adjoint(x: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return conj_arrays(x.transpose(1, 0, 2))
+    """Conjugate transpose of each (..., n, m, 8) stack."""
+    return conj_arrays(x.swapaxes(-3, -2))
 
 
 def omat_identity(n: int) -> np.ndarray:

@@ -31,6 +31,7 @@ __all__ = [
     "vector_to_matrix",
     "matrix_to_vector",
     "det2",
+    "det_form",
     "raise_spinor",
     "lower_spinor",
     "eta4",
@@ -118,10 +119,13 @@ def det2(x_mat: OctHermitian, tol: float = 1e-12) -> float:
         raise ValueError("det2 is for 2x2 matrices")
     if hermiticity_residual(x_mat.data) > tol:
         raise NotHermitianError("det2 needs a Hermitian matrix")
-    a = x_mat.data[0, 0, 0]
-    b = x_mat.data[1, 1, 0]
-    c = x_mat.data[0, 1]
-    return float(a * b - c @ c)
+    return float(det_form(x_mat.data))
+
+
+def det_form(data: np.ndarray) -> np.ndarray:
+    """det2 of each (..., 2, 2, 8) stack [[a, c], [., b]], without its Hermiticity check."""
+    c = data[..., 0, 1, :]  # c @ c per row below rounds as a single (8,) dot does
+    return data[..., 0, 0, 0] * data[..., 1, 1, 0] - (c[..., None, :] @ c[..., :, None])[..., 0, 0]
 
 
 def raise_spinor(v):

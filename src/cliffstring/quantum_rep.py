@@ -48,9 +48,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .minkowski import EPS, eta4, sigma4_complex
+
+
+class _LazySparse:
+    """scipy.sparse, imported on first use: importing this module loads no scipy."""
+
+    def __getattr__(self, name):
+        import scipy.sparse
+        return getattr(scipy.sparse, name)
+
+
+sparse = _LazySparse()
 
 __all__ = [
     "PolySpace",

@@ -1,10 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from cliffstring import cli, octonion
-from cliffstring.fixtures import random_degenerate_hermitian
+from cliffstring import cli, lorentz, octonion
+from cliffstring.fixtures import random_degenerate_hermitian, random_hermitian, random_spinor
 from cliffstring.matrices import (
     OctHermitian,
     hermiticity_residual,
@@ -12,6 +16,7 @@ from cliffstring.matrices import (
     omat_identity,
     omat_mul,
 )
+from cliffstring.minkowski import det2
 from cliffstring.octonion import Octonion
 from cliffstring.resolve import Resolution
 from cliffstring.string_modes import spectrum_from_json
@@ -439,6 +444,120 @@ def test_lorentz_check_keeps_nan_residual(monkeypatch, capsys):
     assert rep["max_compat_residual"] is None
     assert rep["checks"]["det"]["pass"] is True
     assert rep["overall_pass"] is False
+
+
+def _lorentz_check_oracle(seed, trials, nest_depth):
+    """The sweep's residuals, one trial and one factor at a time."""
+    rng = np.random.default_rng(seed)
+    worst = {"det": 0.0, "compatibility": 0.0, "contraction": 0.0}
+    for _ in range(trials):
+        factors = []
+        for _ in range(1 + int(rng.integers(nest_depth))):
+            kind = int(rng.integers(4))
+            if kind == 3:
+                factors.append(lorentz.reflection_factor())
+                continue
+            t = float(rng.uniform(-1.0, 1.0))
+            g = (lorentz.boost_generator() if kind == 0
+                 else lorentz.rotation_generator(int(rng.integers(8))) if kind == 1
+                 else lorentz.phase_generator(1 + int(rng.integers(7))))
+            factors.append(lorentz.make_factor(g, t))
+        x = random_hermitian(rng, 2)
+        d0 = det2(x)
+        d1 = det2(lorentz.act_vector(lorentz.NestedTransform(factors), x), tol=1e-6)
+        worst["det"] = max(worst["det"], abs(d1 - d0) / max(1.0, abs(d0)))
+        v, chi, psi = (random_spinor(rng) for _ in range(3))
+        for f in factors:
+            worst["compatibility"] = max(worst["compatibility"],
+                                         lorentz.compatibility_residual(f.s, v))
+            worst["contraction"] = max(worst["contraction"],
+                                       lorentz.contraction_residual(f, chi, psi))
+    mixed = omat_mul(lorentz.make_factor(lorentz.rotation_generator(1), 0.8).s,
+                     lorentz.make_factor(lorentz.phase_generator(2), 0.9).s)
+    worst["mixed_control"] = lorentz.compatibility_residual(mixed, random_spinor(rng))
+    return worst
+
+
+@pytest.mark.parametrize("trials, depth", [
+    (1, 1), (7, 2), (37, 5), (cli.LORENTZ_BLOCK // 2 + 3, 2), (3, 200),
+])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lorentz_check_matches_per_trial_loop(capsys, seed, trials, depth):
+    rc = run("lorentz-check", "--seed", str(seed), "--trials", str(trials),
+             "--nest-depth", str(depth))
+    checks = strict_json(capsys.readouterr().out)["checks"]
+    for name, expected in _lorentz_check_oracle(seed, trials, depth).items():
+        assert abs(checks[name]["max_residual"] - expected) <= 2e-15, name
+    assert rc == (0 if all(c["pass"] for c in checks.values()) else 3)
+
+
+def test_lorentz_check_splits_deep_trials_into_blocks(capsys, monkeypatch):
+    """With a block of 8 factor slots, each trial's 1..40 factors take 1..5 passes."""
+    monkeypatch.setattr(cli, "LORENTZ_BLOCK", 8)
+    assert run("lorentz-check", "--seed", "4", "--trials", "5", "--nest-depth", "40") == 0
+    checks = strict_json(capsys.readouterr().out)["checks"]
+    for name, expected in _lorentz_check_oracle(4, 5, 40).items():
+        assert abs(checks[name]["max_residual"] - expected) <= 2e-15, name
+
+
+def _failed_lorentz_checks(capsys):
+    rep = strict_json(capsys.readouterr().out)
+    assert rep["overall_pass"] is False
+    return {name for name, entry in rep["checks"].items() if not entry["pass"]}
+
+
+def test_lorentz_check_trips_on_unconjugated_adjoint(capsys, monkeypatch):
+    monkeypatch.setattr(lorentz, "omat_adjoint", lambda x: x.swapaxes(-3, -2))
+    assert run("lorentz-check", "--seed", "0", "--trials", "20") == 3
+    assert "det" in _failed_lorentz_checks(capsys)
+
+
+def test_lorentz_check_trips_on_dropped_spinor_term(capsys, monkeypatch):
+    def first_term_only(s, v):  # S^A_0 v^0, without S^A_1 v^1
+        return octonion.mul_arrays(s[..., 0, :], np.expand_dims(v, -3)[..., 0, :])
+
+    monkeypatch.setattr(lorentz, "spinor_map", first_term_only)
+    assert run("lorentz-check", "--seed", "0", "--trials", "20") == 3
+    assert "compatibility" in _failed_lorentz_checks(capsys)
+
+
+def test_lorentz_check_trips_on_reflection_with_det_plus_one(capsys, monkeypatch):
+    def unsigned_reflection():
+        f = lorentz.reflection_factor()
+        return lorentz.LorentzFactor(f.s, f.subspace, 1.0)
+
+    monkeypatch.setattr(cli, "reflection_factor", unsigned_reflection)
+    assert run("lorentz-check", "--seed", "0", "--trials", "20") == 3
+    assert _failed_lorentz_checks(capsys) == {"contraction"}
+
+
+def test_default_commands_load_no_scipy(tmp_path):
+    """Only quantum-check needs scipy, so no other command imports it."""
+    script = """
+import sys
+from cliffstring import cli
+
+def run(*argv):
+    assert cli.main(list(argv)) == 0, argv
+
+run("gen-fixture", "--kind", "hermitian", "--n", "3", "--output", "h.json")
+run("gen-fixture", "--kind", "spectrum", "--output", "s.json")
+run("gen-fixture", "--kind", "spinor", "--output", "v.json")
+run("octonion-check", "--trials", "50", "--report", "o.json")
+run("resolve", "--input", "h.json", "--output", "r.json")
+run("lorentz-check", "--trials", "5", "--report", "l.json")
+run("string-modes", "--spectrum", "s.json", "--grid", "16", "--output", "g.csv",
+    "--report", "m.json")
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+run("quantum-check", "--degree", "3", "--report", "q.json")
+print("scipy.sparse" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(pathlib.Path(cli.__file__).parents[1])] + sys.path))
+    out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[]", "True"]
 
 
 @pytest.mark.filterwarnings("error")  # numpy's overflow warnings would fail the run

@@ -3,6 +3,7 @@ import pytest
 
 from cliffstring.fixtures import random_hermitian, random_spinor
 from cliffstring.lorentz import (
+    LorentzFactor,
     MixedSubspaceError,
     NestedTransform,
     act_spinor,
@@ -20,7 +21,7 @@ from cliffstring.lorentz import (
     rotation_generator,
     spinor_map,
 )
-from cliffstring.matrices import omat_mul
+from cliffstring.matrices import OctHermitian, hermiticity_residual, omat_mul
 from cliffstring.minkowski import det2, matrix_to_vector, sigma_set, vector_to_matrix
 from cliffstring.octonion import mul_arrays
 
@@ -182,3 +183,90 @@ def test_make_factor_requires_traceless_single_subspace():
     g2 = rotation_generator(1) + phase_generator(2)
     with pytest.raises(MixedSubspaceError):
         make_factor(g2, 0.5)
+
+GENERATORS = (
+    [("boost", boost_generator())]
+    + [(f"rotation({k})", rotation_generator(k)) for k in range(8)]
+    + [(f"phase({k})", phase_generator(k)) for k in range(1, 8)]
+)
+
+
+@pytest.mark.parametrize("name, g", GENERATORS, ids=[name for name, _ in GENERATORS])
+def test_make_factor_matches_expm(name, g):
+    """The closed form against scipy's expm, over a stack of t in one call."""
+    import scipy.linalg
+
+    k = max([m for m in range(1, 8) if np.any(g[..., m])], default=0)
+    ts = np.concatenate([[-1.0, -0.5, 0.0, 1e-12, 0.5, 1.0],
+                         np.random.default_rng(k).uniform(-1, 1, 1000)])
+    made = make_factor(np.broadcast_to(g, ts.shape + g.shape), ts)
+    ref = np.zeros(made.s.shape)
+    for i, t in enumerate(ts):
+        e = scipy.linalg.expm(t * (g[..., 0] + 1j * g[..., k] * (k > 0)))
+        ref[i, ..., 0] = e.real
+        if k:
+            ref[i, ..., k] = e.imag
+    assert np.max(np.abs(made.s - ref)) <= 1e-15
+    # near t = 0 the factor is real to within tol, and reads as real
+    assert np.array_equal(made.subspace, np.where(np.abs(ts) > 1e-9, k, 0))
+    assert np.all(made.det == 1.0)
+    # a stacked call gives each factor bit for bit as its own call does
+    for i in (0, 3, 6, 500):
+        assert np.array_equal(make_factor(g, ts[i]).s, made.s[i])
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_rotation_generator_off_the_real_line_is_a_boost(k):
+    """rotation_generator(k >= 1) is Hermitian, so its factor takes the cosh branch."""
+    g = rotation_generator(k)
+    assert hermiticity_residual(g) == 0.0
+    t = 0.6
+    f = make_factor(g, t)
+    boost = np.zeros((2, 2, 8))
+    boost[0, 0, 0] = boost[1, 1, 0] = np.cosh(t / 2)
+    boost[0, 1, k], boost[1, 0, k] = np.sinh(t / 2), -np.sinh(t / 2)
+    assert np.max(np.abs(f.s - boost)) <= 1e-15
+    # it moves the time axis into x^(k+2) of the 10D sigma set
+    s10 = sigma_set(10)
+    x = np.zeros(10)
+    x[0] = 1.0
+    moved = matrix_to_vector(act_vector(f, vector_to_matrix(x, s10)), s10)
+    assert abs(moved[0] - np.cosh(t)) <= 1e-15 and abs(moved[k + 2] + np.sinh(t)) <= 1e-15
+    # the real rotation and the phases are anti-Hermitian and take the cos branch
+    for rot in (rotation_generator(0), phase_generator(k)):
+        assert hermiticity_residual(rot) > 0.0
+        assert abs(make_factor(rot, t).s[0, 0, 0] - np.cos(t / 2)) <= 1e-15
+
+
+def test_stacked_residuals_match_per_factor_calls():
+    gens = np.stack([g for _, g in GENERATORS])
+    f = make_factor(gens, np.linspace(-1, 1, len(gens)))
+    v, chi, psi = (random_spinor(rng) for _ in range(3))
+    compat = compatibility_residual(f.s, v)
+    contr = contraction_residual(f, chi, psi)
+    assert compat.shape == contr.shape == (len(gens),)
+    for i in range(len(gens)):
+        one = make_factor(gens[i], np.linspace(-1, 1, len(gens))[i])
+        assert np.isscalar(compatibility_residual(one.s, v))
+        assert np.isscalar(contraction_residual(one, chi, psi))
+        assert abs(compat[i] - compatibility_residual(one.s, v)) <= 1e-15
+        assert abs(contr[i] - contraction_residual(one, chi, psi)) <= 1e-15
+    # a stack of points moves one per leading index, as each point alone does
+    x = np.stack([random_hermitian(rng, 2).data for _ in gens])
+    moved = act_vector(f, x)
+    for i in range(len(gens)):
+        assert np.array_equal(moved[i], act_vector(LorentzFactor(f.s[i], 0, 1.0),
+                                                   OctHermitian(x[i])).data)
+
+
+def test_factor_from_matrix_validates_a_stack():
+    good = make_factor(np.stack([phase_generator(3), boost_generator()]), np.array([0.4, 0.2]))
+    assert factor_from_matrix(good.s).subspace.tolist() == [3, 0]
+    bad = good.s.copy()
+    bad[1] *= 1.01  # |det| = 1.0201
+    with pytest.raises(ValueError, match="det"):
+        factor_from_matrix(bad)
+    mixed = np.stack([good.s[0], omat_mul(make_factor(rotation_generator(1), 0.8).s,
+                                          make_factor(phase_generator(2), 0.9).s)])
+    with pytest.raises(MixedSubspaceError):
+        factor_from_matrix(mixed)

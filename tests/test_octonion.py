@@ -154,3 +154,17 @@ def test_omat_mul_matches_entry_loop(n):
                 ref[p, r] += mul_arrays(x[p, q], y[q, r])
     gap = np.max(np.abs(omat_mul(x, y) - ref))
     assert gap <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_batched_omat_mul_is_bit_equal_to_per_item_calls():
+    from cliffstring.matrices import omat_adjoint, omat_mul
+
+    gen = np.random.default_rng(300)
+    x = gen.uniform(-1, 1, (300, 2, 2, 8))
+    y = gen.uniform(-1, 1, (300, 2, 2, 8))
+    assert np.array_equal(omat_mul(x, y), np.stack([omat_mul(a, b) for a, b in zip(x, y)]))
+    assert np.array_equal(omat_adjoint(x), np.stack([omat_adjoint(a) for a in x]))
+    # leading axes broadcast: one matrix against a stack, and stacks of stacks
+    z = gen.uniform(-1, 1, (4, 3, 2, 5, 8))
+    w = gen.uniform(-1, 1, (5, 2, 8))
+    assert np.array_equal(omat_mul(z, w), np.stack([[omat_mul(a, w) for a in row] for row in z]))
