@@ -24,7 +24,7 @@ def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> Oc
         for j in range(i + 1, n):
             data[i, j] = rng.uniform(-scale, scale, 8)
             data[j, i] = conj_arrays(data[i, j])
-    return OctHermitian(data)
+    return OctHermitian(data, validate=False)  # Hermitian by construction
 
 
 def random_degenerate_hermitian(

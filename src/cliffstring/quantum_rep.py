@@ -9,10 +9,10 @@ every intermediate product stays inside the space.
 The quaternion mapping A_mu = j (x) Q_mu, K_nu = k (x) R_nu turns the
 canonical commutators into mixed relations: [A, A] = [K, K] = 0 and
 {A_mu, K_nu} = -hbar eta_{mu nu}, because jk = -kj = i makes the
-anticommutator collapse onto i (x) [Q, R].  Operators are carried as a
-single quaternion tag plus a matrix; products that mix one A with one K
-land on the tag i, and sums of such terms collapse to ordinary complex
-matrices (tag i becomes the scalar i).
+anticommutator collapse onto i (x) [Q, R].  A and K carry their
+quaternion unit as a tag, and A and K only ever meet in products, so each
+product folds its two tags into a complex scalar (jj = kk = -1, jk = i,
+kj = -i) and the result is an ordinary complex family.
 
 From the spinor components A_{B Edot} = sigma^mu_{B Edot} A_mu and
 K_{A Bdot} = sigma^mu_{A Bdot} K_mu the angular-momentum spinor is
@@ -35,36 +35,33 @@ formulas, the spinor/vector and spinor/tensor round-trips, the
 dotted-undotted commutation, and the identity
 J^z = i/2 (M0_(12) - M0dag_(12)) = Q_1 R_2 - Q_2 R_1 hold exactly.
 
-Operators are sparse CSR matrices.  A family of K operators is one
-(K dim, dim) stack, operator k in rows k dim to (k+1) dim, index pairs
+Every operator is a complex combination of short words in two kinds of
+letter: Q_mu (multiply by x_mu, truncated at the cap) and D_nu (d/dx_nu).
+A word is an int code whose base-9 digits are its letters, the least
+significant acting first: 0 is no letter, 1 + mu is Q_mu and 5 + nu is
+D_nu, so the code of a product XY is x 9^len(y) + y.  A family of K
+operators is a (K, W) coefficient array over W word codes, index pairs
 row-major (M0_{AB} is operator 2A+B, M_{mu nu} is 4 mu + nu).  A linear
-combination is one product kron(W, I) @ stack, all products X_i Y_j of
-two families are one product of the stacked X with the Ys side by side,
-and each check is one masked max over all its index pairs at once.
+combination is w @ coeffs, the products X_i Y_j of two families are the
+outer product of their coefficients and of their codes, and each check is
+one family of gaps evaluated on the monomial basis.  A word sends each
+monomial to one monomial with a weight read off the exponents, and words
+with the same net exponent shift land on the same row, so the gaps over a
+set of columns are one real product per shift class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .minkowski import EPS, eta4, sigma4_complex
 
-
-class _LazySparse:
-    """scipy.sparse, imported on first use: importing this module loads no scipy."""
-
-    def __getattr__(self, name):
-        import scipy.sparse
-        return getattr(scipy.sparse, name)
-
-
-sparse = _LazySparse()
-
 __all__ = [
     "PolySpace",
-    "QuatOperator",
+    "Family",
     "CanonicalPairs",
     "build_canonical",
     "canonical_residual",
@@ -90,23 +87,35 @@ _S4_UP = np.array([EPS @ (eta4()[mu, mu] * _S4[mu]) @ EPS.T for mu in range(4)])
 
 _EPS3 = np.cross(np.eye(3)[:, None], np.eye(3))  # eps_ijk = (e_i x e_j)_k
 
+_FOLD = {("j", "j"): -1, ("k", "k"): -1, ("j", "k"): 1j, ("k", "j"): -1j}
+# product of two quaternion tags, each landing on 1 or i
+
+_STEP = np.concatenate([np.zeros((1, 4), int), np.eye(4, dtype=int), -np.eye(4, dtype=int)])
+# exponent shift of each letter: none, Q_0..Q_3, D_0..D_3
+
+_POW9 = 9 ** np.arange(20)
+
 
 class PolySpace:
-    """Monomial basis for polynomials in `n_vars` variables, degree <= cap."""
+    """Monomial basis for polynomials in `n_vars` variables, degree <= cap.
+
+    Ordered by degree, then by exponent tuple; `exponents` is the
+    (dim, n_vars) int array of the basis monomials.
+    """
 
     def __init__(self, n_vars: int, degree: int):
         if n_vars < 1 or degree < 1:
             raise ValueError("need at least one variable and degree >= 1")
-        self.n_vars = n_vars
         self.degree = degree
-        exps = [()]
-        for _ in range(n_vars):
-            exps = [e + (k,) for e in exps for k in range(degree + 1)]
-        exps = [e for e in exps if sum(e) <= degree]
-        exps.sort(key=lambda e: (sum(e), e))
-        self.exponents = tuple(exps)
-        self.index = {e: i for i, e in enumerate(exps)}
-        self.degrees = np.array([sum(e) for e in exps])
+        blocks = []
+        for d in range(degree + 1):
+            # variable multisets in lex order are exponent tuples in reverse order
+            picks = np.array(list(combinations_with_replacement(range(n_vars), d)), int)
+            exps = np.zeros((len(picks), n_vars), int)
+            np.add.at(exps, (np.arange(len(picks))[:, None], picks), 1)
+            blocks.append(exps[::-1])
+        self.exponents = np.concatenate(blocks)
+        self.degrees = self.exponents.sum(axis=1)
 
     @property
     def dim(self) -> int:
@@ -116,132 +125,133 @@ class PolySpace:
         """Mask of basis monomials with degree <= cap - 1."""
         return self.degrees <= self.degree - 1
 
-    def _shift_op(self, mu: int, step: int, weight) -> sparse.csr_matrix:
-        """Sends x^e to weight(e) x^(e + step in slot mu), or to 0 outside the space."""
-        rows, cols, vals = [], [], []
-        for j, e in enumerate(self.exponents):
-            i = self.index.get(e[:mu] + (e[mu] + step,) + e[mu + 1:])
-            if i is not None:
-                rows.append(i)
-                cols.append(j)
-                vals.append(weight(e))
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim))
-
-    def mult_op(self, mu: int) -> sparse.csr_matrix:
-        """Matrix of multiplication by x_mu (truncated at the degree cap)."""
-        return self._shift_op(mu, 1, lambda e: 1.0)
-
-    def deriv_op(self, mu: int) -> sparse.csr_matrix:
-        """Matrix of d/dx_mu (degree-lowering, never truncates)."""
-        return self._shift_op(mu, -1, lambda e: float(e[mu]))
-
-
-_QUAT_TABLE = {
-    ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-    ("i", "1"): (1, "i"), ("j", "1"): (1, "j"), ("k", "1"): (1, "k"),
-    ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
-    ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-    ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"),
-    ("k", "i"): (1, "j"), ("i", "k"): (-1, "j"),
-}
-
 
 @dataclass(frozen=True)
-class QuatOperator:
-    """A PolySpace operator matrix carried on a single quaternion unit tag.
+class Family:
+    """K operators sum_w coeffs[k, w] (word codes[w]), optionally on a quaternion tag."""
 
-    Every object arising here lies on one common tag: the canonical
-    images live on j and k, any product of one A-factor with one K-factor
-    lands on i, and pairs of like factors land on 1.  The matrix may be a
-    stacked family, or the block matrix of its products, all on the tag.
-    """
-
-    tag: str
-    mat: sparse.csr_matrix
-
-    def __matmul__(self, other: "QuatOperator") -> "QuatOperator":
-        sign, tag = _QUAT_TABLE[self.tag, other.tag]
-        return QuatOperator(tag, sign * (self.mat @ other.mat))
-
-    def collapse(self) -> sparse.csr_matrix:
-        """Complex matrix of a tag-1 or tag-i operator (i -> scalar i)."""
-        if self.tag == "1":
-            return self.mat.astype(complex)
-        if self.tag == "i":
-            return 1j * self.mat
-        raise ValueError(f"operator on tag {self.tag!r} has no complex form")
+    coeffs: np.ndarray
+    codes: np.ndarray
+    tag: str | None = None
 
 
 @dataclass(frozen=True)
 class CanonicalPairs:
-    """Q_mu (real) and R_nu (complex), each stacked as a (4 dim, dim) CSR matrix."""
+    """Q_mu (real) and R_nu (complex), each a family of four operators."""
 
     space: PolySpace
-    q: sparse.csr_matrix
-    r: sparse.csr_matrix
+    q: Family
+    r: Family
     hbar: float
 
 
-# -- stacked families ------------------------------------------------------------
+# -- family algebra --------------------------------------------------------------
 
 
-def _combine(w: np.ndarray, stack) -> sparse.csr_matrix:
-    """Stack of the operators sum_m w[k, m] Z_m of a stacked family Z."""
-    n = stack.shape[1]
-    return sparse.kron(w, sparse.identity(n), format="csr") @ stack
+_IDENTITY = Family(np.ones((1, 1), complex), np.zeros(1, int))
 
 
-def _side_by_side(stack) -> sparse.csr_matrix:
-    """The (dim, K dim) matrix [Z_0 Z_1 ... Z_{K-1}] of a stacked family."""
-    n = stack.shape[1]
-    c = stack.tocoo()
-    k, row = np.divmod(c.row, n)
-    return sparse.csr_matrix((c.data, (row, k * n + c.col)), shape=(n, stack.shape[0]))
+def _combine(w: np.ndarray, f: Family) -> Family:
+    """The operators sum_m w[k, m] Z_m of a family Z."""
+    return Family(w @ f.coeffs, f.codes, f.tag)
 
 
-def _stack_blocks(p, n: int, swap: bool = False) -> sparse.csr_matrix:
-    """Stack of the (dim, dim) blocks of a block matrix, block (i, j) as operator i L + j.
+def _sum(*fams: Family) -> Family:
+    """Operator-wise sum of families with the same number of operators."""
+    return Family(np.hstack([f.coeffs for f in fams]), np.concatenate([f.codes for f in fams]))
 
-    With swap, block (j, i) of an (L dim, K dim) matrix goes to operator
-    i L + j instead, so the products Y_j X_i line up with X_i Y_j.
+
+def _stack(*fams: Family) -> Family:
+    """The operators of each family in turn, as one family."""
+    rows = np.cumsum([0] + [f.coeffs.shape[0] for f in fams])
+    cols = np.cumsum([0] + [f.coeffs.shape[1] for f in fams])
+    coeffs = np.zeros((rows[-1], cols[-1]), complex)
+    for f, r, c in zip(fams, rows, cols):
+        coeffs[r:r + f.coeffs.shape[0], c:c + f.coeffs.shape[1]] = f.coeffs
+    return Family(coeffs, np.concatenate([f.codes for f in fams]))
+
+
+def _products(x: Family, y: Family) -> Family:
+    """The products X_i Y_j as operator i L + j, their tags folded into the coefficients."""
+    fold = _FOLD[x.tag, y.tag] if x.tag else 1
+    coeffs = fold * (x.coeffs[:, None, :, None] * y.coeffs[None, :, None, :])
+    shift = _POW9[np.searchsorted(_POW9, y.codes, side="right")]  # 9^len(y)
+    codes = x.codes[:, None] * shift + y.codes
+    return Family(coeffs.reshape(coeffs.shape[0] * coeffs.shape[1], -1), codes.reshape(-1))
+
+
+def _brackets(x: Family, y: Family, sign: float = -1.0) -> Family:
+    """X_i Y_j + sign Y_j X_i as operator i L + j; when y is x one product serves both."""
+    xy = _products(x, y)
+    yx = xy if y is x else _products(y, x)
+    k, l = x.coeffs.shape[0], y.coeffs.shape[0]
+    swapped = yx.coeffs.reshape(l, k, -1).swapaxes(0, 1).reshape(k * l, -1)
+    return _sum(xy, Family(sign * swapped, yx.codes))
+
+
+def _commutator_gap(x: Family, y: Family, coeffs: np.ndarray, z: Family) -> Family:
+    """[X_i, Y_j] - sum_m coeffs[i, j, m] Z_m over all (i, j).
+
+    x, y and z are families of K, L and M operators and coeffs is a
+    (K, L, M) array.
     """
-    c = p.tocoo()
-    bi, row = np.divmod(c.row, n)
-    bj, col = np.divmod(c.col, n)
-    if swap:
-        bi, bj = bj, bi
-    n_cols = p.shape[0 if swap else 1] // n
-    return sparse.csr_matrix(
-        (c.data, ((bi * n_cols + bj) * n + row, col)), shape=(p.shape[0] * p.shape[1] // n, n)
-    )
+    return _sum(_brackets(x, y), _combine(-coeffs.reshape(-1, coeffs.shape[-1]), z))
 
 
-def _brackets(xy, yx, n: int, sign: float = -1.0) -> sparse.csr_matrix:
-    """Stack of X_i Y_j + sign Y_j X_i from the block products xy = [X_i Y_j], yx = [Y_j X_i]."""
-    return _stack_blocks(xy, n) + sign * _stack_blocks(yx, n, swap=True)
+def _max_abs(f: Family, space: PolySpace, safe: bool = True) -> float:
+    """Max |matrix entry| of a family on the space, over the safe columns by default.
 
-
-def _commutator_gap(x, y, coeffs: np.ndarray, z) -> sparse.csr_matrix:
-    """Stack of [X_i, Y_j] - sum_m coeffs[i, j, m] Z_m over all (i, j).
-
-    x, y and z are stacked families of K, L and M operators and coeffs is
-    a (K, L, M) array; when y is x one product serves both orders.
+    A word sends each monomial to one monomial: its net exponent shift
+    fixes the row, and its weight is the product of the exponents its D
+    letters meet, or 0 if a letter takes the degree past the cap.  Words
+    with the same shift, the same highest degree and the same (variable,
+    offset) at each D act alike, so their coefficients merge; then each
+    shift class is one product of its stacked (Re; Im) coefficients by its
+    weights.  A NaN propagates.
     """
-    xy = x @ _side_by_side(y)
-    yx = xy if y is x else y @ _side_by_side(x)
-    return _brackets(xy, yx, x.shape[1]) - _combine(coeffs.reshape(-1, coeffs.shape[-1]), z)
+    columns = space.safe_columns() if safe else slice(None)
+    exps, degrees = space.exponents[columns].T, space.degrees[columns]
+    letters = np.searchsorted(_POW9, np.max(f.codes), side="right")
+    digits = f.codes[:, None] // _POW9[:letters] % 9        # first letter first
+    steps = _STEP[digits]                                   # (W, letters, 4)
+    before = np.cumsum(steps, axis=1) - steps               # shift before each letter
+    rise = np.max(np.cumsum(steps.sum(axis=2), axis=1), axis=1, initial=0)  # highest degree
+    # a D_v after letters that shifted x_v by o meets exponent e_v + o, row
+    # v span + o + letters of `factors`; other letters read its last row, all 1
+    var = np.maximum(digits - 5, 0)
+    offset = np.take_along_axis(before, var[..., None], axis=2)[..., 0]
+    span = 2 * letters + 1
+    reads = np.sort(np.where(digits >= 5, var * span + offset + letters, 4 * span), axis=1)
+    reads = reads[:, :np.max(np.sum(digits >= 5, axis=1), initial=0)]
+    shift_class = steps.sum(axis=1) @ _POW9[:4] + 4 * np.sum(_POW9[:4])   # >= 0
+    key = shift_class * (letters + 1) + rise
+    for read in reads.T:
+        key = key * (4 * span + 1) + read
+    perm = np.argsort(key, kind="stable")                   # shift class by shift class
+    first = np.flatnonzero(np.diff(key[perm], prepend=-1))
+    coeffs = np.add.reduceat(f.coeffs[:, perm], first, axis=1)
+    shift_class, rise, reads = shift_class[perm[first]], rise[perm[first]], reads[perm[first]]
 
-
-def _tagged_products(x: QuatOperator, y: QuatOperator) -> sparse.csr_matrix:
-    """Block matrix [X_i Y_j] of two tagged families, collapsed from its product tag."""
-    return (x @ QuatOperator(y.tag, _side_by_side(y.mat))).collapse()
-
-
-def _max_abs(mat, safe: np.ndarray = None) -> float:
-    """Max |entry|, over the safe columns when a mask is given; a NaN propagates."""
-    mat = mat.tocsr()
-    data = mat.data if safe is None else mat.data[safe[mat.indices]]
-    return float(np.max(np.abs(data), initial=0.0))
+    factors = np.concatenate([
+        (exps[:, None] + np.arange(-letters, letters + 1)[:, None]).reshape(4 * span, -1),
+        np.ones((1, exps.shape[1])),
+    ])
+    weights = (degrees + rise[:, None] <= space.degree).astype(float)
+    for read in reads.T:
+        weights *= factors[read]
+    stacked = np.concatenate([coeffs.real, coeffs.imag])
+    k = coeffs.shape[0]
+    bounds = np.concatenate([[0], np.flatnonzero(np.diff(shift_class)) + 1, [len(first)]])
+    worst = 0.0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        entries = stacked[:, lo:hi] @ weights[lo:hi]
+        top = np.max(np.abs(entries), initial=0.0)
+        if 0.0 < top < np.inf:  # the modulus, scaled by a power of two so no square overflows
+            scale = 2.0 ** -np.frexp(top)[1]
+            np.square(entries * scale, out=entries)
+            top = np.sqrt(np.max(entries[:k] + entries[k:])) / scale
+        worst = np.maximum(worst, top)  # np.maximum keeps a NaN, Python's max would not
+    return float(worst)
 
 
 # -- canonical and quaternion pairs ------------------------------------------------
@@ -255,13 +265,9 @@ def build_canonical(degree: int = 6, hbar: float = 1.0) -> CanonicalPairs:
     """
     if degree < 2:
         raise ValueError("degree bound must be at least 2")
-    space = PolySpace(4, degree)
-    eta = eta4()
-    q = sparse.vstack([space.mult_op(mu) for mu in range(4)], format="csr")
-    r = sparse.vstack(
-        [-1j * hbar * eta[nu, nu] * space.deriv_op(nu) for nu in range(4)], format="csr"
-    )
-    return CanonicalPairs(space=space, q=q, r=r, hbar=hbar)
+    q = Family(np.eye(4, dtype=complex), np.arange(1, 5))
+    r = Family(-1j * hbar * eta4().astype(complex), np.arange(5, 9))
+    return CanonicalPairs(space=PolySpace(4, degree), q=q, r=r, hbar=hbar)
 
 
 def canonical_residual(pairs: CanonicalPairs) -> float:
@@ -270,69 +276,61 @@ def canonical_residual(pairs: CanonicalPairs) -> float:
     One product of the family (Q_0..Q_3, R_0..R_3) with itself gives every
     commutator; [Q, R] = i hbar eta, [R, Q] = -i hbar eta, the rest vanish.
     """
-    ops = sparse.vstack([pairs.q, pairs.r], format="csr")
+    ops = _stack(pairs.q, pairs.r)
     coeffs = np.zeros((8, 8, 1), complex)
     coeffs[:4, 4:, 0] = 1j * pairs.hbar * eta4()
     coeffs[4:, :4, 0] = -1j * pairs.hbar * eta4()
-    gap = _commutator_gap(ops, ops, coeffs, sparse.identity(pairs.space.dim, format="csr"))
-    return _max_abs(gap, pairs.space.safe_columns())
+    return _max_abs(_commutator_gap(ops, ops, coeffs, _IDENTITY), pairs.space)
 
 
 def quaternion_pairs(pairs: CanonicalPairs):
-    """Map the canonical pairs onto quaternion tags: A = j(x)Q, K = k(x)R (stacked)."""
-    return QuatOperator("j", pairs.q), QuatOperator("k", pairs.r)
+    """Map the canonical pairs onto quaternion tags: A = j(x)Q, K = k(x)R."""
+    return Family(pairs.q.coeffs, pairs.q.codes, "j"), Family(pairs.r.coeffs, pairs.r.codes, "k")
 
 
-def mixed_algebra_residual(a_ops, k_ops, space: PolySpace, hbar: float) -> float:
+def mixed_algebra_residual(a_ops: Family, k_ops: Family, space: PolySpace, hbar: float) -> float:
     """Residual of [A,A] = [K,K] = 0 and {A_mu, K_nu} = -hbar eta_{mu nu}.
 
-    The anticommutator is evaluated at the tag level: A_mu K_nu lands on
-    kj = -i and K_nu A_mu on jk = +i, so the sum sits on a single tag and
-    collapses to -hbar eta via [Q, R] = i hbar eta.
+    The tags fold in each product: A_mu K_nu carries jk = +i and K_nu A_mu
+    kj = -i, so the anticommutator is i [Q_mu, R_nu] = -hbar eta.
     """
-    n = space.dim
-    aa = _tagged_products(a_ops, a_ops)
-    kk = _tagged_products(k_ops, k_ops)
-    anti = _brackets(_tagged_products(a_ops, k_ops), _tagged_products(k_ops, a_ops), n, sign=1.0)
-    gaps = sparse.vstack([
-        _brackets(aa, aa, n),
-        _brackets(kk, kk, n),
-        anti + sparse.kron(hbar * eta4().reshape(16, 1), sparse.identity(n)),
-    ])
-    return _max_abs(gaps, space.safe_columns())
+    anti = _brackets(a_ops, k_ops, sign=1.0)
+    gaps = _stack(
+        _brackets(a_ops, a_ops),
+        _brackets(k_ops, k_ops),
+        _sum(anti, _combine(hbar * eta4().reshape(16, 1), _IDENTITY)),
+    )
+    return _max_abs(gaps, space)
 
 
 # -- angular momentum: spinor, three-vector and tensor forms -----------------------
 
 
-def spinor_components(ops: QuatOperator) -> QuatOperator:
-    """Stacked spinor family O_{A Bdot} = sigma^mu_{A Bdot} O_mu (operator 2A+Bdot)."""
-    return QuatOperator(ops.tag, _combine(_S4.reshape(4, 4).T, ops.mat))
+def spinor_components(ops: Family) -> Family:
+    """Spinor family O_{A Bdot} = sigma^mu_{A Bdot} O_mu (operator 2A+Bdot)."""
+    return _combine(_S4.reshape(4, 4).T, ops)
 
 
-def m0_matrices(a_ops, k_ops) -> tuple:
-    """Symmetrized angular-momentum spinors as stacked complex matrices.
+def m0_matrices(a_ops: Family, k_ops: Family) -> tuple:
+    """Symmetrized angular-momentum spinors as complex families.
 
     M0_{AB} = i K_A^Edot A_{B Edot} (K factor to the left) and its
     structural adjoint M0dag_{AdotBdot} = -i eps^{EF} A_{E Bdot} K_{F Adot},
     obtained by reversing products and conjugating scalar coefficients
-    with A and K treated as formally self-adjoint.  Both are returned as
-    (4 dim, dim) stacks with the spinor indices symmetrized; all products
-    sit on the quaternion tag i and collapse cleanly.
+    with A and K treated as formally self-adjoint.  Both are families of
+    four operators with the spinor indices symmetrized, over the 16 words
+    D_nu Q_mu and the 16 words Q_mu D_nu respectively.
     """
     a_sp, k_sp = spinor_components(a_ops), spinor_components(k_ops)
-    n = a_ops.mat.shape[1]
     d = np.eye(2)
     # weights of the products K_{P L} A_{Q E} and A_{E Q} K_{L P}, eps^{E L}
     w = 1j * np.einsum("ap,bq,el->abplqe", d, d, EPS)
     wd = -1j * np.einsum("el,qb,pa->abeqlp", EPS, d, d)
     w, wd = ((0.5 * (c + c.swapaxes(0, 1))).reshape(4, 16) for c in (w, wd))  # (AB)
-    m0 = _combine(w, _stack_blocks(_tagged_products(k_sp, a_sp), n))
-    m0d = _combine(wd, _stack_blocks(_tagged_products(a_sp, k_sp), n))
-    return m0, m0d
+    return _combine(w, _products(k_sp, a_sp)), _combine(wd, _products(a_sp, k_sp))
 
 
-def lorentz_closure_residual(m0, m0d, safe, hbar: float) -> float:
+def lorentz_closure_residual(m0: Family, m0d: Family, space: PolySpace, hbar: float) -> float:
     """Residual of the spinor Lorentz algebra on the safe subspace.
 
     Checks [M0_(AB), M0_(EF)] against i hbar (M0_(AE) eps_FB + A<->B)
@@ -345,12 +343,11 @@ def lorentz_closure_residual(m0, m0d, safe, hbar: float) -> float:
     c = c + c.transpose(0, 1, 3, 2, 4, 5)           # + E <-> F
     coeffs = np.zeros((4, 8, 4), complex)           # zero on the [M0, M0dag] blocks
     coeffs[:, :4] = 1j * hbar * c.reshape(4, 4, 4)
-    both = sparse.vstack([m0, m0d], format="csr")
-    return _max_abs(_commutator_gap(m0, both, coeffs, m0), safe)
+    return _max_abs(_commutator_gap(m0, _stack(m0, m0d), coeffs, m0), space)
 
 
-def three_vector_form(m0, m0d) -> tuple:
-    """Rotation/boost three-vectors N_i and their adjoints, (3 dim, dim) stacks.
+def three_vector_form(m0: Family, m0d: Family) -> tuple:
+    """Rotation/boost three-vectors N_i and their adjoints, families of three.
 
     N_1 = i/4 (Md_11 - Md_22), N_2 = 1/4 (Md_11 + Md_22), N_3 = -i/2 Md_12
     built on the dotted block; the adjoints use the undotted block with
@@ -360,21 +357,21 @@ def three_vector_form(m0, m0d) -> tuple:
     return _combine(w, m0d), _combine(w.conj(), m0)
 
 
-def su2_closure_residual(n, nd, safe, hbar: float) -> float:
+def su2_closure_residual(n: Family, nd: Family, space: PolySpace, hbar: float) -> float:
     """Residual of [N_i, N_j] = -i hbar eps_ijk N_k (and the adjoint copy).
 
     The literal component triple closes left-handed in this eps
     convention; the reordered triple (N_2, N_1, N_3) satisfies the
     +i hbar form.  Mixed commutators [N_i, N_j^dag] must vanish.
     """
-    ops = sparse.vstack([n, nd], format="csr")
+    ops = _stack(n, nd)
     coeffs = np.zeros((6, 6, 6), complex)
     coeffs[:3, :3, :3] = coeffs[3:, 3:, 3:] = -1j * hbar * _EPS3
-    return _max_abs(_commutator_gap(ops, ops, coeffs, ops), safe)
+    return _max_abs(_commutator_gap(ops, ops, coeffs, ops), space)
 
 
-def tensor_form(m0, m0d) -> sparse.csr_matrix:
-    """Antisymmetric tensor M_{mu nu} equivalent to the spinor pair, a (16 dim, dim) stack.
+def tensor_form(m0: Family, m0d: Family) -> Family:
+    """Antisymmetric tensor M_{mu nu} equivalent to the spinor pair, a family of 16.
 
     M_{mu nu} = 1/4 sigma_mu^{A Edot} sigma_nu^{B Fdot}
                 (M0_(AB) eps_EdotFdot + M0dag_(EdotFdot) eps_AB).
@@ -382,10 +379,10 @@ def tensor_form(m0, m0d) -> sparse.csr_matrix:
     undotted = np.einsum("mae,nbf,ef->mnab", _S4_UP, _S4_UP, EPS).reshape(16, 4)
     dotted = np.einsum("mae,nbf,ab->mnef", _S4_UP, _S4_UP, EPS).reshape(16, 4)
     w = 0.25 * np.concatenate([undotted, dotted], axis=1)
-    return _combine(w, sparse.vstack([m0, m0d], format="csr"))
+    return _combine(w, _stack(m0, m0d))
 
 
-def tensor_algebra_residual(m_tensor, safe, hbar: float) -> float:
+def tensor_algebra_residual(m_tensor: Family, space: PolySpace, hbar: float) -> float:
     """Residual of the tensor-form Lorentz algebra and antisymmetry.
 
     The literal tensor closes as [M_uv, M_rs] = -i hbar (eta M - ...);
@@ -401,17 +398,17 @@ def tensor_algebra_residual(m_tensor, safe, hbar: float) -> float:
     coeffs = -1j * hbar * c.reshape(16, 16, 16)[np.ix_(pairs, pairs)]
     ops = _combine(np.eye(16)[pairs], m_tensor)
     transpose = np.eye(16).reshape(4, 4, 16).transpose(1, 0, 2).reshape(16, 16)
-    gaps = sparse.vstack([
+    gaps = _stack(
         _combine(np.eye(16) + transpose, m_tensor),
         _commutator_gap(ops, ops, coeffs, m_tensor),
-    ])
-    return _max_abs(gaps, safe)
+    )
+    return _max_abs(gaps, space)
 
 
-def spinor_tensor_roundtrip_residual(m0, m_tensor) -> float:
-    """Max error of M0_(AB) = 1/2 eps^EdotFdot sigma^mu sigma^nu M_{mu nu}."""
+def spinor_tensor_roundtrip_residual(m0: Family, m_tensor: Family, space: PolySpace) -> float:
+    """Max error of M0_(AB) = 1/2 eps^EdotFdot sigma^mu sigma^nu M_{mu nu}, on every column."""
     w = 0.5 * np.einsum("ef,mae,nbf->abmn", EPS, _S4, _S4).reshape(4, 16)
-    return _max_abs(_combine(w, m_tensor) - m0)
+    return _max_abs(_sum(_combine(w, m_tensor), _combine(-np.eye(4), m0)), space, safe=False)
 
 
 def jz_spectrum(degree: int, hbar: float = 1.0) -> np.ndarray:
@@ -423,13 +420,13 @@ def jz_spectrum(degree: int, hbar: float = 1.0) -> np.ndarray:
     hbar is so large that J^z overflows.
     """
     space = PolySpace(2, degree)
-    # x_1 d_2 - x_2 d_1 sends x^(p, q) to q x^(p+1, q-1) - p x^(p-1, q+1)
+    # x_1 d_2 - x_2 d_1 sends x^(p, q) to q x^(p+1, q-1) - p x^(p-1, q+1); each
+    # degree lists p = 0, 1, ..., d in turn, so those sit one column either side
+    p, q = space.exponents.T
+    j = np.arange(space.dim)
     lz = np.zeros((space.dim, space.dim))
-    for j, (p, q) in enumerate(space.exponents):
-        if q:
-            lz[space.index[(p + 1, q - 1)], j] = q
-        if p:
-            lz[space.index[(p - 1, q + 1)], j] = -p
+    lz[j[q > 0] + 1, j[q > 0]] = q[q > 0]
+    lz[j[p > 0] - 1, j[p > 0]] = -p[p > 0]
     jz = 1j * hbar * lz
     if not np.all(np.isfinite(jz)):
         return np.full(space.dim, np.nan + 0j)

@@ -194,17 +194,18 @@ def test_05_string_currents_charges_and_waves():
         assert np.max(np.abs(gap)) <= 1e-8
 
 
-def test_06_polynomial_operator_algebra_closes():
+def test_06_polynomial_operator_algebra_closes(dense):
     start = time.monotonic()
     pairs = build_canonical(degree=6, hbar=1.0)
-    safe = pairs.space.safe_columns()
+    space = pairs.space
+    safe = space.safe_columns()
     a_ops, k_ops = quaternion_pairs(pairs)
     assert canonical_residual(pairs) <= 1e-10
-    assert mixed_algebra_residual(a_ops, k_ops, pairs.space, 1.0) <= 1e-10
+    assert mixed_algebra_residual(a_ops, k_ops, space, 1.0) <= 1e-10
     m0, m0d = m0_matrices(a_ops, k_ops)
-    assert lorentz_closure_residual(m0, m0d, safe, 1.0) <= 1e-10
-    dim = pairs.space.dim
-    m0, m0d = (m.toarray().reshape(2, 2, dim, dim) for m in (m0, m0d))
+    assert lorentz_closure_residual(m0, m0d, space, 1.0) <= 1e-10
+    dim = space.dim
+    m0, m0d = (dense(m, space).reshape(2, 2, dim, dim) for m in (m0, m0d))
     worst_cross = 0.0
     for a in range(2):
         for b in range(2):

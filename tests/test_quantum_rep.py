@@ -1,11 +1,17 @@
+import dataclasses
+import inspect
+import sys
+import types
 from collections import Counter
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from cliffstring import quantum_rep
+from cliffstring.minkowski import EPS, eta4, sigma4_complex
 from cliffstring.quantum_rep import (
+    CanonicalPairs,
+    Family,
     PolySpace,
     build_canonical,
     canonical_residual,
@@ -25,18 +31,20 @@ from cliffstring.quantum_rep import (
 DEGREE = 6
 
 
-def dense(stack, *shape):
-    """The blocks of a stacked operator family as a dense (*shape, dim, dim) array."""
-    n = stack.shape[1]
-    return stack.toarray().reshape(*shape, n, n)
-
-
 @pytest.fixture(scope="module")
 def rep():
     pairs = build_canonical(degree=DEGREE, hbar=1.0)
     a_ops, k_ops = quaternion_pairs(pairs)
     m0, m0d = m0_matrices(a_ops, k_ops)
     return pairs, a_ops, k_ops, m0, m0d
+
+
+def _eps3():
+    eps3 = np.zeros((3, 3, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps3[i, j, k] = 1.0
+        eps3[j, i, k] = -1.0
+    return eps3
 
 
 def test_space_dimensions(rep):
@@ -46,9 +54,28 @@ def test_space_dimensions(rep):
     assert int(np.sum(pairs.space.safe_columns())) == 126
 
 
+def _tuple_walk(n_vars, degree):
+    """The basis order of a walk over all (degree + 1)^n_vars exponent tuples."""
+    exps = [()]
+    for _ in range(n_vars):
+        exps = [e + (k,) for e in exps for k in range(degree + 1)]
+    exps = [e for e in exps if sum(e) <= degree]
+    exps.sort(key=lambda e: (sum(e), e))
+    return exps
+
+
+@pytest.mark.parametrize("n_vars", [2, 4])
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_enumeration_matches_the_tuple_walk(n_vars, degree):
+    space = PolySpace(n_vars, degree)
+    walk = _tuple_walk(n_vars, degree)
+    assert space.exponents.tolist() == [list(e) for e in walk]
+    assert space.degrees.tolist() == [sum(e) for e in walk]
+
+
 def test_canonical_relations_exact(rep):
-    # integer-structured operator matrices at hbar = 1: the commutators
-    # cancel in exact float arithmetic, not merely to round-off
+    # integer-structured operators at hbar = 1: the commutators cancel in
+    # exact float arithmetic, not merely to round-off
     assert canonical_residual(rep[0]) == 0.0
 
 
@@ -63,30 +90,26 @@ def test_mixed_algebra_exact(rep):
 
 
 def test_m0_blocks_are_symmetric(rep):
-    m0, m0d = dense(rep[3], 2, 2), dense(rep[4], 2, 2)
-    assert np.array_equal(m0[0, 1], m0[1, 0])
-    assert np.array_equal(m0d[0, 1], m0d[1, 0])
+    m0, m0d = rep[3], rep[4]
+    assert np.array_equal(m0.coeffs[1], m0.coeffs[2])
+    assert np.array_equal(m0d.coeffs[1], m0d.coeffs[2])
 
 
 def test_lorentz_closure_exact(rep):
     pairs, m0, m0d = rep[0], rep[3], rep[4]
-    safe = pairs.space.safe_columns()
-    assert lorentz_closure_residual(m0, m0d, safe, pairs.hbar) == 0.0
+    assert lorentz_closure_residual(m0, m0d, pairs.space, pairs.hbar) == 0.0
 
 
-def test_su2_closure_and_reordered_convention(rep):
+def test_su2_closure_and_reordered_convention(rep, dense):
     pairs, m0, m0d = rep[0], rep[3], rep[4]
     safe = pairs.space.safe_columns()
     n, nd = three_vector_form(m0, m0d)
-    assert su2_closure_residual(n, nd, safe, pairs.hbar) == 0.0
+    assert su2_closure_residual(n, nd, pairs.space, pairs.hbar) == 0.0
     # swapping the first two components flips the handedness, so the same
     # triple closes with the opposite sign of i*hbar
-    n = dense(n, 3)
+    n = dense(n, pairs.space)
     ns = np.array([n[1], n[0], n[2]])
-    eps3 = np.zeros((3, 3, 3))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        eps3[i, j, k] = 1.0
-        eps3[j, i, k] = -1.0
+    eps3 = _eps3()
     worst = 0.0
     for i in range(3):
         for j in range(3):
@@ -98,15 +121,15 @@ def test_su2_closure_and_reordered_convention(rep):
 
 def test_tensor_algebra_exact(rep):
     pairs, m0, m0d = rep[0], rep[3], rep[4]
-    safe = pairs.space.safe_columns()
-    assert tensor_algebra_residual(tensor_form(m0, m0d), safe, pairs.hbar) == 0.0
+    assert tensor_algebra_residual(tensor_form(m0, m0d), pairs.space, pairs.hbar) == 0.0
 
 
-def test_tensor_assembles_from_three_vector(rep):
+def test_tensor_assembles_from_three_vector(rep, dense):
     pairs, m0, m0d = rep[0], rep[3], rep[4]
-    safe = pairs.space.safe_columns()
-    mt = dense(tensor_form(m0, m0d), 4, 4)
-    n, nd = (dense(v, 3) for v in three_vector_form(m0, m0d))
+    space = pairs.space
+    safe = space.safe_columns()
+    mt = dense(tensor_form(m0, m0d), space).reshape(4, 4, space.dim, space.dim)
+    n, nd = (dense(v, space) for v in three_vector_form(m0, m0d))
     for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
         gap = mt[i, j][:, safe] - (n[k - 1] + nd[k - 1])[:, safe]
         assert np.max(np.abs(gap)) == 0.0
@@ -116,8 +139,8 @@ def test_tensor_assembles_from_three_vector(rep):
 
 
 def test_spinor_tensor_roundtrip_exact(rep):
-    m0, m0d = rep[3], rep[4]
-    assert spinor_tensor_roundtrip_residual(m0, tensor_form(m0, m0d)) == 0.0
+    pairs, m0, m0d = rep[0], rep[3], rep[4]
+    assert spinor_tensor_roundtrip_residual(m0, tensor_form(m0, m0d), pairs.space) == 0.0
 
 
 def test_jz_spectrum_is_integral_with_exact_multiplicities():
@@ -141,63 +164,194 @@ def test_degree_bound_validation():
         build_canonical(degree=1)
 
 
+# -- against plain matrix commutators ----------------------------------------------
+
+
+def _word_residuals(pairs, m0, m0d):
+    space, hbar = pairs.space, pairs.hbar
+    a_ops, k_ops = quaternion_pairs(pairs)
+    n, nd = three_vector_form(m0, m0d)
+    mt = tensor_form(m0, m0d)
+    return {
+        "canonical": canonical_residual(pairs),
+        "mixed": mixed_algebra_residual(a_ops, k_ops, space, hbar),
+        "closure": lorentz_closure_residual(m0, m0d, space, hbar),
+        "su2": su2_closure_residual(n, nd, space, hbar),
+        "tensor": tensor_algebra_residual(mt, space, hbar),
+        "roundtrip": spinor_tensor_roundtrip_residual(m0, mt, space),
+    }
+
+
+def _dense_residuals(pairs, m0, m0d, dense):
+    """The same residuals from dense matrices, written out index by index."""
+    space, hbar = pairs.space, pairs.hbar
+    safe, dim, eta = space.safe_columns(), space.dim, eta4()
+    eye = np.eye(dim)
+
+    def comm(x, y):
+        return x @ y - y @ x
+
+    def worst(gaps, columns=safe):
+        return float(np.max([np.max(np.abs(g[:, columns])) for g in gaps]))
+
+    q, r = dense(pairs.q, space), dense(pairs.r, space)
+    ops = np.concatenate([q, r])
+    canonical = [comm(ops[i], ops[j]) for i in range(8) for j in range(8)
+                 if (i < 4) == (j < 4)]
+    canonical += [comm(q[mu], r[nu]) - 1j * hbar * eta[mu, nu] * eye
+                  for mu in range(4) for nu in range(4)]
+    canonical += [comm(r[nu], q[mu]) + 1j * hbar * eta[mu, nu] * eye
+                  for mu in range(4) for nu in range(4)]
+    # A = j (x) Q and K = k (x) R: jj = kk = -1, jk = i, kj = -i
+    mixed = [-comm(q[mu], q[nu]) for mu in range(4) for nu in range(4)]
+    mixed += [-comm(r[mu], r[nu]) for mu in range(4) for nu in range(4)]
+    mixed += [1j * q[mu] @ r[nu] - 1j * r[nu] @ q[mu] + hbar * eta[mu, nu] * eye
+              for mu in range(4) for nu in range(4)]
+
+    n, nd = (dense(v, space) for v in three_vector_form(m0, m0d))
+    mt = dense(tensor_form(m0, m0d), space).reshape(4, 4, dim, dim)
+    m0, m0d = (dense(m, space).reshape(2, 2, dim, dim) for m in (m0, m0d))
+    low = -EPS  # eps_{AB}
+    closure = []
+    for a, b, e, f in np.ndindex(2, 2, 2, 2):
+        rhs = 1j * hbar * (m0[a, e] * low[f, b] + m0[b, e] * low[f, a]
+                           + m0[a, f] * low[e, b] + m0[b, f] * low[e, a])
+        closure += [comm(m0[a, b], m0[e, f]) - rhs, comm(m0[a, b], m0d[e, f])]
+    eps3 = _eps3()
+    su2 = []
+    for i, j in np.ndindex(3, 3):
+        for v in (n, nd):
+            su2.append(comm(v[i], v[j]) + 1j * hbar * np.einsum("k,kxy->xy", eps3[i, j], v))
+        su2.append(comm(n[i], nd[j]))
+    tensor = [mt[mu, nu] + mt[nu, mu] for mu, nu in np.ndindex(4, 4)]
+    upper = [(mu, nu) for mu in range(4) for nu in range(mu + 1, 4)]
+    for mu, nu in upper:
+        for rho, sig in upper:
+            rhs = (eta[nu, rho] * mt[mu, sig] - eta[mu, rho] * mt[nu, sig]
+                   - eta[nu, sig] * mt[mu, rho] + eta[mu, sig] * mt[nu, rho])
+            tensor.append(comm(mt[mu, nu], mt[rho, sig]) + 1j * hbar * rhs)
+    s4 = sigma4_complex()
+    roundtrip = [
+        m0[a, b] - 0.5 * sum(EPS[e, f] * s4[mu, a, e] * s4[nu, b, f] * mt[mu, nu]
+                             for e, f, mu, nu in np.ndindex(2, 2, 4, 4))
+        for a, b in np.ndindex(2, 2)
+    ]
+    return {
+        "canonical": worst(canonical),
+        "mixed": worst(mixed),
+        "closure": worst(closure),
+        "su2": worst(su2),
+        "tensor": worst(tensor),
+        "roundtrip": worst(roundtrip, slice(None)),
+    }
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+def test_residuals_match_dense_commutators(dense, degree, hbar):
+    pairs = build_canonical(degree, hbar)
+    m0, m0d = m0_matrices(*quaternion_pairs(pairs))
+    words = _word_residuals(pairs, m0, m0d)
+    oracle = _dense_residuals(pairs, m0, m0d, dense)
+    if hbar == 1.0:
+        assert words == oracle == dict.fromkeys(words, 0.0)
+    else:
+        assert max(words.values()) <= 1e-12
+        assert max(oracle.values()) <= 1e-12
+
+
+def _perturbed(family, rng):
+    """The family plus random terms on its words in reverse order (so equal words merge)."""
+    noise = 0.1 * (rng.standard_normal(family.coeffs.shape)
+                   + 1j * rng.standard_normal(family.coeffs.shape))
+    return Family(np.hstack([family.coeffs, noise]),
+                  np.concatenate([family.codes, family.codes[::-1]]), family.tag)
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_perturbed_residuals_match_dense_commutators(dense, degree):
+    # random coefficients make every residual O(0.1-1), so the two sides
+    # must agree on the value, not only on a zero
+    rng = np.random.default_rng(degree)
+    pairs = build_canonical(degree, 0.7)
+    m0, m0d = m0_matrices(*quaternion_pairs(pairs))
+    pairs = CanonicalPairs(pairs.space, _perturbed(pairs.q, rng), _perturbed(pairs.r, rng), 0.7)
+    m0, m0d = _perturbed(m0, rng), _perturbed(m0d, rng)
+    words = _word_residuals(pairs, m0, m0d)
+    oracle = _dense_residuals(pairs, m0, m0d, dense)
+    assert min(oracle.values()) > 0.05
+    for name in words:
+        assert words[name] == pytest.approx(oracle[name], rel=1e-12), name
+
+
 # -- every check can fail --------------------------------------------------------
 
 
-def _block_nonzeros(stack, count):
-    return np.count_nonzero(dense(stack, count).reshape(count, -1), axis=1)
-
-
-def test_built_families_have_no_empty_block(rep):
+def test_built_families_have_no_empty_block(rep, dense):
     # an empty block would make every residual built on it an exact 0.0
     pairs, m0, m0d = rep[0], rep[3], rep[4]
+    space = pairs.space
     n, nd = three_vector_form(m0, m0d)
-    for stack, count in ((pairs.q, 4), (pairs.r, 4), (m0, 4), (m0d, 4), (n, 3), (nd, 3)):
-        assert stack.nnz > 0
-        assert np.all(_block_nonzeros(stack, count) > 0)
-    per_block = _block_nonzeros(tensor_form(m0, m0d), 16).reshape(4, 4)
+    for family in (pairs.q, pairs.r, m0, m0d, n, nd):
+        assert np.all(np.count_nonzero(dense(family, space), axis=(1, 2)) > 0)
+    per_block = np.count_nonzero(dense(tensor_form(m0, m0d), space), axis=(1, 2)).reshape(4, 4)
     assert np.all(np.diag(per_block) == 0)  # M_{mu mu} = 0 by antisymmetry
     assert np.all(per_block[~np.eye(4, dtype=bool)] > 0)
 
 
-def test_m0_gives_jz_from_the_canonical_pairs(rep):
+def test_m0_gives_jz_from_the_canonical_pairs(rep, dense):
     # J^z = i/2 (M0_(12) - M0dag_(12)) = Q_1 R_2 - Q_2 R_1 ties M0 to Q and R
-    pairs, m0, m0d = rep[0], dense(rep[3], 2, 2), dense(rep[4], 2, 2)
-    safe = pairs.space.safe_columns()
-    q, r = dense(pairs.q, 4), dense(pairs.r, 4)
+    pairs = rep[0]
+    space = pairs.space
+    m0, m0d = (dense(m, space).reshape(2, 2, space.dim, space.dim) for m in rep[3:5])
+    safe = space.safe_columns()
+    q, r = dense(pairs.q, space), dense(pairs.r, space)
     gap = 0.5j * (m0[0, 1] - m0d[0, 1]) - (q[1] @ r[2] - q[2] @ r[1])
     assert np.max(np.abs(gap[:, safe])) == 0.0
     assert np.max(np.abs(q[1] @ r[2] - q[2] @ r[1])) > 0.0
 
 
+def _mutant(monkeypatch, old, new):
+    """A copy of quantum_rep whose source has one fragment replaced."""
+    source = inspect.getsource(quantum_rep)
+    assert source.count(old) == 1
+    mod = types.ModuleType("cliffstring._quantum_rep_mutant")
+    mod.__package__ = "cliffstring"
+    monkeypatch.setitem(sys.modules, mod.__name__, mod)
+    exec(compile(source.replace(old, new), quantum_rep.__file__, "exec"), vars(mod))
+    return mod
+
+
 def test_canonical_and_mixed_trip_on_a_wrong_derivative_weight(monkeypatch):
-    exact = PolySpace.deriv_op
+    # d/dx_mu meeting x_mu^1 weighs 2 instead of 1
+    met = "exps[:, None] + np.arange(-letters, letters + 1)[:, None]"
+    mutant = _mutant(monkeypatch, met, f"np.where(({met}) == 1, 2, {met})")
+    pairs = mutant.build_canonical(degree=3, hbar=1.0)
+    a_ops, k_ops = mutant.quaternion_pairs(pairs)
+    assert mutant.canonical_residual(pairs) == 1.0
+    assert mutant.mixed_algebra_residual(a_ops, k_ops, pairs.space, pairs.hbar) == 1.0
 
-    def skewed(self, mu):
-        op = exact(self, mu)
-        op.data[0] = 2.0  # row 0 holds d/dx_mu x_mu, which must be 1
-        return op
 
-    monkeypatch.setattr(PolySpace, "deriv_op", skewed)
+def test_mixed_trips_on_a_commuting_fold(monkeypatch):
+    # kj = jk = i turns {A, K} into i {Q, R}; Q and R are untouched
+    monkeypatch.setitem(quantum_rep._FOLD, ("k", "j"), 1j)
     pairs = build_canonical(degree=3, hbar=1.0)
     a_ops, k_ops = quaternion_pairs(pairs)
-    assert canonical_residual(pairs) == 1.0
-    assert mixed_algebra_residual(a_ops, k_ops, pairs.space, pairs.hbar) == 1.0
+    assert canonical_residual(pairs) == 0.0
+    assert mixed_algebra_residual(a_ops, k_ops, pairs.space, pairs.hbar) > 1e-10
 
 
 def test_closure_trips_on_a_flipped_eps(rep, monkeypatch):
     pairs, m0, m0d = rep[0], rep[3], rep[4]
     monkeypatch.setattr(quantum_rep, "EPS", -quantum_rep.EPS)
-    safe = pairs.space.safe_columns()
-    assert lorentz_closure_residual(m0, m0d, safe, pairs.hbar) > 1e-10
+    assert lorentz_closure_residual(m0, m0d, pairs.space, pairs.hbar) > 1e-10
 
 
 def test_su2_trips_on_a_flipped_eps3(rep, monkeypatch):
     pairs, m0, m0d = rep[0], rep[3], rep[4]
     n, nd = three_vector_form(m0, m0d)
     monkeypatch.setattr(quantum_rep, "_EPS3", -quantum_rep._EPS3)
-    safe = pairs.space.safe_columns()
-    assert su2_closure_residual(n, nd, safe, pairs.hbar) > 1e-10
+    assert su2_closure_residual(n, nd, pairs.space, pairs.hbar) > 1e-10
 
 
 def test_tensor_trips_on_a_flipped_eta(rep, monkeypatch):
@@ -205,8 +359,7 @@ def test_tensor_trips_on_a_flipped_eta(rep, monkeypatch):
     mt = tensor_form(m0, m0d)
     eta = quantum_rep.eta4()
     monkeypatch.setattr(quantum_rep, "eta4", lambda: -eta)
-    safe = pairs.space.safe_columns()
-    assert tensor_algebra_residual(mt, safe, pairs.hbar) > 1e-10
+    assert tensor_algebra_residual(mt, pairs.space, pairs.hbar) > 1e-10
 
 
 def test_tensor_trips_on_a_symmetric_part(rep):
@@ -214,47 +367,44 @@ def test_tensor_trips_on_a_symmetric_part(rep):
     # breaks M_{mu nu} = -M_{nu mu}
     pairs, m0, m0d = rep[0], rep[3], rep[4]
     mt = tensor_form(m0, m0d)
-    diag = np.arange(pairs.space.dim)
-    bump = sparse.csr_matrix((np.ones(diag.size), (diag, diag)), shape=mt.shape)
-    safe = pairs.space.safe_columns()
-    assert tensor_algebra_residual(mt + bump, safe, pairs.hbar) == 2.0
+    bump = np.eye(16, 1)  # the empty word, on M_00 only
+    bumped = Family(np.hstack([mt.coeffs, bump]), np.append(mt.codes, 0))
+    assert tensor_algebra_residual(bumped, pairs.space, pairs.hbar) == 2.0
 
 
 def test_roundtrip_trips_on_a_perturbed_m0_block(rep):
-    m0, m0d = rep[3], rep[4]
+    pairs, m0, m0d = rep[0], rep[3], rep[4]
     mt = tensor_form(m0, m0d)
-    perturbed = m0.copy()
-    perturbed.data[0] += 0.5  # first stored entry, in block M0_(11)
-    assert spinor_tensor_roundtrip_residual(perturbed, mt) == 0.5
+    assert m0.codes[0] == 5 * 9 + 1  # the word D_0 Q_0, x_0^5 -> 6 x_0^5 at the top
+    coeffs = m0.coeffs.copy()
+    coeffs[0, 0] += 0.5  # in M0_(11)
+    perturbed = dataclasses.replace(m0, coeffs=coeffs)
+    assert spinor_tensor_roundtrip_residual(perturbed, mt, pairs.space) == 3.0
 
 
-def _with_nan(stack, safe):
-    """Copy of a stacked family with its first entry on a safe column set to NaN."""
-    out = stack.copy()
-    out.data[np.flatnonzero(safe[out.indices])[0]] = np.nan
-    return out
+def _with_nan(family):
+    """Copy of a family with its first coefficient set to NaN."""
+    coeffs = family.coeffs.copy()
+    coeffs[0, 0] = np.nan
+    return dataclasses.replace(family, coeffs=coeffs)
 
 
 @pytest.mark.parametrize("check", ["canonical", "mixed", "closure", "su2", "tensor", "roundtrip"])
 def test_nan_on_a_safe_column_gives_a_nan_residual(rep, check):
     pairs, m0, m0d = rep[0], rep[3], rep[4]
     space, hbar = pairs.space, pairs.hbar
-    safe = space.safe_columns()
-    bad = _with_nan(m0, safe)
     if check == "canonical":
-        residual = canonical_residual(
-            quantum_rep.CanonicalPairs(space, _with_nan(pairs.q, safe), pairs.r, hbar))
+        residual = canonical_residual(CanonicalPairs(space, _with_nan(pairs.q), pairs.r, hbar))
     elif check == "mixed":
         a_ops, k_ops = quaternion_pairs(pairs)
-        a_ops = quantum_rep.QuatOperator(a_ops.tag, _with_nan(a_ops.mat, safe))
-        residual = mixed_algebra_residual(a_ops, k_ops, space, hbar)
+        residual = mixed_algebra_residual(_with_nan(a_ops), k_ops, space, hbar)
     elif check == "closure":
-        residual = lorentz_closure_residual(bad, m0d, safe, hbar)
+        residual = lorentz_closure_residual(_with_nan(m0), m0d, space, hbar)
     elif check == "su2":
         n, nd = three_vector_form(m0, m0d)
-        residual = su2_closure_residual(_with_nan(n, safe), nd, safe, hbar)
+        residual = su2_closure_residual(_with_nan(n), nd, space, hbar)
     elif check == "tensor":
-        residual = tensor_algebra_residual(_with_nan(tensor_form(m0, m0d), safe), safe, hbar)
+        residual = tensor_algebra_residual(_with_nan(tensor_form(m0, m0d)), space, hbar)
     else:
-        residual = spinor_tensor_roundtrip_residual(bad, tensor_form(m0, m0d))
+        residual = spinor_tensor_roundtrip_residual(_with_nan(m0), tensor_form(m0, m0d), space)
     assert np.isnan(residual)
