@@ -42,9 +42,15 @@ significant acting first: 0 is no letter, 1 + mu is Q_mu and 5 + nu is
 D_nu, so the code of a product XY is x 9^len(y) + y.  A family of K
 operators is a (K, W) coefficient array over W word codes, index pairs
 row-major (M0_{AB} is operator 2A+B, M_{mu nu} is 4 mu + nu).  A linear
-combination is w @ coeffs, the products X_i Y_j of two families are the
-outer product of their coefficients and of their codes, and each check is
-one family of gaps evaluated on the monomial basis.  A word sends each
+combination is w @ coeffs, and the products X_i Y_j of two families are
+the outer product of their coefficients and of their codes.  Families on
+one alphabet (the same codes) stack by rows and add entry by entry: M0
+and M0dag share the 32 words D_nu Q_mu (M0's) and Q_mu D_nu (M0dag's),
+and so do N, N^dag and M_{mu nu}.  On one alphabet Y_j X_i has on the
+word a b the coefficient X_i Y_j has on b a, so a bracket is one outer
+product plus that product with its word slots swapped, and each closure,
+su2 and tensor gap lists the 32 x 32 grid of words once.  Each check is one
+family of gaps evaluated on the monomial basis.  A word sends each
 monomial to one monomial with a weight read off the exponents, and words
 with the same net exponent shift land on the same row, so the gaps over a
 set of columns are one real product per shift class.
@@ -89,9 +95,6 @@ _EPS3 = np.cross(np.eye(3)[:, None], np.eye(3))  # eps_ijk = (e_i x e_j)_k
 
 _FOLD = {("j", "j"): -1, ("k", "k"): -1, ("j", "k"): 1j, ("k", "j"): -1j}
 # product of two quaternion tags, each landing on 1 or i
-
-_STEP = np.concatenate([np.zeros((1, 4), int), np.eye(4, dtype=int), -np.eye(4, dtype=int)])
-# exponent shift of each letter: none, Q_0..Q_3, D_0..D_3
 
 _POW9 = 9 ** np.arange(20)
 
@@ -156,13 +159,22 @@ def _combine(w: np.ndarray, f: Family) -> Family:
     return Family(w @ f.coeffs, f.codes, f.tag)
 
 
+def _shared_codes(fams) -> bool:
+    """Whether the families are on one alphabet: the same word codes in the same order."""
+    return all(np.array_equal(f.codes, fams[0].codes) for f in fams)
+
+
 def _sum(*fams: Family) -> Family:
     """Operator-wise sum of families with the same number of operators."""
+    if _shared_codes(fams):
+        return Family(sum(f.coeffs for f in fams), fams[0].codes)
     return Family(np.hstack([f.coeffs for f in fams]), np.concatenate([f.codes for f in fams]))
 
 
 def _stack(*fams: Family) -> Family:
-    """The operators of each family in turn, as one family."""
+    """The operators of each family in turn, as one family on their shared words or side by side."""
+    if _shared_codes(fams):
+        return Family(np.vstack([f.coeffs for f in fams]), fams[0].codes)
     rows = np.cumsum([0] + [f.coeffs.shape[0] for f in fams])
     cols = np.cumsum([0] + [f.coeffs.shape[1] for f in fams])
     coeffs = np.zeros((rows[-1], cols[-1]), complex)
@@ -171,22 +183,38 @@ def _stack(*fams: Family) -> Family:
     return Family(coeffs, np.concatenate([f.codes for f in fams]))
 
 
+def _fold(x: Family, y: Family):
+    """The scalar of the product XY's two quaternion tags, 1 when neither has one."""
+    if (x.tag is None) != (y.tag is None):
+        raise ValueError("a product of a tagged and an untagged family")
+    return _FOLD[x.tag, y.tag] if x.tag else 1
+
+
 def _products(x: Family, y: Family) -> Family:
     """The products X_i Y_j as operator i L + j, their tags folded into the coefficients."""
-    fold = _FOLD[x.tag, y.tag] if x.tag else 1
-    coeffs = fold * (x.coeffs[:, None, :, None] * y.coeffs[None, :, None, :])
+    coeffs = x.coeffs[:, None, :, None] * y.coeffs[None, :, None, :]
+    coeffs *= _fold(x, y)
     shift = _POW9[np.searchsorted(_POW9, y.codes, side="right")]  # 9^len(y)
     codes = x.codes[:, None] * shift + y.codes
     return Family(coeffs.reshape(coeffs.shape[0] * coeffs.shape[1], -1), codes.reshape(-1))
 
 
 def _brackets(x: Family, y: Family, sign: float = -1.0) -> Family:
-    """X_i Y_j + sign Y_j X_i as operator i L + j; when y is x one product serves both."""
+    """X_i Y_j + sign Y_j X_i as operator i L + j.
+
+    On one alphabet Y_j X_i has on the word a b the coefficient X_i Y_j has
+    on b a, so the bracket is X_i Y_j plus itself with its word slots
+    swapped.  Families on different alphabets first move onto their stack.
+    """
+    if not _shared_codes((x, y)):
+        both, k = _stack(x, y), x.coeffs.shape[0]
+        x = Family(both.coeffs[:k], both.codes, x.tag)
+        y = Family(both.coeffs[k:], both.codes, y.tag)
     xy = _products(x, y)
-    yx = xy if y is x else _products(y, x)
-    k, l = x.coeffs.shape[0], y.coeffs.shape[0]
-    swapped = yx.coeffs.reshape(l, k, -1).swapaxes(0, 1).reshape(k * l, -1)
-    return _sum(xy, Family(sign * swapped, yx.codes))
+    grid = xy.coeffs.reshape(-1, len(x.codes), len(x.codes))  # a view: xy becomes the bracket
+    turn = sign * _fold(y, x) / _fold(x, y)  # Y_j X_i carries the tags in the other order
+    grid += turn * grid.swapaxes(1, 2)
+    return xy
 
 
 def _commutator_gap(x: Family, y: Family, coeffs: np.ndarray, z: Family) -> Family:
@@ -212,36 +240,41 @@ def _max_abs(f: Family, space: PolySpace, safe: bool = True) -> float:
     columns = space.safe_columns() if safe else slice(None)
     exps, degrees = space.exponents[columns].T, space.degrees[columns]
     letters = np.searchsorted(_POW9, np.max(f.codes), side="right")
-    digits = f.codes[:, None] // _POW9[:letters] % 9        # first letter first
-    steps = _STEP[digits]                                   # (W, letters, 4)
-    before = np.cumsum(steps, axis=1) - steps               # shift before each letter
-    rise = np.max(np.cumsum(steps.sum(axis=2), axis=1), axis=1, initial=0)  # highest degree
-    # a D_v after letters that shifted x_v by o meets exponent e_v + o, row
-    # v span + o + letters of `factors`; other letters read its last row, all 1
-    var = np.maximum(digits - 5, 0)
-    offset = np.take_along_axis(before, var[..., None], axis=2)[..., 0]
     span = 2 * letters + 1
-    reads = np.sort(np.where(digits >= 5, var * span + offset + letters, 4 * span), axis=1)
-    reads = reads[:, :np.max(np.sum(digits >= 5, axis=1), initial=0)]
-    shift_class = steps.sum(axis=1) @ _POW9[:4] + 4 * np.sum(_POW9[:4])   # >= 0
-    key = shift_class * (letters + 1) + rise
-    for read in reads.T:
+    place = span ** np.arange(4)  # the net shift in base span, each digit offset by `letters`
+    step = np.concatenate([[0], place, -place])             # none, Q_0..Q_3, D_0..D_3
+    rest, shift = f.codes, np.full(f.codes.shape, letters * np.sum(place))
+    level = rise = np.zeros(f.codes.shape, int)             # degree so far, its highest
+    reads = []
+    for _ in range(letters):                                # first letter first
+        rest, digit = np.divmod(rest, 9)
+        # a D_v after letters that shifted x_v by o meets exponent e_v + o, row
+        # v span + o + letters of `factors`; other letters read its last row, all 1
+        var = (digit - 1) % 4
+        reads.append(np.where(digit >= 5, var * span + shift // place[var] % span, 4 * span))
+        shift = shift + step[digit]
+        level = level + np.sign(step)[digit]
+        rise = np.maximum(rise, level)
+    reads = np.sort(reads, axis=0)
+    reads = reads[np.min(reads, axis=1) < 4 * span]         # the rows some D reads
+    key = shift * (letters + 1) + rise
+    for read in reads:
         key = key * (4 * span + 1) + read
     perm = np.argsort(key, kind="stable")                   # shift class by shift class
     first = np.flatnonzero(np.diff(key[perm], prepend=-1))
-    coeffs = np.add.reduceat(f.coeffs[:, perm], first, axis=1)
-    shift_class, rise, reads = shift_class[perm[first]], rise[perm[first]], reads[perm[first]]
+    coeffs = np.add.reduceat(f.coeffs.T[perm], first).T
+    shift, rise, reads = shift[perm[first]], rise[perm[first]], reads[:, perm[first]]
 
     factors = np.concatenate([
         (exps[:, None] + np.arange(-letters, letters + 1)[:, None]).reshape(4 * span, -1),
         np.ones((1, exps.shape[1])),
     ])
     weights = (degrees + rise[:, None] <= space.degree).astype(float)
-    for read in reads.T:
+    for read in reads:
         weights *= factors[read]
     stacked = np.concatenate([coeffs.real, coeffs.imag])
     k = coeffs.shape[0]
-    bounds = np.concatenate([[0], np.flatnonzero(np.diff(shift_class)) + 1, [len(first)]])
+    bounds = np.concatenate([[0], np.flatnonzero(np.diff(shift)) + 1, [len(first)]])
     worst = 0.0
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         entries = stacked[:, lo:hi] @ weights[lo:hi]
@@ -318,8 +351,9 @@ def m0_matrices(a_ops: Family, k_ops: Family) -> tuple:
     structural adjoint M0dag_{AdotBdot} = -i eps^{EF} A_{E Bdot} K_{F Adot},
     obtained by reversing products and conjugating scalar coefficients
     with A and K treated as formally self-adjoint.  Both are families of
-    four operators with the spinor indices symmetrized, over the 16 words
-    D_nu Q_mu and the 16 words Q_mu D_nu respectively.
+    four operators with the spinor indices symmetrized, on one alphabet of
+    32 words: the 16 words D_nu Q_mu, where M0 lives, then the 16 words
+    Q_mu D_nu, where M0dag lives.
     """
     a_sp, k_sp = spinor_components(a_ops), spinor_components(k_ops)
     d = np.eye(2)
@@ -327,7 +361,8 @@ def m0_matrices(a_ops: Family, k_ops: Family) -> tuple:
     w = 1j * np.einsum("ap,bq,el->abplqe", d, d, EPS)
     wd = -1j * np.einsum("el,qb,pa->abeqlp", EPS, d, d)
     w, wd = ((0.5 * (c + c.swapaxes(0, 1))).reshape(4, 16) for c in (w, wd))  # (AB)
-    return _combine(w, _products(k_sp, a_sp)), _combine(wd, _products(a_sp, k_sp))
+    both = _stack(_combine(w, _products(k_sp, a_sp)), _combine(wd, _products(a_sp, k_sp)))
+    return Family(both.coeffs[:4], both.codes), Family(both.coeffs[4:], both.codes)
 
 
 def lorentz_closure_residual(m0: Family, m0d: Family, space: PolySpace, hbar: float) -> float:

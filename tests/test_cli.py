@@ -262,6 +262,46 @@ def test_hermitian_fixture_bytes_are_pinned(capsys, seed, n):
     assert hermiticity_residual(h.data) == 0.0
 
 
+# sha256 prefixes of the `quantum-check --degree d --hbar h` report on stdout;
+# every residual is an exact zero or non-finite in these cases, so the bytes
+# do not depend on the order in which round-off is summed
+QUANTUM_CHECK_DIGESTS = {
+    (2, "1"): "fa77fe98ca1a553b", (3, "1"): "5220ffafa55166f9", (4, "1"): "6e94a2273fa57306",
+    (5, "1"): "d981c75b80663593", (6, "1"): "c40e1b35682519e1", (7, "1"): "f9d4b3b0ad2f7097",
+    (10, "1"): "91468f6db13c2b20",
+    (3, "0.5"): "f502af25f64b48c5", (4, "0.5"): "3a2efa531f05aaa8", (6, "0.5"): "b1bc1600fa9e52c0",
+    (3, "1e200"): "4e4d16ab0eda32b6", (4, "1e200"): "8454270a0fa2eb55",
+    (6, "1e200"): "5ab642d9208c75fb",
+    (3, "1e308"): "03a017e86ea039a9",
+}
+
+
+@pytest.mark.parametrize("degree, hbar", sorted(QUANTUM_CHECK_DIGESTS))
+def test_quantum_check_bytes_are_pinned(capsys, degree, hbar):
+    code = run("quantum-check", "--degree", str(degree), "--hbar", hbar)
+    assert code == (0 if float(hbar) < 1e100 else 3)
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+    assert digest == QUANTUM_CHECK_DIGESTS[degree, hbar]
+
+
+# the checks that fail where the residuals are round-off, of size u hbar or u hbar^2
+_ROUNDOFF_FAILS = {
+    (3, "1e100"): {"canonical", "closure", "mixed"},
+    (4, "1e100"): {"canonical", "closure", "mixed", "tensor"},
+    (6, "1e100"): {"canonical", "closure", "mixed", "su2", "tensor"},
+    (3, "0.7"): set(), (4, "0.7"): set(), (6, "0.7"): set(),
+}
+
+
+@pytest.mark.parametrize("degree, hbar", sorted(_ROUNDOFF_FAILS))
+def test_quantum_check_flags_are_pinned_where_roundoff_shows(capsys, degree, hbar):
+    # only the round-off values may move here, not a pass flag or the exit code
+    failed = _ROUNDOFF_FAILS[degree, hbar]
+    assert run("quantum-check", "--degree", str(degree), "--hbar", hbar) == (3 if failed else 0)
+    checks = strict_json(capsys.readouterr().out)["checks"]
+    assert {name for name, check in checks.items() if not check["pass"]} == failed
+
+
 def test_spectrum_fixture_passes_string_mode_checks(tmp_path):
     fix = tmp_path / "s.json"
     report = tmp_path / "r.json"

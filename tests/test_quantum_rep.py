@@ -284,6 +284,103 @@ def test_perturbed_residuals_match_dense_commutators(dense, degree):
         assert words[name] == pytest.approx(oracle[name], rel=1e-12), name
 
 
+# -- brackets on one word alphabet -------------------------------------------------
+
+# Q_0, D_2, D_1 Q_3, Q_2 D_0, Q_1 Q_1, D_3 D_0 (the lowest base-9 digit acts first)
+_ALPHABET = np.array([1, 7, 6 * 9 + 4, 3 * 9 + 5, 2 * 9 + 2, 8 * 9 + 5])
+
+# the scalars of X Y and of Y X for each pair of quaternion tags: jj = kk = -1, jk = -kj = i
+_TAG_FOLDS = {
+    (None, None): (1, 1), ("j", "j"): (-1, -1), ("k", "k"): (-1, -1),
+    ("j", "k"): (1j, -1j), ("k", "j"): (-1j, 1j),
+}
+
+
+def _random_family(rng, k, codes, tag=None):
+    shape = (k, len(codes))
+    return Family(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), codes, tag)
+
+
+def _dense_bracket(x, y, sign, space, dense):
+    """fold(x, y) X_i Y_j + sign fold(y, x) Y_j X_i from dense matrices, as operator i L + j."""
+    xy, yx = _TAG_FOLDS[x.tag, y.tag]
+    xs, ys = dense(x, space), dense(y, space)
+    return np.array([xy * xs[i] @ ys[j] + sign * yx * ys[j] @ xs[i]
+                     for i in range(len(xs)) for j in range(len(ys))])
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize("tags", list(_TAG_FOLDS))
+def test_bracket_matches_dense_products(dense, degree, sign, tags):
+    rng = np.random.default_rng(degree)
+    space = PolySpace(4, degree)
+    x = _random_family(rng, 2, _ALPHABET, tags[0])
+    y = _random_family(rng, 3, _ALPHABET, tags[1])
+    bracket = quantum_rep._brackets(x, y, sign)
+    assert len(bracket.codes) == len(_ALPHABET) ** 2  # one grid of words a b, listed once
+    want = _dense_bracket(x, y, sign, space, dense)
+    assert np.max(np.abs(want)) > 1.0
+    assert np.max(np.abs(dense(bracket, space) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("tags", [(None, None), ("j", "k"), ("k", "j")])
+def test_bracket_on_two_alphabets_is_the_bracket_on_their_stack(dense, tags):
+    # the two alphabets share the word D_1 Q_3
+    rng = np.random.default_rng(11)
+    space = PolySpace(4, 4)
+    a, b = _ALPHABET[:3], _ALPHABET[2:]
+    x = _random_family(rng, 2, a, tags[0])
+    y = _random_family(rng, 3, b, tags[1])
+    codes = np.concatenate([a, b])
+    x_on_stack = Family(np.hstack([x.coeffs, np.zeros((2, len(b)))]), codes, tags[0])
+    y_on_stack = Family(np.hstack([np.zeros((3, len(a))), y.coeffs]), codes, tags[1])
+    for sign in (-1.0, 1.0):
+        got = dense(quantum_rep._brackets(x, y, sign), space)
+        on_stack = dense(quantum_rep._brackets(x_on_stack, y_on_stack, sign), space)
+        assert np.array_equal(got, on_stack)
+        want = _dense_bracket(x, y, sign, space, dense)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("combine", ["_products", "_brackets"])
+def test_a_tagged_and_an_untagged_family_do_not_combine(combine):
+    # the tagged factor's j or k would otherwise be dropped without a trace
+    pairs = build_canonical(degree=3)
+    a_ops, k_ops = quaternion_pairs(pairs)
+    for x, y in ((pairs.q, a_ops), (a_ops, pairs.q), (pairs.r, k_ops), (k_ops, pairs.r)):
+        with pytest.raises(ValueError, match="tagged"):
+            getattr(quantum_rep, combine)(x, y)
+
+
+def test_m0_and_m0dag_share_one_alphabet(rep):
+    m0, m0d = rep[3], rep[4]
+    assert np.array_equal(m0.codes, m0d.codes)
+    assert len(np.unique(m0.codes)) == len(m0.codes) == 32
+    # M0 lives on the 16 words D_nu Q_mu, M0dag on the 16 words Q_mu D_nu after them
+    assert np.all(m0.codes[:16] // 9 >= 5) and np.all(m0.codes[:16] % 9 < 5)
+    assert np.all(m0.codes[16:] // 9 < 5) and np.all(m0.codes[16:] % 9 >= 5)
+    assert not np.any(m0.coeffs[:, 16:]) and not np.any(m0d.coeffs[:, :16])
+    assert np.all(np.any(m0.coeffs[:, :16], axis=1)) and np.all(np.any(m0d.coeffs[:, 16:], axis=1))
+
+
+def test_gap_families_list_each_word_of_the_grid_once(rep, monkeypatch):
+    # canonical: 8 x 8 + the identity; mixed: 4 x 4 (A A), 4 x 4 (K K), 8 x 8
+    # (A K on their stack) + the identity; closure, su2: 32 x 32 + M0 or N;
+    # tensor: M_{mu nu} + 32 x 32 + M; roundtrip: the 32 words of M0
+    pairs, a_ops, k_ops, m0, m0d = rep
+    sizes = []
+    evaluate = quantum_rep._max_abs
+
+    def recorded(f, *args, **kwargs):
+        sizes.append(len(f.codes))
+        return evaluate(f, *args, **kwargs)
+
+    monkeypatch.setattr(quantum_rep, "_max_abs", recorded)
+    _word_residuals(pairs, m0, m0d)
+    assert sizes == [65, 97, 1056, 1056, 1088, 32]
+
+
 # -- every check can fail --------------------------------------------------------
 
 
