@@ -127,15 +127,20 @@ class InputError(Exception):
 
 
 def _resolve_seed(flag_value) -> int:
-    if flag_value is not None:
-        return int(flag_value)
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
+    """--seed, else CLIFFSTRING_SEED, else 0; numpy takes no negative seed."""
+    source, seed = "--seed", flag_value
+    if seed is None:
+        env = os.environ.get(SEED_ENV)
+        if env is None:
+            return 0
+        source = SEED_ENV
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise InputError(f"{SEED_ENV} must be an integer, got {env!r}")
-    return 0
+    if seed < 0:
+        raise InputError(f"{source} must be non-negative, got {seed}")
+    return seed
 
 
 def _extract_dotted_tols(argv):
@@ -180,30 +185,36 @@ def _merge_tols(command: str, overrides: dict) -> dict:
     return merged
 
 
-class _Row(tuple):
-    """JSON texts of the floats along an array's last axis (see _float_table)."""
-
-
 # the texts of a zero and a negative zero, indexed by the sign bit
 _ZEROS = np.array(["0.0", "-0.0"], dtype=object)
 
 
-def _float_table(x: np.ndarray):
-    """x.tolist() with each innermost list a _Row of its floats' JSON texts.
+def _texts(x: np.ndarray) -> np.ndarray:
+    """The JSON texts of a float array's entries, flat in C order, as str objects.
 
     A nonzero entry goes through float repr once, as json writes it; a zero
-    takes the literal "0.0" or "-0.0".  NaN and inf become "nan" and "inf",
-    which _encode refuses where it meets them.
+    takes the literal "0.0" or "-0.0".  A NaN or inf raises json's
+    ValueError, naming the first one.
     """
-    if x.ndim == 0 or x.size == 0:
-        return x.tolist()
-    text = _ZEROS[np.signbit(x).view(np.uint8)]
-    nonzero = x != 0
-    text[nonzero] = list(map(repr, x[nonzero].tolist()))
-    table = list(map(_Row, text.reshape(-1, x.shape[-1]).tolist()))
-    for size in reversed(x.shape[1:-1]):
-        table = [table[i:i + size] for i in range(0, len(table), size)]
-    return table if x.ndim > 1 else table[0]
+    flat = x.ravel()
+    finite = np.isfinite(flat)
+    if not finite.all():
+        bad = flat[np.argmin(finite)].item()
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    text = _ZEROS[np.signbit(flat).view(np.uint8)]
+    nonzero = flat != 0
+    text[nonzero] = list(map(repr, flat[nonzero].tolist()))
+    return text
+
+
+def _layout(shape: tuple, pad: str) -> str:
+    """The text _encode writes for a nested list of this shape, each entry a %s slot."""
+    text = "%s"
+    for depth in reversed(range(len(shape))):
+        size, close = shape[depth], pad + "  " * depth
+        inner = close + "  "
+        text = "[" + inner + ("," + inner).join([text] * size) + close + "]" if size else "[]"
+    return text
 
 
 def _checked(text: str) -> str:
@@ -229,13 +240,12 @@ def _encode(x, pad: str = "\n") -> str:
         inner = pad + "  "
         items = [f"{encode_basestring_ascii(k)}: {_encode(x[k], inner)}" for k in sorted(x)]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if kind is list or kind is tuple or kind is _Row:
+    if kind is list or kind is tuple:
         if not x:
             return "[]"
         inner = pad + "  "
-        if kind is _Row or all(type(v) is float for v in x):
-            texts = x if kind is _Row else map(repr, x)
-            return "[" + inner + _checked(("," + inner).join(texts)) + pad + "]"
+        if all(type(v) is float for v in x):
+            return "[" + inner + _checked(("," + inner).join(map(repr, x))) + pad + "]"
         return "[" + inner + ("," + inner).join([_encode(v, inner) for v in x]) + pad + "]"
     if kind is str:
         return encode_basestring_ascii(x)
@@ -248,24 +258,32 @@ def _encode(x, pad: str = "\n") -> str:
     if kind is bool:
         return "true" if x else "false"
     if isinstance(x, np.ndarray):
-        return _encode(_float_table(x) if x.dtype.kind == "f" else x.tolist(), pad)
+        if x.dtype.kind == "f":
+            return _layout(x.shape, pad) % tuple(_texts(x).tolist())
+        return _encode(x.tolist(), pad)
     if isinstance(x, np.generic):
         return _encode(x.item(), pad)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _dump_json(obj, path) -> int:
-    """Write obj as strict JSON and return 0, or write nothing and return 3 on NaN or inf."""
+    """Write obj as strict JSON and return 0, or write nothing and return 3 on NaN or inf.
+
+    obj is a tree for _encode, or a function that returns the tree's JSON text.
+    """
     try:
-        text = _encode(obj) + "\n"
+        text = (obj() if callable(obj) else _encode(obj)) + "\n"
     except ValueError as exc:
         print(f"cliffstring: report not written: {exc}", file=sys.stderr)
         return 3
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}")
     return 0
 
 
@@ -353,6 +371,46 @@ def cmd_octonion_check(args, overrides) -> int:
 # -- resolve ---------------------------------------------------------------
 
 
+def _max_norm(x: np.ndarray) -> float:
+    """Largest norm along x's last axis.
+
+    Taken on x scaled by a power of two, which is exact, so that no square
+    overflows and no ordinary input's result moves.
+    """
+    e = np.frexp(np.max(np.abs(x)))[1]
+    return float(np.ldexp(np.max(np.linalg.norm(np.ldexp(x, -e), axis=-1)), e))
+
+
+def _resolve_text(out: dict, coeffs: np.ndarray) -> str:
+    """_encode(out) with a, b (coeffs[0], coeffs[1]) and their vectors added.
+
+    Every coefficient is formatted once.  a and b fill a table template, and
+    vector i's terms v_i = sum_k a_ik (x) e_k + b_ik (x) f_k, in (kind, k)
+    order with zero terms left out (as resolve.vectors lists them), fill
+    copies of one term template with the same texts.
+    """
+    n = coeffs.shape[1]
+    texts = _texts(coeffs)
+    # per (kind, i, k): the coefficient texts, k and kind, the term's slots in key order
+    slots = np.empty((2, n, n, 10), dtype=object)
+    slots[..., :8] = texts.reshape(coeffs.shape)
+    slots[..., 8] = [str(k) for k in range(1, n + 1)]
+    slots[0, ..., 9], slots[1, ..., 9] = '"E"', '"F"'
+    nonzero = np.any(coeffs, axis=3).swapaxes(0, 1)
+    terms = slots.swapaxes(0, 1)[nonzero]
+    # a term sits four levels into the report: vectors, vector, terms, term
+    pad = "\n" + "  " * 4
+    term = _encode({"coeff": ["%s"] * 8, "k": "%s", "kind": "%s"}, pad).replace('"%s"', "%s")
+    counts = np.sum(nonzero, axis=(1, 2)).tolist()
+    # out's own values are numbers and fixed names, so they hold no "%"
+    skeleton = dict(out, a="%s", b="%s",
+                    vectors=[{"n": n, "terms": ["%s"] if c else []} for c in counts])
+    table = _layout(coeffs.shape[1:], "\n  ")
+    template = _encode(skeleton).replace('"%s"', "%s") % (
+        table, table, *[("," + pad).join([term] * c) for c in counts if c])
+    return template % (*texts.tolist(), *terms.ravel().tolist())
+
+
 def cmd_resolve(args, overrides) -> int:
     if overrides:
         raise InputError("resolve takes a single --tol flag, not --tol.<name>")
@@ -365,25 +423,11 @@ def cmd_resolve(args, overrides) -> int:
     errors = reconstruction_errors(res, h)
     residual = float(np.max(errors))
     ok = residual <= args.tol
-    hmax = float(np.max(np.linalg.norm(h.data, axis=2)))
-    cmax = float(np.max(np.linalg.norm([res.a, res.b], axis=3)))
-    # each coefficient is formatted once, for both a / b and the vectors'
-    # terms: v_i = sum_k a_ik (x) e_k + b_ik (x) f_k, in (kind, k) order,
-    # zero terms left out (as resolve.vectors does)
-    tables = [_float_table(res.a), _float_table(res.b)]
-    nonzero = np.any([res.a, res.b], axis=3)
-    terms = [
-        [{"coeff": table[i][k], "k": k + 1, "kind": kind}
-         for kind, table, mask in zip("EF", tables, nonzero)
-         for k in np.flatnonzero(mask[i]).tolist()]
-        for i in range(res.n)
-    ]
+    coeffs = np.stack([res.a, res.b])
+    hmax, cmax = _max_norm(h.data), _max_norm(coeffs)
     out = {
         "command": "resolve",
         "n": res.n,
-        "a": tables[0],
-        "b": tables[1],
-        "vectors": [{"n": res.n, "terms": t} for t in terms],
         "max_residual": residual,
         "tolerance": float(args.tol),
         "pass": bool(ok),
@@ -393,7 +437,8 @@ def cmd_resolve(args, overrides) -> int:
         "growth": cmax / hmax if hmax > 0 else None,
         "worst_entry": list(np.unravel_index(np.argmax(errors), errors.shape)),
     }
-    return _dump_json(out, args.output) or (0 if ok else 3)
+    text = functools.partial(_resolve_text, out, coeffs)
+    return _dump_json(text, args.output) or (0 if ok else 3)
 
 
 # -- lorentz-check -----------------------------------------------------------
@@ -505,8 +550,11 @@ def _write_grid_csv(ms, path, n_sigma: int) -> None:
                 header += [f"{name}_{a}{b}_re", f"{name}_{a}{b}_im"]
     mats = np.stack([coordinates(ms, tau, sigma), *current_density(ms, tau, sigma)], axis=-3)
     rows = np.column_stack([tau.ravel(), sigma.ravel(), mats.view(float).reshape(tau.size, -1)])
-    np.savetxt(path, rows, fmt="%.17g", delimiter=",", newline="\r\n",
-               header=",".join(header), comments="")
+    try:
+        np.savetxt(path, rows, fmt="%.17g", delimiter=",", newline="\r\n",
+                   header=",".join(header), comments="")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}")
 
 
 # A finite spectrum can still overflow (X grows like K^3); _check fails the

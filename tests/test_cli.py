@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from cliffstring.matrices import (
 )
 from cliffstring.minkowski import det2
 from cliffstring.octonion import Octonion
-from cliffstring.resolve import Resolution
+from cliffstring.resolve import Resolution, vectors
 from cliffstring.string_modes import spectrum_from_json
 
 
@@ -171,6 +172,47 @@ def test_infinite_hbar_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("octonion-check", "--trials", "5", "--report"),
+    ("resolve", "--input", "{herm}", "--output"),
+    ("lorentz-check", "--trials", "2", "--nest-depth", "2", "--report"),
+    ("string-modes", "--spectrum", "{spec}", "--grid", "8", "--report"),
+    ("string-modes", "--spectrum", "{spec}", "--grid", "8", "--output"),
+    ("quantum-check", "--degree", "2", "--report"),
+    ("redshift", "--t-emit", "1", "--t-obsv", "4", "--report"),
+    ("gen-fixture", "--kind", "spinor", "--output"),
+], ids=lambda argv: " ".join(argv[::len(argv) - 1]))
+def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
+    herm, spec = tmp_path / "h.json", tmp_path / "s.json"
+    herm.write_text(json.dumps(OctHermitian(omat_identity(2)).to_json()))
+    assert run("gen-fixture", "--kind", "spectrum", "--seed", "1", "--output", str(spec)) == 0
+    path = tmp_path / "missing" / "out"
+    argv = [a.format(herm=herm, spec=spec) for a in argv] + [str(path)]
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cliffstring: cannot write {path}: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("octonion-check", "--trials", "5"),
+    ("lorentz-check", "--trials", "2", "--nest-depth", "2"),
+    ("gen-fixture", "--kind", "spinor"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_negative_seed_exits_2(capsys, monkeypatch, argv, via):
+    if via == "flag":
+        argv += ("--seed", "-1")
+    else:
+        monkeypatch.setenv(cli.SEED_ENV, "-1")
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = "--seed" if via == "flag" else cli.SEED_ENV
+    assert captured.err == f"cliffstring: {name} must be non-negative, got -1\n"
+
+
 # -- resolve -------------------------------------------------------------------
 
 
@@ -228,6 +270,74 @@ def test_resolve_unattainable_tolerance_exits_3(tmp_path):
     assert run("gen-fixture", "--kind", "hermitian", "--n", "4", "--seed", "9",
                "--output", str(fix)) == 0
     assert run("resolve", "--input", str(fix), "--tol", "1e-30") == 3
+
+
+def _hermitian_data(kind, n, seed, scale=1.0):
+    if kind == "zero":
+        return np.zeros((n, n, 8))
+    generate = random_hermitian if kind == "random" else random_degenerate_hermitian
+    return generate(np.random.default_rng(seed), n).data * scale
+
+
+def _resolve_report(tmp_path, capsys, data, *flags):
+    """The `resolve` exit code and stdout for the Hermitian matrix data."""
+    src = tmp_path / "h.json"
+    src.write_text(json.dumps({"n": len(data), "entries": data.tolist()}))
+    capsys.readouterr()
+    code = run("resolve", "--input", str(src), *flags)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n, kind, scale", [
+    (n, kind, scale) for n in (1, 2, 5, 16, 33) for kind in ("random", "degenerate", "zero")
+    for scale in ((1.0,) if kind == "zero" else (1.0, 1e150, 1e-150))
+    if n > 1 or kind != "degenerate"])
+def test_resolve_report_is_canonical_json(tmp_path, capsys, n, kind, scale):
+    """The report is json.dumps's own text, and its vectors are resolve.vectors."""
+    code, text = _resolve_report(tmp_path, capsys, _hermitian_data(kind, n, n, scale),
+                                 "--tol", "1e-10")
+    assert code in (0, 3)
+    rep = strict_json(text)
+    assert text == json.dumps(rep, indent=2, sort_keys=True) + "\n"
+    a, b = np.array(rep["a"]), np.array(rep["b"])
+    expected = vectors(Resolution(a, b, np.array(rep["perm"]), rep["pivots"]))
+    assert [v["n"] for v in rep["vectors"]] == [v.n for v in expected]
+    for got, v in zip(rep["vectors"], expected):
+        assert [(t["kind"], t["k"]) for t in got["terms"]] == list(v.terms)
+        assert [t["coeff"] for t in got["terms"]] == [z.c.tolist() for z in v.terms.values()]
+
+
+# sha256 prefixes of `resolve --tol 1e-10` on stdout for _hermitian_data(kind, n, seed, scale)
+RESOLVE_REPORT_DIGESTS = {
+    ("random", 1, 0, 1.0): "4a19e35a93856739", ("random", 3, 1, 1.0): "82fcacdc74ec27c4",
+    ("random", 16, 2, 1.0): "83bfa248f792d2e4", ("degenerate", 16, 3, 1.0): "f1b8e2aa0f0a1741",
+    ("zero", 3, 0, 1.0): "0fb931335bd0e1be", ("random", 5, 4, 1e150): "7ab8c1e5f2de112b",
+    ("random", 5, 5, 1e-150): "83e0daa9165a859c", ("random", 33, 6, 1.0): "c305a75b47be217a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESOLVE_REPORT_DIGESTS))
+def test_resolve_report_bytes_are_pinned(tmp_path, capsys, case):
+    code, text = _resolve_report(tmp_path, capsys, _hermitian_data(*case), "--tol", "1e-10")
+    assert code == (3 if case[3] == 1e150 else 0)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == RESOLVE_REPORT_DIGESTS[case]
+
+
+def test_resolve_growth_does_not_overflow(tmp_path, capsys):
+    """max|H| and max|a, b| are taken without squaring past the float range."""
+    diagonal = np.zeros((5, 5, 8))
+    diagonal[range(5), range(5), 0] = [0.25, -9.0, 4.0, 1.0, -2.25]  # exact square roots
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, text = _resolve_report(tmp_path, capsys, diagonal)
+        growth = strict_json(text)["growth"]
+        code, text = _resolve_report(tmp_path, capsys, diagonal * 2.0 ** 600)
+        assert code == 0
+        assert strict_json(text)["growth"] == growth * 2.0 ** -300
+        code, text = _resolve_report(tmp_path, capsys, np.array([[[1e200] + [0.0] * 7]]))
+        assert code == 0
+        assert strict_json(text)["growth"] == np.sqrt(1e200) / 1e200
+    assert capsys.readouterr().err == ""
 
 
 # -- gen-fixture ---------------------------------------------------------------

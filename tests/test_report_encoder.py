@@ -101,13 +101,35 @@ def test_encoder_writes_zeros_and_signs_of_arrays_and_lists():
     assert '"array": [\n    [\n      0.0,\n      -0.0,\n      1e+16\n    ],' in cli._encode(tree)
 
 
+@pytest.mark.parametrize("shape", [(2, 0), (0, 3), (1,), (), (0,), (2, 1, 3)])
+@pytest.mark.parametrize("where", ["top", "nested"])
+def test_encoder_writes_float_arrays_of_every_shape(shape, where):
+    x = np.random.default_rng(len(shape)).normal(size=shape)
+    x[x < -0.5] = -0.0
+    for y in (x, -x, np.zeros(shape), -np.zeros(shape)):
+        tree = y if where == "top" else {"a": [y, {"b": y}], "z": y}
+        assert cli._encode(tree) == oracle(tree)
+
+
+def _resolve_tree(out, a, b):
+    """The resolve report as a tree: out with a, b and each row's nonzero terms."""
+    terms = [[{"coeff": x[i, k], "k": k + 1, "kind": kind}
+              for kind, x in (("E", a), ("F", b)) for k in range(len(a)) if np.any(x[i, k])]
+             for i in range(len(a))]
+    return dict(out, a=a, b=b, vectors=[{"n": len(a), "terms": t} for t in terms])
+
+
 def test_encoder_writes_resolve_tables():
-    a = np.random.default_rng(3).normal(size=(3, 3, 8))
-    a[0, 1] = 0.0
-    a[2, 2, 3] = -0.0
-    table = cli._float_table(a)
-    tree = {"a": table, "term": {"coeff": table[2][2], "k": 3, "kind": "E"}}
-    assert cli._encode(tree) == oracle({"a": a, "term": {"coeff": a[2, 2], "k": 3, "kind": "E"}})
+    for n in (1, 3, 4):
+        rng = np.random.default_rng(n)
+        a, b = rng.normal(size=(2, n, n, 8)) * 10.0 ** rng.integers(-8, 17, size=(2, n, n, 1))
+        a[0, -1] = 0.0
+        a[-1, -1, 3] = -0.0
+        b[:, 0] = -0.0
+        b[-1, 0, 5] = 5e-324
+        a[n // 2], b[n // 2] = 0.0, -0.0  # a row without terms
+        out = {"command": "resolve", "n": n, "growth": None, "perm": list(range(n)), "pass": True}
+        assert cli._resolve_text(out, np.stack([a, b])) == oracle(_resolve_tree(out, a, b))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -126,6 +148,32 @@ def test_encoder_refuses_nonfinite_floats_as_json_does(bad, where):
         oracle(tree)
     with pytest.raises(ValueError) as got:
         cli._encode(tree)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("at", [0, 3, 7])
+def test_encoder_names_the_first_nonfinite_entry_of_an_array(bad, at):
+    x = np.array([1.0, 0.0, -0.0, 2.5, 1e300, 5e-324, -1.0, 3.0])
+    x[at] = bad
+    x[at + 1:] = {"nan": np.inf, "inf": -np.inf, "-inf": np.nan}[repr(bad)]  # a later, other one
+    for tree in (x.reshape(2, 4), {"a": 1.0, "b": [x]}):
+        with pytest.raises(ValueError) as expected:
+            oracle(tree)
+        with pytest.raises(ValueError) as got:
+            cli._encode(tree)
+        assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_resolve_text_refuses_nonfinite_coefficients_as_json_does(bad):
+    coeffs = np.zeros((2, 2, 2, 8))
+    coeffs[1, 0, 1, 2] = bad
+    out = {"command": "resolve", "n": 2}
+    with pytest.raises(ValueError) as expected:
+        oracle(_resolve_tree(out, *coeffs))
+    with pytest.raises(ValueError) as got:
+        cli._resolve_text(out, coeffs)
     assert str(got.value) == str(expected.value)
 
 
