@@ -67,8 +67,12 @@ SEED_ENV = "CLIFFSTRING_SEED"
 OCTONION_BLOCK = 1024
 
 # lorentz-check factor slots (trials x nesting depth) per vectorised block,
-# so memory stays bounded whatever --trials and --nest-depth are.
+# so memory stays bounded whatever --trials is.
 LORENTZ_BLOCK = 1024
+
+# Largest lorentz-check --nest-depth: one block then still holds a whole
+# trial, and 100 trials at this depth take about 3 s.
+MAX_NEST_DEPTH = LORENTZ_BLOCK
 
 # Random factors' generators by index: boost, rotation(0..7), phase(1..7), and
 # two zeros whose identity factor (t = 0) pads shallow trials or marks a reflection.
@@ -82,6 +86,10 @@ MAX_GRID = 65536
 # Largest quantum-check --degree: the checks hold (words x safe columns)
 # weights, and degree 20 (8855 columns) takes 0.9 s and 102 MB in a fresh process.
 MAX_DEGREE = 20
+
+# Largest gen-fixture --n: the hermitian fixture fills an (n, n, 8) array
+# entry by entry, and n = 256 takes about 1 s, 122 MB and a 16 MB file.
+MAX_FIXTURE_N = 256
 
 # Default tolerance per named check, overridable with --tol.<name>.
 DEFAULT_TOLS = {
@@ -480,6 +488,8 @@ def _mixed_control_residual(rng: np.random.Generator) -> float:
 
 
 def cmd_lorentz_check(args, overrides) -> int:
+    if args.nest_depth > MAX_NEST_DEPTH:
+        raise InputError(f"--nest-depth must be at most {MAX_NEST_DEPTH}, got {args.nest_depth}")
     seed = _resolve_seed(args.seed)
     tols = _merge_tols("lorentz-check", overrides)
     rng = np.random.default_rng(seed)
@@ -682,6 +692,8 @@ def cmd_redshift(args) -> int:
 
 
 def cmd_gen_fixture(args) -> int:
+    if args.n > MAX_FIXTURE_N:
+        raise InputError(f"--n must be at most {MAX_FIXTURE_N}, got {args.n}")
     seed = _resolve_seed(args.seed)
     rng = np.random.default_rng(seed)
     if args.kind == "hermitian":

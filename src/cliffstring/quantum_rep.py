@@ -53,11 +53,17 @@ su2 and tensor gap lists the 32 x 32 grid of words once.  Each check is one
 family of gaps evaluated on the monomial basis.  A word sends each
 monomial to one monomial with a weight read off the exponents, and words
 with the same net exponent shift land on the same row, so the gaps over a
-set of columns are one real product per shift class.
+set of columns are one real product per shift class.  Which words merge
+and which class each lands in depends only on the alphabet, not on the
+degree, hbar or the coefficients, so each alphabet is decoded once per
+process (a check's gaps are on one of five alphabets, of 65, 97, 1056,
+1088 and 32 words; closure and su2 share theirs).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -161,7 +167,7 @@ def _combine(w: np.ndarray, f: Family) -> Family:
 
 def _shared_codes(fams) -> bool:
     """Whether the families are on one alphabet: the same word codes in the same order."""
-    return all(np.array_equal(f.codes, fams[0].codes) for f in fams)
+    return all(f.codes is fams[0].codes or np.array_equal(f.codes, fams[0].codes) for f in fams)
 
 
 def _sum(*fams: Family) -> Family:
@@ -226,25 +232,26 @@ def _commutator_gap(x: Family, y: Family, coeffs: np.ndarray, z: Family) -> Fami
     return _sum(_brackets(x, y), _combine(-coeffs.reshape(-1, coeffs.shape[-1]), z))
 
 
-def _max_abs(f: Family, space: PolySpace, safe: bool = True) -> float:
-    """Max |matrix entry| of a family on the space, over the safe columns by default.
+@functools.lru_cache(maxsize=32)
+def _word_classes(codes: bytes) -> tuple:
+    """How an alphabet's words act, from the int64 bytes of its word codes.
 
-    A word sends each monomial to one monomial: its net exponent shift
-    fixes the row, and its weight is the product of the exponents its D
-    letters meet, or 0 if a letter takes the degree past the cap.  Words
-    with the same shift, the same highest degree and the same (variable,
-    offset) at each D act alike, so their coefficients merge; then each
-    shift class is one product of its stacked (Re; Im) coefficients by its
-    weights.  A NaN propagates.
+    Returns (letters, perm, first, classes, rise, reads): the longest word's
+    letter count; the order that lists the words class by class and the
+    start of each group of merged words in it; each shift class as
+    (lo, hi) bounds over the merged words; and per merged word its highest
+    degree rise and the `factors` rows its D letters read, sorted (one row
+    of `reads` per letter slot some D uses).  It depends only on the codes,
+    so each alphabet is decoded once per process; the arrays are read-only
+    and the bounds a tuple, since every caller shares them.
     """
-    columns = space.safe_columns() if safe else slice(None)
-    exps, degrees = space.exponents[columns].T, space.degrees[columns]
-    letters = np.searchsorted(_POW9, np.max(f.codes), side="right")
+    codes = np.frombuffer(codes, np.int64)
+    letters = int(np.searchsorted(_POW9, np.max(codes), side="right"))
     span = 2 * letters + 1
     place = span ** np.arange(4)  # the net shift in base span, each digit offset by `letters`
     step = np.concatenate([[0], place, -place])             # none, Q_0..Q_3, D_0..D_3
-    rest, shift = f.codes, np.full(f.codes.shape, letters * np.sum(place))
-    level = rise = np.zeros(f.codes.shape, int)             # degree so far, its highest
+    rest, shift = codes, np.full(codes.shape, letters * np.sum(place))
+    level = rise = np.zeros(codes.shape, int)               # degree so far, its highest
     reads = []
     for _ in range(letters):                                # first letter first
         rest, digit = np.divmod(rest, 9)
@@ -262,9 +269,33 @@ def _max_abs(f: Family, space: PolySpace, safe: bool = True) -> float:
         key = key * (4 * span + 1) + read
     perm = np.argsort(key, kind="stable")                   # shift class by shift class
     first = np.flatnonzero(np.diff(key[perm], prepend=-1))
-    coeffs = np.add.reduceat(f.coeffs.T[perm], first).T
     shift, rise, reads = shift[perm[first]], rise[perm[first]], reads[:, perm[first]]
+    bounds = np.concatenate([[0], np.flatnonzero(np.diff(shift)) + 1, [len(first)]]).tolist()
+    for a in (perm, first, rise, reads):
+        a.flags.writeable = False
+    return letters, perm, first, tuple(zip(bounds[:-1], bounds[1:])), rise, reads
 
+
+def _max_abs(f: Family, space: PolySpace, safe: bool = True) -> float:
+    """Max |matrix entry| of a family on the space, over the safe columns by default.
+
+    A word sends each monomial to one monomial: its net exponent shift
+    fixes the row, and its weight is the product of the exponents its D
+    letters meet, or 0 if a letter takes the degree past the cap.  Words
+    with the same shift, the same highest degree and the same (variable,
+    offset) at each D act alike, so their coefficients merge
+    (`_word_classes` works out the classes once per alphabet); then each
+    shift class is one product of its stacked (Re; Im) coefficients by its
+    weights, whose modulus is taken scaled by a power of two so that no
+    square overflows.  A NaN propagates.
+    """
+    columns = space.safe_columns() if safe else slice(None)
+    exps, degrees = space.exponents[columns].T, space.degrees[columns]
+    letters, perm, first, classes, rise, reads = _word_classes(
+        f.codes.astype(np.int64, copy=False).tobytes())
+    coeffs = np.add.reduceat(f.coeffs.T[perm], first).T
+
+    span = 2 * letters + 1
     factors = np.concatenate([
         (exps[:, None] + np.arange(-letters, letters + 1)[:, None]).reshape(4 * span, -1),
         np.ones((1, exps.shape[1])),
@@ -274,17 +305,16 @@ def _max_abs(f: Family, space: PolySpace, safe: bool = True) -> float:
         weights *= factors[read]
     stacked = np.concatenate([coeffs.real, coeffs.imag])
     k = coeffs.shape[0]
-    bounds = np.concatenate([[0], np.flatnonzero(np.diff(shift)) + 1, [len(first)]])
-    worst = 0.0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    tops = []
+    for lo, hi in classes:
         entries = stacked[:, lo:hi] @ weights[lo:hi]
-        top = np.max(np.abs(entries), initial=0.0)
-        if 0.0 < top < np.inf:  # the modulus, scaled by a power of two so no square overflows
+        top = np.abs(entries).max(initial=0.0)
+        if 0.0 < top < np.inf:
             scale = 2.0 ** -np.frexp(top)[1]
             np.square(entries * scale, out=entries)
-            top = np.sqrt(np.max(entries[:k] + entries[k:])) / scale
-        worst = np.maximum(worst, top)  # np.maximum keeps a NaN, Python's max would not
-    return float(worst)
+            top = math.sqrt(np.max(entries[:k] + entries[k:])) / scale
+        tops.append(top)
+    return float(np.max(tops))  # np.max keeps a NaN, Python's max would not
 
 
 # -- canonical and quaternion pairs ------------------------------------------------

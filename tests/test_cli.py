@@ -678,6 +678,31 @@ def test_lorentz_check_splits_deep_trials_into_blocks(capsys, monkeypatch):
         assert abs(checks[name]["max_residual"] - expected) <= 2e-15, name
 
 
+def test_lorentz_check_runs_at_the_depth_cap(capsys):
+    assert run("lorentz-check", "--seed", "0", "--trials", "1",
+               "--nest-depth", str(cli.MAX_NEST_DEPTH)) == 0
+    assert strict_json(capsys.readouterr().out)["config"]["nest_depth"] == cli.MAX_NEST_DEPTH
+
+
+@pytest.mark.parametrize("argv, cap, builder", [
+    (("lorentz-check", "--trials", "1", "--report", "{out}", "--nest-depth"),
+     cli.MAX_NEST_DEPTH, "_draw_trials"),
+    (("gen-fixture", "--kind", "hermitian", "--output", "{out}", "--n"),
+     cli.MAX_FIXTURE_N, "random_hermitian"),
+])
+def test_size_flag_above_its_cap_exits_2_before_allocating(tmp_path, capsys, monkeypatch,
+                                                           argv, cap, builder):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{builder} called above the cap")
+
+    monkeypatch.setattr(cli, builder, refuse)
+    out = tmp_path / "out.json"
+    assert run(*[a.replace("{out}", str(out)) for a in argv], str(cap + 1)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.count("\n") == 1 and argv[-1] in captured.err and str(cap) in captured.err
+
+
 def _failed_lorentz_checks(capsys):
     rep = strict_json(capsys.readouterr().out)
     assert rep["overall_pass"] is False

@@ -1,12 +1,16 @@
-"""Every exported name exists, and modules share no private names."""
+"""Every exported name exists, modules share no private names, and every
+per-layer benchmark metric is fed by a name the benchmark's tracer can wrap."""
 
 import ast
 import importlib
+import importlib.util
+import json
 import pathlib
 
 import cliffstring
 
 PACKAGE_DIR = pathlib.Path(cliffstring.__file__).parent
+ROOT = PACKAGE_DIR.parent.parent
 MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if not p.stem.startswith("__"))
 
 
@@ -31,3 +35,41 @@ def test_no_private_names_imported_from_sibling_modules():
                 if sibling and alias.name.startswith("_")
             ]
     assert offenders == []
+
+
+def _tracer():
+    """perfbench/tracer.py, loaded from the checkout without running the benchmark."""
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def _resolves(module, attr):
+    """Whether the tracer would find (and wrap) cliffstring.<module>.<attr>."""
+    owner_name, _, name = attr.rpartition(".")
+    owner = importlib.import_module(f"cliffstring.{module}")
+    if owner_name:
+        owner = getattr(owner, owner_name, None)
+    return owner is not None and vars(owner).get(name) is not None
+
+
+def test_every_per_layer_metric_is_fed_by_a_wrapped_name():
+    # the tracer leaves out a metric whose wrapped names are all gone, and
+    # the benchmark's result then no longer lists every per-layer metric
+    tracer = _tracer()
+    per_layer = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    live = [(module, group) for module, attr, group, _ in tracer.WRAPPED if _resolves(module, attr)]
+    modules, groups = {module for module, _ in live}, {group for _, group in live}
+
+    def fed(source, key):
+        if source == "busy":
+            return key in modules
+        if source != "value":
+            return key in groups
+        # a hooked value needs its group's wrapper; the benchmark records the rest
+        return key not in tracer._HOOKED or tracer._HOOKED[key] in groups
+
+    fed_names = {name for name, _, _, source, key in tracer.METRICS if fed(source, key)}
+    assert [name for name in per_layer if name not in fed_names] == []

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import inspect
 import sys
 import types
@@ -7,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cliffstring import quantum_rep
+from cliffstring import cli, quantum_rep
 from cliffstring.minkowski import EPS, eta4, sigma4_complex
 from cliffstring.quantum_rep import (
     CanonicalPairs,
@@ -364,21 +365,84 @@ def test_m0_and_m0dag_share_one_alphabet(rep):
     assert np.all(np.any(m0.coeffs[:, :16], axis=1)) and np.all(np.any(m0d.coeffs[:, 16:], axis=1))
 
 
-def test_gap_families_list_each_word_of_the_grid_once(rep, monkeypatch):
-    # canonical: 8 x 8 + the identity; mixed: 4 x 4 (A A), 4 x 4 (K K), 8 x 8
-    # (A K on their stack) + the identity; closure, su2: 32 x 32 + M0 or N;
-    # tensor: M_{mu nu} + 32 x 32 + M; roundtrip: the 32 words of M0
-    pairs, a_ops, k_ops, m0, m0d = rep
-    sizes = []
+def _gap_families(rep, monkeypatch):
+    """The families one job's checks evaluate, in check order."""
+    pairs, m0, m0d = rep[0], rep[3], rep[4]
+    families = []
     evaluate = quantum_rep._max_abs
 
     def recorded(f, *args, **kwargs):
-        sizes.append(len(f.codes))
+        families.append(f)
         return evaluate(f, *args, **kwargs)
 
     monkeypatch.setattr(quantum_rep, "_max_abs", recorded)
     _word_residuals(pairs, m0, m0d)
+    monkeypatch.undo()
+    return families
+
+
+def test_gap_families_list_each_word_of_the_grid_once(rep, monkeypatch):
+    # canonical: 8 x 8 + the identity; mixed: 4 x 4 (A A), 4 x 4 (K K), 8 x 8
+    # (A K on their stack) + the identity; closure, su2: 32 x 32 + M0 or N;
+    # tensor: M_{mu nu} + 32 x 32 + M; roundtrip: the 32 words of M0
+    sizes = [len(f.codes) for f in _gap_families(rep, monkeypatch)]
     assert sizes == [65, 97, 1056, 1056, 1088, 32]
+
+
+# -- one decode per alphabet -----------------------------------------------------
+
+
+def _key(f):
+    return f.codes.astype(np.int64).tobytes()
+
+
+def test_cached_word_classes_match_a_fresh_decode(rep, monkeypatch):
+    for f in _gap_families(rep, monkeypatch):
+        cached = quantum_rep._word_classes(_key(f))
+        fresh = quantum_rep._word_classes.__wrapped__(_key(f))
+        assert cached is quantum_rep._word_classes(_key(f))
+        assert len(cached) == len(fresh)
+        for got, want in zip(cached, fresh):
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want)
+            else:
+                assert got == want
+
+
+def test_cached_word_classes_are_read_only(rep, monkeypatch):
+    for f in _gap_families(rep, monkeypatch):
+        arrays = [a for a in quantum_rep._word_classes(_key(f)) if isinstance(a, np.ndarray)]
+        assert len(arrays) == 4  # perm, first, rise, reads
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+
+def test_a_job_decodes_each_alphabet_once(monkeypatch, tmp_path):
+    report = str(tmp_path / "r.json")
+    cache = quantum_rep._word_classes
+    cache.cache_clear()
+    assert cli.main(["quantum-check", "--degree", "5", "--report", report]) == 0
+    assert (cache.cache_info().misses, cache.cache_info().hits) == (5, 1)  # closure and su2 share
+    assert cli.main(["quantum-check", "--degree", "6", "--report", report]) == 0
+    assert (cache.cache_info().misses, cache.cache_info().hits) == (5, 7)
+    # the words of each decoded alphabet, through a fresh cache of the same size
+    decoded = []
+
+    def decode(codes):
+        decoded.append(len(codes) // 8)
+        return cache.__wrapped__(codes)
+
+    maxsize = cache.cache_parameters()["maxsize"]
+    monkeypatch.setattr(quantum_rep, "_word_classes", functools.lru_cache(maxsize)(decode))
+    for degree in ("5", "6"):
+        assert cli.main(["quantum-check", "--degree", degree, "--report", report]) == 0
+    assert decoded == [65, 97, 1056, 1088, 32]
+
+
+def test_word_class_cache_is_bounded():
+    maxsize = quantum_rep._word_classes.cache_parameters()["maxsize"]
+    assert maxsize is not None and maxsize >= 5  # one job's alphabets stay cached
 
 
 # -- every check can fail --------------------------------------------------------
