@@ -455,10 +455,16 @@ def cmd_resolve(args, overrides) -> int:
 def _draw_trials(rng: np.random.Generator, trials: int, nest_depth: int):
     """Draw trials in stream order: per trial its depth, each factor's kind, t
     and direction, then x, v, chi, psi.  Factors come as _GENERATORS indices
-    and t, (depth, trials) and padded with identities; spinors as (3, trials)."""
+    and t, (depth, trials) and padded with identities; spinors as (3, trials).
+
+    A trial's point and spinors are one draw of 58 values, laid out as
+    random_hermitian(rng, 2) and three random_spinor(rng) calls draw them:
+    x's diagonal entry a, its off-diagonal octonion c, its entry b, then
+    v, chi and psi as (2, 8) each."""
     index = np.full((nest_depth, trials), _PAD)
     t = np.zeros((nest_depth, trials))
-    points, spinors, deepest = [], [], 0
+    draws = np.empty((trials, 58))
+    deepest = 0
     for b in range(trials):
         depth = 1 + int(rng.integers(nest_depth))
         deepest = max(deepest, depth)
@@ -470,13 +476,18 @@ def _draw_trials(rng: np.random.Generator, trials: int, nest_depth: int):
             t[j, b] = rng.uniform(-1.0, 1.0)
             index[j, b] = (0 if kind == 0 else 1 + int(rng.integers(8)) if kind == 1
                            else 9 + int(rng.integers(7)))
-        points.append(random_hermitian(rng, 2).data)
-        spinors.append([random_spinor(rng) for _ in range(3)])
-    return index[:deepest], t[:deepest], np.stack(points), np.stack(spinors, axis=1)
+        draws[b] = rng.uniform(-1.0, 1.0, 58)
+    points = np.zeros((trials, 2, 2, 8))
+    points[:, 0, 0, 0], points[:, 1, 1, 0] = draws[:, 0], draws[:, 9]
+    points[:, 0, 1] = draws[:, 1:9]
+    points[:, 1, 0] = conj_arrays(draws[:, 1:9])
+    spinors = draws[:, 10:].reshape(trials, 3, 2, 8).swapaxes(0, 1)
+    return index[:deepest], t[:deepest], points, spinors
 
 
-def _mixed_control_residual(rng: np.random.Generator) -> float:
-    """Compatibility residual of an invalid two-subspace 'factor'.
+@functools.cache
+def _mixed_control() -> np.ndarray:
+    """An invalid two-subspace 'factor', built once per process, read-only.
 
     The octonionic product of an e_1 rotation and an e_2 phase is not a
     single-subspace matrix; applying it in one sandwich must fail visibly.
@@ -484,7 +495,8 @@ def _mixed_control_residual(rng: np.random.Generator) -> float:
     f1 = make_factor(rotation_generator(1), 0.8)
     f2 = make_factor(phase_generator(2), 0.9)
     mixed = omat_mul(f1.s, f2.s)
-    return compatibility_residual(mixed, random_spinor(rng))
+    mixed.setflags(write=False)
+    return mixed
 
 
 def cmd_lorentz_check(args, overrides) -> int:
@@ -520,7 +532,7 @@ def cmd_lorentz_check(args, overrides) -> int:
         scale = np.maximum(1.0, np.abs(a * b) + np.sum(c * c, axis=-1))
         det = np.abs(det_form(moved) - det_form(x)) / scale
         worst["det"] = np.maximum(worst["det"], np.max(det))
-    mixed = _mixed_control_residual(rng)
+    mixed = compatibility_residual(_mixed_control(), random_spinor(rng))
     checks = {
         "det": _check(worst["det"], tols["det"], args.trials),
         "compatibility": _check(worst["compatibility"], tols["compatibility"], args.trials),

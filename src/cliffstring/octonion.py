@@ -71,12 +71,25 @@ _CONJ_SIGNS = np.array([1.0, -1, -1, -1, -1, -1, -1, -1])
 def mul_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Broadcasting octonion product on (..., 8) coefficient arrays.
 
-    Row 8 i + j of the flat table is e_i e_j, so one matmul sums every
-    coefficient pair a_i b_j onto its basis unit.  The table is a view of
-    STRUCTURE taken per call, which a patched table also reaches.
+    Both operands are copied, broadcast, into one coefficient-major
+    (2, 8, M) buffer (M products), so the 64 coefficient pairs a_i b_j are
+    64 contiguous multiplies of length M.  Row 8 i + j of the flat table is
+    e_i e_j, so one matmul then sums every pair onto its basis unit, each
+    output in the same order as a (..., 64) row of pairs times the table,
+    and returns a C-ordered (..., 8) array.  The table is a view of STRUCTURE taken per call, which
+    a patched table also reaches.
     """
-    pairs = np.asarray(a)[..., :, None] * np.asarray(b)[..., None, :]
-    return pairs.reshape(pairs.shape[:-2] + (64,)) @ STRUCTURE.reshape(64, 8)
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape[-1:] != (8,) or b.shape[-1:] != (8,):
+        raise ValueError(f"octonion arrays need a last axis of 8, got {a.shape} and {b.shape}")
+    lead = a.shape[:-1] if a.shape == b.shape else np.broadcast(a[..., 0], b[..., 0]).shape
+    x = np.empty((2, 8) + lead, np.result_type(a, b, STRUCTURE))
+    # the same buffer seen as (2, ..., 8), so assignment broadcasts each operand
+    rows = x.transpose(0, *range(2, x.ndim), 1)
+    rows[0], rows[1] = a, b
+    x = x.reshape(2, 8, -1)
+    pairs = x[0, :, None] * x[1, None]
+    return (pairs.reshape(64, -1).T @ STRUCTURE.reshape(64, 8)).reshape(lead + (8,))
 
 
 def conj_arrays(a: np.ndarray) -> np.ndarray:

@@ -310,7 +310,8 @@ def _max_abs(f: Family, space: PolySpace, safe: bool = True) -> float:
         entries = stacked[:, lo:hi] @ weights[lo:hi]
         top = np.abs(entries).max(initial=0.0)
         if 0.0 < top < np.inf:
-            scale = 2.0 ** -np.frexp(top)[1]
+            # capped, so a subnormal top (below 2^-1024) gets a finite scale
+            scale = 2.0 ** min(-int(np.frexp(top)[1]), 1023)
             np.square(entries * scale, out=entries)
             top = math.sqrt(np.max(entries[:k] + entries[k:])) / scale
         tops.append(top)

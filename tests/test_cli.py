@@ -394,6 +394,21 @@ def test_quantum_check_bytes_are_pinned(capsys, degree, hbar):
     assert digest == QUANTUM_CHECK_DIGESTS[degree, hbar]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("hbar", ["1e-150", "1e-300", "1e-308"])
+@pytest.mark.parametrize("degree", [3, 5])
+def test_quantum_check_passes_at_subnormal_residuals(capsys, degree, hbar):
+    """A class top below 2^-1024 is scaled by 2^1023 at most, so no entry is
+    scaled to inf and the round-off the tiny hbar leaves reads as a finite,
+    passing residual."""
+    assert run("quantum-check", "--degree", str(degree), "--hbar", hbar) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    checks = strict_json(captured.out)["checks"]
+    assert all(0.0 <= check["max_residual"] < 1e-100 for name, check in checks.items()
+               if name != "jz_integrality")
+
+
 # the checks that fail where the residuals are round-off, of size u hbar or u hbar^2
 _ROUNDOFF_FAILS = {
     (3, "1e100"): {"canonical", "closure", "mixed"},
@@ -603,6 +618,35 @@ def test_quantum_check_report(tmp_path):
     assert rep["dimension"] == 35
     spectrum = np.asarray(rep["jz_spectrum"], dtype=float)
     assert np.max(np.abs(spectrum - np.round(spectrum))) <= 1e-9
+
+
+# sha256 prefixes of the `octonion-check --seed s --trials n` and
+# `lorentz-check --seed s --trials 100 --nest-depth d` reports on stdout.  Their
+# residuals are round-off, so these pin the order in which every product and
+# residual is summed, on this numpy and BLAS
+OCTONION_CHECK_DIGESTS = {
+    (0, 2000): "c5363aa4ce0cb475", (0, 2049): "d4e26340c5d6e210",
+    (7, 2000): "599eda1385c2b2e0", (7, 2049): "ed09f64ef3ba534f",
+}
+LORENTZ_CHECK_DIGESTS = {
+    (0, 1): "e7c3e2873d946dab", (0, 5): "082c05865058a4e0", (0, 64): "b21fcf8f046a0453",
+    (7, 1): "4af37677bbb1ab5b", (7, 5): "811613200905bb8f", (7, 64): "eba9fecd898e7baf",
+}
+
+
+@pytest.mark.parametrize("seed, trials", sorted(OCTONION_CHECK_DIGESTS))
+def test_octonion_check_bytes_are_pinned(capsys, seed, trials):
+    assert run("octonion-check", "--seed", str(seed), "--trials", str(trials)) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+    assert digest == OCTONION_CHECK_DIGESTS[seed, trials]
+
+
+@pytest.mark.parametrize("seed, depth", sorted(LORENTZ_CHECK_DIGESTS))
+def test_lorentz_check_bytes_are_pinned(capsys, seed, depth):
+    assert run("lorentz-check", "--seed", str(seed), "--trials", "100",
+               "--nest-depth", str(depth)) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+    assert digest == LORENTZ_CHECK_DIGESTS[seed, depth]
 
 
 def test_lorentz_check_keeps_nan_residual(monkeypatch, capsys):

@@ -129,15 +129,40 @@ def _einsum_product(a, b):
     return np.einsum("...i,...j,ijk->...k", a, b, STRUCTURE)
 
 
-@pytest.mark.parametrize(
-    "shape_a, shape_b",
-    [((8,), (8,)), ((2, 2, 8), (2, 2, 8)), ((2, 2, 2, 8), (2, 2, 2, 8)),
-     ((1024, 8), (1024, 8)), ((2, 2, 1, 8), (2, 8)), ((3, 8), (8,))],
-)
+_PRODUCT_SHAPES = [
+    ((8,), (8,)), ((2, 2, 8), (2, 2, 8)), ((2, 2, 2, 8), (2, 2, 2, 8)),
+    ((1024, 8), (1024, 8)), ((2, 2, 1, 8), (2, 8)), ((3, 8), (8,)),
+    # lorentz-check's factor-by-spinor and outer products, octonion-check's ragged block
+    ((5, 100, 2, 2, 8), (100, 1, 2, 8)), ((100, 1, 2, 8), (5, 100, 2, 2, 8)),
+    ((5, 100, 2, 1, 8), (5, 100, 1, 2, 8)), ((976, 8), (976, 8)),
+    # no products, four blocks' worth, and broadcasting on both sides
+    ((0, 8), (0, 8)), ((4096, 8), (4096, 8)), ((7, 1, 3, 8), (5, 1, 8)),
+]
+
+
+@pytest.mark.parametrize("shape_a, shape_b", _PRODUCT_SHAPES)
 def test_mul_arrays_is_bit_equal_to_einsum_reference(shape_a, shape_b):
-    a = rng.uniform(-1, 1, shape_a)
-    b = rng.uniform(-1, 1, shape_b)
-    assert np.array_equal(mul_arrays(a, b), _einsum_product(a, b))
+    gen = np.random.default_rng(len(shape_a) * 100 + shape_a[0])
+    for scale in (1.0, 1e-150, 1e150):
+        a = gen.uniform(-1, 1, shape_a) * scale
+        b = gen.uniform(-1, 1, shape_b) * scale
+        product = mul_arrays(a, b)
+        assert product.flags.c_contiguous
+        assert np.array_equal(product, _einsum_product(a, b)), scale
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [((8,), (8,)), ((3, 8), (8,)), ((7, 1, 3, 8), (5, 1, 8))])
+def test_mul_arrays_of_integers_is_float64_and_bit_equal(shape_a, shape_b):
+    gen = np.random.default_rng(8)
+    a, b = gen.integers(-9, 10, shape_a), gen.integers(-9, 10, shape_b)
+    product = mul_arrays(a, b)
+    assert product.dtype == np.float64
+    assert np.array_equal(product, _einsum_product(a, b))
+
+
+def test_mul_arrays_rejects_a_last_axis_other_than_8():
+    with pytest.raises(ValueError):
+        mul_arrays(np.ones((3, 1)), np.ones((3, 8)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])

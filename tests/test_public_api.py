@@ -73,3 +73,32 @@ def test_every_per_layer_metric_is_fed_by_a_wrapped_name():
 
     fed_names = {name for name, _, _, source, key in tracer.METRICS if fed(source, key)}
     assert [name for name in per_layer if name not in fed_names] == []
+
+
+def test_traced_algebra_jobs_give_finite_metrics(tmp_path):
+    """The tracer's hook reads each mul_arrays call's positional arrays; a
+    traced octonion-check and lorentz-check must still give strict-JSON
+    per-layer metrics with products counted."""
+    from cliffstring import cli
+
+    tracer = _tracer()
+    tr = tracer.Tracer()
+    tr.install()
+    self_s, report_bytes = 0.0, 0
+    try:
+        for job, argv in enumerate([
+            ["octonion-check", "--seed", "3", "--trials", "40"],
+            ["lorentz-check", "--seed", "3", "--trials", "4"],
+        ]):
+            report = tmp_path / f"{job}.json"
+            rc, seconds, callee = tr.run(job, lambda: cli.main(argv + ["--report", str(report)]))
+            assert rc == 0
+            self_s += seconds - callee
+            report_bytes += report.stat().st_size
+    finally:
+        tr.uninstall()
+    metrics = tr.metrics({"cli.self_s": self_s, "cli.report_bytes": report_bytes,
+                          "trace.overhead_ratio": 1.0})
+    json.dumps(metrics, allow_nan=False)
+    assert metrics["octonion.products"]["value"] > 0
+    assert metrics["octonion.ns_per_product"]["value"] > 0
