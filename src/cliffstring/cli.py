@@ -394,8 +394,8 @@ def _resolve_text(out: dict, coeffs: np.ndarray) -> str:
 
     Every coefficient is formatted once.  a and b fill a table template, and
     vector i's terms v_i = sum_k a_ik (x) e_k + b_ik (x) f_k, in (kind, k)
-    order with zero terms left out (as resolve.vectors lists them), fill
-    copies of one term template with the same texts.
+    order with zero terms left out (the nonzero E and F slots of
+    resolve.vectors), fill copies of one term template with the same texts.
     """
     n = coeffs.shape[1]
     texts = _texts(coeffs)

@@ -11,8 +11,9 @@ transformations are finite nestings of such factors (applied innermost
 first); the group multiplication is the nesting itself, never the matrix
 product of the factors, because the factors need not share a subspace.
 
-Spinors ride along as v^A -> S^A_B v^B and co-spinors as
-w*_A -> -w*_B S_A^B with S_A^B = eps^{BE} S^F_E eps_{FA}; the real part of
+Spinors are (..., 2, 8) arrays, spinor index first.  They ride along as
+v^A -> S^A_B v^B (spinor_map) and co-spinors as w*_A -> -w*_B S_A^B
+(cospinor_map) with S_A^B = eps^{BE} S^F_E eps_{FA}; the real part of
 the contraction chi^A psi_A picks up exactly the factor det(S).
 
 The Hermitian generators (boost_generator, rotation_generator(k >= 1))
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .octonion import Octonion, mul_arrays, conj_arrays
+from .octonion import mul_arrays, conj_arrays
 from .matrices import OctHermitian, omat_mul, omat_adjoint
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "rotation_generator",
     "phase_generator",
     "act_vector",
-    "act_spinor",
     "spinor_map",
     "cospinor_map",
     "lower_factor_indices",
@@ -185,15 +185,6 @@ def cospinor_map(s: np.ndarray, w: np.ndarray) -> np.ndarray:
     """w*_A -> -w*_B S_A^B on (..., 2, 8) spinor arrays."""
     p = mul_arrays(np.expand_dims(w, -3), lower_factor_indices(s))
     return -(p[..., 0, :] + p[..., 1, :])
-
-
-def act_spinor(factor: LorentzFactor, c) -> tuple:
-    """Spinor action on a pair of TensorVectors (coefficients scale on the left)."""
-    s = factor.s
-    return tuple(
-        c[0].scale_left(Octonion(s[a, 0])) + c[1].scale_left(Octonion(s[a, 1]))
-        for a in range(2)
-    )
 
 
 # -- consistency checks ------------------------------------------------------

@@ -18,7 +18,6 @@ __all__ = [
     "OctHermitian",
     "omat_mul",
     "omat_adjoint",
-    "omat_identity",
     "hermiticity_residual",
 ]
 
@@ -52,12 +51,6 @@ def omat_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def omat_adjoint(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each (..., n, m, 8) stack."""
     return conj_arrays(x.swapaxes(-3, -2))
-
-
-def omat_identity(n: int) -> np.ndarray:
-    out = np.zeros((n, n, 8))
-    out[np.arange(n), np.arange(n), 0] = 1.0
-    return out
 
 
 def hermiticity_residual(data: np.ndarray) -> float:
@@ -97,7 +90,11 @@ class OctHermitian:
     def from_json(cls, obj: dict, tol: float = 1e-12) -> "OctHermitian":
         """Accepts {"n", "entries"} or the compact 2x2 {"a", "b", "c"} form."""
         if "entries" in obj:
-            return cls(np.asarray(obj["entries"], dtype=float), tol=tol)
+            h = cls(np.asarray(obj["entries"], dtype=float), tol=tol)
+            n = obj.get("n", h.n)
+            if isinstance(n, bool) or n != h.n:
+                raise ValueError(f"declared n = {n!r}, but the entries are {h.n} x {h.n}")
+            return h
         if {"a", "b", "c"} <= obj.keys():
             c = np.asarray(obj["c"], dtype=float)
             if c.shape != (8,):

@@ -11,7 +11,7 @@ Two sigma sets are provided:
 For Hermitian X = [[a, c], [c*, b]] the determinant form a b - c c* is real
 and equals the Minkowski length x_mu x^mu of the packed point.
 
-Spinor indices are raised and lowered with the antisymmetric epsilon,
+Spinor indices are raised and lowered with the antisymmetric epsilon EPS,
 eps_12 = eps^12 = 1, V^A = eps^{AB} V_B and V_B = V^A eps_{AB}; dotted
 indices mirror the undotted convention.
 """
@@ -32,8 +32,6 @@ __all__ = [
     "matrix_to_vector",
     "det2",
     "det_form",
-    "raise_spinor",
-    "lower_spinor",
     "eta4",
 ]
 
@@ -126,14 +124,3 @@ def det_form(data: np.ndarray) -> np.ndarray:
     """det2 of each (..., 2, 2, 8) stack [[a, c], [., b]], without its Hermiticity check."""
     c = data[..., 0, 1, :]  # c @ c per row below rounds as a single (8,) dot does
     return data[..., 0, 0, 0] * data[..., 1, 1, 0] - (c[..., None, :] @ c[..., :, None])[..., 0, 0]
-
-
-def raise_spinor(v):
-    """V^A = eps^{AB} V_B on a 2-component object of any additive entries."""
-    return (v[1], -v[0])
-
-
-def lower_spinor(v):
-    """V_B = V^A eps_{AB}."""
-    return (-v[1], v[0])
-

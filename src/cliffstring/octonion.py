@@ -116,12 +116,6 @@ class Octonion:
         return cls(c)
 
     @classmethod
-    def from_real(cls, x: float) -> "Octonion":
-        c = np.zeros(8)
-        c[0] = x
-        return cls(c)
-
-    @classmethod
     def from_complex(cls, z: complex, k: int) -> "Octonion":
         """a + b i  ->  a + b e_k (k = 0 demands a real value)."""
         c = np.zeros(8)
@@ -132,10 +126,6 @@ class Octonion:
         else:
             c[k] = z.imag
         return cls(c)
-
-    @property
-    def real(self) -> float:
-        return float(self.c[0])
 
     def conj(self) -> "Octonion":
         return Octonion(conj_arrays(self.c))
@@ -165,25 +155,13 @@ class Octonion:
     def __sub__(self, other: "Octonion") -> "Octonion":
         return Octonion(self.c - other.c)
 
-    def __neg__(self) -> "Octonion":
-        return Octonion(-self.c)
-
     def __mul__(self, other):
         if isinstance(other, Octonion):
             return Octonion(mul_arrays(self.c, other.c))
         return Octonion(self.c * float(other))
 
-    def __rmul__(self, other):
-        return Octonion(self.c * float(other))
-
     def __truediv__(self, other: float) -> "Octonion":
         return Octonion(self.c / float(other))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Octonion) and bool(np.array_equal(self.c, other.c))
-
-    def __hash__(self):
-        return hash(self.c.tobytes())
 
     def __repr__(self) -> str:
         terms = []

@@ -26,7 +26,8 @@ Algorithms, ch. 11, covers growth under diagonal pivoting).
 The factors are triangular in pivot order: perm[j] is the row of H
 eliminated at step j, and a[perm], b[perm] are lower triangular.  a and b
 keep H's own row order, so a a^+ - b b^+ is H itself; column k (the
-generators e_{k+1}, f_{k+1}) belongs to step k.
+generators e_{k+1}, f_{k+1}) belongs to step k.  vectors() lays a and b out
+as an (n, 4, n, 8) stack of generating vectors in clifford's layout.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .octonion import Octonion, conj_arrays
+from .octonion import conj_arrays
 from .matrices import OctHermitian, omat_adjoint, omat_mul
-from .clifford import TensorVector
 from .minkowski import sigma_set, vector_to_matrix
 
 __all__ = [
@@ -119,16 +119,11 @@ def resolve_hermitian(h: OctHermitian, tol: float = 1e-12) -> Resolution:
     return Resolution(a[order], b[order], perm, pivots)
 
 
-def vectors(res: Resolution) -> list:
-    """Generating vectors v_i = sum_k a_ik (x) e_k + b_ik (x) f_k, zero terms left out."""
-    nonzero = np.any([res.a, res.b], axis=3)
-    out = []
-    for i in range(res.n):
-        terms = {}
-        for kind, coeffs, mask in zip("EF", (res.a, res.b), nonzero):
-            for k in np.flatnonzero(mask[i]):
-                terms[(kind, int(k) + 1)] = Octonion(coeffs[i, k])
-        out.append(TensorVector(res.n, terms))
+def vectors(res: Resolution) -> np.ndarray:
+    """Generating vectors v_i = sum_k a_ik (x) e_k + b_ik (x) f_k as an
+    (n, 4, n, 8) stack in clifford's layout (a in the E slot, b in the F slot)."""
+    out = np.zeros((res.n, 4, res.n, 8))
+    out[:, 0], out[:, 2] = res.a, res.b
     return out
 
 
@@ -147,10 +142,11 @@ def reconstruction_residual(res: Resolution, h: OctHermitian) -> float:
 def resolve_spacetime(x, subspace: int = 1, tol: float = 1e-12):
     """Resolve a 4-vector's Hermitian matrix into two generating vectors.
 
-    Returns (c1, c2, X) where X = sigma_mu x^mu and gram([c1, c2]) == X.
-    The coefficients land in span(1, e_subspace), so the pair realizes the
-    point with complex coefficients; c^A inner c^B (unconjugated) vanishes
-    identically because only unstarred generators appear.
+    Returns (c1, c2, X), with c1, c2 (4, 2, 8) vector arrays, X = sigma_mu x^mu
+    and gram_matrix([c1, c2]) == X.  The coefficients land in span(1,
+    e_subspace), so the pair realizes the point with complex coefficients;
+    c^A inner c^B (unconjugated) vanishes identically because only unstarred
+    generators appear.
     """
     s = sigma_set(4, subspace)
     x_mat = vector_to_matrix(np.asarray(x, dtype=float), s)

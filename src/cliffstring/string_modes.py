@@ -360,10 +360,15 @@ def spectrum_from_json(obj: dict, tol: float = 1e-12) -> ModeSpectrum:
     consts = PhysicalConstants(
         float(obj.get("ell", 1.0)), float(obj.get("m", 1.0)), float(obj.get("hbar", 1.0))
     )
-    modes = {
-        int(t["n"]): (cmat_from_json(t["A"]), cmat_from_json(t["Anm"]))
-        for t in obj.get("modes", [])
-    }
+    modes = {}
+    for t in obj.get("modes", []):
+        n = t["n"]
+        # int() would truncate 3.7 and read "3" or true as a mode number
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"mode index must be an integer, got {n!r}")
+        if n in modes:
+            raise ValueError(f"mode index {n} is listed twice")
+        modes[n] = (cmat_from_json(t["A"]), cmat_from_json(t["Anm"]))
     return ModeSpectrum(
         cmat_from_json(obj["K"]), cmat_from_json(obj["C0"]), modes, consts, tol
     )

@@ -114,7 +114,7 @@ def test_03_spacetime_roundtrip_and_isotropy():
         worst_round = max(worst_round, float(np.max(np.abs(back - x))))
         for u in (c1, c2):
             for v in (c1, c2):
-                worst_iso = max(worst_iso, cliff_inner(u, v).norm())
+                worst_iso = max(worst_iso, np.linalg.norm(cliff_inner(u, v)))
     assert worst_round <= 1e-12
     assert worst_iso <= 1e-12
 

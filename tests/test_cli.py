@@ -16,7 +16,6 @@ from cliffstring.matrices import (
     OctHermitian,
     hermiticity_residual,
     omat_adjoint,
-    omat_identity,
     omat_mul,
 )
 from cliffstring.minkowski import det2
@@ -184,7 +183,7 @@ def test_infinite_hbar_exits_2():
 ], ids=lambda argv: " ".join(argv[::len(argv) - 1]))
 def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
     herm, spec = tmp_path / "h.json", tmp_path / "s.json"
-    herm.write_text(json.dumps(OctHermitian(omat_identity(2)).to_json()))
+    herm.write_text(json.dumps(OctHermitian(np.eye(2)[..., None] * np.eye(8)[0]).to_json()))
     assert run("gen-fixture", "--kind", "spectrum", "--seed", "1", "--output", str(spec)) == 0
     path = tmp_path / "missing" / "out"
     argv = [a.format(herm=herm, spec=spec) for a in argv] + [str(path)]
@@ -219,7 +218,7 @@ def test_negative_seed_exits_2(capsys, monkeypatch, argv, via):
 def test_resolve_identity_reports_zero_residual(tmp_path):
     src = tmp_path / "eye.json"
     out = tmp_path / "out.json"
-    src.write_text(json.dumps(OctHermitian(omat_identity(2)).to_json()))
+    src.write_text(json.dumps(OctHermitian(np.eye(2)[..., None] * np.eye(8)[0]).to_json()))
     assert run("resolve", "--input", str(src), "--output", str(out)) == 0
     rep = json.loads(out.read_text())
     assert rep["pass"] is True
@@ -301,10 +300,12 @@ def test_resolve_report_is_canonical_json(tmp_path, capsys, n, kind, scale):
     assert text == json.dumps(rep, indent=2, sort_keys=True) + "\n"
     a, b = np.array(rep["a"]), np.array(rep["b"])
     expected = vectors(Resolution(a, b, np.array(rep["perm"]), rep["pivots"]))
-    assert [v["n"] for v in rep["vectors"]] == [v.n for v in expected]
+    assert not np.any(expected[:, [1, 3]])  # no starred generator
+    assert [v["n"] for v in rep["vectors"]] == [n] * len(expected)
     for got, v in zip(rep["vectors"], expected):
-        assert [(t["kind"], t["k"]) for t in got["terms"]] == list(v.terms)
-        assert [t["coeff"] for t in got["terms"]] == [z.c.tolist() for z in v.terms.values()]
+        terms = [(kind, int(k) + 1, v[slot, k].tolist()) for kind, slot in (("E", 0), ("F", 2))
+                 for k in np.flatnonzero(np.any(v[slot], axis=-1))]
+        assert [(t["kind"], t["k"], t["coeff"]) for t in got["terms"]] == terms
 
 
 # sha256 prefixes of `resolve --tol 1e-10` on stdout for _hermitian_data(kind, n, seed, scale)
@@ -565,6 +566,44 @@ def test_resolve_nan_entry_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+def _rejected_with_one_line(capsys, *argv):
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    return captured.err
+
+
+def test_resolve_declared_n_disagreeing_with_entries_exits_2(tmp_path, capsys):
+    src = tmp_path / "h.json"
+    src.write_text(json.dumps({"n": 5, "entries": (np.eye(2)[..., None] * np.eye(8)[0]).tolist()}))
+    assert "n = 5" in _rejected_with_one_line(capsys, "resolve", "--input", str(src))
+
+
+def _spectrum_with_mode_one(tmp_path, change):
+    """A spectrum fixture whose n = 1 mode entry is changed in place by change(modes, entry)."""
+    fix = tmp_path / "s.json"
+    assert run("gen-fixture", "--kind", "spectrum", "--seed", "4", "--output", str(fix)) == 0
+    obj = json.loads(fix.read_text())
+    change(obj["modes"], next(t for t in obj["modes"] if t["n"] == 1))
+    fix.write_text(json.dumps(obj))
+    return fix
+
+
+@pytest.mark.parametrize("index", [1.5, "1", True])
+def test_string_modes_non_integer_mode_index_exits_2(tmp_path, capsys, index):
+    # int() would read each of these as mode 1, the entry's own index
+    fix = _spectrum_with_mode_one(tmp_path, lambda modes, entry: entry.update(n=index))
+    err = _rejected_with_one_line(capsys, "string-modes", "--spectrum", str(fix))
+    assert "mode index must be an integer" in err
+
+
+def test_string_modes_repeated_mode_index_exits_2(tmp_path, capsys):
+    fix = _spectrum_with_mode_one(tmp_path, lambda modes, entry: modes.append(dict(entry)))
+    assert "mode index 1 is listed twice" in _rejected_with_one_line(
+        capsys, "string-modes", "--spectrum", str(fix))
 
 
 def test_every_subcommand_writes_strict_json(tmp_path, capsys):

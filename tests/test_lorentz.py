@@ -6,7 +6,6 @@ from cliffstring.lorentz import (
     LorentzFactor,
     MixedSubspaceError,
     NestedTransform,
-    act_spinor,
     act_vector,
     boost_generator,
     compatibility_residual,
@@ -143,22 +142,6 @@ def test_contraction_sign_flip_under_reflection():
         after = contraction_value(spinor_map(f.s, chi), cospinor_map(f.s, psi))
         assert abs(after + before) <= 1e-12  # det = -1 flips the sign
         assert contraction_residual(f, chi, psi) <= 1e-12
-
-
-def test_spinor_action_matches_raw_map():
-    from cliffstring.clifford import TensorVector
-    from cliffstring.octonion import Octonion
-
-    f = make_factor(phase_generator(4), 0.5)
-    pair = random_spinor(rng)
-    c = (
-        TensorVector(1, {("E", 1): Octonion(pair[0])}),
-        TensorVector(1, {("E", 1): Octonion(pair[1])}),
-    )
-    moved = act_spinor(f, c)
-    raw = spinor_map(f.s, pair)
-    for comp in range(2):
-        assert np.max(np.abs(moved[comp].terms[("E", 1)].c - raw[comp])) <= 1e-14
 
 
 def test_kinetic_density_invariance():

@@ -1,5 +1,6 @@
-"""Every exported name exists, modules share no private names, and every
-per-layer benchmark metric is fed by a name the benchmark's tracer can wrap."""
+"""Every exported name exists and has a caller in src/ (or an allowlisted
+reason), modules share no private names, and every per-layer benchmark
+metric is fed by a name the benchmark's tracer can wrap."""
 
 import ast
 import importlib
@@ -35,6 +36,51 @@ def test_no_private_names_imported_from_sibling_modules():
                 if sibling and alias.name.startswith("_")
             ]
     assert offenders == []
+
+
+# Public names that no code in src/ calls, each with the reason it stays.
+UNCALLED_ALLOWED = {
+    "Octonion": "perfbench's tracer wraps Octonion.__init__ for octonion.objects",
+    "cliff_inner": "perfbench's tracer wraps it for clifford.inner_calls",
+    "reconstruction_residual": "perfbench's tracer wraps it for resolve.reconstruct_s",
+    "det2": "perfbench's tracer wraps it, the only feed of minkowski.busy_s",
+    "gram_matrix": "waits on ROADMAP item 6 (a named check or removal)",
+    "resolve_spacetime": "waits on ROADMAP item 6 (the spacetime roundtrip check)",
+    "mass_shell_residual": "waits on ROADMAP item 6 (the mass-shell check)",
+    "kinetic_invariance_residual": "waits on ROADMAP item 5 (action_invariance)",
+    "matrix_to_vector": "waits on ROADMAP item 5 (the 10D linearization)",
+}
+
+
+def _references():
+    """(module, top-level statement's names, referenced name) over src/, __init__ aside."""
+    refs = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            targets = getattr(stmt, "targets", [])
+            owners = {getattr(stmt, "name", None)} | {t.id for t in targets if isinstance(t, ast.Name)}
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    refs.append((path.stem, owners, node.id))
+                elif isinstance(node, ast.Attribute):
+                    refs.append((path.stem, owners, node.attr))
+    return refs
+
+
+def test_every_public_name_has_a_caller_in_src():
+    refs = _references()
+    uncalled = {}
+    for module in MODULES:
+        for name in getattr(importlib.import_module(f"cliffstring.{module}"), "__all__", ()):
+            # a name's own definition does not count as its caller
+            if not any(ref == name and not (stem == module and name in owners)
+                       for stem, owners, ref in refs):
+                uncalled[name] = module
+    assert [f"{uncalled[name]}.{name}" for name in uncalled if name not in UNCALLED_ALLOWED] == []
+    # an allowlisted name that is gone or has gained a caller leaves the list
+    assert sorted(set(UNCALLED_ALLOWED) - set(uncalled)) == []
 
 
 def _tracer():
