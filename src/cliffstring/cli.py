@@ -18,7 +18,6 @@ import numpy as np
 from .fixtures import random_hermitian, random_spectrum, random_spinor
 from .lorentz import (
     LorentzFactor,
-    NestedTransform,
     act_vector,
     boost_generator,
     compatibility_residual,
@@ -425,7 +424,7 @@ def cmd_resolve(args, overrides) -> int:
     obj = _load_json(args.input)
     try:
         h = OctHermitian.from_json(obj, tol=max(args.tol, 1e-12))
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise InputError(f"bad Hermitian matrix in {args.input}: {exc}")
     res = resolve_hermitian(h, tol=args.tol)
     errors = reconstruction_errors(res, h)
@@ -507,25 +506,23 @@ def cmd_lorentz_check(args, overrides) -> int:
     rng = np.random.default_rng(seed)
     reflection = reflection_factor()
     worst = {"det": 0.0, "compatibility": 0.0, "contraction": 0.0}
+    # nest_depth <= MAX_NEST_DEPTH == LORENTZ_BLOCK, so a block of per_block
+    # trials never exceeds LORENTZ_BLOCK factor slots
     per_block = max(1, LORENTZ_BLOCK // args.nest_depth)
     for start in range(0, args.trials, per_block):
         index, t, x, (v, chi, psi) = _draw_trials(
             rng, min(per_block, args.trials - start), args.nest_depth)
-        # factors are made and applied LORENTZ_BLOCK slots at a time, however deep
-        moved, step = x, LORENTZ_BLOCK // len(x)
-        for lo in range(0, len(index), step):
-            made = make_factor(_GENERATORS[index[lo:lo + step]], t[lo:lo + step])
-            reflect = index[lo:lo + step] == _REFLECT
-            f = LorentzFactor(np.where(reflect[..., None, None, None], reflection.s, made.s),
-                              np.where(reflect, reflection.subspace, made.subspace),
-                              np.where(reflect, reflection.det, made.det))
-            levels = [LorentzFactor(*level) for level in zip(f.s, f.subspace, f.det)]
-            moved = act_vector(NestedTransform(levels), moved)
-            # np.maximum keeps a NaN residual, which Python's max would drop
-            worst["compatibility"] = np.maximum(
-                worst["compatibility"], np.max(compatibility_residual(f.s, v)))
-            worst["contraction"] = np.maximum(
-                worst["contraction"], np.max(contraction_residual(f, chi, psi)))
+        made = make_factor(_GENERATORS[index], t)
+        reflect = index == _REFLECT
+        f = LorentzFactor(np.where(reflect[..., None, None, None], reflection.s, made.s),
+                          np.where(reflect, reflection.subspace, made.subspace),
+                          np.where(reflect, reflection.det, made.det))
+        moved = act_vector(f.s, x)
+        # np.maximum keeps a NaN residual, which Python's max would drop
+        worst["compatibility"] = np.maximum(
+            worst["compatibility"], np.max(compatibility_residual(f.s, v)))
+        worst["contraction"] = np.maximum(
+            worst["contraction"], np.max(contraction_residual(f, chi, psi)))
         # |det S| = 1, so the sandwich keeps the det form a'b' - |c'|^2 whatever
         # the signs; its round-off grows with |a'b'| + |c'|^2, not with |det|
         a, b, c = moved[..., 0, 0, 0], moved[..., 1, 1, 0], moved[..., 0, 1, :]
@@ -589,7 +586,7 @@ def cmd_string_modes(args, overrides) -> int:
     obj = _load_json(args.spectrum)
     try:
         ms = spectrum_from_json(obj)
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise InputError(f"bad spectrum in {args.spectrum}: {exc}")
 
     points = [(t, s) for t in _TAUS for s in _SIGMAS]

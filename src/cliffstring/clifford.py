@@ -54,7 +54,7 @@ def cliff_conj(v) -> np.ndarray:
     return conj_arrays(np.asarray(v, dtype=float)[..., _PARTNER, :, :])
 
 
-def gram_matrix(vs, tol: float = 1e-12) -> OctHermitian:
+def gram_matrix(vs) -> OctHermitian:
     """H_ij = cliff_inner(v_i, cliff_conj(v_j)) of an (m, 4, n, 8) stack.
 
     One octonion matrix product per generator kind, weighted by the form.
@@ -71,4 +71,4 @@ def gram_matrix(vs, tol: float = 1e-12) -> OctHermitian:
     upper = np.triu(np.ones((m, m), bool), 1)[..., None]
     data = np.where(upper, g, conj_arrays(g.swapaxes(0, 1)))
     data[np.arange(m), np.arange(m), 1:] = 0.0
-    return OctHermitian(data, tol=tol, validate=False)
+    return OctHermitian(data, validate=False)

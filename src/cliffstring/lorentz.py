@@ -19,7 +19,9 @@ the contraction chi^A psi_A picks up exactly the factor det(S).
 The Hermitian generators (boost_generator, rotation_generator(k >= 1))
 give boosts, the anti-Hermitian ones (rotation_generator(0), the phases)
 rotations.  Factors are closed-form exponentials, and the factor, action
-and residual functions take stacks along leading axes.
+and residual functions take stacks along leading axes.  A nesting is a
+(depth, ..., 2, 2, 8) stack of factor matrices for act_vector, levels[0]
+acting first.
 """
 
 from __future__ import annotations
@@ -29,12 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .octonion import mul_arrays, conj_arrays
-from .matrices import OctHermitian, omat_mul, omat_adjoint
+from .matrices import omat_mul, omat_adjoint
 
 __all__ = [
     "MixedSubspaceError",
     "LorentzFactor",
-    "NestedTransform",
     "factor_from_matrix",
     "make_factor",
     "reflection_factor",
@@ -52,13 +53,17 @@ __all__ = [
 ]
 
 
+# Tolerance of the factor and generator tests: single subspace, traceless, det.
+_TOL = 1e-10
+
+
 class MixedSubspaceError(ValueError):
     """Factor entries spread over more than one complex subspace."""
 
 
-def _entry_subspace(s: np.ndarray, tol: float):
+def _entry_subspace(s: np.ndarray):
     """Common imaginary direction of each stack's entries, 0 for real, or raise."""
-    live = np.max(np.abs(s[..., 1:]), axis=(-3, -2)) > tol
+    live = np.max(np.abs(s[..., 1:]), axis=(-3, -2)) > _TOL
     mixed = live[np.sum(live, axis=-1) > 1]
     if len(mixed):
         raise MixedSubspaceError(f"entries use directions {np.flatnonzero(mixed[0]) + 1}")
@@ -75,30 +80,23 @@ class LorentzFactor:
     det: float
 
 
-@dataclass
-class NestedTransform:
-    """Factors in application order: factors[0] acts first (innermost)."""
-
-    factors: list
-
-
-def factor_from_matrix(s, tol: float = 1e-10) -> LorentzFactor:
+def factor_from_matrix(s) -> LorentzFactor:
     """Validate a (..., 2, 2, 8) stack of factors, one reduction per test."""
     s = np.asarray(s, dtype=float)
     if s.shape[-3:] != (2, 2, 8):
         raise ValueError("factor needs a (..., 2, 2, 8) coefficient stack")
-    k = _entry_subspace(s, tol)
+    k = _entry_subspace(s)
     d = mul_arrays(s[..., 0, 0, :], s[..., 1, 1, :]) - mul_arrays(s[..., 0, 1, :], s[..., 1, 0, :])
     off_real = np.max(np.abs(d[..., 1:]))
-    if off_real > tol:
+    if off_real > _TOL:
         raise ValueError(f"determinant not real: imaginary part up to {off_real:.3e}")
     off_unit = np.max(np.abs(np.abs(d[..., 0]) - 1.0))
-    if off_unit > tol:
+    if off_unit > _TOL:
         raise ValueError(f"|det| differs from 1 by up to {off_unit:.3e}")
     return LorentzFactor(s.copy(), k, np.sign(d[..., 0]))
 
 
-def make_factor(generator, t, tol: float = 1e-10) -> LorentzFactor:
+def make_factor(generator, t) -> LorentzFactor:
     """exp(t G) for a (..., 2, 2, 8) stack of traceless single-subspace G.
 
     t broadcasts against the leading axes.  Over span(1, e_k) = C a traceless
@@ -108,8 +106,8 @@ def make_factor(generator, t, tol: float = 1e-10) -> LorentzFactor:
     g = np.asarray(generator, dtype=float)
     if g.shape[-3:] != (2, 2, 8):
         raise ValueError("generator needs a (..., 2, 2, 8) coefficient stack")
-    k = np.asarray(_entry_subspace(g, tol))
-    if np.max(np.abs(g[..., 0, 0, :] + g[..., 1, 1, :])) > tol:
+    k = np.asarray(_entry_subspace(g))
+    if np.max(np.abs(g[..., 0, 0, :] + g[..., 1, 1, :])) > _TOL:
         raise ValueError("generator must be traceless")
     e_k = np.arange(1, 8) == k[..., None, None, None]  # e_1..e_7 against each k; none for k = 0
     tg = np.asarray(t, dtype=float)[..., None, None] * (g[..., 0] + 1j * (g[..., 1:] * e_k).sum(-1))
@@ -119,7 +117,7 @@ def make_factor(generator, t, tol: float = 1e-10) -> LorentzFactor:
     out = np.zeros(c.shape + (8,))
     out[..., 0] = c.real
     out[..., 1:] = c.imag[..., None] * e_k
-    return factor_from_matrix(out, tol=tol)
+    return factor_from_matrix(out)
 
 
 def reflection_factor() -> LorentzFactor:
@@ -158,15 +156,12 @@ def phase_generator(k: int) -> np.ndarray:
 # -- actions ---------------------------------------------------------------
 
 
-def act_vector(transform, x):
-    """Nested sandwich action X -> (S X) S+, innermost factor first, on an
-    OctHermitian or on a (..., 2, 2, 8) stack of points (one per factor)."""
-    factors = transform.factors if isinstance(transform, NestedTransform) else [transform]
-    wrapped = isinstance(x, OctHermitian)
-    data = x.data if wrapped else x
-    for f in factors:
-        data = omat_mul(omat_mul(f.s, data), omat_adjoint(f.s))
-    return OctHermitian(data, validate=False) if wrapped else data
+def act_vector(levels, x):
+    """Nested sandwich action X -> (S X) S+ of a (depth, ..., 2, 2, 8) stack
+    of factor matrices, levels[0] innermost, on (..., 2, 2, 8) points."""
+    for s in levels:
+        x = omat_mul(omat_mul(s, x), omat_adjoint(s))
+    return x
 
 
 def lower_factor_indices(s: np.ndarray) -> np.ndarray:

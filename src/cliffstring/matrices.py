@@ -9,6 +9,8 @@ octonion factors, which matters everywhere here.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .octonion import conj_arrays, STRUCTURE
@@ -30,6 +32,21 @@ _RIGHT_TABLE.setflags(write=False)
 
 class NotHermitianError(ValueError):
     """Raised when a matrix required to be Hermitian is not."""
+
+
+def _numbers(x, name: str) -> np.ndarray:
+    """Nested lists of real numbers as a float array, in one scan of their types.
+
+    np.asarray(x, dtype=float) would read true, "0.5" and null (as NaN) as
+    numbers; here the first such entry, or a ragged list, raises ValueError.
+    """
+    values = np.asarray(x, dtype=object)
+    flat = values.ravel().tolist()
+    kinds = {k for k in set(map(type, flat)) if k is bool or not issubclass(k, numbers.Real)}
+    if kinds:
+        bad = next(v for v in flat if type(v) in kinds)
+        raise ValueError(f"{name} must hold real numbers, got {bad!r}")
+    return values.astype(float)
 
 
 def omat_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -90,18 +107,18 @@ class OctHermitian:
     def from_json(cls, obj: dict, tol: float = 1e-12) -> "OctHermitian":
         """Accepts {"n", "entries"} or the compact 2x2 {"a", "b", "c"} form."""
         if "entries" in obj:
-            h = cls(np.asarray(obj["entries"], dtype=float), tol=tol)
+            h = cls(_numbers(obj["entries"], "entries"), tol=tol)
             n = obj.get("n", h.n)
             if isinstance(n, bool) or n != h.n:
                 raise ValueError(f"declared n = {n!r}, but the entries are {h.n} x {h.n}")
             return h
         if {"a", "b", "c"} <= obj.keys():
-            c = np.asarray(obj["c"], dtype=float)
+            c = _numbers(obj["c"], "c")
             if c.shape != (8,):
                 raise ValueError("off-diagonal entry needs 8 coefficients")
             data = np.zeros((2, 2, 8))
-            data[0, 0, 0] = float(obj["a"])
-            data[1, 1, 0] = float(obj["b"])
+            data[0, 0, 0] = _numbers(obj["a"], "a")
+            data[1, 1, 0] = _numbers(obj["b"], "b")
             data[0, 1] = c
             data[1, 0] = conj_arrays(c)
             return cls(data, tol=tol)

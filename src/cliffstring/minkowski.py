@@ -1,10 +1,10 @@
 """Spacetime-to-matrix dictionary: sigma sets, epsilon metric, det form.
 
 A point x is packed into a 2x2 octonionic Hermitian matrix X = sigma_mu x^mu.
-Two sigma sets are provided:
+A sigma set is a plain (dim, 2, 2, 8) coefficient array, and two are provided:
 
 * dim 4: identity plus the three standard Pauli matrices, with the complex
-  unit realized as a chosen imaginary octonion direction (default e_1).
+  unit realized as the imaginary octonion e_1.
 * dim 10: sigma^0 = I, sigma^1 = diag(1, -1), and sigma^(k+2) =
   [[0, e_k*], [e_k, 0]] for k = 0..7, covering the full octonion algebra.
 
@@ -25,7 +25,6 @@ from .matrices import OctHermitian, NotHermitianError, hermiticity_residual
 
 __all__ = [
     "EPS",
-    "SigmaSet",
     "sigma_set",
     "sigma4_complex",
     "vector_to_matrix",
@@ -43,71 +42,45 @@ def eta4() -> np.ndarray:
     return np.diag([1.0, -1.0, -1.0, -1.0])
 
 
-def _unit(k):
-    c = np.zeros(8)
-    c[k] = 1.0
-    return c
-
-
-class SigmaSet:
-    """Ordered sigma matrices as an (dim, 2, 2, 8) coefficient stack."""
-
-    __slots__ = ("dim", "mats", "subspace")
-
-    def __init__(self, dim: int, mats: np.ndarray, subspace: int):
-        self.dim = dim
-        self.mats = mats
-        self.subspace = subspace
-
-    def __iter__(self):
-        return iter(self.mats)
-
-
-def sigma_set(dim: int, subspace: int = 1) -> SigmaSet:
+def sigma_set(dim: int) -> np.ndarray:
+    """The dim 4 or dim 10 sigma matrices as a (dim, 2, 2, 8) coefficient array."""
+    if dim not in (4, 10):
+        raise ValueError("dim must be 4 or 10")
+    mats = np.zeros((dim, 2, 2, 8))
+    mats[0, 0, 0, 0] = mats[0, 1, 1, 0] = 1.0  # identity
     if dim == 4:
-        if not 1 <= subspace <= 7:
-            raise ValueError("4D set needs an imaginary direction 1..7")
-        ek = _unit(subspace)
-        mats = np.zeros((4, 2, 2, 8))
-        mats[0, 0, 0, 0] = mats[0, 1, 1, 0] = 1.0  # identity
         mats[1, 0, 1, 0] = mats[1, 1, 0, 0] = 1.0  # sigma_x
-        mats[2, 0, 1] = -ek                        # sigma_y with i -> e_k
-        mats[2, 1, 0] = ek
+        mats[2, 0, 1], mats[2, 1, 0] = -np.eye(8)[1], np.eye(8)[1]  # sigma_y with i -> e_1
         mats[3, 0, 0, 0], mats[3, 1, 1, 0] = 1.0, -1.0  # sigma_z
-        return SigmaSet(4, mats, subspace)
-    if dim == 10:
-        mats = np.zeros((10, 2, 2, 8))
-        mats[0, 0, 0, 0] = mats[0, 1, 1, 0] = 1.0
+    else:
         mats[1, 0, 0, 0], mats[1, 1, 1, 0] = 1.0, -1.0
-        for k in range(8):
-            mats[k + 2, 0, 1] = conj_arrays(_unit(k))
-            mats[k + 2, 1, 0] = _unit(k)
-        return SigmaSet(10, mats, 0)
-    raise ValueError("dim must be 4 or 10")
+        mats[2:, 0, 1] = conj_arrays(np.eye(8))  # [[0, e_k*], [e_k, 0]]
+        mats[2:, 1, 0] = np.eye(8)
+    return mats
 
 
-def sigma4_complex(subspace: int = 1) -> np.ndarray:
+def sigma4_complex() -> np.ndarray:
     """The 4D set as plain complex (4, 2, 2) matrices."""
-    mats = sigma_set(4, subspace).mats
-    return mats[..., 0] + 1j * mats[..., subspace]
+    mats = sigma_set(4)
+    return mats[..., 0] + 1j * mats[..., 1]
 
 
-def vector_to_matrix(x, s: SigmaSet) -> OctHermitian:
+def vector_to_matrix(x, s: np.ndarray) -> OctHermitian:
     x = np.asarray(x, dtype=float)
-    if x.shape != (s.dim,):
-        raise ValueError(f"expected {s.dim} components, got {x.shape}")
-    data = np.einsum("m,mabk->abk", x, s.mats)
+    if x.shape != (len(s),):
+        raise ValueError(f"expected {len(s)} components, got {x.shape}")
+    data = np.einsum("m,mabk->abk", x, s)
     return OctHermitian(data, validate=False)
 
 
-def matrix_to_vector(x_mat: OctHermitian, s: SigmaSet, tol: float = 1e-12) -> np.ndarray:
+def matrix_to_vector(x_mat: OctHermitian, s: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Inverse packing, x^mu = 1/2 Re tr(sigma^mu X); raises off Hermitian input."""
     if x_mat.n != 2:
         raise ValueError("expected a 2x2 matrix")
     if hermiticity_residual(x_mat.data) > tol:
         raise NotHermitianError("matrix_to_vector needs a Hermitian matrix")
     # prod[mu, a, b] = sigma^mu_ab X_ba, so the trace sums its real parts
-    prod = mul_arrays(s.mats, x_mat.data.transpose(1, 0, 2))
+    prod = mul_arrays(s, x_mat.data.transpose(1, 0, 2))
     return 0.5 * prod[..., 0].sum(axis=(1, 2))
 
 

@@ -136,16 +136,12 @@ class Octonion:
     def norm(self) -> float:
         return float(np.sqrt(self.c @ self.c))
 
-    def in_subspace(self, k: int, tol: float = 1e-12) -> bool:
-        """True when the value lies in span(1, e_k); k = 0 means the real line."""
-        mask = np.ones(8, dtype=bool)
-        mask[0] = False
-        if k != 0:
-            mask[k] = False
-        return bool(np.max(np.abs(self.c[mask]), initial=0.0) <= tol)
+    def in_subspace(self, k: int) -> bool:
+        """True when the value lies in span(1, e_k) within 1e-12; k = 0 means the real line."""
+        return bool(np.max(np.abs(np.delete(self.c, [0, k])), initial=0.0) <= 1e-12)
 
-    def to_complex(self, k: int, tol: float = 1e-12) -> complex:
-        if not self.in_subspace(k, tol):
+    def to_complex(self, k: int) -> complex:
+        if not self.in_subspace(k):
             raise ValueError(f"value not in span(1, e_{k})")
         return complex(self.c[0], 0.0 if k == 0 else self.c[k])
 

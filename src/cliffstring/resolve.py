@@ -139,17 +139,16 @@ def reconstruction_residual(res: Resolution, h: OctHermitian) -> float:
     return float(np.max(reconstruction_errors(res, h)))
 
 
-def resolve_spacetime(x, subspace: int = 1, tol: float = 1e-12):
+def resolve_spacetime(x):
     """Resolve a 4-vector's Hermitian matrix into two generating vectors.
 
     Returns (c1, c2, X), with c1, c2 (4, 2, 8) vector arrays, X = sigma_mu x^mu
-    and gram_matrix([c1, c2]) == X.  The coefficients land in span(1,
-    e_subspace), so the pair realizes the point with complex coefficients;
-    c^A inner c^B (unconjugated) vanishes identically because only unstarred
-    generators appear.
+    and gram_matrix([c1, c2]) == X.  The coefficients land in span(1, e_1),
+    so the pair realizes the point with complex coefficients; c^A inner c^B
+    (unconjugated) vanishes identically because only unstarred generators
+    appear.
     """
-    s = sigma_set(4, subspace)
-    x_mat = vector_to_matrix(np.asarray(x, dtype=float), s)
-    res = resolve_hermitian(x_mat, tol=tol)
+    x_mat = vector_to_matrix(np.asarray(x, dtype=float), sigma_set(4))
+    res = resolve_hermitian(x_mat)
     c1, c2 = vectors(res)
     return c1, c2, x_mat

@@ -6,7 +6,8 @@ for equal-mode pairs and A_{n,-n} for opposite-mode pairs, with the input
 constraint A_{-n,n} = (A_{n,-n})+.  Left- and right-moving null wave
 vectors k^L_alpha = (1, 1) and k^R_alpha = (1, -1) are raised with the
 worldsheet metric eta = diag(1, -1); open-string boundary conditions set
-the left and right matrices equal.
+the left and right matrices equal, so a ModeSpectrum holds one set of modes
+for both movers.
 
 With those inner products, the conserved angular-momentum current density is
 
@@ -39,11 +40,9 @@ import numpy as np
 from .minkowski import EPS, sigma4_complex
 
 __all__ = [
-    "BoundaryViolationError",
     "NonpositiveTimeError",
     "PhysicalConstants",
     "ModeSpectrum",
-    "enforce_boundary",
     "momentum_vector",
     "mass_shell_residual",
     "current_density",
@@ -61,10 +60,6 @@ __all__ = [
     "spectrum_from_json",
 ]
 
-class BoundaryViolationError(ValueError):
-    """Left and right mover data disagree at the string endpoints."""
-
-
 class NonpositiveTimeError(ValueError):
     """Cosmological times must be positive."""
 
@@ -80,13 +75,17 @@ class PhysicalConstants:
             raise ValueError("constants must be positive and finite")
 
 
-def _checked_matrix(m, name, hermitian_tol=None):
-    """m as a finite complex matrix, Hermitian within hermitian_tol if one is given."""
+# Tolerance of a spectrum's Hermiticity and pairing tests.
+_TOL = 1e-12
+
+
+def _checked_matrix(m, name, hermitian=True):
+    """m as a finite complex matrix, Hermitian within _TOL unless hermitian is False."""
     m = np.asarray(m, dtype=complex)
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} must be finite")
-    if hermitian_tol is not None and np.max(np.abs(m - m.conj().T)) > hermitian_tol:
-        raise ValueError(f"{name} must be Hermitian within {hermitian_tol:.1e}")
+    if hermitian and np.max(np.abs(m - m.conj().T)) > _TOL:
+        raise ValueError(f"{name} must be Hermitian within {_TOL:.1e}")
     return m
 
 
@@ -96,52 +95,32 @@ class ModeSpectrum:
 
     modes maps n != 0 to the pair (A_n, A_{n,-n}); missing entries are zero.
     Validation enforces finite entries, Hermitian K, C0 and A_n, and the
-    opposite-mode pairing A_{-n,n} = (A_{n,-n})+.
+    opposite-mode pairing A_{-n,n} = (A_{n,-n})+, each within _TOL.
     """
 
     K: np.ndarray
     C0: np.ndarray
     modes: dict = field(default_factory=dict)
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
-    tol: float = 1e-12
 
     def __post_init__(self):
-        self.K = _checked_matrix(self.K, "K", self.tol)
-        self.C0 = _checked_matrix(self.C0, "C0", self.tol)
+        self.K = _checked_matrix(self.K, "K")
+        self.C0 = _checked_matrix(self.C0, "C0")
         clean = {}
         for n, (a, anm) in self.modes.items():
             n = int(n)
             if n == 0:
                 raise ValueError("mode index 0 belongs to the zero mode K")
-            a = _checked_matrix(a, f"A_{n}", self.tol)
-            anm = _checked_matrix(anm, f"A_({n},{-n})")
+            a = _checked_matrix(a, f"A_{n}")
+            anm = _checked_matrix(anm, f"A_({n},{-n})", hermitian=False)
             clean[n] = (a, anm)
         for n, (_, anm) in clean.items():
-            other = clean.get(-n)
-            anm_neg = other[1] if other is not None else np.zeros((2, 2), complex)
-            if np.max(np.abs(anm_neg - anm.conj().T)) > self.tol:
+            anm_neg = clean.get(-n, (None, np.zeros((2, 2), complex)))[1]
+            if np.max(np.abs(anm_neg - anm.conj().T)) > _TOL:
                 raise ValueError(
                     f"pairing violated: A_({-n},{n}) must equal the adjoint of A_({n},{-n})"
                 )
         self.modes = clean
-
-
-def enforce_boundary(K, C0, left_modes, right_modes, constants=None, tol=1e-12) -> ModeSpectrum:
-    """Open-string endpoints force left and right mover data to coincide."""
-    keys = set(left_modes) | set(right_modes)
-    zero = (np.zeros((2, 2), complex), np.zeros((2, 2), complex))
-    merged = {}
-    for n in keys:
-        al, anml = left_modes.get(n, zero)
-        ar, anmr = right_modes.get(n, zero)
-        gap = max(np.max(np.abs(np.asarray(al) - np.asarray(ar))),
-                  np.max(np.abs(np.asarray(anml) - np.asarray(anmr))))
-        if gap > tol:
-            raise BoundaryViolationError(
-                f"left/right mode {n} differ by {gap:.3e} (> {tol:.1e})"
-            )
-        merged[n] = (np.asarray(al, dtype=complex), np.asarray(anml, dtype=complex))
-    return ModeSpectrum(K, C0, merged, constants or PhysicalConstants(), tol)
 
 
 # -- index helpers ------------------------------------------------------------
@@ -356,10 +335,13 @@ def spectrum_to_json(ms: ModeSpectrum) -> dict:
     }
 
 
-def spectrum_from_json(obj: dict, tol: float = 1e-12) -> ModeSpectrum:
-    consts = PhysicalConstants(
-        float(obj.get("ell", 1.0)), float(obj.get("m", 1.0)), float(obj.get("hbar", 1.0))
-    )
+def spectrum_from_json(obj: dict) -> ModeSpectrum:
+    values = [obj.get(name, 1.0) for name in ("ell", "m", "hbar")]
+    for name, v in zip(("ell", "m", "hbar"), values):
+        # float() would read true as 1 and "2" as 2
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"{name} must be a number, got {v!r}")
+    consts = PhysicalConstants(*map(float, values))
     modes = {}
     for t in obj.get("modes", []):
         n = t["n"]
@@ -369,7 +351,5 @@ def spectrum_from_json(obj: dict, tol: float = 1e-12) -> ModeSpectrum:
         if n in modes:
             raise ValueError(f"mode index {n} is listed twice")
         modes[n] = (cmat_from_json(t["A"]), cmat_from_json(t["Anm"]))
-    return ModeSpectrum(
-        cmat_from_json(obj["K"]), cmat_from_json(obj["C0"]), modes, consts, tol
-    )
+    return ModeSpectrum(cmat_from_json(obj["K"]), cmat_from_json(obj["C0"]), modes, consts)
 

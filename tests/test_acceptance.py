@@ -29,7 +29,7 @@ from cliffstring.lorentz import (
     rotation_generator,
     spinor_map,
 )
-from cliffstring.matrices import omat_mul
+from cliffstring.matrices import OctHermitian, omat_mul
 from cliffstring.minkowski import det2, matrix_to_vector, sigma_set, vector_to_matrix
 from cliffstring.octonion import Octonion, alternativity_check, mul_arrays
 from cliffstring.quantum_rep import (
@@ -146,7 +146,7 @@ def test_04_nested_lorentz_transforms_preserve_invariants():
         y = vector_to_matrix(x, s10)
         before = det2(y)
         for f in factors:
-            y = act_vector(f, y)
+            y = OctHermitian(act_vector(f.s[None], y.data), validate=False)
             worst_compat = max(worst_compat, compatibility_residual(f.s, random_spinor(rng)))
             worst_contr = max(
                 worst_contr,

@@ -373,6 +373,41 @@ def test_hermitian_fixture_bytes_are_pinned(capsys, seed, n):
     assert hermiticity_residual(h.data) == 0.0
 
 
+# sha256 prefixes of `gen-fixture --kind k --seed s` on stdout
+FIXTURE_DIGESTS = {
+    ("spectrum", 0): "b790942f00a1fe30", ("spectrum", 1): "108befd029ce42a9",
+    ("spectrum", 2): "74bfd569d3cf55a6",
+    ("spinor", 0): "461fa957f4383b91", ("spinor", 1): "893a6a00641bc5f0",
+    ("spinor", 2): "92b3ff5884a2f965",
+}
+
+
+@pytest.mark.parametrize("kind, seed", sorted(FIXTURE_DIGESTS))
+def test_spectrum_and_spinor_fixture_bytes_are_pinned(capsys, kind, seed):
+    assert run("gen-fixture", "--kind", kind, "--seed", str(seed)) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+    assert digest == FIXTURE_DIGESTS[kind, seed]
+
+
+# sha256 prefixes of the `string-modes --grid 16` report on stdout and of its
+# CSV, for the `gen-fixture --kind spectrum --seed s` file s.json
+STRING_MODES_DIGESTS = {
+    0: ("b9785a0a4c409c9d", "4bda94f2464d28ae"),
+    1: ("b156d5104c8b2a6a", "f5ee08c2ef893529"),
+    2: ("ac3bbb4088c05507", "dede87789968276e"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(STRING_MODES_DIGESTS))
+def test_string_modes_report_and_csv_bytes_are_pinned(tmp_path, capsys, monkeypatch, seed):
+    monkeypatch.chdir(tmp_path)  # the report names the spectrum path
+    assert run("gen-fixture", "--kind", "spectrum", "--seed", str(seed), "--output", "s.json") == 0
+    assert run("string-modes", "--spectrum", "s.json", "--grid", "16", "--output", "grid.csv") == 0
+    report = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+    csv = hashlib.sha256((tmp_path / "grid.csv").read_bytes()).hexdigest()[:16]
+    assert (report, csv) == STRING_MODES_DIGESTS[seed]
+
+
 # sha256 prefixes of the `quantum-check --degree d --hbar h` report on stdout;
 # every residual is an exact zero or non-finite in these cases, so the bytes
 # do not depend on the order in which round-off is summed
@@ -582,6 +617,37 @@ def test_resolve_declared_n_disagreeing_with_entries_exits_2(tmp_path, capsys):
     assert "n = 5" in _rejected_with_one_line(capsys, "resolve", "--input", str(src))
 
 
+@pytest.mark.parametrize("a, b, c0", [(True, 1.0, 0.5), (1.0, "1", 0.5), (1.0, 1.0, "0.5"),
+                                      (True, "1", "0.5"), (1.0, None, 0.5)])
+def test_resolve_compact_form_non_number_exits_2(tmp_path, capsys, a, b, c0):
+    # float() and np.asarray(..., dtype=float) would read true as 1 and "0.5" as 0.5
+    src = tmp_path / "h.json"
+    src.write_text(json.dumps({"a": a, "b": b, "c": [c0, 0, 0, 0, 0, 0, 0, 0]}))
+    err = _rejected_with_one_line(capsys, "resolve", "--input", str(src))
+    assert "must hold real numbers" in err
+
+
+@pytest.mark.parametrize("bad", [True, "0.5", None])
+def test_resolve_entries_non_number_exits_2(tmp_path, capsys, bad):
+    entries = (2.0 * np.eye(2)[..., None] * np.eye(8)[0]).tolist()
+    entries[1][1][0] = entries[0][1][3] = bad
+    src = tmp_path / "h.json"
+    src.write_text(json.dumps({"n": 2, "entries": entries}))
+    err = _rejected_with_one_line(capsys, "resolve", "--input", str(src))
+    assert f"entries must hold real numbers, got {bad!r}" in err
+
+
+def test_integer_beyond_the_float_range_exits_2(tmp_path, capsys):
+    # float() raises OverflowError, not ValueError, on such a JSON integer
+    huge = "1" + "0" * 400
+    src = tmp_path / "h.json"
+    src.write_text('{"a": %s, "b": 1.0, "c": [0.5, 0, 0, 0, 0, 0, 0, 0]}' % huge)
+    assert "too large" in _rejected_with_one_line(capsys, "resolve", "--input", str(src))
+    fix = _spectrum_with_mode_one(tmp_path, lambda modes, entry: None)
+    fix.write_text(fix.read_text().replace('"ell": 1.0', '"ell": ' + huge))
+    assert "too large" in _rejected_with_one_line(capsys, "string-modes", "--spectrum", str(fix))
+
+
 def _spectrum_with_mode_one(tmp_path, change):
     """A spectrum fixture whose n = 1 mode entry is changed in place by change(modes, entry)."""
     fix = tmp_path / "s.json"
@@ -598,6 +664,18 @@ def test_string_modes_non_integer_mode_index_exits_2(tmp_path, capsys, index):
     fix = _spectrum_with_mode_one(tmp_path, lambda modes, entry: entry.update(n=index))
     err = _rejected_with_one_line(capsys, "string-modes", "--spectrum", str(fix))
     assert "mode index must be an integer" in err
+
+
+@pytest.mark.parametrize("edit", [{"hbar": True, "ell": "2"}, {"ell": "2"}, {"hbar": True},
+                                  {"m": None}, {"m": [1.0]}])
+def test_string_modes_non_number_constant_exits_2(tmp_path, capsys, edit):
+    # float() would read true as 1 and "2" as 2
+    fix = _spectrum_with_mode_one(tmp_path, lambda modes, entry: None)
+    obj = json.loads(fix.read_text())
+    obj.update(edit)
+    fix.write_text(json.dumps(obj))
+    err = _rejected_with_one_line(capsys, "string-modes", "--spectrum", str(fix))
+    assert "must be a number" in err
 
 
 def test_string_modes_repeated_mode_index_exits_2(tmp_path, capsys):
@@ -716,7 +794,8 @@ def _lorentz_check_oracle(seed, trials, nest_depth):
                  else lorentz.phase_generator(1 + int(rng.integers(7))))
             factors.append(lorentz.make_factor(g, t))
         x = random_hermitian(rng, 2)
-        moved = lorentz.act_vector(lorentz.NestedTransform(factors), x)
+        moved = OctHermitian(lorentz.act_vector(np.stack([f.s for f in factors]), x.data),
+                             validate=False)
         a, b, c = moved.data[0, 0, 0], moved.data[1, 1, 0], moved.data[0, 1]
         scale = max(1.0, abs(a * b) + float(c @ c))
         worst["det"] = max(worst["det"], abs(det2(moved, tol=1e-6) - det2(x)) / scale)
@@ -753,12 +832,26 @@ def test_lorentz_check_det_is_scale_free_on_deep_nestings(capsys):
 
 
 def test_lorentz_check_splits_deep_trials_into_blocks(capsys, monkeypatch):
-    """With a block of 8 factor slots, each trial's 1..40 factors take 1..5 passes."""
+    """With blocks of 8 factor slots and the depth cap at 8, as at 1024, no
+    make_factor call gets more than a block's slots, and the sweep still
+    matches the per-trial oracle."""
     monkeypatch.setattr(cli, "LORENTZ_BLOCK", 8)
-    assert run("lorentz-check", "--seed", "4", "--trials", "5", "--nest-depth", "40") == 0
-    checks = strict_json(capsys.readouterr().out)["checks"]
-    for name, expected in _lorentz_check_oracle(4, 5, 40).items():
-        assert abs(checks[name]["max_residual"] - expected) <= 2e-15, name
+    monkeypatch.setattr(cli, "MAX_NEST_DEPTH", 8)
+    slots = []
+
+    def counted(generator, t):
+        slots.append(int(np.prod(np.broadcast_shapes(generator.shape[:-3], np.shape(t)))))
+        return lorentz.make_factor(generator, t)
+
+    monkeypatch.setattr(cli, "make_factor", counted)
+    for trials, depth in ((5, 8), (7, 3), (9, 1)):
+        slots.clear()
+        assert run("lorentz-check", "--seed", "4", "--trials", str(trials),
+                   "--nest-depth", str(depth)) == 0
+        assert slots and max(slots) <= 8
+        checks = strict_json(capsys.readouterr().out)["checks"]
+        for name, expected in _lorentz_check_oracle(4, trials, depth).items():
+            assert abs(checks[name]["max_residual"] - expected) <= 2e-15, name
 
 
 def test_lorentz_check_runs_at_the_depth_cap(capsys):

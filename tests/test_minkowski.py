@@ -29,7 +29,7 @@ def test_epsilon_squares_to_minus_identity():
 def test_matrices_are_hermitian(dim):
     s = sigma_set(dim)
     for mu in range(dim):
-        assert hermiticity_residual(s.mats[mu]) == 0.0
+        assert hermiticity_residual(s[mu]) == 0.0
 
 
 @pytest.mark.parametrize("dim", [4, 10])
@@ -61,7 +61,7 @@ def test_sigma_completeness_identity_4d():
                     acc = np.zeros(8)
                     for mu in range(4):
                         acc += eta_diag[mu] * mul_arrays(
-                            s.mats[mu][a, b], s.mats[mu][c, d]
+                            s[mu][a, b], s[mu][c, d]
                         )
                     want = np.zeros(8)
                     want[0] = 2.0 * EPS[a, c] * EPS[b, d]
@@ -82,8 +82,8 @@ def test_sigma_clifford_identity_10d():
     s = sigma_set(10)
     for mu in range(10):
         for nu in range(10):
-            anti = omat_mul(s.mats[mu], _adjugate(s.mats[nu])) + omat_mul(
-                s.mats[nu], _adjugate(s.mats[mu])
+            anti = omat_mul(s[mu], _adjugate(s[nu])) + omat_mul(
+                s[nu], _adjugate(s[mu])
             )
             eta = 0.0 if mu != nu else (1.0 if mu == 0 else -1.0)
             want = np.zeros((2, 2, 8))
@@ -111,8 +111,8 @@ def test_sigma4_complex_matches_octonionic_set():
     s = sigma_set(4)
     sc = sigma4_complex()
     for mu in range(4):
-        real = s.mats[mu][:, :, 0]
-        imag = s.mats[mu][:, :, 1]
+        real = s[mu][:, :, 0]
+        imag = s[mu][:, :, 1]
         assert np.allclose(sc[mu].real, real) and np.allclose(sc[mu].imag, imag)
 
 

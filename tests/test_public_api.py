@@ -1,6 +1,7 @@
 """Every exported name exists and has a caller in src/ (or an allowlisted
-reason), modules share no private names, and every per-layer benchmark
-metric is fed by a name the benchmark's tracer can wrap."""
+reason), every default-valued parameter is passed by some call (or has an
+allowlisted reason), modules share no private names, and every per-layer
+benchmark metric is fed by a name the benchmark's tracer can wrap."""
 
 import ast
 import importlib
@@ -81,6 +82,85 @@ def test_every_public_name_has_a_caller_in_src():
     assert [f"{uncalled[name]}.{name}" for name in uncalled if name not in UNCALLED_ALLOWED] == []
     # an allowlisted name that is gone or has gained a caller leaves the list
     assert sorted(set(UNCALLED_ALLOWED) - set(uncalled)) == []
+
+
+# Default-valued parameters of public functions, methods and dataclasses in
+# src/ that no call passes, each with the reason it stays a parameter.
+ONE_VALUE_ALLOWED = {}
+
+
+def _parameters(fn, method):
+    """[(parameter, position or None)] of fn's default-valued parameters;
+    a method's position does not count self or cls."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    params = [(a.arg, i - method) for i, a in enumerate(positional) if i >= first]
+    kw_only = zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+    return params + [(a.arg, None) for a, d in kw_only if d is not None]
+
+
+def _defaulted():
+    """{qualified name: (callee name, parameter, position)} over src/'s public
+    functions, methods and dataclass fields; a constructor's callee is its class."""
+    out = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.stem.startswith("__"):
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                for p, i in _parameters(node, False):
+                    out[f"{path.stem}.{node.name}({p})"] = (node.name, p, i)
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+                for i, name in enumerate(f.target.id for f in fields):
+                    if fields[i].value is not None:
+                        out[f"{path.stem}.{node.name}({name})"] = (node.name, name, i)
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and (fn.name == "__init__" or fn.name[0] != "_"):
+                    callee = node.name if fn.name == "__init__" else fn.name
+                    for p, i in _parameters(fn, True):
+                        out[f"{path.stem}.{node.name}.{fn.name}({p})"] = (callee, p, i)
+    return out
+
+
+def _passed():
+    """{callee name: (most positional arguments, keywords)} over every call in
+    src/, tests/ and perfbench/; *args passes every position, **kwargs every
+    keyword, and cls(...) in a class body calls that class."""
+    passed = {}
+
+    def record(name, call):
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        count, keywords = passed.get(name, (0, set()))
+        count = max(count, float("inf") if starred else len(call.args))
+        passed[name] = (count, keywords | {k.arg for k in call.keywords})  # None: **kwargs
+
+    for directory in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    record(getattr(node.func, "id", None) or getattr(node.func, "attr", None), node)
+                elif isinstance(node, ast.ClassDef):
+                    for call in ast.walk(node):
+                        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "cls":
+                            record(node.name, call)
+    return passed
+
+
+def test_every_default_valued_parameter_is_passed_somewhere():
+    """A parameter that every call leaves at its default is a constant in disguise."""
+    passed = _passed()
+    unpassed = []
+    for qualified, (callee, param, position) in _defaulted().items():
+        count, keywords = passed.get(callee, (0, set()))
+        by_position = position is not None and position < count
+        if not (by_position or param in keywords or None in keywords):
+            unpassed.append(qualified)
+    assert [name for name in unpassed if name not in ONE_VALUE_ALLOWED] == []
+    # an allowlisted parameter that is gone or is now passed leaves the list
+    assert sorted(set(ONE_VALUE_ALLOWED) - set(unpassed)) == []
 
 
 def _tracer():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from cliffstring import string_modes
 from cliffstring.fixtures import random_complex_hermitian, random_spectrum
 from cliffstring.minkowski import EPS, eta4
 from cliffstring.string_modes import (
-    BoundaryViolationError,
     ModeSpectrum,
     NonpositiveTimeError,
     PhysicalConstants,
@@ -16,7 +17,6 @@ from cliffstring.string_modes import (
     divergence_residual,
     emission_bound,
     endpoint_flux,
-    enforce_boundary,
     eom_residual,
     mass_shell_residual,
     momentum_vector,
@@ -216,17 +216,7 @@ def test_momentum_is_minkowski_vector_of_zero_mode(spectrum):
     assert abs(p @ eta @ p - want) <= 1e-12
 
 
-# -- boundary and validation ---------------------------------------------------
-
-
-def test_boundary_mismatch_rejected():
-    k = random_complex_hermitian(rng)
-    a = random_complex_hermitian(rng)
-    anm = rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))
-    left = {1: (a, anm), -1: (a, anm.conj().T)}
-    shifted = {1: (a + 0.01 * np.eye(2), anm), -1: (a, anm.conj().T)}
-    with pytest.raises(BoundaryViolationError):
-        enforce_boundary(k, k, left, shifted)
+# -- validation ----------------------------------------------------------------
 
 
 def test_pairing_violation_rejected():
@@ -327,3 +317,16 @@ def test_spectrum_json_documented_shape():
     ms = spectrum_from_json(obj)
     assert np.array_equal(ms.K, np.eye(2))
     assert ms.constants.ell == 2.0 and ms.constants.m == 0.5
+
+
+@pytest.mark.parametrize("max_mode", [3, 8])
+@pytest.mark.parametrize("seed", [0, 4])
+def test_spectrum_and_its_json_round_trip_evaluate_alike(seed, max_mode):
+    """The CLI reads every spectrum from JSON, so a fixture must give the
+    same X and J in memory as after its round trip, bit for bit."""
+    ms = random_spectrum(np.random.default_rng(seed), max_mode=max_mode)
+    back = spectrum_from_json(json.loads(json.dumps(spectrum_to_json(ms))))
+    tau, sigma = np.meshgrid(np.linspace(0.0, 6.0, 7), np.linspace(-1.0, 4.0, 11))
+    assert np.array_equal(coordinates(back, tau, sigma), coordinates(ms, tau, sigma))
+    for got, want in zip(current_density(back, tau, sigma), current_density(ms, tau, sigma)):
+        assert np.array_equal(got, want)
