@@ -70,7 +70,7 @@ OCTONION_BLOCK = 1024
 LORENTZ_BLOCK = 1024
 
 # Largest lorentz-check --nest-depth: one block then still holds a whole
-# trial, and 100 trials at this depth take about 3 s.
+# trial, and 100 trials at this depth take about 2 s.
 MAX_NEST_DEPTH = LORENTZ_BLOCK
 
 # Random factors' generators by index: boost, rotation(0..7), phase(1..7), and
@@ -86,8 +86,9 @@ MAX_GRID = 65536
 # weights, and degree 20 (8855 columns) takes 0.9 s and 102 MB in a fresh process.
 MAX_DEGREE = 20
 
-# Largest gen-fixture --n: the hermitian fixture fills an (n, n, 8) array
-# entry by entry, and n = 256 takes about 1 s, 122 MB and a 16 MB file.
+# Largest gen-fixture --n: the hermitian fixture is one draw into an
+# (n, n, 8) array (13 ms at n = 256); writing it dominates, and n = 256
+# takes about 1 s, 121 MB and a 15 MB file.
 MAX_FIXTURE_N = 256
 
 # Default tolerance per named check, overridable with --tol.<name>.
@@ -452,35 +453,39 @@ def cmd_resolve(args, overrides) -> int:
 
 
 def _draw_trials(rng: np.random.Generator, trials: int, nest_depth: int):
-    """Draw trials in stream order: per trial its depth, each factor's kind, t
-    and direction, then x, v, chi, psi.  Factors come as _GENERATORS indices
-    and t, (depth, trials) and padded with identities; spinors as (3, trials).
+    """Draw a block of trials in five whole-block calls, in this order:
 
-    A trial's point and spinors are one draw of 58 values, laid out as
-    random_hermitian(rng, 2) and three random_spinor(rng) calls draw them:
-    x's diagonal entry a, its off-diagonal octonion c, its entry b, then
-    v, chi and psi as (2, 8) each."""
-    index = np.full((nest_depth, trials), _PAD)
-    t = np.zeros((nest_depth, trials))
-    draws = np.empty((trials, 58))
-    deepest = 0
-    for b in range(trials):
-        depth = 1 + int(rng.integers(nest_depth))
-        deepest = max(deepest, depth)
-        for j in range(depth):
-            kind = int(rng.integers(4))
-            if kind == 3:
-                index[j, b] = _REFLECT
-                continue
-            t[j, b] = rng.uniform(-1.0, 1.0)
-            index[j, b] = (0 if kind == 0 else 1 + int(rng.integers(8)) if kind == 1
-                           else 9 + int(rng.integers(7)))
-        draws[b] = rng.uniform(-1.0, 1.0, 58)
+    1. each trial's depth, 1 + integers(nest_depth), shape (trials,);
+    2. each factor slot's kind, integers(4): 0 boost, 1 rotation, 2 phase,
+       3 reflection, shape (nest_depth, trials);
+    3. each slot's t, uniform(-1, 1), same shape;
+    4. each slot's direction, integers(8) where the kind is a rotation and
+       integers(7) elsewhere (phases 1..7), same shape;
+    5. each trial's point and spinors, uniform(-1, 1), shape (trials, 58).
+
+    Every slot draws all four values, used or not.  Factors come back as
+    _GENERATORS indices and t, (depth, trials): _PAD (t = 0) at or past a
+    trial's depth, _REFLECT (t = 0) for kind 3.  A trial's 58 values are
+    laid out as random_hermitian(rng, 2) and three random_spinor(rng) calls
+    draw them: x's diagonal entry a, its off-diagonal octonion c, its entry
+    b, then v, chi and psi as (2, 8) each; spinors come as (3, trials)."""
+    depth = 1 + rng.integers(nest_depth, size=trials)
+    kind = rng.integers(4, size=(nest_depth, trials))
+    t = rng.uniform(-1.0, 1.0, (nest_depth, trials))
+    direction = rng.integers(np.where(kind == 1, 8, 7))
+    draws = rng.uniform(-1.0, 1.0, (trials, 58))
+    # kind k starts at _GENERATORS index (0, 1, 9, _REFLECT)[k]; rotations
+    # and phases add their direction
+    index = np.array([0, 1, 9, _REFLECT])[kind] + direction * ((kind == 1) | (kind == 2))
+    pad = np.arange(nest_depth)[:, None] >= depth
+    index[pad] = _PAD
+    t[pad | (kind == 3)] = 0.0
     points = np.zeros((trials, 2, 2, 8))
     points[:, 0, 0, 0], points[:, 1, 1, 0] = draws[:, 0], draws[:, 9]
     points[:, 0, 1] = draws[:, 1:9]
     points[:, 1, 0] = conj_arrays(draws[:, 1:9])
     spinors = draws[:, 10:].reshape(trials, 3, 2, 8).swapaxes(0, 1)
+    deepest = depth.max()
     return index[:deepest], t[:deepest], points, spinors
 
 
@@ -518,11 +523,14 @@ def cmd_lorentz_check(args, overrides) -> int:
                           np.where(reflect, reflection.subspace, made.subspace),
                           np.where(reflect, reflection.det, made.det))
         moved = act_vector(f.s, x)
+        # the spinor checks skip the padding, whose identity factors change no residual
+        level, trial = np.nonzero(index != _PAD)
+        used = LorentzFactor(f.s[level, trial], f.subspace[level, trial], f.det[level, trial])
         # np.maximum keeps a NaN residual, which Python's max would drop
         worst["compatibility"] = np.maximum(
-            worst["compatibility"], np.max(compatibility_residual(f.s, v)))
+            worst["compatibility"], np.max(compatibility_residual(used.s, v[trial])))
         worst["contraction"] = np.maximum(
-            worst["contraction"], np.max(contraction_residual(f, chi, psi)))
+            worst["contraction"], np.max(contraction_residual(used, chi[trial], psi[trial])))
         # |det S| = 1, so the sandwich keeps the det form a'b' - |c'|^2 whatever
         # the signs; its round-off grows with |a'b'| + |c'|^2, not with |det|
         a, b, c = moved[..., 0, 0, 0], moved[..., 1, 1, 0], moved[..., 0, 1, :]

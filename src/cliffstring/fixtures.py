@@ -17,13 +17,19 @@ def random_spinor(rng: np.random.Generator) -> np.ndarray:
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> OctHermitian:
-    """n x n octonionic Hermitian matrix, entries uniform in [-1, 1]^8."""
+    """n x n octonionic Hermitian matrix, entries uniform in [-1, 1]^8.
+
+    One draw of n + 8 n (n - 1) / 2 values fills the upper triangle row by
+    row: each row's real diagonal entry, then the 8 coefficients of each
+    entry right of it.  These are the slots of `upper` in C order.
+    """
+    i, j = np.triu_indices(n, 1)
+    upper = np.zeros((n, n, 8), dtype=bool)
+    upper[i, j] = True
+    upper[np.arange(n), np.arange(n), 0] = True
     data = np.zeros((n, n, 8))
-    for i in range(n):
-        data[i, i, 0] = rng.uniform(-1.0, 1.0)
-        for j in range(i + 1, n):
-            data[i, j] = rng.uniform(-1.0, 1.0, 8)
-            data[j, i] = conj_arrays(data[i, j])
+    data[upper] = rng.uniform(-1.0, 1.0, n + 4 * n * (n - 1))
+    data[j, i] = conj_arrays(data[i, j])
     return OctHermitian(data, validate=False)  # Hermitian by construction
 
 

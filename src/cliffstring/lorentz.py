@@ -11,6 +11,11 @@ transformations are finite nestings of such factors (applied innermost
 first); the group multiplication is the nesting itself, never the matrix
 product of the factors, because the factors need not share a subspace.
 
+The real-determinant test of factor_from_matrix is load-bearing: the
+spinor compatibility (Sv)(Sv)+ = (S (v v+)) S+ is no identity on all of
+M_2(span(1, e_k)), and [[e_1, 0], [0, 1]], single-subspace with det e_1,
+breaks it by order one.
+
 Spinors are (..., 2, 8) arrays, spinor index first.  They ride along as
 v^A -> S^A_B v^B (spinor_map) and co-spinors as w*_A -> -w*_B S_A^B
 (cospinor_map) with S_A^B = eps^{BE} S^F_E eps_{FA}; the real part of
@@ -48,8 +53,6 @@ __all__ = [
     "lower_factor_indices",
     "compatibility_residual",
     "contraction_residual",
-    "kinetic_density",
-    "kinetic_invariance_residual",
 ]
 
 
@@ -211,17 +214,3 @@ def contraction_residual(factor: LorentzFactor, chi, psi):
     after = _contraction_real(spinor_map(factor.s, chi), cospinor_map(factor.s, psi))
     return np.abs(after - factor.det * _contraction_real(chi, psi))
 
-
-def kinetic_density(dc, dstar) -> float:
-    """Real kinetic density sum_alpha Re(d_alpha c^A dstar_A^alpha) doubled.
-
-    dc and dstar are (2, 2, 8) arrays, worldsheet index first, of octonion
-    spinors; dc carries the caller's finite-difference derivative.
-    """
-    return float(_contraction_real(dc, dstar).sum())
-
-
-def kinetic_invariance_residual(factor: LorentzFactor, dc, dstar) -> float:
-    before = kinetic_density(dc, dstar)
-    after = kinetic_density(spinor_map(factor.s, dc), cospinor_map(factor.s, dstar))
-    return abs(after - factor.det * before)

@@ -21,6 +21,7 @@ __all__ = [
     "omat_mul",
     "omat_adjoint",
     "hermiticity_residual",
+    "real_array",
 ]
 
 
@@ -34,7 +35,7 @@ class NotHermitianError(ValueError):
     """Raised when a matrix required to be Hermitian is not."""
 
 
-def _numbers(x, name: str) -> np.ndarray:
+def real_array(x, name: str) -> np.ndarray:
     """Nested lists of real numbers as a float array, in one scan of their types.
 
     np.asarray(x, dtype=float) would read true, "0.5" and null (as NaN) as
@@ -107,18 +108,18 @@ class OctHermitian:
     def from_json(cls, obj: dict, tol: float = 1e-12) -> "OctHermitian":
         """Accepts {"n", "entries"} or the compact 2x2 {"a", "b", "c"} form."""
         if "entries" in obj:
-            h = cls(_numbers(obj["entries"], "entries"), tol=tol)
+            h = cls(real_array(obj["entries"], "entries"), tol=tol)
             n = obj.get("n", h.n)
             if isinstance(n, bool) or n != h.n:
                 raise ValueError(f"declared n = {n!r}, but the entries are {h.n} x {h.n}")
             return h
         if {"a", "b", "c"} <= obj.keys():
-            c = _numbers(obj["c"], "c")
+            c = real_array(obj["c"], "c")
             if c.shape != (8,):
                 raise ValueError("off-diagonal entry needs 8 coefficients")
             data = np.zeros((2, 2, 8))
-            data[0, 0, 0] = _numbers(obj["a"], "a")
-            data[1, 1, 0] = _numbers(obj["b"], "b")
+            data[0, 0, 0] = real_array(obj["a"], "a")
+            data[1, 1, 0] = real_array(obj["b"], "b")
             data[0, 1] = c
             data[1, 0] = conj_arrays(c)
             return cls(data, tol=tol)

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .matrices import real_array
 from .minkowski import EPS, sigma4_complex
 
 __all__ = [
@@ -314,10 +315,10 @@ def cmat_to_json(m: np.ndarray) -> list:
     return [[[float(m[i, j].real), float(m[i, j].imag)] for j in range(2)] for i in range(2)]
 
 
-def cmat_from_json(obj) -> np.ndarray:
-    a = np.asarray(obj, dtype=float)
+def cmat_from_json(obj, name: str) -> np.ndarray:
+    a = real_array(obj, name)
     if a.shape != (2, 2, 2):
-        raise ValueError("complex 2x2 matrices encode as [[[re, im] x2] x2]")
+        raise ValueError(f"{name}: complex 2x2 matrices encode as [[[re, im] x2] x2]")
     return a[..., 0] + 1j * a[..., 1]
 
 
@@ -350,6 +351,8 @@ def spectrum_from_json(obj: dict) -> ModeSpectrum:
             raise ValueError(f"mode index must be an integer, got {n!r}")
         if n in modes:
             raise ValueError(f"mode index {n} is listed twice")
-        modes[n] = (cmat_from_json(t["A"]), cmat_from_json(t["Anm"]))
-    return ModeSpectrum(cmat_from_json(obj["K"]), cmat_from_json(obj["C0"]), modes, consts)
+        modes[n] = (cmat_from_json(t["A"], f"A of mode {n}"),
+                    cmat_from_json(t["Anm"], f"Anm of mode {n}"))
+    k, c0 = (cmat_from_json(obj[name], name) for name in ("K", "C0"))
+    return ModeSpectrum(k, c0, modes, consts)
 

@@ -373,6 +373,22 @@ def test_hermitian_fixture_bytes_are_pinned(capsys, seed, n):
     assert hermiticity_residual(h.data) == 0.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 17])
+def test_hermitian_fixture_draws_as_an_entry_loop(n):
+    """One draw gives the values of an entry-by-entry loop and leaves the
+    generator where that loop leaves it."""
+    ref_rng, rng = np.random.default_rng(n), np.random.default_rng(n)
+    data = np.zeros((n, n, 8))
+    for i in range(n):
+        data[i, i, 0] = ref_rng.uniform(-1.0, 1.0)
+        for j in range(i + 1, n):
+            data[i, j] = ref_rng.uniform(-1.0, 1.0, 8)
+            data[j, i] = octonion.conj_arrays(data[i, j])
+    h = random_hermitian(rng, n)
+    assert np.array_equal(h.data, data) and np.array_equal(np.signbit(h.data), np.signbit(data))
+    assert rng.uniform() == ref_rng.uniform()
+
+
 # sha256 prefixes of `gen-fixture --kind k --seed s` on stdout
 FIXTURE_DIGESTS = {
     ("spectrum", 0): "b790942f00a1fe30", ("spectrum", 1): "108befd029ce42a9",
@@ -678,6 +694,20 @@ def test_string_modes_non_number_constant_exits_2(tmp_path, capsys, edit):
     assert "must be a number" in err
 
 
+@pytest.mark.parametrize("name, index, bad", [("K", (0, 0, 0), True), ("C0", (1, 1, 0), "0.5"),
+                                              ("A of mode 1", (0, 1, 1), None)])
+def test_string_modes_non_number_matrix_entry_exits_2(tmp_path, capsys, name, index, bad):
+    # np.asarray(..., dtype=float) would read true as 1, "0.5" as 0.5 and null as NaN
+    fix = _spectrum_with_mode_one(tmp_path, lambda modes, entry: None)
+    obj = json.loads(fix.read_text())
+    matrix = next(t for t in obj["modes"] if t["n"] == 1)["A"] if name == "A of mode 1" else obj[name]
+    i, j, part = index
+    matrix[i][j][part] = bad
+    fix.write_text(json.dumps(obj))
+    err = _rejected_with_one_line(capsys, "string-modes", "--spectrum", str(fix))
+    assert f"{name} must hold real numbers, got {bad!r}" in err
+
+
 def test_string_modes_repeated_mode_index_exits_2(tmp_path, capsys):
     fix = _spectrum_with_mode_one(tmp_path, lambda modes, entry: modes.append(dict(entry)))
     assert "mode index 1 is listed twice" in _rejected_with_one_line(
@@ -746,8 +776,8 @@ OCTONION_CHECK_DIGESTS = {
     (7, 2000): "599eda1385c2b2e0", (7, 2049): "ed09f64ef3ba534f",
 }
 LORENTZ_CHECK_DIGESTS = {
-    (0, 1): "e7c3e2873d946dab", (0, 5): "082c05865058a4e0", (0, 64): "b21fcf8f046a0453",
-    (7, 1): "4af37677bbb1ab5b", (7, 5): "811613200905bb8f", (7, 64): "eba9fecd898e7baf",
+    (0, 1): "ac513d43fd0fba8f", (0, 5): "e9a023f39d6a9c1d", (0, 64): "193f21f28f5afccc",
+    (7, 1): "b917bb0f134f5bef", (7, 5): "df7cf25dd22487a6", (7, 64): "9cfd01d699247df9",
 }
 
 
@@ -777,34 +807,46 @@ def test_lorentz_check_keeps_nan_residual(monkeypatch, capsys):
     assert rep["overall_pass"] is False
 
 
+def _oracle_factor(kind, t, direction):
+    if kind == 3:
+        return lorentz.reflection_factor()
+    g = (lorentz.boost_generator() if kind == 0
+         else lorentz.rotation_generator(direction) if kind == 1
+         else lorentz.phase_generator(1 + direction))
+    return lorentz.make_factor(g, t)
+
+
 def _lorentz_check_oracle(seed, trials, nest_depth):
-    """The sweep's residuals, one trial and one factor at a time."""
+    """The sweep's residuals, one trial and one factor at a time, from the
+    sweep's draws: per block of LORENTZ_BLOCK // nest_depth trials, the
+    depths, then the kinds, t and directions of every (level, trial) slot,
+    then each trial's 58 point and spinor values."""
     rng = np.random.default_rng(seed)
     worst = {"det": 0.0, "compatibility": 0.0, "contraction": 0.0}
-    for _ in range(trials):
-        factors = []
-        for _ in range(1 + int(rng.integers(nest_depth))):
-            kind = int(rng.integers(4))
-            if kind == 3:
-                factors.append(lorentz.reflection_factor())
-                continue
-            t = float(rng.uniform(-1.0, 1.0))
-            g = (lorentz.boost_generator() if kind == 0
-                 else lorentz.rotation_generator(int(rng.integers(8))) if kind == 1
-                 else lorentz.phase_generator(1 + int(rng.integers(7))))
-            factors.append(lorentz.make_factor(g, t))
-        x = random_hermitian(rng, 2)
-        moved = OctHermitian(lorentz.act_vector(np.stack([f.s for f in factors]), x.data),
-                             validate=False)
-        a, b, c = moved.data[0, 0, 0], moved.data[1, 1, 0], moved.data[0, 1]
-        scale = max(1.0, abs(a * b) + float(c @ c))
-        worst["det"] = max(worst["det"], abs(det2(moved, tol=1e-6) - det2(x)) / scale)
-        v, chi, psi = (random_spinor(rng) for _ in range(3))
-        for f in factors:
-            worst["compatibility"] = max(worst["compatibility"],
-                                         lorentz.compatibility_residual(f.s, v))
-            worst["contraction"] = max(worst["contraction"],
-                                       lorentz.contraction_residual(f, chi, psi))
+    per_block = max(1, cli.LORENTZ_BLOCK // nest_depth)
+    for start in range(0, trials, per_block):
+        m = min(per_block, trials - start)
+        depths = 1 + rng.integers(nest_depth, size=m)
+        kinds = rng.integers(4, size=(nest_depth, m))
+        ts = rng.uniform(-1.0, 1.0, (nest_depth, m))
+        directions = rng.integers(np.where(kinds == 1, 8, 7))
+        rows = rng.uniform(-1.0, 1.0, (m, 58))
+        for i in range(m):
+            factors = [_oracle_factor(int(kinds[j, i]), float(ts[j, i]), int(directions[j, i]))
+                       for j in range(depths[i])]
+            x = OctHermitian.from_json({"a": rows[i, 0], "c": rows[i, 1:9].tolist(),
+                                        "b": rows[i, 9]})
+            moved = OctHermitian(lorentz.act_vector(np.stack([f.s for f in factors]), x.data),
+                                 validate=False)
+            a, b, c = moved.data[0, 0, 0], moved.data[1, 1, 0], moved.data[0, 1]
+            scale = max(1.0, abs(a * b) + float(c @ c))
+            worst["det"] = max(worst["det"], abs(det2(moved, tol=1e-6) - det2(x)) / scale)
+            v, chi, psi = rows[i, 10:].reshape(3, 2, 8)
+            for f in factors:
+                worst["compatibility"] = max(worst["compatibility"],
+                                             lorentz.compatibility_residual(f.s, v))
+                worst["contraction"] = max(worst["contraction"],
+                                           lorentz.contraction_residual(f, chi, psi))
     mixed = omat_mul(lorentz.make_factor(lorentz.rotation_generator(1), 0.8).s,
                      lorentz.make_factor(lorentz.phase_generator(2), 0.9).s)
     worst["mixed_control"] = lorentz.compatibility_residual(mixed, random_spinor(rng))
@@ -852,6 +894,22 @@ def test_lorentz_check_splits_deep_trials_into_blocks(capsys, monkeypatch):
         checks = strict_json(capsys.readouterr().out)["checks"]
         for name, expected in _lorentz_check_oracle(4, trials, depth).items():
             assert abs(checks[name]["max_residual"] - expected) <= 2e-15, name
+
+
+def test_lorentz_check_draws_a_full_block_in_its_layout():
+    """One block of 128 trials at depth 8: every generator index appears,
+    padding starts exactly at each trial's depth, and only padding and
+    reflection slots have t = 0."""
+    rng = np.random.default_rng(0)
+    depths = 1 + np.random.default_rng(0).integers(8, size=128)  # the block's first draw
+    index, t, points, spinors = cli._draw_trials(rng, 128, 8)
+    assert index.shape == t.shape == (8, 128) and cli.LORENTZ_BLOCK == index.size
+    assert points.shape == (128, 2, 2, 8) and spinors.shape == (3, 128, 2, 8)
+    assert set(np.unique(index)) == set(range(16)) | {cli._PAD, cli._REFLECT}
+    assert np.array_equal(index == cli._PAD, np.arange(8)[:, None] >= depths)
+    fixed = (index == cli._PAD) | (index == cli._REFLECT)
+    assert np.all(t[fixed] == 0.0)
+    assert np.all((np.abs(t[~fixed]) > 0.0) & (np.abs(t[~fixed]) < 1.0))
 
 
 def test_lorentz_check_runs_at_the_depth_cap(capsys):

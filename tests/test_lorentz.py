@@ -10,8 +10,6 @@ from cliffstring.lorentz import (
     contraction_residual,
     cospinor_map,
     factor_from_matrix,
-    kinetic_density,
-    kinetic_invariance_residual,
     make_factor,
     phase_generator,
     reflection_factor,
@@ -147,17 +145,18 @@ def test_contraction_sign_flip_under_reflection():
         assert contraction_residual(f, chi, psi) <= 1e-12
 
 
-def test_kinetic_density_invariance():
-    for _ in range(20):
-        f = make_factor(phase_generator(1 + int(rng.integers(7))), float(rng.uniform(-1, 1)))
-        dc = [random_spinor(rng), random_spinor(rng)]
-        dstar = [random_spinor(rng), random_spinor(rng)]
-        assert kinetic_invariance_residual(f, dc, dstar) <= 1e-10
-    f = reflection_factor()
-    dc = [random_spinor(rng), random_spinor(rng)]
-    dstar = [random_spinor(rng), random_spinor(rng)]
-    assert kinetic_invariance_residual(f, dc, dstar) <= 1e-10
-    assert kinetic_density(dc, dstar) != 0.0
+def test_real_determinant_test_is_load_bearing():
+    """Compatibility needs det S real: a det-e_1 factor in span(1, e_1) breaks it."""
+    v = np.random.default_rng(0).uniform(-1.0, 1.0, (50, 2, 8))
+    complex_det = np.zeros((2, 2, 8))
+    complex_det[0, 0, 1] = complex_det[1, 1, 0] = 1.0  # [[e_1, 0], [0, 1]]
+    with pytest.raises(ValueError, match="determinant not real"):
+        factor_from_matrix(complex_det)
+    assert np.max(compatibility_residual(complex_det, v)) > 1.0  # 6.34 here
+    shear = np.zeros((2, 2, 8))
+    shear[0, 0, 0] = shear[1, 1, 0] = shear[0, 1, 1] = 1.0  # [[1, e_1], [0, 1]], det 1
+    assert factor_from_matrix(shear).det == 1.0
+    assert np.max(compatibility_residual(shear, v)) < 1e-13  # 2.1e-15 here
 
 
 def test_make_factor_requires_traceless_single_subspace():

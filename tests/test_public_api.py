@@ -48,7 +48,6 @@ UNCALLED_ALLOWED = {
     "gram_matrix": "waits on ROADMAP item 6 (a named check or removal)",
     "resolve_spacetime": "waits on ROADMAP item 6 (the spacetime roundtrip check)",
     "mass_shell_residual": "waits on ROADMAP item 6 (the mass-shell check)",
-    "kinetic_invariance_residual": "waits on ROADMAP item 5 (action_invariance)",
     "matrix_to_vector": "waits on ROADMAP item 5 (the 10D linearization)",
 }
 
