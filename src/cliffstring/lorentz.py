@@ -11,6 +11,8 @@ transformations are finite nestings of such factors (applied innermost
 first); the group multiplication is the nesting itself, never the matrix
 product of the factors, because the factors need not share a subspace.
 
+A factor, or a stack of them, is the plain (..., 2, 2, 8) coefficient array
+that make_factor, factor_from_matrix and reflection_factor return valid.
 The real-determinant test of factor_from_matrix is load-bearing: the
 spinor compatibility (Sv)(Sv)+ = (S (v v+)) S+ is no identity on all of
 M_2(span(1, e_k)), and [[e_1, 0], [0, 1]], single-subspace with det e_1,
@@ -31,8 +33,6 @@ acting first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .octonion import mul_arrays, conj_arrays
@@ -40,7 +40,6 @@ from .matrices import omat_mul, omat_adjoint
 
 __all__ = [
     "MixedSubspaceError",
-    "LorentzFactor",
     "factor_from_matrix",
     "make_factor",
     "reflection_factor",
@@ -73,33 +72,28 @@ def _entry_subspace(s: np.ndarray):
     return np.where(np.any(live, axis=-1), np.argmax(live, axis=-1) + 1, 0)[()]
 
 
-@dataclass
-class LorentzFactor:
-    """Validated single-subspace factors: a (..., 2, 2, 8) stack s, and a
-    subspace and det per leading index."""
-
-    s: np.ndarray
-    subspace: int
-    det: float
+def _det(s: np.ndarray) -> np.ndarray:
+    """Octonionic determinant s_00 s_11 - s_01 s_10 of each (..., 2, 2, 8) stack."""
+    return mul_arrays(s[..., 0, 0, :], s[..., 1, 1, :]) - mul_arrays(s[..., 0, 1, :], s[..., 1, 0, :])
 
 
-def factor_from_matrix(s) -> LorentzFactor:
-    """Validate a (..., 2, 2, 8) stack of factors, one reduction per test."""
-    s = np.asarray(s, dtype=float)
+def factor_from_matrix(s) -> np.ndarray:
+    """A validated copy of a (..., 2, 2, 8) stack of factors, one reduction per test."""
+    s = np.array(s, dtype=float)
     if s.shape[-3:] != (2, 2, 8):
         raise ValueError("factor needs a (..., 2, 2, 8) coefficient stack")
-    k = _entry_subspace(s)
-    d = mul_arrays(s[..., 0, 0, :], s[..., 1, 1, :]) - mul_arrays(s[..., 0, 1, :], s[..., 1, 0, :])
+    _entry_subspace(s)  # raises MixedSubspaceError
+    d = _det(s)
     off_real = np.max(np.abs(d[..., 1:]))
     if off_real > _TOL:
         raise ValueError(f"determinant not real: imaginary part up to {off_real:.3e}")
     off_unit = np.max(np.abs(np.abs(d[..., 0]) - 1.0))
     if off_unit > _TOL:
         raise ValueError(f"|det| differs from 1 by up to {off_unit:.3e}")
-    return LorentzFactor(s.copy(), k, np.sign(d[..., 0]))
+    return s
 
 
-def make_factor(generator, t) -> LorentzFactor:
+def make_factor(generator, t) -> np.ndarray:
     """exp(t G) for a (..., 2, 2, 8) stack of traceless single-subspace G.
 
     t broadcasts against the leading axes.  Over span(1, e_k) = C a traceless
@@ -123,10 +117,11 @@ def make_factor(generator, t) -> LorentzFactor:
     return factor_from_matrix(out)
 
 
-def reflection_factor() -> LorentzFactor:
+def reflection_factor() -> np.ndarray:
+    """diag(1, -1), the real factor of det -1."""
     s = np.zeros((2, 2, 8))
     s[0, 0, 0], s[1, 1, 0] = 1.0, -1.0
-    return LorentzFactor(s, 0, -1.0)
+    return s
 
 
 def boost_generator() -> np.ndarray:
@@ -191,9 +186,9 @@ def cospinor_map(s: np.ndarray, w: np.ndarray) -> np.ndarray:
 def compatibility_residual(s: np.ndarray, v: np.ndarray):
     """Max entry norm of (Sv)(Sv)+ - (S (v v+)) S+ for octonion spinors v.
 
-    s is a bare (..., 2, 2, 8) stack rather than a LorentzFactor, so the
-    residual is also defined for invalid mixed-subspace matrices.  v is a
-    (..., 2, 8) stack broadcasting against s; one residual per leading index.
+    s need not be a valid factor, so the residual is also defined for
+    invalid mixed-subspace matrices.  v is a (..., 2, 8) stack broadcasting
+    against s; one residual per leading index.
     """
     sv = spinor_map(s, v)
     lhs = mul_arrays(sv[..., :, None, :], conj_arrays(sv)[..., None, :, :])
@@ -208,9 +203,10 @@ def _contraction_real(chi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return 2.0 * (p[..., 0, :] + p[..., 1, :])[..., 0]
 
 
-def contraction_residual(factor: LorentzFactor, chi, psi):
-    """|Re contraction after transform - det * Re contraction before|, one
-    per leading index of the factors and the (..., 2, 8) spinors chi, psi."""
-    after = _contraction_real(spinor_map(factor.s, chi), cospinor_map(factor.s, psi))
-    return np.abs(after - factor.det * _contraction_real(chi, psi))
+def contraction_residual(s: np.ndarray, chi, psi):
+    """|Re contraction after transform - sign(det S) * Re contraction before|,
+    one per leading index of the (..., 2, 2, 8) factors s and the (..., 2, 8)
+    spinors chi, psi; the sign is that of S's real determinant."""
+    after = _contraction_real(spinor_map(s, chi), cospinor_map(s, psi))
+    return np.abs(after - np.sign(_det(s)[..., 0]) * _contraction_real(chi, psi))
 

@@ -30,7 +30,6 @@ __all__ = [
     "vector_to_matrix",
     "matrix_to_vector",
     "det2",
-    "det_form",
     "eta4",
 ]
 
@@ -84,16 +83,11 @@ def matrix_to_vector(x_mat: OctHermitian, s: np.ndarray, tol: float = 1e-12) -> 
     return 0.5 * prod[..., 0].sum(axis=(1, 2))
 
 
-def det2(x_mat: OctHermitian, tol: float = 1e-12) -> float:
-    """Determinant form a b - c c* of a Hermitian [[a, c], [c*, b]]; real."""
-    if x_mat.n != 2:
-        raise ValueError("det2 is for 2x2 matrices")
-    if hermiticity_residual(x_mat.data) > tol:
-        raise NotHermitianError("det2 needs a Hermitian matrix")
-    return float(det_form(x_mat.data))
+def det2(data: np.ndarray) -> np.ndarray:
+    """Determinant form a b - c c* of each (..., 2, 2, 8) stack [[a, c], [., b]].
 
-
-def det_form(data: np.ndarray) -> np.ndarray:
-    """det2 of each (..., 2, 2, 8) stack [[a, c], [., b]], without its Hermiticity check."""
+    It reads a, b and c only, so it is the real det of a Hermitian stack,
+    which it does not check.
+    """
     c = data[..., 0, 1, :]  # c @ c per row below rounds as a single (8,) dot does
     return data[..., 0, 0, 0] * data[..., 1, 1, 0] - (c[..., None, :] @ c[..., :, None])[..., 0, 0]

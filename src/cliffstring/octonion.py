@@ -24,6 +24,7 @@ __all__ = [
     "STRUCTURE",
     "mul_arrays",
     "conj_arrays",
+    "norm_arrays",
     "alternativity_check",
 ]
 
@@ -94,6 +95,12 @@ def mul_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def conj_arrays(a: np.ndarray) -> np.ndarray:
     return a * _CONJ_SIGNS
+
+
+def norm_arrays(a: np.ndarray) -> np.ndarray:
+    """Norm of each (..., 8) row, sqrt(c @ c) per row as Octonion.norm rounds
+    it (einsum and sum differ)."""
+    return np.sqrt((a[..., None, :] @ a[..., :, None])[..., 0, 0])
 
 
 class Octonion:
@@ -178,6 +185,4 @@ def alternativity_check(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         mul_arrays(a, mul_arrays(b, a)) - mul_arrays(ab, a),
         mul_arrays(a, ab) - mul_arrays(mul_arrays(a, a), b),
     ])
-    # sqrt(c @ c) per row, as Octonion.norm rounds it (einsum and sum differ)
-    norms = np.sqrt((r[..., None, :] @ r[..., :, None])[..., 0, 0])
-    return np.maximum(norms[0], norms[1])
+    return np.maximum(*norm_arrays(r))

@@ -33,6 +33,7 @@ emission-time bound implemented at the end of the module.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -112,6 +113,9 @@ class ModeSpectrum:
             n = int(n)
             if n == 0:
                 raise ValueError("mode index 0 belongs to the zero mode K")
+            # the evaluators divide by n^2, which must be a float
+            if n * n > sys.float_info.max:
+                raise ValueError("mode index too large: its square is beyond the float range")
             a = _checked_matrix(a, f"A_{n}")
             anm = _checked_matrix(anm, f"A_({n},{-n})", hermitian=False)
             clean[n] = (a, anm)

@@ -664,6 +664,23 @@ def test_integer_beyond_the_float_range_exits_2(tmp_path, capsys):
     assert "too large" in _rejected_with_one_line(capsys, "string-modes", "--spectrum", str(fix))
 
 
+@pytest.mark.parametrize("power", [155, 400])
+def test_string_modes_mode_index_beyond_the_float_range_exits_2(tmp_path, capsys, power):
+    # 8 / n^2 in the mode sums raised OverflowError, a traceback and exit 1
+    fix = _spectrum_with_mode_one(tmp_path, lambda modes, entry: [
+        t.update(n=t["n"] * 10 ** power) for t in modes if abs(t["n"]) == 1])
+    err = _rejected_with_one_line(capsys, "string-modes", "--spectrum", str(fix))
+    assert "mode index too large" in err
+
+
+def test_json_integer_of_over_4300_digits_exits_2(tmp_path, capsys):
+    # json reads it with int(), which raises ValueError, not JSONDecodeError
+    fix = _spectrum_with_mode_one(tmp_path, lambda modes, entry: entry.update(n=7777777))
+    fix.write_text(fix.read_text().replace("7777777", "1" + "0" * 4400))
+    assert "not valid JSON" in _rejected_with_one_line(
+        capsys, "string-modes", "--spectrum", str(fix))
+
+
 def _spectrum_with_mode_one(tmp_path, change):
     """A spectrum fixture whose n = 1 mode entry is changed in place by change(modes, entry)."""
     fix = tmp_path / "s.json"
@@ -768,16 +785,21 @@ def test_quantum_check_report(tmp_path):
 
 
 # sha256 prefixes of the `octonion-check --seed s --trials n` and
-# `lorentz-check --seed s --trials 100 --nest-depth d` reports on stdout.  Their
+# `lorentz-check --seed s --trials n --nest-depth d` reports on stdout.  Their
 # residuals are round-off, so these pin the order in which every product and
-# residual is summed, on this numpy and BLAS
+# residual is summed, on this numpy and BLAS.  The last three lorentz-check
+# pins cover the depth cap (blocks of one trial), three blocks of 341 trials
+# plus a short one, and two blocks of 1024 trials plus a short one
 OCTONION_CHECK_DIGESTS = {
     (0, 2000): "c5363aa4ce0cb475", (0, 2049): "d4e26340c5d6e210",
     (7, 2000): "599eda1385c2b2e0", (7, 2049): "ed09f64ef3ba534f",
 }
 LORENTZ_CHECK_DIGESTS = {
-    (0, 1): "ac513d43fd0fba8f", (0, 5): "e9a023f39d6a9c1d", (0, 64): "193f21f28f5afccc",
-    (7, 1): "b917bb0f134f5bef", (7, 5): "df7cf25dd22487a6", (7, 64): "9cfd01d699247df9",
+    (0, 100, 1): "ac513d43fd0fba8f", (0, 100, 5): "e9a023f39d6a9c1d",
+    (0, 100, 64): "193f21f28f5afccc", (7, 100, 1): "b917bb0f134f5bef",
+    (7, 100, 5): "df7cf25dd22487a6", (7, 100, 64): "9cfd01d699247df9",
+    (0, 2, 1024): "26135909ebc476f5", (7, 1025, 3): "734eedfff624810d",
+    (0, 2049, 1): "ab2d666e7f9e8d07",
 }
 
 
@@ -788,12 +810,14 @@ def test_octonion_check_bytes_are_pinned(capsys, seed, trials):
     assert digest == OCTONION_CHECK_DIGESTS[seed, trials]
 
 
-@pytest.mark.parametrize("seed, depth", sorted(LORENTZ_CHECK_DIGESTS))
-def test_lorentz_check_bytes_are_pinned(capsys, seed, depth):
-    assert run("lorentz-check", "--seed", str(seed), "--trials", "100",
+# the 100-trial pins keep their seed-depth test ids
+@pytest.mark.parametrize("seed, trials, depth", sorted(LORENTZ_CHECK_DIGESTS), ids=[
+    f"{s}-{d}" if n == 100 else f"{s}-{n}-{d}" for s, n, d in sorted(LORENTZ_CHECK_DIGESTS)])
+def test_lorentz_check_bytes_are_pinned(capsys, seed, trials, depth):
+    assert run("lorentz-check", "--seed", str(seed), "--trials", str(trials),
                "--nest-depth", str(depth)) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
-    assert digest == LORENTZ_CHECK_DIGESTS[seed, depth]
+    assert digest == LORENTZ_CHECK_DIGESTS[seed, trials, depth]
 
 
 def test_lorentz_check_keeps_nan_residual(monkeypatch, capsys):
@@ -836,19 +860,18 @@ def _lorentz_check_oracle(seed, trials, nest_depth):
                        for j in range(depths[i])]
             x = OctHermitian.from_json({"a": rows[i, 0], "c": rows[i, 1:9].tolist(),
                                         "b": rows[i, 9]})
-            moved = OctHermitian(lorentz.act_vector(np.stack([f.s for f in factors]), x.data),
-                                 validate=False)
-            a, b, c = moved.data[0, 0, 0], moved.data[1, 1, 0], moved.data[0, 1]
+            moved = lorentz.act_vector(np.stack(factors), x.data)
+            a, b, c = moved[0, 0, 0], moved[1, 1, 0], moved[0, 1]
             scale = max(1.0, abs(a * b) + float(c @ c))
-            worst["det"] = max(worst["det"], abs(det2(moved, tol=1e-6) - det2(x)) / scale)
+            worst["det"] = max(worst["det"], abs(det2(moved) - det2(x.data)) / scale)
             v, chi, psi = rows[i, 10:].reshape(3, 2, 8)
             for f in factors:
                 worst["compatibility"] = max(worst["compatibility"],
-                                             lorentz.compatibility_residual(f.s, v))
+                                             lorentz.compatibility_residual(f, v))
                 worst["contraction"] = max(worst["contraction"],
                                            lorentz.contraction_residual(f, chi, psi))
-    mixed = omat_mul(lorentz.make_factor(lorentz.rotation_generator(1), 0.8).s,
-                     lorentz.make_factor(lorentz.phase_generator(2), 0.9).s)
+    mixed = omat_mul(lorentz.make_factor(lorentz.rotation_generator(1), 0.8),
+                     lorentz.make_factor(lorentz.phase_generator(2), 0.9))
     worst["mixed_control"] = lorentz.compatibility_residual(mixed, random_spinor(rng))
     return worst
 
@@ -959,11 +982,16 @@ def test_lorentz_check_trips_on_dropped_spinor_term(capsys, monkeypatch):
 
 
 def test_lorentz_check_trips_on_reflection_with_det_plus_one(capsys, monkeypatch):
-    def unsigned_reflection():
-        f = lorentz.reflection_factor()
-        return lorentz.LorentzFactor(f.s, f.subspace, 1.0)
+    """contraction_residual takes each factor's det sign from lorentz's one
+    determinant; forced to +1, only the reflections' contraction fails."""
+    signed_det = lorentz._det
 
-    monkeypatch.setattr(cli, "reflection_factor", unsigned_reflection)
+    def unsigned_det(s):
+        d = signed_det(s)
+        d[..., 0] = np.abs(d[..., 0])
+        return d
+
+    monkeypatch.setattr(lorentz, "_det", unsigned_det)
     assert run("lorentz-check", "--seed", "0", "--trials", "20") == 3
     assert _failed_lorentz_checks(capsys) == {"contraction"}
 

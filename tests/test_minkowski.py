@@ -38,7 +38,7 @@ def test_det_is_minkowski_norm(dim):
     for _ in range(300):
         x = rng.uniform(-1, 1, dim)
         x_mat = vector_to_matrix(x, s)
-        assert abs(det2(x_mat) - minkowski_norm(x)) <= 1e-12
+        assert abs(det2(x_mat.data) - minkowski_norm(x)) <= 1e-12
 
 
 @pytest.mark.parametrize("dim", [4, 10])
@@ -100,9 +100,9 @@ def test_det_polarization_10d():
         x = rng.uniform(-1, 1, 10)
         y = rng.uniform(-1, 1, 10)
         lhs = (
-            det2(vector_to_matrix(x + y, s))
-            - det2(vector_to_matrix(x, s))
-            - det2(vector_to_matrix(y, s))
+            det2(vector_to_matrix(x + y, s).data)
+            - det2(vector_to_matrix(x, s).data)
+            - det2(vector_to_matrix(y, s).data)
         )
         assert abs(lhs - 2.0 * float(x @ (eta_diag * y))) <= 1e-12
 
@@ -146,4 +146,10 @@ def test_matrix_to_vector_rejects_non_hermitian():
 def test_det2_needs_two_by_two():
     s = sigma_set(4)
     x_mat = vector_to_matrix(np.zeros(4), s)
-    assert det2(x_mat) == 0.0
+    assert det2(x_mat.data) == 0.0
+
+
+def test_det2_of_a_stack_is_det2_of_each_point():
+    s = sigma_set(10)
+    stack = np.stack([vector_to_matrix(x, s).data for x in rng.uniform(-1, 1, (6, 10))])
+    assert np.array_equal(det2(stack.reshape(2, 3, 2, 2, 8)).ravel(), [det2(m) for m in stack])

@@ -44,7 +44,6 @@ UNCALLED_ALLOWED = {
     "Octonion": "perfbench's tracer wraps Octonion.__init__ for octonion.objects",
     "cliff_inner": "perfbench's tracer wraps it for clifford.inner_calls",
     "reconstruction_residual": "perfbench's tracer wraps it for resolve.reconstruct_s",
-    "det2": "perfbench's tracer wraps it, the only feed of minkowski.busy_s",
     "gram_matrix": "waits on ROADMAP item 6 (a named check or removal)",
     "resolve_spacetime": "waits on ROADMAP item 6 (the spacetime roundtrip check)",
     "mass_shell_residual": "waits on ROADMAP item 6 (the mass-shell check)",
@@ -203,7 +202,8 @@ def test_every_per_layer_metric_is_fed_by_a_wrapped_name():
 def test_traced_algebra_jobs_give_finite_metrics(tmp_path):
     """The tracer's hook reads each mul_arrays call's positional arrays; a
     traced octonion-check and lorentz-check must still give strict-JSON
-    per-layer metrics with products counted."""
+    per-layer metrics with products counted, and lorentz-check's det2 calls
+    must feed minkowski.busy_s."""
     from cliffstring import cli
 
     tracer = _tracer()
@@ -227,3 +227,4 @@ def test_traced_algebra_jobs_give_finite_metrics(tmp_path):
     json.dumps(metrics, allow_nan=False)
     assert metrics["octonion.products"]["value"] > 0
     assert metrics["octonion.ns_per_product"]["value"] > 0
+    assert metrics["minkowski.busy_s"]["value"] > 0

@@ -95,7 +95,7 @@ def test_spacetime_roundtrip():
         c1, c2, x_mat = resolve_spacetime(x)
         back = matrix_to_vector(x_mat, s)
         assert np.max(np.abs(back - x)) <= 1e-12
-        assert abs(det2(x_mat) - (x[0] ** 2 - x[1] ** 2 - x[2] ** 2 - x[3] ** 2)) <= 1e-12
+        assert abs(det2(x_mat.data) - (x[0] ** 2 - x[1] ** 2 - x[2] ** 2 - x[3] ** 2)) <= 1e-12
 
 
 def test_spacetime_isotropy():

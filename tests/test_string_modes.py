@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -224,6 +226,16 @@ def test_pairing_violation_rejected():
     anm = rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))
     with pytest.raises(ValueError):
         ModeSpectrum(k, k, {1: (np.zeros((2, 2)), anm), -1: (np.zeros((2, 2)), anm)})
+
+
+def test_mode_index_whose_square_is_no_float_rejected():
+    """The mode sums divide by n^2, so n^2 must stay in the float range."""
+    k = np.eye(2, dtype=complex)
+    largest = math.isqrt(int(sys.float_info.max))
+    ms = ModeSpectrum(k, k, {largest: (k, np.zeros((2, 2)))})
+    assert np.all(np.isfinite(coordinates(ms, np.array([0.5]), np.array([0.3]))))
+    with pytest.raises(ValueError, match="mode index too large"):
+        ModeSpectrum(k, k, {largest + 1: (k, np.zeros((2, 2)))})
 
 
 def test_zero_mode_index_rejected():
