@@ -53,11 +53,14 @@ su2 and tensor gap lists the 32 x 32 grid of words once.  Each check is one
 family of gaps evaluated on the monomial basis.  A word sends each
 monomial to one monomial with a weight read off the exponents, and words
 with the same net exponent shift land on the same row, so the gaps over a
-set of columns are one real product per shift class.  Which words merge
-and which class each lands in depends only on the alphabet, not on the
-degree, hbar or the coefficients, so each alphabet is decoded once per
-process (a check's gaps are on one of five alphabets, of 65, 97, 1056,
-1088 and 32 words; closure and su2 share theirs).
+set of columns are one real product per shift class whose merged
+coefficients are not all exactly 0.  The identities cancel symbolically,
+so 182 of the 244 classes one job's checks meet are such zeros and cost
+no product.  Which words merge and which class each lands in depends only
+on the alphabet, not on the degree, hbar or the coefficients, so each
+alphabet is decoded once per process (a check's gaps are on one of five
+alphabets, of 65, 97, 1056, 1088 and 32 words; closure and su2 share
+theirs).
 """
 
 from __future__ import annotations
@@ -236,14 +239,14 @@ def _commutator_gap(x: Family, y: Family, coeffs: np.ndarray, z: Family) -> Fami
 def _word_classes(codes: bytes) -> tuple:
     """How an alphabet's words act, from the int64 bytes of its word codes.
 
-    Returns (letters, perm, first, classes, rise, reads): the longest word's
-    letter count; the order that lists the words class by class and the
-    start of each group of merged words in it; each shift class as
-    (lo, hi) bounds over the merged words; and per merged word its highest
-    degree rise and the `factors` rows its D letters read, sorted (one row
-    of `reads` per letter slot some D uses).  It depends only on the codes,
-    so each alphabet is decoded once per process; the arrays are read-only
-    and the bounds a tuple, since every caller shares them.
+    Returns (letters, perm, first, starts, sizes, rise, reads): the longest
+    word's letter count; the order that lists the words class by class and
+    the start of each group of merged words in it; the first merged word
+    of each shift class and its number of merged words; and per merged
+    word its highest degree rise and the `factors` rows its D letters
+    read, sorted (one row of `reads` per letter slot some D uses).  It
+    depends only on the codes, so each alphabet is decoded once per
+    process; the arrays are read-only, since every caller shares them.
     """
     codes = np.frombuffer(codes, np.int64)
     letters = int(np.searchsorted(_POW9, np.max(codes), side="right"))
@@ -270,10 +273,11 @@ def _word_classes(codes: bytes) -> tuple:
     perm = np.argsort(key, kind="stable")                   # shift class by shift class
     first = np.flatnonzero(np.diff(key[perm], prepend=-1))
     shift, rise, reads = shift[perm[first]], rise[perm[first]], reads[:, perm[first]]
-    bounds = np.concatenate([[0], np.flatnonzero(np.diff(shift)) + 1, [len(first)]]).tolist()
-    for a in (perm, first, rise, reads):
+    starts = np.flatnonzero(np.diff(shift, prepend=-1))
+    sizes = np.diff(starts, append=len(first))
+    for a in (perm, first, starts, sizes, rise, reads):
         a.flags.writeable = False
-    return letters, perm, first, tuple(zip(bounds[:-1], bounds[1:])), rise, reads
+    return letters, perm, first, starts, sizes, rise, reads
 
 
 def _max_abs(f: Family, space: PolySpace, safe: bool = True) -> float:
@@ -284,16 +288,24 @@ def _max_abs(f: Family, space: PolySpace, safe: bool = True) -> float:
     letters meet, or 0 if a letter takes the degree past the cap.  Words
     with the same shift, the same highest degree and the same (variable,
     offset) at each D act alike, so their coefficients merge
-    (`_word_classes` works out the classes once per alphabet); then each
-    shift class is one product of its stacked (Re; Im) coefficients by its
-    weights, whose modulus is taken scaled by a power of two so that no
-    square overflows.  A NaN propagates.
+    (`_word_classes` works out the classes once per alphabet).  A shift
+    class whose merged coefficients are all exactly 0 has only zero
+    entries, so it is skipped; each other class is one product of its
+    stacked (Re; Im) coefficients by its weights, whose modulus is taken
+    scaled by a power of two so that no square overflows.  A NaN or an
+    inf counts as nonzero, so it propagates.
     """
     columns = space.safe_columns() if safe else slice(None)
     exps, degrees = space.exponents[columns].T, space.degrees[columns]
-    letters, perm, first, classes, rise, reads = _word_classes(
+    letters, perm, first, starts, sizes, rise, reads = _word_classes(
         f.codes.astype(np.int64, copy=False).tobytes())
     coeffs = np.add.reduceat(f.coeffs.T[perm], first).T
+    stacked = np.concatenate([coeffs.real, coeffs.imag])
+    live = np.logical_or.reduceat(np.any(stacked, axis=0), starts)
+    # only the merged words of live classes, each class still whole: dropping
+    # a zero word inside one would change the product's blocking and round-off
+    words = np.repeat(live, sizes)
+    stacked, rise, reads = stacked[:, words], rise[words], reads[:, words]
 
     span = 2 * letters + 1
     factors = np.concatenate([
@@ -303,10 +315,10 @@ def _max_abs(f: Family, space: PolySpace, safe: bool = True) -> float:
     weights = (degrees + rise[:, None] <= space.degree).astype(float)
     for read in reads:
         weights *= factors[read]
-    stacked = np.concatenate([coeffs.real, coeffs.imag])
     k = coeffs.shape[0]
-    tops = []
-    for lo, hi in classes:
+    bounds = np.cumsum(sizes[live]).tolist()
+    tops = [0.0]
+    for lo, hi in zip([0] + bounds, bounds):
         entries = stacked[:, lo:hi] @ weights[lo:hi]
         top = np.abs(entries).max(initial=0.0)
         if 0.0 < top < np.inf:
@@ -501,6 +513,16 @@ def jz_spectrum(degree: int, hbar: float = 1.0) -> np.ndarray:
 
 
 def integrality_residual(values: np.ndarray, hbar: float = 1.0) -> float:
-    """Max distance of the values from the lattice hbar * (integers)."""
-    scaled = np.asarray(values) / hbar
+    """Max distance of the values from the lattice hbar * (integers).
+
+    numpy's complex division takes 1 / hbar first, which overflows at a
+    subnormal hbar, so where its quotient is not finite the real and
+    imaginary parts are divided separately; a NaN value stays NaN.
+    """
+    values = np.asarray(values, complex)
+    with np.errstate(all="ignore"):
+        scaled = values / hbar
+    bad = ~np.isfinite(scaled)
+    scaled.real[bad] = values.real[bad] / hbar
+    scaled.imag[bad] = values.imag[bad] / hbar
     return float(np.max(np.abs(scaled - np.round(scaled.real))))

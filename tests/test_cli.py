@@ -461,6 +461,19 @@ def test_quantum_check_passes_at_subnormal_residuals(capsys, degree, hbar):
                if name != "jz_integrality")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("hbar", ["1e-310", "1e-320"])
+def test_quantum_check_passes_at_a_subnormal_hbar(capsys, hbar):
+    """numpy's complex division by a subnormal hbar overflows, so jz_integrality
+    divides the spectrum's parts separately there and reads its exact 0.0."""
+    assert run("quantum-check", "--degree", "3", "--hbar", hbar) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    checks = strict_json(captured.out)["checks"]
+    assert checks["jz_integrality"]["max_residual"] == 0.0
+    assert all(check["pass"] for check in checks.values())
+
+
 # the checks that fail where the residuals are round-off, of size u hbar or u hbar^2
 _ROUNDOFF_FAILS = {
     (3, "1e100"): {"canonical", "closure", "mixed"},

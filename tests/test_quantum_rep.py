@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import inspect
+import math
 import sys
 import types
 from collections import Counter
@@ -32,12 +33,16 @@ from cliffstring.quantum_rep import (
 DEGREE = 6
 
 
-@pytest.fixture(scope="module")
-def rep():
-    pairs = build_canonical(degree=DEGREE, hbar=1.0)
+def _rep(degree, hbar):
+    pairs = build_canonical(degree, hbar)
     a_ops, k_ops = quaternion_pairs(pairs)
     m0, m0d = m0_matrices(a_ops, k_ops)
     return pairs, a_ops, k_ops, m0, m0d
+
+
+@pytest.fixture(scope="module")
+def rep():
+    return _rep(DEGREE, 1.0)
 
 
 def _eps3():
@@ -158,6 +163,25 @@ def test_jz_spectrum_scales_with_hbar():
     vals = jz_spectrum(3, hbar=0.5)
     assert integrality_residual(vals, hbar=0.5) <= 1e-9
     assert abs(float(np.max(vals.real)) - 1.5) <= 1e-9
+
+
+def test_integrality_residual_at_a_subnormal_hbar():
+    hbar = 1e-310
+    vals = jz_spectrum(3, hbar)
+    with np.errstate(all="ignore"):
+        assert not np.all(np.isfinite(vals / hbar))  # numpy's complex quotient overflows
+    assert integrality_residual(vals, hbar) == 0.0
+    assert np.isnan(integrality_residual(np.array([np.nan, 1.0]), 1.0))
+
+
+def test_integrality_residual_keeps_a_finite_complex_quotient():
+    # where numpy's complex division is finite its bytes are kept
+    rng = np.random.default_rng(0)
+    vals = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    for hbar in (0.7, 3.0, 1e-150, 1e100, 1e200):
+        scaled = vals / hbar
+        want = float(np.max(np.abs(scaled - np.round(scaled.real))))
+        assert integrality_residual(vals, hbar) == want
 
 
 def test_degree_bound_validation():
@@ -365,20 +389,25 @@ def test_m0_and_m0dag_share_one_alphabet(rep):
     assert np.all(np.any(m0.coeffs[:, :16], axis=1)) and np.all(np.any(m0d.coeffs[:, 16:], axis=1))
 
 
-def _gap_families(rep, monkeypatch):
-    """The families one job's checks evaluate, in check order."""
+def _gap_calls(rep, monkeypatch):
+    """The (family, space, safe) of each `_max_abs` call one job's checks make, in check order."""
     pairs, m0, m0d = rep[0], rep[3], rep[4]
-    families = []
+    calls = []
     evaluate = quantum_rep._max_abs
 
-    def recorded(f, *args, **kwargs):
-        families.append(f)
-        return evaluate(f, *args, **kwargs)
+    def recorded(f, space, safe=True):
+        calls.append((f, space, safe))
+        return evaluate(f, space, safe)
 
     monkeypatch.setattr(quantum_rep, "_max_abs", recorded)
     _word_residuals(pairs, m0, m0d)
     monkeypatch.undo()
-    return families
+    return calls
+
+
+def _gap_families(rep, monkeypatch):
+    """The families one job's checks evaluate, in check order."""
+    return [f for f, _, _ in _gap_calls(rep, monkeypatch)]
 
 
 def test_gap_families_list_each_word_of_the_grid_once(rep, monkeypatch):
@@ -412,7 +441,7 @@ def test_cached_word_classes_match_a_fresh_decode(rep, monkeypatch):
 def test_cached_word_classes_are_read_only(rep, monkeypatch):
     for f in _gap_families(rep, monkeypatch):
         arrays = [a for a in quantum_rep._word_classes(_key(f)) if isinstance(a, np.ndarray)]
-        assert len(arrays) == 4  # perm, first, rise, reads
+        assert len(arrays) == 6  # perm, first, starts, sizes, rise, reads
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
@@ -443,6 +472,91 @@ def test_a_job_decodes_each_alphabet_once(monkeypatch, tmp_path):
 def test_word_class_cache_is_bounded():
     maxsize = quantum_rep._word_classes.cache_parameters()["maxsize"]
     assert maxsize is not None and maxsize >= 5  # one job's alphabets stay cached
+
+
+# -- shift classes that cancel exactly are skipped --------------------------------
+
+
+def _every_class_max_abs(f, space, safe):
+    """`_max_abs` as a loop over every shift class, none skipped."""
+    columns = space.safe_columns() if safe else slice(None)
+    exps, degrees = space.exponents[columns].T, space.degrees[columns]
+    letters, perm, first, starts, sizes, rise, reads = quantum_rep._word_classes(_key(f))
+    coeffs = np.add.reduceat(f.coeffs.T[perm], first).T
+    span = 2 * letters + 1
+    factors = np.concatenate([
+        (exps[:, None] + np.arange(-letters, letters + 1)[:, None]).reshape(4 * span, -1),
+        np.ones((1, exps.shape[1])),
+    ])
+    weights = (degrees + rise[:, None] <= space.degree).astype(float)
+    for read in reads:
+        weights *= factors[read]
+    stacked = np.concatenate([coeffs.real, coeffs.imag])
+    k = coeffs.shape[0]
+    tops = []
+    for lo, hi in zip(starts.tolist(), (starts + sizes).tolist()):
+        entries = stacked[:, lo:hi] @ weights[lo:hi]
+        top = np.abs(entries).max(initial=0.0)
+        if 0.0 < top < np.inf:
+            scale = 2.0 ** min(-int(np.frexp(top)[1]), 1023)
+            np.square(entries * scale, out=entries)
+            top = math.sqrt(np.max(entries[:k] + entries[k:])) / scale
+        tops.append(top)
+    return float(np.max(tops))
+
+
+def _live(f):
+    """Per shift class of a family, whether any of its merged coefficients is nonzero."""
+    _, perm, first, starts, _, _, _ = quantum_rep._word_classes(_key(f))
+    merged = np.add.reduceat(f.coeffs.T[perm], first)
+    return np.logical_or.reduceat(np.any(merged != 0, axis=1), starts)
+
+
+@pytest.mark.parametrize("hbar", [0.7, 1.0, 1e100, 1e-300, 1e308])
+@pytest.mark.parametrize("degree", [3, 6, 9])
+def test_skipping_cancelled_classes_is_exact(monkeypatch, degree, hbar):
+    # only whole classes may go: dropping the zero words inside a live class
+    # changes the product's blocking, which moves round-off from degree 9 on
+    with np.errstate(all="ignore"):  # a huge hbar overflows the operators
+        for f, space, safe in _gap_calls(_rep(degree, hbar), monkeypatch):
+            want = _every_class_max_abs(f, space, safe)
+            assert quantum_rep._max_abs(f, space, safe).hex() == want.hex()
+
+
+@pytest.mark.parametrize("degree", [3, DEGREE])
+def test_most_classes_cancel_exactly(monkeypatch, degree):
+    # the identities cancel exactly once equal-acting words merge, which is
+    # what the skip saves; (live, all) classes per family in check order
+    live = [_live(f) for f in _gap_families(_rep(degree, 1.0), monkeypatch)]
+    counts = [(int(np.sum(x)), len(x)) for x in live]
+    assert counts == [(13, 33), (13, 33), (12, 55), (12, 55), (12, 55), (0, 13)]
+
+
+def _planted(f, word, value):
+    """Copy of a family with `value` on one word of its first operator."""
+    coeffs = f.coeffs.copy()
+    coeffs[0, word] = value
+    return dataclasses.replace(f, coeffs=coeffs)
+
+
+@pytest.mark.parametrize("check", range(6))
+def test_skipping_hides_no_planted_value(rep, monkeypatch, check):
+    f, space, safe = _gap_calls(rep, monkeypatch)[check]
+    _, perm, first, starts, _, _, _ = quantum_rep._word_classes(_key(f))
+    merged = starts[np.flatnonzero(~_live(f))[0]]  # first merged word of a cancelled class
+    words = perm[first[merged]:np.append(first, len(perm))[merged + 1]]
+    assert not np.any(f.coeffs[:, words])  # so the planted value is the merged coefficient
+    tiny = _planted(f, words[0], 2.0 ** -1074)
+    assert quantum_rep._max_abs(tiny, space, safe) == _every_class_max_abs(tiny, space, safe) > 0.0
+    assert np.isnan(quantum_rep._max_abs(_planted(f, words[0], np.nan), space, safe))
+
+
+def test_a_family_with_no_live_class_reads_zero(rep, monkeypatch):
+    f, space, safe = _gap_calls(rep, monkeypatch)[-1]  # the round-trip, at hbar = 1
+    zero = dataclasses.replace(f, coeffs=np.zeros_like(f.coeffs))
+    for family in (f, zero):
+        assert not np.any(_live(family))
+        assert quantum_rep._max_abs(family, space, safe).hex() == (0.0).hex()
 
 
 # -- every check can fail --------------------------------------------------------
