@@ -82,7 +82,8 @@ _PAD, _REFLECT = 16, 17
 MAX_GRID = 65536
 
 # Largest quantum-check --degree: the checks hold (live words x safe columns)
-# weights, and degree 20 (8855 columns) takes 0.5 s and 83 MB in a fresh process.
+# weights, and degree 20 (8855 columns) takes 0.5-0.7 s and 81 MB in a fresh
+# process.
 MAX_DEGREE = 20
 
 # Largest gen-fixture --n: the hermitian fixture is one draw into an

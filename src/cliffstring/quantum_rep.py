@@ -49,8 +49,13 @@ and M0dag share the 32 words D_nu Q_mu (M0's) and Q_mu D_nu (M0dag's),
 and so do N, N^dag and M_{mu nu}.  On one alphabet Y_j X_i has on the
 word a b the coefficient X_i Y_j has on b a, so a bracket is one outer
 product plus that product with its word slots swapped, and each closure,
-su2 and tensor gap lists the 32 x 32 grid of words once.  Each check is one
-family of gaps evaluated on the monomial basis.  A word sends each
+su2 and tensor gap lists the 32 x 32 grid of words once.  Those three gap
+families are never held whole: their rows are formed, and their words
+merged, in blocks of 4 rows (about 68 KiB), so a degree-5 job's working
+set stays near 0.8 MiB and reuses the same heap memory from job to job,
+where whole grids of 0.5-0.9 MB each grew the heap past glibc's trim
+threshold and faulted about 970 pages in again every job.  Each check is
+one family of gaps evaluated on the monomial basis.  A word sends each
 monomial to one monomial with a weight read off the exponents, and words
 with the same net exponent shift land on the same row, so the gaps over a
 set of columns are one real product per shift class whose merged
@@ -107,6 +112,12 @@ _FOLD = {("j", "j"): -1, ("k", "k"): -1, ("j", "k"): 1j, ("k", "j"): -1j}
 
 _POW9 = 9 ** np.arange(20)
 
+_BLOCK_BYTES = 72 * 1024
+# complex coefficients per block of a streamed gap family, at least one row:
+# 4 rows of the 1056- and 1088-word grids (66 and 68 KiB), a whole canonical
+# or mixed bracket.  A block and its merge gather stay under glibc's 128 KiB
+# mmap threshold, so they reuse the same heap memory from job to job.
+
 
 class PolySpace:
     """Monomial basis for polynomials in `n_vars` variables, degree <= cap.
@@ -136,6 +147,14 @@ class PolySpace:
     def safe_columns(self) -> np.ndarray:
         """Mask of basis monomials with degree <= cap - 1."""
         return self.degrees <= self.degree - 1
+
+
+@functools.lru_cache(maxsize=32)
+def _poly_space(n_vars: int, degree: int) -> PolySpace:
+    """The shared PolySpace(n_vars, degree), built once per process; its arrays are read-only."""
+    space = PolySpace(n_vars, degree)
+    space.exponents.flags.writeable = space.degrees.flags.writeable = False
+    return space
 
 
 @dataclass(frozen=True)
@@ -199,40 +218,89 @@ def _fold(x: Family, y: Family):
     return _FOLD[x.tag, y.tag] if x.tag else 1
 
 
+def _product_codes(x: Family, y: Family) -> np.ndarray:
+    """The word codes of the products X_i Y_j, word a of X times word b of Y as entry a B + b."""
+    shift = _POW9[np.searchsorted(_POW9, y.codes, side="right")]  # 9^len(y)
+    return (x.codes[:, None] * shift + y.codes).reshape(-1)
+
+
 def _products(x: Family, y: Family) -> Family:
     """The products X_i Y_j as operator i L + j, their tags folded into the coefficients."""
     coeffs = x.coeffs[:, None, :, None] * y.coeffs[None, :, None, :]
     coeffs *= _fold(x, y)
-    shift = _POW9[np.searchsorted(_POW9, y.codes, side="right")]  # 9^len(y)
-    codes = x.codes[:, None] * shift + y.codes
-    return Family(coeffs.reshape(coeffs.shape[0] * coeffs.shape[1], -1), codes.reshape(-1))
+    return Family(coeffs.reshape(coeffs.shape[0] * coeffs.shape[1], -1), _product_codes(x, y))
 
 
-def _brackets(x: Family, y: Family, sign: float = -1.0) -> Family:
-    """X_i Y_j + sign Y_j X_i as operator i L + j.
+def _gap(x: Family, y: Family, sign: float = -1.0, tail: Family | None = None,
+         head: Family | None = None) -> tuple:
+    """The family _stack(head, _sum(brackets, tail)) as (codes, row blocks).
 
-    On one alphabet Y_j X_i has on the word a b the coefficient X_i Y_j has
-    on b a, so the bracket is X_i Y_j plus itself with its word slots
-    swapped.  Families on different alphabets first move onto their stack.
+    The brackets are X_i Y_j + sign Y_j X_i as operator i L + j.  On one
+    alphabet Y_j X_i has on the word a b the coefficient X_i Y_j has on
+    b a, so each bracket row is the product row plus itself with its word
+    slots swapped; families on different alphabets first move onto their
+    stack.  The tail (one operator per bracket) adds its words after the
+    grid's, and the head's operators come first, on words of their own
+    before the grid's.  The rows come as blocks of at most _BLOCK_BYTES,
+    each a fresh (rows, W) array, so no whole word grid is ever held; each
+    entry is formed exactly as it is on the whole family.
     """
     if not _shared_codes((x, y)):
         both, k = _stack(x, y), x.coeffs.shape[0]
         x = Family(both.coeffs[:k], both.codes, x.tag)
         y = Family(both.coeffs[k:], both.codes, y.tag)
-    xy = _products(x, y)
-    grid = xy.coeffs.reshape(-1, len(x.codes), len(x.codes))  # a view: xy becomes the bracket
-    turn = sign * _fold(y, x) / _fold(x, y)  # Y_j X_i carries the tags in the other order
-    grid += turn * grid.swapaxes(1, 2)
-    return xy
+    codes = _product_codes(x, y)
+    if tail is not None:
+        codes = np.concatenate([codes, tail.codes])
+    if head is not None:
+        codes = np.concatenate([head.codes, codes])
+    fold = _fold(x, y)
+    turn = sign * _fold(y, x) / fold  # Y_j X_i carries the tags in the other order
+    return codes, _gap_blocks(x, y, fold, turn, tail, head, len(codes))
 
 
-def _commutator_gap(x: Family, y: Family, coeffs: np.ndarray, z: Family) -> Family:
-    """[X_i, Y_j] - sum_m coeffs[i, j, m] Z_m over all (i, j).
+def _gap_blocks(x, y, fold, turn, tail, head, width):
+    """The row blocks of `_gap`, the head's rows first."""
+    step = max(1, _BLOCK_BYTES // (16 * width))
+    lead = 0
+    if head is not None:
+        lead = head.coeffs.shape[1]
+        for lo in range(0, len(head.coeffs), step):
+            rows = head.coeffs[lo:lo + step]
+            block = np.zeros((len(rows), width), complex)
+            block[:, :lead] = rows
+            yield block
+    v, n = len(x.codes), len(y.coeffs)
+    pair = np.arange(len(x.coeffs) * n)
+    xs, ys = x.coeffs[pair // n, :, None], y.coeffs[pair % n, None, :]
+    end = lead + v * v
+    for lo in range(0, len(pair), step):
+        hi = min(lo + step, len(pair))
+        block = np.empty((hi - lo, width), complex)
+        block[:, :lead] = 0
+        grid = block[:, lead:end].reshape(-1, v, v)  # a view of the block
+        np.multiply(xs[lo:hi], ys[lo:hi], out=grid)
+        grid *= fold
+        grid += turn * grid.swapaxes(1, 2)
+        if tail is not None:
+            block[:, end:] = tail.coeffs[lo:hi]
+        yield block
+
+
+def _brackets(x: Family, y: Family, sign: float = -1.0) -> Family:
+    """X_i Y_j + sign Y_j X_i as operator i L + j, one family (see `_gap`)."""
+    codes, blocks = _gap(x, y, sign)
+    return Family(np.concatenate(list(blocks)), codes)
+
+
+def _commutator_gap(x: Family, y: Family, coeffs: np.ndarray, z: Family,
+                    head: Family | None = None) -> tuple:
+    """[X_i, Y_j] - sum_m coeffs[i, j, m] Z_m over all (i, j), after the head's operators.
 
     x, y and z are families of K, L and M operators and coeffs is a
-    (K, L, M) array.
+    (K, L, M) array; returns (codes, row blocks) as `_gap` does.
     """
-    return _sum(_brackets(x, y), _combine(-coeffs.reshape(-1, coeffs.shape[-1]), z))
+    return _gap(x, y, tail=_combine(-coeffs.reshape(-1, coeffs.shape[-1]), z), head=head)
 
 
 @functools.lru_cache(maxsize=32)
@@ -280,8 +348,23 @@ def _word_classes(codes: bytes) -> tuple:
     return letters, perm, first, starts, sizes, rise, reads
 
 
-def _max_abs(f: Family, space: PolySpace, safe: bool = True) -> float:
+def _merge(blocks, perm: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The (Re; Im) stack of a family's merged coefficients, from its row blocks.
+
+    Each block is gathered into merge order and its equal-acting words
+    summed as it arrives, so only one block is gathered at a time; each
+    merged coefficient is the same sum, in the same order, as on the
+    whole family.
+    """
+    merged = [np.add.reduceat(b.take(perm, axis=1), first, axis=1) for b in blocks]
+    return np.concatenate([m.real for m in merged] + [m.imag for m in merged])
+
+
+def _max_abs(codes: np.ndarray, blocks, space: PolySpace, safe: bool = True) -> float:
     """Max |matrix entry| of a family on the space, over the safe columns by default.
+
+    The family is given as its word codes and its coefficient rows, an
+    iterable of (rows, W) blocks (a whole family is one block).
 
     A word sends each monomial to one monomial: its net exponent shift
     fixes the row, and its weight is the product of the exponents its D
@@ -298,9 +381,8 @@ def _max_abs(f: Family, space: PolySpace, safe: bool = True) -> float:
     columns = space.safe_columns() if safe else slice(None)
     exps, degrees = space.exponents[columns].T, space.degrees[columns]
     letters, perm, first, starts, sizes, rise, reads = _word_classes(
-        f.codes.astype(np.int64, copy=False).tobytes())
-    coeffs = np.add.reduceat(f.coeffs.T[perm], first).T
-    stacked = np.concatenate([coeffs.real, coeffs.imag])
+        codes.astype(np.int64, copy=False).tobytes())
+    stacked = _merge(blocks, perm, first)
     live = np.logical_or.reduceat(np.any(stacked, axis=0), starts)
     # only the merged words of live classes, each class still whole: dropping
     # a zero word inside one would change the product's blocking and round-off
@@ -315,7 +397,7 @@ def _max_abs(f: Family, space: PolySpace, safe: bool = True) -> float:
     weights = (degrees + rise[:, None] <= space.degree).astype(float)
     for read in reads:
         weights *= factors[read]
-    k = coeffs.shape[0]
+    k = stacked.shape[0] // 2
     bounds = np.cumsum(sizes[live]).tolist()
     tops = [0.0]
     for lo, hi in zip([0] + bounds, bounds):
@@ -343,7 +425,7 @@ def build_canonical(degree: int = 6, hbar: float = 1.0) -> CanonicalPairs:
         raise ValueError("degree bound must be at least 2")
     q = Family(np.eye(4, dtype=complex), np.arange(1, 5))
     r = Family(-1j * hbar * eta4().astype(complex), np.arange(5, 9))
-    return CanonicalPairs(space=PolySpace(4, degree), q=q, r=r, hbar=hbar)
+    return CanonicalPairs(space=_poly_space(4, degree), q=q, r=r, hbar=hbar)
 
 
 def canonical_residual(pairs: CanonicalPairs) -> float:
@@ -356,7 +438,7 @@ def canonical_residual(pairs: CanonicalPairs) -> float:
     coeffs = np.zeros((8, 8, 1), complex)
     coeffs[:4, 4:, 0] = 1j * pairs.hbar * eta4()
     coeffs[4:, :4, 0] = -1j * pairs.hbar * eta4()
-    return _max_abs(_commutator_gap(ops, ops, coeffs, _IDENTITY), pairs.space)
+    return _max_abs(*_commutator_gap(ops, ops, coeffs, _IDENTITY), pairs.space)
 
 
 def quaternion_pairs(pairs: CanonicalPairs):
@@ -376,7 +458,7 @@ def mixed_algebra_residual(a_ops: Family, k_ops: Family, space: PolySpace, hbar:
         _brackets(k_ops, k_ops),
         _sum(anti, _combine(hbar * eta4().reshape(16, 1), _IDENTITY)),
     )
-    return _max_abs(gaps, space)
+    return _max_abs(gaps.codes, [gaps.coeffs], space)
 
 
 # -- angular momentum: spinor, three-vector and tensor forms -----------------------
@@ -421,7 +503,7 @@ def lorentz_closure_residual(m0: Family, m0d: Family, space: PolySpace, hbar: fl
     c = c + c.transpose(0, 1, 3, 2, 4, 5)           # + E <-> F
     coeffs = np.zeros((4, 8, 4), complex)           # zero on the [M0, M0dag] blocks
     coeffs[:, :4] = 1j * hbar * c.reshape(4, 4, 4)
-    return _max_abs(_commutator_gap(m0, _stack(m0, m0d), coeffs, m0), space)
+    return _max_abs(*_commutator_gap(m0, _stack(m0, m0d), coeffs, m0), space)
 
 
 def three_vector_form(m0: Family, m0d: Family) -> tuple:
@@ -445,7 +527,7 @@ def su2_closure_residual(n: Family, nd: Family, space: PolySpace, hbar: float) -
     ops = _stack(n, nd)
     coeffs = np.zeros((6, 6, 6), complex)
     coeffs[:3, :3, :3] = coeffs[3:, 3:, 3:] = -1j * hbar * _EPS3
-    return _max_abs(_commutator_gap(ops, ops, coeffs, ops), space)
+    return _max_abs(*_commutator_gap(ops, ops, coeffs, ops), space)
 
 
 def tensor_form(m0: Family, m0d: Family) -> Family:
@@ -476,17 +558,15 @@ def tensor_algebra_residual(m_tensor: Family, space: PolySpace, hbar: float) -> 
     coeffs = -1j * hbar * c.reshape(16, 16, 16)[np.ix_(pairs, pairs)]
     ops = _combine(np.eye(16)[pairs], m_tensor)
     transpose = np.eye(16).reshape(4, 4, 16).transpose(1, 0, 2).reshape(16, 16)
-    gaps = _stack(
-        _combine(np.eye(16) + transpose, m_tensor),
-        _commutator_gap(ops, ops, coeffs, m_tensor),
-    )
-    return _max_abs(gaps, space)
+    antisymmetry = _combine(np.eye(16) + transpose, m_tensor)
+    return _max_abs(*_commutator_gap(ops, ops, coeffs, m_tensor, head=antisymmetry), space)
 
 
 def spinor_tensor_roundtrip_residual(m0: Family, m_tensor: Family, space: PolySpace) -> float:
     """Max error of M0_(AB) = 1/2 eps^EdotFdot sigma^mu sigma^nu M_{mu nu}, on every column."""
     w = 0.5 * np.einsum("ef,mae,nbf->abmn", EPS, _S4, _S4).reshape(4, 16)
-    return _max_abs(_sum(_combine(w, m_tensor), _combine(-np.eye(4), m0)), space, safe=False)
+    gaps = _sum(_combine(w, m_tensor), _combine(-np.eye(4), m0))
+    return _max_abs(gaps.codes, [gaps.coeffs], space, safe=False)
 
 
 def jz_spectrum(degree: int, hbar: float = 1.0) -> np.ndarray:
@@ -497,7 +577,7 @@ def jz_spectrum(degree: int, hbar: float = 1.0) -> np.ndarray:
     across degrees d <= cap.  Returned sorted by real part; all NaN when
     hbar is so large that J^z overflows.
     """
-    space = PolySpace(2, degree)
+    space = _poly_space(2, degree)
     # x_1 d_2 - x_2 d_1 sends x^(p, q) to q x^(p+1, q-1) - p x^(p-1, q+1); each
     # degree lists p = 0, 1, ..., d in turn, so those sit one column either side
     p, q = space.exponents.T

@@ -3,6 +3,7 @@ import functools
 import inspect
 import math
 import sys
+import tracemalloc
 import types
 from collections import Counter
 
@@ -390,19 +391,28 @@ def test_m0_and_m0dag_share_one_alphabet(rep):
 
 
 def _gap_calls(rep, monkeypatch):
-    """The (family, space, safe) of each `_max_abs` call one job's checks make, in check order."""
+    """The (family, space, safe) of each `_max_abs` call one job's checks make, in check order.
+
+    Each family is the concatenation of the row blocks its check streamed.
+    """
     pairs, m0, m0d = rep[0], rep[3], rep[4]
     calls = []
     evaluate = quantum_rep._max_abs
 
-    def recorded(f, space, safe=True):
-        calls.append((f, space, safe))
-        return evaluate(f, space, safe)
+    def recorded(codes, blocks, space, safe=True):
+        blocks = list(blocks)
+        calls.append((Family(np.concatenate(blocks), codes), space, safe))
+        return evaluate(codes, blocks, space, safe)
 
     monkeypatch.setattr(quantum_rep, "_max_abs", recorded)
     _word_residuals(pairs, m0, m0d)
     monkeypatch.undo()
     return calls
+
+
+def _max_abs(f, space, safe):
+    """`quantum_rep._max_abs` of a whole family, as one block."""
+    return quantum_rep._max_abs(f.codes, [f.coeffs], space, safe)
 
 
 def _gap_families(rep, monkeypatch):
@@ -520,7 +530,7 @@ def test_skipping_cancelled_classes_is_exact(monkeypatch, degree, hbar):
     with np.errstate(all="ignore"):  # a huge hbar overflows the operators
         for f, space, safe in _gap_calls(_rep(degree, hbar), monkeypatch):
             want = _every_class_max_abs(f, space, safe)
-            assert quantum_rep._max_abs(f, space, safe).hex() == want.hex()
+            assert _max_abs(f, space, safe).hex() == want.hex()
 
 
 @pytest.mark.parametrize("degree", [3, DEGREE])
@@ -547,8 +557,8 @@ def test_skipping_hides_no_planted_value(rep, monkeypatch, check):
     words = perm[first[merged]:np.append(first, len(perm))[merged + 1]]
     assert not np.any(f.coeffs[:, words])  # so the planted value is the merged coefficient
     tiny = _planted(f, words[0], 2.0 ** -1074)
-    assert quantum_rep._max_abs(tiny, space, safe) == _every_class_max_abs(tiny, space, safe) > 0.0
-    assert np.isnan(quantum_rep._max_abs(_planted(f, words[0], np.nan), space, safe))
+    assert _max_abs(tiny, space, safe) == _every_class_max_abs(tiny, space, safe) > 0.0
+    assert np.isnan(_max_abs(_planted(f, words[0], np.nan), space, safe))
 
 
 def test_a_family_with_no_live_class_reads_zero(rep, monkeypatch):
@@ -556,7 +566,86 @@ def test_a_family_with_no_live_class_reads_zero(rep, monkeypatch):
     zero = dataclasses.replace(f, coeffs=np.zeros_like(f.coeffs))
     for family in (f, zero):
         assert not np.any(_live(family))
-        assert quantum_rep._max_abs(family, space, safe).hex() == (0.0).hex()
+        assert _max_abs(family, space, safe).hex() == (0.0).hex()
+
+
+# -- closure, su2 and tensor gaps streamed in row blocks --------------------------
+
+
+def _streams(rep, monkeypatch):
+    """The (codes, blocks, space, safe) of each `_max_abs` call, blocks as streamed, in check order."""
+    pairs, m0, m0d = rep[0], rep[3], rep[4]
+    streams = []
+    evaluate = quantum_rep._max_abs
+
+    def recorded(codes, blocks, space, safe=True):
+        blocks = list(blocks)
+        streams.append((codes, blocks, space, safe))
+        return evaluate(codes, iter(blocks), space, safe)
+
+    monkeypatch.setattr(quantum_rep, "_max_abs", recorded)
+    residuals = _word_residuals(pairs, m0, m0d)
+    monkeypatch.undo()
+    return dict(zip(residuals, streams)), residuals
+
+
+_STREAMED = ("closure", "su2", "tensor")
+
+
+@pytest.mark.parametrize("hbar", [0.7, 1.0, 1e100, 1e-300, 1e308])
+@pytest.mark.parametrize("degree", [3, 6, 9])
+def test_streamed_gaps_equal_the_whole_family(monkeypatch, degree, hbar):
+    with np.errstate(all="ignore"):  # a huge hbar overflows the operators
+        streams, residuals = _streams(_rep(degree, hbar), monkeypatch)
+        for name in _STREAMED:
+            codes, blocks, space, safe = streams[name]
+            assert len(blocks) > 1
+            assert max(b.nbytes for b in blocks) <= quantum_rep._BLOCK_BYTES
+            whole = quantum_rep._max_abs(codes, [np.concatenate(blocks)], space, safe)
+            assert residuals[name].hex() == whole.hex()
+
+
+@pytest.mark.parametrize("name", _STREAMED)
+def test_a_value_planted_in_a_later_block_is_seen(rep, monkeypatch, name):
+    codes, blocks, space, safe = _streams(rep, monkeypatch)[0][name]
+    whole = Family(np.concatenate(blocks), codes)
+    _, perm, first, starts, _, _, _ = quantum_rep._word_classes(_key(whole))
+    merged = starts[np.flatnonzero(~_live(whole))[0]]  # first merged word of a cancelled class
+    words = perm[first[merged]:np.append(first, len(perm))[merged + 1]]
+    assert not np.any(whole.coeffs[:, words])  # so the planted value is the merged coefficient
+    word = words[0]
+    for value in (2.0 ** -1074, np.nan):
+        planted = [b.copy() for b in blocks]
+        planted[-1][-1, word] = value  # the last row of the last block
+        residual = quantum_rep._max_abs(codes, iter(planted), space, safe)
+        if np.isnan(value):
+            assert np.isnan(residual)
+        else:
+            assert residual == _every_class_max_abs(Family(np.concatenate(planted), codes), space, safe)
+            assert residual > 0.0
+
+
+def test_polynomial_spaces_are_built_once_and_read_only():
+    assert build_canonical(5, 1.0).space is build_canonical(5, 0.7).space
+    assert build_canonical(6).space is not build_canonical(5).space
+    space = build_canonical(5).space
+    for a in (space.exponents, space.degrees):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+def test_a_warm_job_keeps_a_small_working_set(tmp_path):
+    # the closure, su2 and tensor word grids are 0.5-0.9 MB each when held
+    # whole; streamed in row blocks, a degree-5 job peaks near 0.8 MiB
+    argv = ["quantum-check", "--degree", "5", "--report", str(tmp_path / "r.json")]
+    assert cli.main(argv) == 0  # decodes the alphabets and builds the spaces
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2 ** 20
 
 
 # -- every check can fail --------------------------------------------------------
