@@ -390,24 +390,33 @@ def test_m0_and_m0dag_share_one_alphabet(rep):
     assert np.all(np.any(m0.coeffs[:, :16], axis=1)) and np.all(np.any(m0d.coeffs[:, 16:], axis=1))
 
 
+def _streams(rep, monkeypatch):
+    """Per check, the (codes, blocks, space, safe) of its `_max_abs` call, and the residuals.
+
+    The blocks are listed as the check streamed them, in check order.
+    """
+    pairs, m0, m0d = rep[0], rep[3], rep[4]
+    streams = []
+    evaluate = quantum_rep._max_abs
+
+    def recorded(codes, blocks, space, safe=True):
+        blocks = list(blocks)
+        streams.append((codes, blocks, space, safe))
+        return evaluate(codes, iter(blocks), space, safe)
+
+    monkeypatch.setattr(quantum_rep, "_max_abs", recorded)
+    residuals = _word_residuals(pairs, m0, m0d)
+    monkeypatch.undo()
+    return dict(zip(residuals, streams)), residuals
+
+
 def _gap_calls(rep, monkeypatch):
     """The (family, space, safe) of each `_max_abs` call one job's checks make, in check order.
 
     Each family is the concatenation of the row blocks its check streamed.
     """
-    pairs, m0, m0d = rep[0], rep[3], rep[4]
-    calls = []
-    evaluate = quantum_rep._max_abs
-
-    def recorded(codes, blocks, space, safe=True):
-        blocks = list(blocks)
-        calls.append((Family(np.concatenate(blocks), codes), space, safe))
-        return evaluate(codes, blocks, space, safe)
-
-    monkeypatch.setattr(quantum_rep, "_max_abs", recorded)
-    _word_residuals(pairs, m0, m0d)
-    monkeypatch.undo()
-    return calls
+    return [(Family(np.concatenate(blocks), codes), space, safe)
+            for codes, blocks, space, safe in _streams(rep, monkeypatch)[0].values()]
 
 
 def _max_abs(f, space, safe):
@@ -570,23 +579,6 @@ def test_a_family_with_no_live_class_reads_zero(rep, monkeypatch):
 
 
 # -- closure, su2 and tensor gaps streamed in row blocks --------------------------
-
-
-def _streams(rep, monkeypatch):
-    """The (codes, blocks, space, safe) of each `_max_abs` call, blocks as streamed, in check order."""
-    pairs, m0, m0d = rep[0], rep[3], rep[4]
-    streams = []
-    evaluate = quantum_rep._max_abs
-
-    def recorded(codes, blocks, space, safe=True):
-        blocks = list(blocks)
-        streams.append((codes, blocks, space, safe))
-        return evaluate(codes, iter(blocks), space, safe)
-
-    monkeypatch.setattr(quantum_rep, "_max_abs", recorded)
-    residuals = _word_residuals(pairs, m0, m0d)
-    monkeypatch.undo()
-    return dict(zip(residuals, streams)), residuals
 
 
 _STREAMED = ("closure", "su2", "tensor")
