@@ -33,6 +33,7 @@ from .quantum_rep import (
     build_canonical,
     canonical_residual,
     integrality_residual,
+    jz_residual,
     jz_spectrum,
     lorentz_closure_residual,
     m0_matrices,
@@ -82,8 +83,8 @@ _PAD, _REFLECT = 16, 17
 MAX_GRID = 65536
 
 # Largest quantum-check --degree: the checks hold (live words x safe columns)
-# weights, and degree 20 (8855 columns) takes 0.5-0.7 s and 81 MB in a fresh
-# process.
+# weights, and degree 20 (8855 columns) takes 0.6-0.8 s and 79 MB in a fresh
+# process (one BLAS thread, 2-core Xeon VM).
 MAX_DEGREE = 20
 
 # Largest gen-fixture --n: the hermitian fixture is one draw into an
@@ -668,13 +669,15 @@ def cmd_quantum_check(args, overrides) -> int:
         "su2": su2_closure_residual(n, nd, space, args.hbar),
         "tensor": tensor_algebra_residual(mt, space, args.hbar),
         "roundtrip": spinor_tensor_roundtrip_residual(m0, mt, space),
-        "jz_integrality": integrality_residual(vals, args.hbar),
+        # np.max keeps a NaN, so an overflowed spectrum still reads null
+        "jz_integrality": np.max([jz_residual(pairs, m0, m0d),
+                                  integrality_residual(vals, args.hbar)]),
     }
     checks = {name: _check(residuals[name], tols[name], 1) for name in residuals}
     config = {"degree": args.degree, "hbar": args.hbar, "tolerances": tols}
     extra = {
         "dimension": space.dim,
-        "jz_spectrum": [float(v) if np.isfinite(v) else None for v in vals.real],
+        "jz_spectrum": [float(v) if np.isfinite(v) else None for v in vals],
     }
     return _finish(_report("quantum-check", config, checks, extra), args.report)
 

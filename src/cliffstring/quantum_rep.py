@@ -63,8 +63,8 @@ coefficients are not all exactly 0.  The identities cancel symbolically,
 so 182 of the 244 classes one job's checks meet are such zeros and cost
 no product.  Which words merge and which class each lands in depends only
 on the alphabet, not on the degree, hbar or the coefficients, so each
-alphabet is decoded once per process (a check's gaps are on one of five
-alphabets, of 65, 97, 1056, 1088 and 32 words; closure and su2 share
+alphabet is decoded once per process (a check's gaps are on one of six
+alphabets, of 65, 97, 1056, 1088, 32 and 48 words; closure and su2 share
 theirs).
 """
 
@@ -95,6 +95,7 @@ __all__ = [
     "tensor_form",
     "tensor_algebra_residual",
     "spinor_tensor_roundtrip_residual",
+    "jz_residual",
     "jz_spectrum",
     "integrality_residual",
 ]
@@ -569,40 +570,35 @@ def spinor_tensor_roundtrip_residual(m0: Family, m_tensor: Family, space: PolySp
     return _max_abs(gaps.codes, [gaps.coeffs], space, safe=False)
 
 
-def jz_spectrum(degree: int, hbar: float = 1.0) -> np.ndarray:
-    """Eigenvalues of J^z = Q_1 R_2 - Q_2 R_1 on two-variable polynomials.
+def jz_residual(pairs: CanonicalPairs, m0: Family, m0d: Family) -> float:
+    """Gap of J^z = i/2 (M0_(12) - M0dag_(12)) = Q_1 R_2 - Q_2 R_1, in units of hbar.
 
-    The operator preserves homogeneous degree, so the spectrum is exactly
-    integral in units of hbar on every truncation: hbar * {-d, ..., d}
-    across degrees d <= cap.  Returned sorted by real part; all NaN when
-    hbar is so large that J^z overflows.
+    Both sides are of degree 1 in hbar, so the gap over the safe columns,
+    divided by hbar, does not scale with it.
     """
-    space = _poly_space(2, degree)
-    # x_1 d_2 - x_2 d_1 sends x^(p, q) to q x^(p+1, q-1) - p x^(p-1, q+1); each
-    # degree lists p = 0, 1, ..., d in turn, so those sit one column either side
-    p, q = space.exponents.T
-    j = np.arange(space.dim)
-    lz = np.zeros((space.dim, space.dim))
-    lz[j[q > 0] + 1, j[q > 0]] = q[q > 0]
-    lz[j[p > 0] - 1, j[p > 0]] = -p[p > 0]
-    jz = 1j * hbar * lz
-    if not np.all(np.isfinite(jz)):
-        return np.full(space.dim, np.nan + 0j)
-    vals = np.linalg.eigvals(jz)
-    return vals[np.argsort(vals.real)]
+    w = np.zeros((1, 8), complex)
+    w[0, 1], w[0, 4 + 1] = 0.5j, -0.5j                # i/2 (M0_(12) - M0dag_(12))
+    qr = np.zeros((1, 16))
+    qr[0, 4 * 1 + 2], qr[0, 4 * 2 + 1] = -1.0, 1.0    # -(Q_1 R_2 - Q_2 R_1)
+    gap = _sum(_combine(w, _stack(m0, m0d)), _combine(qr, _products(pairs.q, pairs.r)))
+    return _max_abs(gap.codes, [gap.coeffs], pairs.space) / pairs.hbar
+
+
+def jz_spectrum(degree: int, hbar: float = 1.0) -> np.ndarray:
+    """Eigenvalues of J^z = Q_1 R_2 - Q_2 R_1 on two-variable polynomials, sorted.
+
+    On the homogeneous polynomials of degree d, J^z is diagonal on
+    z^p zbar^(d-p) with z = x_1 + i x_2, with eigenvalue hbar (d - 2p), so
+    the spectrum is hbar * (d - 2p) for p = 0..d and every d <= cap.  All
+    NaN when hbar * cap overflows.
+    """
+    m = np.concatenate([np.arange(-d, d + 1, 2) for d in range(degree + 1)])
+    if not np.isfinite(np.float64(hbar) * degree):
+        return np.full(len(m), np.nan)
+    return np.sort(hbar * m)
 
 
 def integrality_residual(values: np.ndarray, hbar: float = 1.0) -> float:
-    """Max distance of the values from the lattice hbar * (integers).
-
-    numpy's complex division takes 1 / hbar first, which overflows at a
-    subnormal hbar, so where its quotient is not finite the real and
-    imaginary parts are divided separately; a NaN value stays NaN.
-    """
-    values = np.asarray(values, complex)
-    with np.errstate(all="ignore"):
-        scaled = values / hbar
-    bad = ~np.isfinite(scaled)
-    scaled.real[bad] = values.real[bad] / hbar
-    scaled.imag[bad] = values.imag[bad] / hbar
-    return float(np.max(np.abs(scaled - np.round(scaled.real))))
+    """Max distance of the values from the lattice hbar * (integers); a NaN stays NaN."""
+    scaled = np.asarray(values, float) / hbar
+    return float(np.max(np.abs(scaled - np.round(scaled))))

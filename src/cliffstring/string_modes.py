@@ -217,7 +217,8 @@ def coordinates(ms: ModeSpectrum, tau, sigma) -> np.ndarray:
     mid = ms.K * tau**2
     for n, (a, anm) in ms.modes.items():
         mid = mid + 8.0 / n**2 * (a - anm * np.exp(-1j * n * tau) * np.cos(n * sigma))
-    return ms.C0 + (c.ell / c.m**3) * (kup @ mid.mT @ kup)
+    # float64, so a cube of m past the float range gives inf or 0, not an exception
+    return ms.C0 + (np.float64(c.ell) / np.float64(c.m) ** 3) * (kup @ mid.mT @ kup)
 
 
 # -- residual diagnostics ------------------------------------------------------
@@ -272,7 +273,7 @@ def eom_residual(ms: ModeSpectrum, points, h: float = 1e-3) -> float:
     d_tau = (x[:, 0] - 2 * x[:, 1] + x[:, 2]) / h**2
     d_sigma = (-x[:, 3] + 16 * x[:, 4] - 30 * x[:, 1] + 16 * x[:, 5] - x[:, 6]) / (12 * h**2)
     kup = _raise_both(ms.K)
-    source = (2 * c.ell / c.m**3) * (kup @ ms.K.T @ kup)
+    source = (2 * np.float64(c.ell) / np.float64(c.m) ** 3) * (kup @ ms.K.T @ kup)
     return float(np.max(np.abs(d_tau - d_sigma - source), initial=0.0))
 
 

@@ -610,6 +610,21 @@ def test_string_modes_nonfinite_spectrum_exits_2(tmp_path, field):
     assert not report.exists()
 
 
+def test_quantum_check_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The same report at one and at two OpenBLAS threads (a case an
+    eigensolver's thread-blocked LAPACK path once moved)."""
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            [str(pathlib.Path(cli.__file__).parents[1])] + sys.path))
+        out = subprocess.run([sys.executable, "-m", "cliffstring", "quantum-check", "--degree",
+                              "11", "--hbar", "0.7"], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        outs.append(out.stdout)
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.filterwarnings("error")  # numpy's overflow warnings would fail the run
 @pytest.mark.parametrize("magnitude", [1e120, 1e200])
 def test_string_modes_overflowing_spectrum_fails_with_null_residuals(tmp_path, capsys, magnitude):
@@ -628,6 +643,23 @@ def test_string_modes_overflowing_spectrum_fails_with_null_residuals(tmp_path, c
     failed = {name: entry for name, entry in rep["checks"].items() if not entry["pass"]}
     assert set(failed) == {"eom", "eom_ratio", "hermiticity", "evenness"}
     assert all(entry["max_residual"] is None for entry in failed.values())
+
+
+@pytest.mark.parametrize("m", [1e-110, 1e-300, 1e200])
+def test_string_modes_mass_whose_cube_leaves_the_float_range(tmp_path, capsys, m):
+    # l/m^3 is inf or 0: the checks on X fail or pass, but nothing raises
+    fix = tmp_path / "s.json"
+    assert run("gen-fixture", "--kind", "spectrum", "--seed", "0", "--output", str(fix)) == 0
+    obj = json.loads(fix.read_text())
+    obj["m"] = m
+    fix.write_text(json.dumps(obj))
+    capsys.readouterr()
+    code = run("string-modes", "--spectrum", str(fix), "--grid", "16",
+               "--output", str(tmp_path / "grid.csv"))
+    assert code in (0, 3)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert strict_json(captured.out)["overall_pass"] is (code == 0)
 
 
 def test_nonfinite_report_exits_3_without_writing(tmp_path, capsys, monkeypatch):

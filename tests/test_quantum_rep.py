@@ -19,6 +19,7 @@ from cliffstring.quantum_rep import (
     build_canonical,
     canonical_residual,
     integrality_residual,
+    jz_residual,
     jz_spectrum,
     lorentz_closure_residual,
     m0_matrices,
@@ -164,6 +165,29 @@ def test_jz_spectrum_scales_with_hbar():
     vals = jz_spectrum(3, hbar=0.5)
     assert integrality_residual(vals, hbar=0.5) <= 1e-9
     assert abs(float(np.max(vals.real)) - 1.5) <= 1e-9
+
+
+def test_jz_spectrum_is_the_eigenvalues_of_jz():
+    # J^z = Q_1 R_2 - Q_2 R_1 = i hbar (x_1 d_2 - x_2 d_1), dense on two-variable polynomials
+    degree, hbar = 7, 0.7
+    exps = PolySpace(2, degree).exponents.tolist()
+    index = {tuple(e): i for i, e in enumerate(exps)}
+    lz = np.zeros((len(exps), len(exps)))
+    for j, (p, q) in enumerate(exps):
+        if q:
+            lz[index[p + 1, q - 1], j] = q
+        if p:
+            lz[index[p - 1, q + 1], j] = -p
+    vals = np.linalg.eigvals(1j * hbar * lz)
+    assert np.max(np.abs(vals.imag)) <= 1e-12
+    assert np.max(np.abs(np.sort(vals.real) - jz_spectrum(degree, hbar))) <= 1e-12
+
+
+def test_jz_spectrum_overflows_to_nan():
+    with np.errstate(over="ignore"):
+        vals = jz_spectrum(3, 1e308)
+    assert len(vals) == 10 and np.all(np.isnan(vals))
+    assert np.isnan(integrality_residual(vals, 1e308))
 
 
 def test_integrality_residual_at_a_subnormal_hbar():
@@ -701,6 +725,35 @@ def test_closure_trips_on_a_flipped_eps(rep, monkeypatch):
     pairs, m0, m0d = rep[0], rep[3], rep[4]
     monkeypatch.setattr(quantum_rep, "EPS", -quantum_rep.EPS)
     assert lorentz_closure_residual(m0, m0d, pairs.space, pairs.hbar) > 1e-10
+
+
+def test_jz_residual_is_exact(rep):
+    pairs, m0, m0d = rep[0], rep[3], rep[4]
+    assert jz_residual(pairs, m0, m0d) == 0.0
+
+
+def _flip_sigma_y(monkeypatch):
+    s4 = quantum_rep._S4.copy()
+    s4[2] = -s4[2]
+    monkeypatch.setattr(quantum_rep, "_S4", s4)
+
+
+@pytest.mark.parametrize("mutate, want", [
+    (lambda mp: mp.setattr(quantum_rep, "EPS", -quantum_rep.EPS), 8.0),
+    (_flip_sigma_y, 8.0),
+    (lambda mp: mp.setitem(quantum_rep._FOLD, ("k", "j"), 1j), 4.0),
+], ids=["flipped-eps", "flipped-sigma-y", "commuting-fold"])
+def test_jz_trips_on_a_broken_m0(monkeypatch, dense, mutate, want):
+    # a flipped eta4 is no such mutant: it moves R, so both sides of the identity
+    mutate(monkeypatch)
+    pairs, _, _, m0, m0d = _rep(5, 1.0)
+    assert jz_residual(pairs, m0, m0d) == want
+    # the dense oracle reads the same gap
+    space = pairs.space
+    m0, m0d = (dense(m, space) for m in (m0, m0d))
+    q, r = dense(pairs.q, space), dense(pairs.r, space)
+    gap = 0.5j * (m0[1] - m0d[1]) - (q[1] @ r[2] - q[2] @ r[1])
+    assert np.max(np.abs(gap[:, space.safe_columns()])) == want
 
 
 def test_su2_trips_on_a_flipped_eps3(rep, monkeypatch):
