@@ -35,7 +35,6 @@ from cliffstring.octonion import Octonion, alternativity_check, mul_arrays
 from cliffstring.quantum_rep import (
     build_canonical,
     canonical_residual,
-    integrality_residual,
     jz_spectrum,
     lorentz_closure_residual,
     m0_matrices,
@@ -215,7 +214,9 @@ def test_06_polynomial_operator_algebra_closes(dense):
                     worst_cross = max(worst_cross, float(np.max(np.abs(cross[:, safe]))))
     assert worst_cross <= 1e-10
     for degree in (2, 3, 4):
-        assert integrality_residual(jz_spectrum(degree, hbar=1.0)) <= 1e-9
+        # hbar (d - 2p) for p = 0..d, at every d <= degree
+        m = [d - 2 * p for d in range(degree + 1) for p in range(d + 1)]
+        assert np.array_equal(jz_spectrum(degree, hbar=0.7), 0.7 * np.sort(m))
     assert time.monotonic() - start < 30.0
 
 

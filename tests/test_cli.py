@@ -426,15 +426,16 @@ def test_string_modes_report_and_csv_bytes_are_pinned(tmp_path, capsys, monkeypa
 
 
 # sha256 prefixes of the `quantum-check --degree d --hbar h` report on stdout;
-# every residual is an exact zero or non-finite in these cases, so the bytes
-# do not depend on the order in which round-off is summed
+# every residual is an exact zero or non-finite in these cases but one, the
+# jz_integrality of (6, "1e200") at 1.7e-16, so the bytes hardly depend on the
+# order in which round-off is summed
 QUANTUM_CHECK_DIGESTS = {
-    (2, "1"): "fa77fe98ca1a553b", (3, "1"): "5220ffafa55166f9", (4, "1"): "6e94a2273fa57306",
-    (5, "1"): "d981c75b80663593", (6, "1"): "c40e1b35682519e1", (7, "1"): "f9d4b3b0ad2f7097",
-    (10, "1"): "91468f6db13c2b20",
-    (3, "0.5"): "f502af25f64b48c5", (4, "0.5"): "3a2efa531f05aaa8", (6, "0.5"): "b1bc1600fa9e52c0",
-    (3, "1e200"): "4e4d16ab0eda32b6", (4, "1e200"): "8454270a0fa2eb55",
-    (6, "1e200"): "5ab642d9208c75fb",
+    (2, "1"): "19684293e50d5c52", (3, "1"): "afba7d05a37c0286", (4, "1"): "6665ef2d204a288d",
+    (5, "1"): "b1fa38a94834a09b", (6, "1"): "9b72ed65e9e5fa59", (7, "1"): "3819830ba3d5504c",
+    (10, "1"): "3e72c901034aa40d",
+    (3, "0.5"): "9b4dc895ffa18dbb", (4, "0.5"): "16ccaf776fadd0e8", (6, "0.5"): "eff257db49d5ffb4",
+    (3, "1e200"): "3dffc58720fefd33", (4, "1e200"): "165145aba921cb73",
+    (6, "1e200"): "bcd66eb5310b2acd",
     (3, "1e308"): "03a017e86ea039a9",
 }
 
@@ -452,9 +453,9 @@ def test_quantum_check_bytes_are_pinned(capsys, degree, hbar):
 # gap products are formed, merged or summed changes, so they pin that order
 # (the same at one and at two BLAS threads)
 QUANTUM_CHECK_ROUNDOFF_DIGESTS = {
-    (5, "0.7"): "88ccfe96c59bb379", (9, "0.7"): "50129aaff88bea0b",
-    (9, "1e-150"): "d707e29a4398fa1b", (9, "1e100"): "dcee7a3fbac00b89",
-    (12, "0.7"): "2cdc437fbac52393", (12, "1e100"): "69b130a62703caeb",
+    (5, "0.7"): "b931709626271aaf", (9, "0.7"): "df6db525eef06576",
+    (9, "1e-150"): "b013e01f3dd6b048", (9, "1e100"): "e5f01aa89dd54f4d",
+    (12, "0.7"): "fe31d1ba13df7907", (12, "1e100"): "e00297867a682b5a",
 }
 
 
@@ -487,13 +488,13 @@ def test_quantum_check_passes_at_subnormal_residuals(capsys, degree, hbar):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("hbar", ["1e-310", "1e-320"])
 def test_quantum_check_passes_at_a_subnormal_hbar(capsys, hbar):
-    """numpy's complex division by a subnormal hbar overflows, so jz_integrality
-    divides the spectrum's parts separately there and reads its exact 0.0."""
+    """A subnormal hbar keeps few bits, so M0 and Q R round differently and
+    jz_integrality reads their gap in units of hbar (about 1e-13 at 1e-310)."""
     assert run("quantum-check", "--degree", "3", "--hbar", hbar) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     checks = strict_json(captured.out)["checks"]
-    assert checks["jz_integrality"]["max_residual"] == 0.0
+    assert 0.0 <= checks["jz_integrality"]["max_residual"] < 1e-12
     assert all(check["pass"] for check in checks.values())
 
 
