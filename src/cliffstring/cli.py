@@ -669,8 +669,7 @@ def cmd_quantum_check(args, overrides) -> int:
         "su2": su2_closure_residual(n, nd, space, args.hbar),
         "tensor": tensor_algebra_residual(mt, space, args.hbar),
         "roundtrip": spinor_tensor_roundtrip_residual(m0, mt, space),
-        # np.max keeps a NaN, so an overflowed spectrum still reads null
-        "jz_integrality": np.max([jz_residual(pairs, m0, m0d),
+        "jz_integrality": np.max([jz_residual(pairs, m0, m0d),  # np.max keeps a NaN
                                   integrality_residual(vals, args.hbar)]),
     }
     checks = {name: _check(residuals[name], tols[name], 1) for name in residuals}

@@ -60,7 +60,7 @@ monomial to one monomial with a weight read off the exponents, and words
 with the same net exponent shift land on the same row, so the gaps over a
 set of columns are one real product per shift class whose merged
 coefficients are not all exactly 0.  The identities cancel symbolically,
-so 182 of the 244 classes one job's checks meet are such zeros and cost
+so 191 of the 257 classes one job's checks meet are such zeros and cost
 no product.  Which words merge and which class each lands in depends only
 on the alphabet, not on the degree, hbar or the coefficients, so each
 alphabet is decoded once per process (a check's gaps are on one of six
@@ -576,10 +576,8 @@ def jz_residual(pairs: CanonicalPairs, m0: Family, m0d: Family) -> float:
     Both sides are of degree 1 in hbar, so the gap over the safe columns,
     divided by hbar, does not scale with it.
     """
-    w = np.zeros((1, 8), complex)
-    w[0, 1], w[0, 4 + 1] = 0.5j, -0.5j                # i/2 (M0_(12) - M0dag_(12))
-    qr = np.zeros((1, 16))
-    qr[0, 4 * 1 + 2], qr[0, 4 * 2 + 1] = -1.0, 1.0    # -(Q_1 R_2 - Q_2 R_1)
+    w = 0.5j * (np.eye(8)[[1]] - np.eye(8)[[4 + 1]])       # i/2 (M0_(12) - M0dag_(12))
+    qr = np.eye(16)[[4 * 2 + 1]] - np.eye(16)[[4 * 1 + 2]]  # -(Q_1 R_2 - Q_2 R_1)
     gap = _sum(_combine(w, _stack(m0, m0d)), _combine(qr, _products(pairs.q, pairs.r)))
     return _max_abs(gap.codes, [gap.coeffs], pairs.space) / pairs.hbar
 
