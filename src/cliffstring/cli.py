@@ -92,7 +92,7 @@ MAX_DEGREE = 20
 # takes about 1 s, 121 MB and a 15 MB file.
 MAX_FIXTURE_N = 256
 
-# Default tolerance per named check, overridable with --tol.<name>.
+# Default tolerance per named check; each is its command's --tol.<name> flag's default.
 DEFAULT_TOLS = {
     "octonion-check": {
         "norm_composition": 1e-12,
@@ -152,46 +152,8 @@ def _resolve_seed(flag_value) -> int:
     return seed
 
 
-def _extract_dotted_tols(argv):
-    """Pull --tol.<name> VALUE (or --tol.<name>=VALUE) pairs out of argv.
-
-    Done before argparse so the plain --tol flag of `resolve` is untouched.
-    """
-    tols = {}
-    rest = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok.startswith("--tol."):
-            name, sep, val = tok[len("--tol."):].partition("=")
-            if not sep:
-                i += 1
-                if i >= len(argv):
-                    raise InputError(f"--tol.{name} needs a value")
-                val = argv[i]
-            try:
-                parsed = _positive_float(val)
-            except ValueError:
-                raise InputError(f"--tol.{name} needs a number, got {val!r}")
-            except argparse.ArgumentTypeError as exc:
-                raise InputError(f"--tol.{name} {exc}")
-            if not name:
-                raise InputError("--tol. needs a check name")
-            tols[name] = parsed
-        else:
-            rest.append(tok)
-        i += 1
-    return tols, rest
-
-
-def _merge_tols(command: str, overrides: dict) -> dict:
-    merged = dict(DEFAULT_TOLS[command])
-    for name, val in overrides.items():
-        if name not in merged:
-            known = ", ".join(sorted(merged))
-            raise InputError(f"unknown tolerance {name!r} for {command}; known: {known}")
-        merged[name] = val
-    return merged
+def _tols(args) -> dict:
+    return {name: getattr(args, "tol." + name) for name in DEFAULT_TOLS[args.command]}
 
 
 # the texts of a zero and a negative zero, indexed by the sign bit
@@ -343,9 +305,9 @@ def _finish(report: dict, path) -> int:
 # -- octonion-check ------------------------------------------------------------
 
 
-def cmd_octonion_check(args, overrides) -> int:
+def cmd_octonion_check(args) -> int:
     seed = _resolve_seed(args.seed)
-    tols = _merge_tols("octonion-check", overrides)
+    tols = _tols(args)
     rng = np.random.default_rng(seed)
     worst = {"norm_composition": 0.0, "alternativity": 0.0, "conj_antiautomorphism": 0.0}
     for start in range(0, args.trials, OCTONION_BLOCK):
@@ -419,9 +381,7 @@ def _resolve_text(out: dict, coeffs: np.ndarray) -> str:
     return template % (*texts.tolist(), *terms.ravel().tolist())
 
 
-def cmd_resolve(args, overrides) -> int:
-    if overrides:
-        raise InputError("resolve takes a single --tol flag, not --tol.<name>")
+def cmd_resolve(args) -> int:
     obj = _load_json(args.input)
     try:
         h = OctHermitian.from_json(obj, tol=max(args.tol, 1e-12))
@@ -503,11 +463,9 @@ def _mixed_control() -> np.ndarray:
     return mixed
 
 
-def cmd_lorentz_check(args, overrides) -> int:
-    if args.nest_depth > MAX_NEST_DEPTH:
-        raise InputError(f"--nest-depth must be at most {MAX_NEST_DEPTH}, got {args.nest_depth}")
+def cmd_lorentz_check(args) -> int:
     seed = _resolve_seed(args.seed)
-    tols = _merge_tols("lorentz-check", overrides)
+    tols = _tols(args)
     rng = np.random.default_rng(seed)
     reflection = reflection_factor()
     worst = {"det": 0.0, "compatibility": 0.0, "contraction": 0.0}
@@ -559,32 +517,35 @@ _TAUS = (0.3, 0.9, 1.7)
 _SIGMAS = (0.35, 1.1, 2.2, 2.9)
 
 
-def _write_grid_csv(ms, path, n_sigma: int) -> None:
+def _write_grid_csv(ms, path, n_sigma: int) -> int:
+    """Write the grid scan and return 0, or write nothing and return 3 on NaN or inf."""
     tau, sigma = np.meshgrid(
         [0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi], np.linspace(0.0, np.pi, n_sigma + 1),
         indexing="ij",
     )
-    header = ["tau", "sigma"]
-    for name in ("X", "Jtau", "Jsigma"):
-        for a in range(2):
-            for b in range(2):
-                header += [f"{name}_{a}{b}_re", f"{name}_{a}{b}_im"]
+    header = ["tau", "sigma"] + [f"{name}_{a}{b}_{part}" for name in ("X", "Jtau", "Jsigma")
+                                 for a in range(2) for b in range(2) for part in ("re", "im")]
     mats = np.stack([coordinates(ms, tau, sigma), *current_density(ms, tau, sigma)], axis=-3)
     rows = np.column_stack([tau.ravel(), sigma.ravel(), mats.view(float).reshape(tau.size, -1)])
+    finite = np.isfinite(rows)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        print(f"cliffstring: grid not written: {header[col]} is {rows[row, col]} at "
+              f"tau={rows[row, 0]:g}, sigma={rows[row, 1]:g}", file=sys.stderr)
+        return 3
     try:
         np.savetxt(path, rows, fmt="%.17g", delimiter=",", newline="\r\n",
                    header=",".join(header), comments="")
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}")
+    return 0
 
 
 # A finite spectrum can still overflow (X grows like K^3); _check fails the
 # non-finite residuals, so numpy's floating-point warnings would only repeat that.
 @np.errstate(all="ignore")
-def cmd_string_modes(args, overrides) -> int:
-    tols = _merge_tols("string-modes", overrides)
-    if args.grid > MAX_GRID:
-        raise InputError(f"--grid must be at most {MAX_GRID}, got {args.grid}")
+def cmd_string_modes(args) -> int:
+    tols = _tols(args)
     obj = _load_json(args.spectrum)
     try:
         ms = spectrum_from_json(obj)
@@ -639,9 +600,8 @@ def cmd_string_modes(args, overrides) -> int:
         "tolerances": tols,
         "modes": sorted(ms.modes),
     }
-    if args.output:
-        _write_grid_csv(ms, args.output, args.grid)
-    return _finish(_report("string-modes", config, checks), args.report)
+    grid = _write_grid_csv(ms, args.output, args.grid) if args.output else 0
+    return _finish(_report("string-modes", config, checks), args.report) or grid
 
 
 # -- quantum-check -----------------------------------------------------------
@@ -650,10 +610,8 @@ def cmd_string_modes(args, overrides) -> int:
 # A huge --hbar overflows the operators; _check fails the non-finite
 # residuals, so numpy's floating-point warnings would only repeat that.
 @np.errstate(all="ignore")
-def cmd_quantum_check(args, overrides) -> int:
-    tols = _merge_tols("quantum-check", overrides)
-    if not 2 <= args.degree <= MAX_DEGREE:
-        raise InputError(f"--degree must be between 2 and {MAX_DEGREE}, got {args.degree}")
+def cmd_quantum_check(args) -> int:
+    tols = _tols(args)
     pairs = build_canonical(args.degree, args.hbar)
     space = pairs.space
     a_ops, k_ops = quaternion_pairs(pairs)
@@ -687,16 +645,13 @@ def cmd_quantum_check(args, overrides) -> int:
 def cmd_redshift(args) -> int:
     try:
         z = redshift(args.t_emit, args.t_obsv)
+        out = {"z": float(z)}
+        if args.dt is not None or args.p is not None:
+            if args.dt is None or args.p is None:
+                raise InputError("emission bound needs both --dt and --p")
+            out["emission_bound"] = float(emission_bound(args.dt, args.p, z))
     except ValueError as exc:
         raise InputError(str(exc))
-    out = {"z": float(z)}
-    if args.dt is not None or args.p is not None:
-        if args.dt is None or args.p is None:
-            raise InputError("emission bound needs both --dt and --p")
-        try:
-            out["emission_bound"] = float(emission_bound(args.dt, args.p, z))
-        except ValueError as exc:
-            raise InputError(str(exc))
     return _dump_json(out, args.report)
 
 
@@ -704,8 +659,6 @@ def cmd_redshift(args) -> int:
 
 
 def cmd_gen_fixture(args) -> int:
-    if args.n > MAX_FIXTURE_N:
-        raise InputError(f"--n must be at most {MAX_FIXTURE_N}, got {args.n}")
     seed = _resolve_seed(args.seed)
     rng = np.random.default_rng(seed)
     if args.kind == "hermitian":
@@ -720,11 +673,16 @@ def cmd_gen_fixture(args) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _int_in(low: int = 1, high: int = None):
+    """An argparse type: an int of at least low, and at most high unless it is None."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or high is not None and value > high:
+            bounds = f"at least {low}" if high is None else f"from {low} to {high}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's "invalid int value" names the type by it
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -734,42 +692,54 @@ def _positive_float(text: str) -> float:
     return value
 
 
-@functools.cache
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose every error is an InputError, so main returns 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cliffstring",
         description="Property sweeps and reports for the cliffstring library.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("octonion-check", help="octonion algebra identities")
+    p.set_defaults(run=cmd_octonion_check)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=_positive_int, default=10000)
+    p.add_argument("--trials", type=_int_in(), default=10000)
     p.add_argument("--report", default=None, help="report path (default stdout)")
 
     p = sub.add_parser("resolve", help="factor a Hermitian matrix into vectors")
+    p.set_defaults(run=cmd_resolve)
     p.add_argument("--input", required=True, help="Hermitian matrix JSON")
     p.add_argument("--tol", type=_positive_float, default=1e-12)
     p.add_argument("--output", default=None, help="result path (default stdout)")
 
     p = sub.add_parser("lorentz-check", help="nested transform invariants")
+    p.set_defaults(run=cmd_lorentz_check)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--nest-depth", type=_positive_int, default=5)
+    p.add_argument("--trials", type=_int_in(), default=100)
+    p.add_argument("--nest-depth", type=_int_in(1, MAX_NEST_DEPTH), default=5)
     p.add_argument("--report", default=None)
 
     p = sub.add_parser("string-modes", help="mode-spectrum diagnostics")
+    p.set_defaults(run=cmd_string_modes)
     p.add_argument("--spectrum", "--input", dest="spectrum", required=True)
-    p.add_argument("--grid", type=_positive_int, default=512)
+    p.add_argument("--grid", type=_int_in(1, MAX_GRID), default=512)
     p.add_argument("--output", default=None, help="CSV grid scan of X and J")
     p.add_argument("--report", default=None)
 
     p = sub.add_parser("quantum-check", help="polynomial-space operator algebra")
-    p.add_argument("--degree", type=_positive_int, default=6)
+    p.set_defaults(run=cmd_quantum_check)
+    p.add_argument("--degree", type=_int_in(2, MAX_DEGREE), default=6)
     p.add_argument("--hbar", type=_positive_float, default=1.0)
     p.add_argument("--report", default=None)
 
     p = sub.add_parser("redshift", help="evaluate the redshift formula")
+    p.set_defaults(run=cmd_redshift)
     p.add_argument("--t-emit", type=float, required=True)
     p.add_argument("--t-obsv", type=float, required=True)
     p.add_argument("--dt", type=float, default=None, help="observed period")
@@ -777,37 +747,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None)
 
     p = sub.add_parser("gen-fixture", help="write a reproducible random input file")
+    p.set_defaults(run=cmd_gen_fixture)
     p.add_argument("--kind", required=True, choices=("hermitian", "spectrum", "spinor"))
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n", type=_positive_int, default=2, help="matrix size (hermitian)")
+    p.add_argument("--n", type=_int_in(1, MAX_FIXTURE_N), default=2, help="matrix size (hermitian)")
     p.add_argument("--output", default=None, help="fixture path (default stdout)")
 
+    for command, tols in DEFAULT_TOLS.items():
+        for name, tol in tols.items():
+            sub.choices[command].add_argument(f"--tol.{name}", type=_positive_float, default=tol,
+                                              metavar="TOL", help="default %(default)g")
     return parser
 
 
-_HANDLERS = {
-    "octonion-check": cmd_octonion_check,
-    "resolve": cmd_resolve,
-    "lorentz-check": cmd_lorentz_check,
-    "string-modes": cmd_string_modes,
-    "quantum-check": cmd_quantum_check,
-}
+# Built once, at import, so the caps it holds are the module's at import.
+_PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        overrides, argv = _extract_dotted_tols(argv)
-        args = _build_parser().parse_args(argv)
-        if args.command == "redshift":
-            if overrides:
-                raise InputError("redshift has no named tolerances")
-            return cmd_redshift(args)
-        if args.command == "gen-fixture":
-            if overrides:
-                raise InputError("gen-fixture has no named tolerances")
-            return cmd_gen_fixture(args)
-        return _HANDLERS[args.command](args, overrides)
+        args = _PARSER.parse_args(argv)
+        return args.run(args)
     except InputError as exc:
         print(f"cliffstring: {exc}", file=sys.stderr)
         return 2

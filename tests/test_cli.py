@@ -151,10 +151,9 @@ def test_malformed_json_exits_2(tmp_path):
     assert run("resolve", "--input", str(bad)) == 2
 
 
-def test_unknown_subcommand_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        run("frobnicate")
-    assert exc.value.code == 2
+def test_unknown_subcommand_exits_2(capsys):
+    assert run("frobnicate") == 2
+    assert capsys.readouterr().err.startswith("cliffstring: ")
 
 
 def test_infinite_named_tolerance_exits_2(tmp_path, capsys):
@@ -166,10 +165,95 @@ def test_infinite_named_tolerance_exits_2(tmp_path, capsys):
     assert "cliffstring:" in capsys.readouterr().err
 
 
-def test_infinite_hbar_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        run("quantum-check", "--degree", "3", "--hbar", "inf")
-    assert exc.value.code == 2
+def test_infinite_hbar_exits_2(capsys):
+    assert run("quantum-check", "--degree", "3", "--hbar", "inf") == 2
+    assert capsys.readouterr().err.startswith("cliffstring: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("frobnicate",),
+    (),
+    ("octonion-check", "--trials", "0", "--report", "{out}"),
+    ("quantum-check", "--degree", "1", "--report", "{out}"),
+    ("quantum-check", "--degree", str(cli.MAX_DEGREE + 1), "--report", "{out}"),
+    ("lorentz-check", "--trials", "1", "--nest-depth", str(cli.MAX_NEST_DEPTH + 1),
+     "--report", "{out}"),
+    ("string-modes", "--spectrum", "{spec}", "--grid", str(cli.MAX_GRID + 1), "--report", "{out}"),
+    ("gen-fixture", "--kind", "hermitian", "--n", str(cli.MAX_FIXTURE_N + 1), "--output", "{out}"),
+    ("octonion-check", "--trials", "1", "--tol.bogus=1", "--report", "{out}"),
+    ("string-modes", "--spectrum", "{spec}", "--grid", "16", "--tol.e", "1", "--report", "{out}"),
+    ("octonion-check", "--trials", "1", "--report", "{out}", "--tol.alternativity"),
+    ("octonion-check", "--trials", "1", "--tol.alternativity", "inf", "--report", "{out}"),
+    ("redshift", "--t-emit", "1", "--t-obsv", "4", "--tol.z", "1", "--report", "{out}"),
+    ("gen-fixture", "--kind", "spinor", "--tol.z", "1", "--output", "{out}"),
+    ("resolve", "--input", "{herm}", "--tol.a", "1", "--output", "{out}"),
+], ids=lambda argv: " ".join(argv) or "no argv")
+def test_bad_argv_returns_2_with_one_line(tmp_path, capsys, argv):
+    """Every bad argv leaves main by one path: return 2, one stderr line, no output."""
+    inputs, outputs = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    outputs.mkdir()
+    herm, spec = inputs / "h.json", inputs / "s.json"
+    assert run("gen-fixture", "--kind", "hermitian", "--output", str(herm)) == 0
+    assert run("gen-fixture", "--kind", "spectrum", "--output", str(spec)) == 0
+    argv = [a.format(herm=herm, spec=spec, out=outputs / "out") for a in argv]
+    try:
+        code = run(*argv)
+    except SystemExit as exc:
+        pytest.fail(f"SystemExit({exc.code}) raised")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cliffstring: ")
+    assert len(captured.err.splitlines()) == 1
+    assert list(outputs.iterdir()) == []
+
+
+_TOL_ARGV = {
+    "octonion-check": ("--trials", "1"),
+    "lorentz-check": ("--trials", "1"),
+    "quantum-check": ("--degree", "2"),
+    "string-modes": ("--spectrum", "{spec}", "--grid", "16"),
+}
+
+
+@pytest.mark.parametrize("command, name", [
+    (command, name) for command in cli.DEFAULT_TOLS for name in cli.DEFAULT_TOLS[command]
+])
+def test_every_named_tolerance_reaches_its_check(tmp_path, capsys, command, name):
+    spec = tmp_path / "s.json"
+    assert run("gen-fixture", "--kind", "spectrum", "--output", str(spec)) == 0
+    value = 0.375  # no default tolerance
+    argv = [a.format(spec=spec) for a in _TOL_ARGV[command]]
+    assert run(command, *argv, f"--tol.{name}={value}") in (0, 3)
+    rep = strict_json(capsys.readouterr().out)
+    expected = dict(cli.DEFAULT_TOLS[command], **{name: value})
+    assert rep["config"]["tolerances"] == expected
+    assert {n: entry["tolerance"] for n, entry in rep["checks"].items()} == expected
+
+
+def _cliffstring(*argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(pathlib.Path(cli.__file__).parents[1])] + sys.path))
+    return subprocess.run([sys.executable, "-m", "cliffstring", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("command", ["octonion-check", "resolve", "lorentz-check",
+                                     "string-modes", "quantum-check", "redshift",
+                                     "gen-fixture"])
+def test_module_help_exits_0_and_lists_the_named_tolerances(command):
+    out = _cliffstring(command, "--help")
+    assert out.returncode == 0, out.stderr
+    listed = {flag for flag in out.stdout.split() if flag.startswith("--tol.")}
+    assert listed == {f"--tol.{name}" for name in cli.DEFAULT_TOLS.get(command, ())}
+
+
+def test_module_unknown_subcommand_exits_2_with_one_line():
+    out = _cliffstring("frobnicate")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("cliffstring: ") and len(out.stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -648,19 +732,44 @@ def test_string_modes_overflowing_spectrum_fails_with_null_residuals(tmp_path, c
 
 @pytest.mark.parametrize("m", [1e-110, 1e-300, 1e200])
 def test_string_modes_mass_whose_cube_leaves_the_float_range(tmp_path, capsys, m):
-    # l/m^3 is inf or 0: the checks on X fail or pass, but nothing raises
-    fix = tmp_path / "s.json"
+    # l/m^3 is inf or 0: the checks on X fail or pass, but nothing raises; an
+    # infinite l/m^3 makes X infinite, so the grid is not written
+    fix, grid = tmp_path / "s.json", tmp_path / "grid.csv"
     assert run("gen-fixture", "--kind", "spectrum", "--seed", "0", "--output", str(fix)) == 0
     obj = json.loads(fix.read_text())
     obj["m"] = m
     fix.write_text(json.dumps(obj))
     capsys.readouterr()
-    code = run("string-modes", "--spectrum", str(fix), "--grid", "16",
-               "--output", str(tmp_path / "grid.csv"))
+    code = run("string-modes", "--spectrum", str(fix), "--grid", "16", "--output", str(grid))
     assert code in (0, 3)
     captured = capsys.readouterr()
-    assert captured.err == ""
     assert strict_json(captured.out)["overall_pass"] is (code == 0)
+    if m > 1:
+        assert captured.err == "" and grid.exists()
+    else:
+        assert code == 3 and not grid.exists()
+        assert captured.err.startswith("cliffstring: grid not written: X_00_re is inf ")
+        assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("field, value, token", [("m", 1e-110, "inf"), ("K", 1e200, "nan")])
+def test_string_modes_nonfinite_grid_is_not_written(tmp_path, capsys, field, value, token):
+    """A grid that would hold inf or nan leaves the CSV path as it was, says so
+    on one stderr line and exits 3; the report is still written."""
+    fix, grid, report = tmp_path / "s.json", tmp_path / "grid.csv", tmp_path / "r.json"
+    assert run("gen-fixture", "--kind", "spectrum", "--seed", "0", "--output", str(fix)) == 0
+    obj = json.loads(fix.read_text())
+    obj[field] = value if field == "m" else [[[value, 0.0], [0.0, 0.0]], [[0.0, 0.0], [value, 0.0]]]
+    fix.write_text(json.dumps(obj))
+    grid.write_text("earlier grid\n")
+    capsys.readouterr()
+    assert run("string-modes", "--spectrum", str(fix), "--grid", "16", "--output", str(grid),
+               "--report", str(report)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cliffstring: grid not written: X_00_re is {token} at tau=0, sigma=0\n"
+    assert grid.read_text() == "earlier grid\n"
+    assert strict_json(report.read_text())["overall_pass"] is False
 
 
 def test_nonfinite_report_exits_3_without_writing(tmp_path, capsys, monkeypatch):
