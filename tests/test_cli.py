@@ -357,10 +357,14 @@ def test_resolve_unattainable_tolerance_exits_3(tmp_path):
 
 
 def _hermitian_data(kind, n, seed, scale=1.0):
+    """kind "complex" is a random matrix with coefficients 2-7 zeroed: entries in span(1, e_1)."""
     if kind == "zero":
         return np.zeros((n, n, 8))
-    generate = random_hermitian if kind == "random" else random_degenerate_hermitian
-    return generate(np.random.default_rng(seed), n).data * scale
+    generate = random_degenerate_hermitian if kind == "degenerate" else random_hermitian
+    data = generate(np.random.default_rng(seed), n).data * scale
+    if kind == "complex":
+        data[..., 2:] = 0.0
+    return data
 
 
 def _resolve_report(tmp_path, capsys, data, *flags):
@@ -373,7 +377,7 @@ def _resolve_report(tmp_path, capsys, data, *flags):
 
 
 @pytest.mark.parametrize("n, kind, scale", [
-    (n, kind, scale) for n in (1, 2, 5, 16, 33) for kind in ("random", "degenerate", "zero")
+    (n, kind, scale) for n in (1, 2, 5, 16, 33) for kind in ("random", "degenerate", "zero", "complex")
     for scale in ((1.0,) if kind == "zero" else (1.0, 1e150, 1e-150))
     if n > 1 or kind != "degenerate"])
 def test_resolve_report_is_canonical_json(tmp_path, capsys, n, kind, scale):
@@ -399,6 +403,9 @@ RESOLVE_REPORT_DIGESTS = {
     ("random", 16, 2, 1.0): "83bfa248f792d2e4", ("degenerate", 16, 3, 1.0): "f1b8e2aa0f0a1741",
     ("zero", 3, 0, 1.0): "0fb931335bd0e1be", ("random", 5, 4, 1e150): "7ab8c1e5f2de112b",
     ("random", 5, 5, 1e-150): "83e0daa9165a859c", ("random", 33, 6, 1.0): "c305a75b47be217a",
+    ("random", 64, 7, 1.0): "3313bb8f1d727004", ("degenerate", 32, 8, 1.0): "300407f06d248114",
+    # span(1, e_1) entries: these reports hold "-0.0" coefficient texts
+    ("complex", 16, 9, 1.0): "ccab8d4f10389902", ("complex", 33, 10, 1.0): "c044d61aad74b786",
 }
 
 

@@ -5,6 +5,7 @@ from cliffstring.clifford import cliff_conj, cliff_inner, gram_matrix
 from cliffstring.fixtures import random_degenerate_hermitian, random_hermitian
 from cliffstring.matrices import OctHermitian, omat_adjoint, omat_mul
 from cliffstring.minkowski import det2, matrix_to_vector, sigma_set
+from cliffstring.octonion import conj_arrays
 from cliffstring.resolve import (
     reconstruction_residual,
     resolve_hermitian,
@@ -113,6 +114,85 @@ def test_spacetime_reconstruction():
     c1, c2, x_mat = resolve_spacetime(x)
     g = gram_matrix([c1, c2])
     assert np.max(np.abs(g.data - x_mat.data)) <= 1e-12
+
+
+def _reference_resolve(h: OctHermitian, tol: float):
+    """The elimination as it was written with row swaps of a and b: the bit-level reference."""
+    n = h.n
+    s = h.data.copy()
+    a = np.zeros((n, n, 8))
+    b = np.zeros((n, n, 8))
+    perm = np.arange(n)
+    pivots = dict.fromkeys(("regular", "split", "degenerate"), 0)
+    for j in range(n):
+        p = j + int(np.argmax(np.abs(s[j:, j:, 0].diagonal())))
+        if p != j:
+            for rows in (s, a, b, perm):
+                rows[[j, p]] = rows[[p, j]]
+            s[:, [j, p]] = s[:, [p, j]]
+        r = s[j, j, 0]
+        c = s[j + 1:, j]
+        cmax = float(np.max(np.linalg.norm(c, axis=1), initial=0.0))
+        if abs(r) <= tol:
+            kind = "degenerate"
+            a[j, j, 0] = 1.0
+            b[j, j, 0] = 1.0
+            a[j + 1:, j] = c
+        elif abs(r) < 0.5 * cmax:
+            kind = "split"
+            q = float(np.hypot(r, 2.0))
+            a[j, j, 0] = np.sqrt(0.5 * (q + r))
+            b[j, j, 0] = np.sqrt(0.5 * (q - r))
+            a[j + 1:, j] = c * (a[j, j, 0] / q)
+            b[j + 1:, j] = -c * (b[j, j, 0] / q)
+        else:
+            kind = "regular"
+            if r > 0:
+                a[j, j, 0] = np.sqrt(r)
+                a[j + 1:, j] = c / a[j, j, 0]
+            else:
+                b[j, j, 0] = np.sqrt(-r)
+                b[j + 1:, j] = -c / b[j, j, 0]
+        pivots[kind] += 1
+        x = np.stack([a[j + 1:, j], b[j + 1:, j]], axis=1)
+        y = conj_arrays(np.stack([a[j + 1:, j], -b[j + 1:, j]]))
+        s[j + 1:, j + 1:] -= omat_mul(x, y)
+    order = np.argsort(perm)
+    return a[order], b[order], perm, pivots
+
+
+def _sweep_input(kind, n, seed):
+    gen = np.random.default_rng(seed)
+    if kind == "degenerate":
+        return random_degenerate_hermitian(gen, n).data
+    data = random_hermitian(gen, n).data
+    data[..., {"random": 8, "real": 1, "complex": 2}[kind]:] = 0.0
+    return data
+
+
+def _bits(x):
+    """x's float64 bit patterns, so that -0.0 and 0.0 differ."""
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 33, 64])
+def test_resolution_is_bit_equal_to_row_swapping_reference(n):
+    """a, b, perm and pivots match the reference bit for bit, negative zeros included."""
+    kinds = ("random", "real", "complex") + (("degenerate",) if n > 1 else ())
+    for seed, kind in enumerate(kinds):
+        data = _sweep_input(kind, n, 100 * n + seed)
+        for scale in (1.0, 1e-150, 1e150):
+            h = OctHermitian(data * scale)
+            for tol in (1e-12, 1e-10):
+                # at 1e150 the column norms overflow from n = 33 on, on both sides
+                with np.errstate(over="ignore", invalid="ignore"):
+                    res = resolve_hermitian(h, tol=tol)
+                    a, b, perm, pivots = _reference_resolve(h, tol)
+                case = (kind, scale, tol)
+                assert np.array_equal(_bits(res.a), _bits(a)), case
+                assert np.array_equal(_bits(res.b), _bits(b)), case
+                assert res.perm.dtype == perm.dtype and np.array_equal(res.perm, perm), case
+                assert res.pivots == pivots, case
 
 
 def test_non_square_input_rejected():
