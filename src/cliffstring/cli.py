@@ -9,6 +9,7 @@ byte-identical output.
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -237,22 +238,34 @@ def _encode(x, pad: str = "\n") -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
+# Characters per write: a report is encoded a slice at a time, never copied whole.
+_WRITE_CHUNK = 1 << 16
+
+
+def _write_text(fh, text: str) -> None:
+    """Write text and a newline to fh, in slices of at most _WRITE_CHUNK characters."""
+    for start in range(0, len(text), _WRITE_CHUNK):
+        fh.write(text[start:start + _WRITE_CHUNK])
+    fh.write("\n")
+
+
 def _dump_json(obj, path) -> int:
     """Write obj as strict JSON and return 0, or write nothing and return 3 on NaN or inf.
 
     obj is a tree for _encode, or a function that returns the tree's JSON text.
+    The whole text is formed before any file opens.
     """
     try:
-        text = (obj() if callable(obj) else _encode(obj)) + "\n"
+        text = obj() if callable(obj) else _encode(obj)
     except ValueError as exc:
         print(f"cliffstring: report not written: {exc}", file=sys.stderr)
         return 3
     if not path:
-        sys.stdout.write(text)
+        _write_text(sys.stdout, text)
         return 0
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            _write_text(fh, text)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}")
     return 0
@@ -351,34 +364,61 @@ def _max_norm(x: np.ndarray) -> float:
     return float(np.ldexp(np.max(np.linalg.norm(np.ldexp(x, -e), axis=-1)), e))
 
 
+def _separators(shape: tuple, pad: str) -> np.ndarray:
+    """The texts before, between and after the entries of _layout(shape, pad).
+
+    prod(shape) + 1 references to len(shape) + 2 str objects: the text
+    between two entries depends only on how many trailing axes wrap there.
+    """
+    parts = _layout((2,) * len(shape), pad).split("%s")
+    size = math.prod(shape)
+    seps = np.empty(size + 1, dtype=object)
+    seps[:] = parts[1]  # one shared str; np.full would store a copy per slot
+    for depth in range(1, len(shape)):
+        stride = math.prod(shape[-depth:])
+        seps[stride:size:stride] = parts[2 ** depth]
+    seps[0], seps[-1] = parts[0], parts[-1]
+    return seps
+
+
 def _resolve_text(out: dict, coeffs: np.ndarray) -> str:
     """_encode(out) with a, b (coeffs[0], coeffs[1]) and their vectors added.
 
-    Every coefficient is formatted once.  a and b fill a table template, and
-    vector i's terms v_i = sum_k a_ik (x) e_k + b_ik (x) f_k, in (kind, k)
-    order with zero terms left out (the nonzero E and F slots of
-    resolve.vectors), fill copies of one term template with the same texts.
+    One join of separator texts with coefficient texts, every coefficient
+    formatted once and every repeated separator one shared str.  a and b are
+    tables; vector i's terms v_i = sum_k a_ik (x) e_k + b_ik (x) f_k, in
+    (kind, k) order with zero terms left out (the nonzero E and F slots of
+    resolve.vectors), repeat the same texts.
     """
     n = coeffs.shape[1]
     texts = _texts(coeffs)
-    # per (kind, i, k): the coefficient texts, k and kind, the term's slots in key order
-    slots = np.empty((2, n, n, 10), dtype=object)
-    slots[..., :8] = texts.reshape(coeffs.shape)
-    slots[..., 8] = [str(k) for k in range(1, n + 1)]
-    slots[0, ..., 9], slots[1, ..., 9] = '"E"', '"F"'
-    nonzero = np.any(coeffs, axis=3).swapaxes(0, 1)
-    terms = slots.swapaxes(0, 1)[nonzero]
-    # a term sits four levels into the report: vectors, vector, terms, term
+    tables = np.empty((2, texts.size + 1), dtype=object)  # a's and b's n * n * 8 slots
+    tables[:, ::2] = _separators(coeffs.shape[1:], "\n  ")
+    tables[:, 1::2] = texts.reshape(2, -1)
+    # a term sits four levels into the report: vectors, vector, terms, term;
+    # its ten slots are the coefficients, k and kind, in key order
     pad = "\n" + "  " * 4
     term = _encode({"coeff": ["%s"] * 8, "k": "%s", "kind": "%s"}, pad).replace('"%s"', "%s")
-    counts = np.sum(nonzero, axis=(1, 2)).tolist()
-    # out's own values are numbers and fixed names, so they hold no "%"
+    first, *inner, last = term.split("%s")
+    # per (vector i, kind, k) with a nonzero coefficient: ten separators and ten texts in turn
+    vector, kind, k = np.nonzero(np.any(coeffs, axis=3).swapaxes(0, 1))
+    terms = np.empty((vector.size, 20), dtype=object)
+    terms[:, ::2] = [last + "," + pad + first, *inner]
+    terms[:, 1:17:2] = texts.reshape(coeffs.shape)[kind, vector, k]
+    terms[:, 17] = np.array([str(m) for m in range(1, n + 1)], dtype=object)[k]
+    terms[:, 19] = np.array(['"E"', '"F"'], dtype=object)[kind]
+    # out's own values are numbers and fixed names, so they hold no "%s"
+    counts = np.bincount(vector, minlength=n).tolist()
     skeleton = dict(out, a="%s", b="%s",
                     vectors=[{"n": n, "terms": ["%s"] if c else []} for c in counts])
-    table = _layout(coeffs.shape[1:], "\n  ")
-    template = _encode(skeleton).replace('"%s"', "%s") % (
-        table, table, *[("," + pad).join([term] * c) for c in counts if c])
-    return template % (*texts.tolist(), *terms.ravel().tolist())
+    head, between, *rest = _encode(skeleton).replace('"%s"', "%s").split("%s")
+    if vector.size:
+        # the text before each vector's first term, and after the last term
+        starts = np.flatnonzero(np.diff(vector, prepend=-1))
+        terms[starts, 0] = [rest[0] + first, *[last + r + first for r in rest[1:-1]]]
+        rest = [last + rest[-1]]
+    return "".join([head, *tables[0].tolist(), between, *tables[1].tolist(),
+                    *terms.ravel().tolist(), *rest])
 
 
 def cmd_resolve(args) -> int:

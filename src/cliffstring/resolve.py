@@ -26,12 +26,15 @@ Algorithms, ch. 11, covers growth under diagonal pivoting).
 The factors are triangular in pivot order: perm[j] is the row of H
 eliminated at step j, and a[perm], b[perm] are lower triangular.  a and b
 keep H's own row order, so a a^+ - b b^+ is H itself; column k (the
-generators e_{k+1}, f_{k+1}) belongs to step k.  vectors() lays a and b out
+generators e_{k+1}, f_{k+1}) belongs to step k.  Step j writes its
+diagonal entry and column straight into H's rows perm[j] and perm[j+1:],
+so the factors are never swapped: only S's rows and columns, and perm, are.  vectors() lays a and b out
 as an (n, 4, n, 8) stack of generating vectors in clifford's layout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,28 +71,37 @@ class Resolution:
         return self.a.shape[0]
 
 
+# x.swapaxes(0, 1) * _UPDATE_SIGNS is conj_arrays of the stacked (a column, -b column)
+_UPDATE_SIGNS = np.stack([conj_arrays(np.ones(8)), -conj_arrays(np.ones(8))])[:, None]
+_UPDATE_SIGNS.setflags(write=False)
+
+
 def resolve_hermitian(h: OctHermitian, tol: float = 1e-12) -> Resolution:
     n = h.n
     s = h.data.copy()
-    a = np.zeros((n, n, 8))
-    b = np.zeros((n, n, 8))
+    # factors[i, k] = (a_ik, b_ik) in H's row order: step j writes row perm[j]
+    # and rows perm[j + 1:] of column j, so a and b are never swapped
+    factors = np.zeros((n, n, 2, 8))
     perm = np.arange(n)
     pivots = dict.fromkeys(("regular", "split", "degenerate"), 0)
     for j in range(n):
         p = j + int(np.argmax(np.abs(s[j:, j:, 0].diagonal())))
         if p != j:
-            for rows in (s, a, b, perm):
-                rows[[j, p]] = rows[[p, j]]
-            s[:, [j, p]] = s[:, [p, j]]
+            pair = slice(j, p + 1, p - j)  # rows (columns) j and p, reversed in place
+            s[pair] = s[pair][::-1]
+            s[:, pair] = s[:, pair][:, ::-1]
+            perm[pair] = perm[pair][::-1]
         r = s[j, j, 0]
         c = s[j + 1:, j]
-        cmax = float(np.max(np.linalg.norm(c, axis=1), initial=0.0))
+        # max of the column's norms: sqrt is monotone and correctly rounded
+        cmax = math.sqrt(np.maximum.reduce(np.add.reduce(c * c, axis=1), initial=0.0))
+        diagonal = factors[perm[j], j, :, 0]
+        x = np.zeros((n - j - 1, 2, 8))
         if abs(r) <= tol:
             # cancelling unit pair: zero diagonal, division-free solve
             kind = "degenerate"
-            a[j, j, 0] = 1.0
-            b[j, j, 0] = 1.0
-            a[j + 1:, j] = c
+            diagonal[:] = 1.0
+            x[:, 0] = c
         elif abs(r) < 0.5 * cmax:
             # A small pivot under a large column would amplify the Schur
             # updates by |c|^2 / r and wreck later columns, so split the
@@ -98,25 +110,23 @@ def resolve_hermitian(h: OctHermitian, tol: float = 1e-12) -> Resolution:
             # c_i conj(c_k) r / (r^2 + 4), bounded regardless of r.
             kind = "split"
             q = float(np.hypot(r, 2.0))
-            a[j, j, 0] = np.sqrt(0.5 * (q + r))
-            b[j, j, 0] = np.sqrt(0.5 * (q - r))
-            a[j + 1:, j] = c * (a[j, j, 0] / q)
-            b[j + 1:, j] = -c * (b[j, j, 0] / q)
+            diagonal[:] = np.sqrt(0.5 * (q + r)), np.sqrt(0.5 * (q - r))
+            x[:, 0] = c * (diagonal[0] / q)
+            x[:, 1] = -c * (diagonal[1] / q)
         else:
             kind = "regular"
             if r > 0:
-                a[j, j, 0] = np.sqrt(r)
-                a[j + 1:, j] = c / a[j, j, 0]
+                diagonal[0] = np.sqrt(r)
+                x[:, 0] = c / diagonal[0]
             else:
-                b[j, j, 0] = np.sqrt(-r)
-                b[j + 1:, j] = -c / b[j, j, 0]
+                diagonal[1] = np.sqrt(-r)
+                x[:, 1] = -c / diagonal[1]
         pivots[kind] += 1
+        factors[perm[j + 1:], j] = x
         # S_il -= a_i conj(a_l) - b_i conj(b_l): an (m, 2) by (2, m) octonion product
-        x = np.stack([a[j + 1:, j], b[j + 1:, j]], axis=1)
-        y = conj_arrays(np.stack([a[j + 1:, j], -b[j + 1:, j]]))
-        s[j + 1:, j + 1:] -= omat_mul(x, y)
-    order = np.argsort(perm)
-    return Resolution(a[order], b[order], perm, pivots)
+        s[j + 1:, j + 1:] -= omat_mul(x, x.swapaxes(0, 1) * _UPDATE_SIGNS)
+    a, b = factors.transpose(2, 0, 1, 3)
+    return Resolution(a, b, perm, pivots)
 
 
 def vectors(res: Resolution) -> np.ndarray:
