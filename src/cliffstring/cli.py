@@ -732,6 +732,9 @@ def _positive_float(text: str) -> float:
     return value
 
 
+_positive_float.__name__ = "float"  # argparse's "invalid float value" names the type by it
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose every error is an InputError, so main returns 2."""
 

@@ -165,6 +165,18 @@ def test_infinite_named_tolerance_exits_2(tmp_path, capsys):
     assert "cliffstring:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("quantum-check", "--degree", "3", "--hbar", "x"),
+    ("resolve", "--input", "h.json", "--tol", "x"),
+    ("octonion-check", "--trials", "1", "--tol.alternativity", "x"),
+], ids=lambda argv: argv[-2])
+def test_non_number_float_flag_names_float(capsys, argv):
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cliffstring: argument {argv[-2]}: invalid float value: 'x'\n"
+
+
 def test_infinite_hbar_exits_2(capsys):
     assert run("quantum-check", "--degree", "3", "--hbar", "inf") == 2
     assert capsys.readouterr().err.startswith("cliffstring: ")
