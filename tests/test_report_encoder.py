@@ -180,3 +180,11 @@ def test_resolve_text_refuses_nonfinite_coefficients_as_json_does(bad):
 def test_encoder_refuses_objects_json_cannot_write():
     with pytest.raises(TypeError):
         cli._encode({"x": object()})
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (1, 1, 8), (3, 4, 8), (2, 1, 3), (4, 1)])
+def test_separators_are_the_layout_pieces_and_shared(shape):
+    """resolve's table separators: _layout's text split at its slots, from len(shape) + 2 strs."""
+    seps = cli._separators(shape, "\n  ").tolist()
+    assert seps == cli._layout(shape, "\n  ").split("%s")
+    assert len({id(s) for s in seps}) <= len(shape) + 2
