@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 
 from cliffstring import cli, lorentz, octonion
-from cliffstring.fixtures import random_degenerate_hermitian, random_hermitian, random_spinor
+from cliffstring.fixtures import (
+    random_degenerate_hermitian,
+    random_hermitian,
+    random_spectrum,
+    random_spinor,
+)
 from cliffstring.matrices import (
     OctHermitian,
     hermiticity_residual,
@@ -22,7 +27,7 @@ from cliffstring.matrices import (
 from cliffstring.minkowski import det2
 from cliffstring.octonion import Octonion
 from cliffstring.resolve import Resolution, vectors
-from cliffstring.string_modes import spectrum_from_json
+from cliffstring.string_modes import spectrum_from_json, spectrum_to_json
 
 
 def run(*argv):
@@ -526,6 +531,26 @@ def test_string_modes_report_and_csv_bytes_are_pinned(tmp_path, capsys, monkeypa
     report = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
     csv = hashlib.sha256((tmp_path / "grid.csv").read_bytes()).hexdigest()[:16]
     assert (report, csv) == STRING_MODES_DIGESTS[seed]
+
+
+# sha256 prefixes of the `string-modes` report on stdout and of its CSV at the
+# default --grid 512, for a max_mode-8 spectrum drawn from seed s and written
+# as a benchmark fixture is, so the 513-point charge quadrature is pinned
+STRING_MODES_GRID_512_DIGESTS = {
+    0: ("229523831889c695", "3df51a0148aed724"),
+    1: ("f3e562926abb74b1", "7c2a67bd932c9d73"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(STRING_MODES_GRID_512_DIGESTS))
+def test_string_modes_default_grid_bytes_are_pinned(tmp_path, capsys, monkeypatch, seed):
+    monkeypatch.chdir(tmp_path)  # the report names the spectrum path
+    ms = random_spectrum(np.random.default_rng(seed), max_mode=8)
+    pathlib.Path("s.json").write_text(json.dumps(spectrum_to_json(ms)))
+    assert run("string-modes", "--spectrum", "s.json", "--output", "grid.csv") == 0
+    report = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+    csv = hashlib.sha256((tmp_path / "grid.csv").read_bytes()).hexdigest()[:16]
+    assert (report, csv) == STRING_MODES_GRID_512_DIGESTS[seed]
 
 
 # sha256 prefixes of the `quantum-check --degree d --hbar h` report on stdout;

@@ -622,6 +622,63 @@ def test_a_value_planted_in_a_later_block_is_seen(rep, monkeypatch, name):
             assert residual > 0.0
 
 
+def _scaled_gap_blocks(x, y, fold, turn, tail, head, width):
+    """The row blocks of `quantum_rep._gap`, each grid scaled by fold and by turn.
+
+    The reference for `quantum_rep._gap_blocks`: the same blocks, with every
+    grid multiplied by its fold, even when that is 1, and the swapped grid
+    added as turn times itself.
+    """
+    step = max(1, quantum_rep._BLOCK_BYTES // (16 * width))
+    lead = 0
+    if head is not None:
+        lead = head.coeffs.shape[1]
+        for lo in range(0, len(head.coeffs), step):
+            rows = head.coeffs[lo:lo + step]
+            block = np.zeros((len(rows), width), complex)
+            block[:, :lead] = rows
+            yield block
+    v, n = len(x.codes), len(y.coeffs)
+    pair = np.arange(len(x.coeffs) * n)
+    xs, ys = x.coeffs[pair // n, :, None], y.coeffs[pair % n, None, :]
+    end = lead + v * v
+    for lo in range(0, len(pair), step):
+        hi = min(lo + step, len(pair))
+        block = np.empty((hi - lo, width), complex)
+        block[:, :lead] = 0
+        grid = block[:, lead:end].reshape(-1, v, v)
+        np.multiply(xs[lo:hi], ys[lo:hi], out=grid)
+        grid *= fold
+        grid += turn * grid.swapaxes(1, 2)
+        if tail is not None:
+            block[:, end:] = tail.coeffs[lo:hi]
+        yield block
+
+
+def _merged_stacks(rep, monkeypatch):
+    """Per check, the merged (Re; Im) stack of the family its `_max_abs` call evaluates."""
+    stacks = {}
+    for name, (codes, blocks, _, _) in _streams(rep, monkeypatch)[0].items():
+        _, perm, first, _, _, _, _ = quantum_rep._word_classes(codes.astype(np.int64).tobytes())
+        stacks[name] = quantum_rep._merge(blocks, perm, first)
+    return stacks
+
+
+@pytest.mark.parametrize("hbar", [0.7, 1.0, 1e100, 1e308])
+def test_gap_blocks_merge_as_the_scaled_reference(monkeypatch, hbar):
+    # every gap family of one job, the tagged mixed one (fold -1 or +-i)
+    # included, merges to the same bits as with grids scaled by fold and turn
+    rep = _rep(DEGREE, hbar)
+    with np.errstate(all="ignore"):  # a huge hbar overflows the operators
+        got = _merged_stacks(rep, monkeypatch)
+        monkeypatch.setattr(quantum_rep, "_gap_blocks", _scaled_gap_blocks)
+        want = _merged_stacks(rep, monkeypatch)
+    assert list(got) == ["canonical", "mixed", "closure", "su2", "tensor", "roundtrip"]
+    for name in got:
+        assert got[name].shape == want[name].shape
+        assert np.array_equal(got[name], want[name], equal_nan=True), name
+
+
 def test_polynomial_spaces_are_built_once_and_read_only():
     assert build_canonical(5, 1.0).space is build_canonical(5, 0.7).space
     assert build_canonical(6).space is not build_canonical(5).space
