@@ -228,7 +228,9 @@ def _product_codes(x: Family, y: Family) -> np.ndarray:
 def _products(x: Family, y: Family) -> Family:
     """The products X_i Y_j as operator i L + j, their tags folded into the coefficients."""
     coeffs = x.coeffs[:, None, :, None] * y.coeffs[None, :, None, :]
-    coeffs *= _fold(x, y)
+    fold = _fold(x, y)
+    if fold != 1:
+        coeffs *= fold
     return Family(coeffs.reshape(coeffs.shape[0] * coeffs.shape[1], -1), _product_codes(x, y))
 
 
@@ -261,7 +263,18 @@ def _gap(x: Family, y: Family, sign: float = -1.0, tail: Family | None = None,
 
 
 def _gap_blocks(x, y, fold, turn, tail, head, width):
-    """The row blocks of `_gap`, the head's rows first."""
+    """The row blocks of `_gap`, the head's rows first.
+
+    fold and turn are +-1 or +-i.  On a finite product, a multiply by
+    fold = 1 or by turn = +-1 changes no bit but a zero's sign, so it is
+    skipped and the swapped grid is added or subtracted as it is.  The
+    products are finite when the coefficients' moduli multiply to below
+    2^1020.  Past that (a huge hbar, a NaN) a product may be inf or NaN,
+    and those multiplies turn its other part to NaN, so each grid is then
+    scaled by fold and by turn.
+    """
+    finite = np.max(np.abs(x.coeffs)) * np.max(np.abs(y.coeffs)) < 2.0 ** 1020
+    combine = np.add if turn == 1 else np.subtract
     step = max(1, _BLOCK_BYTES // (16 * width))
     lead = 0
     if head is not None:
@@ -279,10 +292,14 @@ def _gap_blocks(x, y, fold, turn, tail, head, width):
         hi = min(lo + step, len(pair))
         block = np.empty((hi - lo, width), complex)
         block[:, :lead] = 0
+        products = xs[lo:hi] * ys[lo:hi]
+        if fold != 1 or not finite:
+            products *= fold
         grid = block[:, lead:end].reshape(-1, v, v)  # a view of the block
-        np.multiply(xs[lo:hi], ys[lo:hi], out=grid)
-        grid *= fold
-        grid += turn * grid.swapaxes(1, 2)
+        if finite:
+            combine(products, products.swapaxes(1, 2), out=grid)
+        else:
+            np.add(products, turn * products.swapaxes(1, 2), out=grid)
         if tail is not None:
             block[:, end:] = tail.coeffs[lo:hi]
         yield block

@@ -172,9 +172,10 @@ def current_density(ms: ModeSpectrum, tau, sigma):
     tau, sigma = _matrix_axes(tau, sigma)
     # raised null wave vectors: k^L = (1, -1), k^R = (1, 1) in (tau, sigma)
     t_tau = t_sigma = np.zeros(tau.shape[:-2] + (2, 2), complex)
+    plus, minus = tau + sigma, tau - sigma
     for n, (a, anm) in ms.modes.items():
-        left = a + anm * np.exp(-1j * n * (tau + sigma))
-        right = a + anm * np.exp(-1j * n * (tau - sigma))
+        left = a + anm * np.exp(-1j * n * plus)
+        right = a + anm * np.exp(-1j * n * minus)
         t_tau = t_tau + (left + right) / n
         t_sigma = t_sigma + (right - left) / n
     kr = _raise_dotted(ms.K)
@@ -199,10 +200,16 @@ def charge_density_coefficients(ms: ModeSpectrum) -> dict:
     return out
 
 
-def charge_quadrature(ms: ModeSpectrum, tau: float, n_sigma: int = 512) -> np.ndarray:
-    """Trapezoid integral of J^tau over sigma in [0, pi]."""
+def charge_quadrature(ms: ModeSpectrum, tau, n_sigma: int = 512) -> np.ndarray:
+    """Trapezoid integral of J^tau over sigma in [0, pi], at each tau.
+
+    tau is a float or an array of them; the result has shape
+    tau.shape + (2, 2), a plain 2x2 matrix for a scalar tau, and each
+    tau's integral has the bits of a call with that tau alone.
+    """
     sig = np.linspace(0.0, np.pi, n_sigma + 1)
-    return np.trapezoid(current_density(ms, tau, sig)[0], sig, axis=0)
+    tau = np.asarray(tau, dtype=float)[..., None]  # a sigma axis to broadcast against
+    return np.trapezoid(current_density(ms, tau, sig)[0], sig, axis=-3)
 
 
 def coordinates(ms: ModeSpectrum, tau, sigma) -> np.ndarray:

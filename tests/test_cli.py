@@ -553,6 +553,26 @@ def test_string_modes_default_grid_bytes_are_pinned(tmp_path, capsys, monkeypatc
     assert (report, csv) == STRING_MODES_GRID_512_DIGESTS[seed]
 
 
+def test_string_modes_keeps_a_nan_charge_quadrature_at_a_later_tau(tmp_path, monkeypatch, capsys):
+    # a NaN at the second of the three tau, which a Python max over them would drop
+    quadrature = cli.charge_quadrature
+
+    def nan_at_second_tau(ms, tau, n_sigma=512):
+        out = np.array(quadrature(ms, tau, n_sigma))
+        out[np.asarray(tau) == cli._TAUS[1]] = np.nan
+        return out
+
+    fix = tmp_path / "s.json"
+    assert run("gen-fixture", "--kind", "spectrum", "--seed", "0", "--output", str(fix)) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "charge_quadrature", nan_at_second_tau)
+    assert run("string-modes", "--spectrum", str(fix)) == 3
+    rep = strict_json(capsys.readouterr().out)
+    assert rep["checks"]["charge_quadrature"]["max_residual"] is None
+    assert rep["checks"]["charge_quadrature"]["pass"] is False
+    assert [name for name, check in rep["checks"].items() if not check["pass"]] == ["charge_quadrature"]
+
+
 # sha256 prefixes of the `quantum-check --degree d --hbar h` report on stdout;
 # every residual is an exact zero or non-finite in these cases but one, the
 # jz_integrality of (6, "1e200") at 1.7e-16, so the bytes hardly depend on the

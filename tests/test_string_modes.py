@@ -109,6 +109,20 @@ def test_quadrature_charge_equals_zero_mode_coefficient(spectrum):
         assert np.max(np.abs(got - m0)) <= 1e-8 * max(1.0, float(np.max(np.abs(m0))))
 
 
+@pytest.mark.parametrize("n_sigma", [16, 512, 1000])
+def test_quadrature_over_an_array_of_tau_is_each_tau_alone(spectrum, n_sigma):
+    taus = np.array([[0.0, 0.3, 0.9], [1.7, 2.1, -4.5]])
+    got = charge_quadrature(spectrum, taus, n_sigma=n_sigma)
+    assert got.shape == (2, 3, 2, 2)
+    for index in np.ndindex(taus.shape):
+        alone = charge_quadrature(spectrum, taus[index], n_sigma=n_sigma)
+        assert alone.shape == (2, 2)
+        assert np.array_equal(got[index], alone)
+        assert np.array_equal(np.signbit(got[index].view(float)), np.signbit(alone.view(float)))
+    assert np.array_equal(charge_quadrature(spectrum, taus[0], n_sigma=n_sigma), got[0])
+    assert charge_quadrature(spectrum, [0.9], n_sigma=n_sigma).shape == (1, 2, 2)
+
+
 def test_charge_coefficients_are_symmetric(spectrum):
     for n, m in charge_density_coefficients(spectrum).items():
         assert np.max(np.abs(m - m.T)) == 0.0
