@@ -229,7 +229,7 @@ def _products(x: Family, y: Family) -> Family:
     """The products X_i Y_j as operator i L + j, their tags folded into the coefficients."""
     coeffs = x.coeffs[:, None, :, None] * y.coeffs[None, :, None, :]
     fold = _fold(x, y)
-    if fold != 1:
+    if fold != 1:  # a multiply by 1 changes no bit of a finite product
         coeffs *= fold
     return Family(coeffs.reshape(coeffs.shape[0] * coeffs.shape[1], -1), _product_codes(x, y))
 
