@@ -553,6 +553,54 @@ def test_string_modes_default_grid_bytes_are_pinned(tmp_path, capsys, monkeypatc
     assert (report, csv) == STRING_MODES_GRID_512_DIGESTS[seed]
 
 
+# Spectra whose CSV reaches every `%.17g` layout: `gen-fixture --kind spectrum
+# --seed 0` with m or K rescaled, a hand-built spectrum of small integers, and
+# --grid 1.  They reach scientific notation with two- and three-digit exponents
+# of both signs (m = 1e-40 and 1e40), `0.000ddd` (m = 1e4), 17-digit integral
+# values and a 17-digit `e+17` (K scaled by 3e5), and integral values and
+# negative zeros (the integer spectrum).
+_INTEGER_SPECTRUM = {
+    "K": [[[2, 0], [1, 1]], [[1, -1], [-3, 0]]],
+    "C0": [[[5, 0], [-2, 0]], [[-2, 0], [0, 0]]],
+    "modes": [{"n": 1, "A": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]],
+               "Anm": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}],
+}
+# case: (exit code, sha256 prefix of the report on stdout, of the CSV)
+STRING_MODES_LAYOUT_DIGESTS = {
+    "m=1e-40": (0, "7292f2409477a2e3", "607f34adb48be4cb"),
+    "m=1e40": (0, "cf71eb6c74ddbbff", "f7ae64635a23d9c0"),
+    "m=1e4": (0, "e1ace019f3f6585c", "84b1a495d2c2760b"),
+    "K*3e5": (0, "fdfd74c9006b4a4c", "18e7efca803acece"),
+    "integers": (0, "a7dff038387ce6dd", "914259d132548cc7"),
+    "grid=1": (3, "a8bc1467f361ff9f", "a35892592b0bd381"),
+}
+
+
+def _layout_case(case):
+    """The spectrum JSON and --grid of a STRING_MODES_LAYOUT_DIGESTS case."""
+    if case == "integers":
+        return _INTEGER_SPECTRUM, 16
+    assert run("gen-fixture", "--kind", "spectrum", "--seed", "0", "--output", "s.json") == 0
+    spec = json.loads(pathlib.Path("s.json").read_text())
+    if case.startswith("m="):
+        spec["m"] = float(case[2:])
+    elif case == "K*3e5":
+        spec["K"] = (np.array(spec["K"]) * 3e5).tolist()
+    return spec, 1 if case == "grid=1" else 16
+
+
+@pytest.mark.parametrize("case", list(STRING_MODES_LAYOUT_DIGESTS))
+def test_string_modes_csv_layouts_are_pinned(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)  # the report names the spectrum path
+    spec, grid = _layout_case(case)
+    pathlib.Path("s.json").write_text(json.dumps(spec))
+    capsys.readouterr()
+    code = run("string-modes", "--spectrum", "s.json", "--grid", str(grid), "--output", "grid.csv")
+    report = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+    csv = hashlib.sha256((tmp_path / "grid.csv").read_bytes()).hexdigest()[:16]
+    assert (code, report, csv) == STRING_MODES_LAYOUT_DIGESTS[case]
+
+
 def test_string_modes_keeps_a_nan_charge_quadrature_at_a_later_tau(tmp_path, monkeypatch, capsys):
     # a NaN at the second of the three tau, which a Python max over them would drop
     quadrature = cli.charge_quadrature
