@@ -83,6 +83,10 @@ _PAD, _REFLECT = 16, 17
 # Largest string-modes --grid: quadrature and CSV hold O(grid) arrays.
 MAX_GRID = 65536
 
+# string-modes CSV rows formatted and written per block, so the text buffers
+# stay bounded whatever --grid is.
+CSV_BLOCK = 128
+
 # Largest quantum-check --degree: the checks hold (live words x safe columns)
 # weights, and degree 20 (8855 columns) takes 0.6-0.8 s and 79 MB in a fresh
 # process (one BLAS thread, 2-core Xeon VM).
@@ -557,16 +561,158 @@ _TAUS = (0.3, 0.9, 1.7)
 _SIGMAS = (0.35, 1.1, 2.2, 2.9)
 
 
+# -- %.17g text of the CSV grid --
+#
+# A value v with 1e-270 <= |v| <= 1e290 and decimal exponent X = floor(log10|v|)
+# prints the 17 digits D = round-half-even(|v| 10^(16 - X)), 1e16 <= D < 1e17.
+# With 10^s held as hi + lo (lo the rounded remainder), |v| hi is split exactly
+# into p + e (Dekker's two-product), and y = p + t with t = e + |v| lo is within
+# 2^-47 of |v| 10^s.  p >= 1e16 > 2^53 is an integer, so D = p + rint(t) unless
+# t is within 2^-30 of a rounding tie, y is below 1e16 or D reaches 1e17 (X was
+# estimated one too high or too low, or the rounding carries into an 18th
+# digit).  Those values, and values outside the range, are printed by Python's
+# correctly rounded "%.17g" (the scheme of Loitsch's Grisu3, PLDI 2010).
+
+_SPLIT = 134217729.0  # 2^27 + 1: splits a double into two 26-bit halves
+_FAST_MIN, _FAST_MAX = 1e-270, 1e290
+# 16 - X over the fast range is -274..286; one more each way for an estimate one off
+_S_MIN, _S_MAX = -275, 287
+
+
+def _split(a):
+    """a as hi + lo halves whose products with another split double are exact."""
+    c = a * _SPLIT
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _pow10_pairs():
+    """10^s for s = -275..287 as (hi, hi's two halves, lo), each indexed by s + 275."""
+    hi, lo = [], []
+    for s in range(_S_MIN, _S_MAX + 1):
+        if s >= 0:
+            hi.append(float(10**s))  # int to float rounds correctly
+            lo.append(float(10**s - int(hi[-1])))
+        else:
+            den = 10**-s
+            hi.append(1 / den)  # int / int rounds correctly
+            num, two = hi[-1].as_integer_ratio()
+            lo.append((two - num * den) / (two * den))
+    hi = np.array(hi)
+    return (hi, *_split(hi), np.array(lo))
+
+
+@functools.cache
+def _affixes():
+    """Per exponent X = -300..300, the 5 bytes before the digits and the 5 after.
+
+    "0." and up to three zeros before them for -4 <= X < 0, "e+dd" or "e-ddd"
+    after them outside -4 <= X < 17, NUL bytes otherwise.
+    """
+    table = np.zeros((601, 10), np.uint8)
+    for x in range(-300, 301):
+        if -4 <= x < 0:
+            table[x + 300, :1 - x] = list(b"0." + b"0" * (-1 - x))
+        elif not 0 <= x < 17:
+            table[x + 300, 5:5 + len(b"e%+03d" % x)] = list(b"e%+03d" % x)
+    return table
+
+
+@functools.cache
+def _quads():
+    """The four ASCII digits of 0..9999, one little-endian uint32 each."""
+    return np.frombuffer(b"".join(b"%04d" % i for i in range(10000)), "<u4")
+
+
+# Byte slots of one value: sign, the five leading affix bytes, the 17 digits
+# with a slot for the decimal point after each of the first 16, the five
+# exponent bytes and a separator (",\0" or "\r\n").  Unused slots hold NUL,
+# and deleting every NUL leaves the text.
+_DIGIT, _EXP, _SEP, _WIDTH = 6, 39, 44, 46
+
+
+def _exponent_estimate(a):
+    """floor(log10 a), which may be one off next to a power of ten; _format_rows checks it."""
+    return np.floor(np.log10(a)).astype(np.intp)
+
+
+def _format_rows(rows):
+    """Each row of a finite float array as "%.17g" values joined by "," and ended by CRLF."""
+    n_rows, n_cols = rows.shape
+    v = rows.ravel()
+    n = v.size
+    a = np.abs(v)
+    zero = a == 0
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    a = np.where(fast, a, 2.0)  # any value in range; the others are printed below
+    x = _exponent_estimate(a)
+    hi, hi1, hi2, lo = (np.take(c, 16 - _S_MIN - x) for c in _pow10_pairs())
+    a1, a2 = _split(a)
+    p = a * hi
+    t = ((a1 * hi1 - p) + a1 * hi2 + a2 * hi1) + a2 * hi2 + a * lo
+    d = p.astype(np.int64) + np.rint(t).astype(np.int64)
+    slow = ~zero & (~fast | ((p - 1e16) + t < 2.0**-30) | (d >= 10**17)
+                    | (np.abs(t - np.floor(t) - 0.5) < 2.0**-30))
+    d[zero | slow] = 0
+    x[zero] = 0
+
+    # one leading digit, then four groups of four from the table
+    high, low = (part.astype(np.uint32) for part in np.divmod(d, 10**8))
+    lead = high // np.uint32(10**8)
+    high -= lead * np.uint32(10**8)
+    quads = np.empty((n, 4), np.uint32)
+    quads[:, 0] = high // np.uint32(10**4)
+    quads[:, 1] = high - quads[:, 0] * np.uint32(10**4)
+    quads[:, 2] = low // np.uint32(10**4)
+    quads[:, 3] = low - quads[:, 2] * np.uint32(10**4)
+    digits = np.empty((n, 17), np.uint8)
+    digits[:, 0] = lead + ord("0")
+    digits[:, 1:] = np.take(_quads(), quads).view(np.uint8)
+
+    # fixed notation for -4 <= X < 17; its integer digits are never stripped
+    fixed = (x >= -4) & (x < 17)
+    point = np.where(fixed & (x >= 0), x, 0)  # the last digit before the point
+    text = np.zeros((n, _WIDTH), np.uint8)
+    text[:, _DIGIT:_EXP + 1:2] = digits
+    # trailing zeros go; only values whose last digit is 0 can have them
+    ends = np.flatnonzero(digits[:, 16] == ord("0"))
+    tail = digits[ends]
+    last = np.where(d[ends] == 0, 0, 16 - np.argmax(tail[:, ::-1] != ord("0"), axis=1))
+    kept = np.arange(17) <= np.maximum(last, point[ends])[:, None]
+    text[ends, _DIGIT:_EXP + 1:2] = np.where(kept, tail, 0)
+    # the point, where a digit follows it (below 1, the affix holds it)
+    starts = np.arange(n) * _WIDTH + _DIGIT + 1 + 2 * point
+    dotted = ~(fixed & (x < 0)) & (point < 16)
+    dotted &= text.ravel()[starts + 1] != 0
+    text.ravel()[starts[dotted]] = ord(".")
+    affixes = np.take(_affixes(), np.clip(x, -300, 300) + 300, axis=0)
+    text[:, 1:_DIGIT] = affixes[:, :5]
+    text[:, _EXP:_SEP] = affixes[:, 5:]
+    text[:, 0] = np.signbit(v) * np.uint8(ord("-"))
+    text = text.reshape(n_rows, n_cols, _WIDTH)
+    text[:, :, _SEP] = ord(",")
+    text[:, -1, _SEP:] = list(b"\r\n")
+    text = text.reshape(n, _WIDTH)
+    for i in np.flatnonzero(slow):
+        exact = b"%.17g" % v[i]
+        text[i, :_SEP] = 0
+        text[i, :len(exact)] = list(exact)
+    return text.tobytes().translate(None, b"\0")
+
+
 def _write_grid_csv(ms, path, n_sigma: int) -> int:
     """Write the grid scan and return 0, or write nothing and return 3 on NaN or inf."""
     tau, sigma = np.meshgrid(
         [0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi], np.linspace(0.0, np.pi, n_sigma + 1),
-        indexing="ij",
+        indexing="ij", sparse=True,
     )
     header = ["tau", "sigma"] + [f"{name}_{a}{b}_{part}" for name in ("X", "Jtau", "Jsigma")
                                  for a in range(2) for b in range(2) for part in ("re", "im")]
     mats = np.stack([coordinates(ms, tau, sigma), *current_density(ms, tau, sigma)], axis=-3)
-    rows = np.column_stack([tau.ravel(), sigma.ravel(), mats.view(float).reshape(tau.size, -1)])
+    points = mats.shape[:2]
+    rows = np.column_stack([*(np.broadcast_to(c, points).ravel() for c in (tau, sigma)),
+                            mats.view(float).reshape(tau.size * sigma.size, -1)])
     finite = np.isfinite(rows)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
@@ -574,8 +720,10 @@ def _write_grid_csv(ms, path, n_sigma: int) -> int:
               f"tau={rows[row, 0]:g}, sigma={rows[row, 1]:g}", file=sys.stderr)
         return 3
     try:
-        np.savetxt(path, rows, fmt="%.17g", delimiter=",", newline="\r\n",
-                   header=",".join(header), comments="")
+        with open(path, "wb") as fh:
+            fh.write(",".join(header).encode() + b"\r\n")
+            for start in range(0, len(rows), CSV_BLOCK):
+                fh.write(_format_rows(rows[start:start + CSV_BLOCK]))
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}")
     return 0

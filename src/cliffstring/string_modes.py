@@ -157,9 +157,13 @@ def mass_shell_residual(ms: ModeSpectrum) -> float:
 
 
 def _matrix_axes(tau, sigma):
-    """tau and sigma broadcast to one float shape, plus two unit matrix axes."""
-    tau, sigma = np.broadcast_arrays(np.asarray(tau, dtype=float), np.asarray(sigma, dtype=float))
-    return tau[..., None, None], sigma[..., None, None]
+    """tau and sigma as floats with two unit matrix axes, and the shape they broadcast to.
+
+    They are not broadcast against each other, so a term in tau alone is
+    evaluated once per tau, not once per (tau, sigma) point.
+    """
+    tau, sigma = np.asarray(tau, dtype=float), np.asarray(sigma, dtype=float)
+    return tau[..., None, None], sigma[..., None, None], np.broadcast_shapes(tau.shape, sigma.shape)
 
 
 def current_density(ms: ModeSpectrum, tau, sigma):
@@ -169,9 +173,9 @@ def current_density(ms: ModeSpectrum, tau, sigma):
     (..., 2, 2), a plain 2x2 matrix for scalar arguments.
     """
     c = ms.constants
-    tau, sigma = _matrix_axes(tau, sigma)
+    tau, sigma, shape = _matrix_axes(tau, sigma)
     # raised null wave vectors: k^L = (1, -1), k^R = (1, 1) in (tau, sigma)
-    t_tau = t_sigma = np.zeros(tau.shape[:-2] + (2, 2), complex)
+    t_tau = t_sigma = np.zeros(shape + (2, 2), complex)
     plus, minus = tau + sigma, tau - sigma
     for n, (a, anm) in ms.modes.items():
         left = a + anm * np.exp(-1j * n * plus)
@@ -219,9 +223,9 @@ def coordinates(ms: ModeSpectrum, tau, sigma) -> np.ndarray:
     (..., 2, 2), a plain 2x2 matrix for scalar arguments.
     """
     c = ms.constants
-    tau, sigma = _matrix_axes(tau, sigma)
+    tau, sigma, shape = _matrix_axes(tau, sigma)
     kup = _raise_both(ms.K)
-    mid = ms.K * tau**2
+    mid = np.broadcast_to(ms.K * tau**2, shape + (2, 2))
     for n, (a, anm) in ms.modes.items():
         mid = mid + 8.0 / n**2 * (a - anm * np.exp(-1j * n * tau) * np.cos(n * sigma))
     # float64, so a cube of m past the float range gives inf or 0, not an exception

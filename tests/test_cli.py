@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -599,6 +600,98 @@ def test_string_modes_csv_layouts_are_pinned(tmp_path, capsys, monkeypatch, case
     report = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
     csv = hashlib.sha256((tmp_path / "grid.csv").read_bytes()).hexdigest()[:16]
     assert (code, report, csv) == STRING_MODES_LAYOUT_DIGESTS[case]
+
+
+def _percent_17g_text(rows):
+    """rows as Python's "%.17g" values, "," between them and CRLF after each row."""
+    return b"".join(b",".join(b"%.17g" % v for v in row) + b"\r\n" for row in rows.tolist())
+
+
+def _csv_edge_values():
+    """Values at the formatter's borders, positive ones only."""
+    values = [0.0, 5e-324, 2.0**-1022, sys.float_info.max, 1e16, 1e17, 99999999999999999.0,
+              1e-5, 1e-4, 1e-270, 1e290, 1.0, 0.5, 0.1]
+    # ties at the 17th digit: 18 significant digits ending in 5
+    values += [1234567890123456.25, 1000000000000000.25, 1099511627776000.75]
+    values += [j * 2.0**-18 for j in (26215, 100001, 131073, 262143)]
+    # 6.3e-16 below a tie at the 17th digit, closer than the double-double's
+    # error: M 2^E = (5^22 - 1) / 2 (mod 5^22) 2^E with 2^52 <= M < 2^53
+    values.append(float.fromhex("0x1.58dcc86009e22p+129"))
+    for k in range(-323, 309):
+        p = float(f"1e{k}")
+        values += [p, np.nextafter(p, 0), np.nextafter(p, np.inf)]
+    for v in (1e-270, 1e290):
+        values += [np.nextafter(v, 0), np.nextafter(v, np.inf)]
+    return np.array(values)
+
+
+def test_csv_formatter_matches_percent_17g_on_random_bits_and_edges():
+    rng = np.random.default_rng(35)
+    bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(float)
+    edges = _csv_edge_values()
+    values = np.concatenate([bits[np.isfinite(bits)], edges, -edges])
+    values = np.concatenate([values, np.zeros(-len(values) % 26)]).reshape(-1, 26)
+    assert cli._format_rows(values) == _percent_17g_text(values)
+    one_column = np.concatenate([edges, -edges])[:, None]
+    assert cli._format_rows(one_column) == _percent_17g_text(one_column)
+    assert cli._format_rows(np.array([[1234567890123456.25, -0.0]])) == b"1234567890123456.2,-0\r\n"
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_csv_formatter_checks_its_exponent_estimate(monkeypatch, shift):
+    # an estimate one too low or too high sends every value to "%.17g" itself
+    estimate = cli._exponent_estimate
+    monkeypatch.setattr(cli, "_exponent_estimate", lambda a: estimate(a) + shift)
+    values = np.random.default_rng(36).normal(size=(40, 26)) * 10.0 ** np.arange(-260, 260, 20)
+    edges = _csv_edge_values()
+    values = np.concatenate([values.ravel(), edges[(edges > 1e-269) & (edges < 1e289)]])
+    values = np.concatenate([values, np.zeros(-len(values) % 13)]).reshape(-1, 13)
+    assert cli._format_rows(values) == _percent_17g_text(values)
+
+
+@pytest.mark.parametrize("m", [1e-100, 1e290])
+def test_csv_values_past_the_fast_range_are_printed_exactly(tmp_path, monkeypatch, capsys, m):
+    # m = 1e-100 puts X above 1e290 and m = 1e290 puts J below 1e-270, where
+    # the writer hands every value to "%.17g" itself
+    monkeypatch.chdir(tmp_path)
+    assert run("gen-fixture", "--kind", "spectrum", "--seed", "0", "--output", "s.json") == 0
+    spec = json.loads(pathlib.Path("s.json").read_text())
+    pathlib.Path("s.json").write_text(json.dumps({**spec, "m": m}))
+    argv = ["string-modes", "--spectrum", "s.json", "--grid", "16", "--output"]
+    code = run(*argv, "fast.csv")
+    monkeypatch.setattr(cli, "_format_rows", _percent_17g_text)
+    assert run(*argv, "exact.csv") == code
+    text = (tmp_path / "fast.csv").read_bytes()
+    assert text == (tmp_path / "exact.csv").read_bytes()
+    values = np.abs(np.array([float(v) for v in text.decode().split()[1:] for v in v.split(",")]))
+    assert np.count_nonzero((values > 1e290) | ((values < 1e-270) & (values > 0))) > 200
+
+
+@pytest.mark.parametrize("block", [1, 5, 1000])
+def test_csv_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, capsys, block):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "CSV_BLOCK", block)
+    assert run("gen-fixture", "--kind", "spectrum", "--seed", "0", "--output", "s.json") == 0
+    assert run("string-modes", "--spectrum", "s.json", "--grid", "16", "--output", "grid.csv") == 0
+    csv = hashlib.sha256((tmp_path / "grid.csv").read_bytes()).hexdigest()[:16]
+    assert csv == STRING_MODES_DIGESTS[0][1]
+
+
+def test_a_warm_csv_job_keeps_a_small_working_set(tmp_path, monkeypatch):
+    # a default-grid max_mode-8 job formats 53,352 values; formatted whole, its
+    # text buffers peak near 16 MiB, and in CSV_BLOCK-row blocks near 1.9 MiB
+    monkeypatch.chdir(tmp_path)
+    ms = random_spectrum(np.random.default_rng(0), max_mode=8)
+    pathlib.Path("s.json").write_text(json.dumps(spectrum_to_json(ms)))
+    argv = ["string-modes", "--spectrum", "s.json", "--output", "grid.csv", "--report", "r.json"]
+    assert cli.main(argv) == 0  # builds the digit and power-of-ten tables
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def test_string_modes_keeps_a_nan_charge_quadrature_at_a_later_tau(tmp_path, monkeypatch, capsys):
