@@ -570,13 +570,14 @@ _SIGMAS = (0.35, 1.1, 2.2, 2.9)
 # 2^-47 of |v| 10^s.  p >= 1e16 > 2^53 is an integer, so D = p + rint(t) unless
 # t is within 2^-30 of a rounding tie, y is below 1e16 or D reaches 1e17 (X was
 # estimated one too high or too low, or the rounding carries into an 18th
-# digit).  Those values, and values outside the range, are printed by Python's
+# digit).  y is tested as (p - 1e16) + t: p alone can round up to 1e16 + 2 while
+# y is below 1e16.  Those values, and values outside the range, are printed by Python's
 # correctly rounded "%.17g" (the scheme of Loitsch's Grisu3, PLDI 2010).
 
 _SPLIT = 134217729.0  # 2^27 + 1: splits a double into two 26-bit halves
 _FAST_MIN, _FAST_MAX = 1e-270, 1e290
-# 16 - X over the fast range is -274..286; one more each way for an estimate one off
-_S_MIN, _S_MAX = -275, 287
+# X over the fast range is -270..290; one more each way for an estimate one off
+_X_MIN, _X_MAX = -271, 291
 
 
 def _split(a):
@@ -588,9 +589,9 @@ def _split(a):
 
 @functools.cache
 def _pow10_pairs():
-    """10^s for s = -275..287 as (hi, hi's two halves, lo), each indexed by s + 275."""
+    """10^(16 - X) for X = -271..291 as (hi, hi's two halves, lo), each indexed by X + 271."""
     hi, lo = [], []
-    for s in range(_S_MIN, _S_MAX + 1):
+    for s in range(16 - _X_MIN, 15 - _X_MAX, -1):
         if s >= 0:
             hi.append(float(10**s))  # int to float rounds correctly
             lo.append(float(10**s - int(hi[-1])))
@@ -605,17 +606,17 @@ def _pow10_pairs():
 
 @functools.cache
 def _affixes():
-    """Per exponent X = -300..300, the 5 bytes before the digits and the 5 after.
+    """Per exponent X = -271..291, the 5 bytes before the digits and the 5 after.
 
     "0." and up to three zeros before them for -4 <= X < 0, "e+dd" or "e-ddd"
     after them outside -4 <= X < 17, NUL bytes otherwise.
     """
-    table = np.zeros((601, 10), np.uint8)
-    for x in range(-300, 301):
+    table = np.zeros((_X_MAX + 1 - _X_MIN, 10), np.uint8)
+    for x in range(_X_MIN, _X_MAX + 1):
         if -4 <= x < 0:
-            table[x + 300, :1 - x] = list(b"0." + b"0" * (-1 - x))
+            table[x - _X_MIN, :1 - x] = list(b"0." + b"0" * (-1 - x))
         elif not 0 <= x < 17:
-            table[x + 300, 5:5 + len(b"e%+03d" % x)] = list(b"e%+03d" % x)
+            table[x - _X_MIN, 5:5 + len(b"e%+03d" % x)] = list(b"e%+03d" % x)
     return table
 
 
@@ -647,7 +648,7 @@ def _format_rows(rows):
     fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
     a = np.where(fast, a, 2.0)  # any value in range; the others are printed below
     x = _exponent_estimate(a)
-    hi, hi1, hi2, lo = (np.take(c, 16 - _S_MIN - x) for c in _pow10_pairs())
+    hi, hi1, hi2, lo = (np.take(c, x - _X_MIN) for c in _pow10_pairs())
     a1, a2 = _split(a)
     p = a * hi
     t = ((a1 * hi1 - p) + a1 * hi2 + a2 * hi1) + a2 * hi2 + a * lo
@@ -686,7 +687,7 @@ def _format_rows(rows):
     dotted = ~(fixed & (x < 0)) & (point < 16)
     dotted &= text.ravel()[starts + 1] != 0
     text.ravel()[starts[dotted]] = ord(".")
-    affixes = np.take(_affixes(), np.clip(x, -300, 300) + 300, axis=0)
+    affixes = np.take(_affixes(), x - _X_MIN, axis=0)
     text[:, 1:_DIGIT] = affixes[:, :5]
     text[:, _EXP:_SEP] = affixes[:, 5:]
     text[:, 0] = np.signbit(v) * np.uint8(ord("-"))
