@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import json
@@ -12,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cliffstring import cli, lorentz, octonion
+from cliffstring import cli, lorentz, octonion, string_modes
 from cliffstring.fixtures import (
     random_degenerate_hermitian,
     random_hermitian,
@@ -874,6 +875,70 @@ def test_string_modes_passes_on_rounding_dominated_spectra(tmp_path, seed, varia
     report = tmp_path / "r.json"
     assert run("string-modes", "--spectrum", str(fix), "--report", str(report)) == 0
     assert json.loads(report.read_text())["overall_pass"] is True
+
+
+def _with_modes(ms, edit):
+    """ms with each mode (a, anm) replaced by edit(n, a, anm), after validation,
+    so an edit may break the opposite-mode pairing."""
+    out = copy.copy(ms)
+    out.modes = {n: edit(n, a, anm) for n, (a, anm) in ms.modes.items()}
+    return out
+
+
+def _j_weight_over_abs_n(j):
+    # the mode weight 1/n of J becomes 1/(n |n|); X and the charges keep theirs
+    return lambda ms, tau, sigma: j(_with_modes(ms, lambda n, a, anm: (a / abs(n), anm / abs(n))),
+                                    tau, sigma)
+
+
+def _j_sigma_flipped(j):
+    def mutant(ms, tau, sigma):
+        jt, js = j(ms, tau, sigma)
+        return jt, -js
+    return mutant
+
+
+def _right_mover_as_left(j):
+    # J^tau - J^sigma is the symmetrized left mover twice: with the right mover
+    # replaced by the left one, J^tau is that and J^sigma vanishes
+    def mutant(ms, tau, sigma):
+        jt, js = j(ms, tau, sigma)
+        return jt - js, np.zeros_like(js)
+    return mutant
+
+
+def _x_weight_8_over_n(x):
+    # the mode weight 8/n^2 of X becomes 8/n, sign included
+    return lambda ms, tau, sigma: x(_with_modes(ms, lambda n, a, anm: (n * a, n * anm)), tau, sigma)
+
+
+# row: (evaluator replaced, in string_modes and cli alike, its wrapper, the
+# exact set of checks that fail on `gen-fixture --kind spectrum --seed 3`,
+# which passes all eight), as measured with the per-mode evaluators
+STRING_MODES_MUTANTS = {
+    "J weight x 1/|n|": ("current_density", _j_weight_over_abs_n, {"charge_quadrature"}),
+    "J^sigma sign flipped": ("current_density", _j_sigma_flipped,
+                             {"divergence", "divergence_ratio"}),
+    "right mover as the left": ("current_density", _right_mover_as_left,
+                                {"charge_quadrature", "divergence", "divergence_ratio"}),
+    "X weight 8/n": ("coordinates", _x_weight_8_over_n, {"hermiticity"}),
+}
+
+
+@pytest.mark.parametrize("row", list(STRING_MODES_MUTANTS))
+def test_string_modes_mutants_fail_their_checks(tmp_path, capsys, monkeypatch, row):
+    name, wrap, expected = STRING_MODES_MUTANTS[row]
+    fix = tmp_path / "s.json"
+    assert run("gen-fixture", "--kind", "spectrum", "--seed", "3", "--output", str(fix)) == 0
+    capsys.readouterr()
+    assert run("string-modes", "--spectrum", str(fix)) == 0
+    capsys.readouterr()
+    mutant = wrap(getattr(string_modes, name))
+    monkeypatch.setattr(string_modes, name, mutant)
+    monkeypatch.setattr(cli, name, mutant)
+    assert run("string-modes", "--spectrum", str(fix)) == 3
+    checks = strict_json(capsys.readouterr().out)["checks"]
+    assert {name for name, check in checks.items() if not check["pass"]} == expected
 
 
 def test_string_modes_grid_bound(tmp_path, capsys):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from cliffstring import string_modes
+from cliffstring import cli, string_modes
 from cliffstring.fixtures import random_complex_hermitian, random_spectrum
 from cliffstring.minkowski import EPS, eta4
 from cliffstring.string_modes import (
@@ -356,3 +356,138 @@ def test_spectrum_and_its_json_round_trip_evaluate_alike(seed, max_mode):
     assert np.array_equal(coordinates(back, tau, sigma), coordinates(ms, tau, sigma))
     for got, want in zip(current_density(back, tau, sigma), current_density(ms, tau, sigma)):
         assert np.array_equal(got, want)
+
+
+# -- the per-mode reference ------------------------------------------------------
+
+
+def reference_current_density(ms, tau, sigma):
+    """current_density as a loop over modes: a complex exp and a 2x2 product
+    per mode at every point, the evaluator's form before its mode sums
+    became (points x modes) contractions."""
+    c = ms.constants
+    tau = np.asarray(tau, dtype=float)[..., None, None]
+    sigma = np.asarray(sigma, dtype=float)[..., None, None]
+    shape = np.broadcast_shapes(tau.shape, sigma.shape)[:-2]
+    t_tau = t_sigma = np.zeros(shape + (2, 2), complex)
+    plus, minus = tau + sigma, tau - sigma
+    for n, (a, anm) in ms.modes.items():
+        left = a + anm * np.exp(-1j * n * plus)
+        right = a + anm * np.exp(-1j * n * minus)
+        t_tau = t_tau + (left + right) / n
+        t_sigma = t_sigma + (right - left) / n
+    kr = ms.K @ EPS.T
+    g_tau, g_sigma = kr @ t_tau.mT, kr @ t_sigma.mT
+    pref = 2j * c.ell / c.m
+    return pref * (g_tau + g_tau.mT), pref * (g_sigma + g_sigma.mT)
+
+
+def reference_coordinates(ms, tau, sigma):
+    """coordinates as a loop over modes, in its form before the contractions."""
+    c = ms.constants
+    tau = np.asarray(tau, dtype=float)[..., None, None]
+    sigma = np.asarray(sigma, dtype=float)[..., None, None]
+    shape = np.broadcast_shapes(tau.shape, sigma.shape)[:-2]
+    kup = EPS @ ms.K @ EPS.T
+    mid = np.broadcast_to(ms.K * tau**2, shape + (2, 2))
+    for n, (a, anm) in ms.modes.items():
+        mid = mid + 8.0 / n**2 * (a - anm * np.exp(-1j * n * tau) * np.cos(n * sigma))
+    return ms.C0 + (np.float64(c.ell) / np.float64(c.m) ** 3) * (kup @ mid.mT @ kup)
+
+
+def unit_spectrum(seed, n):
+    """Modes +-n at unit amplitude: K, C0 and A_(+-n) from
+    random_complex_hermitian at scale 1, A_(n,-n) uniform in [-1, 1] + i [-1, 1],
+    without random_spectrum's 1/n^2 damping."""
+    rng = np.random.default_rng(seed)
+    k, c0, a_pos, a_neg = (random_complex_hermitian(rng) for _ in range(4))
+    anm = rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))
+    return ModeSpectrum(k, c0, {-n: (a_neg, anm.conj().T), n: (a_pos, anm)})
+
+
+# The spectra the contractions are held to: random_spectrum seeds 0-19 at
+# max_mode 3 and 8, and unit-amplitude modes +-2 and +-10 over seeds 0-4.
+SPECTRA = ([("random", seed, max_mode) for max_mode in (3, 8) for seed in range(20)]
+           + [("unit", seed, n) for n in (2, 10) for seed in range(5)])
+
+
+def case_id(case):
+    return "-".join(map(str, case))
+
+
+def spectrum_of(case):
+    kind, seed, size = case
+    if kind == "unit":
+        return unit_spectrum(seed, size)
+    return random_spectrum(np.random.default_rng(seed), max_mode=size)
+
+
+# The worldsheet points string-modes evaluates: the (4, 513) CSV grid, the
+# (3, 513) charge quadrature and the 12 check points, as (tau, sigma) pairs.
+_SIGMA_512 = np.linspace(0.0, np.pi, 513)
+GRIDS = {
+    "csv": (np.array([[0.0], [0.5 * np.pi], [np.pi], [1.5 * np.pi]]), _SIGMA_512),
+    "quadrature": (np.array(cli._TAUS)[:, None], _SIGMA_512),
+    "checks": tuple(np.array([(t, s) for t in cli._TAUS for s in cli._SIGMAS]).T),
+}
+
+def agreement(ms, tau, sigma):
+    """The largest entry gap allowed to the per-mode reference, relative to
+    the reference's largest entry (of J^tau and J^sigma together for the
+    current).  The reference rounds tau +- sigma before it multiplies by n,
+    so a phase of argument n (tau +- sigma) is off by up to |n| |tau +- sigma|
+    units of round-off: the bound is 4 units per radian of the largest
+    argument, plus 4."""
+    largest = max(map(abs, ms.modes)) * float(np.max(np.abs(tau) + np.abs(sigma)))
+    return 4 * np.finfo(float).eps * (1.0 + largest)
+
+
+def relative_gap(got, want):
+    return max(float(np.max(np.abs(g - w))) for g, w in zip(got, want)) / float(
+        max(np.max(np.abs(w)) for w in want))
+
+
+@pytest.mark.parametrize("case", SPECTRA, ids=case_id)
+def test_mode_sums_agree_with_the_per_mode_reference(case):
+    ms = spectrum_of(case)
+    for tau, sigma in GRIDS.values():
+        bound = agreement(ms, tau, sigma)
+        current, want = current_density(ms, tau, sigma), reference_current_density(ms, tau, sigma)
+        assert [j.shape for j in current] == [j.shape for j in want]
+        assert relative_gap(current, want) <= bound
+        assert relative_gap([coordinates(ms, tau, sigma)],
+                            [reference_coordinates(ms, tau, sigma)]) <= bound
+
+
+# -- the CLI's checks on these spectra ---------------------------------------------
+
+
+def _failed_checks(tmp_path, ms):
+    """The names of the string-modes checks that fail on ms, at the default grid."""
+    fix, report = tmp_path / "s.json", tmp_path / "r.json"
+    fix.write_text(json.dumps(spectrum_to_json(ms)))
+    code = cli.main(["string-modes", "--spectrum", str(fix), "--report", str(report)])
+    failed = {name for name, check in json.loads(report.read_text())["checks"].items()
+              if not check["pass"]}
+    assert code == (3 if failed else 0)
+    return failed
+
+
+# The checks that failed on each unit-amplitude spectrum with the per-mode
+# evaluators: the finite-difference residuals grow like n^3 |A_(n,-n)|, past
+# their fixed tolerances (ROADMAP item 8).  Every random_spectrum case passed
+# all eight.
+UNIT_SPECTRUM_FAILURES = {
+    ("unit", 0, 2): {"divergence"},
+    ("unit", 3, 2): {"divergence"},
+    ("unit", 0, 10): {"divergence"},
+    ("unit", 1, 10): {"divergence", "eom"},
+    ("unit", 2, 10): {"divergence"},
+    ("unit", 3, 10): {"divergence"},
+    ("unit", 4, 10): {"divergence"},
+}
+
+
+@pytest.mark.parametrize("case", SPECTRA, ids=case_id)
+def test_string_modes_pass_flags_are_kept(tmp_path, case):
+    assert _failed_checks(tmp_path, spectrum_of(case)) == UNIT_SPECTRUM_FAILURES.get(case, set())
