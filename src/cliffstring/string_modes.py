@@ -33,8 +33,9 @@ emission-time bound implemented at the end of the module.
 
 from __future__ import annotations
 
+import copy
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -279,7 +280,8 @@ def eom_residual(ms: ModeSpectrum, points, h: float = 1e-3) -> float:
     differenced X: its rounding, divided by h^2, would swamp that term.
     """
     c = ms.constants
-    moving = replace(ms, C0=np.zeros((2, 2)))
+    moving = copy.copy(ms)  # dataclasses.replace would validate it again
+    moving.C0 = np.zeros((2, 2))
     x = coordinates(moving, *_stencil(points, h, (1, 0, -1, 0, 0, 0, 0), (0, 0, 0, -2, -1, 1, 2)))
     d_tau = (x[:, 0] - 2 * x[:, 1] + x[:, 2]) / h**2
     d_sigma = (-x[:, 3] + 16 * x[:, 4] - 30 * x[:, 1] + 16 * x[:, 5] - x[:, 6]) / (12 * h**2)
