@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matrices import real_array
-from .minkowski import EPS, sigma4_complex
+from .minkowski import EPS, eta4, sigma4_complex
 
 __all__ = [
     "NonpositiveTimeError",
@@ -153,18 +153,43 @@ def momentum_vector(ms: ModeSpectrum) -> np.ndarray:
 
 def mass_shell_residual(ms: ModeSpectrum) -> float:
     p = momentum_vector(ms)
-    eta = np.diag([1.0, -1.0, -1.0, -1.0])
-    return abs(float(p @ eta @ p) - float(np.linalg.det(ms.K).real))
+    return abs(float(p @ eta4() @ p) - float(np.linalg.det(ms.K).real))
 
 
-def _matrix_axes(tau, sigma):
-    """tau and sigma as floats with two unit matrix axes, and the shape they broadcast to.
+# Points per block of a mode sum: a block's phase table holds _BLOCK x modes
+# complex values, and a spectrum has no mode cap.
+_BLOCK = 256
 
-    They are not broadcast against each other, so a term in tau alone is
-    evaluated once per tau, not once per (tau, sigma) point.
-    """
+
+def _modes(ms):
+    """The mode numbers as floats, and A_n and A_{n,-n} stacked as (modes, 2, 2) arrays."""
+    pairs = np.array(list(ms.modes.values()), dtype=complex).reshape(-1, 2, 2, 2)
+    return np.array(list(ms.modes), dtype=float), pairs[:, 0], pairs[:, 1]
+
+
+def _movers(tau, sigma, n, coef):
+    """Left and right movers sum_n coef[n] e^{-i n tau} e^{-+ i n sigma}, shape (2, ..., 2, 2).
+
+    Phases are taken once per element of tau and of sigma.  Each block of _BLOCK
+    points is one (points x modes) @ (modes x 4) einsum, which sums the modes in
+    the same order at every point; a BLAS product's order can change with its
+    row or thread count."""
     tau, sigma = np.asarray(tau, dtype=float), np.asarray(sigma, dtype=float)
-    return tau[..., None, None], sigma[..., None, None], np.broadcast_shapes(tau.shape, sigma.shape)
+    shape = np.broadcast_shapes(tau.shape, sigma.shape)
+    ti, si = (np.broadcast_to(np.arange(x.size).reshape(x.shape), shape).ravel()
+              for x in (tau, sigma))
+    tau_phase, sigma_phase = (np.exp(np.multiply.outer(x.ravel(), -1j * n)) for x in (tau, sigma))
+    coef = np.ascontiguousarray(coef.reshape(-1, 4).T)
+    out = np.empty((2, len(ti), 4), complex)
+    for start in range(0, len(ti), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        waves, sigma_waves = tau_phase[ti[block]], sigma_phase[si[block]]
+        phase = np.empty_like(waves)
+        for k, mover in enumerate((np.positive, np.conjugate)):
+            np.multiply(mover(sigma_waves, out=phase), waves, out=phase)
+            np.einsum("pn,kn->pk", phase, coef, out=out[k, block])
+        del waves, sigma_waves, phase  # before the next block makes its own
+    return out.reshape((2,) + shape + (2, 2))
 
 
 def current_density(ms: ModeSpectrum, tau, sigma):
@@ -174,17 +199,13 @@ def current_density(ms: ModeSpectrum, tau, sigma):
     (..., 2, 2), a plain 2x2 matrix for scalar arguments.
     """
     c = ms.constants
-    tau, sigma, shape = _matrix_axes(tau, sigma)
-    # raised null wave vectors: k^L = (1, -1), k^R = (1, 1) in (tau, sigma)
-    t_tau = t_sigma = np.zeros(shape + (2, 2), complex)
-    plus, minus = tau + sigma, tau - sigma
-    for n, (a, anm) in ms.modes.items():
-        left = a + anm * np.exp(-1j * n * plus)
-        right = a + anm * np.exp(-1j * n * minus)
-        t_tau = t_tau + (left + right) / n
-        t_sigma = t_sigma + (right - left) / n
+    n, a, anm = _modes(ms)
     kr = _raise_dotted(ms.K)
-    g_tau, g_sigma = kr @ t_tau.mT, kr @ t_sigma.mT
+    left, right = _movers(tau, sigma, n, kr @ (anm / n[:, None, None]).mT)
+    # raised null wave vectors: k^L = (1, -1), k^R = (1, 1) in (tau, sigma);
+    # the movers share their A_n part, which J^sigma = R - L cancels
+    g_tau = (left + right) + 2.0 * (kr @ (a / n[:, None, None]).sum(axis=0).T)
+    g_sigma = right - left
     pref = 2j * c.ell / c.m
     return pref * (g_tau + g_tau.mT), pref * (g_sigma + g_sigma.mT)
 
@@ -224,13 +245,15 @@ def coordinates(ms: ModeSpectrum, tau, sigma) -> np.ndarray:
     (..., 2, 2), a plain 2x2 matrix for scalar arguments.
     """
     c = ms.constants
-    tau, sigma, shape = _matrix_axes(tau, sigma)
+    n, a, anm = _modes(ms)
     kup = _raise_both(ms.K)
-    mid = np.broadcast_to(ms.K * tau**2, shape + (2, 2))
-    for n, (a, anm) in ms.modes.items():
-        mid = mid + 8.0 / n**2 * (a - anm * np.exp(-1j * n * tau) * np.cos(n * sigma))
+    weight = 8.0 / n**2
+    # each standing wave e^{-i n tau} cos(n sigma) is half the sum of its movers
+    left, right = _movers(tau, sigma, n, kup @ (-0.5 * weight[:, None, None] * anm).mT @ kup)
+    motion = (np.asarray(tau, dtype=float)[..., None, None] ** 2 * (kup @ ms.K.T @ kup)
+              + (kup @ (weight[:, None, None] * a).sum(axis=0).T @ kup + (left + right)))
     # float64, so a cube of m past the float range gives inf or 0, not an exception
-    return ms.C0 + (np.float64(c.ell) / np.float64(c.m) ** 3) * (kup @ mid.mT @ kup)
+    return ms.C0 + (np.float64(c.ell) / np.float64(c.m) ** 3) * motion
 
 
 # -- residual diagnostics ------------------------------------------------------

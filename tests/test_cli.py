@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -519,9 +520,9 @@ def test_spectrum_and_spinor_fixture_bytes_are_pinned(capsys, kind, seed):
 # sha256 prefixes of the `string-modes --grid 16` report on stdout and of its
 # CSV, for the `gen-fixture --kind spectrum --seed s` file s.json
 STRING_MODES_DIGESTS = {
-    0: ("b9785a0a4c409c9d", "4bda94f2464d28ae"),
-    1: ("b156d5104c8b2a6a", "f5ee08c2ef893529"),
-    2: ("ac3bbb4088c05507", "dede87789968276e"),
+    0: ("4f6aae932ad4a533", "61dab17872600309"),
+    1: ("5a6f4dcacc977549", "b50417963ca959c1"),
+    2: ("59d465ab90e40a21", "5436f7c13c04f747"),
 }
 
 
@@ -539,8 +540,8 @@ def test_string_modes_report_and_csv_bytes_are_pinned(tmp_path, capsys, monkeypa
 # default --grid 512, for a max_mode-8 spectrum drawn from seed s and written
 # as a benchmark fixture is, so the 513-point charge quadrature is pinned
 STRING_MODES_GRID_512_DIGESTS = {
-    0: ("229523831889c695", "3df51a0148aed724"),
-    1: ("f3e562926abb74b1", "7c2a67bd932c9d73"),
+    0: ("08f0a7daf512e6ae", "3a6d4f4ff96decad"),
+    1: ("f7d2c80e6258dc1c", "48ee73b05d567721"),
 }
 
 
@@ -569,12 +570,27 @@ _INTEGER_SPECTRUM = {
 }
 # case: (exit code, sha256 prefix of the report on stdout, of the CSV)
 STRING_MODES_LAYOUT_DIGESTS = {
-    "m=1e-40": (0, "7292f2409477a2e3", "607f34adb48be4cb"),
-    "m=1e40": (0, "cf71eb6c74ddbbff", "f7ae64635a23d9c0"),
-    "m=1e4": (0, "e1ace019f3f6585c", "84b1a495d2c2760b"),
-    "K*3e5": (0, "fdfd74c9006b4a4c", "18e7efca803acece"),
-    "integers": (0, "a7dff038387ce6dd", "914259d132548cc7"),
-    "grid=1": (3, "a8bc1467f361ff9f", "a35892592b0bd381"),
+    "m=1e-40": (0, "9cf478b286fc8fec", "a0202c98560a3818"),
+    "m=1e40": (0, "9b6bc09029d3341b", "5d26cdd6dd36ccaa"),
+    "m=1e4": (0, "408966d1f2432871", "0881fb11cf9bd52a"),
+    "K*3e5": (0, "2096fe623b2c4402", "7ed48bdab6cb67ae"),
+    "integers": (0, "e78fcd3ceff1d1c8", "ef6ad7ed11676845"),
+    "grid=1": (3, "72e59bd8bd1618ff", "b3d8d20fe731ec54"),
+}
+# The `%.17g` layouts each case's CSV reaches, at least, and the pattern of a
+# whole value in each layout
+STRING_MODES_LAYOUTS = {
+    "m=1e-40": {"e+dd", "e+ddd", "-0"},
+    "m=1e40": {"e-dd", "e-ddd", "-0"},
+    "m=1e4": {"0.000ddd", "e-dd", "-0"},
+    "K*3e5": {"17-digit integer", "e+dd", "e-dd", "-0"},
+    "integers": {"-0"},
+    "grid=1": {"e-dd", "-0"},
+}
+_LAYOUT_PATTERNS = {
+    "e+dd": r"-?\d(\.\d+)?e\+\d\d", "e-dd": r"-?\d(\.\d+)?e-\d\d",
+    "e+ddd": r"-?\d(\.\d+)?e\+\d{3}", "e-ddd": r"-?\d(\.\d+)?e-\d{3}",
+    "0.000ddd": r"-?0\.000\d+", "17-digit integer": r"-?\d{17}", "-0": "-0",
 }
 
 
@@ -601,6 +617,10 @@ def test_string_modes_csv_layouts_are_pinned(tmp_path, capsys, monkeypatch, case
     report = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
     csv = hashlib.sha256((tmp_path / "grid.csv").read_bytes()).hexdigest()[:16]
     assert (code, report, csv) == STRING_MODES_LAYOUT_DIGESTS[case]
+    values = set((tmp_path / "grid.csv").read_text().split("\n", 1)[1].replace("\n", ",").split(","))
+    reached = {layout for layout, pattern in _LAYOUT_PATTERNS.items()
+               if any(re.fullmatch(pattern, value) for value in values)}
+    assert reached >= STRING_MODES_LAYOUTS[case]
 
 
 def _percent_17g_text(rows):
