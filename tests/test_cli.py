@@ -698,6 +698,54 @@ def test_csv_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, capsys
     assert csv == STRING_MODES_DIGESTS[0][1]
 
 
+@pytest.mark.parametrize("block", [1, 7, 10**6])
+def test_string_modes_bytes_do_not_depend_on_the_point_block(tmp_path, monkeypatch, capsys, block):
+    # the mode sums run string_modes._BLOCK points at a time
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(string_modes, "_BLOCK", block)
+    assert run("gen-fixture", "--kind", "spectrum", "--seed", "0", "--output", "s.json") == 0
+    capsys.readouterr()
+    assert run("string-modes", "--spectrum", "s.json", "--grid", "16", "--output", "grid.csv") == 0
+    report = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+    csv = hashlib.sha256((tmp_path / "grid.csv").read_bytes()).hexdigest()[:16]
+    assert (report, csv) == STRING_MODES_DIGESTS[0]
+
+
+def test_a_many_mode_job_keeps_its_phase_tables_blocked(tmp_path, monkeypatch):
+    # 1024 modes on the default grid: a (4 x 513 points) x modes phase table
+    # is 34 MB, the sigma table 8.4 MB and a block's tables 4.2 MB each
+    monkeypatch.chdir(tmp_path)
+    ms = random_spectrum(np.random.default_rng(0), max_mode=512)
+    pathlib.Path("s.json").write_text(json.dumps(spectrum_to_json(ms)))
+    argv = ["string-modes", "--spectrum", "s.json", "--output", "grid.csv", "--report", "r.json"]
+    code = cli.main(argv)
+    assert code in (0, 3) and pathlib.Path("grid.csv").exists()
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * 2**20
+
+
+def test_many_mode_string_modes_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """A 512-mode spectrum gives the same report and CSV at one and at two
+    OpenBLAS threads: the mode count is the contraction's inner dimension."""
+    ms = random_spectrum(np.random.default_rng(1), max_mode=256)
+    (tmp_path / "s.json").write_text(json.dumps(spectrum_to_json(ms)))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            [str(pathlib.Path(cli.__file__).parents[1])] + sys.path))
+        out = subprocess.run([sys.executable, "-m", "cliffstring", "string-modes", "--spectrum",
+                              "s.json", "--output", f"grid{threads}.csv"], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode in (0, 3), out.stderr
+        outs.append((out.returncode, out.stdout, (tmp_path / f"grid{threads}.csv").read_bytes()))
+    assert outs[0] == outs[1]
+
+
 def test_a_warm_csv_job_keeps_a_small_working_set(tmp_path, monkeypatch):
     # a default-grid max_mode-8 job formats 53,352 values; formatted whole, its
     # text buffers peak near 16 MiB, and in CSV_BLOCK-row blocks near 1.9 MiB
