@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matrices import real_array
-from .minkowski import EPS, eta4, sigma4_complex
+from .minkowski import EPS, sigma4_complex
 
 __all__ = [
     "NonpositiveTimeError",
@@ -153,7 +153,8 @@ def momentum_vector(ms: ModeSpectrum) -> np.ndarray:
 
 def mass_shell_residual(ms: ModeSpectrum) -> float:
     p = momentum_vector(ms)
-    return abs(float(p @ eta4() @ p) - float(np.linalg.det(ms.K).real))
+    eta = np.diag([1.0, -1.0, -1.0, -1.0])
+    return abs(float(p @ eta @ p) - float(np.linalg.det(ms.K).real))
 
 
 # Points per block of a mode sum: a block's phase table holds _BLOCK x modes
@@ -173,7 +174,8 @@ def _movers(tau, sigma, n, coef):
     Phases are taken once per element of tau and of sigma.  Each block of _BLOCK
     points is one (points x modes) @ (modes x 4) einsum, which sums the modes in
     the same order at every point; a BLAS product's order can change with its
-    row or thread count."""
+    row or thread count.
+    """
     tau, sigma = np.asarray(tau, dtype=float), np.asarray(sigma, dtype=float)
     shape = np.broadcast_shapes(tau.shape, sigma.shape)
     ti, si = (np.broadcast_to(np.arange(x.size).reshape(x.shape), shape).ravel()
