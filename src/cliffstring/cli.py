@@ -17,68 +17,22 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .fixtures import random_hermitian, random_spectrum, random_spinor
-from .lorentz import (
-    act_vector,
-    boost_generator,
-    compatibility_residual,
-    contraction_residual,
-    make_factor,
-    phase_generator,
-    reflection_factor,
-    rotation_generator,
-)
-from .matrices import OctHermitian, omat_mul
-from .minkowski import det2
-from .octonion import alternativity_check, conj_arrays, mul_arrays, norm_arrays
-from .quantum_rep import (
-    build_canonical,
-    canonical_residual,
-    integrality_residual,
-    jz_residual,
-    jz_spectrum,
-    lorentz_closure_residual,
-    m0_matrices,
-    mixed_algebra_residual,
-    quaternion_pairs,
-    spinor_tensor_roundtrip_residual,
-    su2_closure_residual,
-    tensor_algebra_residual,
-    tensor_form,
-    three_vector_form,
-)
+from .lorentz import MAX_NEST_DEPTH, lorentz_checks
+from .matrices import OctHermitian
+from .octonion import octonion_checks
+from .quantum_rep import quantum_checks
 from .resolve import reconstruction_errors, resolve_hermitian
 from .string_modes import (
-    charge_density_coefficients,
-    charge_quadrature,
     coordinates,
     current_density,
-    divergence_residual,
     emission_bound,
-    endpoint_flux,
-    eom_residual,
     redshift,
     spectrum_from_json,
     spectrum_to_json,
+    string_mode_checks,
 )
 
 SEED_ENV = "CLIFFSTRING_SEED"
-
-# octonion-check trials per vectorised block, so memory stays bounded.
-OCTONION_BLOCK = 1024
-
-# lorentz-check factor slots (trials x nesting depth) per vectorised block,
-# so memory stays bounded whatever --trials is.
-LORENTZ_BLOCK = 1024
-
-# Largest lorentz-check --nest-depth: one block then still holds a whole
-# trial, and 100 trials at this depth take about 2 s.
-MAX_NEST_DEPTH = LORENTZ_BLOCK
-
-# Random factors' generators by index: boost, rotation(0..7), phase(1..7), and
-# two zeros whose identity factor (t = 0) pads shallow trials or marks a reflection.
-_GENERATORS = np.stack([boost_generator(), *map(rotation_generator, range(8)),
-                        *map(phase_generator, range(1, 8)), *np.zeros((2, 2, 2, 8))])
-_PAD, _REFLECT = 16, 17
 
 # Largest string-modes --grid: quadrature and CSV hold O(grid) arrays.
 MAX_GRID = 65536
@@ -234,8 +188,6 @@ def _encode(x, pad: str = "\n") -> str:
     if kind is bool:
         return "true" if x else "false"
     if isinstance(x, np.ndarray):
-        if x.dtype.kind == "f":
-            return _layout(x.shape, pad) % tuple(_texts(x).tolist())
         return _encode(x.tolist(), pad)
     if isinstance(x, np.generic):
         return _encode(x.item(), pad)
@@ -279,7 +231,7 @@ def _load_json(path):
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except OSError as exc:
+    except (OSError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
         raise InputError(f"cannot read {path}: {exc}")
     except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
         raise InputError(f"{path} is not valid JSON: {exc}")
@@ -288,19 +240,23 @@ def _load_json(path):
     return obj
 
 
-def _check(max_residual: float, tol: float, trials: int, above: bool = False) -> dict:
-    """One named check; a residual that is not finite fails and reads null."""
-    finite = bool(np.isfinite(max_residual))
-    ok = finite and (max_residual > tol if above else max_residual <= tol)
-    entry = {
-        "max_residual": float(max_residual) if finite else None,
-        "tolerance": float(tol),
-        "trials": int(trials),
-        "pass": bool(ok),
-    }
-    if above:
-        entry["pass_when"] = "above"
-    return entry
+def _check(results: dict, tols: dict) -> dict:
+    """Report entries of {name: (max_residual, trials)}; a residual that is not
+    finite fails and reads null, and mixed_control passes when it EXCEEDS tol."""
+    checks = {}
+    for name, (max_residual, trials) in results.items():
+        tol, above = tols[name], name == "mixed_control"
+        finite = bool(np.isfinite(max_residual))
+        ok = finite and (max_residual > tol if above else max_residual <= tol)
+        checks[name] = {
+            "max_residual": float(max_residual) if finite else None,
+            "tolerance": float(tol),
+            "trials": int(trials),
+            "pass": bool(ok),
+        }
+        if above:
+            checks[name]["pass_when"] = "above"
+    return checks
 
 
 def _report(command: str, config: dict, checks: dict, extra: dict = None) -> dict:
@@ -325,32 +281,7 @@ def _finish(report: dict, path) -> int:
 def cmd_octonion_check(args) -> int:
     seed = _resolve_seed(args.seed)
     tols = _tols(args)
-    rng = np.random.default_rng(seed)
-    worst = {"norm_composition": 0.0, "alternativity": 0.0, "conj_antiautomorphism": 0.0}
-    for start in range(0, args.trials, OCTONION_BLOCK):
-        # row t holds trial t's a then b: the stream of two 8-coefficient draws
-        pairs = rng.uniform(-1.0, 1.0, (min(OCTONION_BLOCK, args.trials - start), 2, 8))
-        a, b = pairs[:, 0], pairs[:, 1]
-        ab = mul_arrays(a, b)
-        conj_gap = conj_arrays(ab) - mul_arrays(conj_arrays(b), conj_arrays(a))
-        x = np.stack([a, b, ab, conj_gap])
-        na, nb, nab, ngap = norm_arrays(x)
-        # float_power calls pow() like a Python float ** 2, which x * x can miss by an ulp
-        alt_scale = np.float_power(np.maximum(na, nb), 2) * np.minimum(na, nb)
-        block = {
-            "norm_composition": abs(nab - na * nb) / (na * nb),
-            "alternativity": alternativity_check(a, b) / alt_scale,
-            "conj_antiautomorphism": ngap / (na * nb),
-        }
-        for name, r in block.items():
-            worst[name] = np.maximum(worst[name], np.max(r))
-    e1, e2, e4 = np.eye(8)[[1, 2, 4]]
-    witness = mul_arrays(mul_arrays(e1, e2), e4) - mul_arrays(e1, mul_arrays(e2, e4))
-    witness_gap = np.sqrt(witness @ witness)
-    checks = {name: _check(worst[name], tols[name], args.trials) for name in worst}
-    checks["nonassociativity_witness"] = _check(
-        abs(witness_gap - 2.0), tols["nonassociativity_witness"], 1
-    )
+    checks = _check(octonion_checks(np.random.default_rng(seed), args.trials), tols)
     config = {"seed": seed, "trials": args.trials, "tolerances": tols}
     return _finish(_report("octonion-check", config, checks), args.report)
 
@@ -456,90 +387,11 @@ def cmd_resolve(args) -> int:
 # -- lorentz-check -----------------------------------------------------------
 
 
-def _draw_trials(rng: np.random.Generator, trials: int, nest_depth: int):
-    """Draw a block of trials in five whole-block calls, in this order:
-
-    1. each trial's depth, 1 + integers(nest_depth), shape (trials,);
-    2. each factor slot's kind, integers(4): 0 boost, 1 rotation, 2 phase,
-       3 reflection, shape (nest_depth, trials);
-    3. each slot's t, uniform(-1, 1), same shape;
-    4. each slot's direction, integers(8) where the kind is a rotation and
-       integers(7) elsewhere (phases 1..7), same shape;
-    5. each trial's point and spinors, uniform(-1, 1), shape (trials, 58).
-
-    Every slot draws all four values, used or not.  Factors come back as
-    _GENERATORS indices and t, (depth, trials): _PAD (t = 0) at or past a
-    trial's depth, _REFLECT (t = 0) for kind 3.  A trial's 58 values are
-    laid out as random_hermitian(rng, 2) and three random_spinor(rng) calls
-    draw them: x's diagonal entry a, its off-diagonal octonion c, its entry
-    b, then v, chi and psi as (2, 8) each; spinors come as (3, trials)."""
-    depth = 1 + rng.integers(nest_depth, size=trials)
-    kind = rng.integers(4, size=(nest_depth, trials))
-    t = rng.uniform(-1.0, 1.0, (nest_depth, trials))
-    direction = rng.integers(np.where(kind == 1, 8, 7))
-    draws = rng.uniform(-1.0, 1.0, (trials, 58))
-    # kind k starts at _GENERATORS index (0, 1, 9, _REFLECT)[k]; rotations
-    # and phases add their direction
-    index = np.array([0, 1, 9, _REFLECT])[kind] + direction * ((kind == 1) | (kind == 2))
-    pad = np.arange(nest_depth)[:, None] >= depth
-    index[pad] = _PAD
-    t[pad | (kind == 3)] = 0.0
-    points = np.zeros((trials, 2, 2, 8))
-    points[:, 0, 0, 0], points[:, 1, 1, 0] = draws[:, 0], draws[:, 9]
-    points[:, 0, 1] = draws[:, 1:9]
-    points[:, 1, 0] = conj_arrays(draws[:, 1:9])
-    spinors = draws[:, 10:].reshape(trials, 3, 2, 8).swapaxes(0, 1)
-    deepest = depth.max()
-    return index[:deepest], t[:deepest], points, spinors
-
-
-@functools.cache
-def _mixed_control() -> np.ndarray:
-    """An invalid two-subspace 'factor', built once per process, read-only.
-
-    The octonionic product of an e_1 rotation and an e_2 phase is not a
-    single-subspace matrix; applying it in one sandwich must fail visibly.
-    """
-    f1 = make_factor(rotation_generator(1), 0.8)
-    f2 = make_factor(phase_generator(2), 0.9)
-    mixed = omat_mul(f1, f2)
-    mixed.setflags(write=False)
-    return mixed
-
-
 def cmd_lorentz_check(args) -> int:
     seed = _resolve_seed(args.seed)
     tols = _tols(args)
     rng = np.random.default_rng(seed)
-    reflection = reflection_factor()
-    worst = {"det": 0.0, "compatibility": 0.0, "contraction": 0.0}
-    # nest_depth <= MAX_NEST_DEPTH == LORENTZ_BLOCK, so a block of per_block
-    # trials never exceeds LORENTZ_BLOCK factor slots
-    per_block = max(1, LORENTZ_BLOCK // args.nest_depth)
-    for start in range(0, args.trials, per_block):
-        index, t, x, (v, chi, psi) = _draw_trials(
-            rng, min(per_block, args.trials - start), args.nest_depth)
-        s = make_factor(_GENERATORS[index], t)
-        s[index == _REFLECT] = reflection
-        moved = act_vector(s, x)
-        # the spinor checks skip the padding, whose identity factors change no residual
-        level, trial = np.nonzero(index != _PAD)
-        used = s[level, trial]
-        # |det S| = 1, so the sandwich keeps the det form a'b' - |c'|^2 whatever
-        # the signs; its round-off grows with |a'b'| + |c'|^2, not with |det|
-        a, b, c = moved[..., 0, 0, 0], moved[..., 1, 1, 0], moved[..., 0, 1, :]
-        scale = np.maximum(1.0, np.abs(a * b) + np.sum(c * c, axis=-1))
-        block = {
-            "det": np.abs(det2(moved) - det2(x)) / scale,
-            "compatibility": compatibility_residual(used, v[trial]),
-            "contraction": contraction_residual(used, chi[trial], psi[trial]),
-        }
-        for name, r in block.items():
-            # np.maximum keeps a NaN residual, which Python's max would drop
-            worst[name] = np.maximum(worst[name], np.max(r))
-    mixed = compatibility_residual(_mixed_control(), random_spinor(rng))
-    checks = {name: _check(worst[name], tols[name], args.trials) for name in worst}
-    checks["mixed_control"] = _check(mixed, tols["mixed_control"], 1, above=True)
+    checks = _check(lorentz_checks(rng, args.trials, args.nest_depth), tols)
     config = {
         "seed": seed,
         "trials": args.trials,
@@ -555,10 +407,6 @@ def cmd_lorentz_check(args) -> int:
 
 
 # -- string-modes ----------------------------------------------------------
-
-
-_TAUS = (0.3, 0.9, 1.7)
-_SIGMAS = (0.35, 1.1, 2.2, 2.9)
 
 
 # -- %.17g text of the CSV grid --
@@ -741,46 +589,7 @@ def cmd_string_modes(args) -> int:
     except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise InputError(f"bad spectrum in {args.spectrum}: {exc}")
 
-    points = [(t, s) for t in _TAUS for s in _SIGMAS]
-    tau, sigma = np.array(points).T
-    jt, js = current_density(ms, tau, sigma)
-    jscale = max(1.0, float(np.max(np.abs([jt, js]))))
-    coords = coordinates(ms, tau, sigma)
-    xscale = max(1.0, float(np.max(np.abs(coords))))
-    # the wave equation does not see the translation C0
-    wscale = max(1.0, float(np.max(np.abs(coords - ms.C0))))
-
-    div_h = divergence_residual(ms, points, h=1e-3)
-    div_2h = divergence_residual(ms, points, h=2e-3)
-    div_ratio = 4.0 if div_h <= 0 else div_2h / div_h  # a NaN residual stays NaN
-    flux = endpoint_flux(ms, _TAUS)
-    coeffs = charge_density_coefficients(ms)
-    m0 = coeffs[0]
-    mscale = max(1.0, float(np.max(np.abs(m0))))
-    quad_gap = float(np.max(np.abs(charge_quadrature(ms, _TAUS, args.grid) - m0)))  # keeps a NaN
-    eom_h = eom_residual(ms, points, h=1e-3)
-    eom_2h = eom_residual(ms, points, h=2e-3)
-    # Below about 45 eps / h^2 times the tau^2 zero-mode term (l/m^3)|K|^3 tau^2,
-    # eom_h is rounding of that term and carries no h^2 order to check.
-    # float64 scalars, so a huge K or m overflows to inf rather than raising
-    c = ms.constants
-    eom_floor = (1e-8 * np.float64(c.ell) / np.float64(c.m) ** 3
-                 * np.max(np.abs(ms.K)) ** 3 * max(_TAUS) ** 2)
-    eom_ratio = 4.0 if eom_h <= eom_floor else eom_2h / eom_h
-    herm = float(np.max(np.abs(coords - coords.mT.conj())))
-    even = float(np.max(np.abs(coords - coordinates(ms, tau, -sigma))))
-
-    n_pts = len(points)
-    checks = {
-        "divergence": _check(div_h / jscale, tols["divergence"], n_pts),
-        "divergence_ratio": _check(abs(div_ratio - 4.0), tols["divergence_ratio"], n_pts),
-        "endpoint_flux": _check(flux / jscale, tols["endpoint_flux"], len(_TAUS)),
-        "charge_quadrature": _check(quad_gap / mscale, tols["charge_quadrature"], len(_TAUS)),
-        "eom": _check(eom_h / wscale, tols["eom"], n_pts),
-        "eom_ratio": _check(abs(eom_ratio - 4.0), tols["eom_ratio"], n_pts),
-        "hermiticity": _check(herm / xscale, tols["hermiticity"], n_pts),
-        "evenness": _check(even / xscale, tols["evenness"], n_pts),
-    }
+    checks = _check(string_mode_checks(ms, args.grid), tols)
     config = {
         "spectrum": args.spectrum,
         "grid": args.grid,
@@ -799,28 +608,11 @@ def cmd_string_modes(args) -> int:
 @np.errstate(all="ignore")
 def cmd_quantum_check(args) -> int:
     tols = _tols(args)
-    pairs = build_canonical(args.degree, args.hbar)
-    space = pairs.space
-    a_ops, k_ops = quaternion_pairs(pairs)
-    m0, m0d = m0_matrices(a_ops, k_ops)
-    n, nd = three_vector_form(m0, m0d)
-    mt = tensor_form(m0, m0d)
-    vals = jz_spectrum(args.degree, args.hbar)
-
-    residuals = {
-        "canonical": canonical_residual(pairs),
-        "mixed": mixed_algebra_residual(a_ops, k_ops, space, args.hbar),
-        "closure": lorentz_closure_residual(m0, m0d, space, args.hbar),
-        "su2": su2_closure_residual(n, nd, space, args.hbar),
-        "tensor": tensor_algebra_residual(mt, space, args.hbar),
-        "roundtrip": spinor_tensor_roundtrip_residual(m0, mt, space),
-        "jz_integrality": np.max([jz_residual(pairs, m0, m0d),  # np.max keeps a NaN
-                                  integrality_residual(vals, args.hbar)]),
-    }
-    checks = {name: _check(residuals[name], tols[name], 1) for name in residuals}
+    results, dimension, vals = quantum_checks(args.degree, args.hbar)
+    checks = _check(results, tols)
     config = {"degree": args.degree, "hbar": args.hbar, "tolerances": tols}
     extra = {
-        "dimension": space.dim,
+        "dimension": dimension,
         "jz_spectrum": [float(v) if np.isfinite(v) else None for v in vals],
     }
     return _finish(_report("quantum-check", config, checks, extra), args.report)

@@ -33,10 +33,14 @@ acting first.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from .fixtures import random_spinor
 from .octonion import mul_arrays, conj_arrays
 from .matrices import omat_mul, omat_adjoint
+from .minkowski import det2
 
 __all__ = [
     "MixedSubspaceError",
@@ -52,6 +56,8 @@ __all__ = [
     "lower_factor_indices",
     "compatibility_residual",
     "contraction_residual",
+    "MAX_NEST_DEPTH",
+    "lorentz_checks",
 ]
 
 
@@ -210,3 +216,99 @@ def contraction_residual(s: np.ndarray, chi, psi):
     after = _contraction_real(spinor_map(s, chi), cospinor_map(s, psi))
     return np.abs(after - np.sign(_det(s)[..., 0]) * _contraction_real(chi, psi))
 
+
+# Largest lorentz_checks nest_depth, and its factor slots (trials x depth) per
+# vectorised block, so memory stays bounded: one block then still holds a whole
+# trial, and 100 trials at this depth take about 2 s.
+MAX_NEST_DEPTH = 1024
+
+# Random factors' generators by index: boost, rotation(0..7), phase(1..7), and
+# two zeros whose identity factor (t = 0) pads shallow trials or marks a reflection.
+_GENERATORS = np.stack([boost_generator(), *map(rotation_generator, range(8)),
+                        *map(phase_generator, range(1, 8)), *np.zeros((2, 2, 2, 8))])
+_PAD, _REFLECT = 16, 17
+
+
+def _draw_trials(rng: np.random.Generator, trials: int, nest_depth: int):
+    """Draw a block of trials in five whole-block calls, in this order:
+
+    1. each trial's depth, 1 + integers(nest_depth), shape (trials,);
+    2. each factor slot's kind, integers(4): 0 boost, 1 rotation, 2 phase,
+       3 reflection, shape (nest_depth, trials);
+    3. each slot's t, uniform(-1, 1), same shape;
+    4. each slot's direction, integers(8) where the kind is a rotation and
+       integers(7) elsewhere (phases 1..7), same shape;
+    5. each trial's point and spinors, uniform(-1, 1), shape (trials, 58).
+
+    Every slot draws all four values, used or not.  Factors come back as
+    _GENERATORS indices and t, (depth, trials): _PAD (t = 0) at or past a
+    trial's depth, _REFLECT (t = 0) for kind 3.  A trial's 58 values are
+    laid out as random_hermitian(rng, 2) and three random_spinor(rng) calls
+    draw them: x's diagonal entry a, its off-diagonal octonion c, its entry
+    b, then v, chi and psi as (2, 8) each; spinors come as (3, trials)."""
+    depth = 1 + rng.integers(nest_depth, size=trials)
+    kind = rng.integers(4, size=(nest_depth, trials))
+    t = rng.uniform(-1.0, 1.0, (nest_depth, trials))
+    direction = rng.integers(np.where(kind == 1, 8, 7))
+    draws = rng.uniform(-1.0, 1.0, (trials, 58))
+    # kind k starts at _GENERATORS index (0, 1, 9, _REFLECT)[k]; rotations
+    # and phases add their direction
+    index = np.array([0, 1, 9, _REFLECT])[kind] + direction * ((kind == 1) | (kind == 2))
+    pad = np.arange(nest_depth)[:, None] >= depth
+    index[pad] = _PAD
+    t[pad | (kind == 3)] = 0.0
+    points = np.zeros((trials, 2, 2, 8))
+    points[:, 0, 0, 0], points[:, 1, 1, 0] = draws[:, 0], draws[:, 9]
+    points[:, 0, 1] = draws[:, 1:9]
+    points[:, 1, 0] = conj_arrays(draws[:, 1:9])
+    spinors = draws[:, 10:].reshape(trials, 3, 2, 8).swapaxes(0, 1)
+    deepest = depth.max()
+    return index[:deepest], t[:deepest], points, spinors
+
+
+@functools.cache
+def _mixed_control() -> np.ndarray:
+    """An invalid two-subspace 'factor', built once per process, read-only.
+
+    The octonionic product of an e_1 rotation and an e_2 phase is not a
+    single-subspace matrix; applying it in one sandwich must fail visibly.
+    """
+    f1 = make_factor(rotation_generator(1), 0.8)
+    f2 = make_factor(phase_generator(2), 0.9)
+    mixed = omat_mul(f1, f2)
+    mixed.setflags(write=False)
+    return mixed
+
+
+def lorentz_checks(rng: np.random.Generator, trials: int, nest_depth: int) -> dict:
+    """{name: (max residual, trials)} of the sandwich invariants on trials random
+    nestings of 1 to nest_depth <= MAX_NEST_DEPTH factors, drawn as _draw_trials
+    lays them out, and of mixed_control, which must exceed its tolerance."""
+    reflection = reflection_factor()
+    worst = {"det": 0.0, "compatibility": 0.0, "contraction": 0.0}
+    # nest_depth <= MAX_NEST_DEPTH, so a block of per_block trials never
+    # exceeds MAX_NEST_DEPTH factor slots
+    per_block = max(1, MAX_NEST_DEPTH // nest_depth)
+    for start in range(0, trials, per_block):
+        index, t, x, (v, chi, psi) = _draw_trials(rng, min(per_block, trials - start), nest_depth)
+        s = make_factor(_GENERATORS[index], t)
+        s[index == _REFLECT] = reflection
+        moved = act_vector(s, x)
+        # the spinor checks skip the padding, whose identity factors change no residual
+        level, trial = np.nonzero(index != _PAD)
+        used = s[level, trial]
+        # |det S| = 1, so the sandwich keeps the det form a'b' - |c'|^2 whatever
+        # the signs; its round-off grows with |a'b'| + |c'|^2, not with |det|
+        a, b, c = moved[..., 0, 0, 0], moved[..., 1, 1, 0], moved[..., 0, 1, :]
+        scale = np.maximum(1.0, np.abs(a * b) + np.sum(c * c, axis=-1))
+        block = {
+            "det": np.abs(det2(moved) - det2(x)) / scale,
+            "compatibility": compatibility_residual(used, v[trial]),
+            "contraction": contraction_residual(used, chi[trial], psi[trial]),
+        }
+        for name, r in block.items():
+            # np.maximum keeps a NaN residual, which Python's max would drop
+            worst[name] = np.maximum(worst[name], np.max(r))
+    out = {name: (worst[name], trials) for name in worst}
+    out["mixed_control"] = (compatibility_residual(_mixed_control(), random_spinor(rng)), 1)
+    return out

@@ -26,6 +26,7 @@ __all__ = [
     "conj_arrays",
     "norm_arrays",
     "alternativity_check",
+    "octonion_checks",
 ]
 
 
@@ -186,3 +187,35 @@ def alternativity_check(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         mul_arrays(a, ab) - mul_arrays(mul_arrays(a, a), b),
     ])
     return np.maximum(*norm_arrays(r))
+
+
+# octonion_checks trials per vectorised block, so memory stays bounded.
+_BLOCK = 1024
+
+
+def octonion_checks(rng: np.random.Generator, trials: int) -> dict:
+    """{name: (max residual, trials)} of the octonion identities on trials random
+    pairs, relative to the pairs' norms, and of the (e1 e2) e4 associator's norm 2."""
+    worst = {"norm_composition": 0.0, "alternativity": 0.0, "conj_antiautomorphism": 0.0}
+    for start in range(0, trials, _BLOCK):
+        # row t holds trial t's a then b: the stream of two 8-coefficient draws
+        pairs = rng.uniform(-1.0, 1.0, (min(_BLOCK, trials - start), 2, 8))
+        a, b = pairs[:, 0], pairs[:, 1]
+        ab = mul_arrays(a, b)
+        conj_gap = conj_arrays(ab) - mul_arrays(conj_arrays(b), conj_arrays(a))
+        x = np.stack([a, b, ab, conj_gap])
+        na, nb, nab, ngap = norm_arrays(x)
+        # float_power calls pow() like a Python float ** 2, which x * x can miss by an ulp
+        alt_scale = np.float_power(np.maximum(na, nb), 2) * np.minimum(na, nb)
+        block = {
+            "norm_composition": abs(nab - na * nb) / (na * nb),
+            "alternativity": alternativity_check(a, b) / alt_scale,
+            "conj_antiautomorphism": ngap / (na * nb),
+        }
+        for name, r in block.items():
+            worst[name] = np.maximum(worst[name], np.max(r))
+    e1, e2, e4 = np.eye(8)[[1, 2, 4]]
+    witness = mul_arrays(mul_arrays(e1, e2), e4) - mul_arrays(e1, mul_arrays(e2, e4))
+    out = {name: (worst[name], trials) for name in worst}
+    out["nonassociativity_witness"] = (abs(np.sqrt(witness @ witness) - 2.0), 1)
+    return out

@@ -98,6 +98,7 @@ __all__ = [
     "jz_residual",
     "jz_spectrum",
     "integrality_residual",
+    "quantum_checks",
 ]
 
 _S4 = sigma4_complex()                       # sigma^mu_{A Bdot}
@@ -617,3 +618,26 @@ def integrality_residual(values: np.ndarray, hbar: float = 1.0) -> float:
     """Max distance of the values from the lattice hbar * (integers); a NaN stays NaN."""
     scaled = np.asarray(values, float) / hbar
     return float(np.max(np.abs(scaled - np.round(scaled))))
+
+
+def quantum_checks(degree: int, hbar: float) -> tuple:
+    """({name: (max residual, 1)}, dimension, J^z spectrum) of the quantum-check
+    identities on the polynomials of degree <= degree."""
+    pairs = build_canonical(degree, hbar)
+    space = pairs.space
+    a_ops, k_ops = quaternion_pairs(pairs)
+    m0, m0d = m0_matrices(a_ops, k_ops)
+    n, nd = three_vector_form(m0, m0d)
+    mt = tensor_form(m0, m0d)
+    vals = jz_spectrum(degree, hbar)
+    residuals = {
+        "canonical": canonical_residual(pairs),
+        "mixed": mixed_algebra_residual(a_ops, k_ops, space, hbar),
+        "closure": lorentz_closure_residual(m0, m0d, space, hbar),
+        "su2": su2_closure_residual(n, nd, space, hbar),
+        "tensor": tensor_algebra_residual(mt, space, hbar),
+        "roundtrip": spinor_tensor_roundtrip_residual(m0, mt, space),
+        "jz_integrality": np.max([jz_residual(pairs, m0, m0d),  # np.max keeps a NaN
+                                  integrality_residual(vals, hbar)]),
+    }
+    return {name: (r, 1) for name, r in residuals.items()}, space.dim, vals

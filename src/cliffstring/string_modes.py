@@ -55,6 +55,7 @@ __all__ = [
     "divergence_residual",
     "endpoint_flux",
     "eom_residual",
+    "string_mode_checks",
     "redshift",
     "emission_bound",
     "cmat_to_json",
@@ -198,7 +199,8 @@ def current_density(ms: ModeSpectrum, tau, sigma):
     """(J^tau, J^sigma) as symmetric complex 2x2 matrices, for any real sigma.
 
     tau and sigma broadcast against each other; each result has shape
-    (..., 2, 2), a plain 2x2 matrix for scalar arguments.
+    (..., 2, 2), a plain 2x2 matrix for scalar arguments.  Phase tables are
+    taken per element of tau and of sigma, so pass a large mesh sparse.
     """
     c = ms.constants
     n, a, anm = _modes(ms)
@@ -244,7 +246,8 @@ def coordinates(ms: ModeSpectrum, tau, sigma) -> np.ndarray:
     """X^{A Bdot} as Hermitian complex 2x2 matrices, for any real sigma.
 
     tau and sigma broadcast against each other; the result has shape
-    (..., 2, 2), a plain 2x2 matrix for scalar arguments.
+    (..., 2, 2), a plain 2x2 matrix for scalar arguments.  Phase tables are
+    taken per element of tau and of sigma, so pass a large mesh sparse.
     """
     c = ms.constants
     n, a, anm = _modes(ms)
@@ -313,6 +316,55 @@ def eom_residual(ms: ModeSpectrum, points, h: float = 1e-3) -> float:
     kup = _raise_both(ms.K)
     source = (2 * np.float64(c.ell) / np.float64(c.m) ** 3) * (kup @ ms.K.T @ kup)
     return float(np.max(np.abs(d_tau - d_sigma - source), initial=0.0))
+
+
+_TAUS = (0.3, 0.9, 1.7)
+_SIGMAS = (0.35, 1.1, 2.2, 2.9)
+
+
+def string_mode_checks(ms: ModeSpectrum, grid: int) -> dict:
+    """{name: (max residual, points)} of the string's diagnostics at _TAUS x _SIGMAS
+    (flux and charge at _TAUS, the charge integrated over grid sigma steps), each
+    residual in units of the J, X or M^0 it tests."""
+    points = [(t, s) for t in _TAUS for s in _SIGMAS]
+    tau, sigma = np.array(points).T
+    jt, js = current_density(ms, tau, sigma)
+    jscale = max(1.0, float(np.max(np.abs([jt, js]))))
+    coords = coordinates(ms, tau, sigma)
+    xscale = max(1.0, float(np.max(np.abs(coords))))
+    # the wave equation does not see the translation C0
+    wscale = max(1.0, float(np.max(np.abs(coords - ms.C0))))
+
+    div_h = divergence_residual(ms, points, h=1e-3)
+    div_2h = divergence_residual(ms, points, h=2e-3)
+    div_ratio = 4.0 if div_h <= 0 else div_2h / div_h  # a NaN residual stays NaN
+    flux = endpoint_flux(ms, _TAUS)
+    m0 = charge_density_coefficients(ms)[0]
+    mscale = max(1.0, float(np.max(np.abs(m0))))
+    quad_gap = float(np.max(np.abs(charge_quadrature(ms, _TAUS, grid) - m0)))  # keeps a NaN
+    eom_h = eom_residual(ms, points, h=1e-3)
+    eom_2h = eom_residual(ms, points, h=2e-3)
+    # Below about 45 eps / h^2 times the tau^2 zero-mode term (l/m^3)|K|^3 tau^2,
+    # eom_h is rounding of that term and carries no h^2 order to check.
+    # float64 scalars, so a huge K or m overflows to inf rather than raising
+    c = ms.constants
+    eom_floor = (1e-8 * np.float64(c.ell) / np.float64(c.m) ** 3
+                 * np.max(np.abs(ms.K)) ** 3 * max(_TAUS) ** 2)
+    eom_ratio = 4.0 if eom_h <= eom_floor else eom_2h / eom_h
+    herm = float(np.max(np.abs(coords - coords.mT.conj())))
+    even = float(np.max(np.abs(coords - coordinates(ms, tau, -sigma))))
+
+    n_pts = len(points)
+    return {
+        "divergence": (div_h / jscale, n_pts),
+        "divergence_ratio": (abs(div_ratio - 4.0), n_pts),
+        "endpoint_flux": (flux / jscale, len(_TAUS)),
+        "charge_quadrature": (quad_gap / mscale, len(_TAUS)),
+        "eom": (eom_h / wscale, n_pts),
+        "eom_ratio": (abs(eom_ratio - 4.0), n_pts),
+        "hermiticity": (herm / xscale, n_pts),
+        "evenness": (even / xscale, n_pts),
+    }
 
 
 # -- redshift ------------------------------------------------------------------

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cliffstring import cli, lorentz, octonion, string_modes
+from cliffstring import cli, lorentz, octonion, quantum_rep, string_modes
 from cliffstring.fixtures import (
     random_degenerate_hermitian,
     random_hermitian,
@@ -87,7 +87,7 @@ def _octonion_check_oracle(seed, trials):
     return worst
 
 
-@pytest.mark.parametrize("trials", [1, 7, cli.OCTONION_BLOCK + 3])
+@pytest.mark.parametrize("trials", [1, 7, octonion._BLOCK + 3])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_octonion_check_matches_object_loop(capsys, seed, trials):
     assert run("octonion-check", "--seed", str(seed), "--trials", str(trials)) == 0
@@ -196,7 +196,7 @@ def test_infinite_hbar_exits_2(capsys):
     ("octonion-check", "--trials", "0", "--report", "{out}"),
     ("quantum-check", "--degree", "1", "--report", "{out}"),
     ("quantum-check", "--degree", str(cli.MAX_DEGREE + 1), "--report", "{out}"),
-    ("lorentz-check", "--trials", "1", "--nest-depth", str(cli.MAX_NEST_DEPTH + 1),
+    ("lorentz-check", "--trials", "1", "--nest-depth", str(lorentz.MAX_NEST_DEPTH + 1),
      "--report", "{out}"),
     ("string-modes", "--spectrum", "{spec}", "--grid", str(cli.MAX_GRID + 1), "--report", "{out}"),
     ("gen-fixture", "--kind", "hermitian", "--n", str(cli.MAX_FIXTURE_N + 1), "--output", "{out}"),
@@ -250,6 +250,26 @@ def test_every_named_tolerance_reaches_its_check(tmp_path, capsys, command, name
     expected = dict(cli.DEFAULT_TOLS[command], **{name: value})
     assert rep["config"]["tolerances"] == expected
     assert {n: entry["tolerance"] for n, entry in rep["checks"].items()} == expected
+
+
+# Each check command's library function, on a small input.
+_CHECK_FUNCTIONS = {
+    "octonion-check": lambda: octonion.octonion_checks(np.random.default_rng(0), 3),
+    "lorentz-check": lambda: lorentz.lorentz_checks(np.random.default_rng(0), 3, 2),
+    "string-modes": lambda: string_modes.string_mode_checks(
+        random_spectrum(np.random.default_rng(0)), 16),
+    "quantum-check": lambda: quantum_rep.quantum_checks(2, 1.0)[0],
+}
+
+
+@pytest.mark.parametrize("command", list(cli.DEFAULT_TOLS))
+def test_each_check_function_returns_its_commands_named_checks(command):
+    """The CLI reads each result's tolerance by name, so a check renamed or
+    dropped in its module would be a KeyError or a check missing from the report."""
+    results = _CHECK_FUNCTIONS[command]()
+    assert sorted(results) == sorted(cli.DEFAULT_TOLS[command])
+    for residual, trials in results.values():
+        assert np.isfinite(residual) and type(trials) is int and trials > 0
 
 
 def _cliffstring(*argv):
@@ -730,8 +750,10 @@ def test_a_many_mode_job_keeps_its_phase_tables_blocked(tmp_path, monkeypatch):
 
 
 def test_many_mode_string_modes_bytes_do_not_depend_on_blas_threads(tmp_path):
-    """A 512-mode spectrum gives the same report and CSV at one and at two
-    OpenBLAS threads: the mode count is the contraction's inner dimension."""
+    """A 512-mode spectrum gives the same report and CSV bytes at one and at
+    two OpenBLAS threads.  It does not show that the mode sums avoid BLAS, as a
+    matmul in their place passes it too: test_array_evaluation_matches_point_calls
+    and the point-block tests guard that."""
     ms = random_spectrum(np.random.default_rng(1), max_mode=256)
     (tmp_path / "s.json").write_text(json.dumps(spectrum_to_json(ms)))
     outs = []
@@ -765,17 +787,17 @@ def test_a_warm_csv_job_keeps_a_small_working_set(tmp_path, monkeypatch):
 
 def test_string_modes_keeps_a_nan_charge_quadrature_at_a_later_tau(tmp_path, monkeypatch, capsys):
     # a NaN at the second of the three tau, which a Python max over them would drop
-    quadrature = cli.charge_quadrature
+    quadrature = string_modes.charge_quadrature
 
     def nan_at_second_tau(ms, tau, n_sigma=512):
         out = np.array(quadrature(ms, tau, n_sigma))
-        out[np.asarray(tau) == cli._TAUS[1]] = np.nan
+        out[np.asarray(tau) == string_modes._TAUS[1]] = np.nan
         return out
 
     fix = tmp_path / "s.json"
     assert run("gen-fixture", "--kind", "spectrum", "--seed", "0", "--output", str(fix)) == 0
     capsys.readouterr()
-    monkeypatch.setattr(cli, "charge_quadrature", nan_at_second_tau)
+    monkeypatch.setattr(string_modes, "charge_quadrature", nan_at_second_tau)
     assert run("string-modes", "--spectrum", str(fix)) == 3
     rep = strict_json(capsys.readouterr().out)
     assert rep["checks"]["charge_quadrature"]["max_residual"] is None
@@ -1197,6 +1219,14 @@ def test_json_integer_of_over_4300_digits_exits_2(tmp_path, capsys):
         capsys, "string-modes", "--spectrum", str(fix))
 
 
+@pytest.mark.parametrize("command", ["resolve", "string-modes"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    # json.load raises RecursionError, which is no ValueError, past the recursion limit
+    src = tmp_path / "deep.json"
+    src.write_text('{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert "recursion" in _rejected_with_one_line(capsys, command, "--input", str(src))
+
+
 def _spectrum_with_mode_one(tmp_path, change):
     """A spectrum fixture whose n = 1 mode entry is changed in place by change(modes, entry)."""
     fix = tmp_path / "s.json"
@@ -1337,7 +1367,7 @@ def test_lorentz_check_bytes_are_pinned(capsys, seed, trials, depth):
 
 
 def test_lorentz_check_keeps_nan_residual(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "compatibility_residual", lambda s, v: float("nan"))
+    monkeypatch.setattr(lorentz, "compatibility_residual", lambda s, v: float("nan"))
     assert run("lorentz-check", "--seed", "2", "--trials", "3") == 3
     rep = strict_json(capsys.readouterr().out)
     assert rep["checks"]["compatibility"]["max_residual"] is None
@@ -1358,12 +1388,12 @@ def _oracle_factor(kind, t, direction):
 
 def _lorentz_check_oracle(seed, trials, nest_depth):
     """The sweep's residuals, one trial and one factor at a time, from the
-    sweep's draws: per block of LORENTZ_BLOCK // nest_depth trials, the
+    sweep's draws: per block of MAX_NEST_DEPTH // nest_depth trials, the
     depths, then the kinds, t and directions of every (level, trial) slot,
     then each trial's 58 point and spinor values."""
     rng = np.random.default_rng(seed)
     worst = {"det": 0.0, "compatibility": 0.0, "contraction": 0.0}
-    per_block = max(1, cli.LORENTZ_BLOCK // nest_depth)
+    per_block = max(1, lorentz.MAX_NEST_DEPTH // nest_depth)
     for start in range(0, trials, per_block):
         m = min(per_block, trials - start)
         depths = 1 + rng.integers(nest_depth, size=m)
@@ -1393,7 +1423,7 @@ def _lorentz_check_oracle(seed, trials, nest_depth):
 
 
 @pytest.mark.parametrize("trials, depth", [
-    (1, 1), (7, 2), (37, 5), (cli.LORENTZ_BLOCK // 2 + 3, 2), (3, 200),
+    (1, 1), (7, 2), (37, 5), (lorentz.MAX_NEST_DEPTH // 2 + 3, 2), (3, 200),
 ])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_lorentz_check_matches_per_trial_loop(capsys, seed, trials, depth):
@@ -1416,15 +1446,15 @@ def test_lorentz_check_splits_deep_trials_into_blocks(capsys, monkeypatch):
     """With blocks of 8 factor slots and the depth cap at 8, as at 1024, no
     make_factor call gets more than a block's slots, and the sweep still
     matches the per-trial oracle."""
-    monkeypatch.setattr(cli, "LORENTZ_BLOCK", 8)
-    monkeypatch.setattr(cli, "MAX_NEST_DEPTH", 8)
+    monkeypatch.setattr(lorentz, "MAX_NEST_DEPTH", 8)
     slots = []
+    make_factor = lorentz.make_factor
 
     def counted(generator, t):
         slots.append(int(np.prod(np.broadcast_shapes(generator.shape[:-3], np.shape(t)))))
-        return lorentz.make_factor(generator, t)
+        return make_factor(generator, t)
 
-    monkeypatch.setattr(cli, "make_factor", counted)
+    monkeypatch.setattr(lorentz, "make_factor", counted)
     for trials, depth in ((5, 8), (7, 3), (9, 1)):
         slots.clear()
         assert run("lorentz-check", "--seed", "4", "--trials", str(trials),
@@ -1441,25 +1471,25 @@ def test_lorentz_check_draws_a_full_block_in_its_layout():
     reflection slots have t = 0."""
     rng = np.random.default_rng(0)
     depths = 1 + np.random.default_rng(0).integers(8, size=128)  # the block's first draw
-    index, t, points, spinors = cli._draw_trials(rng, 128, 8)
-    assert index.shape == t.shape == (8, 128) and cli.LORENTZ_BLOCK == index.size
+    index, t, points, spinors = lorentz._draw_trials(rng, 128, 8)
+    assert index.shape == t.shape == (8, 128) and lorentz.MAX_NEST_DEPTH == index.size
     assert points.shape == (128, 2, 2, 8) and spinors.shape == (3, 128, 2, 8)
-    assert set(np.unique(index)) == set(range(16)) | {cli._PAD, cli._REFLECT}
-    assert np.array_equal(index == cli._PAD, np.arange(8)[:, None] >= depths)
-    fixed = (index == cli._PAD) | (index == cli._REFLECT)
+    assert set(np.unique(index)) == set(range(16)) | {lorentz._PAD, lorentz._REFLECT}
+    assert np.array_equal(index == lorentz._PAD, np.arange(8)[:, None] >= depths)
+    fixed = (index == lorentz._PAD) | (index == lorentz._REFLECT)
     assert np.all(t[fixed] == 0.0)
     assert np.all((np.abs(t[~fixed]) > 0.0) & (np.abs(t[~fixed]) < 1.0))
 
 
 def test_lorentz_check_runs_at_the_depth_cap(capsys):
     assert run("lorentz-check", "--seed", "0", "--trials", "1",
-               "--nest-depth", str(cli.MAX_NEST_DEPTH)) == 0
-    assert strict_json(capsys.readouterr().out)["config"]["nest_depth"] == cli.MAX_NEST_DEPTH
+               "--nest-depth", str(lorentz.MAX_NEST_DEPTH)) == 0
+    assert strict_json(capsys.readouterr().out)["config"]["nest_depth"] == lorentz.MAX_NEST_DEPTH
 
 
 @pytest.mark.parametrize("argv, cap, builder", [
     (("lorentz-check", "--trials", "1", "--report", "{out}", "--nest-depth"),
-     cli.MAX_NEST_DEPTH, "_draw_trials"),
+     lorentz.MAX_NEST_DEPTH, "_draw_trials"),
     (("gen-fixture", "--kind", "hermitian", "--output", "{out}", "--n"),
      cli.MAX_FIXTURE_N, "random_hermitian"),
 ])
@@ -1468,7 +1498,7 @@ def test_size_flag_above_its_cap_exits_2_before_allocating(tmp_path, capsys, mon
     def refuse(*args, **kwargs):
         raise AssertionError(f"{builder} called above the cap")
 
-    monkeypatch.setattr(cli, builder, refuse)
+    monkeypatch.setattr({"_draw_trials": lorentz, "random_hermitian": cli}[builder], builder, refuse)
     out = tmp_path / "out.json"
     assert run(*[a.replace("{out}", str(out)) for a in argv], str(cap + 1)) == 2
     captured = capsys.readouterr()
@@ -1567,7 +1597,7 @@ def test_quantum_check_degree_bound_exits_2(tmp_path, capsys, degree):
 
 
 def test_quantum_check_nan_operator_fails_with_null_residual(monkeypatch, capsys):
-    exact = cli.m0_matrices
+    exact = quantum_rep.m0_matrices
 
     def with_nan(a_ops, k_ops):
         m0, m0d = exact(a_ops, k_ops)
@@ -1575,7 +1605,7 @@ def test_quantum_check_nan_operator_fails_with_null_residual(monkeypatch, capsys
         coeffs[0, 0] = np.nan  # a word of M0_(11), which meets every safe column
         return dataclasses.replace(m0, coeffs=coeffs), m0d
 
-    monkeypatch.setattr(cli, "m0_matrices", with_nan)
+    monkeypatch.setattr(quantum_rep, "m0_matrices", with_nan)
     assert run("quantum-check", "--degree", "3") == 3
     checks = strict_json(capsys.readouterr().out)["checks"]
     assert checks["closure"] == {

@@ -39,6 +39,32 @@ def test_no_private_names_imported_from_sibling_modules():
     assert offenders == []
 
 
+# What cli.py may import from the modules that own the checks' physics: each
+# command's check function and the argparse cap on lorentz-check's depth.
+CLI_IMPORTS_ALLOWED = {
+    "octonion": {"octonion_checks"},
+    "lorentz": {"lorentz_checks", "MAX_NEST_DEPTH"},
+    "quantum_rep": {"quantum_checks"},
+}
+
+
+def test_cli_imports_only_the_check_functions_and_no_residual():
+    """The CLI parses, reduces and writes; each check's maths stays in its module.
+    A whole module import ("*") from those three modules would get round the list."""
+    offenders = []
+    for node in ast.walk(ast.parse((PACKAGE_DIR / "cli.py").read_text())):
+        if isinstance(node, ast.Import):
+            names = [(alias.name.rpartition(".")[2], "*") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rpartition(".")[2]
+            names = [(module, alias.name) if module else (alias.name, "*") for alias in node.names]
+        else:
+            continue
+        offenders += [f"{module}.{name}" for module, name in names if name.endswith("_residual")
+                      or name not in CLI_IMPORTS_ALLOWED.get(module, {name})]
+    assert offenders == []
+
+
 # Public names that no code in src/ calls, each with the reason it stays.
 UNCALLED_ALLOWED = {
     "Octonion": "perfbench's tracer wraps Octonion.__init__ for octonion.objects",

@@ -427,8 +427,8 @@ def spectrum_of(case):
 _SIGMA_512 = np.linspace(0.0, np.pi, 513)
 GRIDS = {
     "csv": (np.array([[0.0], [0.5 * np.pi], [np.pi], [1.5 * np.pi]]), _SIGMA_512),
-    "quadrature": (np.array(cli._TAUS)[:, None], _SIGMA_512),
-    "checks": tuple(np.array([(t, s) for t in cli._TAUS for s in cli._SIGMAS]).T),
+    "quadrature": (np.array(string_modes._TAUS)[:, None], _SIGMA_512),
+    "checks": tuple(np.array([(t, s) for t in string_modes._TAUS for s in string_modes._SIGMAS]).T),
 }
 
 def agreement(ms, tau, sigma):
