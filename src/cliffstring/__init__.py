@@ -1,142 +1,21 @@
 """Octonion / split-Clifford computational algebra with a verification CLI."""
 
-from .octonion import Octonion, alternativity_check, conj_arrays, mul_arrays, norm_arrays
-from .matrices import (
-    NotHermitianError,
-    OctHermitian,
-    hermiticity_residual,
-    omat_adjoint,
-    omat_mul,
-)
-from .clifford import cliff_conj, cliff_inner, gram_matrix
-from .minkowski import (
-    EPS,
-    det2,
-    eta4,
-    matrix_to_vector,
-    sigma_set,
-    vector_to_matrix,
-)
-from .resolve import (
-    Resolution,
-    reconstruction_errors,
-    reconstruction_residual,
-    resolve_hermitian,
-    resolve_spacetime,
-    vectors,
-)
-from .lorentz import (
-    MixedSubspaceError,
-    act_vector,
-    boost_generator,
-    compatibility_residual,
-    contraction_residual,
-    factor_from_matrix,
-    make_factor,
-    phase_generator,
-    reflection_factor,
-    rotation_generator,
-)
-from .string_modes import (
-    ModeSpectrum,
-    NonpositiveTimeError,
-    PhysicalConstants,
-    charge_density_coefficients,
-    charge_quadrature,
-    coordinates,
-    current_density,
-    divergence_residual,
-    emission_bound,
-    endpoint_flux,
-    eom_residual,
-    mass_shell_residual,
-    momentum_vector,
-    redshift,
-    spectrum_from_json,
-    spectrum_to_json,
-)
-from .quantum_rep import (
-    PolySpace,
-    build_canonical,
-    canonical_residual,
-    integrality_residual,
-    jz_spectrum,
-    lorentz_closure_residual,
-    m0_matrices,
-    mixed_algebra_residual,
-    quaternion_pairs,
-    su2_closure_residual,
-    tensor_algebra_residual,
-    tensor_form,
-    three_vector_form,
-)
+from . import octonion, matrices, clifford, minkowski, resolve, lorentz, string_modes, quantum_rep
+from .octonion import *  # noqa: F401,F403
+from .matrices import *  # noqa: F401,F403
+from .clifford import *  # noqa: F401,F403
+from .minkowski import *  # noqa: F401,F403
+from .resolve import *  # noqa: F401,F403
+from .lorentz import *  # noqa: F401,F403
+from .string_modes import *  # noqa: F401,F403
+from .quantum_rep import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+# Each module's __all__ is the one list of its public names; the package
+# re-exports them all, in the order of the imports above.
 __all__ = [
-    "Octonion",
-    "alternativity_check",
-    "mul_arrays",
-    "conj_arrays",
-    "norm_arrays",
-    "OctHermitian",
-    "NotHermitianError",
-    "hermiticity_residual",
-    "omat_mul",
-    "omat_adjoint",
-    "cliff_inner",
-    "cliff_conj",
-    "gram_matrix",
-    "EPS",
-    "eta4",
-    "sigma_set",
-    "det2",
-    "vector_to_matrix",
-    "matrix_to_vector",
-    "Resolution",
-    "resolve_hermitian",
-    "resolve_spacetime",
-    "vectors",
-    "reconstruction_errors",
-    "reconstruction_residual",
-    "MixedSubspaceError",
-    "factor_from_matrix",
-    "make_factor",
-    "reflection_factor",
-    "boost_generator",
-    "rotation_generator",
-    "phase_generator",
-    "act_vector",
-    "compatibility_residual",
-    "contraction_residual",
-    "ModeSpectrum",
-    "PhysicalConstants",
-    "NonpositiveTimeError",
-    "coordinates",
-    "current_density",
-    "charge_density_coefficients",
-    "charge_quadrature",
-    "divergence_residual",
-    "endpoint_flux",
-    "eom_residual",
-    "momentum_vector",
-    "mass_shell_residual",
-    "redshift",
-    "emission_bound",
-    "spectrum_to_json",
-    "spectrum_from_json",
-    "PolySpace",
-    "build_canonical",
-    "canonical_residual",
-    "quaternion_pairs",
-    "mixed_algebra_residual",
-    "m0_matrices",
-    "lorentz_closure_residual",
-    "three_vector_form",
-    "su2_closure_residual",
-    "tensor_form",
-    "tensor_algebra_residual",
-    "jz_spectrum",
-    "integrality_residual",
-    "__version__",
-]
+    name
+    for module in (octonion, matrices, clifford, minkowski, resolve, lorentz, string_modes, quantum_rep)
+    for name in module.__all__
+] + ["__version__"]

@@ -137,16 +137,6 @@ def _texts(x: np.ndarray) -> np.ndarray:
     return text
 
 
-def _layout(shape: tuple, pad: str) -> str:
-    """The text _encode writes for a nested list of this shape, each entry a %s slot."""
-    text = "%s"
-    for depth in reversed(range(len(shape))):
-        size, close = shape[depth], pad + "  " * depth
-        inner = close + "  "
-        text = "[" + inner + ("," + inner).join([text] * size) + close + "]" if size else "[]"
-    return text
-
-
 def _checked(text: str) -> str:
     """text, or json's ValueError when it holds a NaN or inf float's repr."""
     if "n" in text:  # no finite float's repr holds an "n"; nan and inf do
@@ -300,12 +290,17 @@ def _max_norm(x: np.ndarray) -> float:
 
 
 def _separators(shape: tuple, pad: str) -> np.ndarray:
-    """The texts before, between and after the entries of _layout(shape, pad).
+    """The texts before, between and after the entries of a nested list of this
+    shape, as _encode writes it at pad.
 
     prod(shape) + 1 references to len(shape) + 2 str objects: the text
-    between two entries depends only on how many trailing axes wrap there.
+    between two entries depends only on how many trailing axes wrap there,
+    so the pieces are cut from a (2,) * len(shape) list of "%s" slots.
     """
-    parts = _layout((2,) * len(shape), pad).split("%s")
+    slots = "%s"
+    for _ in shape:
+        slots = [slots, slots]
+    parts = _encode(slots, pad).replace('"%s"', "%s").split("%s")
     size = math.prod(shape)
     seps = np.empty(size + 1, dtype=object)
     seps[:] = parts[1]  # one shared str; np.full would store a copy per slot

@@ -110,7 +110,10 @@ class OctHermitian:
         if "entries" in obj:
             h = cls(real_array(obj["entries"], "entries"), tol=tol)
             n = obj.get("n", h.n)
-            if isinstance(n, bool) or n != h.n:
+            # 1.0 == 1 and true == 1, so only an int can declare the size
+            if isinstance(n, bool) or not isinstance(n, int):
+                raise ValueError(f"declared n must be an integer, got {n!r}")
+            if n != h.n:
                 raise ValueError(f"declared n = {n!r}, but the entries are {h.n} x {h.n}")
             return h
         if {"a", "b", "c"} <= obj.keys():

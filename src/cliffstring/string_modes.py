@@ -431,6 +431,13 @@ def spectrum_to_json(ms: ModeSpectrum) -> dict:
     }
 
 
+def _required(obj: dict, key: str, where: str):
+    """obj[key], or a ValueError that names the missing key and where it is missing."""
+    if key not in obj:
+        raise ValueError(f"{where} has no {key!r}")
+    return obj[key]
+
+
 def spectrum_from_json(obj: dict) -> ModeSpectrum:
     values = [obj.get(name, 1.0) for name in ("ell", "m", "hbar")]
     for name, v in zip(("ell", "m", "hbar"), values):
@@ -438,16 +445,22 @@ def spectrum_from_json(obj: dict) -> ModeSpectrum:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ValueError(f"{name} must be a number, got {v!r}")
     consts = PhysicalConstants(*map(float, values))
+    entries = obj.get("modes", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"modes must be a list of objects, not {type(entries).__name__}")
     modes = {}
-    for t in obj.get("modes", []):
-        n = t["n"]
+    for i, t in enumerate(entries):
+        if not isinstance(t, dict):
+            raise ValueError(f"modes[{i}] must be an object, not {type(t).__name__}")
+        n = _required(t, "n", f"modes[{i}]")
         # int() would truncate 3.7 and read "3" or true as a mode number
         if isinstance(n, bool) or not isinstance(n, int):
             raise ValueError(f"mode index must be an integer, got {n!r}")
         if n in modes:
             raise ValueError(f"mode index {n} is listed twice")
-        modes[n] = (cmat_from_json(t["A"], f"A of mode {n}"),
-                    cmat_from_json(t["Anm"], f"Anm of mode {n}"))
-    k, c0 = (cmat_from_json(obj[name], name) for name in ("K", "C0"))
+        modes[n] = tuple(cmat_from_json(_required(t, name, f"mode {n}"), f"{name} of mode {n}")
+                         for name in ("A", "Anm"))
+    k, c0 = (cmat_from_json(_required(obj, name, "spectrum"), name) for name in ("K", "C0"))
     return ModeSpectrum(k, c0, modes, consts)
+
 

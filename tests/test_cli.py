@@ -1277,6 +1277,34 @@ def test_string_modes_repeated_mode_index_exits_2(tmp_path, capsys):
         capsys, "string-modes", "--spectrum", str(fix))
 
 
+@pytest.mark.parametrize("n", [1.0, True, "1", None])
+def test_resolve_non_integer_declared_n_exits_2(tmp_path, capsys, n):
+    # 1.0 == 1 and true == 1, so a size test alone would take the first two as n = 1
+    src = tmp_path / "h.json"
+    src.write_text(json.dumps({"n": n, "entries": [[[1, 0, 0, 0, 0, 0, 0, 0]]]}))
+    err = _rejected_with_one_line(capsys, "resolve", "--input", str(src))
+    assert f"declared n must be an integer, got {n!r}" in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda obj: obj.pop("K"), "spectrum has no 'K'"),
+    (lambda obj: obj.pop("C0"), "spectrum has no 'C0'"),
+    (lambda obj: next(t for t in obj["modes"] if t["n"] == 1).pop("A"), "mode 1 has no 'A'"),
+    (lambda obj: obj["modes"][0].pop("n"), "modes[0] has no 'n'"),
+    (lambda obj: obj.update(modes={"n": 1}), "modes must be a list of objects, not dict"),
+    (lambda obj: obj.update(modes=None), "modes must be a list of objects, not NoneType"),
+    (lambda obj: obj["modes"].append(1), "must be an object, not int"),
+], ids=["no K", "no C0", "no A", "no n", "modes object", "modes null", "mode not object"])
+def test_string_modes_malformed_spectrum_names_what_is_wrong(tmp_path, capsys, edit, message):
+    # a KeyError's text is the bare key ('K'), and the TypeError of iterating a
+    # dict or None names neither the key nor the field
+    fix = _spectrum_with_mode_one(tmp_path, lambda modes, entry: None)
+    obj = json.loads(fix.read_text())
+    edit(obj)
+    fix.write_text(json.dumps(obj))
+    assert message in _rejected_with_one_line(capsys, "string-modes", "--spectrum", str(fix))
+
+
 def test_every_subcommand_writes_strict_json(tmp_path, capsys):
     herm, spec = tmp_path / "h.json", tmp_path / "s.json"
     assert run("gen-fixture", "--kind", "hermitian", "--n", "3", "--seed", "1",

@@ -24,6 +24,41 @@ def test_every_exported_name_exists():
     assert missing == []
 
 
+# cliffstring.__all__ when it was a hand-kept copy of the modules' names; every
+# one of them must still be a package name.
+PACKAGE_NAMES_BEFORE = {
+    "EPS", "MixedSubspaceError", "ModeSpectrum", "NonpositiveTimeError", "NotHermitianError",
+    "OctHermitian", "Octonion", "PhysicalConstants", "PolySpace", "Resolution", "__version__",
+    "act_vector", "alternativity_check", "boost_generator", "build_canonical",
+    "canonical_residual", "charge_density_coefficients", "charge_quadrature", "cliff_conj",
+    "cliff_inner", "compatibility_residual", "conj_arrays", "contraction_residual",
+    "coordinates", "current_density", "det2", "divergence_residual", "emission_bound",
+    "endpoint_flux", "eom_residual", "eta4", "factor_from_matrix", "gram_matrix",
+    "hermiticity_residual", "integrality_residual", "jz_spectrum", "lorentz_closure_residual",
+    "m0_matrices", "make_factor", "mass_shell_residual", "matrix_to_vector",
+    "mixed_algebra_residual", "momentum_vector", "mul_arrays", "norm_arrays", "omat_adjoint",
+    "omat_mul", "phase_generator", "quaternion_pairs", "reconstruction_errors",
+    "reconstruction_residual", "redshift", "reflection_factor", "resolve_hermitian",
+    "resolve_spacetime", "rotation_generator", "sigma_set", "spectrum_from_json",
+    "spectrum_to_json", "su2_closure_residual", "tensor_algebra_residual", "tensor_form",
+    "three_vector_form", "vector_to_matrix", "vectors",
+}
+
+
+def test_package_surface_is_the_modules_all_joined():
+    """cliffstring.__all__ is every module's __all__ and __version__, each name once and
+    the module's own object, and it keeps every name it had as a hand-kept list."""
+    owners = [(m, importlib.import_module(f"cliffstring.{m}")) for m in MODULES]
+    joined = [(m, name) for m, mod in owners for name in getattr(mod, "__all__", ())]
+    names = cliffstring.__all__
+    assert len(set(names)) == len(names)
+    assert sorted(names) == sorted([name for _, name in joined] + ["__version__"])
+    modules = dict(owners)
+    assert [f"{m}.{name}" for m, name in joined
+            if getattr(cliffstring, name) is not getattr(modules[m], name)] == []
+    assert sorted(PACKAGE_NAMES_BEFORE - set(names)) == []
+
+
 def test_no_private_names_imported_from_sibling_modules():
     offenders = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):

@@ -184,7 +184,10 @@ def test_encoder_refuses_objects_json_cannot_write():
 
 @pytest.mark.parametrize("shape", [(1,), (3,), (1, 1, 8), (3, 4, 8), (2, 1, 3), (4, 1)])
 def test_separators_are_the_layout_pieces_and_shared(shape):
-    """resolve's table separators: _layout's text split at its slots, from len(shape) + 2 strs."""
+    """resolve's table separators: json's text of a nested list of this shape, with
+    each entry a %s slot and every line one level in, split at its slots, from
+    len(shape) + 2 strs."""
     seps = cli._separators(shape, "\n  ").tolist()
-    assert seps == cli._layout(shape, "\n  ").split("%s")
+    layout = json.dumps(np.full(shape, "%s").tolist(), indent=2).replace("\n", "\n  ")
+    assert seps == layout.replace('"%s"', "%s").split("%s")
     assert len({id(s) for s in seps}) <= len(shape) + 2
