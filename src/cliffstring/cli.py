@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -47,8 +46,9 @@ CSV_BLOCK = 128
 MAX_DEGREE = 20
 
 # Largest gen-fixture --n: the hermitian fixture is one draw into an
-# (n, n, 8) array (13 ms at n = 256); writing it dominates, and n = 256
-# takes about 1 s, 121 MB and a 15 MB file.
+# (n, n, 8) array (13 ms at n = 256); writing it dominates (json.dumps's
+# indent path, 0.84 s at n = 256), and n = 256 takes 1.1-1.6 s, 126 MB and a
+# 15 MB file in a fresh process (one BLAS thread, 2-core Xeon VM).
 MAX_FIXTURE_N = 256
 
 # Default tolerance per named check; each is its command's --tol.<name> flag's default.
@@ -137,51 +137,10 @@ def _texts(x: np.ndarray) -> np.ndarray:
     return text
 
 
-def _checked(text: str) -> str:
-    """text, or json's ValueError when it holds a NaN or inf float's repr."""
-    if "n" in text:  # no finite float's repr holds an "n"; nan and inf do
-        bad = next(t for t in text.split(",") if "n" in t).strip()
-        raise ValueError(f"Out of range float values are not JSON compliant: {bad}")
-    return text
-
-
-def _encode(x, pad: str = "\n") -> str:
-    """x as json.dumps(x, indent=2, sort_keys=True, allow_nan=False) writes it.
-
-    Takes str-keyed dicts, lists, tuples, str, int, float, bool and None,
-    numpy scalars as their item() and arrays as their tolist().  pad is the
-    newline and indentation that close x.  A NaN or inf raises json's
-    ValueError.
-    """
-    kind = type(x)
-    if kind is dict:
-        if not x:
-            return "{}"
-        inner = pad + "  "
-        items = [f"{encode_basestring_ascii(k)}: {_encode(x[k], inner)}" for k in sorted(x)]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if kind is list or kind is tuple:
-        if not x:
-            return "[]"
-        inner = pad + "  "
-        if all(type(v) is float for v in x):
-            return "[" + inner + _checked(("," + inner).join(map(repr, x))) + pad + "]"
-        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in x]) + pad + "]"
-    if kind is str:
-        return encode_basestring_ascii(x)
-    if kind is int:
-        return int.__repr__(x)
-    if kind is float:
-        return _checked(repr(x))
-    if x is None:
-        return "null"
-    if kind is bool:
-        return "true" if x else "false"
-    if isinstance(x, np.ndarray):
-        return _encode(x.tolist(), pad)
-    if isinstance(x, np.generic):
-        return _encode(x.item(), pad)
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+def _json(obj, pad: str = "\n") -> str:
+    """obj as strict JSON, keys sorted and indented by 2; pad is the newline and
+    indentation that close it (json escapes a newline inside a string)."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False).replace("\n", pad)
 
 
 # Characters per write: a report is encoded a slice at a time, never copied whole.
@@ -198,11 +157,11 @@ def _write_text(fh, text: str) -> None:
 def _dump_json(obj, path) -> int:
     """Write obj as strict JSON and return 0, or write nothing and return 3 on NaN or inf.
 
-    obj is a tree for _encode, or a function that returns the tree's JSON text.
-    The whole text is formed before any file opens.
+    obj is a tree of plain Python values for _json, or a function that returns
+    the tree's JSON text.  The whole text is formed before any file opens.
     """
     try:
-        text = obj() if callable(obj) else _encode(obj)
+        text = obj() if callable(obj) else _json(obj)
     except ValueError as exc:
         print(f"cliffstring: report not written: {exc}", file=sys.stderr)
         return 3
@@ -291,7 +250,7 @@ def _max_norm(x: np.ndarray) -> float:
 
 def _separators(shape: tuple, pad: str) -> np.ndarray:
     """The texts before, between and after the entries of a nested list of this
-    shape, as _encode writes it at pad.
+    shape, as _json writes it at pad.
 
     prod(shape) + 1 references to len(shape) + 2 str objects: the text
     between two entries depends only on how many trailing axes wrap there,
@@ -300,7 +259,7 @@ def _separators(shape: tuple, pad: str) -> np.ndarray:
     slots = "%s"
     for _ in shape:
         slots = [slots, slots]
-    parts = _encode(slots, pad).replace('"%s"', "%s").split("%s")
+    parts = _json(slots, pad).replace('"%s"', "%s").split("%s")
     size = math.prod(shape)
     seps = np.empty(size + 1, dtype=object)
     seps[:] = parts[1]  # one shared str; np.full would store a copy per slot
@@ -312,7 +271,7 @@ def _separators(shape: tuple, pad: str) -> np.ndarray:
 
 
 def _resolve_text(out: dict, coeffs: np.ndarray) -> str:
-    """_encode(out) with a, b (coeffs[0], coeffs[1]) and their vectors added.
+    """_json(out) with a, b (coeffs[0], coeffs[1]) and their vectors added.
 
     One join of separator texts with coefficient texts, every coefficient
     formatted once and every repeated separator one shared str.  a and b are
@@ -328,7 +287,7 @@ def _resolve_text(out: dict, coeffs: np.ndarray) -> str:
     # a term sits four levels into the report: vectors, vector, terms, term;
     # its ten slots are the coefficients, k and kind, in key order
     pad = "\n" + "  " * 4
-    term = _encode({"coeff": ["%s"] * 8, "k": "%s", "kind": "%s"}, pad).replace('"%s"', "%s")
+    term = _json({"coeff": ["%s"] * 8, "k": "%s", "kind": "%s"}, pad).replace('"%s"', "%s")
     first, *inner, last = term.split("%s")
     # per (vector i, kind, k) with a nonzero coefficient: ten separators and ten texts in turn
     vector, kind, k = np.nonzero(np.any(coeffs, axis=3).swapaxes(0, 1))
@@ -341,7 +300,7 @@ def _resolve_text(out: dict, coeffs: np.ndarray) -> str:
     counts = np.bincount(vector, minlength=n).tolist()
     skeleton = dict(out, a="%s", b="%s",
                     vectors=[{"n": n, "terms": ["%s"] if c else []} for c in counts])
-    head, between, *rest = _encode(skeleton).replace('"%s"', "%s").split("%s")
+    head, between, *rest = _json(skeleton).replace('"%s"', "%s").split("%s")
     if vector.size:
         # the text before each vector's first term, and after the last term
         starts = np.flatnonzero(np.diff(vector, prepend=-1))
@@ -369,11 +328,11 @@ def cmd_resolve(args) -> int:
         "max_residual": residual,
         "tolerance": float(args.tol),
         "pass": bool(ok),
-        "perm": res.perm,
+        "perm": res.perm.tolist(),
         "pivots": res.pivots,
         # max|a, b| / max|H|; undefined (null) for the zero matrix
         "growth": cmax / hmax if hmax > 0 else None,
-        "worst_entry": list(np.unravel_index(np.argmax(errors), errors.shape)),
+        "worst_entry": [int(i) for i in np.unravel_index(np.argmax(errors), errors.shape)],
     }
     text = functools.partial(_resolve_text, out, coeffs)
     return _dump_json(text, args.output) or (0 if ok else 3)

@@ -121,8 +121,11 @@ class OctHermitian:
             if c.shape != (8,):
                 raise ValueError("off-diagonal entry needs 8 coefficients")
             data = np.zeros((2, 2, 8))
-            data[0, 0, 0] = real_array(obj["a"], "a")
-            data[1, 1, 0] = real_array(obj["b"], "b")
+            for i, key in enumerate("ab"):
+                value = real_array(obj[key], key)
+                if value.ndim:
+                    raise ValueError(f"{key} must be a real number, got {obj[key]!r}")
+                data[i, i, 0] = value
             data[0, 1] = c
             data[1, 0] = conj_arrays(c)
             return cls(data, tol=tol)

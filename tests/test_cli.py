@@ -1148,6 +1148,24 @@ def test_nonfinite_report_exits_3_without_writing(tmp_path, capsys, monkeypatch)
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_nonfinite_residual_report_is_refused_whole(tmp_path, capsys, monkeypatch, bad):
+    def bad_errors(res, h):
+        errors = np.zeros((h.n, h.n))
+        errors[0, 1] = bad
+        return errors
+
+    monkeypatch.setattr(cli, "reconstruction_errors", bad_errors)
+    src, out = tmp_path / "h.json", tmp_path / "out.json"
+    src.write_text(json.dumps({"a": 2.0, "b": 1.0, "c": [1.0] + [0.0] * 7}))
+    assert run("resolve", "--input", str(src), "--output", str(out)) == 3
+    captured = capsys.readouterr()
+    assert not out.exists()
+    assert captured.out == ""
+    assert captured.err == ("cliffstring: report not written: "
+                            f"Out of range float values are not JSON compliant: {bad!r}\n")
+
+
 def test_resolve_nan_entry_exits_2(tmp_path, capsys):
     src = tmp_path / "h.json"
     src.write_text(json.dumps({"a": 2.0, "b": 1.0, "c": [float("nan")] + [0.0] * 7}))
@@ -1179,6 +1197,17 @@ def test_resolve_compact_form_non_number_exits_2(tmp_path, capsys, a, b, c0):
     src.write_text(json.dumps({"a": a, "b": b, "c": [c0, 0, 0, 0, 0, 0, 0, 0]}))
     err = _rejected_with_one_line(capsys, "resolve", "--input", str(src))
     assert "must hold real numbers" in err
+
+
+@pytest.mark.parametrize("key", ["a", "b"])
+@pytest.mark.parametrize("bad", [[1.0], [[1.0]], [], [1.0, 2.0]])
+def test_resolve_compact_form_non_scalar_diagonal_exits_2(tmp_path, capsys, key, bad):
+    obj = {"a": 1.0, "b": 2.0, "c": [0.5, 0, 0, 0, 0, 0, 0, 0]}
+    obj[key] = bad
+    src = tmp_path / "h.json"
+    src.write_text(json.dumps(obj))
+    err = _rejected_with_one_line(capsys, "resolve", "--input", str(src))
+    assert f"{key} must be a real number, got {bad!r}" in err
 
 
 @pytest.mark.parametrize("bad", [True, "0.5", None])

@@ -1,4 +1,5 @@
-"""The CLI's report encoder writes what json.dumps writes, byte for byte."""
+"""The CLI writes what json.dumps writes, byte for byte: its report writer,
+resolve's one-join text and the float texts that text is built from."""
 
 import json
 
@@ -8,24 +9,18 @@ import pytest
 from cliffstring import cli
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 1e308, 0.1, -2.5, 1.0]
-STRINGS = ["", "a", "kind", "é", "日本", "tab\there", "nul\x00", "\x1f\x7f", " ", "😀", '"\\/']
-
-
-def _plain(x):
-    """The builtins json.dumps takes for a report tree (numpy items and lists)."""
-    if isinstance(x, dict):
-        return {k: _plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, np.generic):
-        return x.item()
-    return x
+STRINGS = ["", "a", "kind", "é", "日本", "tab\there", "nul\x00", "\x1f\x7f", " ", "😀", '"\\/']
 
 
 def oracle(tree):
-    return json.dumps(_plain(tree), indent=2, sort_keys=True, allow_nan=False)
+    return json.dumps(tree, indent=2, sort_keys=True, allow_nan=False)
+
+
+def refusal(tree):
+    """json's message refusing a tree that holds a NaN or inf."""
+    with pytest.raises(ValueError) as expected:
+        oracle(tree)
+    return str(expected.value)
 
 
 def _float(rng):
@@ -34,45 +29,21 @@ def _float(rng):
     return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-320, 308))
 
 
-def _array(rng):
-    kind = rng.integers(6)
-    if kind == 0:  # empty, 0-d and int arrays
-        shapes = [(0,), (2, 0), (0, 3), ()]
-        return rng.normal(size=shapes[rng.integers(len(shapes))])
-    if kind == 1:
-        return np.asarray(rng.integers(-5, 5, size=rng.integers(0, 4, size=rng.integers(3))))
-    shape = tuple(rng.integers(1, 4, size=rng.integers(1, 4)))
-    x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 17)
-    x[rng.random(shape) < 0.4] = 0.0
-    x[rng.random(shape) < 0.2] = -0.0
-    if kind == 2:
-        x.flat[:len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[:x.size]
-    if kind == 3:
-        return x.astype(np.float32)
-    return x
-
-
 def _leaf(rng):
-    kind = rng.integers(10)
+    kind = rng.integers(6)
     if kind == 0:
         return STRINGS[rng.integers(len(STRINGS))]
     if kind == 1:
         return int(rng.integers(-10**6, 10**6)) * 10 ** int(rng.integers(0, 25))
     if kind == 2:
-        return [np.int8(-7), np.int64(2**62), np.uint64(2**64 - 1), np.intp(3)][rng.integers(4)]
+        return bool(rng.integers(2))
     if kind == 3:
-        return [True, False, np.bool_(True), np.bool_(False)][rng.integers(4)]
-    if kind == 4:
         return None
-    if kind == 5:
-        return np.float64(_float(rng))
-    if kind == 6:
-        return _array(rng)
     return _float(rng)
 
 
 def _tree(rng, depth):
-    kind = rng.integers(6) if depth else 5
+    kind = rng.integers(4) if depth else 3
     size = rng.integers(0, 5)
     if kind == 0:
         keys = [STRINGS[i] for i in rng.integers(len(STRINGS), size=size)]
@@ -80,43 +51,50 @@ def _tree(rng, depth):
     if kind == 1:
         return [_tree(rng, depth - 1) for _ in range(size)]
     if kind == 2:
-        return tuple(_tree(rng, depth - 1) for _ in range(size))
-    if kind == 3:  # a list of plain floats takes the encoder's one-join path
         return [_float(rng) for _ in range(size)]
     return _leaf(rng)
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_encoder_matches_json_dumps_on_random_trees(seed):
+def test_encoder_matches_json_dumps_on_random_trees(seed, tmp_path, capsys):
+    """_dump_json writes json's text and a newline, to a file or to stdout; the
+    last tree spans several write slices."""
     rng = np.random.default_rng(seed)
-    for _ in range(250):
-        tree = _tree(rng, int(rng.integers(1, 5)))
-        assert cli._encode(tree) == oracle(tree)
+    path = tmp_path / "report.json"
+    trees = [_tree(rng, int(rng.integers(1, 5))) for _ in range(250)]
+    trees.append({"x": [_float(rng) for _ in range(3 * cli._WRITE_CHUNK // 20)]})
+    for tree in trees:
+        assert cli._dump_json(tree, path) == 0
+        assert cli._dump_json(tree, None) == 0
+        assert path.read_text() == capsys.readouterr().out == oracle(tree) + "\n"
 
 
 def test_encoder_writes_zeros_and_signs_of_arrays_and_lists():
     x = np.array([[0.0, -0.0, 1e16], [1e-7, -5e-324, 0.0]])
-    tree = {"array": x, "list": x.ravel().tolist(), "scalars": list(map(np.float64, x.ravel()))}
-    assert cli._encode(tree) == oracle(tree)
-    assert '"array": [\n    [\n      0.0,\n      -0.0,\n      1e+16\n    ],' in cli._encode(tree)
+    texts = cli._texts(x).tolist()
+    assert texts == [json.dumps(v) for v in x.ravel().tolist()]
+    assert texts[:3] == ["0.0", "-0.0", "1e+16"]
+    assert json.dumps(x.ravel().tolist()) == "[" + ", ".join(texts) + "]"
 
 
 @pytest.mark.parametrize("shape", [(2, 0), (0, 3), (1,), (), (0,), (2, 1, 3)])
 @pytest.mark.parametrize("where", ["top", "nested"])
 def test_encoder_writes_float_arrays_of_every_shape(shape, where):
+    """_texts gives json's text of each entry in C order, for an array or for a
+    strided view of it nested in a larger one."""
     x = np.random.default_rng(len(shape)).normal(size=shape)
     x[x < -0.5] = -0.0
     for y in (x, -x, np.zeros(shape), -np.zeros(shape)):
-        tree = y if where == "top" else {"a": [y, {"b": y}], "z": y}
-        assert cli._encode(tree) == oracle(tree)
+        view = y if where == "top" else np.stack([-y, y], axis=-1)[..., 1]
+        assert cli._texts(view).tolist() == [json.dumps(v) for v in y.ravel().tolist()]
 
 
 def _resolve_tree(out, a, b):
     """The resolve report as a tree: out with a, b and each row's nonzero terms."""
-    terms = [[{"coeff": x[i, k], "k": k + 1, "kind": kind}
+    terms = [[{"coeff": x[i, k].tolist(), "k": k + 1, "kind": kind}
               for kind, x in (("E", a), ("F", b)) for k in range(len(a)) if np.any(x[i, k])]
              for i in range(len(a))]
-    return dict(out, a=a, b=b, vectors=[{"n": len(a), "terms": t} for t in terms])
+    return dict(out, a=a.tolist(), b=b.tolist(), vectors=[{"n": len(a), "terms": t} for t in terms])
 
 
 def test_encoder_writes_resolve_tables():
@@ -134,21 +112,21 @@ def test_encoder_writes_resolve_tables():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("where", ["scalar", "numpy", "list", "array", "nested array"])
-def test_encoder_refuses_nonfinite_floats_as_json_does(bad, where):
-    if where == "scalar":
-        tree = {"a": 1.0, "b": bad}
-    elif where == "numpy":
-        tree = {"b": [np.float64(bad)]}
-    elif where == "list":
-        tree = [1.0, 0.0, bad, 2.0]
-    else:
+def test_encoder_refuses_nonfinite_floats_as_json_does(tmp_path, capsys, bad, where):
+    """A report tree is refused whole with json's message; an array's texts raise it."""
+    if where in ("array", "nested array"):
         x = np.array([[1.0, 0.0, -0.0], [2.0, bad, -bad]])
-        tree = {"z": x, "a": "first"} if where == "array" else [{"x": [x]}]
-    with pytest.raises(ValueError) as expected:
-        oracle(tree)
-    with pytest.raises(ValueError) as got:
-        cli._encode(tree)
-    assert str(got.value) == str(expected.value)
+        x = x if where == "array" else x[None, None]
+        with pytest.raises(ValueError) as got:
+            cli._texts(x)
+        assert str(got.value) == refusal(x.tolist())
+        return
+    tree = {"scalar": {"a": 1.0, "b": bad}, "numpy": {"b": [np.float64(bad)]},
+            "list": [1.0, 0.0, bad, 2.0]}[where]
+    path = tmp_path / "report.json"
+    assert cli._dump_json(tree, path) == 3
+    assert not path.exists()
+    assert capsys.readouterr() == ("", f"cliffstring: report not written: {refusal(tree)}\n")
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -157,12 +135,10 @@ def test_encoder_names_the_first_nonfinite_entry_of_an_array(bad, at):
     x = np.array([1.0, 0.0, -0.0, 2.5, 1e300, 5e-324, -1.0, 3.0])
     x[at] = bad
     x[at + 1:] = {"nan": np.inf, "inf": -np.inf, "-inf": np.nan}[repr(bad)]  # a later, other one
-    for tree in (x.reshape(2, 4), {"a": 1.0, "b": [x]}):
-        with pytest.raises(ValueError) as expected:
-            oracle(tree)
+    for y in (x.reshape(2, 4), x[None]):
         with pytest.raises(ValueError) as got:
-            cli._encode(tree)
-        assert str(got.value) == str(expected.value)
+            cli._texts(y)
+        assert str(got.value) == refusal(y.tolist())
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -170,16 +146,18 @@ def test_resolve_text_refuses_nonfinite_coefficients_as_json_does(bad):
     coeffs = np.zeros((2, 2, 2, 8))
     coeffs[1, 0, 1, 2] = bad
     out = {"command": "resolve", "n": 2}
-    with pytest.raises(ValueError) as expected:
-        oracle(_resolve_tree(out, *coeffs))
     with pytest.raises(ValueError) as got:
         cli._resolve_text(out, coeffs)
-    assert str(got.value) == str(expected.value)
+    assert str(got.value) == refusal(_resolve_tree(out, *coeffs))
 
 
-def test_encoder_refuses_objects_json_cannot_write():
-    with pytest.raises(TypeError):
-        cli._encode({"x": object()})
+def test_encoder_refuses_objects_json_cannot_write(capsys):
+    """A value json cannot write, a numpy integer or array among them, is a fault
+    in the report's builder: TypeError, not a refused report, and nothing is written."""
+    for value in (object(), np.int64(1), np.zeros(1)):
+        with pytest.raises(TypeError):
+            cli._dump_json({"x": value}, None)
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("shape", [(1,), (3,), (1, 1, 8), (3, 4, 8), (2, 1, 3), (4, 1)])
