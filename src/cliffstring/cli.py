@@ -9,7 +9,6 @@ byte-identical output.
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -46,9 +45,10 @@ CSV_BLOCK = 128
 MAX_DEGREE = 20
 
 # Largest gen-fixture --n: the hermitian fixture is one draw into an
-# (n, n, 8) array (13 ms at n = 256); writing it dominates (json.dumps's
-# indent path, 0.84 s at n = 256), and n = 256 takes 1.1-1.6 s, 126 MB and a
-# 15 MB file in a fresh process (one BLAS thread, 2-core Xeon VM).
+# (n, n, 8) array (13 ms at n = 256); writing it dominates (a float repr per
+# entry and one join of the table's pieces, 0.47 s at n = 256), and n = 256
+# takes 0.85-1.1 s, 114 MB and a 16 MB file in a fresh process (one BLAS
+# thread, 2-core Xeon VM).
 MAX_FIXTURE_N = 256
 
 # Default tolerance per named check; each is its command's --tol.<name> flag's default.
@@ -137,10 +137,9 @@ def _texts(x: np.ndarray) -> np.ndarray:
     return text
 
 
-def _json(obj, pad: str = "\n") -> str:
-    """obj as strict JSON, keys sorted and indented by 2; pad is the newline and
-    indentation that close it (json escapes a newline inside a string)."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False).replace("\n", pad)
+def _json(obj) -> str:
+    """obj as strict JSON, keys sorted and indented by 2."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
 # Characters per write: a report is encoded a slice at a time, never copied whole.
@@ -248,66 +247,59 @@ def _max_norm(x: np.ndarray) -> float:
     return float(np.ldexp(np.max(np.linalg.norm(np.ldexp(x, -e), axis=-1)), e))
 
 
-def _separators(shape: tuple, pad: str) -> np.ndarray:
-    """The texts before, between and after the entries of a nested list of this
-    shape, as _json writes it at pad.
+def _table(texts: np.ndarray) -> list:
+    """The pieces of json's text of an (n, m, k) table, from its entries' texts,
+    where the table is a top-level key's value.
 
-    prod(shape) + 1 references to len(shape) + 2 str objects: the text
-    between two entries depends only on how many trailing axes wrap there,
-    so the pieces are cut from a (2,) * len(shape) list of "%s" slots.
+    The entries alternate with json's five separators: before the first
+    entry, between two entries of a line, between two lines, between two rows
+    and after the last entry.  Each is one shared str, so the join of the
+    pieces is the table's text.
     """
-    slots = "%s"
-    for _ in shape:
-        slots = [slots, slots]
-    parts = _json(slots, pad).replace('"%s"', "%s").split("%s")
-    size = math.prod(shape)
-    seps = np.empty(size + 1, dtype=object)
-    seps[:] = parts[1]  # one shared str; np.full would store a copy per slot
-    for depth in range(1, len(shape)):
-        stride = math.prod(shape[-depth:])
-        seps[stride:size:stride] = parts[2 ** depth]
-    seps[0], seps[-1] = parts[0], parts[-1]
-    return seps
+    pieces = np.empty(texts.shape + (2,), dtype=object)
+    pieces[..., 0] = texts
+    pieces[..., 1] = ",\n        "
+    pieces[:, :, -1, 1] = "\n      ],\n      [\n        "
+    pieces[:, -1, -1, 1] = "\n      ]\n    ],\n    [\n      [\n        "
+    pieces[-1, -1, -1, 1] = "\n      ]\n    ]\n  ]"
+    return ["[\n    [\n      [\n        ", *pieces.ravel().tolist()]
 
 
 def _resolve_text(out: dict, coeffs: np.ndarray) -> str:
     """_json(out) with a, b (coeffs[0], coeffs[1]) and their vectors added.
 
-    One join of separator texts with coefficient texts, every coefficient
-    formatted once and every repeated separator one shared str.  a and b are
-    tables; vector i's terms v_i = sum_k a_ik (x) e_k + b_ik (x) f_k, in
-    (kind, k) order with zero terms left out (the nonzero E and F slots of
-    resolve.vectors), repeat the same texts.
+    One join of separators and coefficient texts, every coefficient formatted
+    once.  a and b are tables; vector i's terms v_i = sum_k a_ik (x) e_k +
+    b_ik (x) f_k, in (kind, k) order with zero terms left out (the nonzero E
+    and F slots of resolve.vectors), repeat the same texts.
     """
     n = coeffs.shape[1]
-    texts = _texts(coeffs)
-    tables = np.empty((2, texts.size + 1), dtype=object)  # a's and b's n * n * 8 slots
-    tables[:, ::2] = _separators(coeffs.shape[1:], "\n  ")
-    tables[:, 1::2] = texts.reshape(2, -1)
-    # a term sits four levels into the report: vectors, vector, terms, term;
-    # its ten slots are the coefficients, k and kind, in key order
-    pad = "\n" + "  " * 4
-    term = _json({"coeff": ["%s"] * 8, "k": "%s", "kind": "%s"}, pad).replace('"%s"', "%s")
-    first, *inner, last = term.split("%s")
-    # per (vector i, kind, k) with a nonzero coefficient: ten separators and ten texts in turn
-    vector, kind, k = np.nonzero(np.any(coeffs, axis=3).swapaxes(0, 1))
-    terms = np.empty((vector.size, 20), dtype=object)
-    terms[:, ::2] = [last + "," + pad + first, *inner]
-    terms[:, 1:17:2] = texts.reshape(coeffs.shape)[kind, vector, k]
-    terms[:, 17] = np.array([str(m) for m in range(1, n + 1)], dtype=object)[k]
-    terms[:, 19] = np.array(['"E"', '"F"'], dtype=object)[kind]
+    texts = _texts(coeffs).reshape(coeffs.shape)
     # out's own values are numbers and fixed names, so they hold no "%s"
-    counts = np.bincount(vector, minlength=n).tolist()
-    skeleton = dict(out, a="%s", b="%s",
-                    vectors=[{"n": n, "terms": ["%s"] if c else []} for c in counts])
-    head, between, *rest = _json(skeleton).replace('"%s"', "%s").split("%s")
-    if vector.size:
-        # the text before each vector's first term, and after the last term
-        starts = np.flatnonzero(np.diff(vector, prepend=-1))
-        terms[starts, 0] = [rest[0] + first, *[last + r + first for r in rest[1:-1]]]
-        rest = [last + rest[-1]]
-    return "".join([head, *tables[0].tolist(), between, *tables[1].tolist(),
-                    *terms.ravel().tolist(), *rest])
+    head, a_to_b, b_to_vectors, tail = _json(dict(out, a="%s", b="%s", vectors="%s")).split('"%s"')
+    # per nonzero term, in (vector i, kind, k) order: its coefficients, each
+    # followed by the text after it, the last by the term's "k", "kind" and end
+    live = np.any(coeffs, axis=3).swapaxes(0, 1)
+    _, kind, k = np.nonzero(live)
+    ends = np.array([[f'\n          ],\n          "k": {m},\n          "kind": "{name}"\n        }}'
+                      for m in range(1, n + 1)] for name in "EF"], dtype=object)
+    terms = np.empty((kind.size, 16), dtype=object)
+    terms[:, ::2] = texts.swapaxes(0, 1)[live]
+    terms[:, 1:15:2] = ",\n            "
+    terms[:, 15] = ends[kind, k]
+    rows = iter(terms.tolist())
+    vector = f'{{\n      "n": {n},\n      "terms": ['
+    term = '\n        {\n          "coeff": [\n            '
+    next_term = "," + term
+    pieces = [head, *_table(texts[0]), a_to_b, *_table(texts[1]), b_to_vectors, "["]
+    for i, count in enumerate(live.sum(axis=(1, 2)).tolist()):
+        pieces.append((",\n    " if i else "\n    ") + vector)
+        for j in range(count):
+            pieces.append(next_term if j else term)
+            pieces += next(rows)
+        pieces.append("\n      ]\n    }" if count else "]\n    }")
+    pieces += ["\n  ]", tail]
+    return "".join(pieces)
 
 
 def cmd_resolve(args) -> int:
@@ -595,7 +587,9 @@ def cmd_gen_fixture(args) -> int:
     seed = _resolve_seed(args.seed)
     rng = np.random.default_rng(seed)
     if args.kind == "hermitian":
-        obj = random_hermitian(rng, args.n).to_json()
+        entries = _texts(random_hermitian(rng, args.n).data).reshape(args.n, args.n, 8)
+        head, tail = _json({"entries": "%s", "n": args.n}).split('"%s"')
+        obj = functools.partial("".join, [head, *_table(entries), tail])
     elif args.kind == "spectrum":
         obj = spectrum_to_json(random_spectrum(rng))
     else:

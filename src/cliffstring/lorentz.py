@@ -37,7 +37,6 @@ import functools
 
 import numpy as np
 
-from .fixtures import random_spinor
 from .octonion import mul_arrays, conj_arrays
 from .matrices import omat_mul, omat_adjoint
 from .minkowski import det2
@@ -310,5 +309,6 @@ def lorentz_checks(rng: np.random.Generator, trials: int, nest_depth: int) -> di
             # np.maximum keeps a NaN residual, which Python's max would drop
             worst[name] = np.maximum(worst[name], np.max(r))
     out = {name: (worst[name], trials) for name in worst}
-    out["mixed_control"] = (compatibility_residual(_mixed_control(), random_spinor(rng)), 1)
+    spinor = rng.uniform(-1.0, 1.0, (2, 8))  # as fixtures.random_spinor draws it
+    out["mixed_control"] = (compatibility_residual(_mixed_control(), spinor), 1)
     return out

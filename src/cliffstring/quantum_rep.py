@@ -592,7 +592,10 @@ def jz_residual(pairs: CanonicalPairs, m0: Family, m0d: Family) -> float:
     """Gap of J^z = i/2 (M0_(12) - M0dag_(12)) = Q_1 R_2 - Q_2 R_1, in units of hbar.
 
     Both sides are of degree 1 in hbar, so the gap over the safe columns,
-    divided by hbar, does not scale with it.
+    divided by hbar, does not scale with it: families built at hbar times a
+    power of two give the same bits while nothing under- or overflows.  At a
+    subnormal hbar M0's halvings round by whole units of hbar, so
+    quantum_checks builds them at hbar scaled into [1, 2).
     """
     w = 0.5j * (np.eye(8)[[1]] - np.eye(8)[[4 + 1]])       # i/2 (M0_(12) - M0dag_(12))
     qr = np.eye(16)[[4 * 2 + 1]] - np.eye(16)[[4 * 1 + 2]]  # -(Q_1 R_2 - Q_2 R_1)
@@ -630,6 +633,11 @@ def quantum_checks(degree: int, hbar: float) -> tuple:
     n, nd = three_vector_form(m0, m0d)
     mt = tensor_form(m0, m0d)
     vals = jz_spectrum(degree, hbar)
+    jz_ops = (pairs, m0, m0d)
+    unit = math.ldexp(hbar, 1 - math.frexp(hbar)[1])  # exact, in [1, 2)
+    if unit != hbar:
+        unit_pairs = build_canonical(degree, unit)
+        jz_ops = (unit_pairs, *m0_matrices(*quaternion_pairs(unit_pairs)))
     residuals = {
         "canonical": canonical_residual(pairs),
         "mixed": mixed_algebra_residual(a_ops, k_ops, space, hbar),
@@ -637,7 +645,7 @@ def quantum_checks(degree: int, hbar: float) -> tuple:
         "su2": su2_closure_residual(n, nd, space, hbar),
         "tensor": tensor_algebra_residual(mt, space, hbar),
         "roundtrip": spinor_tensor_roundtrip_residual(m0, mt, space),
-        "jz_integrality": np.max([jz_residual(pairs, m0, m0d),  # np.max keeps a NaN
+        "jz_integrality": np.max([jz_residual(*jz_ops),  # np.max keeps a NaN
                                   integrality_residual(vals, hbar)]),
     }
     return {name: (r, 1) for name, r in residuals.items()}, space.dim, vals

@@ -868,14 +868,26 @@ def test_quantum_check_passes_at_subnormal_residuals(capsys, degree, hbar):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("hbar", ["1e-310", "1e-320"])
 def test_quantum_check_passes_at_a_subnormal_hbar(capsys, hbar):
-    """A subnormal hbar keeps few bits, so M0 and Q R round differently and
-    jz_integrality reads their gap in units of hbar (about 1e-13 at 1e-310)."""
+    """A subnormal hbar keeps few bits; jz_integrality reads J^z's gap in units
+    of hbar on families built at hbar scaled by a power of two, so no halving
+    of M0 rounds there (the gap read about 1e-13 at 1e-310 without it)."""
     assert run("quantum-check", "--degree", "3", "--hbar", hbar) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     checks = strict_json(captured.out)["checks"]
     assert 0.0 <= checks["jz_integrality"]["max_residual"] < 1e-12
     assert all(check["pass"] for check in checks.values())
+
+
+@pytest.mark.filterwarnings("error")
+def test_quantum_check_jz_gap_is_exact_at_every_small_subnormal_hbar(capsys):
+    """hbar = k 5e-324 holds k exactly; halving M0 at that hbar would round each
+    odd k by half a unit, a gap of up to 2.0 in units of hbar (k = 1)."""
+    for k in range(1, 40):
+        hbar = repr(k * 5e-324)
+        assert run("quantum-check", "--degree", "3", "--hbar", hbar) == 0, hbar
+        checks = strict_json(capsys.readouterr().out)["checks"]
+        assert checks["jz_integrality"]["max_residual"] == 0.0, hbar
 
 
 # the checks that fail where the residuals are round-off, of size u hbar or u hbar^2

@@ -100,6 +100,27 @@ def test_cli_imports_only_the_check_functions_and_no_residual():
     assert offenders == []
 
 
+def _imported_modules(path):
+    """The last dotted part of each module that a source file imports, or imports from."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.rpartition(".")[2] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rpartition(".")[2]
+            names |= {module} if module else {alias.name for alias in node.names}
+    return names
+
+
+def test_only_the_cli_imports_fixtures():
+    """The library's modules draw their own random values; fixtures imports
+    matrices, octonion and string_modes, so a library import of it could close
+    a cycle through them."""
+    importers = [path.name for path in sorted(PACKAGE_DIR.glob("*.py"))
+                 if "fixtures" in _imported_modules(path)]
+    assert importers == ["cli.py"]
+
+
 # Public names that no code in src/ calls, each with the reason it stays.
 UNCALLED_ALLOWED = {
     "Octonion": "perfbench's tracer wraps Octonion.__init__ for octonion.objects",
@@ -222,13 +243,42 @@ def test_every_default_valued_parameter_is_passed_somewhere():
     assert sorted(set(ONE_VALUE_ALLOWED) - set(unpassed)) == []
 
 
+def _perfbench(name):
+    """perfbench/<name>.py, loaded from the checkout without running the benchmark."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _tracer():
-    """perfbench/tracer.py, loaded from the checkout without running the benchmark."""
-    path = ROOT / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+    return _perfbench("tracer")
+
+
+def test_one_job_of_each_benchmark_kind_passes_the_benchmark_check(tmp_path, monkeypatch):
+    """perfbench's own check finds no job wrong, one job of each kind its
+    workloads run.  A job may miss its target: n = 64 resolve jobs can fail
+    --tol 1e-10 (ROADMAP item 4)."""
+    from cliffstring import cli
+
+    workloads, checks = _perfbench("workloads"), _perfbench("checks")
+    jobs = {}
+    for workload in workloads.WORKLOADS:
+        for job in workloads.job_list(workload, 1, 0.0):
+            jobs.setdefault(workloads.kind(job), job)
+    jobs = list(jobs.values())
+    assert len(jobs) == 13  # 2 algebra, 4 factor and 7 dynamics kinds
+    for i, job in enumerate(jobs):
+        job["id"] = i  # each workload counts its own ids from 0
+    workloads.write_fixtures(jobs, str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    wrong = {}
+    for job in jobs:
+        reasons, _ = checks.check_job(job, cli.main(workloads.argv(job)), workloads.files(job))
+        if reasons:
+            wrong[workloads.kind(job)] = reasons
+    assert wrong == {}
 
 
 def _resolves(module, attr):

@@ -160,12 +160,20 @@ def test_encoder_refuses_objects_json_cannot_write(capsys):
     assert capsys.readouterr() == ("", "")
 
 
-@pytest.mark.parametrize("shape", [(1,), (3,), (1, 1, 8), (3, 4, 8), (2, 1, 3), (4, 1)])
-def test_separators_are_the_layout_pieces_and_shared(shape):
-    """resolve's table separators: json's text of a nested list of this shape, with
-    each entry a %s slot and every line one level in, split at its slots, from
-    len(shape) + 2 strs."""
-    seps = cli._separators(shape, "\n  ").tolist()
-    layout = json.dumps(np.full(shape, "%s").tolist(), indent=2).replace("\n", "\n  ")
-    assert seps == layout.replace('"%s"', "%s").split("%s")
-    assert len({id(s) for s in seps}) <= len(shape) + 2
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 8), (2, 2, 8), (3, 3, 8), (2, 3, 8),
+                                   (3, 2, 8), (4, 1, 3), (1, 4, 2)])
+def test_table_pieces_are_json_text_with_shared_separators(shape):
+    """_table's pieces join to json's text of the table as a top-level key's value,
+    entries at the odd places in C order, between them at most five distinct strs."""
+    x = np.random.default_rng(len(shape)).normal(size=shape)
+    texts = cli._texts(x).reshape(shape)
+    pieces = cli._table(texts)
+    head, tail = oracle({"t": "%s"}).split('"%s"')
+    assert head + "".join(pieces) + tail == oracle({"t": x.tolist()})
+    assert pieces[1::2] == texts.ravel().tolist()
+    seps = pieces[::2]
+    assert len({id(s) for s in seps}) <= 5
+    # a row is shape[1] lines of shape[2] entries, and one str ends each but the last
+    rows = seps[shape[1] * shape[2]:-1:shape[1] * shape[2]]
+    assert len(rows) == shape[0] - 1 and len({id(s) for s in rows}) <= 1
+    assert all(s == "\n      ]\n    ],\n    [\n      [\n        " for s in rows)
