@@ -7,6 +7,7 @@ byte-identical output.
 """
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -153,6 +154,21 @@ def _write_text(fh, text: str) -> None:
     fh.write("\n")
 
 
+def _write_stdout(text: str) -> None:
+    """_write_text to stdout, flushed.  A failed write points fd 1 at os.devnull,
+    so the interpreter's exit flush of what is left in the buffer cannot fail again."""
+    if sys.stdout is None:  # fd 1 was closed when the interpreter started
+        raise OSError(errno.EBADF, "stdout is closed")
+    try:
+        _write_text(sys.stdout, text)
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
+
+
 def _dump_json(obj, path) -> int:
     """Write obj as strict JSON and return 0, or write nothing and return 3 on NaN or inf.
 
@@ -164,14 +180,14 @@ def _dump_json(obj, path) -> int:
     except ValueError as exc:
         print(f"cliffstring: report not written: {exc}", file=sys.stderr)
         return 3
-    if not path:
-        _write_text(sys.stdout, text)
-        return 0
     try:
-        with open(path, "w") as fh:
-            _write_text(fh, text)
+        if path:
+            with open(path, "w") as fh:
+                _write_text(fh, text)
+        else:
+            _write_stdout(text)
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}")
+        raise InputError(f"cannot write {path or 'stdout'}: {exc}")
     return 0
 
 

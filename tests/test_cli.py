@@ -107,6 +107,21 @@ def test_octonion_check_trips_on_broken_table(capsys, monkeypatch):
     assert {"norm_composition", "alternativity", "conj_antiautomorphism"} <= failed
 
 
+def test_octonion_check_trips_on_an_associative_table(capsys, monkeypatch):
+    # The quaternions doubled by (a, b)(c, d) = (a c - b d, a d + b c): H tensor C,
+    # whose every basis associator is 0, so the witness must fail.
+    quaternions = octonion.STRUCTURE[:4, :4, :4]
+    complexes = np.zeros((2, 2, 2))
+    complexes[0, 0, 0] = complexes[0, 1, 1] = complexes[1, 0, 1] = 1.0
+    complexes[1, 1, 0] = -1.0
+    associative = np.einsum("ijk,abc->aibjck", quaternions, complexes).reshape(8, 8, 8)
+    monkeypatch.setattr(octonion, "STRUCTURE", associative)
+    assert run("octonion-check", "--seed", "0", "--trials", "2000") == 3
+    checks = strict_json(capsys.readouterr().out)["checks"]
+    failed = {name for name, entry in checks.items() if not entry["pass"]}
+    assert failed == {"norm_composition", "conj_antiautomorphism", "nonassociativity_witness"}
+
+
 def test_env_seed_equivalent_to_flag(tmp_path, monkeypatch):
     by_flag, by_env = tmp_path / "flag.json", tmp_path / "env.json"
     assert run("octonion-check", "--seed", "17", "--trials", "200", "--report", str(by_flag)) == 0
@@ -272,10 +287,14 @@ def test_each_check_function_returns_its_commands_named_checks(command):
         assert np.isfinite(residual) and type(trials) is int and trials > 0
 
 
-def _cliffstring(*argv):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _module_env():
+    """This process's environment, with the package under test first on the path."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(pathlib.Path(cli.__file__).parents[1])] + sys.path))
-    return subprocess.run([sys.executable, "-m", "cliffstring", *argv], env=env,
+
+
+def _cliffstring(*argv):
+    return subprocess.run([sys.executable, "-m", "cliffstring", *argv], env=_module_env(),
                           capture_output=True, text=True, timeout=60)
 
 
@@ -317,6 +336,69 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith(f"cliffstring: cannot write {path}: ")
     assert len(captured.err.splitlines()) == 1
+
+
+def _closed_pipe(argv, env):
+    """Run argv with stdout a pipe whose reader closed before any write."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(argv, env=env, stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=60)
+    finally:
+        os.close(write_end)
+
+
+def _reader_takes_10_bytes(argv, env):
+    """Run argv with stdout a pipe whose reader reads 10 bytes and closes it."""
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return subprocess.CompletedProcess(argv, proc.wait(timeout=60), None, err)
+
+
+def _full_device(argv, env):
+    """Run argv with stdout /dev/full, where every write fails with ENOSPC."""
+    with open("/dev/full", "w") as full:
+        return subprocess.run(argv, env=env, stdout=full, stderr=subprocess.PIPE,
+                              text=True, timeout=60)
+
+
+def _closed_fd(argv, env):
+    """Run argv with fd 1 closed, so the interpreter's sys.stdout is None."""
+    return subprocess.run(argv, env=env, stderr=subprocess.PIPE, text=True, timeout=60,
+                          preexec_fn=lambda: os.close(1))
+
+
+_HERMITIAN_64 = ("gen-fixture", "--kind", "hermitian", "--n", "64")  # 1 MB, past a pipe's buffer
+_OCTONION_10 = ("octonion-check", "--trials", "10")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("stdout, argv, unbuffered", [
+    (_closed_pipe, _HERMITIAN_64, False),
+    (_closed_pipe, _OCTONION_10, False),
+    (_closed_pipe, _OCTONION_10, True),
+    (_closed_pipe, ("quantum-check", "--degree", "3"), False),
+    (_reader_takes_10_bytes, _HERMITIAN_64, False),
+    (_full_device, _HERMITIAN_64, False),
+    (_full_device, _OCTONION_10, False),
+    (_closed_fd, _OCTONION_10, False),
+], ids=["closed-pipe-gen-fixture", "closed-pipe-octonion-check", "closed-pipe-unbuffered",
+        "closed-pipe-quantum-check", "read-10-bytes", "dev-full-gen-fixture",
+        "dev-full-octonion-check", "closed-fd"])
+def test_a_failed_stdout_write_exits_2_with_one_line(stdout, argv, unbuffered):
+    env = _module_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    out = stdout([sys.executable, "-m", "cliffstring", *argv], env)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("cliffstring: cannot write stdout: ")
+    assert len(out.stderr.splitlines()) == 1, out.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -33,6 +33,25 @@ def test_structure_tensor_is_signed_permutation():
             assert abs(col[np.nonzero(col)][0]) == 1.0
 
 
+# The seven quaternionic triples (i, j, k) of the table: e_i e_j = e_k.
+_TRIPLES = [(1, 2, 3), (1, 4, 5), (1, 7, 6), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 6, 5)]
+
+
+def test_multiplication_table_is_pinned():
+    e = np.eye(8)
+    expected = np.zeros((8, 8, 8))
+    expected[0] = expected[:, 0] = e  # e_0 is the unit
+    for i in range(1, 8):
+        expected[i, i] = -e[0]
+    for i, j, k in _TRIPLES:
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            expected[a, b], expected[b, a] = e[c], -e[c]
+    assert np.array_equal(STRUCTURE, expected)
+    assert not STRUCTURE.flags.writeable
+    with pytest.raises(ValueError):
+        STRUCTURE[1, 2, 3] = 0.0
+
+
 def test_imaginary_units_square_to_minus_one():
     for k in range(1, 8):
         e = Octonion.unit(k)
@@ -102,21 +121,6 @@ def test_inverse_via_conjugate():
             continue
         inv = a.conj() / a.norm_sq()
         assert np.allclose((a * inv).c, Octonion.unit(0).c, atol=1e-12)
-
-
-def test_complex_embedding_roundtrip():
-    z = complex(0.3, -1.7)
-    for k in range(1, 8):
-        a = Octonion.from_complex(z, k)
-        assert a.in_subspace(k)
-        assert a.to_complex(k) == z
-
-
-def test_subspace_membership_rejects_other_directions():
-    a = Octonion.unit(3) + Octonion.unit(5)
-    assert not a.in_subspace(3)
-    with pytest.raises(ValueError):
-        a.to_complex(3)
 
 
 def test_coefficient_shape_validated():
