@@ -540,9 +540,6 @@ def _write_grid_csv(ms, path, n_sigma: int) -> int:
     return 0
 
 
-# A finite spectrum can still overflow (X grows like K^3); _check fails the
-# non-finite residuals, so numpy's floating-point warnings would only repeat that.
-@np.errstate(all="ignore")
 def cmd_string_modes(args) -> int:
     tols = _tols(args)
     obj = _load_json(args.spectrum)
@@ -565,9 +562,6 @@ def cmd_string_modes(args) -> int:
 # -- quantum-check -----------------------------------------------------------
 
 
-# A huge --hbar overflows the operators; _check fails the non-finite
-# residuals, so numpy's floating-point warnings would only repeat that.
-@np.errstate(all="ignore")
 def cmd_quantum_check(args) -> int:
     tols = _tols(args)
     results, dimension, vals = quantum_checks(args.degree, args.hbar)
@@ -713,7 +707,12 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        return args.run(args)
+        # Input near the float range overflows (a huge --hbar, a spectrum whose
+        # X grows like K^3, a matrix near 1e308).  A non-finite residual fails
+        # its check and a non-finite report is not written, with exit 3 either
+        # way, so numpy's floating-point warnings would only repeat that.
+        with np.errstate(all="ignore"):
+            return args.run(args)
     except InputError as exc:
         print(f"cliffstring: {exc}", file=sys.stderr)
         return 2

@@ -9,10 +9,11 @@ every intermediate product stays inside the space.
 The quaternion mapping A_mu = j (x) Q_mu, K_nu = k (x) R_nu turns the
 canonical commutators into mixed relations: [A, A] = [K, K] = 0 and
 {A_mu, K_nu} = -hbar eta_{mu nu}, because jk = -kj = i makes the
-anticommutator collapse onto i (x) [Q, R].  A and K carry their
-quaternion unit as a tag, and A and K only ever meet in products, so each
-product folds its two tags into a complex scalar (jj = kk = -1, jk = i,
-kj = -i) and the result is an ordinary complex family.
+anticommutator collapse onto i (x) [Q, R].  A and K are the families of
+Q and R, and jk and kj are applied where the two meet.  In M0, i kj = 1
+makes it a real combination of R Q products.  `mixed` is canonical's
+relations times the units, so it can fail only through jk or kj, or where
+`canonical` fails.
 
 From the spinor components A_{B Edot} = sigma^mu_{B Edot} A_mu and
 K_{A Bdot} = sigma^mu_{A Bdot} K_mu the angular-momentum spinor is
@@ -109,8 +110,8 @@ _S4_UP = np.array([EPS @ (eta4()[mu, mu] * _S4[mu]) @ EPS.T for mu in range(4)])
 
 _EPS3 = np.cross(np.eye(3)[:, None], np.eye(3))  # eps_ijk = (e_i x e_j)_k
 
-_FOLD = {("j", "j"): -1, ("k", "k"): -1, ("j", "k"): 1j, ("k", "j"): -1j}
-# product of two quaternion tags, each landing on 1 or i
+_JK, _KJ = 1j, -1j
+# the quaternion unit products jk and kj, applied where A = j (x) Q and K = k (x) R meet
 
 _POW9 = 9 ** np.arange(20)
 
@@ -161,11 +162,10 @@ def _poly_space(n_vars: int, degree: int) -> PolySpace:
 
 @dataclass(frozen=True)
 class Family:
-    """K operators sum_w coeffs[k, w] (word codes[w]), optionally on a quaternion tag."""
+    """K operators sum_w coeffs[k, w] (word codes[w])."""
 
     coeffs: np.ndarray
     codes: np.ndarray
-    tag: str | None = None
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,7 @@ _IDENTITY = Family(np.ones((1, 1), complex), np.zeros(1, int))
 
 def _combine(w: np.ndarray, f: Family) -> Family:
     """The operators sum_m w[k, m] Z_m of a family Z."""
-    return Family(w @ f.coeffs, f.codes, f.tag)
+    return Family(w @ f.coeffs, f.codes)
 
 
 def _shared_codes(fams) -> bool:
@@ -213,13 +213,6 @@ def _stack(*fams: Family) -> Family:
     return Family(coeffs, np.concatenate([f.codes for f in fams]))
 
 
-def _fold(x: Family, y: Family):
-    """The scalar of the product XY's two quaternion tags, 1 when neither has one."""
-    if (x.tag is None) != (y.tag is None):
-        raise ValueError("a product of a tagged and an untagged family")
-    return _FOLD[x.tag, y.tag] if x.tag else 1
-
-
 def _product_codes(x: Family, y: Family) -> np.ndarray:
     """The word codes of the products X_i Y_j, word a of X times word b of Y as entry a B + b."""
     shift = _POW9[np.searchsorted(_POW9, y.codes, side="right")]  # 9^len(y)
@@ -227,11 +220,8 @@ def _product_codes(x: Family, y: Family) -> np.ndarray:
 
 
 def _products(x: Family, y: Family) -> Family:
-    """The products X_i Y_j as operator i L + j, their tags folded into the coefficients."""
+    """The products X_i Y_j as operator i L + j."""
     coeffs = x.coeffs[:, None, :, None] * y.coeffs[None, :, None, :]
-    fold = _fold(x, y)
-    if fold != 1:  # a multiply by 1 changes no bit of a finite product
-        coeffs *= fold
     return Family(coeffs.reshape(coeffs.shape[0] * coeffs.shape[1], -1), _product_codes(x, y))
 
 
@@ -239,11 +229,11 @@ def _gap(x: Family, y: Family, sign: float = -1.0, tail: Family | None = None,
          head: Family | None = None) -> tuple:
     """The family _stack(head, _sum(brackets, tail)) as (codes, row blocks).
 
-    The brackets are X_i Y_j + sign Y_j X_i as operator i L + j.  On one
-    alphabet Y_j X_i has on the word a b the coefficient X_i Y_j has on
-    b a, so each bracket row is the product row plus itself with its word
-    slots swapped; families on different alphabets first move onto their
-    stack.  The tail (one operator per bracket) adds its words after the
+    The brackets are X_i Y_j + sign Y_j X_i (sign +-1) as operator i L + j.
+    On one alphabet Y_j X_i has on the word a b the coefficient X_i Y_j has
+    on b a, so each bracket row is the product row plus or minus itself
+    with its word slots swapped; families on different alphabets first move
+    onto their stack.  The tail (one operator per bracket) adds its words after the
     grid's, and the head's operators come first, on words of their own
     before the grid's.  The rows come as blocks of at most _BLOCK_BYTES,
     each a fresh (rows, W) array, so no whole word grid is ever held; each
@@ -251,31 +241,18 @@ def _gap(x: Family, y: Family, sign: float = -1.0, tail: Family | None = None,
     """
     if not _shared_codes((x, y)):
         both, k = _stack(x, y), x.coeffs.shape[0]
-        x = Family(both.coeffs[:k], both.codes, x.tag)
-        y = Family(both.coeffs[k:], both.codes, y.tag)
+        x, y = Family(both.coeffs[:k], both.codes), Family(both.coeffs[k:], both.codes)
     codes = _product_codes(x, y)
     if tail is not None:
         codes = np.concatenate([codes, tail.codes])
     if head is not None:
         codes = np.concatenate([head.codes, codes])
-    fold = _fold(x, y)
-    turn = sign * _fold(y, x) / fold  # Y_j X_i carries the tags in the other order
-    return codes, _gap_blocks(x, y, fold, turn, tail, head, len(codes))
+    combine = np.add if sign == 1 else np.subtract
+    return codes, _gap_blocks(x, y, combine, tail, head, len(codes))
 
 
-def _gap_blocks(x, y, fold, turn, tail, head, width):
-    """The row blocks of `_gap`, the head's rows first.
-
-    fold and turn are +-1 or +-i.  On a finite product, a multiply by
-    fold = 1 or by turn = +-1 changes no bit but a zero's sign, so it is
-    skipped and the swapped grid is added or subtracted as it is.  The
-    products are finite when the coefficients' moduli multiply to below
-    2^1020.  Past that (a huge hbar, a NaN) a product may be inf or NaN,
-    and those multiplies turn its other part to NaN, so each grid is then
-    scaled by fold and by turn.
-    """
-    finite = np.max(np.abs(x.coeffs)) * np.max(np.abs(y.coeffs)) < 2.0 ** 1020
-    combine = np.add if turn == 1 else np.subtract
+def _gap_blocks(x, y, combine, tail, head, width):
+    """The row blocks of `_gap`, the head's rows first; each grid is one `combine` call."""
     step = max(1, _BLOCK_BYTES // (16 * width))
     lead = 0
     if head is not None:
@@ -294,13 +271,8 @@ def _gap_blocks(x, y, fold, turn, tail, head, width):
         block = np.empty((hi - lo, width), complex)
         block[:, :lead] = 0
         products = xs[lo:hi] * ys[lo:hi]
-        if fold != 1 or not finite:
-            products *= fold
         grid = block[:, lead:end].reshape(-1, v, v)  # a view of the block
-        if finite:
-            combine(products, products.swapaxes(1, 2), out=grid)
-        else:
-            np.add(products, turn * products.swapaxes(1, 2), out=grid)
+        combine(products, products.swapaxes(1, 2), out=grid)
         if tail is not None:
             block[:, end:] = tail.coeffs[lo:hi]
         yield block
@@ -461,22 +433,21 @@ def canonical_residual(pairs: CanonicalPairs) -> float:
 
 
 def quaternion_pairs(pairs: CanonicalPairs):
-    """Map the canonical pairs onto quaternion tags: A = j(x)Q, K = k(x)R."""
-    return Family(pairs.q.coeffs, pairs.q.codes, "j"), Family(pairs.r.coeffs, pairs.r.codes, "k")
+    """A = j(x)Q and K = k(x)R as the families of Q and R; the units apply where A and K meet."""
+    return pairs.q, pairs.r
 
 
 def mixed_algebra_residual(a_ops: Family, k_ops: Family, space: PolySpace, hbar: float) -> float:
     """Residual of [A,A] = [K,K] = 0 and {A_mu, K_nu} = -hbar eta_{mu nu}.
 
-    The tags fold in each product: A_mu K_nu carries jk = +i and K_nu A_mu
-    kj = -i, so the anticommutator is i [Q_mu, R_nu] = -hbar eta.
+    {A_mu, K_nu} = jk Q_mu R_nu + kj R_nu Q_mu = i [Q_mu, R_nu].  [A, A] and
+    [K, K] are the brackets of Q and of R times jj = kk = -1, which flips the
+    sign of a whole gap block; no max |entry| can see that, so it is left out.
     """
-    anti = _brackets(a_ops, k_ops, sign=1.0)
-    gaps = _stack(
-        _brackets(a_ops, a_ops),
-        _brackets(k_ops, k_ops),
-        _sum(anti, _combine(hbar * eta4().reshape(16, 1), _IDENTITY)),
-    )
+    anti = _brackets(a_ops, k_ops, sign=_KJ / _JK)
+    hbar_eta = _combine(hbar * eta4().reshape(16, 1), _IDENTITY)
+    gaps = _stack(_brackets(a_ops, a_ops), _brackets(k_ops, k_ops),
+                  _sum(Family(_JK * anti.coeffs, anti.codes), hbar_eta))
     return _max_abs(gaps.codes, [gaps.coeffs], space)
 
 
@@ -501,9 +472,10 @@ def m0_matrices(a_ops: Family, k_ops: Family) -> tuple:
     """
     a_sp, k_sp = spinor_components(a_ops), spinor_components(k_ops)
     d = np.eye(2)
-    # weights of the products K_{P L} A_{Q E} and A_{E Q} K_{L P}, eps^{E L}
-    w = 1j * np.einsum("ap,bq,el->abplqe", d, d, EPS)
-    wd = -1j * np.einsum("el,qb,pa->abeqlp", EPS, d, d)
+    # weights of the products K_{P L} A_{Q E} and A_{E Q} K_{L P}, eps^{E L}, with
+    # their units: i kj = -i jk = 1, so M0 is a real combination of R Q products
+    w = 1j * _KJ * np.einsum("ap,bq,el->abplqe", d, d, EPS)
+    wd = -1j * _JK * np.einsum("el,qb,pa->abeqlp", EPS, d, d)
     w, wd = ((0.5 * (c + c.swapaxes(0, 1))).reshape(4, 16) for c in (w, wd))  # (AB)
     both = _stack(_combine(w, _products(k_sp, a_sp)), _combine(wd, _products(a_sp, k_sp)))
     return Family(both.coeffs[:4], both.codes), Family(both.coeffs[4:], both.codes)

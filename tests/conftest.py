@@ -11,7 +11,6 @@ def dense_family(family, space):
     x_mu, dropped past the degree cap) and D_nu (d/dx_nu) are built as
     matrices from `space.exponents` alone, and each word is the product of
     its letter matrices, its first letter (lowest base-9 digit) rightmost.
-    A quaternion tag is ignored.
     """
     exps = space.exponents.tolist()
     index = {tuple(e): i for i, e in enumerate(exps)}

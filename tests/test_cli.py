@@ -555,6 +555,19 @@ def test_resolve_growth_does_not_overflow(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_resolve_overflow_writes_one_stderr_line(tmp_path):
+    """Coefficients past the float range make a report that is not written, and
+    that one line is all of stderr: no numpy floating-point warning comes first."""
+    data = random_hermitian(np.random.default_rng(0), 3).data * 1e200
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"n": 3, "entries": data.tolist()}))
+    out = _cliffstring("resolve", "--input", str(path))
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr == ("cliffstring: report not written: "
+                          "Out of range float values are not JSON compliant: inf\n")
+
+
 # -- gen-fixture ---------------------------------------------------------------
 
 
@@ -1763,6 +1776,20 @@ def test_quantum_check_nan_operator_fails_with_null_residual(monkeypatch, capsys
         "max_residual": None, "tolerance": 1e-10, "trials": 1, "pass": False,
     }
     assert checks["canonical"]["pass"] is True
+
+
+@pytest.mark.parametrize("name, unit, failed", [
+    # kj = jk: {A, K} turns into i {Q, R}, and M0 = i K A picks up a factor -1
+    ("_KJ", 1j, {"closure": 16.0, "jz_integrality": 2.0, "mixed": 6.0, "su2": 2.0,
+                 "tensor": 2.0}),
+    # jk = kj = -i: the same anticommutator times -1, and M0dag flips sign
+    ("_JK", -1j, {"jz_integrality": 2.0, "mixed": 4.0, "su2": 2.0, "tensor": 2.0}),
+], ids=["commuting-kj", "commuting-jk"])
+def test_quantum_check_trips_on_a_wrong_quaternion_unit(monkeypatch, capsys, name, unit, failed):
+    monkeypatch.setattr(quantum_rep, name, unit)
+    assert run("quantum-check", "--degree", "3") == 3
+    checks = strict_json(capsys.readouterr().out)["checks"]
+    assert {k: c["max_residual"] for k, c in checks.items() if not c["pass"]} == failed
 
 
 # -- redshift --------------------------------------------------------------------
