@@ -375,6 +375,7 @@ def _closed_fd(argv, env):
 
 _HERMITIAN_64 = ("gen-fixture", "--kind", "hermitian", "--n", "64")  # 1 MB, past a pipe's buffer
 _OCTONION_10 = ("octonion-check", "--trials", "10")
+_HELP = ("octonion-check", "--help")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -387,9 +388,13 @@ _OCTONION_10 = ("octonion-check", "--trials", "10")
     (_full_device, _HERMITIAN_64, False),
     (_full_device, _OCTONION_10, False),
     (_closed_fd, _OCTONION_10, False),
+    (_closed_pipe, _HELP, False),
+    (_closed_pipe, _HELP, True),
+    (_full_device, _HELP, False),
 ], ids=["closed-pipe-gen-fixture", "closed-pipe-octonion-check", "closed-pipe-unbuffered",
         "closed-pipe-quantum-check", "read-10-bytes", "dev-full-gen-fixture",
-        "dev-full-octonion-check", "closed-fd"])
+        "dev-full-octonion-check", "closed-fd", "closed-pipe-help", "closed-pipe-unbuffered-help",
+        "dev-full-help"])
 def test_a_failed_stdout_write_exits_2_with_one_line(stdout, argv, unbuffered):
     env = _module_env()
     env.pop("PYTHONUNBUFFERED", None)
@@ -783,6 +788,81 @@ def test_csv_formatter_checks_its_exponent_estimate(monkeypatch, shift):
     values = np.concatenate([values.ravel(), edges[(edges > 1e-269) & (edges < 1e289)]])
     values = np.concatenate([values, np.zeros(-len(values) % 13)]).reshape(-1, 13)
     assert cli._format_rows(values) == _percent_17g_text(values)
+
+
+def _reprs(values):
+    return [repr(v) for v in values.tolist()]
+
+
+def test_json_formatter_matches_repr_on_random_bits_and_edges():
+    rng = np.random.default_rng(45)
+    bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(float)
+    edges = _csv_edge_values()
+    values = np.concatenate([bits[np.isfinite(bits)], edges, -edges])
+    assert cli._texts(values).tolist() == _reprs(values)
+
+
+def test_json_formatter_matches_repr_at_its_layout_borders():
+    # fixed notation for 1e-4 <= |v| < 1e16, ".0" on integral values, and
+    # shorter decimals that carry into the next decade: the double nearest 1e23
+    # is 9.999999999999999161e22, and repr writes it 1e+23
+    values = np.array([1e16, 9999999999999998.0, 1e15, 1e-4, 9.999999999999999e-5, 1e-5, 1.0,
+                       0.5, 1e23, 1e22, 5e-324, -2.5, 123456789012345.67, 0.1 + 0.2])
+    assert cli._texts(values).tolist() == [
+        "1e+16", "9999999999999998.0", "1000000000000000.0", "0.0001", "9.999999999999999e-05",
+        "1e-05", "1.0", "0.5", "1e+23", "1e+22", "5e-324", "-2.5", "123456789012345.67",
+        "0.30000000000000004"]
+    rng = np.random.default_rng(46)
+    integral = np.concatenate([rng.integers(1, 10**16, 20_000, dtype=np.int64).astype(float),
+                               np.arange(1.0, 5001.0), 10.0 ** np.arange(17) - 1, 2.0 ** np.arange(54)])
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    decades = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = [np.nextafter(decades, 0), np.nextafter(decades, np.inf)]
+    for _ in range(5):  # a few ulps each way
+        near += [np.nextafter(near[-2], 0), np.nextafter(near[-1], np.inf)]
+    # 15, 16 and 17 significant digits at every exponent of the fixed notation and next to it
+    digits = rng.integers(10**16, 10**17, (3, 2000), dtype=np.int64) // np.array([[100], [10], [1]])
+    exponents = rng.integers(-22, 2, (3, 2000))
+    drawn = (digits * 10.0 ** exponents).ravel()
+    values = np.concatenate([integral, powers, decades, *near, drawn])
+    values = np.concatenate([values, -values])
+    assert cli._texts(values).tolist() == _reprs(values)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_json_formatter_checks_its_exponent_estimate(monkeypatch, shift):
+    # an estimate one too low or too high sends every value to repr itself
+    estimate = cli._exponent_estimate
+    monkeypatch.setattr(cli, "_exponent_estimate", lambda a: estimate(a) + shift)
+    values = np.random.default_rng(47).normal(size=(40, 26)) * 10.0 ** np.arange(-260, 260, 20)
+    edges = _csv_edge_values()
+    values = np.concatenate([values.ravel(), edges[(edges > 1e-269) & (edges < 1e289)]])
+    assert cli._texts(values).tolist() == _reprs(values)
+
+
+def test_json_formatter_prints_most_values_without_repr(monkeypatch):
+    # repr is the formatter's fallback; about 1 % of uniform draws need it
+    calls = []
+    monkeypatch.setattr(cli, "repr", lambda v: calls.append(v) or repr(v), raising=False)
+    rng = np.random.default_rng(48)
+    values = np.concatenate([rng.uniform(-1, 1, 20_000), rng.uniform(-1, 1, 20_000) * 1e-7])
+    assert cli._texts(values).tolist() == _reprs(values)
+    assert 0 < len(calls) <= 0.02 * values.size
+
+
+def test_json_formatter_keeps_its_blocks_small():
+    # formatted whole, the 524,288 entries of an n = 256 fixture peak near
+    # 200 MiB; in TEXT_BLOCK blocks they peak near 44 MiB, most of it the
+    # texts themselves
+    data = random_hermitian(np.random.default_rng(0), 256).data
+    cli._texts(data[:1])  # builds the digit and layout tables
+    tracemalloc.start()
+    try:
+        cli._texts(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 @pytest.mark.parametrize("m", [1e-100, 1e290])
