@@ -1,10 +1,15 @@
 """Finite-dimensional realization of the string's quantized Lorentz algebra.
 
-Canonical pairs act on real polynomials in four variables of total degree
-<= N (monomial basis): Q_mu multiplies by x_mu, R_nu = -i hbar eta_{nu nu}
-d/dx_nu.  Multiplication truncates at the degree cap, so canonical
-relations are asserted only on the safe subspace of degree <= N-1, where
-every intermediate product stays inside the space.
+Canonical pairs are Q_mu, multiplication by x_mu, and R_nu = -i hbar
+eta_{nu nu} D_nu with D_nu = d/dx_nu.  Every operator is a complex
+combination of words in the letters Q_mu and D_nu.  A word is an int code
+whose base-9 digits are its letters, the least significant acting first:
+0 is no letter, 1 + mu is Q_mu and 5 + nu is D_nu, so the code of a
+product XY is x 9^len(y) + y.  A family of K operators is a (K, W)
+coefficient array over W word codes, index pairs row-major (M0_{AB} is
+operator 2A+B, M_{mu nu} is 4 mu + nu).  Families on one alphabet (the
+same codes) stack by rows: M0 and M0dag share the 32 words D_nu Q_mu
+(M0's) and Q_mu D_nu (M0dag's), and so do N, N^dag and M_{mu nu}.
 
 The quaternion mapping A_mu = j (x) Q_mu, K_nu = k (x) R_nu turns the
 canonical commutators into mixed relations: [A, A] = [K, K] = 0 and
@@ -36,37 +41,21 @@ formulas, the spinor/vector and spinor/tensor round-trips, the
 dotted-undotted commutation, and the identity
 J^z = i/2 (M0_(12) - M0dag_(12)) = Q_1 R_2 - Q_2 R_1 hold exactly.
 
-Every operator is a complex combination of short words in two kinds of
-letter: Q_mu (multiply by x_mu, truncated at the cap) and D_nu (d/dx_nu).
-A word is an int code whose base-9 digits are its letters, the least
-significant acting first: 0 is no letter, 1 + mu is Q_mu and 5 + nu is
-D_nu, so the code of a product XY is x 9^len(y) + y.  A family of K
-operators is a (K, W) coefficient array over W word codes, index pairs
-row-major (M0_{AB} is operator 2A+B, M_{mu nu} is 4 mu + nu).  A linear
-combination is w @ coeffs, and the products X_i Y_j of two families are
-the outer product of their coefficients and of their codes.  Families on
-one alphabet (the same codes) stack by rows and add entry by entry: M0
-and M0dag share the 32 words D_nu Q_mu (M0's) and Q_mu D_nu (M0dag's),
-and so do N, N^dag and M_{mu nu}.  On one alphabet Y_j X_i has on the
-word a b the coefficient X_i Y_j has on b a, so a bracket is one outer
-product plus that product with its word slots swapped, and each closure,
-su2 and tensor gap lists the 32 x 32 grid of words once.  Those three gap
-families are never held whole: their rows are formed, and their words
-merged, in blocks of 4 rows (about 68 KiB), so a degree-5 job's working
-set stays near 0.8 MiB and reuses the same heap memory from job to job,
-where whole grids of 0.5-0.9 MB each grew the heap past glibc's trim
-threshold and faulted about 970 pages in again every job.  Each check is
-one family of gaps evaluated on the monomial basis.  A word sends each
-monomial to one monomial with a weight read off the exponents, and words
-with the same net exponent shift land on the same row, so the gaps over a
-set of columns are one real product per shift class whose merged
-coefficients are not all exactly 0.  The identities cancel symbolically,
-so 191 of the 257 classes one job's checks meet are such zeros and cost
-no product.  Which words merge and which class each lands in depends only
-on the alphabet, not on the degree, hbar or the coefficients, so each
-alphabet is decoded once per process (a check's gaps are on one of six
-alphabets, of 65, 97, 1056, 1088, 32 and 48 words; closure and su2 share
-theirs).
+The six bracket checks are decided in the Weyl algebra.  D_nu Q_mu =
+Q_mu D_nu + delta_{mu nu} writes each word as an integer combination of
+normal monomials x^alpha d^beta, and two operators are equal exactly when
+their normal coefficients are.  An alphabet's table holds the normal form
+of a b -+ b a for each pair of its words and of each word, so a bracket
+of two families is the contraction sum_ab x_ia y_jb (T[ab] -+ T[ba]) plus
+the normal form of its right-hand side, and a check reads the largest
+|normal coefficient|.  No space is truncated, so these checks do not
+depend on the degree, and at hbar = 1 the gaps cancel to exactly 0.
+
+J^z keeps a representation, for its spectrum: the polynomials in four
+variables of degree <= N, multiplication truncated at the cap, its
+identity asserted on the safe columns of degree <= N-1 (see `_max_abs`).
+Tables and word classes depend only on the alphabet, so each is built
+once per process.
 """
 
 from __future__ import annotations
@@ -115,11 +104,7 @@ _JK, _KJ = 1j, -1j
 
 _POW9 = 9 ** np.arange(20)
 
-_BLOCK_BYTES = 72 * 1024
-# complex coefficients per block of a streamed gap family, at least one row:
-# 4 rows of the 1056- and 1088-word grids (66 and 68 KiB), a whole canonical
-# or mixed bracket.  A block and its merge gather stay under glibc's 128 KiB
-# mmap threshold, so they reuse the same heap memory from job to job.
+_POW16 = 16 ** np.arange(8)  # a normal monomial x^alpha d^beta's digits: alpha_0..3, beta_0..3
 
 
 class PolySpace:
@@ -213,85 +198,121 @@ def _stack(*fams: Family) -> Family:
     return Family(coeffs, np.concatenate([f.codes for f in fams]))
 
 
-def _product_codes(x: Family, y: Family) -> np.ndarray:
-    """The word codes of the products X_i Y_j, word a of X times word b of Y as entry a B + b."""
-    shift = _POW9[np.searchsorted(_POW9, y.codes, side="right")]  # 9^len(y)
-    return (x.codes[:, None] * shift + y.codes).reshape(-1)
+def _on_stack(*fams: Family) -> list:
+    """The families on one alphabet: theirs if they share one, else their stack's."""
+    if _shared_codes(fams):
+        return list(fams)
+    both, rows = _stack(*fams), np.cumsum([0] + [len(f.coeffs) for f in fams])
+    return [Family(both.coeffs[lo:hi], both.codes) for lo, hi in zip(rows, rows[1:])]
+
+
+def _product_codes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The codes of the products of words x[a] and y[b] (y's acting first) as entry a B + b."""
+    shift = _POW9[np.searchsorted(_POW9, y, side="right")]  # 9^len(y)
+    return (x[:, None] * shift + y).reshape(-1)
 
 
 def _products(x: Family, y: Family) -> Family:
     """The products X_i Y_j as operator i L + j."""
     coeffs = x.coeffs[:, None, :, None] * y.coeffs[None, :, None, :]
-    return Family(coeffs.reshape(coeffs.shape[0] * coeffs.shape[1], -1), _product_codes(x, y))
+    return Family(coeffs.reshape(coeffs.shape[0] * coeffs.shape[1], -1), _product_codes(x.codes, y.codes))
 
 
-def _gap(x: Family, y: Family, sign: float = -1.0, tail: Family | None = None,
-         head: Family | None = None) -> tuple:
-    """The family _stack(head, _sum(brackets, tail)) as (codes, row blocks).
+def _key(codes: np.ndarray) -> bytes:
+    """The cache key of an alphabet: the int64 bytes of its word codes."""
+    return codes.astype(np.int64, copy=False).tobytes()
 
-    The brackets are X_i Y_j + sign Y_j X_i (sign +-1) as operator i L + j.
-    On one alphabet Y_j X_i has on the word a b the coefficient X_i Y_j has
-    on b a, so each bracket row is the product row plus or minus itself
-    with its word slots swapped; families on different alphabets first move
-    onto their stack.  The tail (one operator per bracket) adds its words after the
-    grid's, and the head's operators come first, on words of their own
-    before the grid's.  The rows come as blocks of at most _BLOCK_BYTES,
-    each a fresh (rows, W) array, so no whole word grid is ever held; each
-    entry is formed exactly as it is on the whole family.
+
+# -- normal order: the bracket checks --------------------------------------------
+
+
+def _order(codes: np.ndarray) -> tuple:
+    """The (word, monomial, weight) terms of the words' normal forms, zero weights dropped.
+
+    Letter by letter, the first acting first, a term x^alpha d^beta meets
+    Q_mu as x^(alpha + e_mu) d^beta and D_nu as x^alpha d^(beta + e_nu) plus
+    alpha_nu x^(alpha - e_nu) d^beta, so each letter doubles a word's terms;
+    a monomial is an int, its exponents (each below 16) as `_POW16` digits.
     """
-    if not _shared_codes((x, y)):
-        both, k = _stack(x, y), x.coeffs.shape[0]
-        x, y = Family(both.coeffs[:k], both.codes), Family(both.coeffs[k:], both.codes)
-    codes = _product_codes(x, y)
-    if tail is not None:
-        codes = np.concatenate([codes, tail.codes])
-    if head is not None:
-        codes = np.concatenate([head.codes, codes])
-    combine = np.add if sign == 1 else np.subtract
-    return codes, _gap_blocks(x, y, combine, tail, head, len(codes))
+    letters = int(np.searchsorted(_POW9, np.max(codes, initial=0), side="right"))
+    rest = codes.astype(np.int64)[:, None]
+    monomial, weight = np.zeros_like(rest), np.ones_like(rest)
+    for _ in range(letters):
+        rest, digit = np.divmod(rest, 9)
+        place = _POW16[(digit - 1) % 4]                 # x_mu's digit, Q_mu or D_mu
+        step = np.where(digit >= 5, place * _POW16[4], np.where(digit > 0, place, 0))
+        met = np.where(digit >= 5, monomial // place % 16, 0)  # alpha_nu, where D_nu meets x_nu
+        monomial = np.hstack([monomial + step, monomial - place])
+        weight = np.hstack([weight, weight * met])
+    word, term = np.nonzero(weight)
+    return word, monomial[word, term], weight[word, term]
 
 
-def _gap_blocks(x, y, combine, tail, head, width):
-    """The row blocks of `_gap`, the head's rows first; each grid is one `combine` call."""
-    step = max(1, _BLOCK_BYTES // (16 * width))
-    lead = 0
-    if head is not None:
-        lead = head.coeffs.shape[1]
-        for lo in range(0, len(head.coeffs), step):
-            rows = head.coeffs[lo:lo + step]
-            block = np.zeros((len(rows), width), complex)
-            block[:, :lead] = rows
-            yield block
-    v, n = len(x.codes), len(y.coeffs)
-    pair = np.arange(len(x.coeffs) * n)
-    xs, ys = x.coeffs[pair // n, :, None], y.coeffs[pair % n, None, :]
-    end = lead + v * v
-    for lo in range(0, len(pair), step):
-        hi = min(lo + step, len(pair))
-        block = np.empty((hi - lo, width), complex)
-        block[:, :lead] = 0
-        products = xs[lo:hi] * ys[lo:hi]
-        grid = block[:, lead:end].reshape(-1, v, v)  # a view of the block
-        combine(products, products.swapaxes(1, 2), out=grid)
-        if tail is not None:
-            block[:, end:] = tail.coeffs[lo:hi]
-        yield block
+@functools.lru_cache(maxsize=8)
+def _bracket_table(codes: bytes, plus: bool) -> tuple:
+    """An alphabet's normal-order table, from the int64 bytes of its word codes; shared read-only.
 
-
-def _brackets(x: Family, y: Family, sign: float = -1.0) -> Family:
-    """X_i Y_j + sign Y_j X_i as operator i L + j, one family (see `_gap`)."""
-    codes, blocks = _gap(x, y, sign)
-    return Family(np.concatenate(list(blocks)), codes)
-
-
-def _commutator_gap(x: Family, y: Family, coeffs: np.ndarray, z: Family,
-                    head: Family | None = None) -> tuple:
-    """[X_i, Y_j] - sum_m coeffs[i, j, m] Z_m over all (i, j), after the head's operators.
-
-    x, y and z are families of K, L and M operators and coeffs is a
-    (K, L, M) array; returns (codes, row blocks) as `_gap` does.
+    (pairs, words, exponents): row a of the (V, V M) `pairs` holds, word b by
+    word b, the weights of a b + b a if `plus`, else of a b - b a, `words`
+    the words', over the M monomials some bracket or word meets (`exponents`).
     """
-    return _gap(x, y, tail=_combine(-coeffs.reshape(-1, coeffs.shape[-1]), z), head=head)
+    alphabet = np.frombuffer(codes, np.int64)
+    v = len(alphabet)
+    word, monomial, weight = _order(np.concatenate([_product_codes(alphabet, alphabet), alphabet]))
+    grid = word < v * v                                  # a term of a product a b ...
+    a, b = np.divmod(word[grid], v)
+    word = np.concatenate([word, b * v + a])             # ... is one of b a's bracket too
+    monomial = np.concatenate([monomial, monomial[grid]])
+    weight = np.concatenate([weight, weight[grid] if plus else -weight[grid]])
+    keys, term = np.unique(word << 32 | monomial, return_inverse=True)  # monomials < 16^8 = 2^32
+    sums = np.bincount(term, weight)
+    keys, sums = keys[sums != 0], sums[sums != 0]
+    columns, column = np.unique(keys & 0xFFFFFFFF, return_inverse=True)
+    table = np.zeros((v * v + v, len(columns)))
+    table[keys >> 32, column] = sums
+    pairs, words = table[:v * v].reshape(v, -1), table[v * v:]
+    exponents = columns[:, None] // _POW16 % 16
+    pairs.flags.writeable = words.flags.writeable = exponents.flags.writeable = False
+    return pairs, words, exponents
+
+
+def _re_im(coeffs: np.ndarray) -> np.ndarray:
+    """The (Re; Im) row stack of complex coefficients, whose product with a real table stays real."""
+    return np.concatenate([coeffs.real, coeffs.imag])
+
+
+def _normal(f: Family) -> np.ndarray:
+    """The normal forms of a family's operators, as a (2, K, M) (Re, Im) pair."""
+    return (_re_im(f.coeffs) @ _bracket_table(_key(f.codes), False)[1]).reshape(2, len(f.coeffs), -1)
+
+
+def _brackets(x: Family, y: Family, sign: float = -1.0, tail: Family | None = None) -> np.ndarray:
+    """Normal forms of X_i Y_j + sign Y_j X_i (sign +-1) plus the tail's operator i L + j.
+
+    sum_ab x_ia y_jb (T[ab] + sign T[ba]) is contracted over a, then b, so
+    no grid of product words is formed.  Returns a (2, K L, M) (Re, Im) pair.
+    """
+    x, y, *tail = _on_stack(x, y, *([] if tail is None else [tail]))
+    pairs, words, _ = _bracket_table(_key(x.codes), sign == 1)
+    k, l, (v, m) = len(x.coeffs), len(y.coeffs), words.shape
+    g = _re_im(y.coeffs) @ (_re_im(x.coeffs) @ pairs).reshape(2 * k, v, m)  # (2K, 2L, M)
+    gaps = np.stack([g[:k, :l] - g[k:, l:], g[:k, l:] + g[k:, :l]]).reshape(2, k * l, m)
+    for t in tail:
+        gaps += (_re_im(t.coeffs) @ words).reshape(2, k * l, m)
+    return gaps
+
+
+def _commutator_gap(x: Family, y: Family, coeffs: np.ndarray, z: Family) -> np.ndarray:
+    """[X_i, Y_j] - sum_m coeffs[i, j, m] Z_m over all (i, j) in normal form; coeffs is (K, L, M)."""
+    return _brackets(x, y, tail=_combine(-coeffs.reshape(-1, coeffs.shape[-1]), z))
+
+
+def _largest(*gaps: np.ndarray) -> float:
+    """Max |normal coefficient| over (Re, Im) pairs of gaps; a NaN stays NaN."""
+    return float(np.max([np.max(np.hypot(*g), initial=0.0) for g in gaps]))
+
+
+# -- the truncated space: J^z ----------------------------------------------------
 
 
 @functools.lru_cache(maxsize=32)
@@ -339,23 +360,8 @@ def _word_classes(codes: bytes) -> tuple:
     return letters, perm, first, starts, sizes, rise, reads
 
 
-def _merge(blocks, perm: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """The (Re; Im) stack of a family's merged coefficients, from its row blocks.
-
-    Each block is gathered into merge order and its equal-acting words
-    summed as it arrives, so only one block is gathered at a time; each
-    merged coefficient is the same sum, in the same order, as on the
-    whole family.
-    """
-    merged = [np.add.reduceat(b.take(perm, axis=1), first, axis=1) for b in blocks]
-    return np.concatenate([m.real for m in merged] + [m.imag for m in merged])
-
-
-def _max_abs(codes: np.ndarray, blocks, space: PolySpace, safe: bool = True) -> float:
-    """Max |matrix entry| of a family on the space, over the safe columns by default.
-
-    The family is given as its word codes and its coefficient rows, an
-    iterable of (rows, W) blocks (a whole family is one block).
+def _max_abs(f: Family, space: PolySpace) -> float:
+    """Max |matrix entry| of a family on the space's safe columns.
 
     A word sends each monomial to one monomial: its net exponent shift
     fixes the row, and its weight is the product of the exponents its D
@@ -369,11 +375,10 @@ def _max_abs(codes: np.ndarray, blocks, space: PolySpace, safe: bool = True) -> 
     scaled by a power of two so that no square overflows.  A NaN or an
     inf counts as nonzero, so it propagates.
     """
-    columns = space.safe_columns() if safe else slice(None)
+    columns = space.safe_columns()
     exps, degrees = space.exponents[columns].T, space.degrees[columns]
-    letters, perm, first, starts, sizes, rise, reads = _word_classes(
-        codes.astype(np.int64, copy=False).tobytes())
-    stacked = _merge(blocks, perm, first)
+    letters, perm, first, starts, sizes, rise, reads = _word_classes(_key(f.codes))
+    stacked = _re_im(np.add.reduceat(f.coeffs.take(perm, axis=1), first, axis=1))
     live = np.logical_or.reduceat(np.any(stacked, axis=0), starts)
     # only the merged words of live classes, each class still whole: dropping
     # a zero word inside one would change the product's blocking and round-off
@@ -407,11 +412,7 @@ def _max_abs(codes: np.ndarray, blocks, space: PolySpace, safe: bool = True) -> 
 
 
 def build_canonical(degree: int = 6, hbar: float = 1.0) -> CanonicalPairs:
-    """Canonical pairs Q_mu = x_mu*, R_nu = -i hbar eta_{nu nu} d_nu.
-
-    [Q_mu, R_nu] = i hbar eta_{mu nu} holds exactly on the safe subspace
-    of degree <= N-1; the top degree is sacrificed to the truncation.
-    """
+    """Canonical pairs Q_mu = x_mu*, R_nu = -i hbar eta_{nu nu} d_nu, and J^z's space of degree <= degree."""
     if degree < 2:
         raise ValueError("degree bound must be at least 2")
     q = Family(np.eye(4, dtype=complex), np.arange(1, 5))
@@ -420,16 +421,16 @@ def build_canonical(degree: int = 6, hbar: float = 1.0) -> CanonicalPairs:
 
 
 def canonical_residual(pairs: CanonicalPairs) -> float:
-    """Max residual of the canonical relations over all 16 index pairs.
+    """Max normal coefficient of the canonical relations' gaps over all 16 index pairs.
 
-    One product of the family (Q_0..Q_3, R_0..R_3) with itself gives every
+    One bracket of the family (Q_0..Q_3, R_0..R_3) with itself gives every
     commutator; [Q, R] = i hbar eta, [R, Q] = -i hbar eta, the rest vanish.
     """
     ops = _stack(pairs.q, pairs.r)
     coeffs = np.zeros((8, 8, 1), complex)
     coeffs[:4, 4:, 0] = 1j * pairs.hbar * eta4()
     coeffs[4:, :4, 0] = -1j * pairs.hbar * eta4()
-    return _max_abs(*_commutator_gap(ops, ops, coeffs, _IDENTITY), pairs.space)
+    return _largest(_commutator_gap(ops, ops, coeffs, _IDENTITY))
 
 
 def quaternion_pairs(pairs: CanonicalPairs):
@@ -437,18 +438,17 @@ def quaternion_pairs(pairs: CanonicalPairs):
     return pairs.q, pairs.r
 
 
-def mixed_algebra_residual(a_ops: Family, k_ops: Family, space: PolySpace, hbar: float) -> float:
+def mixed_algebra_residual(a_ops: Family, k_ops: Family, hbar: float) -> float:
     """Residual of [A,A] = [K,K] = 0 and {A_mu, K_nu} = -hbar eta_{mu nu}.
 
     {A_mu, K_nu} = jk Q_mu R_nu + kj R_nu Q_mu = i [Q_mu, R_nu].  [A, A] and
     [K, K] are the brackets of Q and of R times jj = kk = -1, which flips the
-    sign of a whole gap block; no max |entry| can see that, so it is left out.
+    sign of a whole gap block; no max |coefficient| can see that, so it is
+    left out.
     """
-    anti = _brackets(a_ops, k_ops, sign=_KJ / _JK)
     hbar_eta = _combine(hbar * eta4().reshape(16, 1), _IDENTITY)
-    gaps = _stack(_brackets(a_ops, a_ops), _brackets(k_ops, k_ops),
-                  _sum(Family(_JK * anti.coeffs, anti.codes), hbar_eta))
-    return _max_abs(gaps.codes, [gaps.coeffs], space)
+    anti = _brackets(Family(_JK * a_ops.coeffs, a_ops.codes), k_ops, sign=_KJ / _JK, tail=hbar_eta)
+    return _largest(_brackets(a_ops, a_ops), _brackets(k_ops, k_ops), anti)
 
 
 # -- angular momentum: spinor, three-vector and tensor forms -----------------------
@@ -477,12 +477,11 @@ def m0_matrices(a_ops: Family, k_ops: Family) -> tuple:
     w = 1j * _KJ * np.einsum("ap,bq,el->abplqe", d, d, EPS)
     wd = -1j * _JK * np.einsum("el,qb,pa->abeqlp", EPS, d, d)
     w, wd = ((0.5 * (c + c.swapaxes(0, 1))).reshape(4, 16) for c in (w, wd))  # (AB)
-    both = _stack(_combine(w, _products(k_sp, a_sp)), _combine(wd, _products(a_sp, k_sp)))
-    return Family(both.coeffs[:4], both.codes), Family(both.coeffs[4:], both.codes)
+    return tuple(_on_stack(_combine(w, _products(k_sp, a_sp)), _combine(wd, _products(a_sp, k_sp))))
 
 
-def lorentz_closure_residual(m0: Family, m0d: Family, space: PolySpace, hbar: float) -> float:
-    """Residual of the spinor Lorentz algebra on the safe subspace.
+def lorentz_closure_residual(m0: Family, m0d: Family, hbar: float) -> float:
+    """Residual of the spinor Lorentz algebra, in normal form.
 
     Checks [M0_(AB), M0_(EF)] against i hbar (M0_(AE) eps_FB + A<->B)
     + E<->F with the lower-index eps_{AB} = -eps^{AB}, and that dotted
@@ -494,7 +493,7 @@ def lorentz_closure_residual(m0: Family, m0d: Family, space: PolySpace, hbar: fl
     c = c + c.transpose(0, 1, 3, 2, 4, 5)           # + E <-> F
     coeffs = np.zeros((4, 8, 4), complex)           # zero on the [M0, M0dag] blocks
     coeffs[:, :4] = 1j * hbar * c.reshape(4, 4, 4)
-    return _max_abs(*_commutator_gap(m0, _stack(m0, m0d), coeffs, m0), space)
+    return _largest(_commutator_gap(m0, _stack(m0, m0d), coeffs, m0))
 
 
 def three_vector_form(m0: Family, m0d: Family) -> tuple:
@@ -508,7 +507,7 @@ def three_vector_form(m0: Family, m0d: Family) -> tuple:
     return _combine(w, m0d), _combine(w.conj(), m0)
 
 
-def su2_closure_residual(n: Family, nd: Family, space: PolySpace, hbar: float) -> float:
+def su2_closure_residual(n: Family, nd: Family, hbar: float) -> float:
     """Residual of [N_i, N_j] = -i hbar eps_ijk N_k (and the adjoint copy).
 
     The literal component triple closes left-handed in this eps
@@ -518,7 +517,7 @@ def su2_closure_residual(n: Family, nd: Family, space: PolySpace, hbar: float) -
     ops = _stack(n, nd)
     coeffs = np.zeros((6, 6, 6), complex)
     coeffs[:3, :3, :3] = coeffs[3:, 3:, 3:] = -1j * hbar * _EPS3
-    return _max_abs(*_commutator_gap(ops, ops, coeffs, ops), space)
+    return _largest(_commutator_gap(ops, ops, coeffs, ops))
 
 
 def tensor_form(m0: Family, m0d: Family) -> Family:
@@ -533,7 +532,7 @@ def tensor_form(m0: Family, m0d: Family) -> Family:
     return _combine(w, _stack(m0, m0d))
 
 
-def tensor_algebra_residual(m_tensor: Family, space: PolySpace, hbar: float) -> float:
+def tensor_algebra_residual(m_tensor: Family, hbar: float) -> float:
     """Residual of the tensor-form Lorentz algebra and antisymmetry.
 
     The literal tensor closes as [M_uv, M_rs] = -i hbar (eta M - ...);
@@ -550,14 +549,13 @@ def tensor_algebra_residual(m_tensor: Family, space: PolySpace, hbar: float) -> 
     ops = _combine(np.eye(16)[pairs], m_tensor)
     transpose = np.eye(16).reshape(4, 4, 16).transpose(1, 0, 2).reshape(16, 16)
     antisymmetry = _combine(np.eye(16) + transpose, m_tensor)
-    return _max_abs(*_commutator_gap(ops, ops, coeffs, m_tensor, head=antisymmetry), space)
+    return _largest(_normal(antisymmetry), _commutator_gap(ops, ops, coeffs, m_tensor))
 
 
-def spinor_tensor_roundtrip_residual(m0: Family, m_tensor: Family, space: PolySpace) -> float:
-    """Max error of M0_(AB) = 1/2 eps^EdotFdot sigma^mu sigma^nu M_{mu nu}, on every column."""
+def spinor_tensor_roundtrip_residual(m0: Family, m_tensor: Family) -> float:
+    """Max normal coefficient of M0_(AB) - 1/2 eps^EdotFdot sigma^mu sigma^nu M_{mu nu}."""
     w = 0.5 * np.einsum("ef,mae,nbf->abmn", EPS, _S4, _S4).reshape(4, 16)
-    gaps = _sum(_combine(w, m_tensor), _combine(-np.eye(4), m0))
-    return _max_abs(gaps.codes, [gaps.coeffs], space, safe=False)
+    return _largest(_normal(_sum(_combine(w, m_tensor), _combine(-np.eye(4), m0))))
 
 
 def jz_residual(pairs: CanonicalPairs, m0: Family, m0d: Family) -> float:
@@ -572,7 +570,7 @@ def jz_residual(pairs: CanonicalPairs, m0: Family, m0d: Family) -> float:
     w = 0.5j * (np.eye(8)[[1]] - np.eye(8)[[4 + 1]])       # i/2 (M0_(12) - M0dag_(12))
     qr = np.eye(16)[[4 * 2 + 1]] - np.eye(16)[[4 * 1 + 2]]  # -(Q_1 R_2 - Q_2 R_1)
     gap = _sum(_combine(w, _stack(m0, m0d)), _combine(qr, _products(pairs.q, pairs.r)))
-    return _max_abs(gap.codes, [gap.coeffs], pairs.space) / pairs.hbar
+    return _max_abs(gap, pairs.space) / pairs.hbar
 
 
 def jz_spectrum(degree: int, hbar: float = 1.0) -> np.ndarray:
@@ -597,9 +595,8 @@ def integrality_residual(values: np.ndarray, hbar: float = 1.0) -> float:
 
 def quantum_checks(degree: int, hbar: float) -> tuple:
     """({name: (max residual, 1)}, dimension, J^z spectrum) of the quantum-check
-    identities on the polynomials of degree <= degree."""
+    identities; only J^z and the dimension depend on the degree."""
     pairs = build_canonical(degree, hbar)
-    space = pairs.space
     a_ops, k_ops = quaternion_pairs(pairs)
     m0, m0d = m0_matrices(a_ops, k_ops)
     n, nd = three_vector_form(m0, m0d)
@@ -612,12 +609,12 @@ def quantum_checks(degree: int, hbar: float) -> tuple:
         jz_ops = (unit_pairs, *m0_matrices(*quaternion_pairs(unit_pairs)))
     residuals = {
         "canonical": canonical_residual(pairs),
-        "mixed": mixed_algebra_residual(a_ops, k_ops, space, hbar),
-        "closure": lorentz_closure_residual(m0, m0d, space, hbar),
-        "su2": su2_closure_residual(n, nd, space, hbar),
-        "tensor": tensor_algebra_residual(mt, space, hbar),
-        "roundtrip": spinor_tensor_roundtrip_residual(m0, mt, space),
+        "mixed": mixed_algebra_residual(a_ops, k_ops, hbar),
+        "closure": lorentz_closure_residual(m0, m0d, hbar),
+        "su2": su2_closure_residual(n, nd, hbar),
+        "tensor": tensor_algebra_residual(mt, hbar),
+        "roundtrip": spinor_tensor_roundtrip_residual(m0, mt),
         "jz_integrality": np.max([jz_residual(*jz_ops),  # np.max keeps a NaN
                                   integrality_residual(vals, hbar)]),
     }
-    return {name: (r, 1) for name, r in residuals.items()}, space.dim, vals
+    return {name: (r, 1) for name, r in residuals.items()}, pairs.space.dim, vals

@@ -200,9 +200,9 @@ def test_06_polynomial_operator_algebra_closes(dense):
     safe = space.safe_columns()
     a_ops, k_ops = quaternion_pairs(pairs)
     assert canonical_residual(pairs) <= 1e-10
-    assert mixed_algebra_residual(a_ops, k_ops, space, 1.0) <= 1e-10
+    assert mixed_algebra_residual(a_ops, k_ops, 1.0) <= 1e-10
     m0, m0d = m0_matrices(a_ops, k_ops)
-    assert lorentz_closure_residual(m0, m0d, space, 1.0) <= 1e-10
+    assert lorentz_closure_residual(m0, m0d, 1.0) <= 1e-10
     dim = space.dim
     m0, m0d = (dense(m, space).reshape(2, 2, dim, dim) for m in (m0, m0d))
     worst_cross = 0.0
