@@ -44,10 +44,9 @@ CSV_BLOCK = 128
 # for the same reason.
 TEXT_BLOCK = 4096
 
-# Largest quantum-check --degree: only J^z and the dimension depend on it, J^z
-# holding (live words x safe columns) weights, and degree 20 (8855 columns)
-# takes 0.19-0.28 s and 43 MB in a fresh process (one BLAS thread, 2-core
-# Xeon VM).
+# Largest quantum-check --degree: only the dimension and the J^z spectrum
+# depend on it, and the cap bounds the spectrum list the report carries
+# (C(N + 2, 2) values, 231 at degree 20).
 MAX_DEGREE = 20
 
 # Largest gen-fixture --n: the hermitian fixture is one draw into an
@@ -821,7 +820,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quantum-check", help="polynomial-space operator algebra")
     p.set_defaults(run=cmd_quantum_check)
     p.add_argument("--degree", type=_int_in(2, MAX_DEGREE), default=6,
-                   help="sets only J^z's polynomial space and the dimension")
+                   help="sets only the dimension and the J^z spectrum")
     p.add_argument("--hbar", type=_positive_float, default=1.0)
     p.add_argument("--report", default=None)
 

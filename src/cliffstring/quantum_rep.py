@@ -41,21 +41,21 @@ formulas, the spinor/vector and spinor/tensor round-trips, the
 dotted-undotted commutation, and the identity
 J^z = i/2 (M0_(12) - M0dag_(12)) = Q_1 R_2 - Q_2 R_1 hold exactly.
 
-The six bracket checks are decided in the Weyl algebra.  D_nu Q_mu =
+Every operator identity is decided in the Weyl algebra.  D_nu Q_mu =
 Q_mu D_nu + delta_{mu nu} writes each word as an integer combination of
 normal monomials x^alpha d^beta, and two operators are equal exactly when
 their normal coefficients are.  An alphabet's table holds the normal form
 of a b -+ b a for each pair of its words and of each word, so a bracket
 of two families is the contraction sum_ab x_ia y_jb (T[ab] -+ T[ba]) plus
 the normal form of its right-hand side, and a check reads the largest
-|normal coefficient|.  No space is truncated, so these checks do not
-depend on the degree, and at hbar = 1 the gaps cancel to exactly 0.
+|normal coefficient|.  J^z's identity is one row on M0's alphabet, read
+through the same table.  No space is truncated, so no identity depends on
+the degree, and at hbar = 1 the gaps cancel to exactly 0.  A table
+depends only on its alphabet, so each is built once per process.
 
-J^z keeps a representation, for its spectrum: the polynomials in four
-variables of degree <= N, multiplication truncated at the cap, its
-identity asserted on the safe columns of degree <= N-1 (see `_max_abs`).
-Tables and word classes depend only on the alphabet, so each is built
-once per process.
+The degree N sets only the J^z spectrum, which is closed form (see
+`jz_spectrum`), and the reported dimension C(N + 4, 4) of the
+polynomials in four variables of degree <= N.
 """
 
 from __future__ import annotations
@@ -63,14 +63,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .minkowski import EPS, eta4, sigma4_complex
 
 __all__ = [
-    "PolySpace",
     "Family",
     "CanonicalPairs",
     "build_canonical",
@@ -107,44 +105,6 @@ _POW9 = 9 ** np.arange(20)
 _POW16 = 16 ** np.arange(8)  # a normal monomial x^alpha d^beta's digits: alpha_0..3, beta_0..3
 
 
-class PolySpace:
-    """Monomial basis for polynomials in `n_vars` variables, degree <= cap.
-
-    Ordered by degree, then by exponent tuple; `exponents` is the
-    (dim, n_vars) int array of the basis monomials.
-    """
-
-    def __init__(self, n_vars: int, degree: int):
-        if n_vars < 1 or degree < 1:
-            raise ValueError("need at least one variable and degree >= 1")
-        self.degree = degree
-        blocks = []
-        for d in range(degree + 1):
-            # variable multisets in lex order are exponent tuples in reverse order
-            picks = np.array(list(combinations_with_replacement(range(n_vars), d)), int)
-            exps = np.zeros((len(picks), n_vars), int)
-            np.add.at(exps, (np.arange(len(picks))[:, None], picks), 1)
-            blocks.append(exps[::-1])
-        self.exponents = np.concatenate(blocks)
-        self.degrees = self.exponents.sum(axis=1)
-
-    @property
-    def dim(self) -> int:
-        return len(self.exponents)
-
-    def safe_columns(self) -> np.ndarray:
-        """Mask of basis monomials with degree <= cap - 1."""
-        return self.degrees <= self.degree - 1
-
-
-@functools.lru_cache(maxsize=32)
-def _poly_space(n_vars: int, degree: int) -> PolySpace:
-    """The shared PolySpace(n_vars, degree), built once per process; its arrays are read-only."""
-    space = PolySpace(n_vars, degree)
-    space.exponents.flags.writeable = space.degrees.flags.writeable = False
-    return space
-
-
 @dataclass(frozen=True)
 class Family:
     """K operators sum_w coeffs[k, w] (word codes[w])."""
@@ -157,7 +117,6 @@ class Family:
 class CanonicalPairs:
     """Q_mu (real) and R_nu (complex), each a family of four operators."""
 
-    space: PolySpace
     q: Family
     r: Family
     hbar: float
@@ -312,112 +271,14 @@ def _largest(*gaps: np.ndarray) -> float:
     return float(np.max([np.max(np.hypot(*g), initial=0.0) for g in gaps]))
 
 
-# -- the truncated space: J^z ----------------------------------------------------
-
-
-@functools.lru_cache(maxsize=32)
-def _word_classes(codes: bytes) -> tuple:
-    """How an alphabet's words act, from the int64 bytes of its word codes.
-
-    Returns (letters, perm, first, starts, sizes, rise, reads): the longest
-    word's letter count; the order that lists the words class by class and
-    the start of each group of merged words in it; the first merged word
-    of each shift class and its number of merged words; and per merged
-    word its highest degree rise and the `factors` rows its D letters
-    read, sorted (one row of `reads` per letter slot some D uses).  It
-    depends only on the codes, so each alphabet is decoded once per
-    process; the arrays are read-only, since every caller shares them.
-    """
-    codes = np.frombuffer(codes, np.int64)
-    letters = int(np.searchsorted(_POW9, np.max(codes), side="right"))
-    span = 2 * letters + 1
-    place = span ** np.arange(4)  # the net shift in base span, each digit offset by `letters`
-    step = np.concatenate([[0], place, -place])             # none, Q_0..Q_3, D_0..D_3
-    rest, shift = codes, np.full(codes.shape, letters * np.sum(place))
-    level = rise = np.zeros(codes.shape, int)               # degree so far, its highest
-    reads = []
-    for _ in range(letters):                                # first letter first
-        rest, digit = np.divmod(rest, 9)
-        # a D_v after letters that shifted x_v by o meets exponent e_v + o, row
-        # v span + o + letters of `factors`; other letters read its last row, all 1
-        var = (digit - 1) % 4
-        reads.append(np.where(digit >= 5, var * span + shift // place[var] % span, 4 * span))
-        shift = shift + step[digit]
-        level = level + np.sign(step)[digit]
-        rise = np.maximum(rise, level)
-    reads = np.sort(reads, axis=0)
-    reads = reads[np.min(reads, axis=1) < 4 * span]         # the rows some D reads
-    key = shift * (letters + 1) + rise
-    for read in reads:
-        key = key * (4 * span + 1) + read
-    perm = np.argsort(key, kind="stable")                   # shift class by shift class
-    first = np.flatnonzero(np.diff(key[perm], prepend=-1))
-    shift, rise, reads = shift[perm[first]], rise[perm[first]], reads[:, perm[first]]
-    starts = np.flatnonzero(np.diff(shift, prepend=-1))
-    sizes = np.diff(starts, append=len(first))
-    for a in (perm, first, starts, sizes, rise, reads):
-        a.flags.writeable = False
-    return letters, perm, first, starts, sizes, rise, reads
-
-
-def _max_abs(f: Family, space: PolySpace) -> float:
-    """Max |matrix entry| of a family on the space's safe columns.
-
-    A word sends each monomial to one monomial: its net exponent shift
-    fixes the row, and its weight is the product of the exponents its D
-    letters meet, or 0 if a letter takes the degree past the cap.  Words
-    with the same shift, the same highest degree and the same (variable,
-    offset) at each D act alike, so their coefficients merge
-    (`_word_classes` works out the classes once per alphabet).  A shift
-    class whose merged coefficients are all exactly 0 has only zero
-    entries, so it is skipped; each other class is one product of its
-    stacked (Re; Im) coefficients by its weights, whose modulus is taken
-    scaled by a power of two so that no square overflows.  A NaN or an
-    inf counts as nonzero, so it propagates.
-    """
-    columns = space.safe_columns()
-    exps, degrees = space.exponents[columns].T, space.degrees[columns]
-    letters, perm, first, starts, sizes, rise, reads = _word_classes(_key(f.codes))
-    stacked = _re_im(np.add.reduceat(f.coeffs.take(perm, axis=1), first, axis=1))
-    live = np.logical_or.reduceat(np.any(stacked, axis=0), starts)
-    # only the merged words of live classes, each class still whole: dropping
-    # a zero word inside one would change the product's blocking and round-off
-    words = np.repeat(live, sizes)
-    stacked, rise, reads = stacked[:, words], rise[words], reads[:, words]
-
-    span = 2 * letters + 1
-    factors = np.concatenate([
-        (exps[:, None] + np.arange(-letters, letters + 1)[:, None]).reshape(4 * span, -1),
-        np.ones((1, exps.shape[1])),
-    ])
-    weights = (degrees + rise[:, None] <= space.degree).astype(float)
-    for read in reads:
-        weights *= factors[read]
-    k = stacked.shape[0] // 2
-    bounds = np.cumsum(sizes[live]).tolist()
-    tops = [0.0]
-    for lo, hi in zip([0] + bounds, bounds):
-        entries = stacked[:, lo:hi] @ weights[lo:hi]
-        top = np.abs(entries).max(initial=0.0)
-        if 0.0 < top < np.inf:
-            # capped, so a subnormal top (below 2^-1024) gets a finite scale
-            scale = 2.0 ** min(-int(np.frexp(top)[1]), 1023)
-            np.square(entries * scale, out=entries)
-            top = math.sqrt(np.max(entries[:k] + entries[k:])) / scale
-        tops.append(top)
-    return float(np.max(tops))  # np.max keeps a NaN, Python's max would not
-
-
 # -- canonical and quaternion pairs ------------------------------------------------
 
 
-def build_canonical(degree: int = 6, hbar: float = 1.0) -> CanonicalPairs:
-    """Canonical pairs Q_mu = x_mu*, R_nu = -i hbar eta_{nu nu} d_nu, and J^z's space of degree <= degree."""
-    if degree < 2:
-        raise ValueError("degree bound must be at least 2")
+def build_canonical(hbar: float = 1.0) -> CanonicalPairs:
+    """Canonical pairs Q_mu = x_mu*, R_nu = -i hbar eta_{nu nu} d_nu."""
     q = Family(np.eye(4, dtype=complex), np.arange(1, 5))
     r = Family(-1j * hbar * eta4().astype(complex), np.arange(5, 9))
-    return CanonicalPairs(space=_poly_space(4, degree), q=q, r=r, hbar=hbar)
+    return CanonicalPairs(q=q, r=r, hbar=hbar)
 
 
 def canonical_residual(pairs: CanonicalPairs) -> float:
@@ -559,18 +420,22 @@ def spinor_tensor_roundtrip_residual(m0: Family, m_tensor: Family) -> float:
 
 
 def jz_residual(pairs: CanonicalPairs, m0: Family, m0d: Family) -> float:
-    """Gap of J^z = i/2 (M0_(12) - M0dag_(12)) = Q_1 R_2 - Q_2 R_1, in units of hbar.
+    """Max normal coefficient of J^z = i/2 (M0_(12) - M0dag_(12)) = Q_1 R_2 - Q_2 R_1, in units of hbar.
 
-    Both sides are of degree 1 in hbar, so the gap over the safe columns,
-    divided by hbar, does not scale with it: families built at hbar times a
-    power of two give the same bits while nothing under- or overflows.  At a
+    The 16 words Q_mu D_nu of Q R are M0dag's half of M0's alphabet, in the
+    same order, so the gap is one row on that alphabet and reads M0's
+    cached table.  Both sides are of degree 1 in hbar, so the gap divided
+    by hbar does not scale with it: families built at hbar times a power of
+    two give the same bits while nothing under- or overflows.  At a
     subnormal hbar M0's halvings round by whole units of hbar, so
     quantum_checks builds them at hbar scaled into [1, 2).
     """
     w = 0.5j * (np.eye(8)[[1]] - np.eye(8)[[4 + 1]])       # i/2 (M0_(12) - M0dag_(12))
     qr = np.eye(16)[[4 * 2 + 1]] - np.eye(16)[[4 * 1 + 2]]  # -(Q_1 R_2 - Q_2 R_1)
-    gap = _sum(_combine(w, _stack(m0, m0d)), _combine(qr, _products(pairs.q, pairs.r)))
-    return _max_abs(gap, pairs.space) / pairs.hbar
+    rows, products = _combine(w, _stack(m0, m0d)), _products(pairs.q, pairs.r)
+    if np.array_equal(rows.codes[16:], products.codes):  # else the gap is on both alphabets
+        products = Family(np.hstack([np.zeros((16, 16)), products.coeffs]), rows.codes)
+    return _largest(_normal(_sum(rows, _combine(qr, products)))) / pairs.hbar
 
 
 def jz_spectrum(degree: int, hbar: float = 1.0) -> np.ndarray:
@@ -595,8 +460,10 @@ def integrality_residual(values: np.ndarray, hbar: float = 1.0) -> float:
 
 def quantum_checks(degree: int, hbar: float) -> tuple:
     """({name: (max residual, 1)}, dimension, J^z spectrum) of the quantum-check
-    identities; only J^z and the dimension depend on the degree."""
-    pairs = build_canonical(degree, hbar)
+    identities; only the dimension and the J^z spectrum depend on the degree."""
+    if degree < 2:
+        raise ValueError("degree bound must be at least 2")
+    pairs = build_canonical(hbar)
     a_ops, k_ops = quaternion_pairs(pairs)
     m0, m0d = m0_matrices(a_ops, k_ops)
     n, nd = three_vector_form(m0, m0d)
@@ -605,7 +472,7 @@ def quantum_checks(degree: int, hbar: float) -> tuple:
     jz_ops = (pairs, m0, m0d)
     unit = math.ldexp(hbar, 1 - math.frexp(hbar)[1])  # exact, in [1, 2)
     if unit != hbar:
-        unit_pairs = build_canonical(degree, unit)
+        unit_pairs = build_canonical(unit)
         jz_ops = (unit_pairs, *m0_matrices(*quaternion_pairs(unit_pairs)))
     residuals = {
         "canonical": canonical_residual(pairs),
@@ -617,4 +484,4 @@ def quantum_checks(degree: int, hbar: float) -> tuple:
         "jz_integrality": np.max([jz_residual(*jz_ops),  # np.max keeps a NaN
                                   integrality_residual(vals, hbar)]),
     }
-    return {name: (r, 1) for name, r in residuals.items()}, pairs.space.dim, vals
+    return {name: (r, 1) for name, r in residuals.items()}, math.comb(degree + 4, 4), vals

@@ -1,7 +1,40 @@
 """Shared test helpers."""
 
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
+
+
+class PolySpace:
+    """Monomial basis for polynomials in `n_vars` variables, degree <= cap.
+
+    Ordered by degree, then by exponent tuple; `exponents` is the
+    (dim, n_vars) int array of the basis monomials.  The basis of the dense
+    oracle `dense_family`.
+    """
+
+    def __init__(self, n_vars: int, degree: int):
+        if n_vars < 1 or degree < 1:
+            raise ValueError("need at least one variable and degree >= 1")
+        self.degree = degree
+        blocks = []
+        for d in range(degree + 1):
+            # variable multisets in lex order are exponent tuples in reverse order
+            picks = np.array(list(combinations_with_replacement(range(n_vars), d)), int)
+            exps = np.zeros((len(picks), n_vars), int)
+            np.add.at(exps, (np.arange(len(picks))[:, None], picks), 1)
+            blocks.append(exps[::-1])
+        self.exponents = np.concatenate(blocks)
+        self.degrees = self.exponents.sum(axis=1)
+
+    @property
+    def dim(self) -> int:
+        return len(self.exponents)
+
+    def safe_columns(self) -> np.ndarray:
+        """Mask of basis monomials with degree <= cap - 1, where no truncated product lands."""
+        return self.degrees <= self.degree - 1
 
 
 def dense_family(family, space):

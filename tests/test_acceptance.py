@@ -56,6 +56,7 @@ from cliffstring.string_modes import (
     redshift,
 )
 from cliffstring.string_modes import coordinates
+from conftest import PolySpace
 
 
 def test_01_octonion_identities_hold_at_scale():
@@ -195,8 +196,8 @@ def test_05_string_currents_charges_and_waves():
 
 def test_06_polynomial_operator_algebra_closes(dense):
     start = time.monotonic()
-    pairs = build_canonical(degree=6, hbar=1.0)
-    space = pairs.space
+    pairs = build_canonical(hbar=1.0)
+    space = PolySpace(4, 6)
     safe = space.safe_columns()
     a_ops, k_ops = quaternion_pairs(pairs)
     assert canonical_residual(pairs) <= 1e-10

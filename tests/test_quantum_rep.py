@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import inspect
 import math
 import sys
@@ -15,7 +14,6 @@ from cliffstring.minkowski import EPS, eta4, sigma4_complex
 from cliffstring.quantum_rep import (
     CanonicalPairs,
     Family,
-    PolySpace,
     build_canonical,
     canonical_residual,
     integrality_residual,
@@ -31,12 +29,14 @@ from cliffstring.quantum_rep import (
     tensor_form,
     three_vector_form,
 )
+from conftest import PolySpace
 
 DEGREE = 6
+SPACE = PolySpace(4, DEGREE)  # the dense oracle's basis
 
 
-def _rep(degree, hbar):
-    pairs = build_canonical(degree, hbar)
+def _rep(hbar):
+    pairs = build_canonical(hbar)
     a_ops, k_ops = quaternion_pairs(pairs)
     m0, m0d = m0_matrices(a_ops, k_ops)
     return pairs, a_ops, k_ops, m0, m0d
@@ -44,7 +44,7 @@ def _rep(degree, hbar):
 
 @pytest.fixture(scope="module")
 def rep():
-    return _rep(DEGREE, 1.0)
+    return _rep(1.0)
 
 
 def _eps3():
@@ -55,11 +55,10 @@ def _eps3():
     return eps3
 
 
-def test_space_dimensions(rep):
-    pairs = rep[0]
+def test_space_dimensions():
     # polynomials in 4 variables of degree <= 6, minus the sacrificial top layer
-    assert pairs.space.dim == 210
-    assert int(np.sum(pairs.space.safe_columns())) == 126
+    assert SPACE.dim == 210 == quantum_rep.quantum_checks(DEGREE, 1.0)[1]
+    assert int(np.sum(SPACE.safe_columns())) == 126
 
 
 def _tuple_walk(n_vars, degree):
@@ -88,7 +87,7 @@ def test_canonical_relations_exact(rep):
 
 
 def test_canonical_relations_generic_hbar():
-    pairs = build_canonical(degree=4, hbar=0.7)
+    pairs = build_canonical(hbar=0.7)
     assert canonical_residual(pairs) <= 1e-12
 
 
@@ -110,12 +109,12 @@ def test_lorentz_closure_exact(rep):
 
 def test_su2_closure_and_reordered_convention(rep, dense):
     pairs, m0, m0d = rep[0], rep[3], rep[4]
-    safe = pairs.space.safe_columns()
+    safe = SPACE.safe_columns()
     n, nd = three_vector_form(m0, m0d)
     assert su2_closure_residual(n, nd, pairs.hbar) == 0.0
     # swapping the first two components flips the handedness, so the same
     # triple closes with the opposite sign of i*hbar
-    n = dense(n, pairs.space)
+    n = dense(n, SPACE)
     ns = np.array([n[1], n[0], n[2]])
     eps3 = _eps3()
     worst = 0.0
@@ -133,8 +132,8 @@ def test_tensor_algebra_exact(rep):
 
 
 def test_tensor_assembles_from_three_vector(rep, dense):
-    pairs, m0, m0d = rep[0], rep[3], rep[4]
-    space = pairs.space
+    m0, m0d = rep[3], rep[4]
+    space = SPACE
     safe = space.safe_columns()
     mt = dense(tensor_form(m0, m0d), space).reshape(4, 4, space.dim, space.dim)
     n, nd = (dense(v, space) for v in three_vector_form(m0, m0d))
@@ -192,7 +191,7 @@ def test_integrality_residual_at_a_subnormal_hbar():
 
 def test_degree_bound_validation():
     with pytest.raises(ValueError):
-        build_canonical(degree=1)
+        quantum_rep.quantum_checks(1, 1.0)
 
 
 # -- against plain matrix commutators ----------------------------------------------
@@ -238,9 +237,9 @@ def _normal_coefficients(gaps, space):
     return c
 
 
-def _dense_residuals(pairs, m0, m0d, dense):
+def _dense_residuals(pairs, m0, m0d, dense, space):
     """The same residuals from dense matrices, written out index by index, as normal coefficients."""
-    space, hbar = pairs.space, pairs.hbar
+    hbar = pairs.hbar
     dim, eta = space.dim, eta4()
     eye = np.eye(dim)
 
@@ -305,10 +304,10 @@ def _dense_residuals(pairs, m0, m0d, dense):
 @pytest.mark.parametrize("degree", [3, 4])
 @pytest.mark.parametrize("hbar", [1.0, 0.7])
 def test_residuals_match_dense_commutators(dense, degree, hbar):
-    pairs = build_canonical(degree, hbar)
+    pairs = build_canonical(hbar)
     m0, m0d = m0_matrices(*quaternion_pairs(pairs))
     words = _word_residuals(pairs, m0, m0d)
-    oracle = _dense_residuals(pairs, m0, m0d, dense)
+    oracle = _dense_residuals(pairs, m0, m0d, dense, PolySpace(4, degree))
     if hbar == 1.0:
         assert words == oracle == dict.fromkeys(words, 0.0)
     else:
@@ -329,12 +328,12 @@ def test_perturbed_residuals_match_dense_commutators(dense, degree):
     # random coefficients make every residual O(0.1-1), so the two sides
     # must agree on the value, not only on a zero
     rng = np.random.default_rng(degree)
-    pairs = build_canonical(degree, 0.7)
+    pairs = build_canonical(0.7)
     m0, m0d = m0_matrices(*quaternion_pairs(pairs))
-    pairs = CanonicalPairs(pairs.space, _perturbed(pairs.q, rng), _perturbed(pairs.r, rng), 0.7)
+    pairs = CanonicalPairs(_perturbed(pairs.q, rng), _perturbed(pairs.r, rng), 0.7)
     m0, m0d = _perturbed(m0, rng), _perturbed(m0d, rng)
     words = _word_residuals(pairs, m0, m0d)
-    oracle = _dense_residuals(pairs, m0, m0d, dense)
+    oracle = _dense_residuals(pairs, m0, m0d, dense, PolySpace(4, degree))
     assert min(oracle.values()) > 0.05
     for name in words:
         assert words[name] == pytest.approx(oracle[name], rel=1e-12), name
@@ -479,11 +478,11 @@ def test_a_job_builds_each_table_once(tmp_path):
     cache = quantum_rep._bracket_table
     cache.cache_clear()
     # canonical, {A, K}, [A, A] and [K, K] have one each; closure, su2,
-    # tensor and the round-trip share M0's
+    # tensor, the round-trip and J^z share M0's
     assert cli.main(["quantum-check", "--degree", "5", "--report", report]) == 0
-    assert (cache.cache_info().misses, cache.cache_info().hits) == (5, 4)
+    assert (cache.cache_info().misses, cache.cache_info().hits) == (5, 5)
     assert cli.main(["quantum-check", "--degree", "6", "--report", report]) == 0
-    assert (cache.cache_info().misses, cache.cache_info().hits) == (5, 13)
+    assert (cache.cache_info().misses, cache.cache_info().hits) == (5, 15)
 
 
 def test_gap_families_list_each_word_of_the_grid_once(monkeypatch):
@@ -564,6 +563,8 @@ def test_m0_and_m0dag_share_one_alphabet(rep):
     assert np.all(m0.codes[16:] // 9 < 5) and np.all(m0.codes[16:] % 9 >= 5)
     assert not np.any(m0.coeffs[:, 16:]) and not np.any(m0d.coeffs[:, :16])
     assert np.all(np.any(m0.coeffs[:, :16], axis=1)) and np.all(np.any(m0d.coeffs[:, 16:], axis=1))
+    # the words Q_mu D_nu of the products Q_mu R_nu, in order, so J^z's gap is one row on M0's alphabet
+    assert np.array_equal(quantum_rep._products(rep[0].q, rep[0].r).codes, m0.codes[16:])
 
 
 def _recorded_brackets(rep, monkeypatch):
@@ -609,7 +610,7 @@ def test_bilinear_gaps_equal_the_whole_family(monkeypatch, hbar):
     # each bracket's gaps, contracted over its alphabet's table, against the
     # normal form of its whole family of product words: the same values up to
     # the round-off of the two summation orders, and exactly 0 at hbar = 1
-    calls = _recorded_brackets(_rep(3, hbar), monkeypatch)
+    calls = _recorded_brackets(_rep(hbar), monkeypatch)
     assert len(calls) == 7  # canonical, {A, K}, [A, A], [K, K], closure, su2, tensor
     for (x, y, sign, tail), got in calls:
         want, exponents = _whole_family(x, y, sign, tail)
@@ -624,197 +625,51 @@ def test_bilinear_gaps_equal_the_whole_family(monkeypatch, hbar):
             assert np.max(np.abs(on_whole - want)) <= 1e-13 * max(hbar, hbar ** 2)
 
 
-# -- J^z on the truncated space: one decode per alphabet ---------------------------
+# -- J^z in normal form, on M0's alphabet -----------------------------------------
 
 
-def _jz_gap(rep, monkeypatch):
-    """The (family, space) of the `_max_abs` call that `jz_residual` makes."""
-    pairs, m0, m0d = rep[0], rep[3], rep[4]
-    calls = []
-    evaluate = quantum_rep._max_abs
-
-    def recorded(f, space):
-        calls.append((f, space))
-        return evaluate(f, space)
-
-    monkeypatch.setattr(quantum_rep, "_max_abs", recorded)
-    jz_residual(pairs, m0, m0d)
-    monkeypatch.undo()
-    (call,) = calls
-    return call
+@pytest.mark.parametrize("hbar", [0.3, 0.7, 1e-300, 1e100, 1e200, math.pi])
+def test_jz_gap_is_exact_at_any_hbar(hbar):
+    # both sides have the same normal coefficients bit for bit, so the gap
+    # is an exact 0, not round-off (a truncated space's entries read up to
+    # 6.8e-16 here)
+    pairs, _, _, m0, m0d = _rep(hbar)
+    assert jz_residual(pairs, m0, m0d) == 0.0
 
 
-def _key(f):
-    return f.codes.astype(np.int64).tobytes()
-
-
-def test_cached_word_classes_match_a_fresh_decode(rep, monkeypatch):
-    f, _ = _jz_gap(rep, monkeypatch)
-    cached = quantum_rep._word_classes(_key(f))
-    fresh = quantum_rep._word_classes.__wrapped__(_key(f))
-    assert cached is quantum_rep._word_classes(_key(f))
-    assert len(cached) == len(fresh)
-    for got, want in zip(cached, fresh):
-        if isinstance(want, np.ndarray):
-            assert np.array_equal(got, want)
-        else:
-            assert got == want
-
-
-def test_cached_word_classes_are_read_only(rep, monkeypatch):
-    f, _ = _jz_gap(rep, monkeypatch)
-    arrays = [a for a in quantum_rep._word_classes(_key(f)) if isinstance(a, np.ndarray)]
-    assert len(arrays) == 6  # perm, first, starts, sizes, rise, reads
-    for a in arrays:
-        with pytest.raises(ValueError, match="read-only"):
-            a[...] = 0
-
-
-def test_a_job_decodes_each_alphabet_once(monkeypatch, tmp_path):
-    # only J^z is evaluated on the truncated space, on one alphabet of 48 words
-    report = str(tmp_path / "r.json")
-    cache = quantum_rep._word_classes
-    cache.cache_clear()
-    assert cli.main(["quantum-check", "--degree", "5", "--report", report]) == 0
-    assert (cache.cache_info().misses, cache.cache_info().hits) == (1, 0)
-    assert cli.main(["quantum-check", "--degree", "6", "--report", report]) == 0
-    assert (cache.cache_info().misses, cache.cache_info().hits) == (1, 1)
-    # the words of each decoded alphabet, through a fresh cache of the same size
-    decoded = []
-
-    def decode(codes):
-        decoded.append(len(codes) // 8)
-        return cache.__wrapped__(codes)
-
-    maxsize = cache.cache_parameters()["maxsize"]
-    monkeypatch.setattr(quantum_rep, "_word_classes", functools.lru_cache(maxsize)(decode))
-    for degree in ("5", "6"):
-        assert cli.main(["quantum-check", "--degree", degree, "--report", report]) == 0
-    assert decoded == [48]
-
-
-def test_word_class_cache_is_bounded():
-    maxsize = quantum_rep._word_classes.cache_parameters()["maxsize"]
-    assert maxsize is not None and maxsize >= 1  # one job's alphabet stays cached
-
-
-# -- shift classes that cancel exactly are skipped --------------------------------
-
-
-def _every_class_max_abs(f, space):
-    """`_max_abs` as a loop over every shift class, none skipped."""
-    columns = space.safe_columns()
-    exps, degrees = space.exponents[columns].T, space.degrees[columns]
-    letters, perm, first, starts, sizes, rise, reads = quantum_rep._word_classes(_key(f))
-    coeffs = np.add.reduceat(f.coeffs.T[perm], first).T
-    span = 2 * letters + 1
-    factors = np.concatenate([
-        (exps[:, None] + np.arange(-letters, letters + 1)[:, None]).reshape(4 * span, -1),
-        np.ones((1, exps.shape[1])),
-    ])
-    weights = (degrees + rise[:, None] <= space.degree).astype(float)
-    for read in reads:
-        weights *= factors[read]
-    stacked = np.concatenate([coeffs.real, coeffs.imag])
-    k = coeffs.shape[0]
-    tops = []
-    for lo, hi in zip(starts.tolist(), (starts + sizes).tolist()):
-        entries = stacked[:, lo:hi] @ weights[lo:hi]
-        top = np.abs(entries).max(initial=0.0)
-        if 0.0 < top < np.inf:
-            scale = 2.0 ** min(-int(np.frexp(top)[1]), 1023)
-            np.square(entries * scale, out=entries)
-            top = math.sqrt(np.max(entries[:k] + entries[k:])) / scale
-        tops.append(top)
-    return float(np.max(tops))
-
-
-def _live(f):
-    """Per shift class of a family, whether any of its merged coefficients is nonzero."""
-    _, perm, first, starts, _, _, _ = quantum_rep._word_classes(_key(f))
-    merged = np.add.reduceat(f.coeffs.T[perm], first)
-    return np.logical_or.reduceat(np.any(merged != 0, axis=1), starts)
-
-
-def _class_words(f, classes):
-    """The words of the given shift classes of a family."""
-    _, perm, first, starts, sizes, _, _ = quantum_rep._word_classes(_key(f))
-    bounds = np.append(first, len(perm))
-    merged = np.concatenate([np.arange(starts[c], starts[c] + sizes[c]) for c in classes])
-    return np.concatenate([perm[bounds[m]:bounds[m + 1]] for m in merged])
-
-
-@pytest.mark.parametrize("hbar", [0.7, 1.0, 1e100, 1e-300, 1e308])
-@pytest.mark.parametrize("degree", [3, 6, 9])
-def test_skipping_cancelled_classes_is_exact(monkeypatch, degree, hbar):
-    # only whole classes may go: dropping the zero words inside a live class
-    # changes the product's blocking, which moves round-off from degree 9 on
-    with np.errstate(all="ignore"):  # a huge hbar overflows the operators
-        f, space = _jz_gap(_rep(degree, hbar), monkeypatch)
-        want = _every_class_max_abs(f, space)
-        assert quantum_rep._max_abs(f, space).hex() == want.hex()
-
-
-@pytest.mark.parametrize("degree", [3, DEGREE])
-def test_most_classes_cancel_exactly(monkeypatch, degree):
-    # the identity cancels exactly once equal-acting words merge, which is
-    # what the skip saves; (live, all) classes of the J^z gap family
-    live = _live(_jz_gap(_rep(degree, 1.0), monkeypatch)[0])
-    assert (int(np.sum(live)), len(live)) == (4, 13)
-
-
-def _planted(f, word, value):
-    """Copy of a family with `value` on one word of its first operator."""
-    coeffs = f.coeffs.copy()
-    coeffs[0, word] = value
-    return dataclasses.replace(f, coeffs=coeffs)
-
-
-@pytest.mark.parametrize("cancelled", range(6))
-def test_skipping_hides_no_planted_value(rep, monkeypatch, cancelled):
-    f, space = _jz_gap(rep, monkeypatch)
-    words = _class_words(f, [np.flatnonzero(~_live(f))[cancelled]])
-    assert not np.any(f.coeffs[:, words])  # so the planted value is a merged coefficient
-    tiny = _planted(f, words[0], 2.0 ** -1074)
-    assert quantum_rep._max_abs(tiny, space) == _every_class_max_abs(tiny, space) > 0.0
-    assert np.isnan(quantum_rep._max_abs(_planted(f, words[0], np.nan), space))
-
-
-def test_a_family_with_no_live_class_reads_zero(rep, monkeypatch):
-    # +1 and -1 on two copies of one word: Q_1 D_2 is a word of M0dag and of Q_1 R_2
-    f, space = _jz_gap(rep, monkeypatch)
-    copies = np.flatnonzero(f.codes == 9 * 2 + 7)
-    assert len(copies) == 2
-    cancelled = np.zeros_like(f.coeffs)
-    cancelled[0, copies] = [1.0, -1.0]
-    for coeffs in (cancelled, np.zeros_like(f.coeffs)):
-        family = dataclasses.replace(f, coeffs=coeffs)
-        assert not np.any(_live(family))
-        assert quantum_rep._max_abs(family, space).hex() == (0.0).hex()
-
-
-def test_polynomial_spaces_are_built_once_and_read_only():
-    assert build_canonical(5, 1.0).space is build_canonical(5, 0.7).space
-    assert build_canonical(6).space is not build_canonical(5).space
-    space = build_canonical(5).space
-    for a in (space.exponents, space.degrees):
-        with pytest.raises(ValueError, match="read-only"):
-            a[...] = 0
+@pytest.mark.parametrize("reordered", [False, True], ids=["m0-alphabet", "reordered"])
+def test_jz_gap_matches_the_dense_normal_coefficients(dense, reordered):
+    # random terms on M0's and M0dag's words make the gap O(0.1-1); on a
+    # reordered alphabet the gap is read on that alphabet and Q R's side by side
+    rng = np.random.default_rng(7)
+    pairs, _, _, m0, m0d = _rep(0.7)
+    m0, m0d = (Family(f.coeffs + 0.1 * rng.standard_normal(f.coeffs.shape), f.codes) for f in (m0, m0d))
+    if reordered:
+        order = rng.permutation(len(m0.codes))
+        m0, m0d = (Family(f.coeffs[:, order], f.codes[order]) for f in (m0, m0d))
+    space = PolySpace(4, 3)
+    d0, dd = dense(m0, space), dense(m0d, space)
+    q, r = dense(pairs.q, space), dense(pairs.r, space)
+    gap = 0.5j * (d0[1] - dd[1]) - (q[1] @ r[2] - q[2] @ r[1])
+    want = np.max(np.abs(_normal_coefficients(gap[None], space))) / pairs.hbar
+    assert want > 0.05
+    assert jz_residual(pairs, m0, m0d) == pytest.approx(want, rel=1e-12)
 
 
 def test_a_warm_job_keeps_a_small_working_set(tmp_path):
-    # the bracket checks contract small cached tables and form no word grid:
-    # a warm degree-5 job peaks near 0.17 MiB (0.8 MiB when they streamed
-    # the grids in row blocks)
-    argv = ["quantum-check", "--degree", "5", "--report", str(tmp_path / "r.json")]
-    assert cli.main(argv) == 0  # builds the tables, decodes the alphabet, builds the space
-    tracemalloc.start()
-    try:
-        assert cli.main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * 2 ** 20
+    # every check contracts small cached tables, forms no word grid and
+    # builds no space, so a warm job peaks near 0.17 MiB at any degree (J^z
+    # on a truncated space took degree 20 to 3.2 MiB)
+    for degree in ("5", "20"):
+        argv = ["quantum-check", "--degree", degree, "--report", str(tmp_path / "r.json")]
+        assert cli.main(argv) == 0  # builds the tables
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 2 ** 20, degree
 
 
 # -- every check can fail --------------------------------------------------------
@@ -823,7 +678,7 @@ def test_a_warm_job_keeps_a_small_working_set(tmp_path):
 def test_built_families_have_no_empty_block(rep, dense):
     # an empty block would make every residual built on it an exact 0.0
     pairs, m0, m0d = rep[0], rep[3], rep[4]
-    space = pairs.space
+    space = SPACE
     n, nd = three_vector_form(m0, m0d)
     for family in (pairs.q, pairs.r, m0, m0d, n, nd):
         assert np.all(np.count_nonzero(dense(family, space), axis=(1, 2)) > 0)
@@ -835,7 +690,7 @@ def test_built_families_have_no_empty_block(rep, dense):
 def test_m0_gives_jz_from_the_canonical_pairs(rep, dense):
     # J^z = i/2 (M0_(12) - M0dag_(12)) = Q_1 R_2 - Q_2 R_1 ties M0 to Q and R
     pairs = rep[0]
-    space = pairs.space
+    space = SPACE
     m0, m0d = (dense(m, space).reshape(2, 2, space.dim, space.dim) for m in rep[3:5])
     safe = space.safe_columns()
     q, r = dense(pairs.q, space), dense(pairs.r, space)
@@ -859,28 +714,16 @@ def _mutant(monkeypatch, old, new):
 def test_canonical_and_mixed_trip_on_a_wrong_derivative_weight(monkeypatch):
     # the normal-order table with D_nu Q_mu = Q_mu D_nu + 2 delta_{mu nu}
     mutant = _mutant(monkeypatch, "weight * met", "weight * met * 2")
-    pairs = mutant.build_canonical(degree=3, hbar=1.0)
+    pairs = mutant.build_canonical(hbar=1.0)
     a_ops, k_ops = mutant.quaternion_pairs(pairs)
     assert mutant.canonical_residual(pairs) == 1.0
     assert mutant.mixed_algebra_residual(a_ops, k_ops, pairs.hbar) == 1.0
 
 
-def test_jz_trips_on_a_wrong_degree_cap(monkeypatch):
-    # a word whose degree reaches the cap counts as truncated: M0's words
-    # D_nu Q_mu drop out on the top safe layer, the words Q_mu D_nu of
-    # Q_1 R_2 - Q_2 R_1 do not.  Only J^z reads the truncated space; a wrong
-    # derivative weight there it cannot see, since both its sides read the
-    # same exponents
-    mutant = _mutant(monkeypatch, "degrees + rise[:, None] <= space.degree",
-                     "degrees + rise[:, None] < space.degree")
-    results = mutant.quantum_checks(3, 1.0)[0]
-    assert {name: r for name, (r, _) in results.items() if r > 1e-10} == {"jz_integrality": 1.0}
-
-
 def test_mixed_trips_on_a_commuting_fold(monkeypatch):
     # kj = jk = i turns {A, K} into i {Q, R}; Q and R are untouched
     monkeypatch.setattr(quantum_rep, "_KJ", 1j)
-    pairs = build_canonical(degree=3, hbar=1.0)
+    pairs = build_canonical(hbar=1.0)
     a_ops, k_ops = quaternion_pairs(pairs)
     assert canonical_residual(pairs) == 0.0
     assert mixed_algebra_residual(a_ops, k_ops, pairs.hbar) > 1e-10
@@ -898,22 +741,24 @@ def _flip_sigma_y(monkeypatch):
     monkeypatch.setattr(quantum_rep, "_S4", s4)
 
 
-@pytest.mark.parametrize("mutate, want", [
-    (lambda mp: mp.setattr(quantum_rep, "EPS", -quantum_rep.EPS), 8.0),
-    (_flip_sigma_y, 8.0),
-    (lambda mp: mp.setattr(quantum_rep, "_KJ", 1j), 4.0),
+@pytest.mark.parametrize("mutate, want, entry", [
+    (lambda mp: mp.setattr(quantum_rep, "EPS", -quantum_rep.EPS), 2.0, 8.0),
+    (_flip_sigma_y, 2.0, 8.0),
+    (lambda mp: mp.setattr(quantum_rep, "_KJ", 1j), 1.0, 4.0),
 ], ids=["flipped-eps", "flipped-sigma-y", "commuting-fold"])
-def test_jz_trips_on_a_broken_m0(monkeypatch, dense, mutate, want):
+def test_jz_trips_on_a_broken_m0(monkeypatch, dense, mutate, want, entry):
     # a flipped eta4 is no such mutant: it moves R, so both sides of the identity
     mutate(monkeypatch)
-    pairs, _, _, m0, m0d = _rep(5, 1.0)
+    pairs, _, _, m0, m0d = _rep(1.0)
     assert jz_residual(pairs, m0, m0d) == want
-    # the dense oracle reads the same gap
-    space = pairs.space
+    # the dense oracle reads the same gap: its largest normal coefficient, and
+    # its largest matrix entry on the safe columns of degree <= 4
+    space = PolySpace(4, 5)
     m0, m0d = (dense(m, space) for m in (m0, m0d))
     q, r = dense(pairs.q, space), dense(pairs.r, space)
     gap = 0.5j * (m0[1] - m0d[1]) - (q[1] @ r[2] - q[2] @ r[1])
-    assert np.max(np.abs(gap[:, space.safe_columns()])) == want
+    assert np.max(np.abs(_normal_coefficients(gap[None], space))) == want
+    assert np.max(np.abs(gap[:, space.safe_columns()])) == entry
 
 
 def test_su2_trips_on_a_flipped_eps3(rep, monkeypatch):
@@ -951,19 +796,19 @@ def test_roundtrip_trips_on_a_perturbed_m0_block(rep):
     assert spinor_tensor_roundtrip_residual(perturbed, mt) == 0.5
 
 
-def _with_nan(family):
-    """Copy of a family with its first coefficient set to NaN."""
+def _with_nan(family, row=0):
+    """Copy of a family with the first coefficient of one operator set to NaN."""
     coeffs = family.coeffs.copy()
-    coeffs[0, 0] = np.nan
+    coeffs[row, 0] = np.nan
     return dataclasses.replace(family, coeffs=coeffs)
 
 
-@pytest.mark.parametrize("check", ["canonical", "mixed", "closure", "su2", "tensor", "roundtrip"])
+@pytest.mark.parametrize("check", ["canonical", "mixed", "closure", "su2", "tensor", "roundtrip", "jz"])
 def test_nan_on_a_safe_column_gives_a_nan_residual(rep, check):
     pairs, m0, m0d = rep[0], rep[3], rep[4]
-    space, hbar = pairs.space, pairs.hbar
+    hbar = pairs.hbar
     if check == "canonical":
-        residual = canonical_residual(CanonicalPairs(space, _with_nan(pairs.q), pairs.r, hbar))
+        residual = canonical_residual(CanonicalPairs(_with_nan(pairs.q), pairs.r, hbar))
     elif check == "mixed":
         a_ops, k_ops = quaternion_pairs(pairs)
         residual = mixed_algebra_residual(_with_nan(a_ops), k_ops, hbar)
@@ -974,6 +819,8 @@ def test_nan_on_a_safe_column_gives_a_nan_residual(rep, check):
         residual = su2_closure_residual(_with_nan(n), nd, hbar)
     elif check == "tensor":
         residual = tensor_algebra_residual(_with_nan(tensor_form(m0, m0d)), hbar)
+    elif check == "jz":
+        residual = jz_residual(pairs, _with_nan(m0, row=1), m0d)  # in M0_(12)
     else:
         residual = spinor_tensor_roundtrip_residual(_with_nan(m0), tensor_form(m0, m0d))
     assert np.isnan(residual)
