@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .fixtures import random_hermitian, random_spectrum, random_spinor
+from .floattext import csv_rows, json_table, json_texts
 from .lorentz import MAX_NEST_DEPTH, lorentz_checks
 from .matrices import OctHermitian
 from .octonion import octonion_checks
@@ -39,10 +40,6 @@ MAX_GRID = 65536
 # string-modes CSV rows formatted and written per block, so the text buffers
 # stay bounded whatever --grid is.
 CSV_BLOCK = 128
-
-# Nonzero floats of a resolve report or hermitian fixture formatted per block,
-# for the same reason.
-TEXT_BLOCK = 4096
 
 # Largest quantum-check --degree: only the dimension and the J^z spectrum
 # depend on it, and the cap bounds the spectrum list the report carries
@@ -118,235 +115,6 @@ def _resolve_seed(flag_value) -> int:
 
 def _tols(args) -> dict:
     return {name: getattr(args, "tol." + name) for name in DEFAULT_TOLS[args.command]}
-
-
-# -- decimal text of floats --
-#
-# Both float writers, the CSV grid's "%.17g" and the JSON tables' repr, start
-# from one 17-digit core.  A value v with 1e-270 <= |v| <= 1e290 and decimal
-# exponent X = floor(log10|v|) has the 17 digits D = round-half-even(|v|
-# 10^(16 - X)), 1e16 <= D < 1e17.  With 10^s held as hi + lo (lo the rounded
-# remainder), |v| hi is split exactly into p + e (Dekker's two-product), and
-# y = p + t with t = e + |v| lo is within 2^-47 of |v| 10^s.  p >= 1e16 > 2^53
-# is an integer, so D = p + rint(t) unless t is within 2^-30 of a rounding tie,
-# y is below 1e16 or D reaches 1e17 (X was estimated one too high or too low,
-# or the rounding carries into an 18th digit).  y is tested as (p - 1e16) + t:
-# p alone can round up to 1e16 + 2 while y is below 1e16.  Those values, and
-# values outside the range, are printed by Python's correctly rounded "%.17g"
-# or repr (the scheme of Loitsch's Grisu3, PLDI 2010).
-
-_SPLIT = 134217729.0  # 2^27 + 1: splits a double into two 26-bit halves
-_FAST_MIN, _FAST_MAX = 1e-270, 1e290
-# X over the fast range is -270..290; one more each way for an estimate one off
-_X_MIN, _X_MAX = -271, 291
-
-
-def _split(a):
-    """a as hi + lo halves whose products with another split double are exact."""
-    c = a * _SPLIT
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-@functools.cache
-def _pow10_pairs():
-    """10^(16 - X) for X = -271..291 as (hi, hi's two halves, lo), each indexed by X + 271."""
-    hi, lo = [], []
-    for s in range(16 - _X_MIN, 15 - _X_MAX, -1):
-        if s >= 0:
-            hi.append(float(10**s))  # int to float rounds correctly
-            lo.append(float(10**s - int(hi[-1])))
-        else:
-            den = 10**-s
-            hi.append(1 / den)  # int / int rounds correctly
-            num, two = hi[-1].as_integer_ratio()
-            lo.append((two - num * den) / (two * den))
-    hi = np.array(hi)
-    return (hi, *_split(hi), np.array(lo))
-
-
-@functools.cache
-def _quads():
-    """The four ASCII digits of 0..9999, one little-endian uint32 each.
-
-    Built from arrays: ten thousand small bytes objects would leave about
-    1.5 MB of the interpreter's object arenas resident.
-    """
-    i = np.arange(10000, dtype=np.uint16)[:, None]
-    digits = i // np.array([1000, 100, 10, 1], np.uint16) % 10 + ord("0")
-    return digits.astype(np.uint8).view("<u4")[:, 0]
-
-
-def _exponent_estimate(a):
-    """floor(log10 a), which may be one off next to a power of ten; _decimal17 checks it."""
-    return np.floor(np.log10(a)).astype(np.intp)
-
-
-def _decimal17(v):
-    """The 17-digit core above, on each entry of a finite float array v.
-
-    Returns |v| (2.0 outside the fast range), X's estimate x, 10^(16 - x) as
-    (hi, lo), y as (p, t), D as int64 and the mask of the nonzero entries that
-    the core cannot print.
-    """
-    a = np.abs(v)
-    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
-    a = np.where(fast, a, 2.0)  # any value in range; the callers print the others
-    x = _exponent_estimate(a)
-    hi, hi1, hi2, lo = (np.take(c, x - _X_MIN) for c in _pow10_pairs())
-    a1, a2 = _split(a)
-    p = a * hi
-    t = ((a1 * hi1 - p) + a1 * hi2 + a2 * hi1) + a2 * hi2 + a * lo
-    d = p.astype(np.int64) + np.rint(t).astype(np.int64)
-    slow = (v != 0) & (~fast | ((p - 1e16) + t < 2.0**-30) | (d >= 10**17)
-                       | (np.abs(t - np.floor(t) - 0.5) < 2.0**-30))
-    return a, x, (hi, lo), (p, t), d, slow
-
-
-def _ascii17(d):
-    """The 17 ASCII digits of each entry of an int64 array below 1e17, as an (n, 17) uint8 array:
-    one leading digit, then four groups of four from the table."""
-    high, low = (part.astype(np.uint32) for part in np.divmod(d, 10**8))
-    lead = high // np.uint32(10**8)
-    high -= lead * np.uint32(10**8)
-    quads = np.empty((d.size, 4), np.uint32)
-    quads[:, 0] = high // np.uint32(10**4)
-    quads[:, 1] = high - quads[:, 0] * np.uint32(10**4)
-    quads[:, 2] = low // np.uint32(10**4)
-    quads[:, 3] = low - quads[:, 2] * np.uint32(10**4)
-    digits = np.empty((d.size, 17), np.uint8)
-    digits[:, 0] = lead + ord("0")
-    digits[:, 1:] = np.take(_quads(), quads).view(np.uint8)
-    return digits
-
-
-# -- repr's text --
-#
-# repr writes the fewest digits that read back as v, and of two such the
-# nearer to v (the search of Adams's Ryu, PLDI 2018).  A decimal reads back as
-# v when it lies in v's rounding interval.  In y's scale the interval reaches
-# h = u hi + u lo above y and l below it: u = ulp(v) / 2 is a power of two, so
-# both products are exact, and l is h, or h / 2 when v's significand is a
-# power of two.  h is 0.55 to 11.1, so D (at most 1/2 from y) is inside, and
-# at most one multiple of 100 is.  With r = p mod 1000 and m = 10, 100, 1000,
-# the multiple of m under y is at distance b = (r + t) mod m and the one over
-# it at m - b; one is inside when b < l, the other when m - b < h.  The nearer
-# inside multiple of 100, else of 10, else D itself, is repr's 15, 16 or 17
-# digits.  repr itself prints what the core cannot, a value whose b is within
-# 2^-30 of l, m - h or m / 2 (an end of the interval, which the parity of v's
-# significand closes or opens, or a tie between two multiples), and a value
-# with a multiple of 1000 inside (14 digits or fewer; a rounding that carries
-# to 10^17 is one of these).  About 1 % of uniform draws take that path.
-
-# Characters of repr's texts besides the 17 digits, NUL padding first.  A
-# value's pool holds them and then its digits: index i < 15 is _LITERALS[i]
-# and 15 + i is digit i.
-_LITERALS = "\0-.e+0123456789"
-_POOL = len(_LITERALS) + 17
-# Characters of the widest text: a sign, 17 digits, the point and "e-271".
-_REPR_WIDTH = 24
-
-
-@functools.cache
-def _repr_layouts():
-    """repr's text of a 17 - j digit value as indices into its digits and _LITERALS,
-    per (sign bit, X + 271, j) for X = -271..291 and j = 0, 1, 2, flattened in that order.
-
-    Fixed notation for -4 <= X < 16, with the integral digits padded by zeros
-    and ".0" when no digit is left after the point; otherwise scientific, with
-    a two-digit exponent at least.
-    """
-    lit = _LITERALS.index
-    exponents = np.zeros((_X_MAX + 1 - _X_MIN, 5), np.uint8)
-    for x in range(_X_MIN, _X_MAX + 1):
-        text = "e%+03d" % x
-        exponents[x - _X_MIN, :len(text)] = [lit(c) for c in text]
-    table = np.zeros((2, _X_MAX + 1 - _X_MIN, 3, _REPR_WIDTH), np.uint8)
-    for j in range(3):
-        digits = [len(_LITERALS) + i for i in range(17 - j)]
-        table[0, :, j, :18 - j] = [digits[0], lit("."), *digits[1:]]
-        table[0, :, j, 18 - j:23 - j] = exponents
-        for x in range(-4, 16):
-            if x < 0:
-                text = [lit("0"), lit(".")] + [lit("0")] * (-1 - x) + digits
-            else:
-                whole = digits[:x + 1] + [lit("0")] * (x + 1 - len(digits))
-                text = whole + [lit(".")] + (digits[x + 1:] or [lit("0")])
-            table[0, x - _X_MIN, j] = text + [0] * (_REPR_WIDTH - len(text))
-    table[1, ..., 0] = lit("-")
-    table[1, ..., 1:] = table[0, ..., :-1]
-    return table.reshape(-1, _REPR_WIDTH)
-
-
-def _shortest_digits(v):
-    """The search above on each entry of a nonzero finite float array v.
-
-    Returns X's estimate x, repr's digits as D (17 - j digits and j zeros,
-    j = 0, 1, 2) and the mask of the entries that repr itself prints.
-    """
-    a, x, (hi, lo), (p, t), d, slow = _decimal17(v)
-    u = 0.5 * np.spacing(a)
-    h = u * hi + u * lo
-    l = np.where(np.frexp(a)[0] == 0.5, 0.5 * h, h)
-    whole = p.astype(np.int64)
-    r = whole % 1000
-    rt = r + t
-    j = np.zeros(v.size, np.intp)
-    for m in 10, 100:
-        step = np.floor(rt / m)
-        b = rt - step * m
-        under, over = b < l, b > m - h
-        slow |= ((np.abs(b - l) < 2.0**-30) | (np.abs(b - (m - h)) < 2.0**-30)
-                 | (np.abs(b - 0.5 * m) < 2.0**-30))
-        hit = under | over
-        nearer = step + (over & ~(under & (b < 0.5 * m)))
-        d = np.where(hit, whole - r + (nearer * m).astype(np.int64), d)
-        j += hit
-    # a multiple of 1000 inside is a multiple of 100 inside
-    at = np.flatnonzero(hit)
-    b = rt[at] % 1000
-    slow[at] |= (b < l[at] + 2.0**-30) | (b > 1000 - h[at] - 2.0**-30)
-    return x, d, j, slow
-
-
-def _shortest(v):
-    """repr's text of each entry of a nonzero finite float array v, as an object array of str."""
-    x, d, j, slow = _shortest_digits(v)
-    d[slow] = 0
-    chars = np.empty((v.size, _POOL), np.uint8)
-    chars[:, :len(_LITERALS)] = np.frombuffer(_LITERALS.encode(), np.uint8)
-    chars[:, len(_LITERALS):] = _ascii17(d)
-    key = (np.signbit(v) * (_X_MAX + 1 - _X_MIN) + x - _X_MIN) * 3 + j
-    rows = np.arange(0, chars.size, _POOL)[:, None]
-    text = np.take(chars, np.take(_repr_layouts(), key, axis=0) + rows).astype(np.uint32)
-    text = text.view(f"<U{_REPR_WIDTH}")[:, 0].astype(object)
-    for i in np.flatnonzero(slow):
-        text[i] = repr(float(v[i]))
-    return text
-
-
-# the texts of a zero and a negative zero, indexed by the sign bit
-_ZEROS = np.array(["0.0", "-0.0"], dtype=object)
-
-
-def _texts(x: np.ndarray) -> np.ndarray:
-    """The JSON texts of a float array's entries, flat in C order, as str objects.
-
-    A nonzero entry gets float repr's text, as json writes it, from
-    _shortest, TEXT_BLOCK entries at a time; a zero takes the literal "0.0"
-    or "-0.0".  A NaN or inf raises json's ValueError, naming the first one.
-    """
-    flat = x.ravel()
-    finite = np.isfinite(flat)
-    if not finite.all():
-        bad = flat[np.argmin(finite)].item()
-        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-    text = _ZEROS[np.signbit(flat).view(np.uint8)]
-    nonzero = np.flatnonzero(flat)
-    for start in range(0, nonzero.size, TEXT_BLOCK):
-        at = nonzero[start:start + TEXT_BLOCK]
-        text[at] = _shortest(flat[at])
-    return text
 
 
 def _json(obj) -> str:
@@ -474,24 +242,6 @@ def _max_norm(x: np.ndarray) -> float:
     return float(np.ldexp(np.max(np.linalg.norm(np.ldexp(x, -e), axis=-1)), e))
 
 
-def _table(texts: np.ndarray) -> list:
-    """The pieces of json's text of an (n, m, k) table, from its entries' texts,
-    where the table is a top-level key's value.
-
-    The entries alternate with json's five separators: before the first
-    entry, between two entries of a line, between two lines, between two rows
-    and after the last entry.  Each is one shared str, so the join of the
-    pieces is the table's text.
-    """
-    pieces = np.empty(texts.shape + (2,), dtype=object)
-    pieces[..., 0] = texts
-    pieces[..., 1] = ",\n        "
-    pieces[:, :, -1, 1] = "\n      ],\n      [\n        "
-    pieces[:, -1, -1, 1] = "\n      ]\n    ],\n    [\n      [\n        "
-    pieces[-1, -1, -1, 1] = "\n      ]\n    ]\n  ]"
-    return ["[\n    [\n      [\n        ", *pieces.ravel().tolist()]
-
-
 def _resolve_text(out: dict, coeffs: np.ndarray) -> str:
     """_json(out) with a, b (coeffs[0], coeffs[1]) and their vectors added.
 
@@ -501,7 +251,7 @@ def _resolve_text(out: dict, coeffs: np.ndarray) -> str:
     and F slots of resolve.vectors), repeat the same texts.
     """
     n = coeffs.shape[1]
-    texts = _texts(coeffs).reshape(coeffs.shape)
+    texts = json_texts(coeffs).reshape(coeffs.shape)
     # out's own values are numbers and fixed names, so they hold no "%s"
     head, a_to_b, b_to_vectors, tail = _json(dict(out, a="%s", b="%s", vectors="%s")).split('"%s"')
     # per nonzero term, in (vector i, kind, k) order: its coefficients, each
@@ -518,7 +268,7 @@ def _resolve_text(out: dict, coeffs: np.ndarray) -> str:
     vector = f'{{\n      "n": {n},\n      "terms": ['
     term = '\n        {\n          "coeff": [\n            '
     next_term = "," + term
-    pieces = [head, *_table(texts[0]), a_to_b, *_table(texts[1]), b_to_vectors, "["]
+    pieces = [head, *json_table(texts[0]), a_to_b, *json_table(texts[1]), b_to_vectors, "["]
     for i, count in enumerate(live.sum(axis=(1, 2)).tolist()):
         pieces.append((",\n    " if i else "\n    ") + vector)
         for j in range(count):
@@ -582,74 +332,6 @@ def cmd_lorentz_check(args) -> int:
 # -- string-modes ----------------------------------------------------------
 
 
-# -- %.17g text of the CSV grid --
-
-
-@functools.cache
-def _affixes():
-    """Per exponent X = -271..291, the 5 bytes before the digits and the 5 after.
-
-    "0." and up to three zeros before them for -4 <= X < 0, "e+dd" or "e-ddd"
-    after them outside -4 <= X < 17, NUL bytes otherwise.
-    """
-    table = np.zeros((_X_MAX + 1 - _X_MIN, 10), np.uint8)
-    for x in range(_X_MIN, _X_MAX + 1):
-        if -4 <= x < 0:
-            table[x - _X_MIN, :1 - x] = list(b"0." + b"0" * (-1 - x))
-        elif not 0 <= x < 17:
-            table[x - _X_MIN, 5:5 + len(b"e%+03d" % x)] = list(b"e%+03d" % x)
-    return table
-
-
-# Byte slots of one value: sign, the five leading affix bytes, the 17 digits
-# with a slot for the decimal point after each of the first 16, the five
-# exponent bytes and a separator (",\0" or "\r\n").  Unused slots hold NUL,
-# and deleting every NUL leaves the text.
-_DIGIT, _EXP, _SEP, _WIDTH = 6, 39, 44, 46
-
-
-def _format_rows(rows):
-    """Each row of a finite float array as "%.17g" values joined by "," and ended by CRLF."""
-    n_rows, n_cols = rows.shape
-    v = rows.ravel()
-    n = v.size
-    zero = v == 0
-    _, x, _, _, d, slow = _decimal17(v)
-    d[zero | slow] = 0
-    x[zero] = 0
-    digits = _ascii17(d)
-
-    # fixed notation for -4 <= X < 17; its integer digits are never stripped
-    fixed = (x >= -4) & (x < 17)
-    point = np.where(fixed & (x >= 0), x, 0)  # the last digit before the point
-    text = np.zeros((n, _WIDTH), np.uint8)
-    text[:, _DIGIT:_EXP + 1:2] = digits
-    # trailing zeros go; only values whose last digit is 0 can have them
-    ends = np.flatnonzero(digits[:, 16] == ord("0"))
-    tail = digits[ends]
-    last = np.where(d[ends] == 0, 0, 16 - np.argmax(tail[:, ::-1] != ord("0"), axis=1))
-    kept = np.arange(17) <= np.maximum(last, point[ends])[:, None]
-    text[ends, _DIGIT:_EXP + 1:2] = np.where(kept, tail, 0)
-    # the point, where a digit follows it (below 1, the affix holds it)
-    starts = np.arange(n) * _WIDTH + _DIGIT + 1 + 2 * point
-    dotted = ~(fixed & (x < 0)) & (point < 16)
-    dotted &= text.ravel()[starts + 1] != 0
-    text.ravel()[starts[dotted]] = ord(".")
-    affixes = np.take(_affixes(), x - _X_MIN, axis=0)
-    text[:, 1:_DIGIT] = affixes[:, :5]
-    text[:, _EXP:_SEP] = affixes[:, 5:]
-    text[:, 0] = np.signbit(v) * np.uint8(ord("-"))
-    text = text.reshape(n_rows, n_cols, _WIDTH)
-    text[:, :, _SEP] = ord(",")
-    text[:, -1, _SEP:] = list(b"\r\n")
-    text = text.reshape(n, _WIDTH)
-    for i in np.flatnonzero(slow):
-        exact = b"%.17g" % v[i]
-        text[i, :_SEP] = 0
-        text[i, :len(exact)] = list(exact)
-    return text.tobytes().translate(None, b"\0")
-
-
 def _write_grid_csv(ms, path, n_sigma: int) -> int:
     """Write the grid scan and return 0, or write nothing and return 3 on NaN or inf."""
     tau, sigma = np.meshgrid(
@@ -672,7 +354,7 @@ def _write_grid_csv(ms, path, n_sigma: int) -> int:
         with open(path, "wb") as fh:
             fh.write(",".join(header).encode() + b"\r\n")
             for start in range(0, len(rows), CSV_BLOCK):
-                fh.write(_format_rows(rows[start:start + CSV_BLOCK]))
+                fh.write(csv_rows(rows[start:start + CSV_BLOCK]))
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}")
     return 0
@@ -735,9 +417,9 @@ def cmd_gen_fixture(args) -> int:
     seed = _resolve_seed(args.seed)
     rng = np.random.default_rng(seed)
     if args.kind == "hermitian":
-        entries = _texts(random_hermitian(rng, args.n).data).reshape(args.n, args.n, 8)
+        entries = json_texts(random_hermitian(rng, args.n).data).reshape(args.n, args.n, 8)
         head, tail = _json({"entries": "%s", "n": args.n}).split('"%s"')
-        obj = functools.partial("".join, [head, *_table(entries), tail])
+        obj = functools.partial("".join, [head, *json_table(entries), tail])
     elif args.kind == "spectrum":
         obj = spectrum_to_json(random_spectrum(rng))
     else:

@@ -8,6 +8,7 @@ import importlib
 import importlib.util
 import json
 import pathlib
+import re
 
 import cliffstring
 
@@ -99,6 +100,28 @@ def test_cli_imports_only_the_check_functions_and_no_residual():
         offenders += [f"{module}.{name}" for module, name in names if name.endswith("_residual")
                       or name not in CLI_IMPORTS_ALLOWED.get(module, {name})]
     assert offenders == []
+
+
+def _float_formatting(source):
+    """Where source calls repr, applies % to a bytes literal or names a '<U…' dtype."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "repr":
+            found.append(f"{node.lineno}: repr call")
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+              and isinstance(node.left, ast.Constant) and isinstance(node.left.value, bytes)):
+            found.append(f"{node.lineno}: % on bytes")
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"[<>=|]?U\d*", node.value)):
+            found.append(f"{node.lineno}: {node.value!r} dtype")
+    return found
+
+
+def test_cli_formats_no_float():
+    """Float text is floattext's: the CLI calls json_texts, json_table and csv_rows."""
+    assert _float_formatting('t = repr(v)\nb = b"%.17g" % v\nu = x.view(f"<U{w}")') == [
+        "1: repr call", "2: % on bytes", "3: '<U' dtype"]
+    assert _float_formatting((PACKAGE_DIR / "cli.py").read_text()) == []
 
 
 def _imported_modules(path):

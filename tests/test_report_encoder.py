@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from cliffstring import cli
+from cliffstring import cli, floattext
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 1e308, 0.1, -2.5, 1.0]
 STRINGS = ["", "a", "kind", "é", "日本", "tab\there", "nul\x00", "\x1f\x7f", " ", "😀", '"\\/']
@@ -71,7 +71,7 @@ def test_encoder_matches_json_dumps_on_random_trees(seed, tmp_path, capsys):
 
 def test_encoder_writes_zeros_and_signs_of_arrays_and_lists():
     x = np.array([[0.0, -0.0, 1e16], [1e-7, -5e-324, 0.0]])
-    texts = cli._texts(x).tolist()
+    texts = floattext.json_texts(x).tolist()
     assert texts == [json.dumps(v) for v in x.ravel().tolist()]
     assert texts[:3] == ["0.0", "-0.0", "1e+16"]
     assert json.dumps(x.ravel().tolist()) == "[" + ", ".join(texts) + "]"
@@ -80,13 +80,13 @@ def test_encoder_writes_zeros_and_signs_of_arrays_and_lists():
 @pytest.mark.parametrize("shape", [(2, 0), (0, 3), (1,), (), (0,), (2, 1, 3)])
 @pytest.mark.parametrize("where", ["top", "nested"])
 def test_encoder_writes_float_arrays_of_every_shape(shape, where):
-    """_texts gives json's text of each entry in C order, for an array or for a
+    """json_texts gives json's text of each entry in C order, for an array or for a
     strided view of it nested in a larger one."""
     x = np.random.default_rng(len(shape)).normal(size=shape)
     x[x < -0.5] = -0.0
     for y in (x, -x, np.zeros(shape), -np.zeros(shape)):
         view = y if where == "top" else np.stack([-y, y], axis=-1)[..., 1]
-        assert cli._texts(view).tolist() == [json.dumps(v) for v in y.ravel().tolist()]
+        assert floattext.json_texts(view).tolist() == [json.dumps(v) for v in y.ravel().tolist()]
 
 
 def _resolve_tree(out, a, b):
@@ -118,7 +118,7 @@ def test_encoder_refuses_nonfinite_floats_as_json_does(tmp_path, capsys, bad, wh
         x = np.array([[1.0, 0.0, -0.0], [2.0, bad, -bad]])
         x = x if where == "array" else x[None, None]
         with pytest.raises(ValueError) as got:
-            cli._texts(x)
+            floattext.json_texts(x)
         assert str(got.value) == refusal(x.tolist())
         return
     tree = {"scalar": {"a": 1.0, "b": bad}, "numpy": {"b": [np.float64(bad)]},
@@ -137,7 +137,7 @@ def test_encoder_names_the_first_nonfinite_entry_of_an_array(bad, at):
     x[at + 1:] = {"nan": np.inf, "inf": -np.inf, "-inf": np.nan}[repr(bad)]  # a later, other one
     for y in (x.reshape(2, 4), x[None]):
         with pytest.raises(ValueError) as got:
-            cli._texts(y)
+            floattext.json_texts(y)
         assert str(got.value) == refusal(y.tolist())
 
 
@@ -163,11 +163,11 @@ def test_encoder_refuses_objects_json_cannot_write(capsys):
 @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 8), (2, 2, 8), (3, 3, 8), (2, 3, 8),
                                    (3, 2, 8), (4, 1, 3), (1, 4, 2)])
 def test_table_pieces_are_json_text_with_shared_separators(shape):
-    """_table's pieces join to json's text of the table as a top-level key's value,
+    """json_table's pieces join to json's text of the table as a top-level key's value,
     entries at the odd places in C order, between them at most five distinct strs."""
     x = np.random.default_rng(len(shape)).normal(size=shape)
-    texts = cli._texts(x).reshape(shape)
-    pieces = cli._table(texts)
+    texts = floattext.json_texts(x).reshape(shape)
+    pieces = floattext.json_table(texts)
     head, tail = oracle({"t": "%s"}).split('"%s"')
     assert head + "".join(pieces) + tail == oracle({"t": x.tolist()})
     assert pieces[1::2] == texts.ravel().tolist()
