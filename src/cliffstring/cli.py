@@ -7,8 +7,10 @@ byte-identical output.
 """
 
 import argparse
+import ctypes
 import errno
 import functools
+import itertools
 import json
 import os
 import sys
@@ -48,9 +50,9 @@ MAX_DEGREE = 20
 
 # Largest gen-fixture --n: the hermitian fixture is one draw into an
 # (n, n, 8) array (13 ms at n = 256); writing it dominates (the entries'
-# texts and one join of the table's pieces, 0.24 s at n = 256 in process),
-# and n = 256 takes 0.59-0.67 s, 111 MB and a 16 MB file in a fresh process
-# (one BLAS thread, 2-core Xeon VM).
+# texts, then one join of the table's pieces per row), and n = 256 takes
+# 0.35 s, 91 MB and a 16 MB file in a fresh process (one BLAS thread, 2-core
+# Xeon VM).
 MAX_FIXTURE_N = 256
 
 # Default tolerance per named check; each is its command's --tol.<name> flag's default.
@@ -126,14 +128,18 @@ def _json(obj) -> str:
 _WRITE_CHUNK = 1 << 16
 
 
-def _write_text(fh, text: str) -> None:
-    """Write text and a newline to fh, in slices of at most _WRITE_CHUNK characters."""
-    for start in range(0, len(text), _WRITE_CHUNK):
-        fh.write(text[start:start + _WRITE_CHUNK])
+def _write_text(fh, text) -> None:
+    """Write text and a newline to fh: a str in slices of at most _WRITE_CHUNK
+    characters, or an iterable of str chunks one at a time."""
+    chunks = text
+    if isinstance(text, str):
+        chunks = (text[start:start + _WRITE_CHUNK] for start in range(0, len(text), _WRITE_CHUNK))
+    for chunk in chunks:
+        fh.write(chunk)
     fh.write("\n")
 
 
-def _write_stdout(text: str) -> None:
+def _write_stdout(text) -> None:
     """_write_text to stdout, flushed.  A failed write points fd 1 at os.devnull,
     so the interpreter's exit flush of what is left in the buffer cannot fail again."""
     if sys.stdout is None:  # fd 1 was closed when the interpreter started
@@ -152,7 +158,8 @@ def _dump_json(obj, path) -> int:
     """Write obj as strict JSON and return 0, or write nothing and return 3 on NaN or inf.
 
     obj is a tree of plain Python values for _json, or a function that returns
-    the tree's JSON text.  The whole text is formed before any file opens.
+    the tree's JSON text, as a str or an iterable of str chunks.  Every value's
+    text is formed before any file opens.
     """
     try:
         text = obj() if callable(obj) else _json(obj)
@@ -413,13 +420,23 @@ def cmd_redshift(args) -> int:
 # -- gen-fixture -------------------------------------------------------------
 
 
+def _hermitian_text(data: np.ndarray):
+    """The hermitian fixture's JSON text as chunks, one row of the table each.
+
+    Every entry's text is formed first, so a bad value writes nothing; a
+    row's pieces are joined as it is written, never the whole 16 MB text.
+    """
+    entries = json_texts(data).reshape(data.shape)
+    head, tail = _json({"entries": "%s", "n": len(data)}).split('"%s"')
+    rows = ("".join(json_table(entries, i, i + 1)) for i in range(len(data)))
+    return itertools.chain([head], rows, [tail])
+
+
 def cmd_gen_fixture(args) -> int:
     seed = _resolve_seed(args.seed)
     rng = np.random.default_rng(seed)
     if args.kind == "hermitian":
-        entries = json_texts(random_hermitian(rng, args.n).data).reshape(args.n, args.n, 8)
-        head, tail = _json({"entries": "%s", "n": args.n}).split('"%s"')
-        obj = functools.partial("".join, [head, *json_table(entries), tail])
+        obj = functools.partial(_hermitian_text, random_hermitian(rng, args.n).data)
     elif args.kind == "spectrum":
         obj = spectrum_to_json(random_spectrum(rng))
     else:
@@ -531,8 +548,35 @@ def _build_parser() -> argparse.ArgumentParser:
 # Built once, at import, so the caps it holds are the module's at import.
 _PARSER = _build_parser()
 
+# glibc's mallopt parameter numbers, and the values main fixes them at.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD, _TRIM_THRESHOLD = 32 << 20, 64 << 20
+
+
+@functools.cache
+def _keep_heap_resident() -> None:
+    """Fix glibc's mmap and trim thresholds far above any job's working set,
+    once per process.
+
+    By default glibc maps large blocks directly and hands a freed heap top
+    back to the kernel, raising both thresholds only as it goes, so in a run
+    of many jobs each job could fault its temporaries in again.  Setting one
+    alone turns that scheme off and leaves the other at 128 KiB, which faults
+    more, so both are set or neither: mallopt refuses only a too-high mmap
+    threshold, and that one is set first.  Without mallopt (no glibc) this
+    does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # TypeError: Windows loads no library from None
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
 
 def main(argv=None) -> int:
+    _keep_heap_resident()
     try:
         args = _PARSER.parse_args(argv)
         # Input near the float range overflows (a huge --hbar, a spectrum whose

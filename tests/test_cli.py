@@ -1,4 +1,5 @@
 import copy
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -604,6 +605,23 @@ def test_hermitian_fixture_bytes_are_pinned(capsys, seed, n):
     assert digest == HERMITIAN_FIXTURE_DIGESTS[seed, n]
     h = random_hermitian(np.random.default_rng(seed), n)  # built without re-validation
     assert hermiticity_residual(h.data) == 0.0
+
+
+@pytest.mark.parametrize("output", [True, False], ids=["file", "stdout"])
+def test_a_nonfinite_hermitian_fixture_writes_nothing(tmp_path, capsys, monkeypatch, output):
+    # every entry's text is formed before the streamed write starts
+    def with_nan(rng, n):
+        h = random_hermitian(rng, n)
+        h.data[-1, -1, 0] = np.nan
+        return h
+
+    monkeypatch.setattr(cli, "random_hermitian", with_nan)
+    path = tmp_path / "h.json"
+    argv = ["gen-fixture", "--kind", "hermitian", "--n", "3"] + (["--output", str(path)] if output else [])
+    assert run(*argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not path.exists()
+    assert captured.err == "cliffstring: report not written: Out of range float values are not JSON compliant: nan\n"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17])
@@ -1790,3 +1808,125 @@ def test_redshift_input_errors(capsys):
     assert run("redshift", "--t-emit", "1", "--t-obsv", "4", "--dt", "1", "--p", "1e-20") == 2
     assert run("redshift", "--t-emit", "1", "--t-obsv", "4", "--dt", "1", "--p", "1e300") == 2
     capsys.readouterr()
+
+
+# -- heap policy -----------------------------------------------------------------
+
+
+class _Libc:
+    """A stand-in C library whose mallopt records its calls and returns answer."""
+
+    def __init__(self, answer):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return answer
+
+        self.mallopt = mallopt
+
+
+def _no_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("library", [_no_library, lambda name: object()],
+                         ids=["unloadable", "no-mallopt"])
+def test_heap_policy_does_nothing_without_mallopt(monkeypatch, library):
+    monkeypatch.setattr(cli.ctypes, "CDLL", library)
+    cli._keep_heap_resident.__wrapped__()  # returns quietly
+
+
+@pytest.mark.parametrize("answer", [0, 1])
+def test_heap_policy_sets_both_thresholds_or_neither(monkeypatch, answer):
+    libc = _Libc(answer)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    cli._keep_heap_resident.__wrapped__()
+    both = [(cli._M_MMAP_THRESHOLD, cli._MMAP_THRESHOLD), (cli._M_TRIM_THRESHOLD, cli._TRIM_THRESHOLD)]
+    assert libc.calls == both[:1 + answer]  # a refused mmap threshold sets no trim threshold
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+_WARM_JOB_FAULTS = """
+import json, resource, sys
+from cliffstring import cli
+
+def faults(command, *argv):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert cli.main([command, *argv, "--report", "r.json"]) == 0
+    return command, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+octonion = ("octonion-check", "--trials", "2000", "--seed")
+lorentz = ("lorentz-check", "--trials", "100", "--nest-depth", "5", "--seed")
+faults(*octonion, "0")
+faults(*lorentz, "0")
+print(json.dumps([faults(*job, str(seed)) for seed in (1, 2, 3) for job in (octonion, lorentz)]))
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="needs glibc's mallopt")
+def test_warm_algebra_jobs_fault_no_fresh_heap(tmp_path):
+    """After a warm-up, octonion-check and lorentz-check jobs in one process
+    reuse the heap their predecessors left, instead of faulting it in again."""
+    env = dict(_module_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _WARM_JOB_FAULTS], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    jobs = json.loads(out.stdout)
+    assert len(jobs) == 6 and max(count for _, count in jobs) <= 32, jobs
+
+
+_EVERY_SUBCOMMAND = """
+import contextlib, io, json, sys
+from cliffstring import cli
+
+assert cli._keep_heap_resident.cache_info().currsize == 0  # import sets no policy
+if sys.argv[1] == "off":
+    cli._keep_heap_resident = lambda: None
+jobs = [
+    ["gen-fixture", "--kind", "hermitian", "--n", "16", "--seed", "3", "--output", "h.json"],
+    ["gen-fixture", "--kind", "spectrum", "--seed", "1", "--output", "s.json"],
+    ["gen-fixture", "--kind", "spinor", "--seed", "2"],
+    ["octonion-check", "--trials", "2000", "--seed", "4"],
+    ["lorentz-check", "--trials", "100", "--seed", "5", "--report", "l.json"],
+    ["lorentz-check", "--trials", "20", "--seed", "6", "--tol.det", "1e-30"],
+    ["resolve", "--input", "h.json"],
+    ["string-modes", "--spectrum", "s.json", "--grid", "64", "--output", "g.csv"],
+    ["quantum-check", "--degree", "5"],
+    ["redshift", "--t-emit", "1", "--t-obsv", "4", "--dt", "0.01", "--p", "2"],
+    ["redshift", "--t-emit", "1", "--t-obsv", "4", "--dt", "0.01"],
+]
+results = []
+for argv in jobs:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    results.append([argv, code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_report_bytes_do_not_depend_on_the_heap_policy(tmp_path):
+    """One job of each subcommand, with and without the heap policy, in two processes."""
+    runs = {}
+    for policy in ("on", "off"):
+        (tmp_path / policy).mkdir()
+        runs[policy] = subprocess.Popen([sys.executable, "-c", _EVERY_SUBCOMMAND, policy],
+                                        cwd=tmp_path / policy, env=_module_env(),
+                                        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    outs = {policy: proc.communicate(timeout=120) + (proc.returncode,)
+            for policy, proc in runs.items()}
+    assert outs["on"][1:] == ("", 0), outs["on"][1]
+    assert outs["on"] == outs["off"]
+    codes = [code for _, code, _, _ in json.loads(outs["on"][0])]
+    assert codes == [0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 2]
+    files = {policy: {p.name: p.read_bytes() for p in (tmp_path / policy).iterdir()}
+             for policy in runs}
+    assert sorted(files["on"]) == ["g.csv", "h.json", "l.json", "s.json"]
+    assert files["on"] == files["off"]

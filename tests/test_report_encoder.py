@@ -177,3 +177,14 @@ def test_table_pieces_are_json_text_with_shared_separators(shape):
     rows = seps[shape[1] * shape[2]:-1:shape[1] * shape[2]]
     assert len(rows) == shape[0] - 1 and len({id(s) for s in rows}) <= 1
     assert all(s == "\n      ]\n    ],\n    [\n      [\n        " for s in rows)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (3, 3, 8), (4, 1, 3), (5, 2, 2)])
+def test_table_pieces_of_consecutive_row_ranges_join_to_the_table(shape):
+    """The gen-fixture writer joins json_table's pieces one row range at a time."""
+    texts = floattext.json_texts(np.random.default_rng(1).normal(size=shape)).reshape(shape)
+    whole = "".join(floattext.json_table(texts))
+    n = shape[0]
+    for cuts in ([0, n], list(range(n + 1)), [0, 0, n // 2, n, n]):
+        ranges = zip(cuts, cuts[1:])
+        assert "".join("".join(floattext.json_table(texts, a, b)) for a, b in ranges) == whole
