@@ -266,25 +266,25 @@ def json_texts(x: np.ndarray) -> np.ndarray:
     return text
 
 
-def json_table(texts: np.ndarray, start: int = 0, stop: int = None) -> list:
-    """The pieces of json's text of an (n, m, k) table, from its entries' texts,
-    where the table is a top-level key's value; only those of rows start to
-    stop, so that the pieces of consecutive row ranges join to the table's text.
+def json_table(rows: np.ndarray, first: bool = True, last: bool = True) -> list:
+    """The pieces of json's text of a block of consecutive rows of an (n, m, k)
+    table, from their entries' texts, where the table is a top-level key's
+    value: with the table's opening if the block is the `first` and its
+    closing if the `last`, so that the pieces of consecutive blocks join to
+    the table's text.
 
     The entries alternate with json's five separators: before the first
     entry, between two entries of a line, between two lines, between two rows
     and after the last entry.  Each is one shared str.
     """
-    stop = len(texts) if stop is None else stop
-    rows = texts[start:stop]
     pieces = np.empty(rows.shape + (2,), dtype=object)
     pieces[..., 0] = rows
     pieces[..., 1] = ",\n        "
     pieces[:, :, -1, 1] = "\n      ],\n      [\n        "
     pieces[:, -1, -1, 1] = "\n      ]\n    ],\n    [\n      [\n        "
-    if stop == len(texts) > start:
+    if last and len(rows):
         pieces[-1, -1, -1, 1] = "\n      ]\n    ]\n  ]"
-    opening = ["[\n    [\n      [\n        "] if start == 0 < stop else []
+    opening = ["[\n    [\n      [\n        "] if first and len(rows) else []
     return opening + pieces.ravel().tolist()
 
 

@@ -1,15 +1,10 @@
 """Finite-dimensional realization of the string's quantized Lorentz algebra.
 
 Canonical pairs are Q_mu, multiplication by x_mu, and R_nu = -i hbar
-eta_{nu nu} D_nu with D_nu = d/dx_nu.  Every operator is a complex
-combination of words in the letters Q_mu and D_nu.  A word is an int code
-whose base-9 digits are its letters, the least significant acting first:
-0 is no letter, 1 + mu is Q_mu and 5 + nu is D_nu, so the code of a
-product XY is x 9^len(y) + y.  A family of K operators is a (K, W)
-coefficient array over W word codes, index pairs row-major (M0_{AB} is
-operator 2A+B, M_{mu nu} is 4 mu + nu).  Families on one alphabet (the
-same codes) stack by rows: M0 and M0dag share the 32 words D_nu Q_mu
-(M0's) and Q_mu D_nu (M0dag's), and so do N, N^dag and M_{mu nu}.
+eta_{nu nu} D_nu with D_nu = d/dx_nu.  A family of K operators is a
+(K, 45) array of normal-form rows (below), index pairs row-major (M0_{AB}
+is operator 2A+B, M_{mu nu} is 4 mu + nu); families stack with np.vstack
+and combine as w @ rows.
 
 The quaternion mapping A_mu = j (x) Q_mu, K_nu = k (x) R_nu turns the
 canonical commutators into mixed relations: [A, A] = [K, K] = 0 and
@@ -41,17 +36,24 @@ formulas, the spinor/vector and spinor/tensor round-trips, the
 dotted-undotted commutation, and the identity
 J^z = i/2 (M0_(12) - M0dag_(12)) = Q_1 R_2 - Q_2 R_1 hold exactly.
 
-Every operator identity is decided in the Weyl algebra.  D_nu Q_mu =
-Q_mu D_nu + delta_{mu nu} writes each word as an integer combination of
-normal monomials x^alpha d^beta, and two operators are equal exactly when
-their normal coefficients are.  An alphabet's table holds the normal form
-of a b -+ b a for each pair of its words and of each word, so a bracket
-of two families is the contraction sum_ab x_ia y_jb (T[ab] -+ T[ba]) plus
-the normal form of its right-hand side, and a check reads the largest
-|normal coefficient|.  J^z's identity is one row on M0's alphabet, read
-through the same table.  No space is truncated, so no identity depends on
-the degree, and at hbar = 1 the gaps cancel to exactly 0.  A table
-depends only on its alphabet, so each is built once per process.
+Every operator here is of degree <= 2 in the x and the d, and is stored
+as its Weyl normal form: a complex row over the 45 normal monomials
+x^alpha d^beta of degree <= 2 (`_BASIS`), every x to the left of every d.
+Two operators are equal exactly when their rows are.  Two read-only
+tables, built once per process from D_nu Q_mu = Q_mu D_nu + delta_{mu nu},
+hold every product the checks need in normal form: the (81, 45) products
+of the nine monomials of degree <= 1 (M0's K A, {A, K} and J^z's Q R) and
+the (45, 45, 45) commutators of all 45, each of degree <= 2 again.  A
+bracket of two families is the contraction sum_ab x_ia y_jb [m_a, m_b],
+its gap a row difference, and a check reads the largest |normal
+coefficient|.  No space is truncated, so no identity depends on the
+degree, and at hbar = 1 the gaps cancel to exactly 0.
+
+quantum_checks builds every family at hbar's mantissa u = hbar 2^-e in
+[1, 2) and scales R, M0 and M0dag by 2^e exactly: M0's ordering
+constants, sums of hbar terms that cancel, would overflow at hbar = 1e308
+before they cancel, and its halvings would round at a subnormal hbar.
+J^z's identity reads the unit families.
 
 The degree N sets only the J^z spectrum, which is closed form (see
 `jz_spectrum`), and the reported dimension C(N + 4, 4) of the
@@ -69,7 +71,6 @@ import numpy as np
 from .minkowski import EPS, eta4, sigma4_complex
 
 __all__ = [
-    "Family",
     "CanonicalPairs",
     "build_canonical",
     "canonical_residual",
@@ -104,85 +105,31 @@ _POW9 = 9 ** np.arange(20)
 
 _POW16 = 16 ** np.arange(8)  # a normal monomial x^alpha d^beta's digits: alpha_0..3, beta_0..3
 
-
-@dataclass(frozen=True)
-class Family:
-    """K operators sum_w coeffs[k, w] (word codes[w])."""
-
-    coeffs: np.ndarray
-    codes: np.ndarray
+# The 45 normal monomials of degree <= 2, each as the word that spells it.  A
+# word is an int code whose base-9 digits are its letters, the least
+# significant acting first: 0 is no letter, 1 + mu is Q_mu and 5 + nu is D_nu.
+# Column 0 is 1, columns 1 + mu and 5 + nu are x_mu and d_nu, and the 36
+# words a b (code 9 a + b) of two letters a <= b follow, every x left of every d.
+_BASIS = np.concatenate([np.arange(9), [9 * a + b for a in range(1, 9) for b in range(a, 9)]])
+_M = len(_BASIS)
 
 
 @dataclass(frozen=True)
 class CanonicalPairs:
-    """Q_mu (real) and R_nu (complex), each a family of four operators."""
+    """Q_mu and R_nu, each a (4, 45) family of normal-form rows."""
 
-    q: Family
-    r: Family
+    q: np.ndarray
+    r: np.ndarray
     hbar: float
 
 
-# -- family algebra --------------------------------------------------------------
-
-
-_IDENTITY = Family(np.ones((1, 1), complex), np.zeros(1, int))
-
-
-def _combine(w: np.ndarray, f: Family) -> Family:
-    """The operators sum_m w[k, m] Z_m of a family Z."""
-    return Family(w @ f.coeffs, f.codes)
-
-
-def _shared_codes(fams) -> bool:
-    """Whether the families are on one alphabet: the same word codes in the same order."""
-    return all(f.codes is fams[0].codes or np.array_equal(f.codes, fams[0].codes) for f in fams)
-
-
-def _sum(*fams: Family) -> Family:
-    """Operator-wise sum of families with the same number of operators."""
-    if _shared_codes(fams):
-        return Family(sum(f.coeffs for f in fams), fams[0].codes)
-    return Family(np.hstack([f.coeffs for f in fams]), np.concatenate([f.codes for f in fams]))
-
-
-def _stack(*fams: Family) -> Family:
-    """The operators of each family in turn, as one family on their shared words or side by side."""
-    if _shared_codes(fams):
-        return Family(np.vstack([f.coeffs for f in fams]), fams[0].codes)
-    rows = np.cumsum([0] + [f.coeffs.shape[0] for f in fams])
-    cols = np.cumsum([0] + [f.coeffs.shape[1] for f in fams])
-    coeffs = np.zeros((rows[-1], cols[-1]), complex)
-    for f, r, c in zip(fams, rows, cols):
-        coeffs[r:r + f.coeffs.shape[0], c:c + f.coeffs.shape[1]] = f.coeffs
-    return Family(coeffs, np.concatenate([f.codes for f in fams]))
-
-
-def _on_stack(*fams: Family) -> list:
-    """The families on one alphabet: theirs if they share one, else their stack's."""
-    if _shared_codes(fams):
-        return list(fams)
-    both, rows = _stack(*fams), np.cumsum([0] + [len(f.coeffs) for f in fams])
-    return [Family(both.coeffs[lo:hi], both.codes) for lo, hi in zip(rows, rows[1:])]
+# -- normal order: the two tables ------------------------------------------------
 
 
 def _product_codes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The codes of the products of words x[a] and y[b] (y's acting first) as entry a B + b."""
     shift = _POW9[np.searchsorted(_POW9, y, side="right")]  # 9^len(y)
     return (x[:, None] * shift + y).reshape(-1)
-
-
-def _products(x: Family, y: Family) -> Family:
-    """The products X_i Y_j as operator i L + j."""
-    coeffs = x.coeffs[:, None, :, None] * y.coeffs[None, :, None, :]
-    return Family(coeffs.reshape(coeffs.shape[0] * coeffs.shape[1], -1), _product_codes(x.codes, y.codes))
-
-
-def _key(codes: np.ndarray) -> bytes:
-    """The cache key of an alphabet: the int64 bytes of its word codes."""
-    return codes.astype(np.int64, copy=False).tobytes()
-
-
-# -- normal order: the bracket checks --------------------------------------------
 
 
 def _order(codes: np.ndarray) -> tuple:
@@ -207,68 +154,76 @@ def _order(codes: np.ndarray) -> tuple:
     return word, monomial[word, term], weight[word, term]
 
 
-@functools.lru_cache(maxsize=8)
-def _bracket_table(codes: bytes, plus: bool) -> tuple:
-    """An alphabet's normal-order table, from the int64 bytes of its word codes; shared read-only.
+@functools.cache
+def _tables() -> tuple:
+    """(products, commutators), built once per process and shared read-only.
 
-    (pairs, words, exponents): row a of the (V, V M) `pairs` holds, word b by
-    word b, the weights of a b + b a if `plus`, else of a b - b a, `words`
-    the words', over the M monomials some bracket or word meets (`exponents`).
+    Row 9 a + b of the (81, 45) `products` is the normal form of m_a m_b for
+    the nine monomials of degree <= 1 (m_b acting first), and entry (a, b)
+    of the (45, 45, 45) `commutators` that of [m_a, m_b].  Both stay in
+    degree <= 2, so every term lands on `_BASIS`.  Their weights are
+    integers of size at most 4, held as int8 (0.1 MB), so that a
+    contraction reads an eighth of the bytes it would as floats.
     """
-    alphabet = np.frombuffer(codes, np.int64)
-    v = len(alphabet)
-    word, monomial, weight = _order(np.concatenate([_product_codes(alphabet, alphabet), alphabet]))
-    grid = word < v * v                                  # a term of a product a b ...
-    a, b = np.divmod(word[grid], v)
-    word = np.concatenate([word, b * v + a])             # ... is one of b a's bracket too
-    monomial = np.concatenate([monomial, monomial[grid]])
-    weight = np.concatenate([weight, weight[grid] if plus else -weight[grid]])
-    keys, term = np.unique(word << 32 | monomial, return_inverse=True)  # monomials < 16^8 = 2^32
-    sums = np.bincount(term, weight)
-    keys, sums = keys[sums != 0], sums[sums != 0]
-    columns, column = np.unique(keys & 0xFFFFFFFF, return_inverse=True)
-    table = np.zeros((v * v + v, len(columns)))
-    table[keys >> 32, column] = sums
-    pairs, words = table[:v * v].reshape(v, -1), table[v * v:]
-    exponents = columns[:, None] // _POW16 % 16
-    pairs.flags.writeable = words.flags.writeable = exponents.flags.writeable = False
-    return pairs, words, exponents
+    monomials = _order(_BASIS)[1]  # each basis word is its own normal form
+    sorter = np.argsort(monomials)
+
+    def table(rows, word, monomial, weight):
+        keys, term = np.unique(word << 32 | monomial, return_inverse=True)  # monomials < 16^8 = 2^32
+        sums = np.bincount(term, weight)
+        keys, sums = keys[sums != 0], sums[sums != 0]
+        out = np.zeros((rows, _M), np.int8)
+        out[keys >> 32, sorter[np.searchsorted(monomials, keys & 0xFFFFFFFF, sorter=sorter)]] = sums
+        return out
+
+    products = table(81, *_order(_product_codes(_BASIS[:9], _BASIS[:9])))
+    word, monomial, weight = _order(_product_codes(_BASIS, _BASIS))  # m_a m_b is word a 45 + b ...
+    a, b = np.divmod(word, _M)                                        # ... and -(m_b m_a)'s too
+    commutators = table(_M * _M, np.concatenate([word, b * _M + a]), np.tile(monomial, 2),
+                        np.concatenate([weight, -weight])).reshape(_M, _M, _M)
+    products.flags.writeable = commutators.flags.writeable = False
+    return products, commutators
 
 
-def _re_im(coeffs: np.ndarray) -> np.ndarray:
-    """The (Re; Im) row stack of complex coefficients, whose product with a real table stays real."""
-    return np.concatenate([coeffs.real, coeffs.imag])
+def _products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The normal forms of X_i Y_j as row i L + j, for families of degree <= 1."""
+    if np.any(x[:, 9:]) or np.any(y[:, 9:]):
+        raise ValueError("products are tabled for operators of degree <= 1 only")
+    outer = (x[:, None, :9, None] * y[None, :, None, :9]).reshape(len(x) * len(y), 81)
+    products = _tables()[0].astype(float)
+    return _complex(outer.real @ products, outer.imag @ products)
 
 
-def _normal(f: Family) -> np.ndarray:
-    """The normal forms of a family's operators, as a (2, K, M) (Re, Im) pair."""
-    return (_re_im(f.coeffs) @ _bracket_table(_key(f.codes), False)[1]).reshape(2, len(f.coeffs), -1)
+def _re_im(rows: np.ndarray) -> np.ndarray:
+    """The (Re; Im) row stack of complex rows, whose product with a real table stays real."""
+    return np.concatenate([rows.real, rows.imag])
 
 
-def _brackets(x: Family, y: Family, sign: float = -1.0, tail: Family | None = None) -> np.ndarray:
-    """Normal forms of X_i Y_j + sign Y_j X_i (sign +-1) plus the tail's operator i L + j.
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array re + i im, put together without arithmetic (so no inf meets a 0)."""
+    out = np.empty(re.shape, complex)
+    out.real, out.imag = re, im
+    return out
 
-    sum_ab x_ia y_jb (T[ab] + sign T[ba]) is contracted over a, then b, so
-    no grid of product words is formed.  Returns a (2, K L, M) (Re, Im) pair.
+
+def _commutators(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The normal forms of [X_i, Y_j] as row i L + j.
+
+    sum_ab x_ia y_jb [m_a, m_b] is contracted over a, then b, only over the
+    columns x and y use: a weight-2 entry such as [d_nu, x_nu^2] = 2 x_nu
+    times a huge coefficient overflows, and inf times a zero coefficient
+    would be NaN.
     """
-    x, y, *tail = _on_stack(x, y, *([] if tail is None else [tail]))
-    pairs, words, _ = _bracket_table(_key(x.codes), sign == 1)
-    k, l, (v, m) = len(x.coeffs), len(y.coeffs), words.shape
-    g = _re_im(y.coeffs) @ (_re_im(x.coeffs) @ pairs).reshape(2 * k, v, m)  # (2K, 2L, M)
-    gaps = np.stack([g[:k, :l] - g[k:, l:], g[:k, l:] + g[k:, :l]]).reshape(2, k * l, m)
-    for t in tail:
-        gaps += (_re_im(t.coeffs) @ words).reshape(2, k * l, m)
-    return gaps
-
-
-def _commutator_gap(x: Family, y: Family, coeffs: np.ndarray, z: Family) -> np.ndarray:
-    """[X_i, Y_j] - sum_m coeffs[i, j, m] Z_m over all (i, j) in normal form; coeffs is (K, L, M)."""
-    return _brackets(x, y, tail=_combine(-coeffs.reshape(-1, coeffs.shape[-1]), z))
+    sx, sy = np.flatnonzero(np.any(x, axis=0)), np.flatnonzero(np.any(y, axis=0))
+    table = _tables()[1][sx[:, None], sy].reshape(len(sx), len(sy) * _M).astype(float)
+    k, l = len(x), len(y)
+    g = _re_im(y[:, sy]) @ (_re_im(x[:, sx]) @ table).reshape(2 * k, len(sy), _M)  # (2K, 2L, 45)
+    return _complex(g[:k, :l] - g[k:, l:], g[:k, l:] + g[k:, :l]).reshape(k * l, _M)
 
 
 def _largest(*gaps: np.ndarray) -> float:
-    """Max |normal coefficient| over (Re, Im) pairs of gaps; a NaN stays NaN."""
-    return float(np.max([np.max(np.hypot(*g), initial=0.0) for g in gaps]))
+    """Max |normal coefficient| over the gaps' rows; a NaN stays NaN."""
+    return float(np.max([np.max(np.abs(g), initial=0.0) for g in gaps]))
 
 
 # -- canonical and quaternion pairs ------------------------------------------------
@@ -276,8 +231,9 @@ def _largest(*gaps: np.ndarray) -> float:
 
 def build_canonical(hbar: float = 1.0) -> CanonicalPairs:
     """Canonical pairs Q_mu = x_mu*, R_nu = -i hbar eta_{nu nu} d_nu."""
-    q = Family(np.eye(4, dtype=complex), np.arange(1, 5))
-    r = Family(-1j * hbar * eta4().astype(complex), np.arange(5, 9))
+    q, r = np.zeros((2, 4, _M), complex)
+    q[:, 1:5] = np.eye(4)
+    r[:, 5:9] = -1j * hbar * eta4()
     return CanonicalPairs(q=q, r=r, hbar=hbar)
 
 
@@ -287,11 +243,11 @@ def canonical_residual(pairs: CanonicalPairs) -> float:
     One bracket of the family (Q_0..Q_3, R_0..R_3) with itself gives every
     commutator; [Q, R] = i hbar eta, [R, Q] = -i hbar eta, the rest vanish.
     """
-    ops = _stack(pairs.q, pairs.r)
-    coeffs = np.zeros((8, 8, 1), complex)
-    coeffs[:4, 4:, 0] = 1j * pairs.hbar * eta4()
-    coeffs[4:, :4, 0] = -1j * pairs.hbar * eta4()
-    return _largest(_commutator_gap(ops, ops, coeffs, _IDENTITY))
+    ops = np.vstack([pairs.q, pairs.r])
+    gaps = _commutators(ops, ops).reshape(8, 8, _M)
+    gaps[:4, 4:, 0] -= 1j * pairs.hbar * eta4()
+    gaps[4:, :4, 0] += 1j * pairs.hbar * eta4()
+    return _largest(gaps)
 
 
 def quaternion_pairs(pairs: CanonicalPairs):
@@ -299,37 +255,38 @@ def quaternion_pairs(pairs: CanonicalPairs):
     return pairs.q, pairs.r
 
 
-def mixed_algebra_residual(a_ops: Family, k_ops: Family, hbar: float) -> float:
+def mixed_algebra_residual(a_ops: np.ndarray, k_ops: np.ndarray, hbar: float) -> float:
     """Residual of [A,A] = [K,K] = 0 and {A_mu, K_nu} = -hbar eta_{mu nu}.
 
-    {A_mu, K_nu} = jk Q_mu R_nu + kj R_nu Q_mu = i [Q_mu, R_nu].  [A, A] and
+    {A_mu, K_nu} = jk Q_mu R_nu + kj R_nu Q_mu, read off the tabled products,
+    is i [Q_mu, R_nu] only while kj = -jk.  [A, A] and
     [K, K] are the brackets of Q and of R times jj = kk = -1, which flips the
     sign of a whole gap block; no max |coefficient| can see that, so it is
     left out.
     """
-    hbar_eta = _combine(hbar * eta4().reshape(16, 1), _IDENTITY)
-    anti = _brackets(Family(_JK * a_ops.coeffs, a_ops.codes), k_ops, sign=_KJ / _JK, tail=hbar_eta)
-    return _largest(_brackets(a_ops, a_ops), _brackets(k_ops, k_ops), anti)
+    ka = _products(k_ops, a_ops).reshape(4, 4, _M).swapaxes(0, 1).reshape(16, _M)
+    anti = _JK * _products(a_ops, k_ops) + _KJ * ka
+    anti[:, 0] += hbar * eta4().reshape(16)
+    return _largest(_commutators(a_ops, a_ops), _commutators(k_ops, k_ops), anti)
 
 
 # -- angular momentum: spinor, three-vector and tensor forms -----------------------
 
 
-def spinor_components(ops: Family) -> Family:
+def spinor_components(ops: np.ndarray) -> np.ndarray:
     """Spinor family O_{A Bdot} = sigma^mu_{A Bdot} O_mu (operator 2A+Bdot)."""
-    return _combine(_S4.reshape(4, 4).T, ops)
+    return _S4.reshape(4, 4).T @ ops
 
 
-def m0_matrices(a_ops: Family, k_ops: Family) -> tuple:
+def m0_matrices(a_ops: np.ndarray, k_ops: np.ndarray) -> tuple:
     """Symmetrized angular-momentum spinors as complex families.
 
     M0_{AB} = i K_A^Edot A_{B Edot} (K factor to the left) and its
     structural adjoint M0dag_{AdotBdot} = -i eps^{EF} A_{E Bdot} K_{F Adot},
     obtained by reversing products and conjugating scalar coefficients
     with A and K treated as formally self-adjoint.  Both are families of
-    four operators with the spinor indices symmetrized, on one alphabet of
-    32 words: the 16 words D_nu Q_mu, where M0 lives, then the 16 words
-    Q_mu D_nu, where M0dag lives.
+    four operators with the spinor indices symmetrized, on the monomials
+    x_mu d_nu: the ordering constants of M0's products D_nu Q_mu cancel.
     """
     a_sp, k_sp = spinor_components(a_ops), spinor_components(k_ops)
     d = np.eye(2)
@@ -338,10 +295,10 @@ def m0_matrices(a_ops: Family, k_ops: Family) -> tuple:
     w = 1j * _KJ * np.einsum("ap,bq,el->abplqe", d, d, EPS)
     wd = -1j * _JK * np.einsum("el,qb,pa->abeqlp", EPS, d, d)
     w, wd = ((0.5 * (c + c.swapaxes(0, 1))).reshape(4, 16) for c in (w, wd))  # (AB)
-    return tuple(_on_stack(_combine(w, _products(k_sp, a_sp)), _combine(wd, _products(a_sp, k_sp))))
+    return w @ _products(k_sp, a_sp), wd @ _products(a_sp, k_sp)
 
 
-def lorentz_closure_residual(m0: Family, m0d: Family, hbar: float) -> float:
+def lorentz_closure_residual(m0: np.ndarray, m0d: np.ndarray, hbar: float) -> float:
     """Residual of the spinor Lorentz algebra, in normal form.
 
     Checks [M0_(AB), M0_(EF)] against i hbar (M0_(AE) eps_FB + A<->B)
@@ -354,10 +311,10 @@ def lorentz_closure_residual(m0: Family, m0d: Family, hbar: float) -> float:
     c = c + c.transpose(0, 1, 3, 2, 4, 5)           # + E <-> F
     coeffs = np.zeros((4, 8, 4), complex)           # zero on the [M0, M0dag] blocks
     coeffs[:, :4] = 1j * hbar * c.reshape(4, 4, 4)
-    return _largest(_commutator_gap(m0, _stack(m0, m0d), coeffs, m0))
+    return _largest(_commutators(m0, np.vstack([m0, m0d])) - coeffs.reshape(32, 4) @ m0)
 
 
-def three_vector_form(m0: Family, m0d: Family) -> tuple:
+def three_vector_form(m0: np.ndarray, m0d: np.ndarray) -> tuple:
     """Rotation/boost three-vectors N_i and their adjoints, families of three.
 
     N_1 = i/4 (Md_11 - Md_22), N_2 = 1/4 (Md_11 + Md_22), N_3 = -i/2 Md_12
@@ -365,23 +322,23 @@ def three_vector_form(m0: Family, m0d: Family) -> tuple:
     conjugated coefficients.
     """
     w = np.array([[0.25j, 0, 0, -0.25j], [0.25, 0, 0, 0.25], [0, -0.5j, 0, 0]])
-    return _combine(w, m0d), _combine(w.conj(), m0)
+    return w @ m0d, w.conj() @ m0
 
 
-def su2_closure_residual(n: Family, nd: Family, hbar: float) -> float:
+def su2_closure_residual(n: np.ndarray, nd: np.ndarray, hbar: float) -> float:
     """Residual of [N_i, N_j] = -i hbar eps_ijk N_k (and the adjoint copy).
 
     The literal component triple closes left-handed in this eps
     convention; the reordered triple (N_2, N_1, N_3) satisfies the
     +i hbar form.  Mixed commutators [N_i, N_j^dag] must vanish.
     """
-    ops = _stack(n, nd)
+    ops = np.vstack([n, nd])
     coeffs = np.zeros((6, 6, 6), complex)
     coeffs[:3, :3, :3] = coeffs[3:, 3:, 3:] = -1j * hbar * _EPS3
-    return _largest(_commutator_gap(ops, ops, coeffs, ops))
+    return _largest(_commutators(ops, ops) - coeffs.reshape(36, 6) @ ops)
 
 
-def tensor_form(m0: Family, m0d: Family) -> Family:
+def tensor_form(m0: np.ndarray, m0d: np.ndarray) -> np.ndarray:
     """Antisymmetric tensor M_{mu nu} equivalent to the spinor pair, a family of 16.
 
     M_{mu nu} = 1/4 sigma_mu^{A Edot} sigma_nu^{B Fdot}
@@ -390,10 +347,10 @@ def tensor_form(m0: Family, m0d: Family) -> Family:
     undotted = np.einsum("mae,nbf,ef->mnab", _S4_UP, _S4_UP, EPS).reshape(16, 4)
     dotted = np.einsum("mae,nbf,ab->mnef", _S4_UP, _S4_UP, EPS).reshape(16, 4)
     w = 0.25 * np.concatenate([undotted, dotted], axis=1)
-    return _combine(w, _stack(m0, m0d))
+    return w @ np.vstack([m0, m0d])
 
 
-def tensor_algebra_residual(m_tensor: Family, hbar: float) -> float:
+def tensor_algebra_residual(m_tensor: np.ndarray, hbar: float) -> float:
     """Residual of the tensor-form Lorentz algebra and antisymmetry.
 
     The literal tensor closes as [M_uv, M_rs] = -i hbar (eta M - ...);
@@ -407,35 +364,29 @@ def tensor_algebra_residual(m_tensor: Family, hbar: float) -> float:
     c = c - c.transpose(0, 1, 3, 2, 4, 5)             # - rho <-> sigma
     pairs = [4 * mu + nu for mu in range(4) for nu in range(mu + 1, 4)]
     coeffs = -1j * hbar * c.reshape(16, 16, 16)[np.ix_(pairs, pairs)]
-    ops = _combine(np.eye(16)[pairs], m_tensor)
-    transpose = np.eye(16).reshape(4, 4, 16).transpose(1, 0, 2).reshape(16, 16)
-    antisymmetry = _combine(np.eye(16) + transpose, m_tensor)
-    return _largest(_normal(antisymmetry), _commutator_gap(ops, ops, coeffs, m_tensor))
+    ops = m_tensor[pairs]
+    mt = m_tensor.reshape(4, 4, _M)
+    return _largest(mt + mt.swapaxes(0, 1), _commutators(ops, ops) - coeffs.reshape(36, 16) @ m_tensor)
 
 
-def spinor_tensor_roundtrip_residual(m0: Family, m_tensor: Family) -> float:
+def spinor_tensor_roundtrip_residual(m0: np.ndarray, m_tensor: np.ndarray) -> float:
     """Max normal coefficient of M0_(AB) - 1/2 eps^EdotFdot sigma^mu sigma^nu M_{mu nu}."""
     w = 0.5 * np.einsum("ef,mae,nbf->abmn", EPS, _S4, _S4).reshape(4, 16)
-    return _largest(_normal(_sum(_combine(w, m_tensor), _combine(-np.eye(4), m0))))
+    return _largest(w @ m_tensor - m0)
 
 
-def jz_residual(pairs: CanonicalPairs, m0: Family, m0d: Family) -> float:
+def jz_residual(pairs: CanonicalPairs, m0: np.ndarray, m0d: np.ndarray) -> float:
     """Max normal coefficient of J^z = i/2 (M0_(12) - M0dag_(12)) = Q_1 R_2 - Q_2 R_1, in units of hbar.
 
-    The 16 words Q_mu D_nu of Q R are M0dag's half of M0's alphabet, in the
-    same order, so the gap is one row on that alphabet and reads M0's
-    cached table.  Both sides are of degree 1 in hbar, so the gap divided
-    by hbar does not scale with it: families built at hbar times a power of
-    two give the same bits while nothing under- or overflows.  At a
-    subnormal hbar M0's halvings round by whole units of hbar, so
-    quantum_checks builds them at hbar scaled into [1, 2).
+    Both sides are of degree 1 in hbar, so the gap divided by hbar does not
+    scale with it: families built at hbar times a power of two give the
+    same bits while nothing under- or overflows.  At a subnormal hbar M0's
+    halvings round by whole units of hbar, so quantum_checks passes the
+    families it built at hbar's mantissa.
     """
     w = 0.5j * (np.eye(8)[[1]] - np.eye(8)[[4 + 1]])       # i/2 (M0_(12) - M0dag_(12))
     qr = np.eye(16)[[4 * 2 + 1]] - np.eye(16)[[4 * 1 + 2]]  # -(Q_1 R_2 - Q_2 R_1)
-    rows, products = _combine(w, _stack(m0, m0d)), _products(pairs.q, pairs.r)
-    if np.array_equal(rows.codes[16:], products.codes):  # else the gap is on both alphabets
-        products = Family(np.hstack([np.zeros((16, 16)), products.coeffs]), rows.codes)
-    return _largest(_normal(_sum(rows, _combine(qr, products)))) / pairs.hbar
+    return _largest(w @ np.vstack([m0, m0d]) + qr @ _products(pairs.q, pairs.r)) / pairs.hbar
 
 
 def jz_spectrum(degree: int, hbar: float = 1.0) -> np.ndarray:
@@ -458,22 +409,25 @@ def integrality_residual(values: np.ndarray, hbar: float = 1.0) -> float:
     return float(np.max(np.abs(scaled - np.round(scaled))))
 
 
+def _scaled(rows: np.ndarray, e: int) -> np.ndarray:
+    """Complex rows times 2^e, exactly wherever the result is normal."""
+    return np.ldexp(rows.view(float), e).view(complex)
+
+
 def quantum_checks(degree: int, hbar: float) -> tuple:
     """({name: (max residual, 1)}, dimension, J^z spectrum) of the quantum-check
     identities; only the dimension and the J^z spectrum depend on the degree."""
     if degree < 2:
         raise ValueError("degree bound must be at least 2")
-    pairs = build_canonical(hbar)
+    e = math.frexp(hbar)[1] - 1
+    unit = build_canonical(math.ldexp(hbar, -e))  # exact, in [1, 2)
+    unit_m0 = m0_matrices(*quaternion_pairs(unit))
+    pairs = CanonicalPairs(unit.q, _scaled(unit.r, e), hbar)
     a_ops, k_ops = quaternion_pairs(pairs)
-    m0, m0d = m0_matrices(a_ops, k_ops)
+    m0, m0d = (_scaled(m, e) for m in unit_m0)
     n, nd = three_vector_form(m0, m0d)
     mt = tensor_form(m0, m0d)
     vals = jz_spectrum(degree, hbar)
-    jz_ops = (pairs, m0, m0d)
-    unit = math.ldexp(hbar, 1 - math.frexp(hbar)[1])  # exact, in [1, 2)
-    if unit != hbar:
-        unit_pairs = build_canonical(unit)
-        jz_ops = (unit_pairs, *m0_matrices(*quaternion_pairs(unit_pairs)))
     residuals = {
         "canonical": canonical_residual(pairs),
         "mixed": mixed_algebra_residual(a_ops, k_ops, hbar),
@@ -481,7 +435,7 @@ def quantum_checks(degree: int, hbar: float) -> tuple:
         "su2": su2_closure_residual(n, nd, hbar),
         "tensor": tensor_algebra_residual(mt, hbar),
         "roundtrip": spinor_tensor_roundtrip_residual(m0, mt),
-        "jz_integrality": np.max([jz_residual(*jz_ops),  # np.max keeps a NaN
+        "jz_integrality": np.max([jz_residual(unit, *unit_m0),  # np.max keeps a NaN
                                   integrality_residual(vals, hbar)]),
     }
     return {name: (r, 1) for name, r in residuals.items()}, math.comb(degree + 4, 4), vals

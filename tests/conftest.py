@@ -37,33 +37,29 @@ class PolySpace:
         return self.degrees <= self.degree - 1
 
 
-def dense_family(family, space):
-    """A word-form operator family as dense (K, dim, dim) matrices.
+def dense_family(rows, space):
+    """A family of normal-form rows over quantum_rep's 45 monomials as dense (K, dim, dim) matrices.
 
-    An independent oracle for quantum_rep: the letters Q_mu (multiply by
-    x_mu, dropped past the degree cap) and D_nu (d/dx_nu) are built as
-    matrices from `space.exponents` alone, and each word is the product of
-    its letter matrices, its first letter (lowest base-9 digit) rightmost.
+    An independent oracle for quantum_rep: the letters x_mu (multiply,
+    dropped past the degree cap) and d_nu are built as matrices from
+    `space.exponents` alone.  The monomials are 1, x_0..x_3, d_0..d_3, then
+    each product of letters a <= b in that order, letter a to the left, so
+    every x stands left of every d; each is the product of its letter matrices.
     """
     exps = space.exponents.tolist()
     index = {tuple(e): i for i, e in enumerate(exps)}
     n = space.dim
-    letters = np.zeros((9, n, n))
+    letters = np.zeros((8, n, n))
     for j, e in enumerate(exps):
         for mu in range(4):
             up = tuple(e[:mu] + [e[mu] + 1] + e[mu + 1:])
             if up in index:
-                letters[1 + mu, index[up], j] = 1.0
+                letters[mu, index[up], j] = 1.0
             if e[mu]:
-                letters[5 + mu, index[tuple(e[:mu] + [e[mu] - 1] + e[mu + 1:])], j] = e[mu]
-    words = []
-    for code in family.codes.tolist():
-        word = np.eye(n)
-        while code:
-            code, letter = divmod(code, 9)
-            word = letters[letter] @ word
-        words.append(word)
-    return np.einsum("kw,wij->kij", family.coeffs, np.array(words))
+                letters[4 + mu, index[tuple(e[:mu] + [e[mu] - 1] + e[mu + 1:])], j] = e[mu]
+    monomials = [np.eye(n), *letters]
+    monomials += [letters[a] @ letters[b] for a in range(8) for b in range(a, 8)]
+    return np.einsum("kw,wij->kij", rows, np.array(monomials))
 
 
 @pytest.fixture(scope="session")

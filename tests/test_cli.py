@@ -559,6 +559,12 @@ def test_resolve_growth_does_not_overflow(tmp_path, capsys):
         code, text = _resolve_report(tmp_path, capsys, np.array([[[1e200] + [0.0] * 7]]))
         assert code == 0
         assert strict_json(text)["growth"] == np.sqrt(1e200) / 1e200
+        # degenerate pivots' unit pairs over a subnormal max|H|: the ratio
+        # passes the float range and reads null, and the report is written
+        code, text = _resolve_report(tmp_path, capsys, np.array([[[1e-320] + [0.0] * 7]]))
+        assert code == 0
+        assert strict_json(text)["growth"] is None
+        assert strict_json(text)["pass"] is True
     assert capsys.readouterr().err == ""
 
 
@@ -902,11 +908,12 @@ def test_quantum_check_bytes_are_pinned(capsys, degree, hbar):
 # sha256 prefixes of `quantum-check` reports whose closure, su2 and tensor
 # residuals are nonzero round-off: these bytes move if the order in which the
 # normal forms are contracted and summed changes, so they pin that order (the
-# same at one and at two BLAS threads)
+# same at one and at two BLAS threads): over the 45-monomial basis, with M0
+# and M0dag summed on shared monomials before the tensor's brackets
 QUANTUM_CHECK_ROUNDOFF_DIGESTS = {
-    (5, "0.7"): "52c49fc8022f5976", (9, "0.7"): "b6479bc4a58525c8",
-    (9, "1e-150"): "8c1c6a05d84821a1", (9, "1e100"): "42af0a1c1218ff29",
-    (12, "0.7"): "7675d2a388e56be2", (12, "1e100"): "679dbf7b06f3241b",
+    (5, "0.7"): "8e0d9293c30279e2", (9, "0.7"): "9ee7dcc353954d58",
+    (9, "1e-150"): "43efa7de1c666d14", (9, "1e100"): "b9d9f05fff3c886e",
+    (12, "0.7"): "259e314ecac7bdb9", (12, "1e100"): "94a4b4031ab6d0a6",
 }
 
 
@@ -983,6 +990,29 @@ def test_quantum_check_flags_are_pinned_where_roundoff_shows(capsys, degree, hba
     assert run("quantum-check", "--degree", str(degree), "--hbar", hbar) == (3 if failed else 0)
     checks = strict_json(capsys.readouterr().out)["checks"]
     assert {name for name, check in checks.items() if not check["pass"]} == failed
+
+
+# the checks that fail at each hbar, the same at every degree: none through
+# the subnormal 5e-324; closure, su2 and tensor, whose gaps are round-off of
+# size u hbar^2 (and overflow from about 1e154), from 1e100; and at 1e308,
+# where hbar times the degree overflows, J^z's spectrum too
+_FAILS_BY_HBAR = {
+    "1e100": {"closure", "su2", "tensor"},
+    "1e200": {"closure", "su2", "tensor"},
+    "1e308": {"closure", "su2", "tensor", "jz_integrality"},
+}
+
+
+@pytest.mark.parametrize("hbar", ["0.5", "0.7", "1", "3", "0.3", repr(math.pi), "1e-150", "1e-300",
+                                  "1e-310", "1e-320", "5e-324", "1e100", "1e200", "1e308"])
+def test_quantum_check_failing_set_depends_only_on_hbar(capsys, hbar):
+    failed = _FAILS_BY_HBAR.get(hbar, set())
+    for degree in range(2, cli.MAX_DEGREE + 1):
+        assert run("quantum-check", "--degree", str(degree), "--hbar", hbar) == (3 if failed else 0)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        checks = strict_json(captured.out)["checks"]
+        assert {name for name, check in checks.items() if not check["pass"]} == failed, degree
 
 
 def test_spectrum_fixture_passes_string_mode_checks(tmp_path):
@@ -1752,9 +1782,9 @@ def test_quantum_check_nan_operator_fails_with_null_residual(monkeypatch, capsys
 
     def with_nan(a_ops, k_ops):
         m0, m0d = exact(a_ops, k_ops)
-        coeffs = m0.coeffs.copy()
-        coeffs[0, 0] = np.nan  # a word of M0_(11), which the closure brackets read
-        return dataclasses.replace(m0, coeffs=coeffs), m0d
+        m0 = m0.copy()
+        m0[0, 0] = np.nan  # M0_(11)'s monomial 1, which the closure brackets read
+        return m0, m0d
 
     monkeypatch.setattr(quantum_rep, "m0_matrices", with_nan)
     assert run("quantum-check", "--degree", "3") == 3

@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import math
 import sys
@@ -13,7 +12,6 @@ from cliffstring import cli, quantum_rep
 from cliffstring.minkowski import EPS, eta4, sigma4_complex
 from cliffstring.quantum_rep import (
     CanonicalPairs,
-    Family,
     build_canonical,
     canonical_residual,
     integrality_residual,
@@ -98,8 +96,8 @@ def test_mixed_algebra_exact(rep):
 
 def test_m0_blocks_are_symmetric(rep):
     m0, m0d = rep[3], rep[4]
-    assert np.array_equal(m0.coeffs[1], m0.coeffs[2])
-    assert np.array_equal(m0d.coeffs[1], m0d.coeffs[2])
+    assert np.array_equal(m0[1], m0[2])
+    assert np.array_equal(m0d[1], m0d[2])
 
 
 def test_lorentz_closure_exact(rep):
@@ -316,11 +314,9 @@ def test_residuals_match_dense_commutators(dense, degree, hbar):
 
 
 def _perturbed(family, rng):
-    """The family plus random terms on its words in reverse order (so equal words merge)."""
-    noise = 0.1 * (rng.standard_normal(family.coeffs.shape)
-                   + 1j * rng.standard_normal(family.coeffs.shape))
-    return Family(np.hstack([family.coeffs, noise]),
-                  np.concatenate([family.codes, family.codes[::-1]]))
+    """The family plus random terms on the monomials it uses, so that it keeps its degree."""
+    noise = 0.1 * (rng.standard_normal(family.shape) + 1j * rng.standard_normal(family.shape))
+    return family + noise * np.any(family != 0, axis=0)
 
 
 @pytest.mark.parametrize("degree", [3, 4])
@@ -341,13 +337,12 @@ def test_perturbed_residuals_match_dense_commutators(dense, degree):
 
 # -- normal order, against letters composed on untruncated polynomials -------------
 
-# Q_0, D_2, D_1 Q_3, Q_2 D_0, Q_1 Q_1, D_3 D_0 (the lowest base-9 digit acts first)
-_ALPHABET = np.array([1, 7, 6 * 9 + 4, 3 * 9 + 5, 2 * 9 + 2, 8 * 9 + 5])
 
-
-def _random_family(rng, k, codes):
-    shape = (k, len(codes))
-    return Family(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), codes)
+def _random_rows(rng, k, columns):
+    """k random complex rows on the first `columns` basis monomials."""
+    rows = np.zeros((k, quantum_rep._M), complex)
+    rows[:, :columns] = rng.standard_normal((k, columns)) + 1j * rng.standard_normal((k, columns))
+    return rows
 
 
 def _letters(code):
@@ -362,6 +357,15 @@ def _letters(code):
 def _then(a, b):
     """The code of word a after word b (b acting first)."""
     return a * 9 ** len(_letters(b)) + b
+
+
+def _basis_exponents():
+    """The (45, 8) exponents (alpha, beta) of the basis monomials, counted off their words' letters."""
+    exponents = np.zeros((quantum_rep._M, 8), int)
+    for m, code in enumerate(quantum_rep._BASIS.tolist()):
+        for letter in _letters(code):
+            exponents[m, letter - 1] += 1
+    return exponents
 
 
 def _compose(codes, gammas):
@@ -418,214 +422,181 @@ def _scaled(terms, factor):
     return rows, g, images, factor * values
 
 
-def _job_alphabets(monkeypatch):
-    """The (codes, plus) of each normal-order table one job's checks read, in first-use order."""
-    seen = []
-    table = quantum_rep._bracket_table
-
-    def recorded(codes, plus):
-        if (codes, plus) not in seen:
-            seen.append((codes, plus))
-        return table(codes, plus)
-
-    monkeypatch.setattr(quantum_rep, "_bracket_table", recorded)
-    quantum_rep.quantum_checks(3, 1.0)
-    monkeypatch.undo()
-    return seen
+def _assert_same_polynomials(got, want):
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
-def test_normal_order_tables_match_the_composed_letters(monkeypatch):
-    # every word and every bracket a b - b a of each alphabet the checks read,
-    # in normal form and applied to each monomial up to degree (letters + 2),
-    # against its letters composed on untruncated polynomials, as exact integers
-    alphabets = _job_alphabets(monkeypatch)
-    assert [(len(codes) // 8, plus) for codes, plus in alphabets] == [
-        (17, False), (9, False), (4, False), (4, False), (32, False)]
-    for codes, plus in alphabets:
-        alphabet = np.frombuffer(codes, np.int64).tolist()
-        pairs, words, exponents = quantum_rep._bracket_table(codes, plus)
-        letters = max(len(_letters(a)) for a in alphabet)
-        gammas = PolySpace(4, letters + 2).exponents
-        got = _polynomials(_apply_normal(words, exponents, gammas))
-        want = _polynomials(_compose(alphabet, gammas))
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        gammas = PolySpace(4, 2 * letters + 2).exponents
-        got = _polynomials(_apply_normal(pairs.reshape(len(alphabet) ** 2, -1), exponents, gammas))
-        ab = _compose([_then(a, b) for a in alphabet for b in alphabet], gammas)
-        ba = _compose([_then(b, a) for a in alphabet for b in alphabet], gammas)
-        want = _polynomials(ab, _scaled(ba, 1 if plus else -1))
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert np.all(got[1].imag == 0) and np.all(got[1].real == np.round(got[1].real))
+def test_normal_order_tables_match_the_composed_letters():
+    # each basis word, each product m_a m_b of the nine monomials of degree <= 1
+    # and each commutator [m_a, m_b] of all 45, in normal form and applied to
+    # each monomial up to degree (letters + 2), against its letters composed
+    # on untruncated polynomials, as exact integers
+    products, commutators = quantum_rep._tables()
+    assert products.shape == (81, 45) and commutators.shape == (45, 45, 45)
+    basis, exponents = quantum_rep._BASIS.tolist(), _basis_exponents()
+    gammas = PolySpace(4, 4).exponents
+    _assert_same_polynomials(_polynomials(_apply_normal(np.eye(len(basis)), exponents, gammas)),
+                             _polynomials(_compose(basis, gammas)))
+    low = basis[:9]
+    _assert_same_polynomials(_polynomials(_apply_normal(products, exponents, gammas)),
+                             _polynomials(_compose([_then(a, b) for a in low for b in low], gammas)))
+    gammas = PolySpace(4, 6).exponents
+    got = _polynomials(_apply_normal(commutators.reshape(len(basis) ** 2, -1), exponents, gammas))
+    ab = _compose([_then(a, b) for a in basis for b in basis], gammas)
+    ba = _compose([_then(b, a) for a in basis for b in basis], gammas)
+    _assert_same_polynomials(got, _polynomials(ab, _scaled(ba, -1)))
 
 
-def test_cached_bracket_tables_are_read_only(monkeypatch):
-    for codes, plus in _job_alphabets(monkeypatch):
-        cached = quantum_rep._bracket_table(codes, plus)
-        assert cached is quantum_rep._bracket_table(codes, plus)
-        for got, want in zip(cached, quantum_rep._bracket_table.__wrapped__(codes, plus), strict=True):
-            assert np.array_equal(got, want)
-            with pytest.raises(ValueError, match="read-only"):
-                got[...] = 0
-
-
-def test_bracket_table_cache_is_bounded():
-    maxsize = quantum_rep._bracket_table.cache_parameters()["maxsize"]
-    assert maxsize is not None and maxsize >= 4  # one job's alphabets stay cached
+def test_cached_bracket_tables_are_read_only():
+    cached = quantum_rep._tables()
+    assert cached is quantum_rep._tables()
+    for got, want in zip(cached, quantum_rep._tables.__wrapped__(), strict=True):
+        assert np.array_equal(got, want)
+        with pytest.raises(ValueError, match="read-only"):
+            got[...] = 0
 
 
 def test_a_job_builds_each_table_once(tmp_path):
+    # the two tables serve every job in the process, whatever its degree and hbar
     report = str(tmp_path / "r.json")
-    cache = quantum_rep._bracket_table
+    cache = quantum_rep._tables
     cache.cache_clear()
-    # canonical, {A, K}, [A, A] and [K, K] have one each; closure, su2,
-    # tensor, the round-trip and J^z share M0's
-    assert cli.main(["quantum-check", "--degree", "5", "--report", report]) == 0
-    assert (cache.cache_info().misses, cache.cache_info().hits) == (5, 5)
-    assert cli.main(["quantum-check", "--degree", "6", "--report", report]) == 0
-    assert (cache.cache_info().misses, cache.cache_info().hits) == (5, 15)
+    for degree, hbar, code in (("5", "1", 0), ("6", "0.7", 0), ("3", "1e308", 3)):
+        assert cli.main(["quantum-check", "--degree", degree, "--hbar", hbar, "--report", report]) == code
+    info = cache.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits > 0
 
 
-def test_gap_families_list_each_word_of_the_grid_once(monkeypatch):
-    # a table holds each pair of words a, b once, as a b -+ b a, and each word
-    # once, over the monomials some bracket or word meets.  canonical's
-    # (Q, R) meets itself and the identity on their stack of 17 words, {A, K}
-    # on Q's, R's and the identity's 9: the four x, the four d and 1.  Q or R
-    # alone meets only its four x or d (their brackets vanish), M0's 32 words
-    # the 16 x d and 1
-    shapes = [quantum_rep._bracket_table(codes, plus)[0].shape
-              for codes, plus in _job_alphabets(monkeypatch)]
-    assert shapes == [(17, 17 * 9), (9, 9 * 9), (4, 4 * 4), (4, 4 * 4), (32, 32 * 17)]
+def test_commutators_contract_only_the_columns_in_use():
+    # [d_nu, x_nu^2] = 2 x_nu: over all 45 columns R's 1e308 times that weight
+    # would overflow, then meet Q's zero coefficient on x_nu^2 as inf * 0 = NaN
+    pairs = build_canonical(1e308)
+    got = quantum_rep._commutators(pairs.r, pairs.q).reshape(4, 4, -1)
+    want = np.zeros_like(got)
+    want[:, :, 0] = -1j * pairs.hbar * eta4()
+    assert np.array_equal(got, want)
 
 
 def _bracket_by_letters(x, y, sign, gammas):
-    """X_i Y_j + sign Y_j X_i applied to each x^gamma, every word product composed letter by letter."""
+    """X_i Y_j + sign Y_j X_i applied to each x^gamma, every product of basis words composed letter by letter."""
+    basis = quantum_rep._BASIS.tolist()
+    pairs = [(a, b) for a in range(len(basis)) for b in range(len(basis))]
+    coeffs = np.array([np.outer(x[:, a], y[:, b]).ravel() for a, b in pairs])  # (word, i L + j)
     terms = []
-    for a, b in np.ndindex(len(x.codes), len(y.codes)):
-        xy = _compose([_then(int(x.codes[a]), int(y.codes[b]))], gammas)
-        yx = _compose([_then(int(y.codes[b]), int(x.codes[a]))], gammas)
-        for i, j in np.ndindex(len(x.coeffs), len(y.coeffs)):
-            row = i * len(y.coeffs) + j
-            for t, w in ((xy, x.coeffs[i, a] * y.coeffs[j, b]), (yx, sign * x.coeffs[i, a] * y.coeffs[j, b])):
-                terms.append((np.full_like(t[0], row), t[1], t[2], w * t[3]))
+    for words, factor in (([_then(basis[a], basis[b]) for a, b in pairs], 1),
+                          ([_then(basis[b], basis[a]) for a, b in pairs], sign)):
+        rows, g, images, weights = _compose(words, gammas)
+        for op in range(len(x) * len(y)):
+            terms.append((np.full_like(rows, op), g, images, factor * coeffs[rows, op] * weights))
     return _polynomials(*terms)
 
 
-def _bracket_by_table(x, y, sign, gammas):
-    """The normal forms `quantum_rep._brackets` reads, applied to each x^gamma."""
-    gaps = quantum_rep._brackets(x, y, sign)
-    codes = quantum_rep._on_stack(x, y)[0].codes
-    exponents = quantum_rep._bracket_table(quantum_rep._key(codes), sign == 1)[2]
-    return gaps, _polynomials(_apply_normal(gaps[0] + 1j * gaps[1], exponents, gammas))
+def test_products_refuse_rows_of_degree_two():
+    rows = np.zeros((1, quantum_rep._M), complex)
+    rows[0, 9] = 1.0  # x_0^2
+    with pytest.raises(ValueError, match="degree <= 1"):
+        quantum_rep._products(rows, rows)
 
 
 @pytest.mark.parametrize("degree", [3, 4])
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
 def test_bracket_matches_dense_products(degree, sign):
-    # every word product of X_i Y_j + sign Y_j X_i on every monomial of degree
-    # <= degree, composed letter by letter, against the bracket's normal form
+    # X_i Y_j + sign Y_j X_i on every monomial of degree <= degree, every
+    # product of basis words composed letter by letter, against its normal
+    # form: from the commutator table (sign -1) on random rows over all 45
+    # monomials, from the product table (sign +1, as {A, K} is) on random
+    # rows of degree <= 1
     rng = np.random.default_rng(degree)
-    x = _random_family(rng, 2, _ALPHABET)
-    y = _random_family(rng, 3, _ALPHABET)
+    columns = quantum_rep._M if sign == -1.0 else 9
+    x, y = _random_rows(rng, 2, columns), _random_rows(rng, 3, columns)
+    if sign == -1.0:
+        rows = quantum_rep._commutators(x, y)
+    else:
+        yx = quantum_rep._products(y, x).reshape(3, 2, -1).swapaxes(0, 1).reshape(6, -1)
+        rows = quantum_rep._products(x, y) + yx
+    assert rows.shape == (2 * 3, quantum_rep._M)
     gammas = PolySpace(4, degree).exponents
-    gaps, (got_keys, got) = _bracket_by_table(x, y, sign, gammas)
-    assert gaps.shape[:2] == (2, 2 * 3)  # (Re, Im) of the six brackets, no word grid
+    got_keys, got = _polynomials(_apply_normal(rows, _basis_exponents(), gammas))
     want_keys, want = _bracket_by_letters(x, y, sign, gammas)
     assert np.max(np.abs(want)) > 1.0
-    assert np.array_equal(got_keys, want_keys)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_bracket_on_two_alphabets_is_the_bracket_on_their_stack():
-    # the two alphabets share the word D_1 Q_3
-    rng = np.random.default_rng(11)
-    gammas = PolySpace(4, 3).exponents
-    a, b = _ALPHABET[:3], _ALPHABET[2:]
-    x = _random_family(rng, 2, a)
-    y = _random_family(rng, 3, b)
-    codes = np.concatenate([a, b])
-    x_on_stack = Family(np.hstack([x.coeffs, np.zeros((2, len(b)))]), codes)
-    y_on_stack = Family(np.hstack([np.zeros((3, len(a))), y.coeffs]), codes)
-    for sign in (-1.0, 1.0):
-        got = quantum_rep._brackets(x, y, sign)
-        assert np.array_equal(got, quantum_rep._brackets(x_on_stack, y_on_stack, sign))
-        _, (got_keys, got) = _bracket_by_table(x, y, sign, gammas)
-        want_keys, want = _bracket_by_letters(x, y, sign, gammas)
-        assert np.array_equal(got_keys, want_keys)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # the letters' top-degree terms cancel only up to round-off, so the two
+    # are compared on the union of their keys
+    keys = np.union1d(got_keys, want_keys)
+    on_keys = np.zeros((2, len(keys)), complex)
+    on_keys[0, np.searchsorted(keys, got_keys)] = got
+    on_keys[1, np.searchsorted(keys, want_keys)] = want
+    assert np.max(np.abs(on_keys[0] - on_keys[1])) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_m0_and_m0dag_share_one_alphabet(rep):
-    m0, m0d = rep[3], rep[4]
-    assert np.array_equal(m0.codes, m0d.codes)
-    assert len(np.unique(m0.codes)) == len(m0.codes) == 32
-    # M0 lives on the 16 words D_nu Q_mu, M0dag on the 16 words Q_mu D_nu after them
-    assert np.all(m0.codes[:16] // 9 >= 5) and np.all(m0.codes[:16] % 9 < 5)
-    assert np.all(m0.codes[16:] // 9 < 5) and np.all(m0.codes[16:] % 9 >= 5)
-    assert not np.any(m0.coeffs[:, 16:]) and not np.any(m0d.coeffs[:, :16])
-    assert np.all(np.any(m0.coeffs[:, :16], axis=1)) and np.all(np.any(m0d.coeffs[:, 16:], axis=1))
-    # the words Q_mu D_nu of the products Q_mu R_nu, in order, so J^z's gap is one row on M0's alphabet
-    assert np.array_equal(quantum_rep._products(rep[0].q, rep[0].r).codes, m0.codes[16:])
+    # both live on the 12 monomials x_mu d_nu, mu != nu, every row on some of
+    # them: M0's ordering constants, from its products D_nu Q_mu, cancel
+    pairs, m0, m0d = rep[0], rep[3], rep[4]
+    basis = quantum_rep._BASIS.tolist()
+    off_diagonal = [basis.index(9 * (1 + mu) + 5 + nu) for mu in range(4) for nu in range(4) if mu != nu]
+    for family in (m0, m0d):
+        assert np.flatnonzero(np.any(family != 0, axis=0)).tolist() == off_diagonal
+        assert np.all(np.any(family != 0, axis=1))
+    # J^z's Q R lives on all 16 x_mu d_nu
+    xd = [basis.index(9 * (1 + mu) + 5 + nu) for mu in range(4) for nu in range(4)]
+    qr = quantum_rep._products(pairs.q, pairs.r)
+    assert np.flatnonzero(np.any(qr != 0, axis=0)).tolist() == sorted(xd)
 
 
-def _recorded_brackets(rep, monkeypatch):
-    """The (x, y, sign, tail) and the gaps of each `_brackets` call one job's checks make."""
+def _recorded_commutators(rep, monkeypatch):
+    """The (x, y) and the rows of each `_commutators` call one job's checks make."""
     calls = []
-    brackets = quantum_rep._brackets
+    commutators = quantum_rep._commutators
 
-    def recorded(x, y, sign=-1.0, tail=None):
-        gaps = brackets(x, y, sign, tail)
-        calls.append(((x, y, sign, tail), gaps))
-        return gaps
+    def recorded(x, y):
+        rows = commutators(x, y)
+        calls.append(((x, y), rows.copy()))  # canonical's gap is formed in place
+        return rows
 
-    monkeypatch.setattr(quantum_rep, "_brackets", recorded)
+    monkeypatch.setattr(quantum_rep, "_commutators", recorded)
     _word_residuals(rep[0], rep[3], rep[4])
     monkeypatch.undo()
     return calls
 
 
-def _whole_family(x, y, sign, tail):
-    """The normal form of a bracket's whole family: its grid of product words, then the tail's words.
+def _whole_family(x, y):
+    """The normal forms of [X_i, Y_j] from the grid of the products of all 45 basis words.
 
-    On one alphabet, word a b carries x_ia y_jb from X_i Y_j and sign x_ib y_ja
-    from Y_j X_i; the words are normal-ordered one by one.  Returns the
-    (Re, Im) gaps and the exponents of their monomials.
+    Word a b carries x_ia y_jb from X_i Y_j and -x_ib y_ja from Y_j X_i, and
+    each word is normal-ordered by itself.  Returns the rows and the
+    exponents of their monomials.
     """
-    x, y, *tail = quantum_rep._on_stack(x, y, *([] if tail is None else [tail]))
-    v = len(x.codes)
-    grid = x.coeffs[:, None, :, None] * y.coeffs[None, :, None, :]
-    coeffs = (grid + sign * grid.swapaxes(2, 3)).reshape(-1, v * v)
-    words = tail[0].coeffs if tail else np.zeros((len(coeffs), v))
-    coeffs = np.hstack([coeffs, words])
-    codes = [_then(int(a), int(b)) for a in x.codes for b in x.codes] + x.codes.tolist()
+    basis = quantum_rep._BASIS.tolist()
+    codes = [_then(a, b) for a in basis for b in basis]
     word, monomial, weight = quantum_rep._order(np.array(codes))
     monomials, column = np.unique(monomial, return_inverse=True)
     table = np.zeros((len(codes), len(monomials)))
     np.add.at(table, (word, column), weight)
-    exponents = monomials[:, None] // 16 ** np.arange(8) % 16
-    return np.stack([coeffs.real @ table, coeffs.imag @ table]), exponents
+    grid = x[:, None, :, None] * y[None, :, None, :]
+    coeffs = (grid - grid.swapaxes(2, 3)).reshape(len(x) * len(y), -1)
+    return coeffs @ table, monomials[:, None] // 16 ** np.arange(8) % 16
 
 
 @pytest.mark.parametrize("hbar", [0.7, 1.0, 3.0, 1e100])
 def test_bilinear_gaps_equal_the_whole_family(monkeypatch, hbar):
-    # each bracket's gaps, contracted over its alphabet's table, against the
-    # normal form of its whole family of product words: the same values up to
-    # the round-off of the two summation orders, and exactly 0 at hbar = 1
-    calls = _recorded_brackets(_rep(hbar), monkeypatch)
-    assert len(calls) == 7  # canonical, {A, K}, [A, A], [K, K], closure, su2, tensor
-    for (x, y, sign, tail), got in calls:
-        want, exponents = _whole_family(x, y, sign, tail)
-        codes = quantum_rep._on_stack(x, y, *([] if tail is None else [tail]))[0].codes
-        kept = quantum_rep._bracket_table(quantum_rep._key(codes), sign == 1)[2]
+    # each commutator, contracted over the table on the columns its families
+    # use, against the normal form of its whole grid of product words: the
+    # same values up to the round-off of the two summation orders, and the
+    # same bits at hbar = 1
+    calls = _recorded_commutators(_rep(hbar), monkeypatch)
+    assert len(calls) == 6  # canonical, [A, A], [K, K], closure, su2, tensor
+    for (x, y), got in calls:
+        want, exponents = _whole_family(x, y)
         column = {tuple(e): k for k, e in enumerate(exponents.tolist())}
         on_whole = np.zeros_like(want)
-        on_whole[:, :, [column[tuple(e)] for e in kept.tolist()]] = got
+        on_whole[:, [column[tuple(e)] for e in _basis_exponents().tolist()]] = got
         if hbar == 1.0:
-            assert not np.any(got) and not np.any(want)
+            assert np.array_equal(on_whole, want)
         else:
             assert np.max(np.abs(on_whole - want)) <= 1e-13 * max(hbar, hbar ** 2)
 
 
-# -- J^z in normal form, on M0's alphabet -----------------------------------------
+# -- J^z in normal form ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("hbar", [0.3, 0.7, 1e-300, 1e100, 1e200, math.pi])
@@ -637,16 +608,16 @@ def test_jz_gap_is_exact_at_any_hbar(hbar):
     assert jz_residual(pairs, m0, m0d) == 0.0
 
 
-@pytest.mark.parametrize("reordered", [False, True], ids=["m0-alphabet", "reordered"])
-def test_jz_gap_matches_the_dense_normal_coefficients(dense, reordered):
-    # random terms on M0's and M0dag's words make the gap O(0.1-1); on a
-    # reordered alphabet the gap is read on that alphabet and Q R's side by side
+@pytest.mark.parametrize("columns", ["m0-alphabet", "off-support"])
+def test_jz_gap_matches_the_dense_normal_coefficients(dense, columns):
+    # random terms on the monomials M0 and M0dag use make the gap O(0.1-1);
+    # off their support, on 1, the x and the d as well, which J^z reads too
     rng = np.random.default_rng(7)
     pairs, _, _, m0, m0d = _rep(0.7)
-    m0, m0d = (Family(f.coeffs + 0.1 * rng.standard_normal(f.coeffs.shape), f.codes) for f in (m0, m0d))
-    if reordered:
-        order = rng.permutation(len(m0.codes))
-        m0, m0d = (Family(f.coeffs[:, order], f.codes[order]) for f in (m0, m0d))
+    support = np.any(np.vstack([m0, m0d]) != 0, axis=0)
+    if columns == "off-support":
+        support[:9] = True
+    m0, m0d = (f + 0.1 * rng.standard_normal(f.shape) * support for f in (m0, m0d))
     space = PolySpace(4, 3)
     d0, dd = dense(m0, space), dense(m0d, space)
     q, r = dense(pairs.q, space), dense(pairs.r, space)
@@ -657,9 +628,9 @@ def test_jz_gap_matches_the_dense_normal_coefficients(dense, reordered):
 
 
 def test_a_warm_job_keeps_a_small_working_set(tmp_path):
-    # every check contracts small cached tables, forms no word grid and
-    # builds no space, so a warm job peaks near 0.17 MiB at any degree (J^z
-    # on a truncated space took degree 20 to 3.2 MiB)
+    # every check contracts the two small tables and builds no space, so a
+    # warm job peaks near 0.25 MiB at any degree (J^z on a truncated space
+    # took degree 20 to 3.2 MiB)
     for degree in ("5", "20"):
         argv = ["quantum-check", "--degree", degree, "--report", str(tmp_path / "r.json")]
         assert cli.main(argv) == 0  # builds the tables
@@ -781,26 +752,24 @@ def test_tensor_trips_on_a_symmetric_part(rep):
     # breaks M_{mu nu} = -M_{nu mu}
     pairs, m0, m0d = rep[0], rep[3], rep[4]
     mt = tensor_form(m0, m0d)
-    bump = np.eye(16, 1)  # the empty word, on M_00 only
-    bumped = Family(np.hstack([mt.coeffs, bump]), np.append(mt.codes, 0))
+    bumped = mt.copy()
+    bumped[0, 0] += 1.0  # the monomial 1, on M_00 only
     assert tensor_algebra_residual(bumped, pairs.hbar) == 2.0
 
 
 def test_roundtrip_trips_on_a_perturbed_m0_block(rep):
     pairs, m0, m0d = rep[0], rep[3], rep[4]
     mt = tensor_form(m0, m0d)
-    assert m0.codes[0] == 5 * 9 + 1  # the word D_0 Q_0 = Q_0 D_0 + 1
-    coeffs = m0.coeffs.copy()
-    coeffs[0, 0] += 0.5  # in M0_(11)
-    perturbed = dataclasses.replace(m0, coeffs=coeffs)
+    perturbed = m0.copy()
+    perturbed[0, np.flatnonzero(m0[0])[0]] += 0.5  # a monomial of M0_(11)
     assert spinor_tensor_roundtrip_residual(perturbed, mt) == 0.5
 
 
 def _with_nan(family, row=0):
-    """Copy of a family with the first coefficient of one operator set to NaN."""
-    coeffs = family.coeffs.copy()
-    coeffs[row, 0] = np.nan
-    return dataclasses.replace(family, coeffs=coeffs)
+    """Copy of a family with one operator's coefficient of the monomial 1 set to NaN."""
+    family = family.copy()
+    family[row, 0] = np.nan
+    return family
 
 
 @pytest.mark.parametrize("check", ["canonical", "mixed", "closure", "su2", "tensor", "roundtrip", "jz"])
