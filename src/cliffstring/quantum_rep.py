@@ -37,23 +37,29 @@ dotted-undotted commutation, and the identity
 J^z = i/2 (M0_(12) - M0dag_(12)) = Q_1 R_2 - Q_2 R_1 hold exactly.
 
 Every operator here is of degree <= 2 in the x and the d, and is stored
-as its Weyl normal form: a complex row over the 45 normal monomials
-x^alpha d^beta of degree <= 2 (`_BASIS`), every x to the left of every d.
-Two operators are equal exactly when their rows are.  Two read-only
-tables, built once per process from D_nu Q_mu = Q_mu D_nu + delta_{mu nu},
-hold every product the checks need in normal form: the (81, 45) products
-of the nine monomials of degree <= 1 (M0's K A, {A, K} and J^z's Q R) and
-the (45, 45, 45) commutators of all 45, each of degree <= 2 again.  A
-bracket of two families is the contraction sum_ab x_ia y_jb [m_a, m_b],
-its gap a row difference, and a check reads the largest |normal
-coefficient|.  No space is truncated, so no identity depends on the
-degree, and at hbar = 1 the gaps cancel to exactly 0.
+as its normal form: a complex row over the 45 normal monomials x^alpha
+d^beta of degree <= 2, every x to the left of every d.  Two operators are
+equal exactly when their rows are.  With zeta = (1, x_0..x_3, d_0..d_3)
+each row is zeta^T H zeta for one symmetric 9x9 H, its Weyl-ordered form,
+and two fixed maps move between the two: unpack (row to H) and fold
+(sum_ij P_ij zeta_i zeta_j to its row, by d_nu x_nu = x_nu d_nu + 1).
+With Omega_ij = [zeta_i, zeta_j],
 
-quantum_checks builds every family at hbar's mantissa u = hbar 2^-e in
-[1, 2) and scales R, M0 and M0dag by 2^e exactly: M0's ordering
-constants, sums of hbar terms that cancel, would overflow at hbar = 1e308
-before they cancel, and its halvings would round at a subnormal hbar.
-J^z's identity reads the unit families.
+  [zeta^T H zeta, zeta^T G zeta] = 2 zeta^T (H Omega G - G Omega H) zeta,
+
+so a bracket of two families is one matrix product, and a product of two
+operators of degree <= 1 the fold of an outer product.  For degree <= 2
+the commutator is exactly i hbar times the Poisson bracket of the Weyl
+symbols (Groenewold 1946): the quadratic forms bracket as sp(8) and the
+linear ones as the Heisenberg algebra, so `closure` is the Lorentz algebra
+obtained from Poisson brackets.  A check reads the largest |normal
+coefficient| of its gaps.  No space is truncated, so no identity depends
+on the degree, and at hbar = 1 the gaps cancel to exactly 0.
+
+m0_matrices forms M0 from K at its mantissa, and jz_residual reads J^z's
+gap at hbar's mantissa u = hbar 2^-e in [1, 2), scaling by powers of two
+exactly, so that nothing over- or underflows on the way at hbar = 1e308 or
+at a subnormal hbar.
 
 The degree N sets only the J^z spectrum, which is closed form (see
 `jz_spectrum`), and the reported dimension C(N + 4, 4) of the
@@ -62,7 +68,6 @@ polynomials in four variables of degree <= N.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -101,17 +106,39 @@ _EPS3 = np.cross(np.eye(3)[:, None], np.eye(3))  # eps_ijk = (e_i x e_j)_k
 _JK, _KJ = 1j, -1j
 # the quaternion unit products jk and kj, applied where A = j (x) Q and K = k (x) R meet
 
-_POW9 = 9 ** np.arange(20)
+# zeta = (1, x_0..x_3, d_0..d_3).  The 45 columns of a row are the normal
+# monomials of degree <= 2: 1, the eight letters zeta_1..zeta_8, then the 36
+# products zeta_a zeta_b with 1 <= a <= b, row-major, every x left of every d.
+# _WORD[i, j] is the column of zeta_i zeta_j with its letters put in that order.
+_WORD = np.zeros((9, 9), int)
+_WORD[0] = np.arange(9)
+_WORD[1:, 1:][np.triu_indices(8)] = 9 + np.arange(36)
+_WORD = np.maximum(_WORD, _WORD.T)
 
-_POW16 = 16 ** np.arange(8)  # a normal monomial x^alpha d^beta's digits: alpha_0..3, beta_0..3
+# Omega_ij = [zeta_i, zeta_j]; [D_nu, Q_mu] = delta_{mu nu} is the only bracket of two letters
+_OMEGA = np.zeros((9, 9))
+_OMEGA[5:, 1:5] = np.eye(4)
+_OMEGA -= _OMEGA.T
 
-# The 45 normal monomials of degree <= 2, each as the word that spells it.  A
-# word is an int code whose base-9 digits are its letters, the least
-# significant acting first: 0 is no letter, 1 + mu is Q_mu and 5 + nu is D_nu.
-# Column 0 is 1, columns 1 + mu and 5 + nu are x_mu and d_nu, and the 36
-# words a b (code 9 a + b) of two letters a <= b follow, every x left of every d.
-_BASIS = np.concatenate([np.arange(9), [9 * a + b for a in range(1, 9) for b in range(a, 9)]])
-_M = len(_BASIS)
+# fold: the normal row of sum_ij P_ij zeta_i zeta_j, zeta_i on the left, is
+# _FOLD[i, j] summed with weights P_ij, since zeta_i zeta_j = zeta_j zeta_i + Omega_ij
+# for i > j (d_nu x_nu = x_nu d_nu + 1)
+_FOLD = np.eye(45)[_WORD]
+_FOLD[..., 0] += np.tril(_OMEGA)
+# unpack: the symmetric H whose fold is a row, row @ _UNPACK; the two orders of
+# a word share its coefficient, and their ordering constant comes off H_00
+_UNPACK = np.eye(45)[_WORD].transpose(2, 0, 1)
+_UNPACK /= np.sum(_UNPACK, axis=(1, 2), keepdims=True)
+_UNPACK[1:, 0, 0] -= np.sum(_UNPACK[1:] * _FOLD[..., 0], axis=(1, 2))
+# [zeta^T H zeta, zeta^T G zeta] = 2 zeta^T (H Omega G - G Omega H) zeta, and
+# (H Omega G)^T = -G Omega H: a bracket is A = H Omega G folded by _BRACKET
+_BRACKET = 2 * (_FOLD + _FOLD.swapaxes(0, 1))
+# the folds act on the float view of a complex (81, N) block, so they are held
+# as real (45, 81) matrices; the unpacks meet complex rows, so they are complex
+_FOLD, _BRACKET = (m.reshape(81, 45).T.copy() for m in (_FOLD, _BRACKET))
+_UNPACK, _UNPACK_OMEGA = (m.reshape(45, 81).astype(complex) for m in (_UNPACK, _UNPACK @ _OMEGA))
+for _map in (_WORD, _OMEGA, _FOLD, _BRACKET, _UNPACK, _UNPACK_OMEGA):
+    _map.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -123,102 +150,43 @@ class CanonicalPairs:
     hbar: float
 
 
-# -- normal order: the two tables ------------------------------------------------
+# -- brackets: quadratic forms in zeta ---------------------------------------------
 
 
-def _product_codes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The codes of the products of words x[a] and y[b] (y's acting first) as entry a B + b."""
-    shift = _POW9[np.searchsorted(_POW9, y, side="right")]  # 9^len(y)
-    return (x[:, None] * shift + y).reshape(-1)
-
-
-def _order(codes: np.ndarray) -> tuple:
-    """The (word, monomial, weight) terms of the words' normal forms, zero weights dropped.
-
-    Letter by letter, the first acting first, a term x^alpha d^beta meets
-    Q_mu as x^(alpha + e_mu) d^beta and D_nu as x^alpha d^(beta + e_nu) plus
-    alpha_nu x^(alpha - e_nu) d^beta, so each letter doubles a word's terms;
-    a monomial is an int, its exponents (each below 16) as `_POW16` digits.
-    """
-    letters = int(np.searchsorted(_POW9, np.max(codes, initial=0), side="right"))
-    rest = codes.astype(np.int64)[:, None]
-    monomial, weight = np.zeros_like(rest), np.ones_like(rest)
-    for _ in range(letters):
-        rest, digit = np.divmod(rest, 9)
-        place = _POW16[(digit - 1) % 4]                 # x_mu's digit, Q_mu or D_mu
-        step = np.where(digit >= 5, place * _POW16[4], np.where(digit > 0, place, 0))
-        met = np.where(digit >= 5, monomial // place % 16, 0)  # alpha_nu, where D_nu meets x_nu
-        monomial = np.hstack([monomial + step, monomial - place])
-        weight = np.hstack([weight, weight * met])
-    word, term = np.nonzero(weight)
-    return word, monomial[word, term], weight[word, term]
-
-
-@functools.cache
-def _tables() -> tuple:
-    """(products, commutators), built once per process and shared read-only.
-
-    Row 9 a + b of the (81, 45) `products` is the normal form of m_a m_b for
-    the nine monomials of degree <= 1 (m_b acting first), and entry (a, b)
-    of the (45, 45, 45) `commutators` that of [m_a, m_b].  Both stay in
-    degree <= 2, so every term lands on `_BASIS`.  Their weights are
-    integers of size at most 4, held as int8 (0.1 MB), so that a
-    contraction reads an eighth of the bytes it would as floats.
-    """
-    monomials = _order(_BASIS)[1]  # each basis word is its own normal form
-    sorter = np.argsort(monomials)
-
-    def table(rows, word, monomial, weight):
-        keys, term = np.unique(word << 32 | monomial, return_inverse=True)  # monomials < 16^8 = 2^32
-        sums = np.bincount(term, weight)
-        keys, sums = keys[sums != 0], sums[sums != 0]
-        out = np.zeros((rows, _M), np.int8)
-        out[keys >> 32, sorter[np.searchsorted(monomials, keys & 0xFFFFFFFF, sorter=sorter)]] = sums
-        return out
-
-    products = table(81, *_order(_product_codes(_BASIS[:9], _BASIS[:9])))
-    word, monomial, weight = _order(_product_codes(_BASIS, _BASIS))  # m_a m_b is word a 45 + b ...
-    a, b = np.divmod(word, _M)                                        # ... and -(m_b m_a)'s too
-    commutators = table(_M * _M, np.concatenate([word, b * _M + a]), np.tile(monomial, 2),
-                        np.concatenate([weight, -weight])).reshape(_M, _M, _M)
-    products.flags.writeable = commutators.flags.writeable = False
-    return products, commutators
+def _fold(fold: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The (N, 45) rows of a (9, 9, ...) block of N forms P_ij, by one real product on its float view."""
+    return (fold @ np.ascontiguousarray(p, complex).reshape(81, -1).view(float)).view(complex).T
 
 
 def _products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The normal forms of X_i Y_j as row i L + j, for families of degree <= 1."""
+    """The normal forms of X_i Y_j as row i L + j, for families of degree <= 1.
+
+    X_i = x_i . zeta and Y_j = y_j . zeta over the first nine columns, so
+    X_i Y_j is the fold of the outer product of x_i and y_j there.
+    """
     if np.any(x[:, 9:]) or np.any(y[:, 9:]):
-        raise ValueError("products are tabled for operators of degree <= 1 only")
-    outer = (x[:, None, :9, None] * y[None, :, None, :9]).reshape(len(x) * len(y), 81)
-    products = _tables()[0].astype(float)
-    return _complex(outer.real @ products, outer.imag @ products)
-
-
-def _re_im(rows: np.ndarray) -> np.ndarray:
-    """The (Re; Im) row stack of complex rows, whose product with a real table stays real."""
-    return np.concatenate([rows.real, rows.imag])
-
-
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The complex array re + i im, put together without arithmetic (so no inf meets a 0)."""
-    out = np.empty(re.shape, complex)
-    out.real, out.imag = re, im
-    return out
+        raise ValueError("products are formed for operators of degree <= 1 only")
+    return _fold(_FOLD, x.T[:9, None, :, None] * y.T[None, :9, None, :])
 
 
 def _commutators(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The normal forms of [X_i, Y_j] as row i L + j.
 
-    sum_ab x_ia y_jb [m_a, m_b] is contracted over a, then b, only over the
-    columns x and y use: a weight-2 entry such as [d_nu, x_nu^2] = 2 x_nu
-    times a huge coefficient overflows, and inf times a zero coefficient
-    would be NaN.
+    With X_i = zeta^T H_i zeta and Y_j = zeta^T G_j zeta, [X_i, Y_j] is the
+    fold of 2 (A + A^T), A = H_i Omega G_j, and every A is a block of one
+    product of the (9K, 9) stack of the H_i Omega with the (9, 9L) row of the
+    G_j.  zeta's constant slot stays in the product, so a NaN on a row's
+    monomial 1 reaches its brackets.
     """
-    sx, sy = np.flatnonzero(np.any(x, axis=0)), np.flatnonzero(np.any(y, axis=0))
-    table = _tables()[1][sx[:, None], sy].reshape(len(sx), len(sy) * _M).astype(float)
     k, l = len(x), len(y)
-    g = _re_im(y[:, sy]) @ (_re_im(x[:, sx]) @ table).reshape(2 * k, len(sy), _M)  # (2K, 2L, 45)
-    return _complex(g[:k, :l] - g[k:, l:], g[:k, l:] + g[k:, :l]).reshape(k * l, _M)
+    h = (x @ _UNPACK_OMEGA).reshape(9 * k, 9)
+    g = (y @ _UNPACK).reshape(l, 9, 9).swapaxes(0, 1).reshape(9, 9 * l)
+    return _fold(_BRACKET, (h @ g).reshape(k, 9, l, 9).transpose(1, 3, 0, 2))
+
+
+def _scaled(rows: np.ndarray, e: int) -> np.ndarray:
+    """Complex rows times 2^e, exactly wherever the result is normal."""
+    return np.ldexp(np.ascontiguousarray(rows, complex).view(float), e).view(complex)
 
 
 def _largest(*gaps: np.ndarray) -> float:
@@ -231,7 +199,7 @@ def _largest(*gaps: np.ndarray) -> float:
 
 def build_canonical(hbar: float = 1.0) -> CanonicalPairs:
     """Canonical pairs Q_mu = x_mu*, R_nu = -i hbar eta_{nu nu} d_nu."""
-    q, r = np.zeros((2, 4, _M), complex)
+    q, r = np.zeros((2, 4, 45), complex)
     q[:, 1:5] = np.eye(4)
     r[:, 5:9] = -1j * hbar * eta4()
     return CanonicalPairs(q=q, r=r, hbar=hbar)
@@ -244,7 +212,7 @@ def canonical_residual(pairs: CanonicalPairs) -> float:
     commutator; [Q, R] = i hbar eta, [R, Q] = -i hbar eta, the rest vanish.
     """
     ops = np.vstack([pairs.q, pairs.r])
-    gaps = _commutators(ops, ops).reshape(8, 8, _M)
+    gaps = _commutators(ops, ops).reshape(8, 8, 45)
     gaps[:4, 4:, 0] -= 1j * pairs.hbar * eta4()
     gaps[4:, :4, 0] += 1j * pairs.hbar * eta4()
     return _largest(gaps)
@@ -258,13 +226,13 @@ def quaternion_pairs(pairs: CanonicalPairs):
 def mixed_algebra_residual(a_ops: np.ndarray, k_ops: np.ndarray, hbar: float) -> float:
     """Residual of [A,A] = [K,K] = 0 and {A_mu, K_nu} = -hbar eta_{mu nu}.
 
-    {A_mu, K_nu} = jk Q_mu R_nu + kj R_nu Q_mu, read off the tabled products,
+    {A_mu, K_nu} = jk Q_mu R_nu + kj R_nu Q_mu, from the folded products,
     is i [Q_mu, R_nu] only while kj = -jk.  [A, A] and
     [K, K] are the brackets of Q and of R times jj = kk = -1, which flips the
     sign of a whole gap block; no max |coefficient| can see that, so it is
     left out.
     """
-    ka = _products(k_ops, a_ops).reshape(4, 4, _M).swapaxes(0, 1).reshape(16, _M)
+    ka = _products(k_ops, a_ops).reshape(4, 4, 45).swapaxes(0, 1).reshape(16, 45)
     anti = _JK * _products(a_ops, k_ops) + _KJ * ka
     anti[:, 0] += hbar * eta4().reshape(16)
     return _largest(_commutators(a_ops, a_ops), _commutators(k_ops, k_ops), anti)
@@ -287,15 +255,21 @@ def m0_matrices(a_ops: np.ndarray, k_ops: np.ndarray) -> tuple:
     with A and K treated as formally self-adjoint.  Both are families of
     four operators with the spinor indices symmetrized, on the monomials
     x_mu d_nu: the ordering constants of M0's products D_nu Q_mu cancel.
+
+    Both are formed from K times 2^-e, its largest |coefficient| in [1, 2),
+    and scaled back by 2^e exactly: M0's ordering constants, sums of hbar
+    terms that cancel, would overflow at hbar = 1e308 before they cancel,
+    and its halvings would round at a subnormal hbar.
     """
-    a_sp, k_sp = spinor_components(a_ops), spinor_components(k_ops)
+    e = math.frexp(np.max(np.abs(k_ops), initial=0.0))[1] - 1
+    a_sp, k_sp = spinor_components(a_ops), spinor_components(_scaled(k_ops, -e))
     d = np.eye(2)
     # weights of the products K_{P L} A_{Q E} and A_{E Q} K_{L P}, eps^{E L}, with
     # their units: i kj = -i jk = 1, so M0 is a real combination of R Q products
     w = 1j * _KJ * np.einsum("ap,bq,el->abplqe", d, d, EPS)
     wd = -1j * _JK * np.einsum("el,qb,pa->abeqlp", EPS, d, d)
     w, wd = ((0.5 * (c + c.swapaxes(0, 1))).reshape(4, 16) for c in (w, wd))  # (AB)
-    return w @ _products(k_sp, a_sp), wd @ _products(a_sp, k_sp)
+    return _scaled(w @ _products(k_sp, a_sp), e), _scaled(wd @ _products(a_sp, k_sp), e)
 
 
 def lorentz_closure_residual(m0: np.ndarray, m0d: np.ndarray, hbar: float) -> float:
@@ -365,7 +339,7 @@ def tensor_algebra_residual(m_tensor: np.ndarray, hbar: float) -> float:
     pairs = [4 * mu + nu for mu in range(4) for nu in range(mu + 1, 4)]
     coeffs = -1j * hbar * c.reshape(16, 16, 16)[np.ix_(pairs, pairs)]
     ops = m_tensor[pairs]
-    mt = m_tensor.reshape(4, 4, _M)
+    mt = m_tensor.reshape(4, 4, 45)
     return _largest(mt + mt.swapaxes(0, 1), _commutators(ops, ops) - coeffs.reshape(36, 16) @ m_tensor)
 
 
@@ -379,14 +353,16 @@ def jz_residual(pairs: CanonicalPairs, m0: np.ndarray, m0d: np.ndarray) -> float
     """Max normal coefficient of J^z = i/2 (M0_(12) - M0dag_(12)) = Q_1 R_2 - Q_2 R_1, in units of hbar.
 
     Both sides are of degree 1 in hbar, so the gap divided by hbar does not
-    scale with it: families built at hbar times a power of two give the
-    same bits while nothing under- or overflows.  At a subnormal hbar M0's
-    halvings round by whole units of hbar, so quantum_checks passes the
-    families it built at hbar's mantissa.
+    scale with it.  It is formed from R, M0 and M0dag times 2^-e, hbar 2^-e
+    in [1, 2), and read in units of that mantissa: at a subnormal hbar the
+    halves i/2 M0 would round by whole units of hbar.
     """
+    e = math.frexp(pairs.hbar)[1] - 1
+    m0, m0d, r = (_scaled(f, -e) for f in (m0, m0d, pairs.r))
     w = 0.5j * (np.eye(8)[[1]] - np.eye(8)[[4 + 1]])       # i/2 (M0_(12) - M0dag_(12))
     qr = np.eye(16)[[4 * 2 + 1]] - np.eye(16)[[4 * 1 + 2]]  # -(Q_1 R_2 - Q_2 R_1)
-    return _largest(w @ np.vstack([m0, m0d]) + qr @ _products(pairs.q, pairs.r)) / pairs.hbar
+    gap = w @ np.vstack([m0, m0d]) + qr @ _products(pairs.q, r)
+    return _largest(gap) / math.ldexp(pairs.hbar, -e)
 
 
 def jz_spectrum(degree: int, hbar: float = 1.0) -> np.ndarray:
@@ -409,22 +385,14 @@ def integrality_residual(values: np.ndarray, hbar: float = 1.0) -> float:
     return float(np.max(np.abs(scaled - np.round(scaled))))
 
 
-def _scaled(rows: np.ndarray, e: int) -> np.ndarray:
-    """Complex rows times 2^e, exactly wherever the result is normal."""
-    return np.ldexp(rows.view(float), e).view(complex)
-
-
 def quantum_checks(degree: int, hbar: float) -> tuple:
     """({name: (max residual, 1)}, dimension, J^z spectrum) of the quantum-check
     identities; only the dimension and the J^z spectrum depend on the degree."""
     if degree < 2:
         raise ValueError("degree bound must be at least 2")
-    e = math.frexp(hbar)[1] - 1
-    unit = build_canonical(math.ldexp(hbar, -e))  # exact, in [1, 2)
-    unit_m0 = m0_matrices(*quaternion_pairs(unit))
-    pairs = CanonicalPairs(unit.q, _scaled(unit.r, e), hbar)
+    pairs = build_canonical(hbar)
     a_ops, k_ops = quaternion_pairs(pairs)
-    m0, m0d = (_scaled(m, e) for m in unit_m0)
+    m0, m0d = m0_matrices(a_ops, k_ops)
     n, nd = three_vector_form(m0, m0d)
     mt = tensor_form(m0, m0d)
     vals = jz_spectrum(degree, hbar)
@@ -435,7 +403,7 @@ def quantum_checks(degree: int, hbar: float) -> tuple:
         "su2": su2_closure_residual(n, nd, hbar),
         "tensor": tensor_algebra_residual(mt, hbar),
         "roundtrip": spinor_tensor_roundtrip_residual(m0, mt),
-        "jz_integrality": np.max([jz_residual(unit, *unit_m0),  # np.max keeps a NaN
+        "jz_integrality": np.max([jz_residual(pairs, m0, m0d),  # np.max keeps a NaN
                                   integrality_residual(vals, hbar)]),
     }
     return {name: (r, 1) for name, r in residuals.items()}, math.comb(degree + 4, 4), vals

@@ -338,9 +338,17 @@ def test_perturbed_residuals_match_dense_commutators(dense, degree):
 # -- normal order, against letters composed on untruncated polynomials -------------
 
 
+# The 45 normal monomials of degree <= 2 as the words that spell them.  A word
+# is an int code whose base-9 digits are its letters, the least significant
+# acting first: 0 is no letter, 1 + mu is Q_mu and 5 + nu is D_nu.  Column 0
+# is 1, columns 1 + mu and 5 + nu are x_mu and d_nu, and the 36 words a b
+# (code 9 a + b) of two letters a <= b follow, every x left of every d.
+WORDS = list(range(9)) + [9 * a + b for a in range(1, 9) for b in range(a, 9)]
+
+
 def _random_rows(rng, k, columns):
     """k random complex rows on the first `columns` basis monomials."""
-    rows = np.zeros((k, quantum_rep._M), complex)
+    rows = np.zeros((k, len(WORDS)), complex)
     rows[:, :columns] = rng.standard_normal((k, columns)) + 1j * rng.standard_normal((k, columns))
     return rows
 
@@ -361,8 +369,8 @@ def _then(a, b):
 
 def _basis_exponents():
     """The (45, 8) exponents (alpha, beta) of the basis monomials, counted off their words' letters."""
-    exponents = np.zeros((quantum_rep._M, 8), int)
-    for m, code in enumerate(quantum_rep._BASIS.tolist()):
+    exponents = np.zeros((len(WORDS), 8), int)
+    for m, code in enumerate(WORDS):
         for letter in _letters(code):
             exponents[m, letter - 1] += 1
     return exponents
@@ -426,45 +434,36 @@ def _assert_same_polynomials(got, want):
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
-def test_normal_order_tables_match_the_composed_letters():
+def test_products_and_commutators_match_the_composed_letters():
     # each basis word, each product m_a m_b of the nine monomials of degree <= 1
     # and each commutator [m_a, m_b] of all 45, in normal form and applied to
     # each monomial up to degree (letters + 2), against its letters composed
     # on untruncated polynomials, as exact integers
-    products, commutators = quantum_rep._tables()
-    assert products.shape == (81, 45) and commutators.shape == (45, 45, 45)
-    basis, exponents = quantum_rep._BASIS.tolist(), _basis_exponents()
+    exponents, eye = _basis_exponents(), np.eye(len(WORDS))  # real rows, as a caller may pass
     gammas = PolySpace(4, 4).exponents
-    _assert_same_polynomials(_polynomials(_apply_normal(np.eye(len(basis)), exponents, gammas)),
-                             _polynomials(_compose(basis, gammas)))
-    low = basis[:9]
+    _assert_same_polynomials(_polynomials(_apply_normal(eye, exponents, gammas)),
+                             _polynomials(_compose(WORDS, gammas)))
+    low = WORDS[:9]
+    products = quantum_rep._products(eye[:9], eye[:9])
     _assert_same_polynomials(_polynomials(_apply_normal(products, exponents, gammas)),
                              _polynomials(_compose([_then(a, b) for a in low for b in low], gammas)))
     gammas = PolySpace(4, 6).exponents
-    got = _polynomials(_apply_normal(commutators.reshape(len(basis) ** 2, -1), exponents, gammas))
-    ab = _compose([_then(a, b) for a in basis for b in basis], gammas)
-    ba = _compose([_then(b, a) for a in basis for b in basis], gammas)
+    got = _polynomials(_apply_normal(quantum_rep._commutators(eye, eye), exponents, gammas))
+    ab = _compose([_then(a, b) for a in WORDS for b in WORDS], gammas)
+    ba = _compose([_then(b, a) for a in WORDS for b in WORDS], gammas)
     _assert_same_polynomials(got, _polynomials(ab, _scaled(ba, -1)))
 
 
-def test_cached_bracket_tables_are_read_only():
-    cached = quantum_rep._tables()
-    assert cached is quantum_rep._tables()
-    for got, want in zip(cached, quantum_rep._tables.__wrapped__(), strict=True):
-        assert np.array_equal(got, want)
+def test_fixed_maps_are_read_only():
+    maps = (quantum_rep._WORD, quantum_rep._OMEGA, quantum_rep._FOLD, quantum_rep._BRACKET,
+            quantum_rep._UNPACK, quantum_rep._UNPACK_OMEGA)
+    for fixed in maps:
         with pytest.raises(ValueError, match="read-only"):
-            got[...] = 0
-
-
-def test_a_job_builds_each_table_once(tmp_path):
-    # the two tables serve every job in the process, whatever its degree and hbar
-    report = str(tmp_path / "r.json")
-    cache = quantum_rep._tables
-    cache.cache_clear()
-    for degree, hbar, code in (("5", "1", 0), ("6", "0.7", 0), ("3", "1e308", 3)):
-        assert cli.main(["quantum-check", "--degree", degree, "--hbar", hbar, "--report", report]) == code
-    info = cache.cache_info()
-    assert (info.misses, info.currsize) == (1, 1) and info.hits > 0
+            fixed[...] = 0
+    # unpack gives each row a symmetric H, and the fold of H is the row again
+    forms = quantum_rep._UNPACK.reshape(-1, 9, 9)
+    assert np.array_equal(forms, forms.swapaxes(1, 2))
+    assert np.array_equal(quantum_rep._UNPACK @ quantum_rep._FOLD.T, np.eye(len(WORDS)))
 
 
 def test_commutators_contract_only_the_columns_in_use():
@@ -478,21 +477,32 @@ def test_commutators_contract_only_the_columns_in_use():
 
 
 def _bracket_by_letters(x, y, sign, gammas):
-    """X_i Y_j + sign Y_j X_i applied to each x^gamma, every product of basis words composed letter by letter."""
-    basis = quantum_rep._BASIS.tolist()
-    pairs = [(a, b) for a in range(len(basis)) for b in range(len(basis))]
+    """X_i Y_j + sign Y_j X_i applied to each x^gamma, every product of basis words composed letter by letter.
+
+    Only the words of the columns x and y use are composed.
+    """
+    pairs = [(a, b) for a in np.flatnonzero(np.any(x, axis=0)) for b in np.flatnonzero(np.any(y, axis=0))]
     coeffs = np.array([np.outer(x[:, a], y[:, b]).ravel() for a, b in pairs])  # (word, i L + j)
     terms = []
-    for words, factor in (([_then(basis[a], basis[b]) for a, b in pairs], 1),
-                          ([_then(basis[b], basis[a]) for a, b in pairs], sign)):
+    for words, factor in (([_then(WORDS[a], WORDS[b]) for a, b in pairs], 1),
+                          ([_then(WORDS[b], WORDS[a]) for a, b in pairs], sign)):
         rows, g, images, weights = _compose(words, gammas)
         for op in range(len(x) * len(y)):
             terms.append((np.full_like(rows, op), g, images, factor * coeffs[rows, op] * weights))
     return _polynomials(*terms)
 
 
+def _on_union(got, want):
+    """Two (keys, values) polynomials as value rows over the union of their keys."""
+    keys = np.union1d(got[0], want[0])
+    on_keys = np.zeros((2, len(keys)), complex)
+    on_keys[0, np.searchsorted(keys, got[0])] = got[1]
+    on_keys[1, np.searchsorted(keys, want[0])] = want[1]
+    return on_keys
+
+
 def test_products_refuse_rows_of_degree_two():
-    rows = np.zeros((1, quantum_rep._M), complex)
+    rows = np.zeros((1, len(WORDS)), complex)
     rows[0, 9] = 1.0  # x_0^2
     with pytest.raises(ValueError, match="degree <= 1"):
         quantum_rep._products(rows, rows)
@@ -503,42 +513,50 @@ def test_products_refuse_rows_of_degree_two():
 def test_bracket_matches_dense_products(degree, sign):
     # X_i Y_j + sign Y_j X_i on every monomial of degree <= degree, every
     # product of basis words composed letter by letter, against its normal
-    # form: from the commutator table (sign -1) on random rows over all 45
-    # monomials, from the product table (sign +1, as {A, K} is) on random
-    # rows of degree <= 1
+    # form: from `_commutators` (sign -1) on random rows over all 45
+    # monomials, from `_products` (sign +1, as {A, K} is) on random rows of
+    # degree <= 1
     rng = np.random.default_rng(degree)
-    columns = quantum_rep._M if sign == -1.0 else 9
+    columns = len(WORDS) if sign == -1.0 else 9
     x, y = _random_rows(rng, 2, columns), _random_rows(rng, 3, columns)
     if sign == -1.0:
         rows = quantum_rep._commutators(x, y)
     else:
         yx = quantum_rep._products(y, x).reshape(3, 2, -1).swapaxes(0, 1).reshape(6, -1)
         rows = quantum_rep._products(x, y) + yx
-    assert rows.shape == (2 * 3, quantum_rep._M)
+    assert rows.shape == (2 * 3, len(WORDS))
     gammas = PolySpace(4, degree).exponents
-    got_keys, got = _polynomials(_apply_normal(rows, _basis_exponents(), gammas))
-    want_keys, want = _bracket_by_letters(x, y, sign, gammas)
-    assert np.max(np.abs(want)) > 1.0
+    got = _polynomials(_apply_normal(rows, _basis_exponents(), gammas))
+    want = _bracket_by_letters(x, y, sign, gammas)
+    assert np.max(np.abs(want[1])) > 1.0
     # the letters' top-degree terms cancel only up to round-off, so the two
     # are compared on the union of their keys
-    keys = np.union1d(got_keys, want_keys)
-    on_keys = np.zeros((2, len(keys)), complex)
-    on_keys[0, np.searchsorted(keys, got_keys)] = got
-    on_keys[1, np.searchsorted(keys, want_keys)] = want
-    assert np.max(np.abs(on_keys[0] - on_keys[1])) <= 1e-13 * np.max(np.abs(want))
+    on_keys = _on_union(got, want)
+    assert np.max(np.abs(on_keys[0] - on_keys[1])) <= 1e-13 * np.max(np.abs(want[1]))
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings would fail the run
+@pytest.mark.parametrize("hbar", [1e308, 1e200, 1e-310, 5e-324, 0.7])
+def test_m0_at_any_hbar_is_the_mantissa_build_scaled(hbar):
+    # M0 forms K A at K's mantissa: at 1e308 its ordering constants would
+    # overflow before they cancel, and at a subnormal hbar its halvings round
+    e = math.frexp(hbar)[1] - 1
+    unit = m0_matrices(*quaternion_pairs(build_canonical(math.ldexp(hbar, -e))))
+    for got, want in zip(m0_matrices(*quaternion_pairs(build_canonical(hbar))), unit, strict=True):
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got.view(float), np.ldexp(want.view(float), e))
 
 
 def test_m0_and_m0dag_share_one_alphabet(rep):
     # both live on the 12 monomials x_mu d_nu, mu != nu, every row on some of
     # them: M0's ordering constants, from its products D_nu Q_mu, cancel
     pairs, m0, m0d = rep[0], rep[3], rep[4]
-    basis = quantum_rep._BASIS.tolist()
-    off_diagonal = [basis.index(9 * (1 + mu) + 5 + nu) for mu in range(4) for nu in range(4) if mu != nu]
+    off_diagonal = [WORDS.index(9 * (1 + mu) + 5 + nu) for mu in range(4) for nu in range(4) if mu != nu]
     for family in (m0, m0d):
         assert np.flatnonzero(np.any(family != 0, axis=0)).tolist() == off_diagonal
         assert np.all(np.any(family != 0, axis=1))
     # J^z's Q R lives on all 16 x_mu d_nu
-    xd = [basis.index(9 * (1 + mu) + 5 + nu) for mu in range(4) for nu in range(4)]
+    xd = [WORDS.index(9 * (1 + mu) + 5 + nu) for mu in range(4) for nu in range(4)]
     qr = quantum_rep._products(pairs.q, pairs.r)
     assert np.flatnonzero(np.any(qr != 0, axis=0)).tolist() == sorted(xd)
 
@@ -559,41 +577,23 @@ def _recorded_commutators(rep, monkeypatch):
     return calls
 
 
-def _whole_family(x, y):
-    """The normal forms of [X_i, Y_j] from the grid of the products of all 45 basis words.
-
-    Word a b carries x_ia y_jb from X_i Y_j and -x_ib y_ja from Y_j X_i, and
-    each word is normal-ordered by itself.  Returns the rows and the
-    exponents of their monomials.
-    """
-    basis = quantum_rep._BASIS.tolist()
-    codes = [_then(a, b) for a in basis for b in basis]
-    word, monomial, weight = quantum_rep._order(np.array(codes))
-    monomials, column = np.unique(monomial, return_inverse=True)
-    table = np.zeros((len(codes), len(monomials)))
-    np.add.at(table, (word, column), weight)
-    grid = x[:, None, :, None] * y[None, :, None, :]
-    coeffs = (grid - grid.swapaxes(2, 3)).reshape(len(x) * len(y), -1)
-    return coeffs @ table, monomials[:, None] // 16 ** np.arange(8) % 16
-
-
 @pytest.mark.parametrize("hbar", [0.7, 1.0, 3.0, 1e100])
 def test_bilinear_gaps_equal_the_whole_family(monkeypatch, hbar):
-    # each commutator, contracted over the table on the columns its families
-    # use, against the normal form of its whole grid of product words: the
-    # same values up to the round-off of the two summation orders, and the
-    # same bits at hbar = 1
+    # each commutator a job's checks take, applied to every monomial of degree
+    # <= 3, against its whole grid of product words composed letter by letter:
+    # the same values up to the round-off of the two summation orders, and
+    # the same bits at hbar = 1
     calls = _recorded_commutators(_rep(hbar), monkeypatch)
     assert len(calls) == 6  # canonical, [A, A], [K, K], closure, su2, tensor
-    for (x, y), got in calls:
-        want, exponents = _whole_family(x, y)
-        column = {tuple(e): k for k, e in enumerate(exponents.tolist())}
-        on_whole = np.zeros_like(want)
-        on_whole[:, [column[tuple(e)] for e in _basis_exponents().tolist()]] = got
+    gammas = PolySpace(4, 3).exponents
+    for (x, y), rows in calls:
+        got = _polynomials(_apply_normal(rows, _basis_exponents(), gammas))
+        want = _bracket_by_letters(x, y, -1.0, gammas)
         if hbar == 1.0:
-            assert np.array_equal(on_whole, want)
+            _assert_same_polynomials(got, want)
         else:
-            assert np.max(np.abs(on_whole - want)) <= 1e-13 * max(hbar, hbar ** 2)
+            on_keys = _on_union(got, want)
+            assert np.max(np.abs(on_keys[0] - on_keys[1]), initial=0.0) <= 1e-13 * max(hbar, hbar ** 2)
 
 
 # -- J^z in normal form ------------------------------------------------------------
@@ -628,12 +628,12 @@ def test_jz_gap_matches_the_dense_normal_coefficients(dense, columns):
 
 
 def test_a_warm_job_keeps_a_small_working_set(tmp_path):
-    # every check contracts the two small tables and builds no space, so a
-    # warm job peaks near 0.25 MiB at any degree (J^z on a truncated space
-    # took degree 20 to 3.2 MiB)
+    # every check multiplies 9x9 forms and builds no space, so a warm job
+    # peaks well under 1 MiB at any degree (J^z on a truncated space took
+    # degree 20 to 3.2 MiB)
     for degree in ("5", "20"):
         argv = ["quantum-check", "--degree", degree, "--report", str(tmp_path / "r.json")]
-        assert cli.main(argv) == 0  # builds the tables
+        assert cli.main(argv) == 0
         tracemalloc.start()
         try:
             assert cli.main(argv) == 0
@@ -682,13 +682,27 @@ def _mutant(monkeypatch, old, new):
     return mod
 
 
+def _nonzero_residuals(mod, hbar=1.0):
+    return {name: r for name, (r, _) in mod.quantum_checks(3, hbar)[0].items() if r != 0.0}
+
+
 def test_canonical_and_mixed_trip_on_a_wrong_derivative_weight(monkeypatch):
-    # the normal-order table with D_nu Q_mu = Q_mu D_nu + 2 delta_{mu nu}
-    mutant = _mutant(monkeypatch, "weight * met", "weight * met * 2")
+    # Omega's d-x entry with D_nu Q_mu = Q_mu D_nu + 2 delta_{mu nu}: the
+    # brackets, the fold and the unpack all read it
+    mutant = _mutant(monkeypatch, "_OMEGA[5:, 1:5] = np.eye(4)", "_OMEGA[5:, 1:5] = 2 * np.eye(4)")
     pairs = mutant.build_canonical(hbar=1.0)
     a_ops, k_ops = mutant.quaternion_pairs(pairs)
     assert mutant.canonical_residual(pairs) == 1.0
     assert mutant.mixed_algebra_residual(a_ops, k_ops, pairs.hbar) == 1.0
+    assert _nonzero_residuals(mutant) == {"canonical": 1.0, "mixed": 1.0, "closure": 4.0, "su2": 0.5,
+                                          "tensor": 1.0}
+
+
+def test_mixed_trips_on_a_wrong_ordering_constant(monkeypatch):
+    # the fold alone with d_nu x_nu = x_nu d_nu + 2: only products read it, and
+    # M0's ordering constants cancel at any weight, so {A, K} alone moves
+    mutant = _mutant(monkeypatch, "_FOLD[..., 0] += np.tril(_OMEGA)", "_FOLD[..., 0] += 2 * np.tril(_OMEGA)")
+    assert _nonzero_residuals(mutant) == {"mixed": 1.0}
 
 
 def test_mixed_trips_on_a_commuting_fold(monkeypatch):
