@@ -33,8 +33,6 @@ acting first.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .octonion import mul_arrays, conj_arrays
@@ -227,6 +225,12 @@ _GENERATORS = np.stack([boost_generator(), *map(rotation_generator, range(8)),
                         *map(phase_generator, range(1, 8)), *np.zeros((2, 2, 2, 8))])
 _PAD, _REFLECT = 16, 17
 
+# Factor slots per spinor-check pass.  How many slots a block uses is random,
+# so one pass over them all would size its temporaries by the draw, and a job
+# drawing more slots than any before would fault fresh heap in; passes of at
+# most this many slots keep the largest temporaries the same in every job.
+_SPINOR_SLOTS = 256
+
 
 def _draw_trials(rng: np.random.Generator, trials: int, nest_depth: int):
     """Draw a block of trials in five whole-block calls, in this order:
@@ -265,9 +269,8 @@ def _draw_trials(rng: np.random.Generator, trials: int, nest_depth: int):
     return index[:deepest], t[:deepest], points, spinors
 
 
-@functools.cache
 def _mixed_control() -> np.ndarray:
-    """An invalid two-subspace 'factor', built once per process, read-only.
+    """An invalid two-subspace 'factor', read-only.
 
     The octonionic product of an e_1 rotation and an e_2 phase is not a
     single-subspace matrix; applying it in one sandwich must fail visibly.
@@ -277,6 +280,12 @@ def _mixed_control() -> np.ndarray:
     mixed = omat_mul(f1, f2)
     mixed.setflags(write=False)
     return mixed
+
+
+# Built at import, not in the first lorentz-check job: an array that outlives
+# that job would be allocated among its temporaries and split the heap they
+# free, so the next job could grow the heap and fault fresh pages in.
+_MIXED_CONTROL = _mixed_control()
 
 
 def lorentz_checks(rng: np.random.Generator, trials: int, nest_depth: int) -> dict:
@@ -293,22 +302,22 @@ def lorentz_checks(rng: np.random.Generator, trials: int, nest_depth: int) -> di
         s = make_factor(_GENERATORS[index], t)
         s[index == _REFLECT] = reflection
         moved = act_vector(s, x)
-        # the spinor checks skip the padding, whose identity factors change no residual
-        level, trial = np.nonzero(index != _PAD)
-        used = s[level, trial]
         # |det S| = 1, so the sandwich keeps the det form a'b' - |c'|^2 whatever
         # the signs; its round-off grows with |a'b'| + |c'|^2, not with |det|
         a, b, c = moved[..., 0, 0, 0], moved[..., 1, 1, 0], moved[..., 0, 1, :]
         scale = np.maximum(1.0, np.abs(a * b) + np.sum(c * c, axis=-1))
-        block = {
-            "det": np.abs(det2(moved) - det2(x)) / scale,
-            "compatibility": compatibility_residual(used, v[trial]),
-            "contraction": contraction_residual(used, chi[trial], psi[trial]),
-        }
-        for name, r in block.items():
+        residuals = [("det", np.abs(det2(moved) - det2(x)) / scale)]
+        # the spinor checks skip the padding, whose identity factors change no residual
+        level, trial = np.nonzero(index != _PAD)
+        for lo in range(0, len(trial), _SPINOR_SLOTS):
+            at = slice(lo, lo + _SPINOR_SLOTS)
+            used, tr = s[level[at], trial[at]], trial[at]
+            residuals += [("compatibility", compatibility_residual(used, v[tr])),
+                          ("contraction", contraction_residual(used, chi[tr], psi[tr]))]
+        for name, r in residuals:
             # np.maximum keeps a NaN residual, which Python's max would drop
             worst[name] = np.maximum(worst[name], np.max(r))
     out = {name: (worst[name], trials) for name in worst}
     spinor = rng.uniform(-1.0, 1.0, (2, 8))  # as fixtures.random_spinor draws it
-    out["mixed_control"] = (compatibility_residual(_mixed_control(), spinor), 1)
+    out["mixed_control"] = (compatibility_residual(_MIXED_CONTROL, spinor), 1)
     return out

@@ -2,9 +2,9 @@
 
 Canonical pairs are Q_mu, multiplication by x_mu, and R_nu = -i hbar
 eta_{nu nu} D_nu with D_nu = d/dx_nu.  A family of K operators is a
-(K, 45) array of normal-form rows (below), index pairs row-major (M0_{AB}
-is operator 2A+B, M_{mu nu} is 4 mu + nu); families stack with np.vstack
-and combine as w @ rows.
+(K, 81) array of symmetric forms (below), one flattened 9x9 form per
+operator, index pairs row-major (M0_{AB} is operator 2A+B, M_{mu nu} is
+4 mu + nu); families stack with np.vstack and combine as w @ rows.
 
 The quaternion mapping A_mu = j (x) Q_mu, K_nu = k (x) R_nu turns the
 canonical commutators into mixed relations: [A, A] = [K, K] = 0 and
@@ -36,25 +36,25 @@ formulas, the spinor/vector and spinor/tensor round-trips, the
 dotted-undotted commutation, and the identity
 J^z = i/2 (M0_(12) - M0dag_(12)) = Q_1 R_2 - Q_2 R_1 hold exactly.
 
-Every operator here is of degree <= 2 in the x and the d, and is stored
-as its normal form: a complex row over the 45 normal monomials x^alpha
-d^beta of degree <= 2, every x to the left of every d.  Two operators are
-equal exactly when their rows are.  With zeta = (1, x_0..x_3, d_0..d_3)
-each row is zeta^T H zeta for one symmetric 9x9 H, its Weyl-ordered form,
-and two fixed maps move between the two: unpack (row to H) and fold
-(sum_ij P_ij zeta_i zeta_j to its row, by d_nu x_nu = x_nu d_nu + 1).
-With Omega_ij = [zeta_i, zeta_j],
+Every operator here is of degree <= 2 in the x and the d.  With zeta =
+(1, x_0..x_3, d_0..d_3) each is zeta^T H zeta = sum_ij H_ij zeta_i zeta_j
+for exactly one symmetric 9x9 H, its Weyl-ordered (symmetric) form, and
+is stored as that H: the constant is H_00, x_mu = zeta^T H zeta with
+H_0,1+mu = H_1+mu,0 = 1/2.  Two operators are equal exactly when their
+forms are.  With Omega_ij = [zeta_i, zeta_j],
 
   [zeta^T H zeta, zeta^T G zeta] = 2 zeta^T (H Omega G - G Omega H) zeta,
 
 so a bracket of two families is one matrix product, and a product of two
-operators of degree <= 1 the fold of an outer product.  For degree <= 2
-the commutator is exactly i hbar times the Poisson bracket of the Weyl
-symbols (Groenewold 1946): the quadratic forms bracket as sp(8) and the
-linear ones as the Heisenberg algebra, so `closure` is the Lorentz algebra
-obtained from Poisson brackets.  A check reads the largest |normal
-coefficient| of its gaps.  No space is truncated, so no identity depends
-on the degree, and at hbar = 1 the gaps cancel to exactly 0.
+operators of degree <= 1 is the symmetric part of one outer product plus
+a constant, the only place d_nu x_nu = x_nu d_nu + 1 enters.  For degree
+<= 2 the commutator is exactly i hbar times the Poisson bracket of the
+Weyl symbols (Groenewold 1946): the quadratic forms bracket as sp(8) and
+the linear ones as the Heisenberg algebra, so `closure` is the Lorentz
+algebra obtained from Poisson brackets.  A check reads the largest
+coefficient of its gaps' Weyl-ordered polynomials, W_ij |H_ij| with W = 1
+on the diagonal and 2 off it.  No space is truncated, so no identity
+depends on the degree, and at hbar = 1 the gaps cancel to exactly 0.
 
 m0_matrices forms M0 from K at its mantissa, and jz_residual reads J^z's
 gap at hbar's mantissa u = hbar 2^-e in [1, 2), scaling by powers of two
@@ -106,44 +106,20 @@ _EPS3 = np.cross(np.eye(3)[:, None], np.eye(3))  # eps_ijk = (e_i x e_j)_k
 _JK, _KJ = 1j, -1j
 # the quaternion unit products jk and kj, applied where A = j (x) Q and K = k (x) R meet
 
-# zeta = (1, x_0..x_3, d_0..d_3).  The 45 columns of a row are the normal
-# monomials of degree <= 2: 1, the eight letters zeta_1..zeta_8, then the 36
-# products zeta_a zeta_b with 1 <= a <= b, row-major, every x left of every d.
-# _WORD[i, j] is the column of zeta_i zeta_j with its letters put in that order.
-_WORD = np.zeros((9, 9), int)
-_WORD[0] = np.arange(9)
-_WORD[1:, 1:][np.triu_indices(8)] = 9 + np.arange(36)
-_WORD = np.maximum(_WORD, _WORD.T)
-
-# Omega_ij = [zeta_i, zeta_j]; [D_nu, Q_mu] = delta_{mu nu} is the only bracket of two letters
+# zeta = (1, x_0..x_3, d_0..d_3).  Omega_ij = [zeta_i, zeta_j]; [D_nu, Q_mu] =
+# delta_{mu nu} is the only bracket of two letters
 _OMEGA = np.zeros((9, 9))
 _OMEGA[5:, 1:5] = np.eye(4)
 _OMEGA -= _OMEGA.T
-
-# fold: the normal row of sum_ij P_ij zeta_i zeta_j, zeta_i on the left, is
-# _FOLD[i, j] summed with weights P_ij, since zeta_i zeta_j = zeta_j zeta_i + Omega_ij
-# for i > j (d_nu x_nu = x_nu d_nu + 1)
-_FOLD = np.eye(45)[_WORD]
-_FOLD[..., 0] += np.tril(_OMEGA)
-# unpack: the symmetric H whose fold is a row, row @ _UNPACK; the two orders of
-# a word share its coefficient, and their ordering constant comes off H_00
-_UNPACK = np.eye(45)[_WORD].transpose(2, 0, 1)
-_UNPACK /= np.sum(_UNPACK, axis=(1, 2), keepdims=True)
-_UNPACK[1:, 0, 0] -= np.sum(_UNPACK[1:] * _FOLD[..., 0], axis=(1, 2))
-# [zeta^T H zeta, zeta^T G zeta] = 2 zeta^T (H Omega G - G Omega H) zeta, and
-# (H Omega G)^T = -G Omega H: a bracket is A = H Omega G folded by _BRACKET
-_BRACKET = 2 * (_FOLD + _FOLD.swapaxes(0, 1))
-# the folds act on the float view of a complex (81, N) block, so they are held
-# as real (45, 81) matrices; the unpacks meet complex rows, so they are complex
-_FOLD, _BRACKET = (m.reshape(81, 45).T.copy() for m in (_FOLD, _BRACKET))
-_UNPACK, _UNPACK_OMEGA = (m.reshape(45, 81).astype(complex) for m in (_UNPACK, _UNPACK @ _OMEGA))
-for _map in (_WORD, _OMEGA, _FOLD, _BRACKET, _UNPACK, _UNPACK_OMEGA):
-    _map.flags.writeable = False
+# zeta^T H zeta = sum_ij H_ij zeta_i zeta_j puts W_ij H_ij on the Weyl-ordered
+# monomial of zeta_i zeta_j, i <= j: off the diagonal, H_ij and H_ji both stand on it
+_WEYL = (2 - np.eye(9)).reshape(81)
+_OMEGA.flags.writeable = _WEYL.flags.writeable = False
 
 
 @dataclass(frozen=True)
 class CanonicalPairs:
-    """Q_mu and R_nu, each a (4, 45) family of normal-form rows."""
+    """Q_mu and R_nu, each a (4, 81) family of symmetric forms."""
 
     q: np.ndarray
     r: np.ndarray
@@ -153,35 +129,39 @@ class CanonicalPairs:
 # -- brackets: quadratic forms in zeta ---------------------------------------------
 
 
-def _fold(fold: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The (N, 45) rows of a (9, 9, ...) block of N forms P_ij, by one real product on its float view."""
-    return (fold @ np.ascontiguousarray(p, complex).reshape(81, -1).view(float)).view(complex).T
-
-
 def _products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The normal forms of X_i Y_j as row i L + j, for families of degree <= 1.
+    """The forms of X_i Y_j as row i L + j, for families of degree <= 1.
 
-    X_i = x_i . zeta and Y_j = y_j . zeta over the first nine columns, so
-    X_i Y_j is the fold of the outer product of x_i and y_j there.
+    X_i = u . zeta, u = W_0a H_0a the first row of X_i's form weighted as in
+    its Weyl coefficients, and Y_j = v . zeta.  zeta_a zeta_b is its symmetric
+    part plus Omega_ab / 2, so X_i Y_j is zeta^T S zeta, S the symmetric part
+    of u v^T, plus the constant 1/2 u^T Omega v: there d_nu x_nu = x_nu d_nu
+    + 1 enters.
     """
-    if np.any(x[:, 9:]) or np.any(y[:, 9:]):
+    if x.reshape(-1, 9, 9)[:, 1:, 1:].any() or y.reshape(-1, 9, 9)[:, 1:, 1:].any():
         raise ValueError("products are formed for operators of degree <= 1 only")
-    return _fold(_FOLD, x.T[:9, None, :, None] * y.T[None, :9, None, :])
+    u, v = x[:, :9] * _WEYL[:9], y[:, :9] * _WEYL[:9]
+    p = u[:, None, :, None] * v[None, :, None, :]
+    s = p + p.swapaxes(2, 3)
+    s[:, :, 0, 0] += p.reshape(len(x), len(y), 81) @ _OMEGA.reshape(81)  # u^T Omega v
+    s *= 0.5
+    return s.reshape(-1, 81)
 
 
 def _commutators(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The normal forms of [X_i, Y_j] as row i L + j.
+    """The forms of [X_i, Y_j] as row i L + j.
 
-    With X_i = zeta^T H_i zeta and Y_j = zeta^T G_j zeta, [X_i, Y_j] is the
-    fold of 2 (A + A^T), A = H_i Omega G_j, and every A is a block of one
+    With X_i = zeta^T H_i zeta and Y_j = zeta^T G_j zeta, [X_i, Y_j] is
+    zeta^T 2 (A + A^T) zeta, A = H_i Omega G_j, and every A is a block of one
     product of the (9K, 9) stack of the H_i Omega with the (9, 9L) row of the
-    G_j.  zeta's constant slot stays in the product, so a NaN on a row's
-    monomial 1 reaches its brackets.
+    G_j.  zeta's constant slot stays in the product, so a NaN on a form's
+    H_00 reaches its brackets.
     """
     k, l = len(x), len(y)
-    h = (x @ _UNPACK_OMEGA).reshape(9 * k, 9)
-    g = (y @ _UNPACK).reshape(l, 9, 9).swapaxes(0, 1).reshape(9, 9 * l)
-    return _fold(_BRACKET, (h @ g).reshape(k, 9, l, 9).transpose(1, 3, 0, 2))
+    h = x.reshape(9 * k, 9) @ _OMEGA
+    g = y.reshape(l, 9, 9).swapaxes(0, 1).reshape(9, 9 * l)
+    a = (h @ g).reshape(k, 9, l, 9).swapaxes(1, 2)
+    return (2 * (a + a.swapaxes(2, 3))).reshape(k * l, 81)
 
 
 def _scaled(rows: np.ndarray, e: int) -> np.ndarray:
@@ -190,29 +170,33 @@ def _scaled(rows: np.ndarray, e: int) -> np.ndarray:
 
 
 def _largest(*gaps: np.ndarray) -> float:
-    """Max |normal coefficient| over the gaps' rows; a NaN stays NaN."""
-    return float(np.max([np.max(np.abs(g), initial=0.0) for g in gaps]))
+    """Max |Weyl coefficient| over the gaps' forms, W_ij |H_ij|; a NaN stays NaN."""
+    return float(np.max([np.max(np.abs(g) * _WEYL, initial=0.0) for g in gaps]))
 
 
 # -- canonical and quaternion pairs ------------------------------------------------
 
 
 def build_canonical(hbar: float = 1.0) -> CanonicalPairs:
-    """Canonical pairs Q_mu = x_mu*, R_nu = -i hbar eta_{nu nu} d_nu."""
-    q, r = np.zeros((2, 4, 45), complex)
-    q[:, 1:5] = np.eye(4)
-    r[:, 5:9] = -1j * hbar * eta4()
-    return CanonicalPairs(q=q, r=r, hbar=hbar)
+    """Canonical pairs Q_mu = x_mu*, R_nu = -i hbar eta_{nu nu} d_nu.
+
+    A linear term's form holds half its coefficient on H_0j and on H_j0, so
+    R's entries round at a subnormal hbar whose last bit is set.
+    """
+    q, r = np.zeros((2, 4, 9, 9), complex)
+    q[:, 0, 1:5] = q[:, 1:5, 0] = 0.5 * np.eye(4)
+    r[:, 0, 5:] = r[:, 5:, 0] = -0.5j * hbar * eta4()
+    return CanonicalPairs(q=q.reshape(4, 81), r=r.reshape(4, 81), hbar=hbar)
 
 
 def canonical_residual(pairs: CanonicalPairs) -> float:
-    """Max normal coefficient of the canonical relations' gaps over all 16 index pairs.
+    """Max Weyl coefficient of the canonical relations' gaps over all 16 index pairs.
 
     One bracket of the family (Q_0..Q_3, R_0..R_3) with itself gives every
     commutator; [Q, R] = i hbar eta, [R, Q] = -i hbar eta, the rest vanish.
     """
     ops = np.vstack([pairs.q, pairs.r])
-    gaps = _commutators(ops, ops).reshape(8, 8, 45)
+    gaps = _commutators(ops, ops).reshape(8, 8, 81)
     gaps[:4, 4:, 0] -= 1j * pairs.hbar * eta4()
     gaps[4:, :4, 0] += 1j * pairs.hbar * eta4()
     return _largest(gaps)
@@ -226,13 +210,12 @@ def quaternion_pairs(pairs: CanonicalPairs):
 def mixed_algebra_residual(a_ops: np.ndarray, k_ops: np.ndarray, hbar: float) -> float:
     """Residual of [A,A] = [K,K] = 0 and {A_mu, K_nu} = -hbar eta_{mu nu}.
 
-    {A_mu, K_nu} = jk Q_mu R_nu + kj R_nu Q_mu, from the folded products,
-    is i [Q_mu, R_nu] only while kj = -jk.  [A, A] and
-    [K, K] are the brackets of Q and of R times jj = kk = -1, which flips the
-    sign of a whole gap block; no max |coefficient| can see that, so it is
-    left out.
+    {A_mu, K_nu} = jk Q_mu R_nu + kj R_nu Q_mu, from the forms of the
+    products, is i [Q_mu, R_nu] only while kj = -jk.  [A, A] and [K, K] are
+    the brackets of Q and of R times jj = kk = -1, which flips the sign of a
+    whole gap block; no max |coefficient| can see that, so it is left out.
     """
-    ka = _products(k_ops, a_ops).reshape(4, 4, 45).swapaxes(0, 1).reshape(16, 45)
+    ka = _products(k_ops, a_ops).reshape(4, 4, 81).swapaxes(0, 1).reshape(16, 81)
     anti = _JK * _products(a_ops, k_ops) + _KJ * ka
     anti[:, 0] += hbar * eta4().reshape(16)
     return _largest(_commutators(a_ops, a_ops), _commutators(k_ops, k_ops), anti)
@@ -256,7 +239,7 @@ def m0_matrices(a_ops: np.ndarray, k_ops: np.ndarray) -> tuple:
     four operators with the spinor indices symmetrized, on the monomials
     x_mu d_nu: the ordering constants of M0's products D_nu Q_mu cancel.
 
-    Both are formed from K times 2^-e, its largest |coefficient| in [1, 2),
+    Both are formed from K times 2^-e, its largest |form entry| in [1, 2),
     and scaled back by 2^e exactly: M0's ordering constants, sums of hbar
     terms that cancel, would overflow at hbar = 1e308 before they cancel,
     and its halvings would round at a subnormal hbar.
@@ -273,7 +256,7 @@ def m0_matrices(a_ops: np.ndarray, k_ops: np.ndarray) -> tuple:
 
 
 def lorentz_closure_residual(m0: np.ndarray, m0d: np.ndarray, hbar: float) -> float:
-    """Residual of the spinor Lorentz algebra, in normal form.
+    """Residual of the spinor Lorentz algebra, in Weyl coefficients.
 
     Checks [M0_(AB), M0_(EF)] against i hbar (M0_(AE) eps_FB + A<->B)
     + E<->F with the lower-index eps_{AB} = -eps^{AB}, and that dotted
@@ -339,18 +322,18 @@ def tensor_algebra_residual(m_tensor: np.ndarray, hbar: float) -> float:
     pairs = [4 * mu + nu for mu in range(4) for nu in range(mu + 1, 4)]
     coeffs = -1j * hbar * c.reshape(16, 16, 16)[np.ix_(pairs, pairs)]
     ops = m_tensor[pairs]
-    mt = m_tensor.reshape(4, 4, 45)
+    mt = m_tensor.reshape(4, 4, 81)
     return _largest(mt + mt.swapaxes(0, 1), _commutators(ops, ops) - coeffs.reshape(36, 16) @ m_tensor)
 
 
 def spinor_tensor_roundtrip_residual(m0: np.ndarray, m_tensor: np.ndarray) -> float:
-    """Max normal coefficient of M0_(AB) - 1/2 eps^EdotFdot sigma^mu sigma^nu M_{mu nu}."""
+    """Max Weyl coefficient of M0_(AB) - 1/2 eps^EdotFdot sigma^mu sigma^nu M_{mu nu}."""
     w = 0.5 * np.einsum("ef,mae,nbf->abmn", EPS, _S4, _S4).reshape(4, 16)
     return _largest(w @ m_tensor - m0)
 
 
 def jz_residual(pairs: CanonicalPairs, m0: np.ndarray, m0d: np.ndarray) -> float:
-    """Max normal coefficient of J^z = i/2 (M0_(12) - M0dag_(12)) = Q_1 R_2 - Q_2 R_1, in units of hbar.
+    """Max Weyl coefficient of J^z = i/2 (M0_(12) - M0dag_(12)) = Q_1 R_2 - Q_2 R_1, in units of hbar.
 
     Both sides are of degree 1 in hbar, so the gap divided by hbar does not
     scale with it.  It is formed from R, M0 and M0dag times 2^-e, hbar 2^-e

@@ -37,29 +37,34 @@ class PolySpace:
         return self.degrees <= self.degree - 1
 
 
-def dense_family(rows, space):
-    """A family of normal-form rows over quantum_rep's 45 monomials as dense (K, dim, dim) matrices.
+def dense_family(forms, space):
+    """A family of quantum_rep's symmetric 9x9 forms, (K, 81), as dense (K, dim, dim) matrices.
 
     An independent oracle for quantum_rep: the letters x_mu (multiply,
     dropped past the degree cap) and d_nu are built as matrices from
-    `space.exponents` alone.  The monomials are 1, x_0..x_3, d_0..d_3, then
-    each product of letters a <= b in that order, letter a to the left, so
-    every x stands left of every d; each is the product of its letter matrices.
+    `space.exponents` alone.  With zeta = (1, x_0..x_3, d_0..d_3), zeta_0 the
+    identity, form H is the operator sum_ij H_ij zeta_i zeta_j, zeta_i to the
+    left; a form need not be symmetric.
     """
     exps = space.exponents.tolist()
     index = {tuple(e): i for i, e in enumerate(exps)}
     n = space.dim
-    letters = np.zeros((8, n, n))
+    zeta = np.zeros((9, n, n))
+    zeta[0] = np.eye(n)
     for j, e in enumerate(exps):
         for mu in range(4):
             up = tuple(e[:mu] + [e[mu] + 1] + e[mu + 1:])
             if up in index:
-                letters[mu, index[up], j] = 1.0
+                zeta[1 + mu, index[up], j] = 1.0
             if e[mu]:
-                letters[4 + mu, index[tuple(e[:mu] + [e[mu] - 1] + e[mu + 1:])], j] = e[mu]
-    monomials = [np.eye(n), *letters]
-    monomials += [letters[a] @ letters[b] for a in range(8) for b in range(a, 8)]
-    return np.einsum("kw,wij->kij", rows, np.array(monomials))
+                zeta[5 + mu, index[tuple(e[:mu] + [e[mu] - 1] + e[mu + 1:])], j] = e[mu]
+    # each zeta_j has at most one entry per column, all of them >= 0, so
+    # zeta_i zeta_j is zeta_i's columns at zeta_j's rows, times its entries
+    rows = zeta.argmax(axis=1)
+    weights = np.take_along_axis(zeta, rows[:, None], axis=1)[:, 0]
+    pairs = (zeta[:, :, rows].transpose(0, 2, 1, 3) * weights[:, None]).reshape(81, n * n)
+    forms = np.asarray(forms).reshape(-1, 81)
+    return (forms.real @ pairs + 1j * (forms.imag @ pairs)).reshape(-1, n, n)
 
 
 @pytest.fixture(scope="session")

@@ -905,14 +905,14 @@ def test_quantum_check_bytes_are_pinned(capsys, degree, hbar):
     assert digest == QUANTUM_CHECK_DIGESTS[degree, hbar]
 
 
-# sha256 prefixes of `quantum-check` reports whose closure residual (and at
-# 0.7 and 1e-150 su2's) is nonzero round-off: these bytes move if the order in
-# which the brackets' 9x9 forms are multiplied and folded changes, so they pin
-# that order (the same at one and at two BLAS threads)
+# sha256 prefixes of `quantum-check` reports whose closure residual is nonzero
+# round-off: these bytes move if the order in which the brackets' 9x9 forms
+# are multiplied and summed changes, so they pin that order (the same at one
+# and at two BLAS threads)
 QUANTUM_CHECK_ROUNDOFF_DIGESTS = {
-    (5, "0.7"): "8e7cf8189bf8c19b", (9, "0.7"): "5eae2a0bf16d031d",
-    (9, "1e-150"): "eb2cbc25048f7baa", (9, "1e100"): "0a08477d8923e403",
-    (12, "0.7"): "29c27726cd59aee3", (12, "1e100"): "c0b1eaa0e48c7372",
+    (5, "0.7"): "ff7c29a47bdc4c38", (9, "0.7"): "baa43c24581c7579",
+    (9, "1e-150"): "69a14be5c09ab80e", (9, "1e100"): "0a08477d8923e403",
+    (12, "0.7"): "198d0cd693aba53c", (12, "1e100"): "c0b1eaa0e48c7372",
 }
 
 
@@ -922,7 +922,7 @@ def test_quantum_check_roundoff_bytes_are_pinned(capsys, degree, hbar):
     assert code == (0 if float(hbar) < 1e100 else 3)
     out = capsys.readouterr().out
     checks = strict_json(out)["checks"]
-    # the bracket checks read normal forms, which do not depend on the degree
+    # the bracket checks read 9x9 forms, which do not depend on the degree
     brackets = ("canonical", "mixed", "closure", "su2", "tensor", "roundtrip")
     assert {name: checks[name]["max_residual"] for name in brackets} == {
         name: r for name, (r, _) in quantum_rep.quantum_checks(2, float(hbar))[0].items()
@@ -936,7 +936,7 @@ def test_quantum_check_roundoff_bytes_are_pinned(capsys, degree, hbar):
 @pytest.mark.parametrize("hbar", ["1e-150", "1e-300", "1e-308"])
 @pytest.mark.parametrize("degree", [3, 5])
 def test_quantum_check_passes_at_subnormal_residuals(capsys, degree, hbar):
-    """The round-off a tiny hbar leaves in the bracket checks' normal forms is
+    """The round-off a tiny hbar leaves in the bracket checks' forms is
     subnormal or 0, and its modulus, taken without squaring, reads as a
     finite, passing residual."""
     assert run("quantum-check", "--degree", str(degree), "--hbar", hbar) == 0

@@ -195,7 +195,7 @@ def test_degree_bound_validation():
 # -- against plain matrix commutators ----------------------------------------------
 
 
-def _word_residuals(pairs, m0, m0d):
+def _form_residuals(pairs, m0, m0d):
     hbar = pairs.hbar
     a_ops, k_ops = quaternion_pairs(pairs)
     n, nd = three_vector_form(m0, m0d)
@@ -235,8 +235,23 @@ def _normal_coefficients(gaps, space):
     return c
 
 
+def _weyl_largest(gaps, space):
+    """The largest |Weyl-ordered coefficient| of dense operators of degree <= 2.
+
+    Only x_nu d_nu reorders: it is (x_nu d_nu + d_nu x_nu) / 2 - 1/2, so the
+    Weyl-ordered constant is the normal one minus half the coefficients of
+    the x_nu d_nu, and every other coefficient is the same in both orders.
+    """
+    c = _normal_coefficients(np.asarray(gaps), space)
+    exps, safe = space.exponents.tolist(), np.flatnonzero(space.safe_columns()).tolist()
+    for x_nu in np.eye(4, dtype=int).tolist():
+        a = exps.index(x_nu)
+        c[:, 0, 0] -= 0.5 * c[:, a, safe.index(a)]
+    return float(np.max(np.abs(c)))
+
+
 def _dense_residuals(pairs, m0, m0d, dense, space):
-    """The same residuals from dense matrices, written out index by index, as normal coefficients."""
+    """The same residuals from dense matrices, written out index by index, as Weyl coefficients."""
     hbar = pairs.hbar
     dim, eta = space.dim, eta4()
     eye = np.eye(dim)
@@ -245,7 +260,7 @@ def _dense_residuals(pairs, m0, m0d, dense, space):
         return x @ y - y @ x
 
     def worst(gaps):
-        return float(np.max(np.abs(_normal_coefficients(np.array(gaps), space))))
+        return _weyl_largest(gaps, space)
 
     q, r = dense(pairs.q, space), dense(pairs.r, space)
     ops = np.concatenate([q, r])
@@ -304,18 +319,20 @@ def _dense_residuals(pairs, m0, m0d, dense, space):
 def test_residuals_match_dense_commutators(dense, degree, hbar):
     pairs = build_canonical(hbar)
     m0, m0d = m0_matrices(*quaternion_pairs(pairs))
-    words = _word_residuals(pairs, m0, m0d)
+    forms = _form_residuals(pairs, m0, m0d)
     oracle = _dense_residuals(pairs, m0, m0d, dense, PolySpace(4, degree))
     if hbar == 1.0:
-        assert words == oracle == dict.fromkeys(words, 0.0)
+        assert forms == oracle == dict.fromkeys(forms, 0.0)
     else:
-        assert max(words.values()) <= 1e-12
+        assert max(forms.values()) <= 1e-12
         assert max(oracle.values()) <= 1e-12
 
 
 def _perturbed(family, rng):
-    """The family plus random terms on the monomials it uses, so that it keeps its degree."""
+    """The family plus random symmetric terms on the form entries it uses, so that it keeps its degree."""
     noise = 0.1 * (rng.standard_normal(family.shape) + 1j * rng.standard_normal(family.shape))
+    noise = noise.reshape(-1, 9, 9)
+    noise = (noise + noise.swapaxes(1, 2)).reshape(family.shape)
     return family + noise * np.any(family != 0, axis=0)
 
 
@@ -328,33 +345,22 @@ def test_perturbed_residuals_match_dense_commutators(dense, degree):
     m0, m0d = m0_matrices(*quaternion_pairs(pairs))
     pairs = CanonicalPairs(_perturbed(pairs.q, rng), _perturbed(pairs.r, rng), 0.7)
     m0, m0d = _perturbed(m0, rng), _perturbed(m0d, rng)
-    words = _word_residuals(pairs, m0, m0d)
+    forms = _form_residuals(pairs, m0, m0d)
     oracle = _dense_residuals(pairs, m0, m0d, dense, PolySpace(4, degree))
     assert min(oracle.values()) > 0.05
-    for name in words:
-        assert words[name] == pytest.approx(oracle[name], rel=1e-12), name
+    for name in forms:
+        assert forms[name] == pytest.approx(oracle[name], rel=1e-12), name
 
 
-# -- normal order, against letters composed on untruncated polynomials -------------
-
-
-# The 45 normal monomials of degree <= 2 as the words that spell them.  A word
-# is an int code whose base-9 digits are its letters, the least significant
-# acting first: 0 is no letter, 1 + mu is Q_mu and 5 + nu is D_nu.  Column 0
-# is 1, columns 1 + mu and 5 + nu are x_mu and d_nu, and the 36 words a b
-# (code 9 a + b) of two letters a <= b follow, every x left of every d.
-WORDS = list(range(9)) + [9 * a + b for a in range(1, 9) for b in range(a, 9)]
-
-
-def _random_rows(rng, k, columns):
-    """k random complex rows on the first `columns` basis monomials."""
-    rows = np.zeros((k, len(WORDS)), complex)
-    rows[:, :columns] = rng.standard_normal((k, columns)) + 1j * rng.standard_normal((k, columns))
-    return rows
+# -- forms, against letters composed on untruncated polynomials --------------------
 
 
 def _letters(code):
-    """The letters of a word code, the first acting first."""
+    """The letters of a word code, the first acting first.
+
+    A word is an int code whose base-9 digits are its letters, the least
+    significant acting first: 0 is no letter, 1 + mu is Q_mu and 5 + nu is D_nu.
+    """
     letters = []
     while code:
         code, letter = divmod(code, 9)
@@ -367,21 +373,18 @@ def _then(a, b):
     return a * 9 ** len(_letters(b)) + b
 
 
-def _basis_exponents():
-    """The (45, 8) exponents (alpha, beta) of the basis monomials, counted off their words' letters."""
-    exponents = np.zeros((len(WORDS), 8), int)
-    for m, code in enumerate(WORDS):
-        for letter in _letters(code):
-            exponents[m, letter - 1] += 1
-    return exponents
+# zeta_i's letter is i (zeta = (1, x_0..x_3, d_0..d_3)), so form entry H_ij,
+# column 9 i + j of a family, stands on the word zeta_i zeta_j
+FORM_WORDS = [_then(i, j) for i in range(9) for j in range(9)]
+_SPAN = 10 ** 4 * 64 ** 4  # above every key: fewer than 10^4 gammas, exponents in 0..63
 
 
 def _compose(codes, gammas):
     """Each word applied to each monomial x^gamma, its letters composed on untruncated polynomials.
 
     A letter sends a monomial to one monomial, so a word does too.  Returns
-    the rows, gamma indices, image exponents and integer weights of every
-    (word, gamma), weight 0 where a D met x^0.
+    the (W, G) keys g 64^4 + image of every (word, gamma g), the image's
+    exponents as base-64 digits, and their integer weights, 0 where a D met x^0.
     """
     images = np.repeat(gammas[None], len(codes), axis=0)
     weights = np.ones(images.shape[:2], np.int64)
@@ -393,103 +396,101 @@ def _compose(codes, gammas):
                 images[w, :, var] -= 1
             else:
                 images[w, :, var] += 1
-    rows, g = np.indices(weights.shape)
-    return rows.ravel(), g.ravel(), images.reshape(-1, 4), weights.ravel()
+    return np.arange(len(gammas)) * 64 ** 4 + images @ 64 ** np.arange(4), weights
 
 
-def _apply_normal(forms, exponents, gammas):
-    """Normal forms (R, M) over the monomials x^alpha d^beta, `exponents` (M, 8), applied to each x^gamma.
+def _terms(x, y, gammas, reverse=False):
+    """X_i Y_j, or Y_j X_i if reverse, applied to each x^gamma: the terms' (op, key) codes and values, op i L + j.
 
-    x^alpha d^beta x^gamma = gamma!/(gamma - beta)! x^(gamma - beta + alpha).
-    Returns the rows, gamma indices, image exponents and values of every term.
+    Every pair of nonzero entries, one of X_i and one of Y_j, gives the
+    product of their words; each product is composed once, letter by letter.
     """
-    alpha, beta = exponents[:, None, :4], exponents[:, None, 4:]
-    falling = np.ones((len(exponents), len(gammas)), np.int64)
-    for k in range(int(np.max(beta, initial=0))):
-        falling *= np.prod(np.where(k < beta, gammas - k, 1), axis=-1)
-    images = gammas - beta + alpha
-    rows, m = np.nonzero(forms)
-    g = np.arange(len(gammas))
-    return (np.repeat(rows, len(g)), np.tile(g, len(rows)), images[m].reshape(-1, 4),
-            (forms[rows, m][:, None] * falling[m]).ravel())
+    i, a = np.nonzero(x)
+    j, b = np.nonzero(y)
+    i, a, j, b = np.repeat(i, len(j)), np.repeat(a, len(j)), np.tile(j, len(i)), np.tile(b, len(i))
+    words, which = np.unique(np.stack([b, a] if reverse else [a, b], axis=1), axis=0, return_inverse=True)
+    keys, weights = _compose([_then(FORM_WORDS[p], FORM_WORDS[q]) for p, q in words], gammas)
+    codes = (i * len(y) + j)[:, None] * _SPAN + keys[which.ravel()]
+    return codes.ravel(), ((x[i, a] * y[j, b])[:, None] * weights[which.ravel()]).ravel()
+
+
+def _applied(forms, gammas):
+    """Forms applied to each x^gamma, as the terms of their products with the form of 1."""
+    return _terms(forms, np.eye(81)[:1], gammas)
 
 
 def _polynomials(*terms):
-    """The (row, gamma, image) keys and summed values of term lists, sorted, zeros dropped."""
-    rows, g, images, values = (np.concatenate(t) for t in zip(*terms))
+    """The codes and sums of term lists, sorted by code, zeros dropped."""
+    codes, values = (np.concatenate(t) for t in zip(*terms))
     keep = values != 0
-    image = images[keep] @ 64 ** np.arange(4)  # every exponent of a kept term is in 0..63
-    keys, inverse = np.unique((rows[keep] * 10 ** 4 + g[keep]) * 64 ** 4 + image, return_inverse=True)
+    keys, inverse = np.unique(codes[keep], return_inverse=True)
     values = values[keep].astype(complex)
     sums = np.bincount(inverse, values.real) + 1j * np.bincount(inverse, values.imag)
     return keys[sums != 0], sums[sums != 0]
 
 
-def _scaled(terms, factor):
-    rows, g, images, values = terms
-    return rows, g, images, factor * values
+def _bracket_by_letters(x, y, sign, gammas):
+    """X_i Y_j + sign Y_j X_i applied to each x^gamma, every product of entry words composed letter by letter."""
+    codes, values = _terms(x, y, gammas, reverse=True)
+    return _polynomials(_terms(x, y, gammas), (codes, sign * values))
 
 
 def _assert_same_polynomials(got, want):
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+def _basis_forms():
+    """The 45 symmetric basis forms, E_ii and E_ij + E_ji for i < j, row-major; the first nine are of degree <= 1.
+
+    Real, as a caller may pass them.
+    """
+    forms = np.zeros((45, 9, 9))
+    i, j = np.triu_indices(9)
+    forms[np.arange(45), i, j] = forms[np.arange(45), j, i] = 1.0
+    return forms.reshape(45, 81)
+
+
 def test_products_and_commutators_match_the_composed_letters():
-    # each basis word, each product m_a m_b of the nine monomials of degree <= 1
-    # and each commutator [m_a, m_b] of all 45, in normal form and applied to
-    # each monomial up to degree (letters + 2), against its letters composed
-    # on untruncated polynomials, as exact integers
-    exponents, eye = _basis_exponents(), np.eye(len(WORDS))  # real rows, as a caller may pass
-    gammas = PolySpace(4, 4).exponents
-    _assert_same_polynomials(_polynomials(_apply_normal(eye, exponents, gammas)),
-                             _polynomials(_compose(WORDS, gammas)))
-    low = WORDS[:9]
-    products = quantum_rep._products(eye[:9], eye[:9])
-    _assert_same_polynomials(_polynomials(_apply_normal(products, exponents, gammas)),
-                             _polynomials(_compose([_then(a, b) for a in low for b in low], gammas)))
-    gammas = PolySpace(4, 6).exponents
-    got = _polynomials(_apply_normal(quantum_rep._commutators(eye, eye), exponents, gammas))
-    ab = _compose([_then(a, b) for a in WORDS for b in WORDS], gammas)
-    ba = _compose([_then(b, a) for a in WORDS for b in WORDS], gammas)
-    _assert_same_polynomials(got, _polynomials(ab, _scaled(ba, -1)))
+    # `_commutators` on every pair of the 45 symmetric basis forms and
+    # `_products` on every pair of the nine of degree <= 1, applied to each
+    # monomial of degree <= 6, against their entries' words composed on
+    # untruncated polynomials, as exact integers
+    basis, gammas = _basis_forms(), PolySpace(4, 6).exponents
+    low = basis[:9]
+    _assert_same_polynomials(_polynomials(_applied(quantum_rep._products(low, low), gammas)),
+                             _polynomials(_terms(low, low, gammas)))
+    _assert_same_polynomials(_polynomials(_applied(quantum_rep._commutators(basis, basis), gammas)),
+                             _bracket_by_letters(basis, basis, -1.0, gammas))
 
 
-def test_fixed_maps_are_read_only():
-    maps = (quantum_rep._WORD, quantum_rep._OMEGA, quantum_rep._FOLD, quantum_rep._BRACKET,
-            quantum_rep._UNPACK, quantum_rep._UNPACK_OMEGA)
-    for fixed in maps:
+def test_families_are_symmetric_forms(rep):
+    # every family a job builds, and each bracket and product of them, is a
+    # symmetric form, the one operator zeta^T H zeta that a check reads
+    pairs, a_ops, k_ops, m0, m0d = rep
+    families = [pairs.q, pairs.r, m0, m0d, *three_vector_form(m0, m0d), tensor_form(m0, m0d),
+                quantum_rep._commutators(m0, m0d), quantum_rep._products(k_ops, a_ops)]
+    for family in families:
+        forms = family.reshape(-1, 9, 9)
+        assert np.array_equal(forms, forms.swapaxes(1, 2))
+    for fixed in (quantum_rep._OMEGA, quantum_rep._WEYL):
         with pytest.raises(ValueError, match="read-only"):
             fixed[...] = 0
-    # unpack gives each row a symmetric H, and the fold of H is the row again
-    forms = quantum_rep._UNPACK.reshape(-1, 9, 9)
-    assert np.array_equal(forms, forms.swapaxes(1, 2))
-    assert np.array_equal(quantum_rep._UNPACK @ quantum_rep._FOLD.T, np.eye(len(WORDS)))
 
 
-def test_commutators_contract_only_the_columns_in_use():
-    # [d_nu, x_nu^2] = 2 x_nu: over all 45 columns R's 1e308 times that weight
-    # would overflow, then meet Q's zero coefficient on x_nu^2 as inf * 0 = NaN
+def test_module_level_arrays_stay_small():
+    # the brackets need no fixed map: the module's arrays, which every
+    # subcommand imports, hold the Pauli matrices, eps_ijk, Omega and the
+    # Weyl weights only
+    arrays = [v for v in vars(quantum_rep).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) <= 4096
+
+
+def test_r_q_commutator_is_exact_at_hbar_1e308():
     pairs = build_canonical(1e308)
     got = quantum_rep._commutators(pairs.r, pairs.q).reshape(4, 4, -1)
     want = np.zeros_like(got)
     want[:, :, 0] = -1j * pairs.hbar * eta4()
     assert np.array_equal(got, want)
-
-
-def _bracket_by_letters(x, y, sign, gammas):
-    """X_i Y_j + sign Y_j X_i applied to each x^gamma, every product of basis words composed letter by letter.
-
-    Only the words of the columns x and y use are composed.
-    """
-    pairs = [(a, b) for a in np.flatnonzero(np.any(x, axis=0)) for b in np.flatnonzero(np.any(y, axis=0))]
-    coeffs = np.array([np.outer(x[:, a], y[:, b]).ravel() for a, b in pairs])  # (word, i L + j)
-    terms = []
-    for words, factor in (([_then(WORDS[a], WORDS[b]) for a, b in pairs], 1),
-                          ([_then(WORDS[b], WORDS[a]) for a, b in pairs], sign)):
-        rows, g, images, weights = _compose(words, gammas)
-        for op in range(len(x) * len(y)):
-            terms.append((np.full_like(rows, op), g, images, factor * coeffs[rows, op] * weights))
-    return _polynomials(*terms)
 
 
 def _on_union(got, want):
@@ -502,31 +503,39 @@ def _on_union(got, want):
 
 
 def test_products_refuse_rows_of_degree_two():
-    rows = np.zeros((1, len(WORDS)), complex)
-    rows[0, 9] = 1.0  # x_0^2
+    forms = np.zeros((1, 81), complex)
+    forms[0, 9 * 1 + 1] = 1.0  # x_0^2
     with pytest.raises(ValueError, match="degree <= 1"):
-        quantum_rep._products(rows, rows)
+        quantum_rep._products(forms, forms)
+
+
+def _random_forms(rng, k, degree):
+    """k random symmetric complex forms on every entry, or for degree 1 on row and column 0."""
+    forms = rng.standard_normal((k, 9, 9)) + 1j * rng.standard_normal((k, 9, 9))
+    forms = forms + forms.swapaxes(1, 2)
+    if degree == 1:
+        forms[:, 1:, 1:] = 0.0
+    return forms.reshape(k, 81)
 
 
 @pytest.mark.parametrize("degree", [3, 4])
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
 def test_bracket_matches_dense_products(degree, sign):
     # X_i Y_j + sign Y_j X_i on every monomial of degree <= degree, every
-    # product of basis words composed letter by letter, against its normal
-    # form: from `_commutators` (sign -1) on random rows over all 45
-    # monomials, from `_products` (sign +1, as {A, K} is) on random rows of
-    # degree <= 1
+    # product of entry words composed letter by letter, against its form:
+    # from `_commutators` (sign -1) on random forms of degree <= 2, from
+    # `_products` (sign +1, as {A, K} is) on random forms of degree <= 1
     rng = np.random.default_rng(degree)
-    columns = len(WORDS) if sign == -1.0 else 9
-    x, y = _random_rows(rng, 2, columns), _random_rows(rng, 3, columns)
+    form_degree = 2 if sign == -1.0 else 1
+    x, y = _random_forms(rng, 2, form_degree), _random_forms(rng, 3, form_degree)
     if sign == -1.0:
         rows = quantum_rep._commutators(x, y)
     else:
         yx = quantum_rep._products(y, x).reshape(3, 2, -1).swapaxes(0, 1).reshape(6, -1)
         rows = quantum_rep._products(x, y) + yx
-    assert rows.shape == (2 * 3, len(WORDS))
+    assert rows.shape == (2 * 3, 81)
     gammas = PolySpace(4, degree).exponents
-    got = _polynomials(_apply_normal(rows, _basis_exponents(), gammas))
+    got = _polynomials(_applied(rows, gammas))
     want = _bracket_by_letters(x, y, sign, gammas)
     assert np.max(np.abs(want[1])) > 1.0
     # the letters' top-degree terms cancel only up to round-off, so the two
@@ -547,22 +556,31 @@ def test_m0_at_any_hbar_is_the_mantissa_build_scaled(hbar):
         assert np.array_equal(got.view(float), np.ldexp(want.view(float), e))
 
 
+def _x_d():
+    """The (9, 9) mask of the form entries of the x_mu d_nu, H_(1+mu),(5+nu) and its mirror."""
+    mask = np.zeros((9, 9), bool)
+    mask[1:5, 5:] = True
+    return mask | mask.T
+
+
 def test_m0_and_m0dag_share_one_alphabet(rep):
-    # both live on the 12 monomials x_mu d_nu, mu != nu, every row on some of
+    # both live on the 12 monomials x_mu d_nu, mu != nu, every form on some of
     # them: M0's ordering constants, from its products D_nu Q_mu, cancel
     pairs, m0, m0d = rep[0], rep[3], rep[4]
-    off_diagonal = [WORDS.index(9 * (1 + mu) + 5 + nu) for mu in range(4) for nu in range(4) if mu != nu]
+    distinct = _x_d() & ~(np.eye(9, k=4, dtype=bool) | np.eye(9, k=-4, dtype=bool))
     for family in (m0, m0d):
-        assert np.flatnonzero(np.any(family != 0, axis=0)).tolist() == off_diagonal
+        assert np.array_equal(np.any(family != 0, axis=0), distinct.reshape(81))
         assert np.all(np.any(family != 0, axis=1))
-    # J^z's Q R lives on all 16 x_mu d_nu
-    xd = [WORDS.index(9 * (1 + mu) + 5 + nu) for mu in range(4) for nu in range(4)]
+    # J^z's Q R lives on all 16 x_mu d_nu, and in Weyl order on the constant
+    # too: x_nu d_nu = (x_nu d_nu + d_nu x_nu) / 2 - 1/2
     qr = quantum_rep._products(pairs.q, pairs.r)
-    assert np.flatnonzero(np.any(qr != 0, axis=0)).tolist() == sorted(xd)
+    with_one = _x_d()
+    with_one[0, 0] = True
+    assert np.array_equal(np.any(qr != 0, axis=0), with_one.reshape(81))
 
 
 def _recorded_commutators(rep, monkeypatch):
-    """The (x, y) and the rows of each `_commutators` call one job's checks make."""
+    """The (x, y) and the forms of each `_commutators` call one job's checks make."""
     calls = []
     commutators = quantum_rep._commutators
 
@@ -572,7 +590,7 @@ def _recorded_commutators(rep, monkeypatch):
         return rows
 
     monkeypatch.setattr(quantum_rep, "_commutators", recorded)
-    _word_residuals(rep[0], rep[3], rep[4])
+    _form_residuals(rep[0], rep[3], rep[4])
     monkeypatch.undo()
     return calls
 
@@ -580,14 +598,14 @@ def _recorded_commutators(rep, monkeypatch):
 @pytest.mark.parametrize("hbar", [0.7, 1.0, 3.0, 1e100])
 def test_bilinear_gaps_equal_the_whole_family(monkeypatch, hbar):
     # each commutator a job's checks take, applied to every monomial of degree
-    # <= 3, against its whole grid of product words composed letter by letter:
+    # <= 3, against its whole grid of entry words composed letter by letter:
     # the same values up to the round-off of the two summation orders, and
     # the same bits at hbar = 1
     calls = _recorded_commutators(_rep(hbar), monkeypatch)
     assert len(calls) == 6  # canonical, [A, A], [K, K], closure, su2, tensor
     gammas = PolySpace(4, 3).exponents
     for (x, y), rows in calls:
-        got = _polynomials(_apply_normal(rows, _basis_exponents(), gammas))
+        got = _polynomials(_applied(rows, gammas))
         want = _bracket_by_letters(x, y, -1.0, gammas)
         if hbar == 1.0:
             _assert_same_polynomials(got, want)
@@ -596,12 +614,12 @@ def test_bilinear_gaps_equal_the_whole_family(monkeypatch, hbar):
             assert np.max(np.abs(on_keys[0] - on_keys[1]), initial=0.0) <= 1e-13 * max(hbar, hbar ** 2)
 
 
-# -- J^z in normal form ------------------------------------------------------------
+# -- J^z in Weyl form --------------------------------------------------------------
 
 
 @pytest.mark.parametrize("hbar", [0.3, 0.7, 1e-300, 1e100, 1e200, math.pi])
 def test_jz_gap_is_exact_at_any_hbar(hbar):
-    # both sides have the same normal coefficients bit for bit, so the gap
+    # both sides have the same forms bit for bit, so the gap
     # is an exact 0, not round-off (a truncated space's entries read up to
     # 6.8e-16 here)
     pairs, _, _, m0, m0d = _rep(hbar)
@@ -610,19 +628,26 @@ def test_jz_gap_is_exact_at_any_hbar(hbar):
 
 @pytest.mark.parametrize("columns", ["m0-alphabet", "off-support"])
 def test_jz_gap_matches_the_dense_normal_coefficients(dense, columns):
-    # random terms on the monomials M0 and M0dag use make the gap O(0.1-1);
-    # off their support, on 1, the x and the d as well, which J^z reads too
+    # random symmetric terms on the entries M0 and M0dag use make the gap
+    # O(0.1-1); off their support, on 1, the x and the d as well, which J^z
+    # reads too.  The oracle turns the dense gap's normal coefficients into
+    # Weyl-ordered ones
     rng = np.random.default_rng(7)
     pairs, _, _, m0, m0d = _rep(0.7)
-    support = np.any(np.vstack([m0, m0d]) != 0, axis=0)
+    support = np.any(np.vstack([m0, m0d]) != 0, axis=0).reshape(9, 9)
     if columns == "off-support":
-        support[:9] = True
-    m0, m0d = (f + 0.1 * rng.standard_normal(f.shape) * support for f in (m0, m0d))
+        support[0] = support[:, 0] = True
+
+    def noisy(family):
+        noise = 0.1 * rng.standard_normal(family.shape).reshape(-1, 9, 9)
+        return family + ((noise + noise.swapaxes(1, 2)) * support).reshape(family.shape)
+
+    m0, m0d = noisy(m0), noisy(m0d)
     space = PolySpace(4, 3)
     d0, dd = dense(m0, space), dense(m0d, space)
     q, r = dense(pairs.q, space), dense(pairs.r, space)
     gap = 0.5j * (d0[1] - dd[1]) - (q[1] @ r[2] - q[2] @ r[1])
-    want = np.max(np.abs(_normal_coefficients(gap[None], space))) / pairs.hbar
+    want = _weyl_largest(gap[None], space) / pairs.hbar
     assert want > 0.05
     assert jz_residual(pairs, m0, m0d) == pytest.approx(want, rel=1e-12)
 
@@ -688,7 +713,7 @@ def _nonzero_residuals(mod, hbar=1.0):
 
 def test_canonical_and_mixed_trip_on_a_wrong_derivative_weight(monkeypatch):
     # Omega's d-x entry with D_nu Q_mu = Q_mu D_nu + 2 delta_{mu nu}: the
-    # brackets, the fold and the unpack all read it
+    # brackets and the products' constant both read it
     mutant = _mutant(monkeypatch, "_OMEGA[5:, 1:5] = np.eye(4)", "_OMEGA[5:, 1:5] = 2 * np.eye(4)")
     pairs = mutant.build_canonical(hbar=1.0)
     a_ops, k_ops = mutant.quaternion_pairs(pairs)
@@ -699,10 +724,27 @@ def test_canonical_and_mixed_trip_on_a_wrong_derivative_weight(monkeypatch):
 
 
 def test_mixed_trips_on_a_wrong_ordering_constant(monkeypatch):
-    # the fold alone with d_nu x_nu = x_nu d_nu + 2: only products read it, and
-    # M0's ordering constants cancel at any weight, so {A, K} alone moves
-    mutant = _mutant(monkeypatch, "_FOLD[..., 0] += np.tril(_OMEGA)", "_FOLD[..., 0] += 2 * np.tril(_OMEGA)")
+    # the products' constant 1/2 u^T Omega v doubled, as if d_nu x_nu were
+    # x_nu d_nu + 2 there alone: M0's ordering constants cancel at any
+    # weight, and J^z's Q R meets no constant on the M0 side, so {A, K} alone moves
+    product_constant = "+= p.reshape(len(x), len(y), 81) @ _OMEGA.reshape(81)"
+    mutant = _mutant(monkeypatch, product_constant, product_constant.replace("+= ", "+= 2 * "))
     assert _nonzero_residuals(mutant) == {"mixed": 1.0}
+
+
+def test_brackets_trip_on_a_wrong_bracket_factor(monkeypatch):
+    # [zeta^T H zeta, zeta^T G zeta] with 1 for its factor 2 halves every
+    # commutator; the products do not use it, so J^z holds
+    mutant = _mutant(monkeypatch, "(2 * (a + a.swapaxes(2, 3)))", "(1 * (a + a.swapaxes(2, 3)))")
+    assert _nonzero_residuals(mutant) == {"canonical": 0.5, "closure": 2.0, "su2": 0.25, "tensor": 0.5}
+
+
+def test_checks_trip_on_unsymmetrized_products(monkeypatch):
+    # u v^T stored as it stands is no symmetric form: the brackets of M0 and
+    # the readings of {A, K} and J^z go wrong with it
+    mutant = _mutant(monkeypatch, "s = p + p.swapaxes(2, 3)", "s = 2 * p")
+    assert _nonzero_residuals(mutant) == {"mixed": 2.0, "closure": 8.0, "su2": 1.0, "tensor": 2.0,
+                                          "jz_integrality": 1.0}
 
 
 def test_mixed_trips_on_a_commuting_fold(monkeypatch):
@@ -736,13 +778,13 @@ def test_jz_trips_on_a_broken_m0(monkeypatch, dense, mutate, want, entry):
     mutate(monkeypatch)
     pairs, _, _, m0, m0d = _rep(1.0)
     assert jz_residual(pairs, m0, m0d) == want
-    # the dense oracle reads the same gap: its largest normal coefficient, and
+    # the dense oracle reads the same gap: its largest Weyl coefficient, and
     # its largest matrix entry on the safe columns of degree <= 4
     space = PolySpace(4, 5)
     m0, m0d = (dense(m, space) for m in (m0, m0d))
     q, r = dense(pairs.q, space), dense(pairs.r, space)
     gap = 0.5j * (m0[1] - m0d[1]) - (q[1] @ r[2] - q[2] @ r[1])
-    assert np.max(np.abs(_normal_coefficients(gap[None], space))) == want
+    assert _weyl_largest(gap[None], space) == want
     assert np.max(np.abs(gap[:, space.safe_columns()])) == entry
 
 
@@ -774,13 +816,15 @@ def test_tensor_trips_on_a_symmetric_part(rep):
 def test_roundtrip_trips_on_a_perturbed_m0_block(rep):
     pairs, m0, m0d = rep[0], rep[3], rep[4]
     mt = tensor_form(m0, m0d)
-    perturbed = m0.copy()
-    perturbed[0, np.flatnonzero(m0[0])[0]] += 0.5  # a monomial of M0_(11)
-    assert spinor_tensor_roundtrip_residual(perturbed, mt) == 0.5
+    perturbed = m0.copy().reshape(4, 9, 9)
+    i, j = np.argwhere(perturbed[0])[0]  # a monomial of M0_(11), off the diagonal
+    perturbed[0, i, j] += 0.25
+    perturbed[0, j, i] += 0.25
+    assert spinor_tensor_roundtrip_residual(perturbed.reshape(4, 81), mt) == 0.5
 
 
 def _with_nan(family, row=0):
-    """Copy of a family with one operator's coefficient of the monomial 1 set to NaN."""
+    """Copy of a family with one operator's constant H_00 set to NaN."""
     family = family.copy()
     family[row, 0] = np.nan
     return family
