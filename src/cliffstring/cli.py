@@ -12,6 +12,7 @@ import errno
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -398,7 +399,7 @@ def cmd_quantum_check(args) -> int:
     config = {"degree": args.degree, "hbar": args.hbar, "tolerances": tols}
     extra = {
         "dimension": dimension,
-        "jz_spectrum": [float(v) if np.isfinite(v) else None for v in vals],
+        "jz_spectrum": [v if math.isfinite(v) else None for v in vals.tolist()],
     }
     return _finish(_report("quantum-check", config, checks, extra), args.report)
 

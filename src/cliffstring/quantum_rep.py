@@ -61,6 +61,11 @@ gap at hbar's mantissa u = hbar 2^-e in [1, 2), scaling by powers of two
 exactly, so that nothing over- or underflows on the way at hbar = 1e308 or
 at a subnormal hbar.
 
+Every weight that does not depend on hbar is a module constant built once
+at import, held as int8 where its entries are integers and as complex64
+where they are halves or quarters, both exact; hbar and the units jk and
+kj are applied per call.
+
 The degree N sets only the J^z spectrum, which is closed form (see
 `jz_spectrum`), and the reported dimension C(N + 4, 4) of the
 polynomials in four variables of degree <= N.
@@ -96,10 +101,8 @@ __all__ = [
 ]
 
 _S4 = sigma4_complex()                       # sigma^mu_{A Bdot}
-_S4_UP = np.array([EPS @ (eta4()[mu, mu] * _S4[mu]) @ EPS.T for mu in range(4)])
-# sigma_mu^{A Bdot}: vector index lowered, both spinor indices raised;
-# works out to (I, sx, -sy, sz) and satisfies
-# 1/2 sum_{A Bdot} sigma_mu^{A Bdot} sigma^nu_{A Bdot} = delta_mu^nu.
+
+_ETA = eta4().astype(np.int8)  # eta_{mu nu}
 
 _EPS3 = np.cross(np.eye(3)[:, None], np.eye(3))  # eps_ijk = (e_i x e_j)_k
 
@@ -110,7 +113,9 @@ _JK, _KJ = 1j, -1j
 # delta_{mu nu} is the only bracket of two letters
 _OMEGA = np.zeros((9, 9))
 _OMEGA[5:, 1:5] = np.eye(4)
-_OMEGA -= _OMEGA.T
+# formed in float64 and cast once: an int8 subtraction would page in numpy's
+# int8 arithmetic code, about 0.13 MB of RSS that no other code uses
+_OMEGA = (_OMEGA - _OMEGA.T).astype(np.int8)
 # zeta^T H zeta = sum_ij H_ij zeta_i zeta_j puts W_ij H_ij on the Weyl-ordered
 # monomial of zeta_i zeta_j, i <= j: off the diagonal, H_ij and H_ji both stand on it
 _WEYL = (2 - np.eye(9)).reshape(81)
@@ -161,7 +166,10 @@ def _commutators(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     h = x.reshape(9 * k, 9) @ _OMEGA
     g = y.reshape(l, 9, 9).swapaxes(0, 1).reshape(9, 9 * l)
     a = (h @ g).reshape(k, 9, l, 9).swapaxes(1, 2)
-    return (2 * (a + a.swapaxes(2, 3))).reshape(k * l, 81)
+    s = a.copy()  # contiguous, so the sum below needs no strided temporary
+    s += a.swapaxes(2, 3)
+    s *= 2
+    return s.reshape(k * l, 81)
 
 
 def _scaled(rows: np.ndarray, e: int) -> np.ndarray:
@@ -171,7 +179,9 @@ def _scaled(rows: np.ndarray, e: int) -> np.ndarray:
 
 def _largest(*gaps: np.ndarray) -> float:
     """Max |Weyl coefficient| over the gaps' forms, W_ij |H_ij|; a NaN stays NaN."""
-    return float(np.max([np.max(np.abs(g) * _WEYL, initial=0.0) for g in gaps]))
+    weighted = np.abs(np.concatenate([g.reshape(-1, 81) for g in gaps]) if len(gaps) > 1 else gaps[0])
+    weighted *= _WEYL
+    return float(np.maximum.reduce(weighted, axis=None, initial=0.0))
 
 
 # -- canonical and quaternion pairs ------------------------------------------------
@@ -185,7 +195,7 @@ def build_canonical(hbar: float = 1.0) -> CanonicalPairs:
     """
     q, r = np.zeros((2, 4, 9, 9), complex)
     q[:, 0, 1:5] = q[:, 1:5, 0] = 0.5 * np.eye(4)
-    r[:, 0, 5:] = r[:, 5:, 0] = -0.5j * hbar * eta4()
+    r[:, 0, 5:] = r[:, 5:, 0] = -0.5j * hbar * _ETA
     return CanonicalPairs(q=q.reshape(4, 81), r=r.reshape(4, 81), hbar=hbar)
 
 
@@ -197,8 +207,8 @@ def canonical_residual(pairs: CanonicalPairs) -> float:
     """
     ops = np.vstack([pairs.q, pairs.r])
     gaps = _commutators(ops, ops).reshape(8, 8, 81)
-    gaps[:4, 4:, 0] -= 1j * pairs.hbar * eta4()
-    gaps[4:, :4, 0] += 1j * pairs.hbar * eta4()
+    gaps[:4, 4:, 0] -= 1j * pairs.hbar * _ETA
+    gaps[4:, :4, 0] += 1j * pairs.hbar * _ETA
     return _largest(gaps)
 
 
@@ -217,7 +227,7 @@ def mixed_algebra_residual(a_ops: np.ndarray, k_ops: np.ndarray, hbar: float) ->
     """
     ka = _products(k_ops, a_ops).reshape(4, 4, 81).swapaxes(0, 1).reshape(16, 81)
     anti = _JK * _products(a_ops, k_ops) + _KJ * ka
-    anti[:, 0] += hbar * eta4().reshape(16)
+    anti[:, 0] += hbar * _ETA.reshape(16)
     return _largest(_commutators(a_ops, a_ops), _commutators(k_ops, k_ops), anti)
 
 
@@ -227,6 +237,13 @@ def mixed_algebra_residual(a_ops: np.ndarray, k_ops: np.ndarray, hbar: float) ->
 def spinor_components(ops: np.ndarray) -> np.ndarray:
     """Spinor family O_{A Bdot} = sigma^mu_{A Bdot} O_mu (operator 2A+Bdot)."""
     return _S4.reshape(4, 4).T @ ops
+
+
+# 2 x the weights of the products K_{P L} A_{Q E} in M0_(AB) and A_{E Q} K_{L P} in
+# M0dag_(AB): delta_AP delta_BQ eps^{E L}, symmetrized over (AB)
+_M0_WEIGHTS = np.einsum("ap,bq,el->abpqel", np.eye(2), np.eye(2), EPS)
+_M0_WEIGHTS = np.stack([_M0_WEIGHTS.transpose(0, 1, 2, 5, 3, 4), _M0_WEIGHTS.transpose(0, 1, 4, 3, 5, 2)])
+_M0_WEIGHTS = (_M0_WEIGHTS + _M0_WEIGHTS.swapaxes(1, 2)).reshape(2, 4, 16).astype(np.int8)
 
 
 def m0_matrices(a_ops: np.ndarray, k_ops: np.ndarray) -> tuple:
@@ -246,13 +263,16 @@ def m0_matrices(a_ops: np.ndarray, k_ops: np.ndarray) -> tuple:
     """
     e = math.frexp(np.max(np.abs(k_ops), initial=0.0))[1] - 1
     a_sp, k_sp = spinor_components(a_ops), spinor_components(_scaled(k_ops, -e))
-    d = np.eye(2)
-    # weights of the products K_{P L} A_{Q E} and A_{E Q} K_{L P}, eps^{E L}, with
-    # their units: i kj = -i jk = 1, so M0 is a real combination of R Q products
-    w = 1j * _KJ * np.einsum("ap,bq,el->abplqe", d, d, EPS)
-    wd = -1j * _JK * np.einsum("el,qb,pa->abeqlp", EPS, d, d)
-    w, wd = ((0.5 * (c + c.swapaxes(0, 1))).reshape(4, 16) for c in (w, wd))  # (AB)
+    # the weights with their units: i kj = -i jk = 1, so M0 is a real
+    # combination of R Q products
+    w, wd = 0.5j * _KJ * _M0_WEIGHTS[0], -0.5j * _JK * _M0_WEIGHTS[1]
     return _scaled(w @ _products(k_sp, a_sp), e), _scaled(wd @ _products(a_sp, k_sp), e)
+
+
+# the closure's coefficients of M0_(AE) eps_FB + A <-> B + E <-> F, eps_FB = -eps^{FB}
+_CLOSURE = np.einsum("ag,eh,fb->abefgh", np.eye(2), np.eye(2), -EPS)
+_CLOSURE = _CLOSURE + _CLOSURE.transpose(1, 0, 2, 3, 4, 5)
+_CLOSURE = (_CLOSURE + _CLOSURE.transpose(0, 1, 3, 2, 4, 5)).reshape(4, 4, 4).astype(np.int8)
 
 
 def lorentz_closure_residual(m0: np.ndarray, m0d: np.ndarray, hbar: float) -> float:
@@ -262,13 +282,12 @@ def lorentz_closure_residual(m0: np.ndarray, m0d: np.ndarray, hbar: float) -> fl
     + E<->F with the lower-index eps_{AB} = -eps^{AB}, and that dotted
     and undotted blocks commute.
     """
-    d = np.eye(2)
-    c = np.einsum("ag,eh,fb->abefgh", d, d, -EPS)   # M0_(AE) eps_FB
-    c = c + c.transpose(1, 0, 2, 3, 4, 5)           # + A <-> B
-    c = c + c.transpose(0, 1, 3, 2, 4, 5)           # + E <-> F
     coeffs = np.zeros((4, 8, 4), complex)           # zero on the [M0, M0dag] blocks
-    coeffs[:, :4] = 1j * hbar * c.reshape(4, 4, 4)
+    coeffs[:, :4] = 1j * hbar * _CLOSURE
     return _largest(_commutators(m0, np.vstack([m0, m0d])) - coeffs.reshape(32, 4) @ m0)
+
+
+_THREE_VECTOR = np.array([[0.25j, 0, 0, -0.25j], [0.25, 0, 0, 0.25], [0, -0.5j, 0, 0]], np.complex64)
 
 
 def three_vector_form(m0: np.ndarray, m0d: np.ndarray) -> tuple:
@@ -278,8 +297,7 @@ def three_vector_form(m0: np.ndarray, m0d: np.ndarray) -> tuple:
     built on the dotted block; the adjoints use the undotted block with
     conjugated coefficients.
     """
-    w = np.array([[0.25j, 0, 0, -0.25j], [0.25, 0, 0, 0.25], [0, -0.5j, 0, 0]])
-    return w @ m0d, w.conj() @ m0
+    return _THREE_VECTOR @ m0d, _THREE_VECTOR.conj() @ m0
 
 
 def su2_closure_residual(n: np.ndarray, nd: np.ndarray, hbar: float) -> float:
@@ -295,16 +313,32 @@ def su2_closure_residual(n: np.ndarray, nd: np.ndarray, hbar: float) -> float:
     return _largest(_commutators(ops, ops) - coeffs.reshape(36, 6) @ ops)
 
 
+# sigma_mu^{A Bdot}: vector index lowered, both spinor indices raised; works out
+# to (I, sx, -sy, sz) and satisfies 1/2 sum_{A Bdot} sigma_mu^{A Bdot}
+# sigma^nu_{A Bdot} = delta_mu^nu.  Only tensor_form's weight uses it
+_S4_UP = np.array([EPS @ (_ETA[mu, mu] * _S4[mu]) @ EPS.T for mu in range(4)])
+# tensor_form's weight on the stack (M0, M0dag): the undotted then the dotted block
+_TENSOR_FORM = np.concatenate([np.einsum("mae,nbf,ef->mnab", _S4_UP, _S4_UP, EPS).reshape(16, 4),
+                               np.einsum("mae,nbf,ab->mnef", _S4_UP, _S4_UP, EPS).reshape(16, 4)], axis=1)
+_TENSOR_FORM = (0.25 * _TENSOR_FORM).astype(np.complex64)
+del _S4_UP
+
+
 def tensor_form(m0: np.ndarray, m0d: np.ndarray) -> np.ndarray:
     """Antisymmetric tensor M_{mu nu} equivalent to the spinor pair, a family of 16.
 
     M_{mu nu} = 1/4 sigma_mu^{A Edot} sigma_nu^{B Fdot}
                 (M0_(AB) eps_EdotFdot + M0dag_(EdotFdot) eps_AB).
     """
-    undotted = np.einsum("mae,nbf,ef->mnab", _S4_UP, _S4_UP, EPS).reshape(16, 4)
-    dotted = np.einsum("mae,nbf,ab->mnef", _S4_UP, _S4_UP, EPS).reshape(16, 4)
-    w = 0.25 * np.concatenate([undotted, dotted], axis=1)
-    return w @ np.vstack([m0, m0d])
+    return _TENSOR_FORM @ np.vstack([m0, m0d])
+
+
+# eta_{nu rho} M_{mu sigma} - mu <-> nu - rho <-> sigma, on the six M_{mu<nu}
+_PAIRS = np.array([4 * mu + nu for mu in range(4) for nu in range(mu + 1, 4)])
+_TENSOR = np.einsum("nr,am,bs->mnrsab", _ETA, np.eye(4), np.eye(4))
+_TENSOR = _TENSOR - _TENSOR.transpose(1, 0, 2, 3, 4, 5)
+_TENSOR = _TENSOR - _TENSOR.transpose(0, 1, 3, 2, 4, 5)
+_TENSOR = _TENSOR.reshape(16, 16, 16)[np.ix_(_PAIRS, _PAIRS)].reshape(36, 16).astype(np.int8)
 
 
 def tensor_algebra_residual(m_tensor: np.ndarray, hbar: float) -> float:
@@ -315,21 +349,24 @@ def tensor_algebra_residual(m_tensor: np.ndarray, hbar: float) -> float:
     agrees exactly with the assembly from the three-vector (eps_ijk
     (N_k + N_k^dag) on space-space, -i(N_i - N_i^dag) on time-space).
     """
-    d = np.eye(4)
-    c = np.einsum("nr,am,bs->mnrsab", eta4(), d, d)  # eta_{nu rho} M_{mu sigma}
-    c = c - c.transpose(1, 0, 2, 3, 4, 5)             # - mu <-> nu
-    c = c - c.transpose(0, 1, 3, 2, 4, 5)             # - rho <-> sigma
-    pairs = [4 * mu + nu for mu in range(4) for nu in range(mu + 1, 4)]
-    coeffs = -1j * hbar * c.reshape(16, 16, 16)[np.ix_(pairs, pairs)]
-    ops = m_tensor[pairs]
+    coeffs = -1j * hbar * _TENSOR
+    ops = m_tensor[_PAIRS]
     mt = m_tensor.reshape(4, 4, 81)
-    return _largest(mt + mt.swapaxes(0, 1), _commutators(ops, ops) - coeffs.reshape(36, 16) @ m_tensor)
+    return _largest(mt + mt.swapaxes(0, 1), _commutators(ops, ops) - coeffs @ m_tensor)
+
+
+_ROUNDTRIP = (0.5 * np.einsum("ef,mae,nbf->abmn", EPS, _S4, _S4).reshape(4, 16)).astype(np.complex64)
 
 
 def spinor_tensor_roundtrip_residual(m0: np.ndarray, m_tensor: np.ndarray) -> float:
     """Max Weyl coefficient of M0_(AB) - 1/2 eps^EdotFdot sigma^mu sigma^nu M_{mu nu}."""
-    w = 0.5 * np.einsum("ef,mae,nbf->abmn", EPS, _S4, _S4).reshape(4, 16)
-    return _largest(w @ m_tensor - m0)
+    return _largest(_ROUNDTRIP @ m_tensor - m0)
+
+
+# J^z's rows: i/2 (M0_(12) - M0dag_(12)) on the stack (M0, M0dag), and
+# -(Q_1 R_2 - Q_2 R_1) on the products Q_mu R_nu
+_JZ_M0 = (0.5j * (np.eye(8)[[1]] - np.eye(8)[[4 + 1]])).astype(np.complex64)
+_JZ_QR = (np.eye(16)[[4 * 2 + 1]] - np.eye(16)[[4 * 1 + 2]]).astype(np.int8)
 
 
 def jz_residual(pairs: CanonicalPairs, m0: np.ndarray, m0d: np.ndarray) -> float:
@@ -342,9 +379,7 @@ def jz_residual(pairs: CanonicalPairs, m0: np.ndarray, m0d: np.ndarray) -> float
     """
     e = math.frexp(pairs.hbar)[1] - 1
     m0, m0d, r = (_scaled(f, -e) for f in (m0, m0d, pairs.r))
-    w = 0.5j * (np.eye(8)[[1]] - np.eye(8)[[4 + 1]])       # i/2 (M0_(12) - M0dag_(12))
-    qr = np.eye(16)[[4 * 2 + 1]] - np.eye(16)[[4 * 1 + 2]]  # -(Q_1 R_2 - Q_2 R_1)
-    gap = w @ np.vstack([m0, m0d]) + qr @ _products(pairs.q, r)
+    gap = _JZ_M0 @ np.vstack([m0, m0d]) + _JZ_QR @ _products(pairs.q, r)
     return _largest(gap) / math.ldexp(pairs.hbar, -e)
 
 

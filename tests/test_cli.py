@@ -1003,16 +1003,30 @@ _FAILS_BY_HBAR = {
 }
 
 
+# the exit code and the sha256 prefix of stdout of each `quantum-check` on the
+# degree x hbar grid below.  Where a residual is nonzero round-off (at hbar
+# 0.3, 0.7, pi, 1e-150, 1e-310, 5e-324 and 1e100), the bytes pin the order in
+# which the brackets' 9x9 forms are multiplied and summed, and so carry the
+# same BLAS caveat as QUANTUM_CHECK_ROUNDOFF_DIGESTS: a BLAS that sums in
+# another order moves them
+QUANTUM_CHECK_MANIFEST = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "quantum_check_manifest.json").read_text())
+
+
 @pytest.mark.parametrize("hbar", ["0.5", "0.7", "1", "3", "0.3", repr(math.pi), "1e-150", "1e-300",
                                   "1e-310", "1e-320", "5e-324", "1e100", "1e200", "1e308"])
 def test_quantum_check_failing_set_depends_only_on_hbar(capsys, hbar):
     failed = _FAILS_BY_HBAR.get(hbar, set())
     for degree in range(2, cli.MAX_DEGREE + 1):
-        assert run("quantum-check", "--degree", str(degree), "--hbar", hbar) == (3 if failed else 0)
+        argv = ("quantum-check", "--degree", str(degree), "--hbar", hbar)
+        code = run(*argv)
+        assert code == (3 if failed else 0)
         captured = capsys.readouterr()
         assert captured.err == ""
         checks = strict_json(captured.out)["checks"]
         assert {name for name, check in checks.items() if not check["pass"]} == failed, degree
+        digest = hashlib.sha256(captured.out.encode()).hexdigest()[:16]
+        assert {"exit": code, "stdout": digest} == QUANTUM_CHECK_MANIFEST[" ".join(argv)]
 
 
 def test_spectrum_fixture_passes_string_mode_checks(tmp_path):

@@ -20,6 +20,7 @@ from cliffstring.quantum_rep import (
     lorentz_closure_residual,
     m0_matrices,
     mixed_algebra_residual,
+    quantum_checks,
     quaternion_pairs,
     spinor_tensor_roundtrip_residual,
     su2_closure_residual,
@@ -668,6 +669,30 @@ def test_a_warm_job_keeps_a_small_working_set(tmp_path):
         assert peak < 1.25 * 2 ** 20, degree
 
 
+def test_checks_build_no_weights_per_call(monkeypatch):
+    # every weight that does not depend on hbar is a module constant, built
+    # at import: a job's checks apply hbar and the quaternion units only
+    calls = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: calls.append(args[0]) or einsum(*args, **kwargs))
+    for hbar in (0.7, 1e100):
+        quantum_checks(5, hbar)
+    assert calls == []
+
+
+def test_warm_checks_peak_small():
+    # each bracket's 2 (A + A^T) is summed into one contiguous copy of A:
+    # summing the strided views into a new array took the peak to 406 KiB
+    quantum_checks(5, 0.7)
+    tracemalloc.start()
+    try:
+        quantum_checks(5, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.36 * 2 ** 20
+
+
 # -- every check can fail --------------------------------------------------------
 
 
@@ -735,7 +760,7 @@ def test_mixed_trips_on_a_wrong_ordering_constant(monkeypatch):
 def test_brackets_trip_on_a_wrong_bracket_factor(monkeypatch):
     # [zeta^T H zeta, zeta^T G zeta] with 1 for its factor 2 halves every
     # commutator; the products do not use it, so J^z holds
-    mutant = _mutant(monkeypatch, "(2 * (a + a.swapaxes(2, 3)))", "(1 * (a + a.swapaxes(2, 3)))")
+    mutant = _mutant(monkeypatch, "s *= 2", "s *= 1")
     assert _nonzero_residuals(mutant) == {"canonical": 0.5, "closure": 2.0, "su2": 0.25, "tensor": 0.5}
 
 
@@ -756,28 +781,42 @@ def test_mixed_trips_on_a_commuting_fold(monkeypatch):
     assert mixed_algebra_residual(a_ops, k_ops, pairs.hbar) > 1e-10
 
 
+def _flipped(monkeypatch, name, factor):
+    """A mutant whose constant `name` is built with `factor` negated on its first definition line."""
+    line = next(line for line in inspect.getsource(quantum_rep).splitlines() if line.startswith(f"{name} = "))
+    return _mutant(monkeypatch, line, line.replace(factor, f"(-{factor})"))
+
+
 def test_closure_trips_on_a_flipped_eps(rep, monkeypatch):
+    # eps flipped in the closure's coefficients alone; M0 is built as before
     pairs, m0, m0d = rep[0], rep[3], rep[4]
-    monkeypatch.setattr(quantum_rep, "EPS", -quantum_rep.EPS)
-    assert lorentz_closure_residual(m0, m0d, pairs.hbar) > 1e-10
+    mutant = _flipped(monkeypatch, "_CLOSURE", "EPS")
+    assert mutant.lorentz_closure_residual(m0, m0d, pairs.hbar) > 1e-10
 
 
 def _flip_sigma_y(monkeypatch):
     s4 = quantum_rep._S4.copy()
     s4[2] = -s4[2]
     monkeypatch.setattr(quantum_rep, "_S4", s4)
+    return quantum_rep
+
+
+def _commuting_fold(monkeypatch):
+    monkeypatch.setattr(quantum_rep, "_KJ", 1j)
+    return quantum_rep
 
 
 @pytest.mark.parametrize("mutate, want, entry", [
-    (lambda mp: mp.setattr(quantum_rep, "EPS", -quantum_rep.EPS), 2.0, 8.0),
+    (lambda mp: _flipped(mp, "_M0_WEIGHTS", "EPS"), 2.0, 8.0),  # eps^{E L} in M0's weights
     (_flip_sigma_y, 2.0, 8.0),
-    (lambda mp: mp.setattr(quantum_rep, "_KJ", 1j), 1.0, 4.0),
+    (_commuting_fold, 1.0, 4.0),
 ], ids=["flipped-eps", "flipped-sigma-y", "commuting-fold"])
 def test_jz_trips_on_a_broken_m0(monkeypatch, dense, mutate, want, entry):
-    # a flipped eta4 is no such mutant: it moves R, so both sides of the identity
-    mutate(monkeypatch)
-    pairs, _, _, m0, m0d = _rep(1.0)
-    assert jz_residual(pairs, m0, m0d) == want
+    # a flipped eta is no such mutant: it moves R, so both sides of the identity
+    mod = mutate(monkeypatch)
+    pairs = mod.build_canonical(1.0)
+    m0, m0d = mod.m0_matrices(*mod.quaternion_pairs(pairs))
+    assert mod.jz_residual(pairs, m0, m0d) == want
     # the dense oracle reads the same gap: its largest Weyl coefficient, and
     # its largest matrix entry on the safe columns of degree <= 4
     space = PolySpace(4, 5)
@@ -796,11 +835,11 @@ def test_su2_trips_on_a_flipped_eps3(rep, monkeypatch):
 
 
 def test_tensor_trips_on_a_flipped_eta(rep, monkeypatch):
+    # eta flipped in the tensor algebra's coefficients alone
     pairs, m0, m0d = rep[0], rep[3], rep[4]
     mt = tensor_form(m0, m0d)
-    eta = quantum_rep.eta4()
-    monkeypatch.setattr(quantum_rep, "eta4", lambda: -eta)
-    assert tensor_algebra_residual(mt, pairs.hbar) > 1e-10
+    mutant = _flipped(monkeypatch, "_TENSOR", "_ETA")
+    assert mutant.tensor_algebra_residual(mt, pairs.hbar) > 1e-10
 
 
 def test_tensor_trips_on_a_symmetric_part(rep):
