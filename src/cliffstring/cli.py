@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from .fixtures import random_hermitian, random_spectrum, random_spinor
+from . import floattext
 from .floattext import csv_rows, json_table, json_texts
 from .lorentz import MAX_NEST_DEPTH, lorentz_checks
 from .matrices import OctHermitian
@@ -40,19 +41,15 @@ SEED_ENV = "CLIFFSTRING_SEED"
 # Largest string-modes --grid: quadrature and CSV hold O(grid) arrays.
 MAX_GRID = 65536
 
-# string-modes CSV rows formatted and written per block, so the text buffers
-# stay bounded whatever --grid is.
-CSV_BLOCK = 128
-
 # Largest quantum-check --degree: only the dimension and the J^z spectrum
 # depend on it, and the cap bounds the spectrum list the report carries
 # (C(N + 2, 2) values, 231 at degree 20).
 MAX_DEGREE = 20
 
 # Largest gen-fixture --n: the hermitian fixture is one draw into an
-# (n, n, 8) array (13 ms at n = 256); writing it dominates (each row's entry
-# texts and one join of its pieces, formed as the row is written), and
-# n = 256 takes 0.21 s in cli.main, 46 MB peak RSS and a 16 MB file in a
+# (n, n, 8) array (13 ms at n = 256); writing it dominates (each row block's
+# entry texts and one join of its pieces, formed as the block is written),
+# and n = 256 takes 0.2 s in cli.main, 48 MB peak RSS and a 16 MB file in a
 # fresh process (one BLAS thread, 2-core Xeon VM).
 MAX_FIXTURE_N = 256
 
@@ -125,28 +122,32 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
-# Characters per write: a report is encoded a slice at a time, never copied whole.
-_WRITE_CHUNK = 1 << 16
+def _table_chunks(table):
+    """json's text of an (n, m, k) table as a top-level key's value, one chunk per block
+    of rows of at most floattext.TEXT_BLOCK entries (one row at least), from the
+    entries' texts, or from their floats, whose texts are formed a block at a time."""
+    n, rows = len(table), max(1, floattext.TEXT_BLOCK // table[0].size)
+    for start in range(0, n, rows):
+        texts = table[start:start + rows]
+        if texts.dtype != object:
+            texts = json_texts(texts).reshape(texts.shape)
+        yield "".join(json_table(texts, start == 0, start + rows >= n))
 
 
-def _write_text(fh, text) -> None:
-    """Write text and a newline to fh: a str in slices of at most _WRITE_CHUNK
-    characters, or an iterable of str chunks one at a time."""
-    chunks = text
-    if isinstance(text, str):
-        chunks = (text[start:start + _WRITE_CHUNK] for start in range(0, len(text), _WRITE_CHUNK))
+def _write_text(fh, chunks) -> None:
+    """Write an iterable of str chunks to fh, one at a time, and a newline."""
     for chunk in chunks:
         fh.write(chunk)
     fh.write("\n")
 
 
-def _write_stdout(text) -> None:
+def _write_stdout(chunks) -> None:
     """_write_text to stdout, flushed.  A failed write points fd 1 at os.devnull,
     so the interpreter's exit flush of what is left in the buffer cannot fail again."""
     if sys.stdout is None:  # fd 1 was closed when the interpreter started
         raise OSError(errno.EBADF, "stdout is closed")
     try:
-        _write_text(sys.stdout, text)
+        _write_text(sys.stdout, chunks)
         sys.stdout.flush()
     except OSError:
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -159,11 +160,11 @@ def _dump_json(obj, path) -> int:
     """Write obj as strict JSON and return 0, or write nothing and return 3 on NaN or inf.
 
     obj is a tree of plain Python values for _json, or a function that returns
-    the tree's JSON text, as a str or an iterable of str chunks.  Every value's
-    text is formed before any file opens.
+    the tree's JSON text as an iterable of str chunks.  Every value's text is
+    formed, or checked to be finite, before any file opens.
     """
     try:
-        text = obj() if callable(obj) else _json(obj)
+        text = obj() if callable(obj) else [_json(obj)]
     except ValueError as exc:
         print(f"cliffstring: report not written: {exc}", file=sys.stderr)
         return 3
@@ -250,41 +251,43 @@ def _max_norm(x: np.ndarray) -> float:
     return float(np.ldexp(np.max(np.linalg.norm(np.ldexp(x, -e), axis=-1)), e))
 
 
-def _resolve_text(out: dict, coeffs: np.ndarray) -> str:
-    """_json(out) with a, b (coeffs[0], coeffs[1]) and their vectors added.
+def _resolve_text(out: dict, coeffs: np.ndarray):
+    """_json(out) with a, b (coeffs[0], coeffs[1]) and their vectors added, as chunks:
+    the head, a and b in row blocks, one chunk per vector and the tail.
 
-    One join of separators and coefficient texts, every coefficient formatted
-    once.  a and b are tables; vector i's terms v_i = sum_k a_ik (x) e_k +
-    b_ik (x) f_k, in (kind, k) order with zero terms left out (the nonzero E
-    and F slots of resolve.vectors), repeat the same texts.
+    Every coefficient is formatted once, here, so a NaN or inf raises before any
+    chunk is formed.  a and b are tables; vector i's terms v_i = sum_k a_ik (x) e_k
+    + b_ik (x) f_k, in (kind, k) order with zero terms left out (the nonzero E and
+    F slots of resolve.vectors), repeat the same texts.
     """
     n = coeffs.shape[1]
     texts = json_texts(coeffs).reshape(coeffs.shape)
     # out's own values are numbers and fixed names, so they hold no "%s"
     head, a_to_b, b_to_vectors, tail = _json(dict(out, a="%s", b="%s", vectors="%s")).split('"%s"')
-    # per nonzero term, in (vector i, kind, k) order: its coefficients, each
-    # followed by the text after it, the last by the term's "k", "kind" and end
+    # per nonzero term, in (vector i, kind, k) order: its opening, then its coefficients,
+    # each followed by the text after it, the last by the term's "k", "kind" and end
     live = np.any(coeffs, axis=3).swapaxes(0, 1)
-    _, kind, k = np.nonzero(live)
+    vec, kind, k = np.nonzero(live)
     ends = np.array([[f'\n          ],\n          "k": {m},\n          "kind": "{name}"\n        }}'
                       for m in range(1, n + 1)] for name in "EF"], dtype=object)
-    terms = np.empty((kind.size, 16), dtype=object)
-    terms[:, ::2] = texts.swapaxes(0, 1)[live]
-    terms[:, 1:15:2] = ",\n            "
-    terms[:, 15] = ends[kind, k]
-    rows = iter(terms.tolist())
-    vector = f'{{\n      "n": {n},\n      "terms": ['
     term = '\n        {\n          "coeff": [\n            '
-    next_term = "," + term
-    pieces = [head, *json_table(texts[0]), a_to_b, *json_table(texts[1]), b_to_vectors, "["]
-    for i, count in enumerate(live.sum(axis=(1, 2)).tolist()):
-        pieces.append((",\n    " if i else "\n    ") + vector)
-        for j in range(count):
-            pieces.append(next_term if j else term)
-            pieces += next(rows)
-        pieces.append("\n      ]\n    }" if count else "]\n    }")
-    pieces += ["\n  ]", tail]
-    return "".join(pieces)
+    terms = np.empty((kind.size, 17), dtype=object)
+    terms[:, 0] = "," + term
+    terms[np.unique(vec, return_index=True)[1], 0] = term  # a vector's first term
+    terms[:, 1::2] = texts.swapaxes(0, 1)[live]
+    terms[:, 2:16:2] = ",\n            "
+    terms[:, 16] = ends[kind, k]
+    stops = np.cumsum(live.sum(axis=(1, 2))).tolist()
+    opening = f'{{\n      "n": {n},\n      "terms": ['
+
+    def vector(i, start, stop):
+        pieces = terms[start:stop].ravel().tolist()
+        return "".join([",\n    " if i else "\n    ", opening, *pieces,
+                        "\n      ]\n    }" if pieces else "]\n    }"])
+
+    vectors = map(vector, range(n), [0] + stops, stops)
+    return itertools.chain([head], _table_chunks(texts[0]), [a_to_b], _table_chunks(texts[1]),
+                           [b_to_vectors + "["], vectors, ["\n  ]" + tail])
 
 
 def cmd_resolve(args) -> int:
@@ -363,8 +366,9 @@ def _write_grid_csv(ms, path, n_sigma: int) -> int:
     try:
         with open(path, "wb") as fh:
             fh.write(",".join(header).encode() + b"\r\n")
-            for start in range(0, len(rows), CSV_BLOCK):
-                fh.write(csv_rows(rows[start:start + CSV_BLOCK]))
+            block = floattext.TEXT_BLOCK // len(header)  # rows per formatted block
+            for start in range(0, len(rows), block):
+                fh.write(csv_rows(rows[start:start + block]))
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}")
     return 0
@@ -424,21 +428,15 @@ def cmd_redshift(args) -> int:
 
 
 def _hermitian_text(data: np.ndarray):
-    """The hermitian fixture's JSON text as chunks, one row of the table each.
+    """The hermitian fixture's JSON text as chunks: its head, table row blocks and tail.
 
     A NaN or inf anywhere raises json's error before any chunk is formed, so
-    a bad value writes nothing; a row's entry texts are formed and joined
-    only as that row is written, never the whole table's.
+    a bad value writes nothing; a block's entry texts are formed only as that
+    block is written, never the whole table's.
     """
     json_texts(data[~np.isfinite(data)])  # raises, naming the first NaN or inf
-    n = len(data)
-    head, tail = _json({"entries": "%s", "n": n}).split('"%s"')
-
-    def row(i):
-        block = data[i:i + 1]
-        return "".join(json_table(json_texts(block).reshape(block.shape), i == 0, i == n - 1))
-
-    return itertools.chain([head], map(row, range(n)), [tail])
+    head, tail = _json({"entries": "%s", "n": len(data)}).split('"%s"')
+    return itertools.chain([head], _table_chunks(data), [tail])
 
 
 def cmd_gen_fixture(args) -> int:
@@ -487,7 +485,7 @@ class _Parser(argparse.ArgumentParser):
     def print_help(self):
         """--help's text to stdout through _write_stdout, so a failed write exits 2."""
         try:
-            _write_stdout(self.format_help().removesuffix("\n"))
+            _write_stdout([self.format_help().removesuffix("\n")])
         except OSError as exc:
             raise InputError(f"cannot write stdout: {exc}")
 

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cliffstring import cli, lorentz, octonion, quantum_rep, string_modes
+from cliffstring import cli, floattext, lorentz, octonion, quantum_rep, string_modes
 from cliffstring.fixtures import (
     random_degenerate_hermitian,
     random_hermitian,
@@ -581,6 +581,40 @@ def test_resolve_overflow_writes_one_stderr_line(tmp_path):
                           "Out of range float values are not JSON compliant: inf\n")
 
 
+def test_a_refused_resolve_report_leaves_its_output_file_as_it_was(tmp_path):
+    """Every coefficient's text is formed before the output opens, so a report
+    that is not written does not truncate or touch an existing --output file."""
+    data = random_hermitian(np.random.default_rng(0), 3).data * 1e200
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"n": 3, "entries": data.tolist()}))
+    before = b'{"an earlier": "report"}\r\n\0' * 1000
+    (tmp_path / "r.json").write_bytes(before)
+    out = _cliffstring("resolve", "--input", str(path), "--output", str(tmp_path / "r.json"))
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr == ("cliffstring: report not written: "
+                          "Out of range float values are not JSON compliant: inf\n")
+    assert (tmp_path / "r.json").read_bytes() == before
+
+
+def test_a_warm_resolve_job_keeps_a_small_working_set(tmp_path, monkeypatch):
+    # n = 64: the 65,536 coefficient texts take about 5 MiB; the report itself
+    # (2.1 MiB) is written a row block or a vector at a time, never joined
+    # whole, and a whole join peaked at 8.8 MiB
+    monkeypatch.chdir(tmp_path)
+    data = random_hermitian(np.random.default_rng(0), 64).data
+    pathlib.Path("h.json").write_text(json.dumps({"n": 64, "entries": data.tolist()}))
+    argv = ["resolve", "--input", "h.json", "--output", "r.json"]
+    code = cli.main(argv)  # builds the digit and power-of-ten tables
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5 * 2**20
+
+
 # -- gen-fixture ---------------------------------------------------------------
 
 
@@ -788,8 +822,9 @@ def test_csv_values_past_the_fast_range_are_printed_exactly(tmp_path, monkeypatc
 
 @pytest.mark.parametrize("block", [1, 5, 1000])
 def test_csv_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, capsys, block):
+    # the CSV is formatted floattext.TEXT_BLOCK // 26 rows at a time
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "CSV_BLOCK", block)
+    monkeypatch.setattr(floattext, "TEXT_BLOCK", 26 * block)
     assert run("gen-fixture", "--kind", "spectrum", "--seed", "0", "--output", "s.json") == 0
     assert run("string-modes", "--spectrum", "s.json", "--grid", "16", "--output", "grid.csv") == 0
     csv = hashlib.sha256((tmp_path / "grid.csv").read_bytes()).hexdigest()[:16]
@@ -848,7 +883,7 @@ def test_many_mode_string_modes_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 def test_a_warm_csv_job_keeps_a_small_working_set(tmp_path, monkeypatch):
     # a default-grid max_mode-8 job formats 53,352 values; formatted whole, its
-    # text buffers peak near 16 MiB, and in CSV_BLOCK-row blocks near 1.9 MiB
+    # text buffers peak near 16 MiB, and in TEXT_BLOCK // 26-row blocks near 1.9 MiB
     monkeypatch.chdir(tmp_path)
     ms = random_spectrum(np.random.default_rng(0), max_mode=8)
     pathlib.Path("s.json").write_text(json.dumps(spectrum_to_json(ms)))

@@ -1,5 +1,5 @@
 """The CLI writes what json.dumps writes, byte for byte: its report writer,
-resolve's one-join text and the float texts that text is built from."""
+resolve's chunked text and the float texts that text is built from."""
 
 import json
 
@@ -58,11 +58,11 @@ def _tree(rng, depth):
 @pytest.mark.parametrize("seed", range(4))
 def test_encoder_matches_json_dumps_on_random_trees(seed, tmp_path, capsys):
     """_dump_json writes json's text and a newline, to a file or to stdout; the
-    last tree spans several write slices."""
+    last tree holds 10,000 floats."""
     rng = np.random.default_rng(seed)
     path = tmp_path / "report.json"
     trees = [_tree(rng, int(rng.integers(1, 5))) for _ in range(250)]
-    trees.append({"x": [_float(rng) for _ in range(3 * cli._WRITE_CHUNK // 20)]})
+    trees.append({"x": [_float(rng) for _ in range(10_000)]})
     for tree in trees:
         assert cli._dump_json(tree, path) == 0
         assert cli._dump_json(tree, None) == 0
@@ -107,7 +107,7 @@ def test_encoder_writes_resolve_tables():
         b[-1, 0, 5] = 5e-324
         a[n // 2], b[n // 2] = 0.0, -0.0  # a row without terms
         out = {"command": "resolve", "n": n, "growth": None, "perm": list(range(n)), "pass": True}
-        assert cli._resolve_text(out, np.stack([a, b])) == oracle(_resolve_tree(out, a, b))
+        assert "".join(cli._resolve_text(out, np.stack([a, b]))) == oracle(_resolve_tree(out, a, b))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
