@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .fixtures import random_hermitian, random_spectrum, random_spinor
+from .fixtures import random_hermitian, random_spectrum
 from . import floattext
 from .floattext import csv_rows, json_table, json_texts
 from .lorentz import MAX_NEST_DEPTH, lorentz_checks
@@ -444,10 +444,8 @@ def cmd_gen_fixture(args) -> int:
     rng = np.random.default_rng(seed)
     if args.kind == "hermitian":
         obj = functools.partial(_hermitian_text, random_hermitian(rng, args.n).data)
-    elif args.kind == "spectrum":
-        obj = spectrum_to_json(random_spectrum(rng))
     else:
-        obj = {"components": random_spinor(rng).tolist()}
+        obj = spectrum_to_json(random_spectrum(rng))
     return _dump_json(obj, args.output)
 
 
@@ -523,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="CSV grid scan of X and J")
     p.add_argument("--report", default=None)
 
-    p = sub.add_parser("quantum-check", help="operator-algebra identities in Weyl normal form")
+    p = sub.add_parser("quantum-check", help="operator-algebra identities in symmetric Weyl forms")
     p.set_defaults(run=cmd_quantum_check)
     p.add_argument("--degree", type=_int_in(2, MAX_DEGREE), default=6,
                    help="sets only the dimension and the J^z spectrum")
@@ -540,7 +538,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-fixture", help="write a reproducible random input file")
     p.set_defaults(run=cmd_gen_fixture)
-    p.add_argument("--kind", required=True, choices=("hermitian", "spectrum", "spinor"))
+    p.add_argument("--kind", required=True, choices=("hermitian", "spectrum"))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--n", type=_int_in(1, MAX_FIXTURE_N), default=2, help="matrix size (hermitian)")
     p.add_argument("--output", default=None, help="fixture path (default stdout)")

@@ -68,7 +68,10 @@ class MixedSubspaceError(ValueError):
 
 def _entry_subspace(s: np.ndarray):
     """Common imaginary direction of each stack's entries, 0 for real, or raise."""
-    live = np.max(np.abs(s[..., 1:]), axis=(-3, -2)) > _TOL
+    size = np.max(np.abs(s), axis=(-3, -2))  # non-finite where an entry is NaN or inf
+    if not np.all(np.isfinite(size)):
+        raise ValueError("entries must be finite")
+    live = size[..., 1:] > _TOL
     mixed = live[np.sum(live, axis=-1) > 1]
     if len(mixed):
         raise MixedSubspaceError(f"entries use directions {np.flatnonzero(mixed[0]) + 1}")
@@ -85,13 +88,13 @@ def factor_from_matrix(s) -> np.ndarray:
     s = np.array(s, dtype=float)
     if s.shape[-3:] != (2, 2, 8):
         raise ValueError("factor needs a (..., 2, 2, 8) coefficient stack")
-    _entry_subspace(s)  # raises MixedSubspaceError
+    _entry_subspace(s)  # raises on a NaN or inf entry, and MixedSubspaceError
     d = _det(s)
     off_real = np.max(np.abs(d[..., 1:]))
-    if off_real > _TOL:
+    if not off_real <= _TOL:  # a NaN determinant fails too
         raise ValueError(f"determinant not real: imaginary part up to {off_real:.3e}")
     off_unit = np.max(np.abs(np.abs(d[..., 0]) - 1.0))
-    if off_unit > _TOL:
+    if not off_unit <= _TOL:
         raise ValueError(f"|det| differs from 1 by up to {off_unit:.3e}")
     return s
 

@@ -73,11 +73,11 @@ def vector_to_matrix(x, s: np.ndarray) -> OctHermitian:
 
 
 def matrix_to_vector(x_mat: OctHermitian, s: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Inverse packing, x^mu = 1/2 Re tr(sigma^mu X); raises off Hermitian input."""
+    """Inverse packing, x^mu = 1/2 Re tr(sigma^mu X); raises off finite Hermitian input."""
     if x_mat.n != 2:
         raise ValueError("expected a 2x2 matrix")
-    if hermiticity_residual(x_mat.data) > tol:
-        raise NotHermitianError("matrix_to_vector needs a Hermitian matrix")
+    if not hermiticity_residual(x_mat.data) <= tol:  # a NaN or inf entry fails too
+        raise NotHermitianError("matrix_to_vector needs a finite Hermitian matrix")
     # prod[mu, a, b] = sigma^mu_ab X_ba, so the trace sums its real parts
     prod = mul_arrays(s, x_mat.data.transpose(1, 0, 2))
     return 0.5 * prod[..., 0].sum(axis=(1, 2))

@@ -84,7 +84,6 @@ __all__ = [
     "CanonicalPairs",
     "build_canonical",
     "canonical_residual",
-    "quaternion_pairs",
     "mixed_algebra_residual",
     "spinor_components",
     "m0_matrices",
@@ -210,11 +209,6 @@ def canonical_residual(pairs: CanonicalPairs) -> float:
     gaps[:4, 4:, 0] -= 1j * pairs.hbar * _ETA
     gaps[4:, :4, 0] += 1j * pairs.hbar * _ETA
     return _largest(gaps)
-
-
-def quaternion_pairs(pairs: CanonicalPairs):
-    """A = j(x)Q and K = k(x)R as the families of Q and R; the units apply where A and K meet."""
-    return pairs.q, pairs.r
 
 
 def mixed_algebra_residual(a_ops: np.ndarray, k_ops: np.ndarray, hbar: float) -> float:
@@ -409,7 +403,7 @@ def quantum_checks(degree: int, hbar: float) -> tuple:
     if degree < 2:
         raise ValueError("degree bound must be at least 2")
     pairs = build_canonical(hbar)
-    a_ops, k_ops = quaternion_pairs(pairs)
+    a_ops, k_ops = pairs.q, pairs.r  # A = j (x) Q and K = k (x) R, as the families of Q and R
     m0, m0d = m0_matrices(a_ops, k_ops)
     n, nd = three_vector_form(m0, m0d)
     mt = tensor_form(m0, m0d)

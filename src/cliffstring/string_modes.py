@@ -40,14 +40,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matrices import real_array
-from .minkowski import EPS, sigma4_complex
+from .minkowski import EPS
 
 __all__ = [
     "NonpositiveTimeError",
     "PhysicalConstants",
     "ModeSpectrum",
-    "momentum_vector",
-    "mass_shell_residual",
     "current_density",
     "charge_density_coefficients",
     "charge_quadrature",
@@ -144,18 +142,6 @@ def _raise_both(k: np.ndarray) -> np.ndarray:
 
 
 # -- observables --------------------------------------------------------------
-
-
-def momentum_vector(ms: ModeSpectrum) -> np.ndarray:
-    """p^mu = 1/2 tr(sigma^mu K), real for Hermitian K."""
-    sig = sigma4_complex()
-    return np.array([0.5 * np.trace(sig[mu] @ ms.K).real for mu in range(4)])
-
-
-def mass_shell_residual(ms: ModeSpectrum) -> float:
-    p = momentum_vector(ms)
-    eta = np.diag([1.0, -1.0, -1.0, -1.0])
-    return abs(float(p @ eta @ p) - float(np.linalg.det(ms.K).real))
 
 
 # Points per block of a mode sum: a block's phase table holds _BLOCK x modes

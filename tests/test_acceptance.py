@@ -39,7 +39,6 @@ from cliffstring.quantum_rep import (
     lorentz_closure_residual,
     m0_matrices,
     mixed_algebra_residual,
-    quaternion_pairs,
 )
 from cliffstring.resolve import (
     reconstruction_residual,
@@ -199,7 +198,7 @@ def test_06_polynomial_operator_algebra_closes(dense):
     pairs = build_canonical(hbar=1.0)
     space = PolySpace(4, 6)
     safe = space.safe_columns()
-    a_ops, k_ops = quaternion_pairs(pairs)
+    a_ops, k_ops = pairs.q, pairs.r
     assert canonical_residual(pairs) <= 1e-10
     assert mixed_algebra_residual(a_ops, k_ops, 1.0) <= 1e-10
     m0, m0d = m0_matrices(a_ops, k_ops)
@@ -247,7 +246,6 @@ def test_08_cli_reports_are_byte_identical(tmp_path):
                 out_flag="--output")
     modes = twice("gen-fixture", "--kind", "spectrum", "--seed", "7",
                   out_flag="--output")
-    twice("gen-fixture", "--kind", "spinor", "--seed", "9", out_flag="--output")
     twice("resolve", "--input", str(fix), out_flag="--output")
     twice("octonion-check", "--seed", "5", "--trials", "300")
     twice("lorentz-check", "--seed", "5", "--trials", "3")

@@ -222,7 +222,9 @@ def test_infinite_hbar_exits_2(capsys):
     ("octonion-check", "--trials", "1", "--report", "{out}", "--tol.alternativity"),
     ("octonion-check", "--trials", "1", "--tol.alternativity", "inf", "--report", "{out}"),
     ("redshift", "--t-emit", "1", "--t-obsv", "4", "--tol.z", "1", "--report", "{out}"),
-    ("gen-fixture", "--kind", "spinor", "--tol.z", "1", "--output", "{out}"),
+    ("gen-fixture", "--kind", "spectrum", "--tol.z", "1", "--output", "{out}"),
+    ("gen-fixture", "--kind", "spinor", "--output", "{out}"),  # no subcommand reads a spinor
+    ("gen-fixture", "--kind", "spinor", "--tol.z", "1", "--output", "{out}"),  # two faults, one line
     ("resolve", "--input", "{herm}", "--tol.a", "1", "--output", "{out}"),
 ], ids=lambda argv: " ".join(argv) or "no argv")
 def test_bad_argv_returns_2_with_one_line(tmp_path, capsys, argv):
@@ -325,7 +327,7 @@ def test_module_unknown_subcommand_exits_2_with_one_line():
     ("string-modes", "--spectrum", "{spec}", "--grid", "8", "--output"),
     ("quantum-check", "--degree", "2", "--report"),
     ("redshift", "--t-emit", "1", "--t-obsv", "4", "--report"),
-    ("gen-fixture", "--kind", "spinor", "--output"),
+    ("gen-fixture", "--kind", "spectrum", "--output"),
 ], ids=lambda argv: " ".join(argv[::len(argv) - 1]))
 def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
     herm, spec = tmp_path / "h.json", tmp_path / "s.json"
@@ -411,7 +413,7 @@ def test_a_failed_stdout_write_exits_2_with_one_line(stdout, argv, unbuffered):
 @pytest.mark.parametrize("argv", [
     ("octonion-check", "--trials", "5"),
     ("lorentz-check", "--trials", "2", "--nest-depth", "2"),
-    ("gen-fixture", "--kind", "spinor"),
+    ("gen-fixture", "--kind", "spectrum"),
 ], ids=lambda argv: argv[0])
 @pytest.mark.parametrize("via", ["flag", "env"])
 def test_negative_seed_exits_2(capsys, monkeypatch, argv, via):
@@ -684,8 +686,6 @@ def test_hermitian_fixture_draws_as_an_entry_loop(n):
 FIXTURE_DIGESTS = {
     ("spectrum", 0): "b790942f00a1fe30", ("spectrum", 1): "108befd029ce42a9",
     ("spectrum", 2): "74bfd569d3cf55a6",
-    ("spinor", 0): "461fa957f4383b91", ("spinor", 1): "893a6a00641bc5f0",
-    ("spinor", 2): "92b3ff5884a2f965",
 }
 
 
@@ -1083,17 +1083,6 @@ def test_spectrum_fixture_passes_string_mode_checks(tmp_path):
         "hermiticity",
         "evenness",
     }
-
-
-def test_spinor_fixture_shape_and_determinism(tmp_path):
-    f1, f2 = tmp_path / "s1.json", tmp_path / "s2.json"
-    assert run("gen-fixture", "--kind", "spinor", "--seed", "8", "--output", str(f1)) == 0
-    assert run("gen-fixture", "--kind", "spinor", "--seed", "8", "--output", str(f2)) == 0
-    assert f1.read_bytes() == f2.read_bytes()
-    obj = json.loads(f1.read_text())
-    comps = np.asarray(obj["components"], dtype=float)
-    assert comps.shape == (2, 8)
-    assert np.all(np.isfinite(comps))
 
 
 # -- string-modes CSV -----------------------------------------------------------
@@ -1514,7 +1503,7 @@ def test_every_subcommand_writes_strict_json(tmp_path, capsys):
         ("string-modes", "--spectrum", str(spec), "--grid", "16"),
         ("quantum-check", "--degree", "2"),
         ("redshift", "--t-emit", "1", "--t-obsv", "4", "--dt", "0.01", "--p", "2"),
-        ("gen-fixture", "--kind", "spinor", "--seed", "1"),
+        ("gen-fixture", "--kind", "spectrum", "--seed", "1"),
     ]
     capsys.readouterr()
     for argv in runs:
@@ -1778,7 +1767,6 @@ def run(*argv):
 
 run("gen-fixture", "--kind", "hermitian", "--n", "3", "--output", "h.json")
 run("gen-fixture", "--kind", "spectrum", "--output", "s.json")
-run("gen-fixture", "--kind", "spinor", "--output", "v.json")
 run("octonion-check", "--trials", "50", "--report", "o.json")
 run("resolve", "--input", "h.json", "--output", "r.json")
 run("lorentz-check", "--trials", "5", "--report", "l.json")
@@ -1971,7 +1959,7 @@ if sys.argv[1] == "off":
 jobs = [
     ["gen-fixture", "--kind", "hermitian", "--n", "16", "--seed", "3", "--output", "h.json"],
     ["gen-fixture", "--kind", "spectrum", "--seed", "1", "--output", "s.json"],
-    ["gen-fixture", "--kind", "spinor", "--seed", "2"],
+    ["gen-fixture", "--kind", "spectrum", "--seed", "2"],
     ["octonion-check", "--trials", "2000", "--seed", "4"],
     ["lorentz-check", "--trials", "100", "--seed", "5", "--report", "l.json"],
     ["lorentz-check", "--trials", "20", "--seed", "6", "--tol.det", "1e-30"],

@@ -277,3 +277,31 @@ def test_factor_from_matrix_validates_a_stack():
                                         make_factor(phase_generator(2), 0.9))])
     with pytest.raises(MixedSubspaceError):
         factor_from_matrix(mixed)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing determinant warns
+def test_factor_from_matrix_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="finite"):
+        factor_from_matrix(np.full((2, 2, 8), np.nan))
+    # finite entries whose determinant reads inf - inf = NaN
+    huge = np.zeros((2, 2, 8))
+    huge[..., 0] = 1e200
+    with pytest.raises(ValueError, match="det"):
+        factor_from_matrix(huge)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's invalid-value warnings on the way
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_make_factor_rejects_a_non_finite_parameter(t):
+    with pytest.raises(ValueError, match="finite"):
+        make_factor(boost_generator(), t)
+    with pytest.raises(ValueError, match="finite"):
+        make_factor(np.stack([boost_generator(), phase_generator(3)]), np.array([0.2, t]))
+
+
+def test_make_factor_rejects_a_nan_generator_entry():
+    # a NaN on the e_1 entry must not read as zero, which would make the generator real
+    g = rotation_generator(1)
+    g[0, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        make_factor(g, 0.5)

@@ -143,6 +143,13 @@ def test_matrix_to_vector_rejects_non_hermitian():
         matrix_to_vector(bad, sigma_set(4))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_matrix_to_vector_rejects_non_finite_entries(value):
+    s = sigma_set(4)
+    with pytest.raises(ValueError, match="finite"):
+        matrix_to_vector(vector_to_matrix(np.full(4, value), s), s)
+
+
 def test_det2_needs_two_by_two():
     s = sigma_set(4)
     x_mat = vector_to_matrix(np.zeros(4), s)

@@ -21,7 +21,6 @@ from cliffstring.quantum_rep import (
     m0_matrices,
     mixed_algebra_residual,
     quantum_checks,
-    quaternion_pairs,
     spinor_tensor_roundtrip_residual,
     su2_closure_residual,
     tensor_algebra_residual,
@@ -36,7 +35,7 @@ SPACE = PolySpace(4, DEGREE)  # the dense oracle's basis
 
 def _rep(hbar):
     pairs = build_canonical(hbar)
-    a_ops, k_ops = quaternion_pairs(pairs)
+    a_ops, k_ops = pairs.q, pairs.r
     m0, m0d = m0_matrices(a_ops, k_ops)
     return pairs, a_ops, k_ops, m0, m0d
 
@@ -198,12 +197,11 @@ def test_degree_bound_validation():
 
 def _form_residuals(pairs, m0, m0d):
     hbar = pairs.hbar
-    a_ops, k_ops = quaternion_pairs(pairs)
     n, nd = three_vector_form(m0, m0d)
     mt = tensor_form(m0, m0d)
     return {
         "canonical": canonical_residual(pairs),
-        "mixed": mixed_algebra_residual(a_ops, k_ops, hbar),
+        "mixed": mixed_algebra_residual(pairs.q, pairs.r, hbar),
         "closure": lorentz_closure_residual(m0, m0d, hbar),
         "su2": su2_closure_residual(n, nd, hbar),
         "tensor": tensor_algebra_residual(mt, hbar),
@@ -319,7 +317,7 @@ def _dense_residuals(pairs, m0, m0d, dense, space):
 @pytest.mark.parametrize("hbar", [1.0, 0.7])
 def test_residuals_match_dense_commutators(dense, degree, hbar):
     pairs = build_canonical(hbar)
-    m0, m0d = m0_matrices(*quaternion_pairs(pairs))
+    m0, m0d = m0_matrices(pairs.q, pairs.r)
     forms = _form_residuals(pairs, m0, m0d)
     oracle = _dense_residuals(pairs, m0, m0d, dense, PolySpace(4, degree))
     if hbar == 1.0:
@@ -343,7 +341,7 @@ def test_perturbed_residuals_match_dense_commutators(dense, degree):
     # must agree on the value, not only on a zero
     rng = np.random.default_rng(degree)
     pairs = build_canonical(0.7)
-    m0, m0d = m0_matrices(*quaternion_pairs(pairs))
+    m0, m0d = m0_matrices(pairs.q, pairs.r)
     pairs = CanonicalPairs(_perturbed(pairs.q, rng), _perturbed(pairs.r, rng), 0.7)
     m0, m0d = _perturbed(m0, rng), _perturbed(m0d, rng)
     forms = _form_residuals(pairs, m0, m0d)
@@ -551,8 +549,9 @@ def test_m0_at_any_hbar_is_the_mantissa_build_scaled(hbar):
     # M0 forms K A at K's mantissa: at 1e308 its ordering constants would
     # overflow before they cancel, and at a subnormal hbar its halvings round
     e = math.frexp(hbar)[1] - 1
-    unit = m0_matrices(*quaternion_pairs(build_canonical(math.ldexp(hbar, -e))))
-    for got, want in zip(m0_matrices(*quaternion_pairs(build_canonical(hbar))), unit, strict=True):
+    unit_pairs, pairs = build_canonical(math.ldexp(hbar, -e)), build_canonical(hbar)
+    unit = m0_matrices(unit_pairs.q, unit_pairs.r)
+    for got, want in zip(m0_matrices(pairs.q, pairs.r), unit, strict=True):
         assert np.all(np.isfinite(got))
         assert np.array_equal(got.view(float), np.ldexp(want.view(float), e))
 
@@ -741,9 +740,8 @@ def test_canonical_and_mixed_trip_on_a_wrong_derivative_weight(monkeypatch):
     # brackets and the products' constant both read it
     mutant = _mutant(monkeypatch, "_OMEGA[5:, 1:5] = np.eye(4)", "_OMEGA[5:, 1:5] = 2 * np.eye(4)")
     pairs = mutant.build_canonical(hbar=1.0)
-    a_ops, k_ops = mutant.quaternion_pairs(pairs)
     assert mutant.canonical_residual(pairs) == 1.0
-    assert mutant.mixed_algebra_residual(a_ops, k_ops, pairs.hbar) == 1.0
+    assert mutant.mixed_algebra_residual(pairs.q, pairs.r, pairs.hbar) == 1.0
     assert _nonzero_residuals(mutant) == {"canonical": 1.0, "mixed": 1.0, "closure": 4.0, "su2": 0.5,
                                           "tensor": 1.0}
 
@@ -776,9 +774,8 @@ def test_mixed_trips_on_a_commuting_fold(monkeypatch):
     # kj = jk = i turns {A, K} into i {Q, R}; Q and R are untouched
     monkeypatch.setattr(quantum_rep, "_KJ", 1j)
     pairs = build_canonical(hbar=1.0)
-    a_ops, k_ops = quaternion_pairs(pairs)
     assert canonical_residual(pairs) == 0.0
-    assert mixed_algebra_residual(a_ops, k_ops, pairs.hbar) > 1e-10
+    assert mixed_algebra_residual(pairs.q, pairs.r, pairs.hbar) > 1e-10
 
 
 def _flipped(monkeypatch, name, factor):
@@ -815,7 +812,7 @@ def test_jz_trips_on_a_broken_m0(monkeypatch, dense, mutate, want, entry):
     # a flipped eta is no such mutant: it moves R, so both sides of the identity
     mod = mutate(monkeypatch)
     pairs = mod.build_canonical(1.0)
-    m0, m0d = mod.m0_matrices(*mod.quaternion_pairs(pairs))
+    m0, m0d = mod.m0_matrices(pairs.q, pairs.r)
     assert mod.jz_residual(pairs, m0, m0d) == want
     # the dense oracle reads the same gap: its largest Weyl coefficient, and
     # its largest matrix entry on the safe columns of degree <= 4
@@ -876,8 +873,7 @@ def test_nan_on_a_safe_column_gives_a_nan_residual(rep, check):
     if check == "canonical":
         residual = canonical_residual(CanonicalPairs(_with_nan(pairs.q), pairs.r, hbar))
     elif check == "mixed":
-        a_ops, k_ops = quaternion_pairs(pairs)
-        residual = mixed_algebra_residual(_with_nan(a_ops), k_ops, hbar)
+        residual = mixed_algebra_residual(_with_nan(pairs.q), pairs.r, hbar)
     elif check == "closure":
         residual = lorentz_closure_residual(_with_nan(m0), m0d, hbar)
     elif check == "su2":
