@@ -112,8 +112,11 @@ def make_factor(generator, t) -> np.ndarray:
     k = np.asarray(_entry_subspace(g))
     if np.max(np.abs(g[..., 0, 0, :] + g[..., 1, 1, :])) > _TOL:
         raise ValueError("generator must be traceless")
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):  # before the closed form, which would warn on it
+        raise ValueError("t must be finite")
     e_k = np.arange(1, 8) == k[..., None, None, None]  # e_1..e_7 against each k; none for k = 0
-    tg = np.asarray(t, dtype=float)[..., None, None] * (g[..., 0] + 1j * (g[..., 1:] * e_k).sum(-1))
+    tg = t[..., None, None] * (g[..., 0] + 1j * (g[..., 1:] * e_k).sum(-1))
     lam = np.sqrt(tg[..., 0, 1] * tg[..., 1, 0] - tg[..., 0, 0] * tg[..., 1, 1])
     ratio = np.divide(np.sinh(lam), lam, out=np.ones_like(lam), where=lam != 0)
     c = ratio[..., None, None] * tg + np.cosh(lam)[..., None, None] * np.eye(2)

@@ -37,11 +37,13 @@ dotted-undotted commutation, and the identity
 J^z = i/2 (M0_(12) - M0dag_(12)) = Q_1 R_2 - Q_2 R_1 hold exactly.
 
 Every operator here is of degree <= 2 in the x and the d.  With zeta =
-(1, x_0..x_3, d_0..d_3) each is zeta^T H zeta = sum_ij H_ij zeta_i zeta_j
-for exactly one symmetric 9x9 H, its Weyl-ordered (symmetric) form, and
-is stored as that H: the constant is H_00, x_mu = zeta^T H zeta with
-H_0,1+mu = H_1+mu,0 = 1/2.  Two operators are equal exactly when their
-forms are.  With Omega_ij = [zeta_i, zeta_j],
+(1, x_0..x_3, d_0..d_3), its layout named once as the constant slot 0, the
+slices _X and _D, the length _SLOTS = 9 and a form's flat length _FORM,
+each is zeta^T H zeta = sum_ij H_ij zeta_i zeta_j for exactly one
+symmetric 9x9 H, its Weyl-ordered (symmetric) form, and is stored as that
+H: the constant is H_00, x_mu = zeta^T H zeta with H_0,1+mu = H_1+mu,0 =
+1/2.  Two operators are equal exactly when their forms are.  With
+Omega_ij = [zeta_i, zeta_j],
 
   [zeta^T H zeta, zeta^T G zeta] = 2 zeta^T (H Omega G - G Omega H) zeta,
 
@@ -74,14 +76,12 @@ polynomials in four variables of degree <= N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .minkowski import EPS, eta4, sigma4_complex
 
 __all__ = [
-    "CanonicalPairs",
     "build_canonical",
     "canonical_residual",
     "mixed_algebra_residual",
@@ -108,26 +108,20 @@ _EPS3 = np.cross(np.eye(3)[:, None], np.eye(3))  # eps_ijk = (e_i x e_j)_k
 _JK, _KJ = 1j, -1j
 # the quaternion unit products jk and kj, applied where A = j (x) Q and K = k (x) R meet
 
-# zeta = (1, x_0..x_3, d_0..d_3).  Omega_ij = [zeta_i, zeta_j]; [D_nu, Q_mu] =
-# delta_{mu nu} is the only bracket of two letters
-_OMEGA = np.zeros((9, 9))
-_OMEGA[5:, 1:5] = np.eye(4)
+# zeta = (1, x_0..x_3, d_0..d_3): the constant in slot 0, so a form's flat entry 0
+# is its constant H_00, the x in _X and the d in _D; a form is _SLOTS x _SLOTS
+_SLOTS, _X, _D = 9, slice(1, 5), slice(5, 9)
+_FORM = _SLOTS * _SLOTS  # a form's flat length
+# Omega_ij = [zeta_i, zeta_j]; [D_nu, Q_mu] = delta_{mu nu} is the only bracket of two letters
+_OMEGA = np.zeros((_SLOTS, _SLOTS))
+_OMEGA[_D, _X] = np.eye(4)
 # formed in float64 and cast once: an int8 subtraction would page in numpy's
 # int8 arithmetic code, about 0.13 MB of RSS that no other code uses
 _OMEGA = (_OMEGA - _OMEGA.T).astype(np.int8)
 # zeta^T H zeta = sum_ij H_ij zeta_i zeta_j puts W_ij H_ij on the Weyl-ordered
 # monomial of zeta_i zeta_j, i <= j: off the diagonal, H_ij and H_ji both stand on it
-_WEYL = (2 - np.eye(9)).reshape(81)
+_WEYL = (2 - np.eye(_SLOTS)).reshape(_FORM)
 _OMEGA.flags.writeable = _WEYL.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class CanonicalPairs:
-    """Q_mu and R_nu, each a (4, 81) family of symmetric forms."""
-
-    q: np.ndarray
-    r: np.ndarray
-    hbar: float
 
 
 # -- brackets: quadratic forms in zeta ---------------------------------------------
@@ -142,14 +136,15 @@ def _products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     of u v^T, plus the constant 1/2 u^T Omega v: there d_nu x_nu = x_nu d_nu
     + 1 enters.
     """
-    if x.reshape(-1, 9, 9)[:, 1:, 1:].any() or y.reshape(-1, 9, 9)[:, 1:, 1:].any():
+    n = _SLOTS
+    if x.reshape(-1, n, n)[:, 1:, 1:].any() or y.reshape(-1, n, n)[:, 1:, 1:].any():
         raise ValueError("products are formed for operators of degree <= 1 only")
-    u, v = x[:, :9] * _WEYL[:9], y[:, :9] * _WEYL[:9]
+    u, v = x[:, :n] * _WEYL[:n], y[:, :n] * _WEYL[:n]
     p = u[:, None, :, None] * v[None, :, None, :]
     s = p + p.swapaxes(2, 3)
-    s[:, :, 0, 0] += p.reshape(len(x), len(y), 81) @ _OMEGA.reshape(81)  # u^T Omega v
+    s[:, :, 0, 0] += p.reshape(len(x), len(y), _FORM) @ _OMEGA.reshape(_FORM)  # u^T Omega v
     s *= 0.5
-    return s.reshape(-1, 81)
+    return s.reshape(-1, _FORM)
 
 
 def _commutators(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -161,14 +156,14 @@ def _commutators(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     G_j.  zeta's constant slot stays in the product, so a NaN on a form's
     H_00 reaches its brackets.
     """
-    k, l = len(x), len(y)
-    h = x.reshape(9 * k, 9) @ _OMEGA
-    g = y.reshape(l, 9, 9).swapaxes(0, 1).reshape(9, 9 * l)
-    a = (h @ g).reshape(k, 9, l, 9).swapaxes(1, 2)
+    k, l, n = len(x), len(y), _SLOTS
+    h = x.reshape(n * k, n) @ _OMEGA
+    g = y.reshape(l, n, n).swapaxes(0, 1).reshape(n, n * l)
+    a = (h @ g).reshape(k, n, l, n).swapaxes(1, 2)
     s = a.copy()  # contiguous, so the sum below needs no strided temporary
     s += a.swapaxes(2, 3)
     s *= 2
-    return s.reshape(k * l, 81)
+    return s.reshape(k * l, _FORM)
 
 
 def _scaled(rows: np.ndarray, e: int) -> np.ndarray:
@@ -178,7 +173,7 @@ def _scaled(rows: np.ndarray, e: int) -> np.ndarray:
 
 def _largest(*gaps: np.ndarray) -> float:
     """Max |Weyl coefficient| over the gaps' forms, W_ij |H_ij|; a NaN stays NaN."""
-    weighted = np.abs(np.concatenate([g.reshape(-1, 81) for g in gaps]) if len(gaps) > 1 else gaps[0])
+    weighted = np.abs(np.concatenate([g.reshape(-1, _FORM) for g in gaps]) if len(gaps) > 1 else gaps[0])
     weighted *= _WEYL
     return float(np.maximum.reduce(weighted, axis=None, initial=0.0))
 
@@ -186,28 +181,28 @@ def _largest(*gaps: np.ndarray) -> float:
 # -- canonical and quaternion pairs ------------------------------------------------
 
 
-def build_canonical(hbar: float = 1.0) -> CanonicalPairs:
-    """Canonical pairs Q_mu = x_mu*, R_nu = -i hbar eta_{nu nu} d_nu.
+def build_canonical(hbar: float = 1.0) -> tuple:
+    """Canonical pairs (Q, R): Q_mu = x_mu*, R_nu = -i hbar eta_{nu nu} d_nu, two families of four.
 
     A linear term's form holds half its coefficient on H_0j and on H_j0, so
     R's entries round at a subnormal hbar whose last bit is set.
     """
-    q, r = np.zeros((2, 4, 9, 9), complex)
-    q[:, 0, 1:5] = q[:, 1:5, 0] = 0.5 * np.eye(4)
-    r[:, 0, 5:] = r[:, 5:, 0] = -0.5j * hbar * _ETA
-    return CanonicalPairs(q=q.reshape(4, 81), r=r.reshape(4, 81), hbar=hbar)
+    q, r = np.zeros((2, 4, _SLOTS, _SLOTS), complex)
+    q[:, 0, _X] = q[:, _X, 0] = 0.5 * np.eye(4)
+    r[:, 0, _D] = r[:, _D, 0] = -0.5j * hbar * _ETA
+    return q.reshape(4, _FORM), r.reshape(4, _FORM)
 
 
-def canonical_residual(pairs: CanonicalPairs) -> float:
+def canonical_residual(q: np.ndarray, r: np.ndarray, hbar: float) -> float:
     """Max Weyl coefficient of the canonical relations' gaps over all 16 index pairs.
 
     One bracket of the family (Q_0..Q_3, R_0..R_3) with itself gives every
     commutator; [Q, R] = i hbar eta, [R, Q] = -i hbar eta, the rest vanish.
     """
-    ops = np.vstack([pairs.q, pairs.r])
-    gaps = _commutators(ops, ops).reshape(8, 8, 81)
-    gaps[:4, 4:, 0] -= 1j * pairs.hbar * _ETA
-    gaps[4:, :4, 0] += 1j * pairs.hbar * _ETA
+    ops = np.vstack([q, r])
+    gaps = _commutators(ops, ops).reshape(8, 8, _FORM)
+    gaps[:4, 4:, 0] -= 1j * hbar * _ETA
+    gaps[4:, :4, 0] += 1j * hbar * _ETA
     return _largest(gaps)
 
 
@@ -219,7 +214,7 @@ def mixed_algebra_residual(a_ops: np.ndarray, k_ops: np.ndarray, hbar: float) ->
     the brackets of Q and of R times jj = kk = -1, which flips the sign of a
     whole gap block; no max |coefficient| can see that, so it is left out.
     """
-    ka = _products(k_ops, a_ops).reshape(4, 4, 81).swapaxes(0, 1).reshape(16, 81)
+    ka = _products(k_ops, a_ops).reshape(4, 4, _FORM).swapaxes(0, 1).reshape(16, _FORM)
     anti = _JK * _products(a_ops, k_ops) + _KJ * ka
     anti[:, 0] += hbar * _ETA.reshape(16)
     return _largest(_commutators(a_ops, a_ops), _commutators(k_ops, k_ops), anti)
@@ -345,7 +340,7 @@ def tensor_algebra_residual(m_tensor: np.ndarray, hbar: float) -> float:
     """
     coeffs = -1j * hbar * _TENSOR
     ops = m_tensor[_PAIRS]
-    mt = m_tensor.reshape(4, 4, 81)
+    mt = m_tensor.reshape(4, 4, _FORM)
     return _largest(mt + mt.swapaxes(0, 1), _commutators(ops, ops) - coeffs @ m_tensor)
 
 
@@ -363,7 +358,7 @@ _JZ_M0 = (0.5j * (np.eye(8)[[1]] - np.eye(8)[[4 + 1]])).astype(np.complex64)
 _JZ_QR = (np.eye(16)[[4 * 2 + 1]] - np.eye(16)[[4 * 1 + 2]]).astype(np.int8)
 
 
-def jz_residual(pairs: CanonicalPairs, m0: np.ndarray, m0d: np.ndarray) -> float:
+def jz_residual(q: np.ndarray, r: np.ndarray, m0: np.ndarray, m0d: np.ndarray, hbar: float) -> float:
     """Max Weyl coefficient of J^z = i/2 (M0_(12) - M0dag_(12)) = Q_1 R_2 - Q_2 R_1, in units of hbar.
 
     Both sides are of degree 1 in hbar, so the gap divided by hbar does not
@@ -371,10 +366,10 @@ def jz_residual(pairs: CanonicalPairs, m0: np.ndarray, m0d: np.ndarray) -> float
     in [1, 2), and read in units of that mantissa: at a subnormal hbar the
     halves i/2 M0 would round by whole units of hbar.
     """
-    e = math.frexp(pairs.hbar)[1] - 1
-    m0, m0d, r = (_scaled(f, -e) for f in (m0, m0d, pairs.r))
-    gap = _JZ_M0 @ np.vstack([m0, m0d]) + _JZ_QR @ _products(pairs.q, r)
-    return _largest(gap) / math.ldexp(pairs.hbar, -e)
+    e = math.frexp(hbar)[1] - 1
+    m0, m0d, r = (_scaled(f, -e) for f in (m0, m0d, r))
+    gap = _JZ_M0 @ np.vstack([m0, m0d]) + _JZ_QR @ _products(q, r)
+    return _largest(gap) / math.ldexp(hbar, -e)
 
 
 def jz_spectrum(degree: int, hbar: float = 1.0) -> np.ndarray:
@@ -402,20 +397,19 @@ def quantum_checks(degree: int, hbar: float) -> tuple:
     identities; only the dimension and the J^z spectrum depend on the degree."""
     if degree < 2:
         raise ValueError("degree bound must be at least 2")
-    pairs = build_canonical(hbar)
-    a_ops, k_ops = pairs.q, pairs.r  # A = j (x) Q and K = k (x) R, as the families of Q and R
-    m0, m0d = m0_matrices(a_ops, k_ops)
+    q, r = build_canonical(hbar)  # also A = j (x) Q and K = k (x) R, as the families of Q and R
+    m0, m0d = m0_matrices(q, r)
     n, nd = three_vector_form(m0, m0d)
     mt = tensor_form(m0, m0d)
     vals = jz_spectrum(degree, hbar)
     residuals = {
-        "canonical": canonical_residual(pairs),
-        "mixed": mixed_algebra_residual(a_ops, k_ops, hbar),
+        "canonical": canonical_residual(q, r, hbar),
+        "mixed": mixed_algebra_residual(q, r, hbar),
         "closure": lorentz_closure_residual(m0, m0d, hbar),
         "su2": su2_closure_residual(n, nd, hbar),
         "tensor": tensor_algebra_residual(mt, hbar),
         "roundtrip": spinor_tensor_roundtrip_residual(m0, mt),
-        "jz_integrality": np.max([jz_residual(pairs, m0, m0d),  # np.max keeps a NaN
+        "jz_integrality": np.max([jz_residual(q, r, m0, m0d, hbar),  # np.max keeps a NaN
                                   integrality_residual(vals, hbar)]),
     }
     return {name: (r, 1) for name, r in residuals.items()}, math.comb(degree + 4, 4), vals

@@ -195,11 +195,10 @@ def test_05_string_currents_charges_and_waves():
 
 def test_06_polynomial_operator_algebra_closes(dense):
     start = time.monotonic()
-    pairs = build_canonical(hbar=1.0)
+    a_ops, k_ops = build_canonical(hbar=1.0)
     space = PolySpace(4, 6)
     safe = space.safe_columns()
-    a_ops, k_ops = pairs.q, pairs.r
-    assert canonical_residual(pairs) <= 1e-10
+    assert canonical_residual(a_ops, k_ops, 1.0) <= 1e-10
     assert mixed_algebra_residual(a_ops, k_ops, 1.0) <= 1e-10
     m0, m0d = m0_matrices(a_ops, k_ops)
     assert lorentz_closure_residual(m0, m0d, 1.0) <= 1e-10

@@ -11,7 +11,6 @@ import pytest
 from cliffstring import cli, quantum_rep
 from cliffstring.minkowski import EPS, eta4, sigma4_complex
 from cliffstring.quantum_rep import (
-    CanonicalPairs,
     build_canonical,
     canonical_residual,
     integrality_residual,
@@ -34,10 +33,9 @@ SPACE = PolySpace(4, DEGREE)  # the dense oracle's basis
 
 
 def _rep(hbar):
-    pairs = build_canonical(hbar)
-    a_ops, k_ops = pairs.q, pairs.r
-    m0, m0d = m0_matrices(a_ops, k_ops)
-    return pairs, a_ops, k_ops, m0, m0d
+    q, r = build_canonical(hbar)
+    m0, m0d = m0_matrices(q, r)
+    return hbar, q, r, m0, m0d
 
 
 @pytest.fixture(scope="module")
@@ -81,17 +79,25 @@ def test_enumeration_matches_the_tuple_walk(n_vars, degree):
 def test_canonical_relations_exact(rep):
     # integer-structured operators at hbar = 1: the commutators cancel in
     # exact float arithmetic, not merely to round-off
-    assert canonical_residual(rep[0]) == 0.0
+    hbar, q, r = rep[0], rep[1], rep[2]
+    assert canonical_residual(q, r, hbar) == 0.0
 
 
 def test_canonical_relations_generic_hbar():
-    pairs = build_canonical(hbar=0.7)
-    assert canonical_residual(pairs) <= 1e-12
+    q, r = build_canonical(hbar=0.7)
+    assert canonical_residual(q, r, 0.7) <= 1e-12
+
+
+def test_canonical_residual_reads_its_hbar_argument():
+    # the families carry hbar = 0.7 in R; read against 1.4 the gap is i 0.7 eta
+    q, r = build_canonical(hbar=0.7)
+    assert canonical_residual(q, r, 1.4) == 0.7
+    assert canonical_residual(q, r, 0.7) == 0.0
 
 
 def test_mixed_algebra_exact(rep):
-    pairs, a_ops, k_ops = rep[0], rep[1], rep[2]
-    assert mixed_algebra_residual(a_ops, k_ops, pairs.hbar) == 0.0
+    hbar, a_ops, k_ops = rep[0], rep[1], rep[2]
+    assert mixed_algebra_residual(a_ops, k_ops, hbar) == 0.0
 
 
 def test_m0_blocks_are_symmetric(rep):
@@ -101,15 +107,15 @@ def test_m0_blocks_are_symmetric(rep):
 
 
 def test_lorentz_closure_exact(rep):
-    pairs, m0, m0d = rep[0], rep[3], rep[4]
-    assert lorentz_closure_residual(m0, m0d, pairs.hbar) == 0.0
+    hbar, m0, m0d = rep[0], rep[3], rep[4]
+    assert lorentz_closure_residual(m0, m0d, hbar) == 0.0
 
 
 def test_su2_closure_and_reordered_convention(rep, dense):
-    pairs, m0, m0d = rep[0], rep[3], rep[4]
+    hbar, m0, m0d = rep[0], rep[3], rep[4]
     safe = SPACE.safe_columns()
     n, nd = three_vector_form(m0, m0d)
-    assert su2_closure_residual(n, nd, pairs.hbar) == 0.0
+    assert su2_closure_residual(n, nd, hbar) == 0.0
     # swapping the first two components flips the handedness, so the same
     # triple closes with the opposite sign of i*hbar
     n = dense(n, SPACE)
@@ -119,14 +125,14 @@ def test_su2_closure_and_reordered_convention(rep, dense):
     for i in range(3):
         for j in range(3):
             comm = ns[i] @ ns[j] - ns[j] @ ns[i]
-            rhs = sum(1j * pairs.hbar * eps3[i, j, k] * ns[k] for k in range(3))
+            rhs = sum(1j * hbar * eps3[i, j, k] * ns[k] for k in range(3))
             worst = max(worst, float(np.max(np.abs((comm - rhs)[:, safe]))))
     assert worst == 0.0
 
 
 def test_tensor_algebra_exact(rep):
-    pairs, m0, m0d = rep[0], rep[3], rep[4]
-    assert tensor_algebra_residual(tensor_form(m0, m0d), pairs.hbar) == 0.0
+    hbar, m0, m0d = rep[0], rep[3], rep[4]
+    assert tensor_algebra_residual(tensor_form(m0, m0d), hbar) == 0.0
 
 
 def test_tensor_assembles_from_three_vector(rep, dense):
@@ -144,7 +150,7 @@ def test_tensor_assembles_from_three_vector(rep, dense):
 
 
 def test_spinor_tensor_roundtrip_exact(rep):
-    pairs, m0, m0d = rep[0], rep[3], rep[4]
+    m0, m0d = rep[3], rep[4]
     assert spinor_tensor_roundtrip_residual(m0, tensor_form(m0, m0d)) == 0.0
 
 
@@ -195,13 +201,12 @@ def test_degree_bound_validation():
 # -- against plain matrix commutators ----------------------------------------------
 
 
-def _form_residuals(pairs, m0, m0d):
-    hbar = pairs.hbar
+def _form_residuals(q, r, m0, m0d, hbar):
     n, nd = three_vector_form(m0, m0d)
     mt = tensor_form(m0, m0d)
     return {
-        "canonical": canonical_residual(pairs),
-        "mixed": mixed_algebra_residual(pairs.q, pairs.r, hbar),
+        "canonical": canonical_residual(q, r, hbar),
+        "mixed": mixed_algebra_residual(q, r, hbar),
         "closure": lorentz_closure_residual(m0, m0d, hbar),
         "su2": su2_closure_residual(n, nd, hbar),
         "tensor": tensor_algebra_residual(mt, hbar),
@@ -249,9 +254,8 @@ def _weyl_largest(gaps, space):
     return float(np.max(np.abs(c)))
 
 
-def _dense_residuals(pairs, m0, m0d, dense, space):
+def _dense_residuals(q, r, m0, m0d, hbar, dense, space):
     """The same residuals from dense matrices, written out index by index, as Weyl coefficients."""
-    hbar = pairs.hbar
     dim, eta = space.dim, eta4()
     eye = np.eye(dim)
 
@@ -261,7 +265,7 @@ def _dense_residuals(pairs, m0, m0d, dense, space):
     def worst(gaps):
         return _weyl_largest(gaps, space)
 
-    q, r = dense(pairs.q, space), dense(pairs.r, space)
+    q, r = dense(q, space), dense(r, space)
     ops = np.concatenate([q, r])
     canonical = [comm(ops[i], ops[j]) for i in range(8) for j in range(8)
                  if (i < 4) == (j < 4)]
@@ -316,10 +320,10 @@ def _dense_residuals(pairs, m0, m0d, dense, space):
 @pytest.mark.parametrize("degree", [3, 4])
 @pytest.mark.parametrize("hbar", [1.0, 0.7])
 def test_residuals_match_dense_commutators(dense, degree, hbar):
-    pairs = build_canonical(hbar)
-    m0, m0d = m0_matrices(pairs.q, pairs.r)
-    forms = _form_residuals(pairs, m0, m0d)
-    oracle = _dense_residuals(pairs, m0, m0d, dense, PolySpace(4, degree))
+    q, r = build_canonical(hbar)
+    m0, m0d = m0_matrices(q, r)
+    forms = _form_residuals(q, r, m0, m0d, hbar)
+    oracle = _dense_residuals(q, r, m0, m0d, hbar, dense, PolySpace(4, degree))
     if hbar == 1.0:
         assert forms == oracle == dict.fromkeys(forms, 0.0)
     else:
@@ -340,12 +344,12 @@ def test_perturbed_residuals_match_dense_commutators(dense, degree):
     # random coefficients make every residual O(0.1-1), so the two sides
     # must agree on the value, not only on a zero
     rng = np.random.default_rng(degree)
-    pairs = build_canonical(0.7)
-    m0, m0d = m0_matrices(pairs.q, pairs.r)
-    pairs = CanonicalPairs(_perturbed(pairs.q, rng), _perturbed(pairs.r, rng), 0.7)
+    q, r = build_canonical(0.7)
+    m0, m0d = m0_matrices(q, r)
+    q, r = _perturbed(q, rng), _perturbed(r, rng)
     m0, m0d = _perturbed(m0, rng), _perturbed(m0d, rng)
-    forms = _form_residuals(pairs, m0, m0d)
-    oracle = _dense_residuals(pairs, m0, m0d, dense, PolySpace(4, degree))
+    forms = _form_residuals(q, r, m0, m0d, 0.7)
+    oracle = _dense_residuals(q, r, m0, m0d, 0.7, dense, PolySpace(4, degree))
     assert min(oracle.values()) > 0.05
     for name in forms:
         assert forms[name] == pytest.approx(oracle[name], rel=1e-12), name
@@ -465,8 +469,8 @@ def test_products_and_commutators_match_the_composed_letters():
 def test_families_are_symmetric_forms(rep):
     # every family a job builds, and each bracket and product of them, is a
     # symmetric form, the one operator zeta^T H zeta that a check reads
-    pairs, a_ops, k_ops, m0, m0d = rep
-    families = [pairs.q, pairs.r, m0, m0d, *three_vector_form(m0, m0d), tensor_form(m0, m0d),
+    _, a_ops, k_ops, m0, m0d = rep
+    families = [a_ops, k_ops, m0, m0d, *three_vector_form(m0, m0d), tensor_form(m0, m0d),
                 quantum_rep._commutators(m0, m0d), quantum_rep._products(k_ops, a_ops)]
     for family in families:
         forms = family.reshape(-1, 9, 9)
@@ -485,10 +489,10 @@ def test_module_level_arrays_stay_small():
 
 
 def test_r_q_commutator_is_exact_at_hbar_1e308():
-    pairs = build_canonical(1e308)
-    got = quantum_rep._commutators(pairs.r, pairs.q).reshape(4, 4, -1)
+    q, r = build_canonical(1e308)
+    got = quantum_rep._commutators(r, q).reshape(4, 4, -1)
     want = np.zeros_like(got)
-    want[:, :, 0] = -1j * pairs.hbar * eta4()
+    want[:, :, 0] = -1j * 1e308 * eta4()
     assert np.array_equal(got, want)
 
 
@@ -549,9 +553,8 @@ def test_m0_at_any_hbar_is_the_mantissa_build_scaled(hbar):
     # M0 forms K A at K's mantissa: at 1e308 its ordering constants would
     # overflow before they cancel, and at a subnormal hbar its halvings round
     e = math.frexp(hbar)[1] - 1
-    unit_pairs, pairs = build_canonical(math.ldexp(hbar, -e)), build_canonical(hbar)
-    unit = m0_matrices(unit_pairs.q, unit_pairs.r)
-    for got, want in zip(m0_matrices(pairs.q, pairs.r), unit, strict=True):
+    unit = m0_matrices(*build_canonical(math.ldexp(hbar, -e)))
+    for got, want in zip(m0_matrices(*build_canonical(hbar)), unit, strict=True):
         assert np.all(np.isfinite(got))
         assert np.array_equal(got.view(float), np.ldexp(want.view(float), e))
 
@@ -566,14 +569,14 @@ def _x_d():
 def test_m0_and_m0dag_share_one_alphabet(rep):
     # both live on the 12 monomials x_mu d_nu, mu != nu, every form on some of
     # them: M0's ordering constants, from its products D_nu Q_mu, cancel
-    pairs, m0, m0d = rep[0], rep[3], rep[4]
+    m0, m0d = rep[3], rep[4]
     distinct = _x_d() & ~(np.eye(9, k=4, dtype=bool) | np.eye(9, k=-4, dtype=bool))
     for family in (m0, m0d):
         assert np.array_equal(np.any(family != 0, axis=0), distinct.reshape(81))
         assert np.all(np.any(family != 0, axis=1))
     # J^z's Q R lives on all 16 x_mu d_nu, and in Weyl order on the constant
     # too: x_nu d_nu = (x_nu d_nu + d_nu x_nu) / 2 - 1/2
-    qr = quantum_rep._products(pairs.q, pairs.r)
+    qr = quantum_rep._products(rep[1], rep[2])
     with_one = _x_d()
     with_one[0, 0] = True
     assert np.array_equal(np.any(qr != 0, axis=0), with_one.reshape(81))
@@ -590,7 +593,7 @@ def _recorded_commutators(rep, monkeypatch):
         return rows
 
     monkeypatch.setattr(quantum_rep, "_commutators", recorded)
-    _form_residuals(rep[0], rep[3], rep[4])
+    _form_residuals(rep[1], rep[2], rep[3], rep[4], rep[0])
     monkeypatch.undo()
     return calls
 
@@ -622,8 +625,8 @@ def test_jz_gap_is_exact_at_any_hbar(hbar):
     # both sides have the same forms bit for bit, so the gap
     # is an exact 0, not round-off (a truncated space's entries read up to
     # 6.8e-16 here)
-    pairs, _, _, m0, m0d = _rep(hbar)
-    assert jz_residual(pairs, m0, m0d) == 0.0
+    _, q, r, m0, m0d = _rep(hbar)
+    assert jz_residual(q, r, m0, m0d, hbar) == 0.0
 
 
 @pytest.mark.parametrize("columns", ["m0-alphabet", "off-support"])
@@ -633,7 +636,7 @@ def test_jz_gap_matches_the_dense_normal_coefficients(dense, columns):
     # reads too.  The oracle turns the dense gap's normal coefficients into
     # Weyl-ordered ones
     rng = np.random.default_rng(7)
-    pairs, _, _, m0, m0d = _rep(0.7)
+    hbar, q_forms, r_forms, m0, m0d = _rep(0.7)
     support = np.any(np.vstack([m0, m0d]) != 0, axis=0).reshape(9, 9)
     if columns == "off-support":
         support[0] = support[:, 0] = True
@@ -645,11 +648,11 @@ def test_jz_gap_matches_the_dense_normal_coefficients(dense, columns):
     m0, m0d = noisy(m0), noisy(m0d)
     space = PolySpace(4, 3)
     d0, dd = dense(m0, space), dense(m0d, space)
-    q, r = dense(pairs.q, space), dense(pairs.r, space)
+    q, r = dense(q_forms, space), dense(r_forms, space)
     gap = 0.5j * (d0[1] - dd[1]) - (q[1] @ r[2] - q[2] @ r[1])
-    want = _weyl_largest(gap[None], space) / pairs.hbar
+    want = _weyl_largest(gap[None], space) / hbar
     assert want > 0.05
-    assert jz_residual(pairs, m0, m0d) == pytest.approx(want, rel=1e-12)
+    assert jz_residual(q_forms, r_forms, m0, m0d, hbar) == pytest.approx(want, rel=1e-12)
 
 
 def test_a_warm_job_keeps_a_small_working_set(tmp_path):
@@ -697,10 +700,10 @@ def test_warm_checks_peak_small():
 
 def test_built_families_have_no_empty_block(rep, dense):
     # an empty block would make every residual built on it an exact 0.0
-    pairs, m0, m0d = rep[0], rep[3], rep[4]
+    m0, m0d = rep[3], rep[4]
     space = SPACE
     n, nd = three_vector_form(m0, m0d)
-    for family in (pairs.q, pairs.r, m0, m0d, n, nd):
+    for family in (*rep[1:3], m0, m0d, n, nd):
         assert np.all(np.count_nonzero(dense(family, space), axis=(1, 2)) > 0)
     per_block = np.count_nonzero(dense(tensor_form(m0, m0d), space), axis=(1, 2)).reshape(4, 4)
     assert np.all(np.diag(per_block) == 0)  # M_{mu mu} = 0 by antisymmetry
@@ -709,15 +712,14 @@ def test_built_families_have_no_empty_block(rep, dense):
 
 def test_m0_gives_jz_from_the_canonical_pairs(rep, dense):
     # J^z = i/2 (M0_(12) - M0dag_(12)) = Q_1 R_2 - Q_2 R_1 ties M0 to Q and R
-    pairs = rep[0]
     space = SPACE
     m0, m0d = (dense(m, space).reshape(2, 2, space.dim, space.dim) for m in rep[3:5])
     safe = space.safe_columns()
-    q, r = dense(pairs.q, space), dense(pairs.r, space)
+    q, r = (dense(f, space) for f in rep[1:3])
     gap = 0.5j * (m0[0, 1] - m0d[0, 1]) - (q[1] @ r[2] - q[2] @ r[1])
     assert np.max(np.abs(gap[:, safe])) == 0.0
     assert np.max(np.abs(q[1] @ r[2] - q[2] @ r[1])) > 0.0
-    assert jz_residual(pairs, *rep[3:5]) == 0.0
+    assert jz_residual(*rep[1:5], rep[0]) == 0.0
 
 
 def _mutant(monkeypatch, old, new):
@@ -738,10 +740,10 @@ def _nonzero_residuals(mod, hbar=1.0):
 def test_canonical_and_mixed_trip_on_a_wrong_derivative_weight(monkeypatch):
     # Omega's d-x entry with D_nu Q_mu = Q_mu D_nu + 2 delta_{mu nu}: the
     # brackets and the products' constant both read it
-    mutant = _mutant(monkeypatch, "_OMEGA[5:, 1:5] = np.eye(4)", "_OMEGA[5:, 1:5] = 2 * np.eye(4)")
-    pairs = mutant.build_canonical(hbar=1.0)
-    assert mutant.canonical_residual(pairs) == 1.0
-    assert mutant.mixed_algebra_residual(pairs.q, pairs.r, pairs.hbar) == 1.0
+    mutant = _mutant(monkeypatch, "_OMEGA[_D, _X] = np.eye(4)", "_OMEGA[_D, _X] = 2 * np.eye(4)")
+    q, r = mutant.build_canonical(hbar=1.0)
+    assert mutant.canonical_residual(q, r, 1.0) == 1.0
+    assert mutant.mixed_algebra_residual(q, r, 1.0) == 1.0
     assert _nonzero_residuals(mutant) == {"canonical": 1.0, "mixed": 1.0, "closure": 4.0, "su2": 0.5,
                                           "tensor": 1.0}
 
@@ -750,7 +752,7 @@ def test_mixed_trips_on_a_wrong_ordering_constant(monkeypatch):
     # the products' constant 1/2 u^T Omega v doubled, as if d_nu x_nu were
     # x_nu d_nu + 2 there alone: M0's ordering constants cancel at any
     # weight, and J^z's Q R meets no constant on the M0 side, so {A, K} alone moves
-    product_constant = "+= p.reshape(len(x), len(y), 81) @ _OMEGA.reshape(81)"
+    product_constant = "+= p.reshape(len(x), len(y), _FORM) @ _OMEGA.reshape(_FORM)"
     mutant = _mutant(monkeypatch, product_constant, product_constant.replace("+= ", "+= 2 * "))
     assert _nonzero_residuals(mutant) == {"mixed": 1.0}
 
@@ -773,9 +775,9 @@ def test_checks_trip_on_unsymmetrized_products(monkeypatch):
 def test_mixed_trips_on_a_commuting_fold(monkeypatch):
     # kj = jk = i turns {A, K} into i {Q, R}; Q and R are untouched
     monkeypatch.setattr(quantum_rep, "_KJ", 1j)
-    pairs = build_canonical(hbar=1.0)
-    assert canonical_residual(pairs) == 0.0
-    assert mixed_algebra_residual(pairs.q, pairs.r, pairs.hbar) > 1e-10
+    q, r = build_canonical(hbar=1.0)
+    assert canonical_residual(q, r, 1.0) == 0.0
+    assert mixed_algebra_residual(q, r, 1.0) > 1e-10
 
 
 def _flipped(monkeypatch, name, factor):
@@ -786,9 +788,9 @@ def _flipped(monkeypatch, name, factor):
 
 def test_closure_trips_on_a_flipped_eps(rep, monkeypatch):
     # eps flipped in the closure's coefficients alone; M0 is built as before
-    pairs, m0, m0d = rep[0], rep[3], rep[4]
+    hbar, m0, m0d = rep[0], rep[3], rep[4]
     mutant = _flipped(monkeypatch, "_CLOSURE", "EPS")
-    assert mutant.lorentz_closure_residual(m0, m0d, pairs.hbar) > 1e-10
+    assert mutant.lorentz_closure_residual(m0, m0d, hbar) > 1e-10
 
 
 def _flip_sigma_y(monkeypatch):
@@ -811,46 +813,46 @@ def _commuting_fold(monkeypatch):
 def test_jz_trips_on_a_broken_m0(monkeypatch, dense, mutate, want, entry):
     # a flipped eta is no such mutant: it moves R, so both sides of the identity
     mod = mutate(monkeypatch)
-    pairs = mod.build_canonical(1.0)
-    m0, m0d = mod.m0_matrices(pairs.q, pairs.r)
-    assert mod.jz_residual(pairs, m0, m0d) == want
+    q_forms, r_forms = mod.build_canonical(1.0)
+    m0, m0d = mod.m0_matrices(q_forms, r_forms)
+    assert mod.jz_residual(q_forms, r_forms, m0, m0d, 1.0) == want
     # the dense oracle reads the same gap: its largest Weyl coefficient, and
     # its largest matrix entry on the safe columns of degree <= 4
     space = PolySpace(4, 5)
     m0, m0d = (dense(m, space) for m in (m0, m0d))
-    q, r = dense(pairs.q, space), dense(pairs.r, space)
+    q, r = dense(q_forms, space), dense(r_forms, space)
     gap = 0.5j * (m0[1] - m0d[1]) - (q[1] @ r[2] - q[2] @ r[1])
     assert _weyl_largest(gap[None], space) == want
     assert np.max(np.abs(gap[:, space.safe_columns()])) == entry
 
 
 def test_su2_trips_on_a_flipped_eps3(rep, monkeypatch):
-    pairs, m0, m0d = rep[0], rep[3], rep[4]
+    hbar, m0, m0d = rep[0], rep[3], rep[4]
     n, nd = three_vector_form(m0, m0d)
     monkeypatch.setattr(quantum_rep, "_EPS3", -quantum_rep._EPS3)
-    assert su2_closure_residual(n, nd, pairs.hbar) > 1e-10
+    assert su2_closure_residual(n, nd, hbar) > 1e-10
 
 
 def test_tensor_trips_on_a_flipped_eta(rep, monkeypatch):
     # eta flipped in the tensor algebra's coefficients alone
-    pairs, m0, m0d = rep[0], rep[3], rep[4]
+    hbar, m0, m0d = rep[0], rep[3], rep[4]
     mt = tensor_form(m0, m0d)
     mutant = _flipped(monkeypatch, "_TENSOR", "_ETA")
-    assert mutant.tensor_algebra_residual(mt, pairs.hbar) > 1e-10
+    assert mutant.tensor_algebra_residual(mt, hbar) > 1e-10
 
 
 def test_tensor_trips_on_a_symmetric_part(rep):
     # M_{00} = I leaves the commutators of the six M_{mu<nu} alone but
     # breaks M_{mu nu} = -M_{nu mu}
-    pairs, m0, m0d = rep[0], rep[3], rep[4]
+    hbar, m0, m0d = rep[0], rep[3], rep[4]
     mt = tensor_form(m0, m0d)
     bumped = mt.copy()
     bumped[0, 0] += 1.0  # the monomial 1, on M_00 only
-    assert tensor_algebra_residual(bumped, pairs.hbar) == 2.0
+    assert tensor_algebra_residual(bumped, hbar) == 2.0
 
 
 def test_roundtrip_trips_on_a_perturbed_m0_block(rep):
-    pairs, m0, m0d = rep[0], rep[3], rep[4]
+    m0, m0d = rep[3], rep[4]
     mt = tensor_form(m0, m0d)
     perturbed = m0.copy().reshape(4, 9, 9)
     i, j = np.argwhere(perturbed[0])[0]  # a monomial of M0_(11), off the diagonal
@@ -868,12 +870,11 @@ def _with_nan(family, row=0):
 
 @pytest.mark.parametrize("check", ["canonical", "mixed", "closure", "su2", "tensor", "roundtrip", "jz"])
 def test_nan_on_a_safe_column_gives_a_nan_residual(rep, check):
-    pairs, m0, m0d = rep[0], rep[3], rep[4]
-    hbar = pairs.hbar
+    hbar, q, r, m0, m0d = rep
     if check == "canonical":
-        residual = canonical_residual(CanonicalPairs(_with_nan(pairs.q), pairs.r, hbar))
+        residual = canonical_residual(_with_nan(q), r, hbar)
     elif check == "mixed":
-        residual = mixed_algebra_residual(_with_nan(pairs.q), pairs.r, hbar)
+        residual = mixed_algebra_residual(_with_nan(q), r, hbar)
     elif check == "closure":
         residual = lorentz_closure_residual(_with_nan(m0), m0d, hbar)
     elif check == "su2":
@@ -882,7 +883,7 @@ def test_nan_on_a_safe_column_gives_a_nan_residual(rep, check):
     elif check == "tensor":
         residual = tensor_algebra_residual(_with_nan(tensor_form(m0, m0d)), hbar)
     elif check == "jz":
-        residual = jz_residual(pairs, _with_nan(m0, row=1), m0d)  # in M0_(12)
+        residual = jz_residual(q, r, _with_nan(m0, row=1), m0d, hbar)  # in M0_(12)
     else:
         residual = spinor_tensor_roundtrip_residual(_with_nan(m0), tensor_form(m0, m0d))
     assert np.isnan(residual)
